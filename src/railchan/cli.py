@@ -35,11 +35,11 @@ from .config import (
 )
 from .dynamics import (
     SCATTER_MODES,
+    Keyframe,
     Trajectory,
-    apply_birth_death,
     interpolate_path,
-    match_paths,
     stream_snapshots,
+    track_interval,
 )
 from .em import CarrierConfig
 from .metrics import (
@@ -86,9 +86,6 @@ def _add_scenario_options(p: argparse.ArgumentParser) -> None:
         "--scatter", choices=SCATTER_MODES, help="override scatter_mode"
     )
     p.add_argument("--seed", type=int, metavar="N", help="override seed")
-    p.add_argument(
-        "--threads", type=int, metavar="N", help="worker threads for keyframe solves"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +183,7 @@ def _digests(out: Path, names) -> dict:
     return {name: file_sha256(out / name) for name in names}
 
 
-def _run_stream(cfg: ScenarioConfig, scene, threads, *, kf_interval=None, start_step=0, duration=None):
+def _run_stream(cfg: ScenarioConfig, scene, *, kf_interval=None, start_step=0, duration=None):
     traj = cfg.trajectory()
     if duration is not None:
         traj = Trajectory(waypoints=cfg.waypoints.copy(), speed=cfg.speed_mps, duration=duration)
@@ -201,7 +198,6 @@ def _run_stream(cfg: ScenarioConfig, scene, threads, *, kf_interval=None, start_
         scatter_mode=cfg.scatter_mode,
         leg_policy=cfg.leg_policy,
         seed=cfg.seed,
-        threads=threads,
         start_step=start_step,
     )
 
@@ -211,10 +207,10 @@ def _run_stream(cfg: ScenarioConfig, scene, threads, *, kf_interval=None, start_
 # ----------------------------------------------------------------------
 def cmd_run(args) -> int:
     cfg = _scenario_from_args(args)
-    out = _out_dir(args, "run")
     scene = cfg.load_scene()
+    out = _out_dir(args, "run")
     t0 = time.perf_counter()
-    result = _run_stream(cfg, scene, args.threads)
+    result = _run_stream(cfg, scene)
     wall = time.perf_counter() - t0
 
     ids = write_trace_csv(out / "trace.csv", result.snapshots)
@@ -256,17 +252,17 @@ def cmd_sweep(args) -> int:
     cfg = _scenario_from_args(args)
     if not cfg.sweep_intervals_s:
         raise ConfigError("no sweep intervals configured; set 'sweep_intervals_s' or --intervals")
-    out = _out_dir(args, "sweep")
     scene = cfg.load_scene()
+    out = _out_dir(args, "sweep")
 
     t0 = time.perf_counter()
-    reference = _run_stream(cfg, scene, args.threads, kf_interval=cfg.update_step_s)
+    reference = _run_stream(cfg, scene, kf_interval=cfg.update_step_s)
     ref_wall = time.perf_counter() - t0
 
     rows = []
     for interval in cfg.sweep_intervals_s:
         t0 = time.perf_counter()
-        test = _run_stream(cfg, scene, args.threads, kf_interval=interval)
+        test = _run_stream(cfg, scene, kf_interval=interval)
         test_wall = time.perf_counter() - t0
         report = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm)
         report.reference_seconds = ref_wall
@@ -307,7 +303,6 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------
 def cmd_scatter_study(args) -> int:
     cfg = _scenario_from_args(args)
-    out = _out_dir(args, "scatter-study")
     scene = cfg.load_scene()
     if not scene.scatterers:
         raise ConfigError("the scene has no discrete scatterers to study")
@@ -326,8 +321,9 @@ def cmd_scatter_study(args) -> int:
     if abs(start_step * step - w0) > 1e-6:
         raise ConfigError(f"window start {w0} must be an integer multiple of update_step_s {step}")
 
+    out = _out_dir(args, "scatter-study")
     t0 = time.perf_counter()
-    result = _run_stream(cfg, scene, args.threads, start_step=start_step, duration=w1)
+    result = _run_stream(cfg, scene, start_step=start_step, duration=w1)
     wall = time.perf_counter() - t0
 
     cir_total = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff, "vv")
@@ -425,22 +421,14 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
 # ----------------------------------------------------------------------
 def cmd_bench(args) -> int:
     cfg = _scenario_from_args(args)
-    out = _out_dir(args, "bench")
     repeats = max(1, args.repeats)
     carrier = CarrierConfig(cfg.carrier_hz)
 
-    rows = []
     t0 = time.perf_counter()
     scene = cfg.load_scene()
-    rows.append(
-        {
-            "stage": "scene_load",
-            "repeat": 0,
-            "units": 1,
-            "seconds": time.perf_counter() - t0,
-            "per_unit_ms": (time.perf_counter() - t0) * 1e3,
-        }
-    )
+    el = time.perf_counter() - t0
+    out = _out_dir(args, "bench")
+    rows = [{"stage": "scene_load", "repeat": 0, "units": 1, "seconds": el, "per_unit_ms": el * 1e3}]
 
     traj = cfg.trajectory()
     fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -485,23 +473,11 @@ def cmd_bench(args) -> int:
     mid = 0.5 * cfg.duration_s
     kf_a_t = mid
     kf_b_t = mid + cfg.update_step_s * 10
-    from .dynamics import Keyframe  # local import to keep the module header lean
-
     pa = tracer.trace(cfg.tx_position, traj.position(kf_a_t), cfg.limits)
     pb = tracer.trace(cfg.tx_position, traj.position(kf_b_t), cfg.limits)
     kf_a = Keyframe(index=0, timestamp=kf_a_t, rx_position=traj.position(kf_a_t), paths=pa)
     kf_b = Keyframe(index=1, timestamp=kf_b_t, rx_position=traj.position(kf_b_t), paths=pb)
-    matched, births, deaths = match_paths(kf_a, kf_b)
-    rng = np.random.default_rng(cfg.seed)
-    from .dynamics import TrackedPath
-
-    tracks = [
-        TrackedPath(
-            signature=x.signature, kind="matched", t_a=kf_a_t, t_b=kf_b_t, path_a=x, path_b=y
-        )
-        for x, y in matched
-    ]
-    tracks.extend(apply_birth_death(births, deaths, kf_a_t, kf_b_t, rng))
+    tracks = track_interval(kf_a, kf_b, np.random.default_rng(cfg.seed))
     times = [kf_a_t + cfg.update_step_s * i for i in range(1, 10)]
     for rep in range(repeats):
         t0 = time.perf_counter()

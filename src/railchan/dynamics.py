@@ -22,10 +22,8 @@ keyframe where the path exists, so the held path has zero Doppler.
 from __future__ import annotations
 
 import math
-import os
 import time
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,16 +137,6 @@ def _keyframe_times(duration: float, kf_interval: float) -> list[float]:
     return times
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("RAILCHAN_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _solve_keyframes(
     tracer: SpecularTracer,
     traj: Trajectory,
@@ -156,25 +144,15 @@ def _solve_keyframes(
     times: list[float],
     limits: TraceLimits,
     engine: ScatterEngine | None,
-    threads: int,
 ) -> list[Keyframe]:
-    def solve(item):
-        idx, t = item
+    keyframes = []
+    for idx, t in enumerate(times):
         rx = traj.position(t)
         paths = tracer.trace(tx, rx, limits)
         if engine is not None:
             paths = paths + engine.paths(tx, rx)
-        return Keyframe(index=idx, timestamp=t, rx_position=rx, paths=paths)
-
-    items = list(enumerate(times))
-    if threads > 1 and len(items) > 1:
-        # first solve sequentially so the tracer's per-transmitter tables are
-        # built before concurrent reads
-        head = solve(items[0])
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tail = list(pool.map(solve, items[1:]))
-        return [head] + tail
-    return [solve(item) for item in items]
+        keyframes.append(Keyframe(index=idx, timestamp=t, rx_position=rx, paths=paths))
+    return keyframes
 
 
 def compute_keyframes(
@@ -189,7 +167,6 @@ def compute_keyframes(
     rx_antenna: AntennaConfig = _OMNI,
     include_scatter: bool = False,
     leg_policy: str = "direct-only",
-    threads: int | None = None,
 ) -> list[Keyframe]:
     """Exact path solves at ``0, kf_interval, 2*kf_interval, ...`` plus the
     final timestamp when the duration is not a multiple of the interval."""
@@ -200,8 +177,7 @@ def compute_keyframes(
     engine = None
     if include_scatter and scene.scatterers:
         engine = ScatterEngine(scene, carrier, tx_antenna, rx_antenna, leg_policy)
-    threads = threads if threads is not None else _env_threads()
-    return _solve_keyframes(tracer, traj, tx, times, limits, engine, threads)
+    return _solve_keyframes(tracer, traj, tx, times, limits, engine)
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +273,32 @@ def apply_birth_death(
             )
         )
     return out
+
+
+def track_interval(
+    kf_a: Keyframe, kf_b: Keyframe, rng: np.random.Generator, ramp_fraction: float = 0.5
+) -> list[TrackedPath]:
+    """Paths tracked across the interval from ``kf_a`` to ``kf_b``.
+
+    Matched pairs come first, in the order of ``kf_a``, followed by the
+    births and deaths scheduled by :func:`apply_birth_death`.
+    """
+    matched, births, deaths = match_paths(kf_a, kf_b)
+    tracks = [
+        TrackedPath(
+            signature=pa.signature,
+            kind="matched",
+            t_a=kf_a.timestamp,
+            t_b=kf_b.timestamp,
+            path_a=pa,
+            path_b=pb,
+        )
+        for pa, pb in matched
+    ]
+    tracks.extend(
+        apply_birth_death(births, deaths, kf_a.timestamp, kf_b.timestamp, rng, ramp_fraction)
+    )
+    return tracks
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +454,6 @@ def stream_snapshots(
     ramp_fraction: float = 0.5,
     tx_antenna: AntennaConfig = _OMNI,
     rx_antenna: AntennaConfig = _OMNI,
-    threads: int | None = None,
     start_step: int = 0,
 ) -> StreamResult:
     """Snapshot stream at ``update_step`` resolution from keyframe solves at
@@ -491,7 +492,6 @@ def stream_snapshots(
 
     tx = np.asarray(tx_position, dtype=float)
     limits = limits if limits is not None else TraceLimits()
-    threads = threads if threads is not None else _env_threads()
 
     kf_steps = list(range(start_step, n_steps + 1, stride))
     if kf_steps[-1] != n_steps:
@@ -505,7 +505,7 @@ def stream_snapshots(
     kf_engine = engine if scatter_mode == "interpolated" else None
 
     t0 = time.perf_counter()
-    keyframes = _solve_keyframes(tracer, traj, tx, kf_times, limits, kf_engine, threads)
+    keyframes = _solve_keyframes(tracer, traj, tx, kf_times, limits, kf_engine)
     keyframe_seconds = time.perf_counter() - t0
 
     # tracked path sets per keyframe interval (only needed when snapshots
@@ -515,24 +515,8 @@ def stream_snapshots(
     if stride > 1:
         t0 = time.perf_counter()
         rng = np.random.default_rng(seed)
-        for j in range(len(keyframes) - 1):
-            a, b = keyframes[j], keyframes[j + 1]
-            matched, births, deaths = match_paths(a, b)
-            tracks = [
-                TrackedPath(
-                    signature=pa.signature,
-                    kind="matched",
-                    t_a=a.timestamp,
-                    t_b=b.timestamp,
-                    path_a=pa,
-                    path_b=pb,
-                )
-                for pa, pb in matched
-            ]
-            tracks.extend(
-                apply_birth_death(births, deaths, a.timestamp, b.timestamp, rng, ramp_fraction)
-            )
-            brackets.append(tracks)
+        for a, b in zip(keyframes[:-1], keyframes[1:]):
+            brackets.append(track_interval(a, b, rng, ramp_fraction))
         interpolation_seconds += time.perf_counter() - t0
 
     kf_pos = {s: i for i, s in enumerate(kf_steps)}

@@ -182,167 +182,13 @@ def _check_simple_polygon(poly: np.ndarray, where: str) -> None:
                 raise SceneError(f"{where}: footprint self-intersects (edges {i} and {j})")
 
 
-def _point_in_polygon(point_xy: np.ndarray, poly: np.ndarray) -> bool:
-    """Even-odd rule; points on the boundary count as inside."""
-    x, y = point_xy
-    xs, ys = poly[:, 0], poly[:, 1]
-    xe, ye = np.roll(xs, -1), np.roll(ys, -1)
-    crosses = ((ys > y) != (ye > y)) & (
-        x < xs + (y - ys) * (xe - xs) / np.where(ye != ys, ye - ys, 1.0)
-    )
-    inside = bool(np.count_nonzero(crosses) % 2)
-    if inside:
-        return True
-    # boundary tolerance
-    dx, dy = xe - xs, ye - ys
-    seg_len2 = dx * dx + dy * dy
-    tproj = np.clip(((x - xs) * dx + (y - ys) * dy) / np.where(seg_len2 > 0, seg_len2, 1.0), 0, 1)
-    d2 = (xs + tproj * dx - x) ** 2 + (ys + tproj * dy - y) ** 2
-    return bool(np.any(d2 <= EPS_GEOM**2))
-
-
-def _points_in_polygon(points_xy: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Vectorized even-odd test for an (N, 2) array of points."""
-    x = points_xy[:, 0][:, None]
-    y = points_xy[:, 1][:, None]
-    xs, ys = poly[:, 0][None, :], poly[:, 1][None, :]
-    xe, ye = np.roll(poly[:, 0], -1)[None, :], np.roll(poly[:, 1], -1)[None, :]
-    denom = np.where(ye != ys, ye - ys, 1.0)
-    crosses = ((ys > y) != (ye > y)) & (x < xs + (y - ys) * (xe - xs) / denom)
-    return (np.count_nonzero(crosses, axis=1) % 2).astype(bool)
-
-
-class _Grid:
-    """Uniform 2D grid over building footprints.
-
-    Cells map to the ids of buildings whose (eps-padded) footprint bounding
-    box overlaps the cell.  A segment query walks the cells crossed by the 2D
-    projection of the segment and returns the union of their building sets,
-    which is guaranteed to be a superset of every building the segment can
-    touch.
-    """
-
-    def __init__(self, buildings: list[Building], cell_size: float = 25.0):
-        self.cell_size = float(cell_size)
-        self.n_buildings = len(buildings)
-        if not buildings:
-            self.origin = np.zeros(2)
-            self.shape = (0, 0)
-            self.cells: dict[tuple[int, int], np.ndarray] = {}
-            return
-        lo = np.min([b.footprint.min(axis=0) for b in buildings], axis=0) - 1.0
-        hi = np.max([b.footprint.max(axis=0) for b in buildings], axis=0) + 1.0
-        self.origin = lo
-        nx = max(1, int(math.ceil((hi[0] - lo[0]) / self.cell_size)))
-        ny = max(1, int(math.ceil((hi[1] - lo[1]) / self.cell_size)))
-        self.shape = (nx, ny)
-        cells: dict[tuple[int, int], list[int]] = {}
-        for idx, b in enumerate(buildings):
-            bmin = b.footprint.min(axis=0) - EPS_GEOM
-            bmax = b.footprint.max(axis=0) + EPS_GEOM
-            i0, j0 = self._cell_of(bmin)
-            i1, j1 = self._cell_of(bmax)
-            for i in range(max(i0, 0), min(i1, nx - 1) + 1):
-                for j in range(max(j0, 0), min(j1, ny - 1) + 1):
-                    cells.setdefault((i, j), []).append(idx)
-        self.cells = {k: np.array(v, dtype=np.intp) for k, v in cells.items()}
-
-    def _cell_of(self, p_xy) -> tuple[int, int]:
-        return (
-            int(math.floor((p_xy[0] - self.origin[0]) / self.cell_size)),
-            int(math.floor((p_xy[1] - self.origin[1]) / self.cell_size)),
-        )
-
-    def candidates(self, p_xy: np.ndarray, q_xy: np.ndarray) -> np.ndarray:
-        """Building indices possibly intersected by segment p->q (2D)."""
-        if not self.cells:
-            return np.empty(0, dtype=np.intp)
-        nx, ny = self.shape
-        # clip the segment against the grid bounds (Liang-Barsky)
-        d = q_xy - p_xy
-        t0, t1 = 0.0, 1.0
-        lo = self.origin
-        hi = self.origin + np.array([nx, ny]) * self.cell_size
-        for axis in range(2):
-            if abs(d[axis]) < 1e-15:
-                if p_xy[axis] < lo[axis] or p_xy[axis] > hi[axis]:
-                    return np.empty(0, dtype=np.intp)
-            else:
-                ta = (lo[axis] - p_xy[axis]) / d[axis]
-                tb = (hi[axis] - p_xy[axis]) / d[axis]
-                if ta > tb:
-                    ta, tb = tb, ta
-                t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 > t1:
-            return np.empty(0, dtype=np.intp)
-        a = p_xy + t0 * d
-        b = p_xy + t1 * d
-        mask = np.zeros(self.n_buildings, dtype=bool)
-        for cell in self._walk_cells(a, b):
-            ids = self.cells.get(cell)
-            if ids is not None:
-                mask[ids] = True
-        return np.nonzero(mask)[0]
-
-    def _walk_cells(self, a: np.ndarray, b: np.ndarray):
-        """Amanatides-Woo traversal; ties step both neighbours."""
-        nx, ny = self.shape
-        i, j = self._cell_of(a)
-        i = min(max(i, 0), nx - 1)
-        j = min(max(j, 0), ny - 1)
-        i_end, j_end = self._cell_of(b)
-        i_end = min(max(i_end, 0), nx - 1)
-        j_end = min(max(j_end, 0), ny - 1)
-        yield (i, j)
-        d = b - a
-        if abs(d[0]) < 1e-15 and abs(d[1]) < 1e-15:
-            return
-        step_i = 1 if d[0] > 0 else -1
-        step_j = 1 if d[1] > 0 else -1
-        if abs(d[0]) > 1e-15:
-            next_x = self.origin[0] + (i + (step_i > 0)) * self.cell_size
-            t_max_x = (next_x - a[0]) / d[0]
-            t_dx = self.cell_size / abs(d[0])
-        else:
-            t_max_x, t_dx = math.inf, math.inf
-        if abs(d[1]) > 1e-15:
-            next_y = self.origin[1] + (j + (step_j > 0)) * self.cell_size
-            t_max_y = (next_y - a[1]) / d[1]
-            t_dy = self.cell_size / abs(d[1])
-        else:
-            t_max_y, t_dy = math.inf, math.inf
-        guard = 4 * (nx + ny) + 8
-        while (i, j) != (i_end, j_end) and guard > 0:
-            guard -= 1
-            if abs(t_max_x - t_max_y) < 1e-12:
-                # corner crossing: cover both 4-neighbours
-                if 0 <= i + step_i < nx:
-                    yield (i + step_i, j)
-                if 0 <= j + step_j < ny:
-                    yield (i, j + step_j)
-                i += step_i
-                j += step_j
-                t_max_x += t_dx
-                t_max_y += t_dy
-            elif t_max_x < t_max_y:
-                i += step_i
-                t_max_x += t_dx
-            else:
-                j += step_j
-                t_max_y += t_dy
-            if not (0 <= i < nx and 0 <= j < ny):
-                return
-            yield (i, j)
-
-
 @dataclass
 class Scene:
-    """Immutable environment: buildings, scatterers, ground, spatial index."""
+    """Immutable environment: buildings, scatterers, ground."""
 
     buildings: list[Building]
     scatterers: list[CylinderScatterer] = field(default_factory=list)
     ground_material: Material = DEFAULT_MATERIAL
-    grid_cell_size: float = 25.0
 
     def __post_init__(self):
         ids = [b.id for b in self.buildings]
@@ -352,13 +198,12 @@ class Scene:
         if len(set(sids)) != len(sids):
             raise SceneError("duplicate scatterer ids")
         self._build_arrays()
-        self._grid = _Grid(self.buildings, self.grid_cell_size)
 
     # ------------------------------------------------------------------
     # precomputed flat geometry arrays
     # ------------------------------------------------------------------
     def _build_arrays(self):
-        origins, dirs, lengths, heights, normals, offsets = [], [], [], [], [], []
+        origins, ends, dirs, lengths, heights, normals, offsets = [], [], [], [], [], [], []
         fac_building, fac_object, fac_element = [], [], []
         self._edges: dict[tuple[int, int], Wedge] = {}
         self._facade_info: dict[tuple[int, int], int] = {}
@@ -371,6 +216,7 @@ class Scene:
                 length = float(np.linalg.norm(edge))
                 u = edge / length
                 origins.append([v0[0], v0[1], 0.0])
+                ends.append(v1)
                 dirs.append([u[0], u[1], 0.0])
                 lengths.append(length)
                 heights.append(b.height)
@@ -382,52 +228,29 @@ class Scene:
                 fac_element.append(i)
                 self._facade_info[(b.id, i)] = len(origins) - 1
             self._build_edges(b)
-        if origins:
-            self.fac_origin = np.array(origins)
-            self.fac_dir = np.array(dirs)
-            self.fac_len = np.array(lengths)
-            self.fac_height = np.array(heights)
-            self.fac_normal = np.array(normals)
-            self.fac_offset = np.array(offsets)
-            self.fac_building = np.array(fac_building, dtype=np.intp)
-            self.fac_object = np.array(fac_object, dtype=np.intp)
-            self.fac_element = np.array(fac_element, dtype=np.intp)
-        else:
-            self.fac_origin = np.zeros((0, 3))
-            self.fac_dir = np.zeros((0, 3))
-            self.fac_len = np.zeros(0)
-            self.fac_height = np.zeros(0)
-            self.fac_normal = np.zeros((0, 3))
-            self.fac_offset = np.zeros(0)
-            self.fac_building = np.zeros(0, dtype=np.intp)
-            self.fac_object = np.zeros(0, dtype=np.intp)
-            self.fac_element = np.zeros(0, dtype=np.intp)
+        self.fac_origin = np.array(origins, dtype=float).reshape(-1, 3)
+        self.fac_dir = np.array(dirs, dtype=float).reshape(-1, 3)
+        self.fac_len = np.array(lengths, dtype=float)
+        self.fac_height = np.array(heights, dtype=float)
+        self.fac_normal = np.array(normals, dtype=float).reshape(-1, 3)
+        self.fac_offset = np.array(offsets, dtype=float)
+        self.fac_building = np.array(fac_building, dtype=np.intp)
+        self.fac_object = np.array(fac_object, dtype=np.intp)
+        self.fac_element = np.array(fac_element, dtype=np.intp)
         self.n_facades = len(self.fac_len)
         self.fac_od = np.einsum("ij,ij->i", self.fac_origin, self.fac_dir)
-        # flat footprint-edge table + per-building extents for batched
-        # point-in-building queries
-        ex0, ey0, ex1, ey1, ebi = [], [], [], [], []
-        heights, xmin, xmax, ymin, ymax = [], [], [], [], []
-        for bi, b in enumerate(self.buildings):
-            poly = b.footprint
-            nv = len(poly)
-            for i in range(nv):
-                v0, v1 = poly[i], poly[(i + 1) % nv]
-                ex0.append(v0[0]); ey0.append(v0[1])
-                ex1.append(v1[0]); ey1.append(v1[1])
-                ebi.append(bi)
-            heights.append(b.height)
-            xmin.append(poly[:, 0].min()); xmax.append(poly[:, 0].max())
-            ymin.append(poly[:, 1].min()); ymax.append(poly[:, 1].max())
-        self._edge_x0 = np.array(ex0); self._edge_y0 = np.array(ey0)
-        self._edge_x1 = np.array(ex1); self._edge_y1 = np.array(ey1)
-        self._edge_bidx = np.array(ebi, dtype=np.intp)
-        self._bldg_height = np.array(heights)
-        self._bldg_xmin = np.array(xmin); self._bldg_xmax = np.array(xmax)
-        self._bldg_ymin = np.array(ymin); self._bldg_ymax = np.array(ymax)
+        # facade f is also footprint edge f, from fac_origin[f] to _fac_end[f]
+        self._fac_end = np.array(ends, dtype=float).reshape(-1, 2)
+        # per-building extents and roof ids for the batched queries
+        bs = self.buildings
+        self._bldg_height = np.array([b.height for b in bs], dtype=float)
+        self._bldg_lo = np.array([b.footprint.min(axis=0) for b in bs], dtype=float).reshape(-1, 2)
+        self._bldg_hi = np.array([b.footprint.max(axis=0) for b in bs], dtype=float).reshape(-1, 2)
+        self._bldg_object = np.array([b.id for b in bs], dtype=np.intp)
+        self._bldg_roof = np.array([b.roof_element_id for b in bs], dtype=np.intp)
         # facades are appended building by building, so each building owns the
         # contiguous facade range [start[b], start[b+1])
-        counts = [len(b.footprint) for b in self.buildings]
+        counts = [len(b.footprint) for b in bs]
         self._bldg_fac_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
     def _build_edges(self, b: Building):
@@ -505,231 +328,202 @@ class Scene:
         raise KeyError(object_id)
 
     def contains_point(self, p: np.ndarray) -> bool:
-        """True when p is strictly inside some building volume."""
-        if not self.buildings:
+        """True when p is strictly inside some building volume.
+
+        A point within ``EPS_GEOM`` of a footprint boundary is not inside.
+        """
+        x, y, z = (float(v) for v in p)
+        bi = np.nonzero(
+            (z > -EPS_GEOM)
+            & (z < self._bldg_height - EPS_GEOM)
+            & self._near_footprint_bbox(x, y, np.arange(len(self.buildings)))
+        )[0]
+        if not len(bi):
             return False
-        z = float(p[2])
-        z_ok = (z > -EPS_GEOM) & (z < self._bldg_height - EPS_GEOM)
-        if not np.any(z_ok):
-            return False
-        x, y = float(p[0]), float(p[1])
-        xs, ys = self._edge_x0, self._edge_y0
-        xe, ye = self._edge_x1, self._edge_y1
-        crosses = ((ys > y) != (ye > y)) & (
-            x < xs + (y - ys) * (xe - xs) / np.where(ye != ys, ye - ys, 1.0)
+        inside, on_boundary = self._classify_footprint(np.full(len(bi), x), np.full(len(bi), y), bi)
+        return bool(np.any(inside & ~on_boundary))
+
+    # ------------------------------------------------------------------
+    # footprint classification
+    # ------------------------------------------------------------------
+    def _near_footprint_bbox(self, x, y, bi: np.ndarray) -> np.ndarray:
+        """True where ``(x, y)`` lies within ``EPS_GEOM`` of the bounding box
+        of the footprint of building ``bi``."""
+        lo = self._bldg_lo[bi] - EPS_GEOM
+        hi = self._bldg_hi[bi] + EPS_GEOM
+        return (x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1])
+
+    def _building_facades(self, bi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, facade) pairs covering every facade of building ``bi[row]``."""
+        start = self._bldg_fac_start
+        counts = start[bi + 1] - start[bi]
+        rows = np.repeat(np.arange(len(bi)), counts)
+        first = np.cumsum(counts) - counts
+        return rows, start[bi][rows] + np.arange(len(rows)) - first[rows]
+
+    def _classify_footprint(self, x, y, bi) -> tuple[np.ndarray, np.ndarray]:
+        """Place point ``(x[m], y[m])`` against the footprint of building ``bi[m]``.
+
+        Returns ``(inside, on_boundary)``: ``inside`` is the even-odd rule,
+        ``on_boundary`` marks points within ``EPS_GEOM`` of a footprint edge on
+        either side.  This is the scene's one boundary convention: rooftop
+        crossings count ``inside | on_boundary`` as a hit, while
+        :meth:`contains_point` counts only ``inside & ~on_boundary``.
+        """
+        rows, e = self._building_facades(bi)
+        px, py = x[rows], y[rows]
+        xs, ys = self.fac_origin[e, 0], self.fac_origin[e, 1]
+        xe, ye = self._fac_end[e, 0], self._fac_end[e, 1]
+        crosses = ((ys > py) != (ye > py)) & (
+            px < xs + (py - ys) * (xe - xs) / np.where(ye != ys, ye - ys, 1.0)
         )
-        counts = np.bincount(self._edge_bidx[crosses], minlength=len(self.buildings))
-        inside = ((counts % 2) == 1) & z_ok
-        if not np.any(inside):
-            return False
-        # exclude points on (or within tolerance of) a footprint boundary
-        emask = inside[self._edge_bidx]
-        exs, eys = xs[emask], ys[emask]
-        edx, edy = xe[emask] - exs, ye[emask] - eys
-        seg_len2 = edx * edx + edy * edy
-        tproj = np.clip(
-            ((x - exs) * edx + (y - eys) * edy) / np.where(seg_len2 > 0, seg_len2, 1.0), 0, 1
-        )
-        d2 = (exs + tproj * edx - x) ** 2 + (eys + tproj * edy - y) ** 2
-        on_boundary = d2 <= EPS_GEOM**2
-        bad = np.zeros(len(self.buildings), dtype=bool)
-        bad[self._edge_bidx[emask][on_boundary]] = True
-        return bool(np.any(inside & ~bad))
+        inside = np.bincount(rows[crosses], minlength=len(bi)) % 2 == 1
+        dx, dy = xe - xs, ye - ys
+        tproj = np.clip(((px - xs) * dx + (py - ys) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        near = (xs + tproj * dx - px) ** 2 + (ys + tproj * dy - py) ** 2 <= EPS_GEOM**2
+        on_boundary = np.zeros(len(bi), dtype=bool)
+        on_boundary[rows[near]] = True
+        return inside, on_boundary
 
     # ------------------------------------------------------------------
     # intersection queries
     # ------------------------------------------------------------------
-    def first_hit(self, p: np.ndarray, q: np.ndarray) -> Hit | None:
-        """Nearest scene intersection strictly between the endpoints.
+    def _crossings(self, p: np.ndarray, q: np.ndarray):
+        """Every surface crossing strictly inside the segments ``p[k] -> q[k]``.
 
-        Hits closer than ``EPS_GEOM`` to either endpoint are ignored, so a
-        segment that starts or ends on a surface is not blocked by it.
+        Returns ``(k, t, dist, object_id, element_id)`` with one entry per
+        crossing: the segment index, the parameter along ``q - p``, the
+        distance from ``p`` and the element crossed.  Crossings closer than
+        ``EPS_GEOM`` to either endpoint are dropped, so a segment that starts
+        or ends on a surface is not blocked by it.  Facades and rooftops are
+        only tested for the (segment, building) pairs whose bounding boxes
+        overlap.
         """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        cand = self._grid.candidates(p[:2], q[:2])
-        return self._first_hit_impl(p, q, cand)
-
-    def brute_first_hit(self, p: np.ndarray, q: np.ndarray) -> Hit | None:
-        """Same contract as :meth:`first_hit` but scanning every object."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return self._first_hit_impl(p, q, np.arange(len(self.buildings), dtype=np.intp))
-
-    def _first_hit_impl(self, p, q, building_idx) -> Hit | None:
         seg = q - p
-        seg_len = float(np.linalg.norm(seg))
-        if seg_len < EPS_GEOM:
-            return None
-        best: tuple[float, int, int, str, float, np.ndarray] | None = None
+        seg_len = np.linalg.norm(seg, axis=1)
+        lo = np.minimum(p, q) - EPS_GEOM
+        hi = np.maximum(p, q) + EPS_GEOM
+        cand = (
+            (lo[:, 0:1] <= self._bldg_hi[None, :, 0])
+            & (hi[:, 0:1] >= self._bldg_lo[None, :, 0])
+            & (lo[:, 1:2] <= self._bldg_hi[None, :, 1])
+            & (hi[:, 1:2] >= self._bldg_lo[None, :, 1])
+            & (lo[:, 2:3] <= self._bldg_height[None, :])
+            & (hi[:, 2:3] >= 0.0)
+        )  # (K, B)
+        ki, bi = np.nonzero(cand)
 
-        def consider(dist, object_id, element_id, kind, t, point):
-            nonlocal best
-            key = (dist, 1 if kind == "ground" else 0, object_id, element_id)
-            if best is None or key < (best[0], 1 if best[3] == "ground" else 0, best[1], best[2]):
-                best = (dist, object_id, element_id, kind, t, point)
+        # facade planes, one row per (segment, facade of an overlapping building)
+        rows, fi = self._building_facades(bi)
+        kk = ki[rows]
+        nx = self.fac_normal[fi]
+        pp = p[kk]
+        ss = seg[kk]
+        denom = np.einsum("ij,ij->i", nx, ss)
+        off = self.fac_offset[fi] - np.einsum("ij,ij->i", nx, pp)
+        safe = np.abs(denom) > 1e-15
+        t = np.where(safe, off / np.where(safe, denom, 1.0), 0.0)
+        sl = seg_len[kk]
+        dist = t * sl
+        ok = (dist > EPS_GEOM) & (dist < sl - EPS_GEOM)
+        dx = self.fac_dir[fi]
+        s = np.einsum("ij,ij->i", pp, dx) - self.fac_od[fi] + t * np.einsum("ij,ij->i", ss, dx)
+        ok &= (s >= -EPS_GEOM) & (s <= self.fac_len[fi] + EPS_GEOM)
+        z = pp[:, 2] + t * ss[:, 2]
+        ok &= (z >= -EPS_GEOM) & (z <= self.fac_height[fi] + EPS_GEOM)
+        facade = (kk[ok], t[ok], dist[ok], self.fac_object[fi[ok]], self.fac_element[fi[ok]])
 
-        if len(building_idx) and self.n_facades:
-            bmask = np.zeros(len(self.buildings), dtype=bool)
-            bmask[building_idx] = True
-            fmask = bmask[self.fac_building]
-            fi = np.nonzero(fmask)[0]
-            if len(fi):
-                n = self.fac_normal[fi]
-                denom = n @ seg
-                off = self.fac_offset[fi] - n @ p
-                ok = np.abs(denom) > 1e-15
-                t = np.where(ok, off / np.where(ok, denom, 1.0), 0.0)
-                dist = t * seg_len
-                ok &= (dist > EPS_GEOM) & (dist < seg_len - EPS_GEOM)
-                if np.any(ok):
-                    pts = p[None, :] + t[:, None] * seg[None, :]
-                    rel = pts - self.fac_origin[fi]
-                    s = np.einsum("ij,ij->i", rel, self.fac_dir[fi])
-                    ok &= (s >= -EPS_GEOM) & (s <= self.fac_len[fi] + EPS_GEOM)
-                    ok &= (pts[:, 2] >= -EPS_GEOM) & (pts[:, 2] <= self.fac_height[fi] + EPS_GEOM)
-                    for k in np.nonzero(ok)[0]:
-                        consider(
-                            float(dist[k]),
-                            int(self.fac_object[fi[k]]),
-                            int(self.fac_element[fi[k]]),
-                            "facade",
-                            float(t[k]),
-                            pts[k],
-                        )
-            # rooftops
-            dz = seg[2]
-            for bi in building_idx:
-                b = self.buildings[bi]
-                if abs(dz) < 1e-15:
-                    continue
-                t = (b.height - p[2]) / dz
-                dist = t * seg_len
-                if dist <= EPS_GEOM or dist >= seg_len - EPS_GEOM:
-                    continue
-                pt = p + t * seg
-                if _point_in_polygon(pt[:2], b.footprint):
-                    consider(float(dist), b.id, b.roof_element_id, "roof", float(t), pt)
+        # rooftop planes, one row per overlapping (segment, building) pair
+        pb = p[ki]
+        sb = seg[ki]
+        dz = sb[:, 2]
+        safe = np.abs(dz) > 1e-15
+        t = np.where(safe, (self._bldg_height[bi] - pb[:, 2]) / np.where(safe, dz, 1.0), 0.0)
+        sl = seg_len[ki]
+        dist = t * sl
+        x = pb[:, 0] + t * sb[:, 0]
+        y = pb[:, 1] + t * sb[:, 1]
+        near = (dist > EPS_GEOM) & (dist < sl - EPS_GEOM)
+        near &= self._near_footprint_bbox(x, y, bi)
+        r = np.nonzero(near)[0]
+        inside, on_boundary = self._classify_footprint(x[r], y[r], bi[r])
+        r = r[inside | on_boundary]
+        roof = (ki[r], t[r], dist[r], self._bldg_object[bi[r]], self._bldg_roof[bi[r]])
+
         # ground plane z = 0
-        if abs(seg[2]) > 1e-15:
-            t = -p[2] / seg[2]
-            dist = t * seg_len
-            if EPS_GEOM < dist < seg_len - EPS_GEOM:
-                pt = p + t * seg
-                consider(float(dist), GROUND_OBJECT_ID, 0, "ground", float(t), pt)
-        if best is None:
-            return None
-        dist, object_id, element_id, kind, t, point = best
-        return Hit(point=point, object_id=object_id, element_id=element_id, kind=kind, distance=dist, t=t)
+        dz = seg[:, 2]
+        safe = np.abs(dz) > 1e-15
+        t = np.where(safe, -p[:, 2] / np.where(safe, dz, 1.0), 0.0)
+        dist = t * seg_len
+        g = np.nonzero((dist > EPS_GEOM) & (dist < seg_len - EPS_GEOM))[0]
+        ground = (
+            g,
+            t[g],
+            dist[g],
+            np.full(len(g), GROUND_OBJECT_ID, dtype=np.intp),
+            np.zeros(len(g), dtype=np.intp),
+        )
+        return tuple(np.concatenate(cols) for cols in zip(facade, roof, ground))
 
     def segments_blocked(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Vectorized occlusion test for (K, 3) segment endpoint arrays.
+        """Occlusion flags for (K, 3) segment endpoint arrays.
 
-        Brute-force over all facades/rooftops/ground; used by the tracers
-        where many candidate segments are tested at once.
+        True where the open segment meets a facade, a rooftop or the ground;
+        the tracers test all their candidate segments in one call.
         """
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        seg = q - p
-        seg_len = np.linalg.norm(seg, axis=1)
         blocked = np.zeros(len(p), dtype=bool)
-        live = seg_len >= EPS_GEOM
-        if self.n_facades:
-            # prefilter on (segment bbox) x (building bbox) overlap, then run
-            # the exact plane/rectangle test only on surviving pairs
-            lo = np.minimum(p, q) - EPS_GEOM
-            hi = np.maximum(p, q) + EPS_GEOM
-            cand = (
-                (lo[:, 0:1] <= self._bldg_xmax[None, :])
-                & (hi[:, 0:1] >= self._bldg_xmin[None, :])
-                & (lo[:, 1:2] <= self._bldg_ymax[None, :])
-                & (hi[:, 1:2] >= self._bldg_ymin[None, :])
-                & (lo[:, 2:3] <= self._bldg_height[None, :])
-                & (hi[:, 2:3] >= 0.0)
-            )  # (K, B)
-            ki, bi = np.nonzero(cand)
-            if len(ki):
-                start = self._bldg_fac_start
-                counts = start[bi + 1] - start[bi]
-                total = int(counts.sum())
-                base = np.repeat(start[bi], counts)
-                csum = np.cumsum(counts)
-                local = np.arange(total) - np.repeat(csum - counts, counts)
-                fi = base + local  # facade index per pair
-                kk = np.repeat(ki, counts)  # segment index per pair
-                nx = self.fac_normal[fi]
-                pp = p[kk]
-                ss = seg[kk]
-                denom = np.einsum("ij,ij->i", nx, ss)
-                off = self.fac_offset[fi] - np.einsum("ij,ij->i", nx, pp)
-                safe = np.abs(denom) > 1e-15
-                t = np.where(safe, off / np.where(safe, denom, 1.0), 0.0)
-                sl = seg_len[kk]
-                dist = t * sl
-                ok = (dist > EPS_GEOM) & (dist < sl - EPS_GEOM)
-                if np.any(ok):
-                    dx = self.fac_dir[fi]
-                    s = (
-                        np.einsum("ij,ij->i", pp, dx)
-                        - self.fac_od[fi]
-                        + t * np.einsum("ij,ij->i", ss, dx)
-                    )
-                    ok &= (s >= -EPS_GEOM) & (s <= self.fac_len[fi] + EPS_GEOM)
-                    z = pp[:, 2] + t * ss[:, 2]
-                    ok &= (z >= -EPS_GEOM) & (z <= self.fac_height[fi] + EPS_GEOM)
-                    blocked[kk[ok]] = True
-                # rooftop crossings for the same (segment, building) pairs
-                pb = p[ki]
-                sb = seg[ki]
-                dz = sb[:, 2]
-                safe = np.abs(dz) > 1e-15
-                hb = self._bldg_height[bi]
-                t = np.where(safe, (hb - pb[:, 2]) / np.where(safe, dz, 1.0), 0.0)
-                sl = seg_len[ki]
-                dist = t * sl
-                okb = (dist > EPS_GEOM) & (dist < sl - EPS_GEOM)
-                if np.any(okb):
-                    x = pb[:, 0] + t * sb[:, 0]
-                    y = pb[:, 1] + t * sb[:, 1]
-                    okb &= (x >= self._bldg_xmin[bi]) & (x <= self._bldg_xmax[bi])
-                    okb &= (y >= self._bldg_ymin[bi]) & (y <= self._bldg_ymax[bi])
-                    rows = np.nonzero(okb)[0]
-                    for b_i in np.unique(bi[rows]):
-                        sel = rows[bi[rows] == b_i]
-                        pts = np.column_stack([x[sel], y[sel]])
-                        inside = _points_in_polygon(pts, self.buildings[b_i].footprint)
-                        blocked[ki[sel[inside]]] = True
-        dz = seg[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(np.abs(dz) > 1e-15, -p[:, 2] / dz, 0.0)
-        dist = t * seg_len
-        blocked |= (dist > EPS_GEOM) & (dist < seg_len - EPS_GEOM)
-        blocked &= live
+        blocked[self._crossings(p, q)[0]] = True
         return blocked
 
+    def first_hits(self, p: np.ndarray, q: np.ndarray):
+        """Nearest crossing of each (K, 3) segment: ``(t, object_id, element_id)``.
 
-def _on_polygon_boundary(point_xy: np.ndarray, poly: np.ndarray) -> bool:
-    x, y = point_xy
-    xs, ys = poly[:, 0], poly[:, 1]
-    xe, ye = np.roll(xs, -1), np.roll(ys, -1)
-    dx, dy = xe - xs, ye - ys
-    seg_len2 = dx * dx + dy * dy
-    tproj = np.clip(((x - xs) * dx + (y - ys) * dy) / np.where(seg_len2 > 0, seg_len2, 1.0), 0, 1)
-    d2 = (xs + tproj * dx - x) ** 2 + (ys + tproj * dy - y) ** 2
-    return bool(np.any(d2 <= EPS_GEOM**2))
+        ``t`` is the parameter along ``q - p``; it is NaN, and both ids are 0,
+        where the segment is clear.  Equal distances go to a building before
+        the ground, then to the lower object id, then to the lower element id.
+        """
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        q = np.atleast_2d(np.asarray(q, dtype=float))
+        k, t, dist, obj, el = self._crossings(p, q)
+        order = np.lexsort((el, obj, obj == GROUND_OBJECT_ID, dist, k))
+        k, t, obj, el = k[order], t[order], obj[order], el[order]
+        first = np.ones(len(k), dtype=bool)
+        first[1:] = k[1:] != k[:-1]
+        k = k[first]
+        t_out = np.full(len(p), np.nan)
+        obj_out = np.zeros(len(p), dtype=np.intp)
+        el_out = np.zeros(len(p), dtype=np.intp)
+        t_out[k], obj_out[k], el_out[k] = t[first], obj[first], el[first]
+        return t_out, obj_out, el_out
 
+    def first_hit(self, p: np.ndarray, q: np.ndarray) -> Hit | None:
+        """Nearest scene intersection strictly between the endpoints, or None.
 
-def first_hit(scene: Scene, p, q) -> Hit | None:
-    return scene.first_hit(np.asarray(p, float), np.asarray(q, float))
-
-
-def is_los(scene: Scene, p, q) -> bool:
-    """True when the open segment p->q meets no facade, rooftop, or ground."""
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    if np.linalg.norm(q - p) < EPS_GEOM:
-        raise ValueError("is_los needs two distinct points")
-    return scene.first_hit(p, q) is None
+        One-segment form of :meth:`first_hits`.
+        """
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        t, obj, el = self.first_hits(p, q)
+        t, obj, el = float(t[0]), int(obj[0]), int(el[0])
+        if math.isnan(t):
+            return None
+        if obj == GROUND_OBJECT_ID:
+            kind = "ground"
+        elif el == self.building_by_id(obj).roof_element_id:
+            kind = "roof"
+        else:
+            kind = "facade"
+        seg = q - p
+        return Hit(
+            point=p + t * seg,
+            object_id=obj,
+            element_id=el,
+            kind=kind,
+            distance=t * float(np.linalg.norm(seg)),
+            t=t,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -738,7 +532,7 @@ def is_los(scene: Scene, p, q) -> bool:
 
 SCENE_SCHEMA_VERSION = 1
 
-_ALLOWED_TOP_KEYS = {"version", "materials", "ground_material", "buildings", "scatterers", "grid_cell_size"}
+_ALLOWED_TOP_KEYS = {"version", "materials", "ground_material", "buildings", "scatterers"}
 _ALLOWED_MATERIAL_KEYS = {"eps_r", "sigma", "pec"}
 _ALLOWED_BUILDING_KEYS = {"id", "footprint", "height", "material"}
 _ALLOWED_SCATTERER_KEYS = {"id", "base", "radius", "height", "material"}
@@ -860,10 +654,7 @@ def load_scene(text: str) -> Scene:
             )
         )
 
-    kwargs = {}
-    if "grid_cell_size" in data:
-        kwargs["grid_cell_size"] = float(data["grid_cell_size"])
-    return Scene(buildings=buildings, scatterers=scatterers, ground_material=ground_material, **kwargs)
+    return Scene(buildings=buildings, scatterers=scatterers, ground_material=ground_material)
 
 
 def load_scene_file(path) -> Scene:

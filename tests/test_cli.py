@@ -56,7 +56,7 @@ def test_preset_matches_published_scenario():
 # ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
-def _run_args(out, extra=()):
+def _run_args(out):
     return [
         "run",
         "--duration",
@@ -65,7 +65,6 @@ def _run_args(out, extra=()):
         "0.1",
         "--output-dir",
         str(out),
-        *extra,
     ]
 
 
@@ -102,14 +101,6 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert main(_run_args(out_b)) == 0
     assert _sha(out_a / "trace.csv") == _sha(out_b / "trace.csv")
     assert _sha(out_a / "metrics.csv") == _sha(out_b / "metrics.csv")
-
-
-def test_run_threads_do_not_change_outputs(tmp_path):
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "threaded"
-    assert main(_run_args(out_a)) == 0
-    assert main(_run_args(out_b, extra=["--threads", "2"])) == 0
-    assert _sha(out_a / "trace.csv") == _sha(out_b / "trace.csv")
 
 
 def test_longer_kf_interval_means_fewer_exact_solves(tmp_path):
@@ -241,10 +232,12 @@ def test_scatter_study_outputs(tmp_path):
         assert float(r["mean_excess_delay_ns"]) > 0.0
 
 
-def test_scatter_study_requires_scatter_mode(capsys):
+def test_scatter_study_requires_scatter_mode(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     rc = main(["scatter-study", "--duration", "24.0", "--scatter", "off"])
     assert rc == 2
     assert "scatter" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no output directory for a rejected config
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Geometry and scene-file tests.
 
-The load-bearing check is the equivalence oracle at the bottom: the gridded
-first-hit query must agree with a brute-force scan over every object for a
-large batch of random segments.
+The load-bearing checks compare the batched occlusion kernel
+(``segments_blocked``, ``first_hits`` and ``first_hit``) with a scalar
+per-segment scan over every object, ``oracle_crossings``: on random segments,
+and on rays aimed at roof edges, footprint corners and a wall shared by two
+touching buildings, where ``contains_point`` must agree with them as well.
 """
 
 import json
@@ -18,7 +20,6 @@ from railchan.scene import (
     Material,
     Scene,
     SceneError,
-    is_los,
     load_scene,
 )
 
@@ -41,6 +42,98 @@ def box(bid, cx, cy, half, height, material=None):
     if material is None:
         return Building(id=bid, footprint=fp, height=height)
     return Building(id=bid, footprint=fp, height=height, material=material)
+
+
+def _point_in_polygon(point_xy, poly) -> bool:
+    """Even-odd rule; points within EPS_GEOM of the boundary count as inside."""
+    x, y = point_xy
+    xs, ys = poly[:, 0], poly[:, 1]
+    xe, ye = np.roll(xs, -1), np.roll(ys, -1)
+    crosses = ((ys > y) != (ye > y)) & (
+        x < xs + (y - ys) * (xe - xs) / np.where(ye != ys, ye - ys, 1.0)
+    )
+    if np.count_nonzero(crosses) % 2:
+        return True
+    return _boundary_distance(point_xy, poly) <= EPS_GEOM
+
+
+def _boundary_distance(point_xy, poly) -> float:
+    x, y = point_xy
+    xs, ys = poly[:, 0], poly[:, 1]
+    dx, dy = np.roll(xs, -1) - xs, np.roll(ys, -1) - ys
+    tproj = np.clip(((x - xs) * dx + (y - ys) * dy) / (dx * dx + dy * dy), 0, 1)
+    return float(np.sqrt(np.min((xs + tproj * dx - x) ** 2 + (ys + tproj * dy - y) ** 2)))
+
+
+def oracle_crossings(scene, p, q) -> list:
+    """Scalar reference for the occlusion kernel, one segment at a time.
+
+    Every crossing of the open segment p->q that lies more than EPS_GEOM from
+    both endpoints, as ``(distance, is_ground, object_id, element_id, t)``,
+    sorted, so the first entry is the first hit under the scene's tie-break.
+    Facades are scanned as one array, rooftops one building at a time with
+    the boundary counted as inside.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    seg = q - p
+    seg_len = float(np.linalg.norm(seg))
+    found = []
+    if scene.n_facades:
+        n = scene.fac_normal
+        denom = n @ seg
+        off = scene.fac_offset - n @ p
+        ok = np.abs(denom) > 1e-15
+        t = np.where(ok, off / np.where(ok, denom, 1.0), 0.0)
+        dist = t * seg_len
+        ok &= (dist > EPS_GEOM) & (dist < seg_len - EPS_GEOM)
+        pts = p[None, :] + t[:, None] * seg[None, :]
+        s = np.einsum("ij,ij->i", pts - scene.fac_origin, scene.fac_dir)
+        ok &= (s >= -EPS_GEOM) & (s <= scene.fac_len + EPS_GEOM)
+        ok &= (pts[:, 2] >= -EPS_GEOM) & (pts[:, 2] <= scene.fac_height + EPS_GEOM)
+        for f in np.nonzero(ok)[0]:
+            found.append(
+                (float(dist[f]), 0, int(scene.fac_object[f]), int(scene.fac_element[f]), float(t[f]))
+            )
+    if abs(seg[2]) > 1e-15:
+        for b in scene.buildings:
+            t = (b.height - p[2]) / seg[2]
+            dist = t * seg_len
+            if EPS_GEOM < dist < seg_len - EPS_GEOM and _point_in_polygon((p + t * seg)[:2], b.footprint):
+                found.append((float(dist), 0, b.id, b.roof_element_id, float(t)))
+        t = -p[2] / seg[2]
+        dist = t * seg_len
+        if EPS_GEOM < dist < seg_len - EPS_GEOM:
+            found.append((float(dist), 1, GROUND_OBJECT_ID, 0, float(t)))
+    return sorted(found)
+
+
+def assert_agrees_with_oracle(scene, p, q):
+    """Every occlusion query agrees with ``oracle_crossings`` on each segment.
+
+    Crossings whose distances differ by less than 1e-9 m are rounding-level
+    ties; the first hit may be any of them.
+    """
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    blocked = scene.segments_blocked(p, q)
+    t, obj, el = scene.first_hits(p, q)
+    for k in range(len(p)):
+        want = oracle_crossings(scene, p[k], q[k])
+        hit = scene.first_hit(p[k], q[k])
+        assert blocked[k] == bool(want) == (not np.isnan(t[k])) == (hit is not None), k
+        if not want:
+            continue
+        best = want[0][0]
+        tied = {(o, e) for d, _, o, e, _ in want if d <= best + 1e-9}
+        assert (obj[k], el[k]) in tied, (k, want)
+        assert (hit.object_id, hit.element_id, hit.t) == (obj[k], el[k], t[k])
+        assert hit.distance == pytest.approx(best, abs=1e-9)
+        if hit.object_id == GROUND_OBJECT_ID:
+            assert hit.kind == "ground"
+        else:
+            roof = scene.building_by_id(hit.object_id).roof_element_id
+            assert hit.kind == ("roof" if hit.element_id == roof else "facade")
 
 
 class TestSceneLoading:
@@ -243,30 +336,44 @@ class TestFirstHit:
         if hit is not None:
             assert hit.object_id == 1
 
-    def test_is_los_rejects_coincident_points(self):
-        scene = make_scene([])
-        with pytest.raises(ValueError):
-            is_los(scene, [0, 0, 1], [0, 0, 1])
+    def test_coincident_points_are_never_blocked(self):
+        scene = make_scene([box(1, 0, 0, 5, 10)])
+        # above the roof, on a facade, on the ground
+        p = np.array([[0.0, 0.0, 20.0], [-5.0, 0.0, 2.0], [20.0, 0.0, 0.0]])
+        assert not scene.segments_blocked(p, p).any()
+        assert np.isnan(scene.first_hits(p, p)[0]).all()
+        assert scene.first_hit(p[1], p[1]) is None
 
     def test_is_los_through_and_around(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        assert not is_los(scene, [-20, 0, 2], [20, 0, 2])
-        assert is_los(scene, [-20, 20, 2], [20, 20, 2])
+        assert scene.first_hit([-20, 0, 2], [20, 0, 2]) is not None
+        assert scene.first_hit([-20, 20, 2], [20, 20, 2]) is None
 
     def test_underground_crossing_blocked(self):
         scene = make_scene([])
-        assert not is_los(scene, [0, 0, 5], [30, 0, -5])
+        assert scene.segments_blocked([0, 0, 5], [30, 0, -5])[0]
+        assert scene.first_hit([0, 0, 5], [30, 0, -5]).kind == "ground"
 
+    def test_tie_at_shared_wall_goes_to_lower_object_id(self):
+        # boxes 1 and 2 share the wall x = 5; a ray along it meets the y = -5
+        # facades of both at the same point
+        scene = make_scene([box(2, 10, 0, 5, 15), box(1, 0, 0, 5, 10)])
+        hit = scene.first_hit([5, -20, 5], [5, 20, 5])
+        assert (hit.object_id, hit.element_id) == (1, 0)
+        assert hit.distance == 15.0
+        hit = scene.first_hit([5, 20, 5], [5, -20, 5])
+        assert (hit.object_id, hit.element_id) == (1, 2)
 
-class TestSegmentsBlocked:
-    def test_matches_scalar_first_hit(self):
-        scene = make_scene([box(1, 0, 0, 5, 10), box(2, 30, 10, 5, 20)])
-        rng = np.random.default_rng(7)
-        p = rng.uniform([-50, -50, 0.5], [80, 60, 30], size=(200, 3))
-        q = rng.uniform([-50, -50, 0.5], [80, 60, 30], size=(200, 3))
-        got = scene.segments_blocked(p, q)
-        want = np.array([scene.first_hit(a, b) is not None for a, b in zip(p, q)])
-        np.testing.assert_array_equal(got, want)
+    def test_tie_between_facade_foot_and_ground_goes_to_facade(self):
+        scene = make_scene([box(1, 0, 0, 5, 10)])
+        hit = scene.first_hit([-15, 0, 10], [5, 0, -10])
+        assert (hit.kind, hit.object_id, hit.element_id, hit.t) == ("facade", 1, 3, 0.5)
+
+    def test_tie_at_roof_edge_goes_to_lower_element_id(self):
+        scene = make_scene([box(1, 0, 0, 5, 10)])
+        # meets the top of the -x facade and the roof edge at (-5, 0, 10)
+        hit = scene.first_hit([-15, 0, 20], [5, 0, 0])
+        assert (hit.kind, hit.object_id, hit.element_id, hit.t) == ("facade", 1, 3, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -282,41 +389,87 @@ def town():
             h = rng.uniform(8, 30)
             buildings.append(box(bid, cx, cy, half, h))
             bid += 1
-    return make_scene(buildings, grid_cell_size=25.0)
+    return make_scene(buildings)
 
 
-class TestGridOracle:
-    """Gridded queries must be exactly equivalent to brute force."""
+@pytest.fixture(scope="module")
+def block():
+    """Boxes 1 and 2 touch along the wall x = 5 (box 2 is taller); building 3
+    is an L with one reflex corner."""
+    ell = np.array([[30, -5], [45, -5], [45, 0], [37, 0], [37, 5], [30, 5]], dtype=float)
+    return make_scene([box(1, 0, 0, 5, 10), box(2, 10, 0, 5, 15), Building(id=3, footprint=ell, height=8.0)])
 
-    def test_thousand_random_segments(self, town):
+
+def _boundary_samples(scene):
+    """Footprint corners and edge midpoints (roof edges seen from above),
+    each also nudged by 0.5 and 2 EPS_GEOM in eight directions."""
+    base = []
+    for b in scene.buildings:
+        fp = b.footprint
+        base.extend(fp)
+        base.extend(0.5 * (fp + np.roll(fp, -1, axis=0)))
+    angles = np.arange(8) * np.pi / 4 + np.pi / 8
+    nudges = [np.zeros(2)] + [
+        r * EPS_GEOM * np.array([np.cos(a), np.sin(a)]) for r in (0.5, 2.0) for a in angles
+    ]
+    return np.array([b + d for b in base for d in nudges])
+
+
+class TestSegmentsBlocked:
+    def test_matches_scalar_first_hit(self):
+        scene = make_scene([box(1, 0, 0, 5, 10), box(2, 30, 10, 5, 20)])
+        rng = np.random.default_rng(7)
+        p = rng.uniform([-50, -50, 0.5], [80, 60, 30], size=(200, 3))
+        q = rng.uniform([-50, -50, 0.5], [80, 60, 30], size=(200, 3))
+        assert_agrees_with_oracle(scene, p, q)
+
+    def test_town_agrees_with_oracle(self, town):
         rng = np.random.default_rng(2024)
-        lo = np.array([-60.0, -60.0, 0.2])
-        hi = np.array([400.0, 280.0, 45.0])
-        mismatches = 0
-        for _ in range(1000):
-            p = rng.uniform(lo, hi)
-            q = rng.uniform(lo, hi)
-            a = town.first_hit(p, q)
-            b = town.brute_first_hit(p, q)
-            if (a is None) != (b is None):
-                mismatches += 1
-            elif a is not None:
-                same = (
-                    a.object_id == b.object_id
-                    and a.element_id == b.element_id
-                    and abs(a.distance - b.distance) < 1e-9
-                )
-                if not same:
-                    mismatches += 1
-        assert mismatches == 0
+        p = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(1000, 3))
+        q = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(1000, 3))
+        assert_agrees_with_oracle(town, p, q)
 
-    def test_segments_blocked_agrees_with_brute_force(self, town):
-        rng = np.random.default_rng(99)
-        p = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(500, 3))
-        q = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(500, 3))
-        got = town.segments_blocked(p, q)
-        want = np.array([town.brute_first_hit(a, b) is not None for a, b in zip(p, q)])
-        np.testing.assert_array_equal(got, want)
+    def test_vertical_drops_at_roof_edges_and_corners(self, block):
+        xy = _boundary_samples(block)
+        top = np.column_stack([xy, np.full(len(xy), 40.0)])
+        bottom = np.column_stack([xy, np.full(len(xy), 1.0)])
+        assert_agrees_with_oracle(block, top, bottom)
+        blocked = block.segments_blocked(top, bottom)
+        for k, pt in enumerate(bottom):
+            near = min(_boundary_distance(pt[:2], b.footprint) for b in block.buildings) <= EPS_GEOM
+            inside = block.contains_point(pt)
+            # a roof edge stops a ray; a point on a footprint boundary is not inside
+            assert blocked[k] == (inside or near), pt
+            assert not (inside and near), pt
+
+    def test_horizontal_rays_graze_walls_and_corners(self, block):
+        p, q = [], []
+        for b in block.buildings:
+            fp = b.footprint
+            for v0, v1 in zip(fp, np.roll(fp, -1, axis=0)):
+                u = (v1 - v0) / np.linalg.norm(v1 - v0)
+                n = np.array([u[1], -u[0]])
+                for off in (0.0, 0.5, -0.5, 2.0, -2.0):
+                    shift = off * EPS_GEOM * n
+                    p.append([*(v0 - 20 * u + shift), 5.0])
+                    q.append([*(v1 + 20 * u + shift), 5.0])
+        assert_agrees_with_oracle(block, p, q)
+        assert_agrees_with_oracle(block, q, p)
+
+    def test_slanted_rays_cross_roof_edges(self, block):
+        p, q = [], []
+        for b in block.buildings:
+            fp = b.footprint
+            for v0, v1 in zip(fp, np.roll(fp, -1, axis=0)):
+                u = (v1 - v0) / np.linalg.norm(v1 - v0)
+                n = np.array([u[1], -u[0]])
+                for along in (0.0, 0.5):
+                    for off in (0.0, 0.5, -0.5, 2.0, -2.0):
+                        x = v0 + along * (v1 - v0) + off * EPS_GEOM * n
+                        p.append([*(x + 10 * n), b.height + 7.0])
+                        q.append([*(x - 10 * n), b.height - 7.0])
+        assert_agrees_with_oracle(block, p, q)
+        assert_agrees_with_oracle(block, q, p)
 
 
 class TestContainment:
