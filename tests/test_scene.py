@@ -423,12 +423,6 @@ class TestSegmentsBlocked:
         q = rng.uniform([-50, -50, 0.5], [80, 60, 30], size=(200, 3))
         assert_agrees_with_oracle(scene, p, q)
 
-    def test_town_agrees_with_oracle(self, town):
-        rng = np.random.default_rng(2024)
-        p = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(1000, 3))
-        q = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(1000, 3))
-        assert_agrees_with_oracle(town, p, q)
-
     def test_vertical_drops_at_roof_edges_and_corners(self, block):
         xy = _boundary_samples(block)
         top = np.column_stack([xy, np.full(len(xy), 40.0)])
@@ -470,6 +464,24 @@ class TestSegmentsBlocked:
                         q.append([*(x - 10 * n), b.height - 7.0])
         assert_agrees_with_oracle(block, p, q)
         assert_agrees_with_oracle(block, q, p)
+
+
+class TestGridOracle:
+    """Queries on the 6 x 4 town grid must agree with the scalar oracle."""
+
+    def test_thousand_random_segments(self, town):
+        rng = np.random.default_rng(2024)
+        p = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(1000, 3))
+        q = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(1000, 3))
+        assert_agrees_with_oracle(town, p, q)
+
+    def test_segments_blocked_agrees_with_brute_force(self, town):
+        rng = np.random.default_rng(99)
+        p = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(500, 3))
+        q = rng.uniform([-60, -60, 0.2], [400, 280, 45], size=(500, 3))
+        got = town.segments_blocked(p, q)
+        want = np.array([bool(oracle_crossings(town, a, b)) for a, b in zip(p, q)])
+        np.testing.assert_array_equal(got, want)
 
 
 class TestContainment:
