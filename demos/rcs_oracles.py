@@ -47,7 +47,7 @@ for frac, label in ((2.0, "lambda/2"), (4.0, "lambda/4")):
         max_edge=lam / frac,
     )
     leg = direct_leg(empty, np.array([100.0, 0.0, 0.0]), mesh.reference_point)
-    t, _ = po_scattered_matrix(mesh, leg, leg, carrier)
+    t = po_scattered_matrix(mesh, leg, leg, carrier)
     sigma = rcs(t[0, 0], 100.0, 100.0)
     print(f"  {label:<9} mesh ({len(mesh.centers):>5} facets): {db(sigma):.2f} dBsm  (err {db(sigma) - db(sigma_ref):+.3f} dB)")
 
@@ -57,7 +57,7 @@ print(f"\ncatenary pylon, r = {cyl.radius} m, h = {cyl.height} m, closed form {d
 mesh = mesh_cylinder(cyl, carrier)
 obs = np.array([1000.0, 0.0, 0.5 * cyl.height])
 leg = direct_leg(empty, obs, mesh.reference_point)
-t, _ = po_scattered_matrix(mesh, leg, leg, carrier)
+t = po_scattered_matrix(mesh, leg, leg, carrier)
 sigma = rcs(t[0, 0], 1000.0, 1000.0)
 print(f"  broadside at 1 km ({len(mesh.centers)} facets): {db(sigma):.2f} dBsm  (err {db(sigma) - db(sigma_ref):+.3f} dB)")
 print("\nonly the lit half of the cylinder contributes; the plate needs the")

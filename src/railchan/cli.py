@@ -35,7 +35,7 @@ from .config import (
 )
 from .dynamics import (
     SCATTER_MODES,
-    Keyframe,
+    ChannelSnapshot,
     Trajectory,
     interpolate_path,
     stream_snapshots,
@@ -473,11 +473,13 @@ def cmd_bench(args) -> int:
     mid = 0.5 * cfg.duration_s
     kf_a_t = mid
     kf_b_t = mid + cfg.update_step_s * 10
-    pa = tracer.trace(cfg.tx_position, traj.position(kf_a_t), cfg.limits)
-    pb = tracer.trace(cfg.tx_position, traj.position(kf_b_t), cfg.limits)
-    kf_a = Keyframe(index=0, timestamp=kf_a_t, rx_position=traj.position(kf_a_t), paths=pa)
-    kf_b = Keyframe(index=1, timestamp=kf_b_t, rx_position=traj.position(kf_b_t), paths=pb)
-    tracks = track_interval(kf_a, kf_b, np.random.default_rng(cfg.seed))
+    kfs = []
+    for t in (kf_a_t, kf_b_t):
+        rx = traj.position(t)
+        paths = tracer.trace(cfg.tx_position, rx, cfg.limits)
+        index = round(t / cfg.update_step_s)
+        kfs.append(ChannelSnapshot(index, t, rx, paths, at_keyframe=True))
+    tracks = track_interval(kfs[0], kfs[1], np.random.default_rng(cfg.seed))
     times = [kf_a_t + cfg.update_step_s * i for i in range(1, 10)]
     for rep in range(repeats):
         t0 = time.perf_counter()

@@ -234,6 +234,10 @@ def parse_config(
     kf_interval_s = _number(raw, "kf_interval_s", "the scenario")
     if duration_s <= 0 or update_step_s <= 0 or kf_interval_s <= 0:
         raise ConfigError("'duration_s', 'update_step_s', and 'kf_interval_s' must be positive")
+    try:
+        Trajectory(waypoints=wp_arr, speed=speed_mps, duration=duration_s)
+    except ValueError as exc:
+        raise ConfigError(f"'trajectory': {exc}") from None
     if not _integer_multiple(duration_s, update_step_s):
         raise ConfigError(
             f"'duration_s' ({duration_s}) must be an integer multiple of 'update_step_s' ({update_step_s})"
@@ -249,22 +253,24 @@ def parse_config(
     _reject_unknown(lim, _LIMIT_KEYS, "'limits'")
     max_r = lim.get("max_reflections")
     max_d = lim.get("max_vertical_diffractions")
-    if not isinstance(max_r, int) or isinstance(max_r, bool) or max_r < 0:
-        raise ConfigError("'limits.max_reflections' must be a non-negative integer")
-    if not isinstance(max_d, int) or isinstance(max_d, bool) or max_d < 0:
-        raise ConfigError("'limits.max_vertical_diffractions' must be a non-negative integer")
+    # bools pass TraceLimits' range checks (True == 1), so types are checked here
+    if not isinstance(max_r, int) or isinstance(max_r, bool):
+        raise ConfigError("'limits.max_reflections' must be an integer")
+    if not isinstance(max_d, int) or isinstance(max_d, bool):
+        raise ConfigError("'limits.max_vertical_diffractions' must be an integer")
     rooftop = lim.get("rooftop")
     if not isinstance(rooftop, bool):
         raise ConfigError("'limits.rooftop' must be true or false")
     floor_db = _number(lim, "power_floor_db", "'limits'")
-    if floor_db <= 0:
-        raise ConfigError("'limits.power_floor_db' must be positive")
-    limits = TraceLimits(
-        max_reflections=max_r,
-        max_vertical_diffractions=max_d,
-        rooftop=rooftop,
-        power_floor_db=floor_db,
-    )
+    try:
+        limits = TraceLimits(
+            max_reflections=max_r,
+            max_vertical_diffractions=max_d,
+            rooftop=rooftop,
+            power_floor_db=floor_db,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"'limits': {exc}") from None
 
     scatter_mode = raw.get("scatter_mode", "off")
     if scatter_mode not in SCATTER_MODES:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em import C0, AntennaConfig, CarrierConfig
-from .rays import TAG_SPECULAR, RayPath, path_angles
+from .rays import TAG_SPECULAR, RayPath
 from .scatter import LEG_POLICIES, ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
@@ -109,86 +109,56 @@ class Trajectory:
         return self._seg_unit[idx] * self._seg_speed[idx]
 
 
-def sample_trajectory(traj: Trajectory, t: float) -> np.ndarray:
-    """Receiver position at time ``t``; raises outside [0, duration]."""
-    return traj.position(t)
-
-
 # ----------------------------------------------------------------------
-# keyframes
+# snapshots and keyframes
 # ----------------------------------------------------------------------
 @dataclass
-class Keyframe:
-    """Exact solve at one timestamp: receiver position and full path set."""
+class ChannelSnapshot:
+    """Full path set at one update instant.
+
+    A keyframe is the snapshot of an exact solve (``at_keyframe``); the
+    stream reuses its path set with the Doppler shifts filled in.
+    """
 
     index: int
     timestamp: float
     rx_position: np.ndarray
     paths: list
-
-
-def _keyframe_times(duration: float, kf_interval: float) -> list[float]:
-    if kf_interval <= 0.0:
-        raise ValueError("kf_interval must be positive")
-    n = int(math.floor(duration / kf_interval + _T_EPS))
-    times = [i * kf_interval for i in range(n + 1)]
-    if times[-1] < duration - _T_EPS:
-        times.append(duration)
-    return times
+    at_keyframe: bool
 
 
 def _solve_keyframes(
     tracer: SpecularTracer,
     traj: Trajectory,
     tx: np.ndarray,
-    times: list[float],
+    steps: list[int],
+    update_step: float,
     limits: TraceLimits,
     engine: ScatterEngine | None,
-) -> list[Keyframe]:
+) -> list[ChannelSnapshot]:
     keyframes = []
-    for idx, t in enumerate(times):
+    for i in steps:
+        t = i * update_step
         rx = traj.position(t)
         paths = tracer.trace(tx, rx, limits)
         if engine is not None:
             paths = paths + engine.paths(tx, rx)
-        keyframes.append(Keyframe(index=idx, timestamp=t, rx_position=rx, paths=paths))
+        keyframes.append(
+            ChannelSnapshot(index=i, timestamp=t, rx_position=rx, paths=paths, at_keyframe=True)
+        )
     return keyframes
-
-
-def compute_keyframes(
-    scene: Scene,
-    traj: Trajectory,
-    tx_position,
-    carrier: CarrierConfig,
-    kf_interval: float,
-    limits: TraceLimits | None = None,
-    *,
-    tx_antenna: AntennaConfig = _OMNI,
-    rx_antenna: AntennaConfig = _OMNI,
-    include_scatter: bool = False,
-    leg_policy: str = "direct-only",
-) -> list[Keyframe]:
-    """Exact path solves at ``0, kf_interval, 2*kf_interval, ...`` plus the
-    final timestamp when the duration is not a multiple of the interval."""
-    tx = np.asarray(tx_position, dtype=float)
-    limits = limits if limits is not None else TraceLimits()
-    times = _keyframe_times(traj.duration, kf_interval)
-    tracer = SpecularTracer(scene, carrier, tx_antenna, rx_antenna)
-    engine = None
-    if include_scatter and scene.scatterers:
-        engine = ScatterEngine(scene, carrier, tx_antenna, rx_antenna, leg_policy)
-    return _solve_keyframes(tracer, traj, tx, times, limits, engine)
 
 
 # ----------------------------------------------------------------------
 # tracking
 # ----------------------------------------------------------------------
-def match_paths(kf_a: Keyframe, kf_b: Keyframe):
+def match_paths(kf_a: ChannelSnapshot, kf_b: ChannelSnapshot):
     """Pair paths of two keyframes by signature.
 
     Returns ``(matched, births, deaths)``: matched is a list of ``(path_a,
     path_b)`` pairs in the order of ``kf_a``; births are paths present only
-    in ``kf_b``; deaths only in ``kf_a``.
+    in ``kf_b``, in its order; deaths only in ``kf_a``.  Paths that share a
+    signature pair up in order, so a surplus on the right side is born.
     """
     by_sig: dict[str, list] = {}
     for p in kf_b.paths:
@@ -201,7 +171,8 @@ def match_paths(kf_a: Keyframe, kf_b: Keyframe):
             matched.append((p, bucket.pop(0)))
         else:
             deaths.append(p)
-    births = [p for p in kf_b.paths if any(p is q for q in sum(by_sig.values(), []))]
+    unmatched = {id(p) for bucket in by_sig.values() for p in bucket}
+    births = [p for p in kf_b.paths if id(p) in unmatched]
     return matched, births, deaths
 
 
@@ -276,7 +247,10 @@ def apply_birth_death(
 
 
 def track_interval(
-    kf_a: Keyframe, kf_b: Keyframe, rng: np.random.Generator, ramp_fraction: float = 0.5
+    kf_a: ChannelSnapshot,
+    kf_b: ChannelSnapshot,
+    rng: np.random.Generator,
+    ramp_fraction: float = 0.5,
 ) -> list[TrackedPath]:
     """Paths tracked across the interval from ``kf_a`` to ``kf_b``.
 
@@ -304,12 +278,6 @@ def track_interval(
 # ----------------------------------------------------------------------
 # interpolation
 # ----------------------------------------------------------------------
-def _rebuild_interactions(interactions, vertices) -> tuple:
-    return tuple(
-        replace(rec, point=vertices[i + 1]) for i, rec in enumerate(interactions)
-    )
-
-
 def _held_path(source: RayPath, factor: float) -> RayPath:
     return replace(source, transfer=source.transfer * factor, doppler_hz=0.0)
 
@@ -356,8 +324,7 @@ def interpolate_path(
     verts[-1] = rx_position
     seg = np.diff(verts, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
-    length = float(np.sum(seg_len))
-    delay = length / C0
+    delay = float(np.sum(seg_len)) / C0
 
     # analytic Doppler: per-vertex velocities are zero at the transmitter,
     # the keyframe difference quotient at interior vertices, and the true
@@ -375,18 +342,7 @@ def interpolate_path(
     phase = np.angle(pa.transfer) - 2.0 * math.pi * carrier.frequency_hz * (delay - pa.delay_s)
     transfer = mag * np.exp(1j * phase)
 
-    aod, aoa = path_angles(verts)
-    return RayPath(
-        interactions=_rebuild_interactions(pa.interactions, verts),
-        vertices=verts,
-        delay_s=delay,
-        length_m=length,
-        aod=aod,
-        aoa=aoa,
-        transfer=transfer,
-        tag=pa.tag,
-        doppler_hz=doppler,
-    )
+    return RayPath.from_polyline(pa.interactions, verts, transfer, pa.tag, doppler)
 
 
 def _radial_doppler(path: RayPath, rx_velocity: np.ndarray, carrier: CarrierConfig) -> float:
@@ -406,17 +362,6 @@ def _radial_doppler(path: RayPath, rx_velocity: np.ndarray, carrier: CarrierConf
 # ----------------------------------------------------------------------
 # streaming
 # ----------------------------------------------------------------------
-@dataclass
-class ChannelSnapshot:
-    """Full path set at one update instant."""
-
-    index: int
-    timestamp: float
-    rx_position: np.ndarray
-    paths: list
-    at_keyframe: bool
-
-
 @dataclass
 class StreamResult:
     """Snapshot stream plus bookkeeping for cost/accuracy studies."""
@@ -496,7 +441,6 @@ def stream_snapshots(
     kf_steps = list(range(start_step, n_steps + 1, stride))
     if kf_steps[-1] != n_steps:
         kf_steps.append(n_steps)
-    kf_times = [s * update_step for s in kf_steps]
 
     tracer = SpecularTracer(scene, carrier, tx_antenna, rx_antenna)
     engine = None
@@ -505,7 +449,7 @@ def stream_snapshots(
     kf_engine = engine if scatter_mode == "interpolated" else None
 
     t0 = time.perf_counter()
-    keyframes = _solve_keyframes(tracer, traj, tx, kf_times, limits, kf_engine)
+    keyframes = _solve_keyframes(tracer, traj, tx, kf_steps, update_step, limits, kf_engine)
     keyframe_seconds = time.perf_counter() - t0
 
     # tracked path sets per keyframe interval (only needed when snapshots

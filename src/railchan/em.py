@@ -22,18 +22,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fresnel as _fresnel_integrals
-from scipy.special import modfresnelm as _modfresnelm
 
 from railchan.rays import (
+    C0,
     EDGE_DIFFRACTION,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
 )
 from railchan.scene import GROUND_OBJECT_ID, Material, Scene
 
-#: Speed of light in vacuum, m/s.
-C0 = 299_792_458.0
 #: Vacuum permittivity, F/m.
 EPS0 = 8.8541878128e-12
 
@@ -141,7 +138,10 @@ def knife_edge_v(h: float, d1: float, d2: float, wavelength: float) -> float:
 
 def knife_edge_diffraction(v: float) -> complex:
     """Complex knife-edge coefficient F(v); F(-inf) = 1, |F(0)| = 1/2."""
-    s, c = _fresnel_integrals(v)
+    # scipy.special is imported on first use: it costs about 0.3 s of startup
+    from scipy.special import fresnel
+
+    s, c = fresnel(v)
     return (1.0 + 1.0j) / 2.0 * ((0.5 - c) - 1j * (0.5 - s))
 
 
@@ -151,9 +151,11 @@ def transition_function(x):
     Smoothly bridges the diffraction coefficient through shadow boundaries;
     F -> 1 for large arguments.  Accepts scalars or arrays.
     """
+    from scipy.special import modfresnelm
+
     arr = np.asarray(x, dtype=float)
     sqrt_x = np.sqrt(arr)
-    fm = _modfresnelm(sqrt_x)[0]
+    fm = modfresnelm(sqrt_x)[0]
     out = 2j * sqrt_x * np.exp(1j * arr) * fm
     if np.ndim(x) == 0:
         return complex(out)
@@ -217,12 +219,6 @@ def utd_coefficients(
     d_soft = pref * (t1 + t2 + rn_soft * t3 + r0_soft * t4)
     d_hard = pref * (t1 + t2 + rn_hard * t3 + r0_hard * t4)
     return d_soft, d_hard
-
-
-def path_delay(vertices: np.ndarray) -> float:
-    """Polyline length divided by the speed of light."""
-    seg = np.diff(np.asarray(vertices, dtype=float), axis=0)
-    return float(np.sum(np.linalg.norm(seg, axis=1)) / C0)
 
 
 def _norm3(v) -> float:

@@ -8,9 +8,12 @@ the matching rule used when tracking paths across keyframes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+#: Speed of light in vacuum, m/s.
+C0 = 299_792_458.0
 
 # interaction kinds
 REFLECTION = "R"
@@ -29,17 +32,13 @@ LOS_SIGNATURE = "LOS"
 
 @dataclass(frozen=True)
 class Interaction:
-    """One interaction along a path.
-
-    ``point`` is the 3D location on the referenced element; it is excluded
-    from equality/hash so that signatures compare by identity of the
-    interaction sequence, not by geometry.
-    """
+    """One interaction along a path: its kind and the scene element hosting
+    it.  Its location is the matching interior vertex of the path
+    (``RayPath.vertices[1:-1]``)."""
 
     kind: str
     object_id: int
     element_id: int
-    point: np.ndarray = field(compare=False, repr=False)
 
     def token(self) -> str:
         return f"{self.kind}({self.object_id}:{self.element_id})"
@@ -56,22 +55,52 @@ def signature_of(interactions) -> str:
 class RayPath:
     """One propagation path at a single (tx, rx) instant.
 
+    interactions : tuple of :class:`Interaction`, one per interior vertex
     vertices : (N, 3) array, tx first, rx last
     transfer : 2x2 complex matrix, (V, H) in to (V, H) out
     aod / aoa : (azimuth, elevation) of the departure direction and of the
         arrival direction pointing from the receiver back toward the last
         path vertex
+
+    Tracers and the interpolator build paths with :meth:`from_polyline`, so
+    the delay and the angles always follow from the vertices.
     """
 
     interactions: tuple
     vertices: np.ndarray
     delay_s: float
-    length_m: float
     aod: tuple[float, float]
     aoa: tuple[float, float]
     transfer: np.ndarray
     tag: str = TAG_SPECULAR
     doppler_hz: float = 0.0
+
+    @classmethod
+    def from_polyline(
+        cls,
+        interactions: tuple,
+        vertices: np.ndarray,
+        transfer: np.ndarray,
+        tag: str = TAG_SPECULAR,
+        doppler_hz: float = 0.0,
+    ) -> RayPath:
+        """Path along ``vertices``: delay is the polyline length over C0,
+        angles come from :func:`path_angles`."""
+        aod, aoa = path_angles(vertices)
+        return cls(
+            interactions=interactions,
+            vertices=vertices,
+            delay_s=polyline_length(vertices) / C0,
+            aod=aod,
+            aoa=aoa,
+            transfer=transfer,
+            tag=tag,
+            doppler_hz=doppler_hz,
+        )
+
+    @property
+    def length_m(self) -> float:
+        return polyline_length(self.vertices)
 
     @property
     def signature(self) -> str:
@@ -81,6 +110,11 @@ class RayPath:
     def power(self) -> float:
         """Frobenius-squared transfer power (polarization-agnostic weight)."""
         return float(np.sum(np.abs(self.transfer) ** 2))
+
+
+def polyline_length(vertices: np.ndarray) -> float:
+    """Sum of the segment lengths of an (N, 3) polyline."""
+    return float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
 
 
 def direction_angles(direction: np.ndarray) -> tuple[float, float]:

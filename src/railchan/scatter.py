@@ -17,13 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import (
-    AntennaConfig,
-    C0,
-    CarrierConfig,
-    leg_polarization_operator,
-)
-from .rays import Interaction, RayPath, SCATTERING, TAG_SCATTER, path_angles
+from .em import AntennaConfig, CarrierConfig, leg_polarization_operator
+from .rays import Interaction, RayPath, SCATTERING, TAG_SCATTER
 from .scene import EPS_GEOM, CylinderScatterer, Scene
 from .specular import _facade_crossing
 
@@ -156,11 +151,6 @@ class ScatterLeg:
     def antenna(self) -> np.ndarray:
         return self.vertices[0]
 
-    @property
-    def length(self) -> float:
-        seg = np.diff(self.vertices, axis=0)
-        return float(np.sum(np.linalg.norm(seg, axis=1)))
-
 
 def direct_leg(scene: Scene, point, reference_point) -> ScatterLeg:
     """Straight antenna-to-reference leg; occlusion tested against the scene."""
@@ -206,7 +196,6 @@ def reflected_legs(scene: Scene, point, reference_point, carrier: CarrierConfig)
             kind="R",
             object_id=int(scene.fac_object[f]),
             element_id=int(scene.fac_element[f]),
-            point=x,
         )
         legs.append(
             ScatterLeg(
@@ -365,15 +354,16 @@ def po_scattered_matrix(
     scattered_leg: ScatterLeg,
     carrier: CarrierConfig,
     incident: _IncidentTerms | None = None,
-) -> tuple[np.ndarray, float]:
-    """Scattered 2x2 transfer and effective delay for one leg pair.
+) -> np.ndarray:
+    """Scattered 2x2 transfer for one leg pair.
 
     The matrix chains the incident leg's polarization operator, the coherent
     facet sum evaluated between the legs' effective (possibly mirrored)
-    endpoints, and the scattered leg's reverse-traversal operator; the delay
-    follows the reference-point polyline, with per-facet differences absorbed
-    into the facet phases.  ``incident`` optionally injects precomputed
-    source-side facet terms for the incident leg's effective point.
+    endpoints, and the scattered leg's reverse-traversal operator.  The
+    path's delay follows the reference-point polyline (see
+    ``RayPath.from_polyline``); per-facet differences are absorbed into the
+    facet phases.  ``incident`` optionally injects precomputed source-side
+    facet terms for the incident leg's effective point.
     """
     if not (incident_leg.unobstructed and scattered_leg.unobstructed):
         raise ValueError("both legs must be unobstructed")
@@ -389,9 +379,7 @@ def po_scattered_matrix(
         carrier,
         incident=incident,
     )
-    t = scattered_leg.inbound_operator @ _J_FLIP @ t_po @ _J_FLIP @ incident_leg.outbound_operator
-    delay = (incident_leg.length + scattered_leg.length) / C0
-    return t, delay
+    return scattered_leg.inbound_operator @ _J_FLIP @ t_po @ _J_FLIP @ incident_leg.outbound_operator
 
 
 # ----------------------------------------------------------------------
@@ -461,40 +449,17 @@ class ScatterEngine:
         direct_blocked = self.scene.segments_blocked(starts, ends)
         n_mesh = len(self.meshes)
         for mi, mesh in enumerate(self.meshes):
-            cyl = mesh.scatterer
             ref = mesh.reference_point
+            s_rec = Interaction(kind=SCATTERING, object_id=mesh.scatterer.id, element_id=0)
             tx_legs = self._legs(tx, ref, direct_clear=not direct_blocked[mi])
             rx_legs = self._legs(rx, ref, direct_clear=not direct_blocked[n_mesh + mi])
             for leg_in in tx_legs:
                 for leg_out in rx_legs:
                     incident = self._incident_for(mi, leg_in.effective_point)
-                    t, delay = po_scattered_matrix(
-                        mesh, leg_in, leg_out, self.carrier, incident=incident
-                    )
-                    t = t * gain
-                    s_rec = Interaction(
-                        kind=SCATTERING,
-                        object_id=cyl.id,
-                        element_id=0,
-                        point=ref,
-                    )
+                    t = po_scattered_matrix(mesh, leg_in, leg_out, self.carrier, incident=incident)
                     inters = leg_in.interactions + (s_rec,) + tuple(reversed(leg_out.interactions))
                     verts = np.vstack([leg_in.vertices, leg_out.vertices[::-1][1:]])
-                    seg = np.diff(verts, axis=0)
-                    length = float(np.sum(np.linalg.norm(seg, axis=1)))
-                    aod, aoa = path_angles(verts)
-                    out.append(
-                        RayPath(
-                            interactions=inters,
-                            vertices=verts,
-                            delay_s=delay,
-                            length_m=length,
-                            aod=aod,
-                            aoa=aoa,
-                            transfer=t,
-                            tag=TAG_SCATTER,
-                        )
-                    )
+                    out.append(RayPath.from_polyline(inters, verts, t * gain, TAG_SCATTER))
         return out
 
 

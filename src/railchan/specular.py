@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import AntennaConfig, CarrierConfig, compose_path_matrix, path_delay
+from .em import AntennaConfig, CarrierConfig, compose_path_matrix
 from .rays import (
     EDGE_DIFFRACTION,
     Interaction,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
     RayPath,
-    TAG_SPECULAR,
-    path_angles,
 )
 from .scene import EPS_GEOM, Scene
 
@@ -191,21 +189,19 @@ class SpecularTracer:
     # ------------------------------------------------------------------
     # families
     # ------------------------------------------------------------------
-    def _reflection_record(self, fidx: int, point: np.ndarray) -> Interaction:
+    def _reflection_record(self, fidx: int) -> Interaction:
         sc = self.scene
         return Interaction(
             kind=REFLECTION,
             object_id=int(sc.fac_object[fidx]),
             element_id=int(sc.fac_element[fidx]),
-            point=point,
         )
 
-    def _edge_record(self, widx: int, point: np.ndarray) -> Interaction:
+    def _edge_record(self, widx: int) -> Interaction:
         return Interaction(
             kind=EDGE_DIFFRACTION,
             object_id=int(self._w_obj[widx]),
             element_id=int(self._w_el[widx]),
-            point=point,
         )
 
     def _single_reflections(self, tx, rx, rx_front, add):
@@ -215,9 +211,7 @@ class SpecularTracer:
             return
         pts, ok = _facade_crossing(self.scene, self._img1[idx], rx, idx)
         for k in np.nonzero(ok)[0]:
-            f = int(idx[k])
-            x = pts[k]
-            add(np.array([tx, x, rx]), (self._reflection_record(f, x),))
+            add(np.array([tx, pts[k], rx]), (self._reflection_record(int(idx[k])),))
 
     def _double_reflections(self, tx, rx, rx_front, add):
         if not len(self._live_i):
@@ -236,12 +230,11 @@ class SpecularTracer:
         d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
         for k in np.nonzero(ok)[0]:
-            a, b = x1[k], x2[k]
             add(
-                np.array([tx, a, b, rx]),
+                np.array([tx, x1[k], x2[k], rx]),
                 (
-                    self._reflection_record(int(fi[k]), a),
-                    self._reflection_record(int(fj[k]), b),
+                    self._reflection_record(int(fi[k])),
+                    self._reflection_record(int(fj[k])),
                 ),
             )
 
@@ -271,8 +264,7 @@ class SpecularTracer:
         dst = np.broadcast_to(rx, (self.wedge_count, 3))
         pts, ok = self._edge_candidates(src, dst, widx)
         for k in np.nonzero(ok)[0]:
-            e = pts[k]
-            add(np.array([tx, e, rx]), (self._edge_record(int(k), e),))
+            add(np.array([tx, pts[k], rx]), (self._edge_record(int(k)),))
 
     def _reflection_then_diffraction(self, tx, rx, add):
         sc = self.scene
@@ -290,12 +282,11 @@ class SpecularTracer:
         x1, ok_x = _facade_crossing(sc, src, e_pts, fidx)
         ok &= ok_x
         for k in np.nonzero(ok)[0]:
-            a, e = x1[k], e_pts[k]
             add(
-                np.array([tx, a, e, rx]),
+                np.array([tx, x1[k], e_pts[k], rx]),
                 (
-                    self._reflection_record(int(fidx[k]), a),
-                    self._edge_record(int(wi[k]), e),
+                    self._reflection_record(int(fidx[k])),
+                    self._edge_record(int(wi[k])),
                 ),
             )
 
@@ -316,12 +307,11 @@ class SpecularTracer:
         x2, ok_x = _facade_crossing(sc, e_pts, rx_img, fidx)
         ok &= ok_x
         for k in np.nonzero(ok)[0]:
-            e, b = e_pts[k], x2[k]
             add(
-                np.array([tx, e, b, rx]),
+                np.array([tx, e_pts[k], x2[k], rx]),
                 (
-                    self._edge_record(int(wi[k]), e),
-                    self._reflection_record(int(fidx[k]), b),
+                    self._edge_record(int(wi[k])),
+                    self._reflection_record(int(fidx[k])),
                 ),
             )
 
@@ -407,19 +397,7 @@ class SpecularTracer:
         )
         if not _above_floor(transfer, limits.power_floor_db):
             return None
-        seg = np.diff(verts, axis=0)
-        length = float(np.sum(np.linalg.norm(seg, axis=1)))
-        aod, aoa = path_angles(verts)
-        return RayPath(
-            interactions=inters,
-            vertices=verts,
-            delay_s=path_delay(verts),
-            length_m=length,
-            aod=aod,
-            aoa=aoa,
-            transfer=transfer,
-            tag=TAG_SPECULAR,
-        )
+        return RayPath.from_polyline(inters, verts, transfer)
 
 
 def _above_floor(transfer: np.ndarray, floor_db: float) -> bool:
@@ -513,27 +491,12 @@ def trace_rooftop(
                 kind=ROOFTOP_DIFFRACTION,
                 object_id=int(scene.fac_object[f]),
                 element_id=int(scene.fac_element[f]),
-                point=apex,
             )
         )
     if not inters or np.linalg.norm(rx - verts[-1]) < EPS_GEOM:
         return None
     verts.append(rx)
     vert_arr = np.array(verts)
-
-    transfer = compose_path_matrix(
-        vert_arr, tuple(inters), scene, carrier, tx_antenna, rx_antenna
-    )
-    seg = np.diff(vert_arr, axis=0)
-    length = float(np.sum(np.linalg.norm(seg, axis=1)))
-    aod, aoa = path_angles(vert_arr)
-    return RayPath(
-        interactions=tuple(inters),
-        vertices=vert_arr,
-        delay_s=path_delay(vert_arr),
-        length_m=length,
-        aod=aod,
-        aoa=aoa,
-        transfer=transfer,
-        tag=TAG_SPECULAR,
-    )
+    inters = tuple(inters)
+    transfer = compose_path_matrix(vert_arr, inters, scene, carrier, tx_antenna, rx_antenna)
+    return RayPath.from_polyline(inters, vert_arr, transfer)

@@ -20,7 +20,7 @@ import pytest
 from railchan.cli import main as cli_main
 from railchan.config import load_preset
 from railchan.dynamics import Trajectory, stream_snapshots
-from railchan.em import C0, CarrierConfig
+from railchan.em import CarrierConfig
 from railchan.metrics import (
     compare_streams,
     metric_series,
@@ -60,7 +60,7 @@ def plate_rcs(side: float, max_edge: float, distance: float) -> float:
         max_edge=max_edge,
     )
     leg = direct_leg(EMPTY, np.array([distance, 0.0, 0.0]), mesh.reference_point)
-    t, _ = po_scattered_matrix(mesh, leg, leg, F19)
+    t = po_scattered_matrix(mesh, leg, leg, F19)
     return rcs_from_transfer(t[0, 0], distance, distance)
 
 
@@ -124,7 +124,7 @@ def test_02_cylinder_rcs_matches_broadside_formula():
     mesh = mesh_cylinder(cyl, F19)
     obs = np.array([1000.0, 0.0, 0.5 * cyl.height])
     leg = direct_leg(EMPTY, obs, mesh.reference_point)
-    t, _ = po_scattered_matrix(mesh, leg, leg, F19)
+    t = po_scattered_matrix(mesh, leg, leg, F19)
     elapsed = time.perf_counter() - t0
     sigma = rcs_from_transfer(t[0, 0], 1000.0, 1000.0)
     sigma_ref = 2.0 * math.pi * cyl.radius * cyl.height**2 / LAM
@@ -380,7 +380,6 @@ def test_10_tv_cir_resolves_two_paths_50ns_apart():
             interactions=(),
             transfer=np.eye(2) * amp,
             delay_s=delay,
-            length_m=delay * C0,
             aod=(0.0, 0.0),
             aoa=(0.0, 0.0),
             doppler_hz=0.0,

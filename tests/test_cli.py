@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from railchan.cli import main
-from railchan.config import load_preset
+from railchan.config import DEFAULT_PRESET, load_preset, preset_path
 
 
 def _sha(path):
@@ -145,6 +145,34 @@ def test_bad_window_format_exits_2(capsys):
 def test_window_outside_run_exits_2(capsys):
     assert main(["scatter-study", "--duration", "10.0", "--window", "18.5:23.9"]) == 2
     assert "window" in capsys.readouterr().err
+
+
+def test_duration_beyond_track_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    # the preset track takes 60.0012 s at 100 km/h
+    assert main(["run", "--duration", "61", "--output-dir", str(out)]) == 2
+    assert "traverse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"max_reflections": 3},
+        {"max_vertical_diffractions": 2},
+        {"power_floor_db": 0.0},
+        {"max_reflections": True},  # passes TraceLimits' range check, since True == 1
+    ],
+)
+def test_out_of_range_limits_exit_2(tmp_path, capsys, limits):
+    raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    raw["limits"].update(limits)
+    cfg = tmp_path / "limits.config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--duration", "0.1", "--output-dir", str(out)]) == 2
+    assert "limits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_scene_preset_ok(capsys):

@@ -6,17 +6,18 @@ keyframe path set, so delays match bitwise and magnitudes to fp noise.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from railchan.dynamics import (
+    TrackedPath,
     Trajectory,
-    compute_keyframes,
     interpolate_path,
     match_paths,
-    sample_trajectory,
     stream_snapshots,
+    track_interval,
 )
 from railchan.em import C0, CarrierConfig
 from railchan.scene import Building, CylinderScatterer, Scene
@@ -36,18 +37,18 @@ def straight_traj(p0, p1, speed, duration=None):
 class TestTrajectory:
     def test_endpoints_and_distance(self):
         traj = straight_traj([0, 0, 4.5], [1666.7, 0, 4.5], V100, duration=60.0)
-        np.testing.assert_allclose(sample_trajectory(traj, 0.0), [0, 0, 4.5])
-        p = sample_trajectory(traj, 60.0)
+        np.testing.assert_allclose(traj.position(0.0), [0, 0, 4.5])
+        p = traj.position(60.0)
         assert p[0] == pytest.approx(V100 * 60.0, abs=1e-9)  # 1666.67 m
-        p = sample_trajectory(traj, 0.01)
+        p = traj.position(0.01)
         assert p[0] == pytest.approx(0.27778, abs=1e-4)  # 27.8 cm per 10 ms
 
     def test_domain_errors(self):
         traj = straight_traj([0, 0, 0], [100, 0, 0], 10.0, duration=5.0)
         with pytest.raises(ValueError):
-            sample_trajectory(traj, -0.01)
+            traj.position(-0.01)
         with pytest.raises(ValueError):
-            sample_trajectory(traj, 5.01)
+            traj.position(5.01)
 
     def test_duration_longer_than_polyline_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +63,7 @@ class TestTrajectory:
             waypoints=np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 10.0, 0.0]]),
             speed=5.0,
         )
-        np.testing.assert_allclose(sample_trajectory(traj, 3.0), [10, 5, 0], atol=1e-12)
+        np.testing.assert_allclose(traj.position(3.0), [10, 5, 0], atol=1e-12)
         np.testing.assert_allclose(traj.velocity(1.0), [5, 0, 0], atol=1e-12)
         np.testing.assert_allclose(traj.velocity(3.0), [0, 5, 0], atol=1e-12)
         # right-continuous at the corner
@@ -74,14 +75,22 @@ class TestTrajectory:
             speed=[10.0, 20.0],
         )
         assert traj.duration == pytest.approx(2.0)
-        np.testing.assert_allclose(sample_trajectory(traj, 1.5), [20, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(traj.position(1.5), [20, 0, 0], atol=1e-12)
+
+
+def keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
+    """The keyframe snapshots of a stream."""
+    res = stream_snapshots(
+        scene, traj, tx, F19, update_step=update_step or kf_interval, kf_interval=kf_interval, limits=limits
+    )
+    return [s for s in res.snapshots if s.at_keyframe]
 
 
 class TestKeyframes:
     def test_count_601(self):
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 4.5], [2000, 0, 4.5], V100, duration=60.0)
-        kfs = compute_keyframes(scene, traj, np.array([0.0, 20.0, 20.5]), F19, 0.1, LOS_ONLY)
+        kfs = keyframes(scene, traj, np.array([0.0, 20.0, 20.5]), 0.1)
         assert len(kfs) == 601
         assert kfs[0].timestamp == 0.0
         assert kfs[-1].timestamp == 60.0
@@ -90,16 +99,17 @@ class TestKeyframes:
     def test_final_partial_interval_included(self):
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 4.5], [100, 0, 4.5], 10.0, duration=1.05)
-        kfs = compute_keyframes(scene, traj, np.array([0.0, 20.0, 20.5]), F19, 0.5, LOS_ONLY)
-        assert [k.timestamp for k in kfs] == [0.0, 0.5, 1.0, 1.05]
+        kfs = keyframes(scene, traj, np.array([0.0, 20.0, 20.5]), 0.5, update_step=0.05)
+        assert [k.index for k in kfs] == [0, 10, 20, 21]
+        assert [k.timestamp for k in kfs] == pytest.approx([0.0, 0.5, 1.0, 1.05], abs=1e-12)
 
     def test_rx_positions_and_paths(self):
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 4.5], [100, 0, 4.5], 10.0, duration=2.0)
         tx = np.array([0.0, 20.0, 20.5])
-        kfs = compute_keyframes(scene, traj, tx, F19, 1.0, LOS_ONLY)
+        kfs = keyframes(scene, traj, tx, 1.0)
         for k in kfs:
-            np.testing.assert_array_equal(k.rx_position, sample_trajectory(traj, k.timestamp))
+            np.testing.assert_array_equal(k.rx_position, traj.position(k.timestamp))
             assert len(k.paths) == 1
             assert k.paths[0].signature == "LOS"
 
@@ -110,7 +120,7 @@ class TestMatch:
         scene = Scene(buildings=[wall])
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-30, 0, 2], [30, 0, 2], 20.0, duration=3.0)
-        kfs = compute_keyframes(scene, traj, tx, F19, 1.5, LOS_ONLY)
+        kfs = keyframes(scene, traj, tx, 1.5)
         # t=0: rx at, x=-30 -> LoS clear; t=1.5: rx at x=0 -> blocked
         matched, births, deaths = match_paths(kfs[0], kfs[1])
         assert matched == []
@@ -124,9 +134,21 @@ class TestMatch:
         scene = Scene(buildings=[])
         tx = np.array([0.0, 20.0, 20.0])
         traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
-        kfs = compute_keyframes(scene, traj, tx, F19, 1.0, LOS_ONLY)
+        kfs = keyframes(scene, traj, tx, 1.0)
         matched, births, deaths = match_paths(kfs[0], kfs[1])
         assert len(matched) == 1 and births == [] and deaths == []
+
+    def test_duplicate_signatures_pair_in_order(self):
+        scene = Scene(buildings=[])
+        traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
+        kf_a, kf_b = keyframes(scene, traj, np.array([0.0, 20.0, 20.0]), 2.0)
+        first, second = kf_b.paths[0], replace(kf_b.paths[0])
+        kf_b.paths = [first, second]
+        matched, births, deaths = match_paths(kf_a, kf_b)
+        assert len(matched) == 1
+        assert matched[0][0] is kf_a.paths[0] and matched[0][1] is first
+        assert len(births) == 1 and births[0] is second
+        assert deaths == []
 
 
 class TestInterpolateLoS:
@@ -134,10 +156,8 @@ class TestInterpolateLoS:
         scene = Scene(buildings=[])
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=2.0)
-        kfs = compute_keyframes(scene, traj, tx, F19, 1.0, LOS_ONLY)
+        kfs = keyframes(scene, traj, tx, 1.0)
         matched, _, _ = match_paths(kfs[0], kfs[1])
-        from railchan.dynamics import TrackedPath
-
         tp = TrackedPath(
             signature="LOS",
             kind="matched",
@@ -150,7 +170,7 @@ class TestInterpolateLoS:
 
     def test_left_keyframe_identity(self):
         scene, tx, traj, tp = self.make()
-        p = interpolate_path(tp, tp.t_a, sample_trajectory(traj, tp.t_a), traj.velocity(tp.t_a), F19)
+        p = interpolate_path(tp, tp.t_a, traj.position(tp.t_a), traj.velocity(tp.t_a), F19)
         np.testing.assert_array_equal(p.vertices, tp.path_a.vertices)
         assert p.delay_s == tp.path_a.delay_s
         np.testing.assert_allclose(p.transfer, tp.path_a.transfer, rtol=1e-12)
@@ -158,7 +178,7 @@ class TestInterpolateLoS:
     def test_colinear_los_exact_at_all_times(self):
         scene, tx, traj, tp = self.make()
         for t in np.linspace(0.0, 1.0, 11):
-            rx = sample_trajectory(traj, t)
+            rx = traj.position(t)
             p = interpolate_path(tp, t, rx, traj.velocity(t), F19)
             exact_delay = float(np.linalg.norm(rx - tx)) / C0
             assert p.delay_s == pytest.approx(exact_delay, abs=1e-15)
@@ -166,7 +186,7 @@ class TestInterpolateLoS:
     def test_phase_law(self):
         scene, tx, traj, tp = self.make()
         t = 0.37
-        rx = sample_trajectory(traj, t)
+        rx = traj.position(t)
         p = interpolate_path(tp, t, rx, traj.velocity(t), F19)
         dtau = p.delay_s - tp.path_a.delay_s
         for idx in [(0, 0), (1, 1)]:
@@ -177,7 +197,7 @@ class TestInterpolateLoS:
     def test_magnitude_linear(self):
         scene, tx, traj, tp = self.make()
         t = 0.25
-        p = interpolate_path(tp, t, sample_trajectory(traj, t), traj.velocity(t), F19)
+        p = interpolate_path(tp, t, traj.position(t), traj.velocity(t), F19)
         a = np.abs(tp.path_a.transfer)
         b = np.abs(tp.path_b.transfer)
         np.testing.assert_allclose(np.abs(p.transfer), 0.75 * a + 0.25 * b, rtol=1e-12)
@@ -185,7 +205,7 @@ class TestInterpolateLoS:
     def test_outside_interval_rejected(self):
         scene, tx, traj, tp = self.make()
         with pytest.raises(ValueError):
-            interpolate_path(tp, 1.5, sample_trajectory(traj, 1.5), traj.velocity(1.5), F19)
+            interpolate_path(tp, 1.5, traj.position(1.5), traj.velocity(1.5), F19)
 
 
 class TestDoppler:
@@ -280,6 +300,28 @@ class TestStream:
                 assert pe.delay_s == pi.delay_s
                 np.testing.assert_array_equal(pe.vertices, pi.vertices)
                 np.testing.assert_allclose(np.abs(pi.transfer), np.abs(pe.transfer), rtol=1e-10)
+
+    def test_interpolated_paths_share_keyframe_records(self):
+        scene = self.wall_scene()
+        traj = straight_traj([-30, 0, 2], [30, 0, 2], 20.0, duration=1.0)
+        tx = np.array([0.0, 30.0, 10.0])
+        kf_a, kf_b = keyframes(scene, traj, tx, 0.5, update_step=0.05, limits=FULL)[:2]
+        tracks = [tp for tp in track_interval(kf_a, kf_b, np.random.default_rng(0)) if tp.kind == "matched"]
+        assert any(tp.path_a.interactions for tp in tracks)
+        for tp in tracks:
+            pa = tp.path_a
+            for t in (0.1, 0.25, 0.4):
+                p = interpolate_path(tp, t, traj.position(t), traj.velocity(t), F19)
+                assert p.interactions is pa.interactions
+                assert len(p.vertices) == len(pa.vertices)
+            p = interpolate_path(tp, tp.t_a, kf_a.rx_position, traj.velocity(tp.t_a), F19)
+            assert p.interactions is pa.interactions
+            assert p.signature == pa.signature and p.tag == pa.tag
+            np.testing.assert_array_equal(p.vertices, pa.vertices)
+            assert p.delay_s == pa.delay_s
+            assert p.length_m == pa.length_m
+            assert (p.aod, p.aoa) == (pa.aod, pa.aoa)
+            np.testing.assert_allclose(p.transfer, pa.transfer, rtol=1e-12)
 
     def test_continuity_kinematic_bound(self):
         scene = self.wall_scene()

@@ -360,7 +360,7 @@ class TestComposePathMatrix:
         t = (10.0 - image[1]) / (rx[1] - image[1])
         hit = image + t * (rx - image)
         vertices = np.array([tx, hit, rx])
-        inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0, point=hit)]
+        inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
         T = compose_path_matrix(vertices, inter, scene, F19, OMNI, OMNI)
         want = F19.wavelength / (4 * math.pi * d)
         # PEC: |Gamma| = 1 for both polarizations
@@ -384,7 +384,7 @@ class TestComposePathMatrix:
         cos_inc = abs(inc_dir[1])
         gte, gtm = fresnel_reflection(mat, math.acos(cos_inc), F19)
         vertices = np.array([tx, hit, rx])
-        inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0, point=hit)]
+        inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
         T = compose_path_matrix(vertices, inter, scene, F19, OMNI, OMNI)
         want_v = abs(gte) * F19.wavelength / (4 * math.pi * d)
         want_h = abs(gtm) * F19.wavelength / (4 * math.pi * d)
@@ -403,7 +403,7 @@ class TestComposePathMatrix:
         image[1] = 20.0 - image[1]
         t = (10.0 - image[1]) / (rx[1] - image[1])
         hit = image + t * (rx - image)
-        inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0, point=hit)]
+        inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
         T_fwd = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19, OMNI, OMNI)
         T_rev = compose_path_matrix(np.array([rx, hit, tx]), inter, scene, F19, OMNI, OMNI)
         np.testing.assert_allclose(T_rev, T_fwd.T, rtol=1e-10)
@@ -423,7 +423,7 @@ class TestComposePathMatrix:
             if not (0 < t < 1) or not (0 <= hit[2] <= 60):
                 continue
             d = np.linalg.norm(image - rx)
-            inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0, point=hit)]
+            inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
             T = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19, OMNI, OMNI)
             free = abs(free_space_transport(d, F19))
             # spectral norm bounded by the free-space gain over the same length
@@ -431,11 +431,23 @@ class TestComposePathMatrix:
             assert smax <= free * (1 + 1e-9)
 
     def test_delay_is_polyline_length_over_c(self):
-        from railchan.em import path_delay
+        from railchan.rays import RayPath, path_angles
 
         vertices = np.array([[0, 0, 0], [10, 0, 0], [10, 5, 0], [10, 5, 7.0]])
-        want = (10 + 5 + 7) / C0
-        assert path_delay(vertices) == pytest.approx(want, abs=1e-12 * 1e-9)
+        inters = (
+            Interaction(kind=REFLECTION, object_id=1, element_id=0),
+            Interaction(kind=REFLECTION, object_id=2, element_id=0),
+        )
+        path = RayPath.from_polyline(inters, vertices, np.eye(2, dtype=complex))
+        length = float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
+        assert length == 22.0
+        assert path.delay_s == length / C0  # bit-equal
+        assert path.length_m == length
+        assert (path.aod, path.aoa) == path_angles(vertices)
+        assert path.interactions is inters
+        # the length follows the vertices, it is not stored
+        path.vertices = vertices[:2]
+        assert path.length_m == 10.0
 
     def test_zero_length_segment_rejected(self):
         scene = Scene(buildings=[])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from railchan.dynamics import ChannelSnapshot
-from railchan.em import C0, CarrierConfig
+from railchan.em import CarrierConfig
 from railchan.metrics import (
     angle_stats,
     compare_streams,
@@ -41,7 +41,6 @@ def make_path(delay=1e-6, t00=1.0, transfer=None, aoa=(0.0, 0.0), doppler=0.0, t
         interactions=(),
         vertices=_DUMMY_VERTS,
         delay_s=delay,
-        length_m=delay * C0,
         aod=(0.0, 0.0),
         aoa=aoa,
         transfer=np.asarray(transfer, dtype=complex),

@@ -50,7 +50,7 @@ def plate_monostatic_rcs(side: float, max_edge: float, distance: float) -> float
     )
     p = np.array([distance, 0.0, 0.0])
     leg = direct_leg(EMPTY, p, mesh.reference_point)
-    t, _ = po_scattered_matrix(mesh, leg, leg, F19)
+    t = po_scattered_matrix(mesh, leg, leg, F19)
     return estimated_rcs(t[0, 0], distance, distance)
 
 
@@ -122,7 +122,7 @@ class TestPlateOracle:
         )
         p = np.array([100.0, 0.0, 0.0])
         leg = direct_leg(EMPTY, p, mesh.reference_point)
-        t, _ = po_scattered_matrix(mesh, leg, leg, F19)
+        t = po_scattered_matrix(mesh, leg, leg, F19)
         scale = np.max(np.abs(t))
         assert abs(t[0, 1]) < 1e-10 * scale
         assert abs(t[1, 0]) < 1e-10 * scale
@@ -139,7 +139,7 @@ class TestPlateOracle:
         )
         p = np.array([-50.0, 3.0, 1.0])
         leg = direct_leg(EMPTY, p, mesh.reference_point)
-        t, _ = po_scattered_matrix(mesh, leg, leg, F19)
+        t = po_scattered_matrix(mesh, leg, leg, F19)
         assert np.all(t == 0)
 
 
@@ -150,7 +150,7 @@ class TestCylinderOracle:
         sigma_ref = 2.0 * math.pi * 0.375 * 8.2**2 / LAM
         p = np.array([1000.0, 0.0, 4.1])
         leg = direct_leg(EMPTY, p, mesh.reference_point)
-        t, _ = po_scattered_matrix(mesh, leg, leg, F19)
+        t = po_scattered_matrix(mesh, leg, leg, F19)
         sigma = estimated_rcs(t[0, 0], 1000.0, 1000.0)
         assert abs(db(sigma) - db(sigma_ref)) < 1.0
 
@@ -165,8 +165,8 @@ class TestCylinderOracle:
         obs1 = ref + 2000.0 * np.array([math.cos(ang), math.sin(ang), 0.0])
         src2 = ref + 2.0 * (src1 - ref)
         obs2 = ref + 2.0 * (obs1 - ref)
-        t1, _ = po_scattered_matrix(mesh, direct_leg(EMPTY, src1, ref), direct_leg(EMPTY, obs1, ref), F19)
-        t2, _ = po_scattered_matrix(mesh, direct_leg(EMPTY, src2, ref), direct_leg(EMPTY, obs2, ref), F19)
+        t1 = po_scattered_matrix(mesh, direct_leg(EMPTY, src1, ref), direct_leg(EMPTY, obs1, ref), F19)
+        t2 = po_scattered_matrix(mesh, direct_leg(EMPTY, src2, ref), direct_leg(EMPTY, obs2, ref), F19)
         p1 = float(np.sum(np.abs(t1) ** 2))
         p2 = float(np.sum(np.abs(t2) ** 2))
         assert db(p1) - db(p2) == pytest.approx(12.0, abs=0.1)
@@ -177,11 +177,14 @@ class TestCylinderOracle:
         ref = mesh.reference_point
         src = np.array([300.0, -40.0, 12.0])
         obs = np.array([-120.0, 250.0, 2.0])
-        t_fwd, d_fwd = po_scattered_matrix(mesh, direct_leg(EMPTY, src, ref), direct_leg(EMPTY, obs, ref), F19)
-        t_rev, d_rev = po_scattered_matrix(mesh, direct_leg(EMPTY, obs, ref), direct_leg(EMPTY, src, ref), F19)
+        t_fwd = po_scattered_matrix(mesh, direct_leg(EMPTY, src, ref), direct_leg(EMPTY, obs, ref), F19)
+        t_rev = po_scattered_matrix(mesh, direct_leg(EMPTY, obs, ref), direct_leg(EMPTY, src, ref), F19)
         scale = np.max(np.abs(t_fwd))
         np.testing.assert_allclose(t_rev, t_fwd.T, rtol=1e-8, atol=1e-8 * scale)
-        assert d_fwd == pytest.approx(d_rev, abs=1e-15)
+        scene = Scene(buildings=[], scatterers=[cyl])
+        (p_fwd,) = enumerate_scatter_paths(scene, src, obs, F19)
+        (p_rev,) = enumerate_scatter_paths(scene, obs, src, F19)
+        assert p_fwd.delay_s == pytest.approx(p_rev.delay_s, abs=1e-15)
 
     def test_shadow_sweep_monotone_facet_count(self):
         cyl = CylinderScatterer(id=1, base_center=np.zeros(3), radius=0.375, height=8.2)
@@ -214,7 +217,7 @@ class TestLegs:
         leg = direct_leg(EMPTY, p, ref)
         assert leg.unobstructed
         assert leg.interactions == ()
-        assert leg.length == pytest.approx(float(np.linalg.norm(ref - p)), abs=1e-12)
+        np.testing.assert_array_equal(leg.vertices, [p, ref])
         np.testing.assert_array_equal(leg.effective_point, p)
 
     def test_direct_leg_blocked_by_building(self):
@@ -244,7 +247,9 @@ class TestLegs:
         image = p.copy()
         image[1] = 20.0 - image[1]
         np.testing.assert_allclose(leg.effective_point, image, atol=1e-12)
-        assert leg.length == pytest.approx(float(np.linalg.norm(ref - image)), abs=1e-9)
+        # the unfolded leg is as long as the straight image-to-reference line
+        leg_len = float(np.sum(np.linalg.norm(np.diff(leg.vertices, axis=0), axis=1)))
+        assert leg_len == pytest.approx(float(np.linalg.norm(ref - image)), abs=1e-9)
         # bounce point on the wall face
         assert leg.vertices[1][1] == pytest.approx(10.0, abs=1e-9)
 
