@@ -424,6 +424,13 @@ def cmd_bench(args) -> int:
     repeats = max(1, args.repeats)
     carrier = CarrierConfig(cfg.carrier_hz)
 
+    # the interpolation bracket spans 10 update steps of the run
+    n_steps = round(cfg.duration_s / cfg.update_step_s)
+    if n_steps < 10:
+        raise ConfigError(
+            f"bench needs a run of at least 10 update steps, got {n_steps}; raise --duration"
+        )
+
     t0 = time.perf_counter()
     scene = cfg.load_scene()
     el = time.perf_counter() - t0
@@ -469,18 +476,16 @@ def cmd_bench(args) -> int:
                 }
             )
 
-    # interpolation microbench across one bracket at mid-run
-    mid = 0.5 * cfg.duration_s
-    kf_a_t = mid
-    kf_b_t = mid + cfg.update_step_s * 10
+    # interpolation microbench across one bracket at mid-run, on the step clock
+    step_a = min(n_steps // 2, n_steps - 10)
     kfs = []
-    for t in (kf_a_t, kf_b_t):
+    for i in (step_a, step_a + 10):
+        t = i * cfg.update_step_s
         rx = traj.position(t)
         paths = tracer.trace(cfg.tx_position, rx, cfg.limits)
-        index = round(t / cfg.update_step_s)
-        kfs.append(ChannelSnapshot(index, t, rx, paths, at_keyframe=True))
+        kfs.append(ChannelSnapshot(i, t, rx, paths, at_keyframe=True))
     tracks = track_interval(kfs[0], kfs[1], np.random.default_rng(cfg.seed))
-    times = [kf_a_t + cfg.update_step_s * i for i in range(1, 10)]
+    times = [(step_a + i) * cfg.update_step_s for i in range(1, 10)]
     for rep in range(repeats):
         t0 = time.perf_counter()
         count = 0

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .em import AntennaConfig, CarrierConfig, leg_polarization_operator
-from .rays import Interaction, RayPath, SCATTERING, TAG_SCATTER
+from .rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, RayPath
 from .scene import EPS_GEOM, CylinderScatterer, Scene
-from .specular import _facade_crossing
+from .specular import _facade_crossing, _polylines
 
 _OMNI = AntennaConfig()
 _J_FLIP = np.diag([1.0, -1.0]).astype(complex)
@@ -170,41 +170,30 @@ def reflected_legs(scene: Scene, point, reference_point, carrier: CarrierConfig)
 
     Each leg carries the antenna's mirror image and constant polarization
     operators evaluated on the reference geometry.  Occluded candidates are
-    dropped.
+    dropped; one occlusion query tests every candidate.
     """
     p = np.asarray(point, dtype=float)
     ref = np.asarray(reference_point, dtype=float)
-    if not scene.n_facades:
-        return []
     n = scene.fac_normal
     d_p = n @ p - scene.fac_offset
     d_ref = n @ ref - scene.fac_offset
     idx = np.nonzero((d_p > EPS_GEOM) & (d_ref > EPS_GEOM))[0]
-    if not len(idx):
-        return []
     images = p[None, :] - 2.0 * d_p[idx, None] * n[idx]
     pts, ok = _facade_crossing(scene, images, ref, idx)
+    verts = _polylines(p, [pts[ok]], ref)
+    blocked = scene.segments_blocked(verts[:, :-1].reshape(-1, 3), verts[:, 1:].reshape(-1, 3))
+    clear = ~blocked.reshape(-1, 2).any(axis=1)
     legs = []
-    for k in np.nonzero(ok)[0]:
-        f = int(idx[k])
-        x = pts[k]
-        verts = np.array([p, x, ref])
-        blocked = scene.segments_blocked(verts[:-1], verts[1:]).any()
-        if blocked:
-            continue
-        rec = Interaction(
-            kind="R",
-            object_id=int(scene.fac_object[f]),
-            element_id=int(scene.fac_element[f]),
-        )
+    for f, image, v in zip(idx[ok][clear], images[ok][clear], verts[clear]):
+        rec = Interaction(REFLECTION, int(scene.fac_object[f]), int(scene.fac_element[f]))
         legs.append(
             ScatterLeg(
-                vertices=verts,
+                vertices=v,
                 interactions=(rec,),
                 unobstructed=True,
-                effective_point=images[k],
-                outbound_operator=leg_polarization_operator(verts, (rec,), scene, carrier),
-                inbound_operator=leg_polarization_operator(verts[::-1], (rec,), scene, carrier),
+                effective_point=image,
+                outbound_operator=leg_polarization_operator(v, (rec,), scene, carrier),
+                inbound_operator=leg_polarization_operator(v[::-1], (rec,), scene, carrier),
             )
         )
     return legs
@@ -404,34 +393,42 @@ class ScatterEngine:
         self.rx_antenna = rx_antenna
         self.leg_policy = leg_policy
         self.meshes = [mesh_cylinder(s, carrier) for s in scene.scatterers]
-        self._incident_cache: dict[tuple[int, bytes], _IncidentTerms] = {}
+        self._tx_key: bytes | None = None
+        self._tx_side: list[list[tuple[ScatterLeg, _IncidentTerms]]] = []
 
-    def _incident_for(self, mesh_index: int, src: np.ndarray) -> _IncidentTerms:
-        key = (mesh_index, src.tobytes())
-        inc = self._incident_cache.get(key)
-        if inc is None:
-            if len(self._incident_cache) > 128:
-                self._incident_cache.clear()
-            inc = _incident_terms(self.meshes[mesh_index], src, self.carrier.wavenumber)
-            self._incident_cache[key] = inc
-        return inc
+    def _legs(self, point: np.ndarray) -> list[list[ScatterLeg]]:
+        """Unobstructed legs from ``point`` to each mesh's reference point."""
+        refs = np.array([m.reference_point for m in self.meshes])
+        # one batched occlusion query covers the direct legs to every mesh
+        blocked = self.scene.segments_blocked(np.broadcast_to(point, refs.shape), refs)
+        sides = []
+        for ref, direct_blocked in zip(refs, blocked):
+            legs = []
+            if not direct_blocked:
+                legs.append(
+                    ScatterLeg(
+                        vertices=np.array([point, ref]),
+                        interactions=(),
+                        unobstructed=True,
+                        effective_point=point,
+                    )
+                )
+            if self.leg_policy == "direct+1-reflection":
+                legs.extend(reflected_legs(self.scene, point, ref, self.carrier))
+            sides.append(legs)
+        return sides
 
-    def _legs(self, point: np.ndarray, ref: np.ndarray, direct_clear: bool | None = None) -> list[ScatterLeg]:
-        legs = []
-        if direct_clear is None:
-            leg = direct_leg(self.scene, point, ref)
-        else:
-            leg = ScatterLeg(
-                vertices=np.array([point, ref]),
-                interactions=(),
-                unobstructed=direct_clear,
-                effective_point=point,
-            )
-        if leg.unobstructed:
-            legs.append(leg)
-        if self.leg_policy == "direct+1-reflection":
-            legs.extend(reflected_legs(self.scene, point, ref, self.carrier))
-        return legs
+    def _prepare_tx_side(self, tx: np.ndarray):
+        """Transmitter legs and their incident facet terms, once per transmitter."""
+        key = tx.tobytes()
+        if self._tx_key == key:
+            return
+        k = self.carrier.wavenumber
+        self._tx_side = [
+            [(leg, _incident_terms(mesh, leg.effective_point, k)) for leg in legs]
+            for mesh, legs in zip(self.meshes, self._legs(tx.copy()))
+        ]
+        self._tx_key = key
 
     def paths(self, tx, rx) -> list[RayPath]:
         tx = np.asarray(tx, dtype=float)
@@ -440,22 +437,11 @@ class ScatterEngine:
         out: list[RayPath] = []
         if not self.meshes:
             return out
-        # one batched occlusion query covers every direct leg of this snapshot
-        refs = np.array([m.reference_point for m in self.meshes])
-        ends = np.vstack([refs, refs])
-        starts = np.vstack(
-            [np.broadcast_to(tx, refs.shape), np.broadcast_to(rx, refs.shape)]
-        )
-        direct_blocked = self.scene.segments_blocked(starts, ends)
-        n_mesh = len(self.meshes)
-        for mi, mesh in enumerate(self.meshes):
-            ref = mesh.reference_point
+        self._prepare_tx_side(tx)
+        for mesh, tx_legs, rx_legs in zip(self.meshes, self._tx_side, self._legs(rx)):
             s_rec = Interaction(kind=SCATTERING, object_id=mesh.scatterer.id, element_id=0)
-            tx_legs = self._legs(tx, ref, direct_clear=not direct_blocked[mi])
-            rx_legs = self._legs(rx, ref, direct_clear=not direct_blocked[n_mesh + mi])
-            for leg_in in tx_legs:
+            for leg_in, incident in tx_legs:
                 for leg_out in rx_legs:
-                    incident = self._incident_for(mi, leg_in.effective_point)
                     t = po_scattered_matrix(mesh, leg_in, leg_out, self.carrier, incident=incident)
                     inters = leg_in.interactions + (s_rec,) + tuple(reversed(leg_out.interactions))
                     verts = np.vstack([leg_in.vertices, leg_out.vertices[::-1][1:]])

@@ -6,12 +6,17 @@ vertical-edge diffraction optionally combined with a single reflection on
 either side, and the over-the-rooftops knife-edge polyline used when the
 direct ray is blocked.
 
-Reflections use exact mirror images, so candidate generation is a set of
-vectorized plane/rectangle solves followed by one batched occlusion query
-against the scene.  A :class:`SpecularTracer` caches the per-scene tables
-(second-order image-pair feasibility, wedge geometry) and the per-transmitter
-image positions, which makes repeated solves along a receiver trajectory
-cheap.
+Reflections use exact mirror images and diffraction points follow from the
+unfolded ray, so each path family (LoS, R, RR, D, RD, DR) is generated as one
+array of candidate polylines, shape (K, n, 3), together with the host of each
+interior vertex as an index into a per-scene record table.  The trace masks
+out candidates with a degenerate segment, tests every segment of every
+family in one occlusion query, and builds interaction records and transfer
+matrices only for the candidates that stay clear.  A :class:`SpecularTracer`
+caches the per-scene tables (second-order image-pair feasibility, wedge
+geometry, facade and wedge records; zero-length when the scene has none) and
+the per-transmitter image positions, which makes repeated solves along a
+receiver trajectory cheap.
 """
 
 from __future__ import annotations
@@ -124,102 +129,68 @@ class SpecularTracer:
     # ------------------------------------------------------------------
     def _prepare_scene_tables(self):
         sc = self.scene
-        fcount = sc.n_facades
-        self._pair_i = np.zeros(0, dtype=np.intp)
-        self._pair_j = np.zeros(0, dtype=np.intp)
-        if fcount:
-            # a facade pair (i, j) can only host a double reflection when each
-            # facade has at least one point strictly in front of the other's
-            # plane
-            p0 = sc.fac_origin[:, :2]
-            p1 = p0 + sc.fac_dir[:, :2] * sc.fac_len[:, None]
-            n2 = sc.fac_normal[:, :2]
-            d0 = p0 @ n2.T - sc.fac_offset[None, :]  # [f, i]
-            d1 = p1 @ n2.T - sc.fac_offset[None, :]
-            partly_front = (np.maximum(d0, d1) > EPS_GEOM).T  # [i, f]
-            feasible = partly_front & partly_front.T
-            np.fill_diagonal(feasible, False)
-            self._pair_i, self._pair_j = np.nonzero(feasible)
+        # a facade pair (i, j) can only host a double reflection when each
+        # facade has at least one point strictly in front of the other's plane
+        p0 = sc.fac_origin[:, :2]
+        p1 = p0 + sc.fac_dir[:, :2] * sc.fac_len[:, None]
+        n2 = sc.fac_normal[:, :2]
+        d0 = p0 @ n2.T - sc.fac_offset[None, :]  # [f, i]
+        d1 = p1 @ n2.T - sc.fac_offset[None, :]
+        partly_front = (np.maximum(d0, d1) > EPS_GEOM).T  # [i, f]
+        feasible = partly_front & partly_front.T
+        np.fill_diagonal(feasible, False)
+        self._pair_i, self._pair_j = np.nonzero(feasible)
+        self._fac_rec = [
+            Interaction(REFLECTION, int(o), int(e)) for o, e in zip(sc.fac_object, sc.fac_element)
+        ]
 
+        # zero-length tables when the scene has no wedges
         wl = sc.wedges()
-        self.wedge_count = len(wl)
-        if wl:
-            self._w_xy = np.array([w.point_xy for w in wl])
-            self._w_h = np.array([w.height for w in wl])
-            self._w_ot = np.array([w.o_tangent[:2] for w in wl])
-            self._w_on = np.array([w.o_normal[:2] for w in wl])
-            self._w_n = np.array([w.n_index for w in wl])
-            self._w_obj = np.array([w.object_id for w in wl], dtype=np.intp)
-            self._w_el = np.array([w.element_id for w in wl], dtype=np.intp)
-            if fcount:
-                d = self._w_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
-                self._w_front_of = d > EPS_GEOM  # [w, f]
-            else:
-                self._w_front_of = np.zeros((len(wl), 0), dtype=bool)
+        self._w_xy = np.array([w.point_xy for w in wl], dtype=float).reshape(-1, 2)
+        self._w_h = np.array([w.height for w in wl], dtype=float)
+        self._w_ot = np.array([w.o_tangent[:2] for w in wl], dtype=float).reshape(-1, 2)
+        self._w_on = np.array([w.o_normal[:2] for w in wl], dtype=float).reshape(-1, 2)
+        self._w_n = np.array([w.n_index for w in wl], dtype=float)
+        self._wedge_rec = [
+            Interaction(EDGE_DIFFRACTION, int(w.object_id), int(w.element_id)) for w in wl
+        ]
+        d = self._w_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
+        self._w_front_of = d > EPS_GEOM  # [w, f]
 
     def _prepare_tx_tables(self, tx: np.ndarray):
         key = tx.tobytes()
         if self._tx_key == key:
             return
         sc = self.scene
-        if sc.n_facades:
-            d = sc.fac_normal @ tx - sc.fac_offset
-            self._tx_front = d > EPS_GEOM
-            self._img1 = tx[None, :] - 2.0 * d[:, None] * sc.fac_normal
-            live = self._tx_front[self._pair_i]
-            pi = self._pair_i[live]
-            pj = self._pair_j[live]
-            m1 = self._img1[pi]
-            n2 = sc.fac_normal[pj]
-            d2 = np.einsum("kj,kj->k", m1, n2) - sc.fac_offset[pj]
-            # the first-order image must sit in front of the second plane,
-            # otherwise no point of that plane can be reached outbound
-            keep = d2 > EPS_GEOM
-            self._live_i = pi[keep]
-            self._live_j = pj[keep]
-            self._img2 = m1[keep] - 2.0 * d2[keep, None] * n2[keep]
-        else:
-            self._tx_front = np.zeros(0, dtype=bool)
-            self._img1 = np.zeros((0, 3))
-            self._live_i = np.zeros(0, dtype=np.intp)
-            self._live_j = np.zeros(0, dtype=np.intp)
-            self._img2 = np.zeros((0, 3))
+        d = sc.fac_normal @ tx - sc.fac_offset
+        self._tx_front = d > EPS_GEOM
+        self._img1 = tx[None, :] - 2.0 * d[:, None] * sc.fac_normal
+        live = self._tx_front[self._pair_i]
+        pi = self._pair_i[live]
+        pj = self._pair_j[live]
+        m1 = self._img1[pi]
+        n2 = sc.fac_normal[pj]
+        d2 = np.einsum("kj,kj->k", m1, n2) - sc.fac_offset[pj]
+        # the first-order image must sit in front of the second plane,
+        # otherwise no point of that plane can be reached outbound
+        keep = d2 > EPS_GEOM
+        self._live_i = pi[keep]
+        self._live_j = pj[keep]
+        self._img2 = m1[keep] - 2.0 * d2[keep, None] * n2[keep]
         self._tx_key = key
 
     # ------------------------------------------------------------------
-    # families
+    # families: each returns (vertices (K, n, 3), hosts), where hosts holds
+    # one (record table, index array) pair per interior vertex
     # ------------------------------------------------------------------
-    def _reflection_record(self, fidx: int) -> Interaction:
-        sc = self.scene
-        return Interaction(
-            kind=REFLECTION,
-            object_id=int(sc.fac_object[fidx]),
-            element_id=int(sc.fac_element[fidx]),
-        )
-
-    def _edge_record(self, widx: int) -> Interaction:
-        return Interaction(
-            kind=EDGE_DIFFRACTION,
-            object_id=int(self._w_obj[widx]),
-            element_id=int(self._w_el[widx]),
-        )
-
-    def _single_reflections(self, tx, rx, rx_front, add):
-        mask = self._tx_front & rx_front
-        idx = np.nonzero(mask)[0]
-        if not len(idx):
-            return
+    def _single_reflections(self, tx, rx, rx_front):
+        idx = np.nonzero(self._tx_front & rx_front)[0]
         pts, ok = _facade_crossing(self.scene, self._img1[idx], rx, idx)
-        for k in np.nonzero(ok)[0]:
-            add(np.array([tx, pts[k], rx]), (self._reflection_record(int(idx[k])),))
+        return _polylines(tx, [pts[ok]], rx), [(self._fac_rec, idx[ok])]
 
-    def _double_reflections(self, tx, rx, rx_front, add):
-        if not len(self._live_i):
-            return
+    def _double_reflections(self, tx, rx, rx_front):
         sc = self.scene
         sel = np.nonzero(rx_front[self._live_j])[0]
-        if not len(sel):
-            return
         fi = self._live_i[sel]
         fj = self._live_j[sel]
         x2, ok2 = _facade_crossing(sc, self._img2[sel], rx, fj)
@@ -229,14 +200,10 @@ class SpecularTracer:
         # front side
         d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
-        for k in np.nonzero(ok)[0]:
-            add(
-                np.array([tx, x1[k], x2[k], rx]),
-                (
-                    self._reflection_record(int(fi[k])),
-                    self._reflection_record(int(fj[k])),
-                ),
-            )
+        return (
+            _polylines(tx, [x1[ok], x2[ok]], rx),
+            [(self._fac_rec, fi[ok]), (self._fac_rec, fj[ok])],
+        )
 
     def _edge_candidates(self, src, dst, widx):
         """Diffraction points on wedges widx for the unfolded src->dst rays."""
@@ -258,62 +225,38 @@ class SpecularTracer:
         points = np.concatenate([np.broadcast_to(w_xy, d1.shape + (2,)), z[..., None]], axis=-1)
         return points, ok
 
-    def _single_diffractions(self, tx, rx, add):
-        widx = np.arange(self.wedge_count, dtype=np.intp)
-        src = np.broadcast_to(tx, (self.wedge_count, 3))
-        dst = np.broadcast_to(rx, (self.wedge_count, 3))
-        pts, ok = self._edge_candidates(src, dst, widx)
-        for k in np.nonzero(ok)[0]:
-            add(np.array([tx, pts[k], rx]), (self._edge_record(int(k)),))
+    def _single_diffractions(self, tx, rx):
+        widx = np.arange(len(self._wedge_rec))
+        pts, ok = self._edge_candidates(tx, rx, widx)
+        return _polylines(tx, [pts[ok]], rx), [(self._wedge_rec, widx[ok])]
 
-    def _reflection_then_diffraction(self, tx, rx, add):
-        sc = self.scene
+    def _reflection_then_diffraction(self, tx, rx):
         fsel = np.nonzero(self._tx_front)[0]
-        if not len(fsel):
-            return
-        wmask = self._w_front_of[:, fsel]  # [w, f']
-        wi, fk = np.nonzero(wmask)
-        if not len(wi):
-            return
+        wi, fk = np.nonzero(self._w_front_of[:, fsel])
         fidx = fsel[fk]
         src = self._img1[fidx]
-        dst = np.broadcast_to(rx, (len(wi), 3))
-        e_pts, ok = self._edge_candidates(src, dst, wi)
-        x1, ok_x = _facade_crossing(sc, src, e_pts, fidx)
+        e_pts, ok = self._edge_candidates(src, rx, wi)
+        x1, ok_x = _facade_crossing(self.scene, src, e_pts, fidx)
         ok &= ok_x
-        for k in np.nonzero(ok)[0]:
-            add(
-                np.array([tx, x1[k], e_pts[k], rx]),
-                (
-                    self._reflection_record(int(fidx[k])),
-                    self._edge_record(int(wi[k])),
-                ),
-            )
+        return (
+            _polylines(tx, [x1[ok], e_pts[ok]], rx),
+            [(self._fac_rec, fidx[ok]), (self._wedge_rec, wi[ok])],
+        )
 
-    def _diffraction_then_reflection(self, tx, rx, rx_front, add):
+    def _diffraction_then_reflection(self, tx, rx, rx_front):
         sc = self.scene
         fsel = np.nonzero(rx_front)[0]
-        if not len(fsel):
-            return
-        wmask = self._w_front_of[:, fsel]
-        wi, fk = np.nonzero(wmask)
-        if not len(wi):
-            return
+        wi, fk = np.nonzero(self._w_front_of[:, fsel])
         fidx = fsel[fk]
         d = sc.fac_normal[fidx] @ rx - sc.fac_offset[fidx]
         rx_img = rx[None, :] - 2.0 * d[:, None] * sc.fac_normal[fidx]
-        src = np.broadcast_to(tx, (len(wi), 3))
-        e_pts, ok = self._edge_candidates(src, rx_img, wi)
+        e_pts, ok = self._edge_candidates(tx, rx_img, wi)
         x2, ok_x = _facade_crossing(sc, e_pts, rx_img, fidx)
         ok &= ok_x
-        for k in np.nonzero(ok)[0]:
-            add(
-                np.array([tx, e_pts[k], x2[k], rx]),
-                (
-                    self._edge_record(int(wi[k])),
-                    self._reflection_record(int(fidx[k])),
-                ),
-            )
+        return (
+            _polylines(tx, [e_pts[ok], x2[ok]], rx),
+            [(self._wedge_rec, wi[ok]), (self._fac_rec, fidx[ok])],
+        )
 
     # ------------------------------------------------------------------
     # the trace
@@ -329,58 +272,46 @@ class SpecularTracer:
                 raise ValueError(f"{name} lies inside a building")
         self._prepare_tx_tables(tx)
         sc = self.scene
+        rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
 
-        candidates: list[tuple[np.ndarray, tuple]] = []
+        families = [(_polylines(tx, [], rx), [])]
+        if limits.max_reflections >= 1:
+            families.append(self._single_reflections(tx, rx, rx_front))
+        if limits.max_reflections >= 2:
+            families.append(self._double_reflections(tx, rx, rx_front))
+        if limits.max_vertical_diffractions >= 1:
+            families.append(self._single_diffractions(tx, rx))
+            if limits.max_reflections >= 1:
+                families.append(self._reflection_then_diffraction(tx, rx))
+                families.append(self._diffraction_then_reflection(tx, rx, rx_front))
 
-        def add(verts: np.ndarray, inters: tuple):
-            seg = verts[1:] - verts[:-1]
-            if np.min(np.einsum("ij,ij->i", seg, seg)) < EPS_GEOM * EPS_GEOM:
-                return
-            candidates.append((verts, inters))
-
-        add(np.array([tx, rx]), ())
-
-        if sc.n_facades:
-            rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
-        else:
-            rx_front = np.zeros(0, dtype=bool)
-
-        if limits.max_reflections >= 1 and sc.n_facades:
-            self._single_reflections(tx, rx, rx_front, add)
-        if limits.max_reflections >= 2 and sc.n_facades:
-            self._double_reflections(tx, rx, rx_front, add)
-        if limits.max_vertical_diffractions >= 1 and self.wedge_count:
-            self._single_diffractions(tx, rx, add)
-            if limits.max_reflections >= 1 and sc.n_facades:
-                self._reflection_then_diffraction(tx, rx, add)
-                self._diffraction_then_reflection(tx, rx, rx_front, add)
-
-        # one batched occlusion pass over every candidate sub-segment
-        seg_a, seg_b, slices = [], [], []
-        for verts, _ in candidates:
-            start = len(seg_a)
-            seg_a.extend(verts[:-1])
-            seg_b.extend(verts[1:])
-            slices.append((start, len(verts) - 1))
-        keep = [True] * len(candidates)
-        if seg_a:
-            blocked = sc.segments_blocked(np.array(seg_a), np.array(seg_b))
-            keep = [not blocked[s : s + n].any() for s, n in slices]
+        # drop candidates with a degenerate segment, then test every segment
+        # of the rest in one occlusion pass
+        families = [_drop_degenerate(verts, hosts) for verts, hosts in families]
+        blocked = sc.segments_blocked(
+            np.concatenate([v[:, :-1].reshape(-1, 3) for v, _ in families]),
+            np.concatenate([v[:, 1:].reshape(-1, 3) for v, _ in families]),
+        )
+        ends = np.cumsum([v.shape[0] * (v.shape[1] - 1) for v, _ in families])
+        clear = [
+            ~b.reshape(v.shape[0], v.shape[1] - 1).any(axis=1)
+            for (v, _), b in zip(families, np.split(blocked, ends[:-1]))
+        ]
 
         paths: list[RayPath] = []
         seen: set[bytes] = set()
-        for (verts, inters), ok in zip(candidates, keep):
-            if not ok:
-                continue
-            geo_key = np.round(verts, 6).tobytes()
-            if geo_key in seen:
-                continue
-            seen.add(geo_key)
-            path = self._finish_path(verts, inters, limits)
-            if path is not None:
-                paths.append(path)
+        for (verts, hosts), ok in zip(families, clear):
+            for k in np.nonzero(ok)[0]:
+                geo_key = np.round(verts[k], 6).tobytes()
+                if geo_key in seen:
+                    continue
+                seen.add(geo_key)
+                inters = tuple(rec[idx[k]] for rec, idx in hosts)
+                path = self._finish_path(verts[k].copy(), inters, limits)
+                if path is not None:
+                    paths.append(path)
 
-        los_clear = keep[0] if candidates else False
+        los_clear = bool(clear[0].any())
         if limits.rooftop and not los_clear:
             roof = trace_rooftop(
                 sc, tx, rx, self.carrier, self.tx_antenna, self.rx_antenna
@@ -398,6 +329,21 @@ class SpecularTracer:
         if not _above_floor(transfer, limits.power_floor_db):
             return None
         return RayPath.from_polyline(inters, verts, transfer)
+
+
+def _polylines(tx: np.ndarray, interior: list[np.ndarray], rx: np.ndarray) -> np.ndarray:
+    """(K, len(interior) + 2, 3) candidate polylines tx -> interior -> rx."""
+    k_count = len(interior[0]) if interior else 1
+    return np.stack(
+        [np.broadcast_to(tx, (k_count, 3)), *interior, np.broadcast_to(rx, (k_count, 3))], axis=1
+    )
+
+
+def _drop_degenerate(verts: np.ndarray, hosts: list):
+    """The candidates of one family whose segments are all longer than EPS_GEOM."""
+    seg = verts[:, 1:] - verts[:, :-1]
+    live = np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
+    return verts[live], [(rec, idx[live]) for rec, idx in hosts]
 
 
 def _above_floor(transfer: np.ndarray, floor_db: float) -> bool:

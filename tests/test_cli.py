@@ -284,6 +284,18 @@ def test_bench_outputs(tmp_path):
         assert float(r["per_unit_ms"]) > 0
 
 
+def test_bench_short_run(tmp_path, capsys):
+    # the interpolation bracket sits on the step clock, so a 10-step run fits it
+    out = tmp_path / "short"
+    assert main(["bench", "--duration", "0.1", "--repeats", "1", "--output-dir", str(out)]) == 0
+    assert (out / "bench.csv").is_file()
+    # fewer than 10 steps cannot hold the bracket: exit 2, no output directory
+    out = tmp_path / "too_short"
+    assert main(["bench", "--duration", "0.05", "--output-dir", str(out)]) == 2
+    assert "10 update steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # module entry point
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ from railchan.em import C0, CarrierConfig
 from railchan.rays import TAG_SCATTER
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.scatter import (
+    LEG_POLICIES,
+    ScatterEngine,
     ScatterLeg,
     direct_leg,
     enumerate_scatter_paths,
@@ -347,3 +349,33 @@ class TestEnumerate:
         assert [p.signature for p in a] == [p.signature for p in b]
         for p, q in zip(a, b):
             np.testing.assert_array_equal(p.transfer, q.transfer)
+
+    @pytest.mark.parametrize("policy", LEG_POLICIES)
+    def test_transmitter_change_matches_fresh_engine(self, policy):
+        # the engine keeps one transmitter's legs; switching tx and back must
+        # give the paths of an engine that never saw the other transmitter
+        wall = Building(
+            id=1,
+            footprint=np.array([[-80.0, 40.0], [180.0, 40.0], [180.0, 42.0], [-80.0, 42.0]]),
+            height=30.0,
+        )
+        scene = Scene(
+            buildings=[wall],
+            scatterers=[
+                CylinderScatterer(id=9, base_center=np.array([50.0, 10.0, 0.0]), radius=0.375, height=8.2),
+                CylinderScatterer(id=10, base_center=np.array([70.0, 20.0, 0.0]), radius=0.375, height=8.2),
+            ],
+        )
+        tx1 = np.array([0.0, 0.0, 20.0])
+        tx2 = np.array([30.0, -5.0, 15.0])
+        rx = np.array([100.0, 0.0, 4.5])
+        engine = ScatterEngine(scene, F19, leg_policy=policy)
+        for tx in (tx1, tx2, tx1):
+            got = engine.paths(tx, rx)
+            want = ScatterEngine(scene, F19, leg_policy=policy).paths(tx, rx)
+            assert len(got) == len(want) > 0
+            for p, q in zip(got, want):
+                assert p.signature == q.signature
+                np.testing.assert_array_equal(p.transfer, q.transfer)
+                assert p.delay_s == q.delay_s
+                np.testing.assert_array_equal(p.vertices, q.vertices)

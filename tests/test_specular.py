@@ -328,6 +328,25 @@ class TestRooftop:
         assert not any(p.signature.startswith("K(") for p in off)
 
 
+class TestDuplicateGeometry:
+    def test_shared_corner_reflection_kept_once(self):
+        # two boxes share the wall x = 0; their front facades (element 2, on
+        # y = 0) meet at the specular point (0, 0, 2), so both facades yield
+        # the same polyline and only the first candidate becomes a path
+        scene = Scene(
+            buildings=[
+                Building(id=1, footprint=np.array([[-10.0, -10.0], [0.0, -10.0], [0.0, 0.0], [-10.0, 0.0]]), height=10.0),
+                Building(id=2, footprint=np.array([[0.0, -10.0], [10.0, -10.0], [10.0, 0.0], [0.0, 0.0]]), height=10.0),
+            ]
+        )
+        tx = np.array([-5.0, 10.0, 2.0])
+        rx = np.array([5.0, 10.0, 2.0])
+        lim = TraceLimits(max_reflections=1, max_vertical_diffractions=0, rooftop=False)
+        paths = trace_specular(scene, tx, rx, lim, F19)
+        assert [p.signature for p in paths] == [LOS_SIGNATURE, "R(1:2)"]
+        np.testing.assert_allclose(paths[1].vertices[1], [0.0, 0.0, 2.0], atol=1e-12)
+
+
 class TestDeterminism:
     def test_repeat_trace_identical(self):
         scene = Scene(buildings=[wall(1, 10, 12), wall(2, -12, -10), Building(id=3, footprint=np.array([[80.0, -5.0], [95.0, -5.0], [95.0, 5.0], [80.0, 5.0]]), height=18.0)])
