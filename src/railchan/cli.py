@@ -420,8 +420,9 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
 # bench
 # ----------------------------------------------------------------------
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     cfg = _scenario_from_args(args)
-    repeats = max(1, args.repeats)
     carrier = CarrierConfig(cfg.carrier_hz)
 
     # the interpolation bracket spans 10 update steps of the run
@@ -443,7 +444,7 @@ def cmd_bench(args) -> int:
     tracer = SpecularTracer(scene, carrier)
     tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)  # warm the tables
 
-    for rep in range(repeats):
+    for rep in range(args.repeats):
         t0 = time.perf_counter()
         for rx in rx_list:
             tracer.trace(cfg.tx_position, rx, cfg.limits)
@@ -461,7 +462,7 @@ def cmd_bench(args) -> int:
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier, leg_policy=cfg.leg_policy)
         engine.paths(cfg.tx_position, rx_list[0])  # warm the incident cache
-        for rep in range(repeats):
+        for rep in range(args.repeats):
             t0 = time.perf_counter()
             for rx in rx_list:
                 engine.paths(cfg.tx_position, rx)
@@ -486,7 +487,7 @@ def cmd_bench(args) -> int:
         kfs.append(ChannelSnapshot(i, t, rx, paths, at_keyframe=True))
     tracks = track_interval(kfs[0], kfs[1], np.random.default_rng(cfg.seed))
     times = [(step_a + i) * cfg.update_step_s for i in range(1, 10)]
-    for rep in range(repeats):
+    for rep in range(args.repeats):
         t0 = time.perf_counter()
         count = 0
         for t in times:

@@ -9,6 +9,7 @@ Unknown keys anywhere in the document are rejected rather than ignored.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -74,9 +75,15 @@ def _number(mapping: dict, key: str, where: str) -> float:
         value = mapping[key]
     except KeyError:
         raise ConfigError(f"missing key {key!r} in {where}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
+        raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _finite(value) -> bool:
+    """True when a number converts to a finite float (false for NaN, the
+    infinities and integers beyond the float range)."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _integer_multiple(value: float, step: float) -> bool:
@@ -295,8 +302,10 @@ def parse_config(
         raise ConfigError("'sweep_intervals_s' must be a list of intervals")
     sweep_vals = []
     for v in sweep:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"'sweep_intervals_s' entries must be positive numbers, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (v > 0 and _finite(v)):
+            raise ConfigError(
+                f"'sweep_intervals_s' entries must be positive finite numbers, got {v!r}"
+            )
         if not _integer_multiple(float(v), update_step_s):
             raise ConfigError(
                 f"sweep interval {v} must be an integer multiple of 'update_step_s' ({update_step_s})"

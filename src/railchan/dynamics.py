@@ -1,11 +1,12 @@
 """Time axis: receiver trajectory, keyframe solves, tracking, interpolation.
 
-The stream works on an integer step clock.  Snapshots live at ``i *
-update_step``; keyframes at every ``stride``-th step (``stride =
-kf_interval / update_step``) plus the final step.  A snapshot that lands on
-a keyframe step reuses the keyframe path set directly, so keyframe
-timestamps are reproduced bit-for-bit by construction rather than through
-an interpolation that happens to hit the endpoints.
+The receiver follows a polyline track at one constant speed.  The stream
+works on an integer step clock.  Snapshots live at ``i * update_step``;
+keyframes at every ``stride``-th step (``stride = kf_interval /
+update_step``) plus the final step.  A snapshot that lands on a keyframe
+step reuses the keyframe path set directly, so keyframe timestamps are
+reproduced bit-for-bit by construction rather than through an interpolation
+that happens to hit the endpoints.
 
 Between keyframes, paths matched by signature are interpolated: interior
 vertices move linearly, the receiver vertex follows the exact trajectory,
@@ -14,9 +15,10 @@ magnitudes are blended linearly, and the phase advances from the left
 keyframe by ``-2*pi*f*(tau(t) - tau_left)``.  Doppler is the analytic
 derivative of the interpolated polyline length, never a finite difference
 of outputs.  Paths present on only one side of an interval are ramped in or
-out at a seeded random activation time chosen so the linear ramp finishes
-inside the interval; during a ramp the geometry is held frozen from the
-keyframe where the path exists, so the held path has zero Doppler.
+out over half the interval (``RAMP_FRACTION``), from a seeded random
+activation time chosen so the linear ramp finishes inside the interval;
+during a ramp the geometry is held frozen from the keyframe where the path
+exists, so the held path has zero Doppler.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import C0, AntennaConfig, CarrierConfig
+from .em import C0, CarrierConfig
 from .rays import TAG_SPECULAR, RayPath
 from .scatter import LEG_POLICIES, ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
 
-_OMNI = AntennaConfig()
 _T_EPS = 1e-9
+
+#: share of a keyframe interval that a birth or death ramp takes
+RAMP_FRACTION = 0.5
 
 SCATTER_MODES = ("off", "exact", "interpolated")
 
@@ -45,17 +49,16 @@ SCATTER_MODES = ("off", "exact", "interpolated")
 # ----------------------------------------------------------------------
 @dataclass
 class Trajectory:
-    """Piecewise-linear receiver track followed at constant (or per-segment
-    constant) speed.
+    """Piecewise-linear receiver track followed at one constant speed.
 
     waypoints : (M, 3) polyline, M >= 2
-    speed : scalar, or one value per segment
+    speed : m/s, positive
     duration : seconds simulated; defaults to the full traversal time and
         may be shorter (the tail of the polyline is then unused)
     """
 
     waypoints: np.ndarray
-    speed: float | list | tuple | np.ndarray
+    speed: float
     duration: float | None = None
 
     def __post_init__(self):
@@ -66,16 +69,10 @@ class Trajectory:
         seg_len = np.linalg.norm(seg, axis=1)
         if np.any(seg_len <= 0.0):
             raise ValueError("duplicate consecutive waypoints")
-        speeds = np.asarray(self.speed, dtype=float)
-        if speeds.ndim == 0:
-            speeds = np.full(len(seg_len), float(speeds))
-        if speeds.shape != seg_len.shape:
-            raise ValueError(
-                f"need one speed per segment ({len(seg_len)}), got shape {speeds.shape}"
-            )
-        if np.any(speeds <= 0.0):
-            raise ValueError("speeds must be positive")
-        seg_time = seg_len / speeds
+        speed = float(self.speed)
+        if not speed > 0.0:
+            raise ValueError("speed must be positive")
+        seg_time = seg_len / speed
         cum_time = np.concatenate([[0.0], np.cumsum(seg_time)])
         total = float(cum_time[-1])
         if self.duration is None:
@@ -88,8 +85,8 @@ class Trajectory:
                 f"duration {dur} s exceeds the {total:.6f} s needed to traverse the polyline"
             )
         self.waypoints = pts
+        self.speed = speed
         self._seg_unit = seg / seg_len[:, None]
-        self._seg_speed = speeds
         self._cum_time = cum_time
 
     def _segment(self, t: float) -> int:
@@ -100,13 +97,13 @@ class Trajectory:
 
     def position(self, t: float) -> np.ndarray:
         idx = self._segment(t)
-        local = (t - self._cum_time[idx]) * self._seg_speed[idx]
+        local = (t - self._cum_time[idx]) * self.speed
         return self.waypoints[idx] + self._seg_unit[idx] * local
 
     def velocity(self, t: float) -> np.ndarray:
         """Velocity vector; right-continuous at waypoint corners."""
         idx = self._segment(t)
-        return self._seg_unit[idx] * self._seg_speed[idx]
+        return self._seg_unit[idx] * self.speed
 
 
 # ----------------------------------------------------------------------
@@ -201,20 +198,18 @@ def apply_birth_death(
     t_a: float,
     t_b: float,
     rng: np.random.Generator,
-    ramp_fraction: float = 0.5,
 ) -> list[TrackedPath]:
     """Schedule ramps for paths that appear or disappear in ``[t_a, t_b]``.
 
-    Activation times are drawn uniformly from the sub-interval that lets the
-    linear ramp finish before the right keyframe, so snapshots that land on
-    keyframes never see a partially ramped path.  Births ramp 0 -> 1 starting
-    at the activation; deaths hold full amplitude and ramp 1 -> 0 from it.
-    Draw order is deterministic: births sorted by signature, then deaths.
+    Each ramp takes ``RAMP_FRACTION`` of the interval.  Activation times are
+    drawn uniformly from the sub-interval that lets the linear ramp finish
+    before the right keyframe, so snapshots that land on keyframes never see
+    a partially ramped path.  Births ramp 0 -> 1 starting at the activation;
+    deaths hold full amplitude and ramp 1 -> 0 from it.  Draw order is
+    deterministic: births sorted by signature, then deaths.
     """
-    if not 0.0 <= ramp_fraction <= 1.0:
-        raise ValueError("ramp_fraction must lie in [0, 1]")
     interval = t_b - t_a
-    ramp = ramp_fraction * interval
+    ramp = RAMP_FRACTION * interval
     window = interval - ramp
     out: list[TrackedPath] = []
     for p in sorted(births, key=lambda q: q.signature):
@@ -250,7 +245,6 @@ def track_interval(
     kf_a: ChannelSnapshot,
     kf_b: ChannelSnapshot,
     rng: np.random.Generator,
-    ramp_fraction: float = 0.5,
 ) -> list[TrackedPath]:
     """Paths tracked across the interval from ``kf_a`` to ``kf_b``.
 
@@ -270,7 +264,7 @@ def track_interval(
         for pa, pb in matched
     ]
     tracks.extend(
-        apply_birth_death(births, deaths, kf_a.timestamp, kf_b.timestamp, rng, ramp_fraction)
+        apply_birth_death(births, deaths, kf_a.timestamp, kf_b.timestamp, rng)
     )
     return tracks
 
@@ -368,16 +362,9 @@ class StreamResult:
 
     snapshots: list
     rt_invocations: int
-    update_step: float
-    kf_interval: float
-    seed: int
     keyframe_seconds: float = 0.0
     interpolation_seconds: float = 0.0
     scatter_seconds: float = 0.0
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return np.array([s.timestamp for s in self.snapshots])
 
 
 def _path_sort_key(p: RayPath):
@@ -396,9 +383,6 @@ def stream_snapshots(
     scatter_mode: str = "exact",
     leg_policy: str = "direct-only",
     seed: int = 0,
-    ramp_fraction: float = 0.5,
-    tx_antenna: AntennaConfig = _OMNI,
-    rx_antenna: AntennaConfig = _OMNI,
     start_step: int = 0,
 ) -> StreamResult:
     """Snapshot stream at ``update_step`` resolution from keyframe solves at
@@ -442,10 +426,10 @@ def stream_snapshots(
     if kf_steps[-1] != n_steps:
         kf_steps.append(n_steps)
 
-    tracer = SpecularTracer(scene, carrier, tx_antenna, rx_antenna)
+    tracer = SpecularTracer(scene, carrier)
     engine = None
     if scatter_mode != "off" and scene.scatterers:
-        engine = ScatterEngine(scene, carrier, tx_antenna, rx_antenna, leg_policy)
+        engine = ScatterEngine(scene, carrier, leg_policy)
     kf_engine = engine if scatter_mode == "interpolated" else None
 
     t0 = time.perf_counter()
@@ -460,7 +444,7 @@ def stream_snapshots(
         t0 = time.perf_counter()
         rng = np.random.default_rng(seed)
         for a, b in zip(keyframes[:-1], keyframes[1:]):
-            brackets.append(track_interval(a, b, rng, ramp_fraction))
+            brackets.append(track_interval(a, b, rng))
         interpolation_seconds += time.perf_counter() - t0
 
     kf_pos = {s: i for i, s in enumerate(kf_steps)}
@@ -500,9 +484,6 @@ def stream_snapshots(
     return StreamResult(
         snapshots=snapshots,
         rt_invocations=len(kf_steps),
-        update_step=update_step,
-        kf_interval=kf_interval,
-        seed=seed,
         keyframe_seconds=keyframe_seconds,
         interpolation_seconds=interpolation_seconds,
         scatter_seconds=scatter_seconds,

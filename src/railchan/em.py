@@ -4,15 +4,19 @@ Conventions used throughout:
 
 * Engineering time convention exp(+j omega t); propagation over distance d
   multiplies by exp(-j k d).
-* A path's transfer amplitude includes spreading: line of sight over
-  distance d has magnitude lambda / (4 pi d), so |T|^2 is the Friis power
-  gain between 0 dBi antennas.
+* Both antennas are ideal dual-polarized 0 dBi antennas; no gain or
+  pattern enters a transfer.  A path's transfer amplitude includes
+  spreading: line of sight over distance d has magnitude lambda / (4 pi d),
+  so |T|^2 is the Friis power gain between the two antennas.
 * Polarization: V = theta_hat and H = phi_hat of the global spherical frame
   evaluated at the departure direction (transmit side) and at the direction
   pointing from the receiver back toward the last path vertex (receive
   side).  With that receive convention, a pure line-of-sight path has the
   transfer matrix g * diag(1, -1), and reversing a path transposes the
   matrix.
+* One walker, :func:`leg_polarization_operator`, follows the polarization
+  basis along a polyline through every interaction; :func:`compose_path_matrix`
+  adds the spreading, the phase and the knife-edge losses to its result.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from railchan.rays import (
     EDGE_DIFFRACTION,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
+    polyline_length,
 )
 from railchan.scene import GROUND_OBJECT_ID, Material, Scene
 
@@ -54,17 +59,6 @@ class CarrierConfig:
     @property
     def wavenumber(self) -> float:
         return _TWO_PI / self.wavelength
-
-
-@dataclass(frozen=True)
-class AntennaConfig:
-    """Ideal dual-polarized omnidirectional antenna."""
-
-    gain_dbi: float = 0.0
-
-    @property
-    def amplitude(self) -> float:
-        return 10.0 ** (self.gain_dbi / 20.0)
 
 
 def spherical_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,9 +305,8 @@ def _wedge_face_coefficients(wedge, phi_inc, phi_out, carrier):
     cos_theta = abs(math.sin(grazing))
     theta = math.acos(min(1.0, cos_theta))
     theta = min(theta, math.pi / 2 - 1e-12)
-    r0_s, r0_h = fresnel_reflection(wedge.o_material, theta, carrier)
-    rn_s, rn_h = fresnel_reflection(wedge.n_material, theta, carrier)
-    return r0_s, rn_s, r0_h, rn_h
+    r_s, r_h = fresnel_reflection(wedge.material, theta, carrier)
+    return r_s, r_s, r_h, r_h
 
 
 def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, carrier):
@@ -375,21 +368,16 @@ def _rooftop_factor(vertices, i, carrier) -> complex:
     return knife_edge_diffraction(v)
 
 
-def compose_path_matrix(
-    vertices: np.ndarray,
-    interactions,
-    scene: Scene,
-    carrier: CarrierConfig,
-    tx_antenna: AntennaConfig,
-    rx_antenna: AntennaConfig,
-) -> np.ndarray:
-    """2x2 polarimetric transfer matrix of a validated ray path.
+def leg_polarization_operator(vertices, interactions, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
+    """Polarization transform of a validated ray path, without spreading.
 
     ``vertices`` is the Tx...Rx polyline; ``interactions`` the records for
-    the interior vertices in order.  The result maps transmitted (V, H)
-    components to received (V, H) components, including spreading over the
-    total unfolded length, interaction coefficients, basis rotations, and
-    antenna gains.
+    the interior vertices in order.  The result maps (V, H) components
+    launched along the first segment to (V, H) components in the arrival
+    basis of the last segment (pointing back toward the previous vertex).
+    It holds the Fresnel and UTD wedge coefficients and the basis rotations,
+    but no free-space spreading, propagation phase or knife-edge losses.  A
+    straight two-point path therefore returns diag(1, -1).
     """
     verts = np.asarray(vertices, dtype=float)
     if len(verts) != len(interactions) + 2:
@@ -405,7 +393,6 @@ def compose_path_matrix(
     b_mat = np.empty((3, 2), dtype=complex)
     b_mat[:, 0] = v_hat
     b_mat[:, 1] = h_hat
-    amp = 1.0 + 0.0j
 
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     for i, rec in enumerate(interactions):
@@ -422,52 +409,30 @@ def compose_path_matrix(
                 b_mat, k_in, k_out, s_before, s_after, scene, rec, carrier
             )
         elif rec.kind == ROOFTOP_DIFFRACTION:
-            amp *= _rooftop_factor(verts, i + 1, carrier)
-            rot = _rotation_between(k_in, k_out)
-            b_mat = rot @ b_mat
+            b_mat = _rotation_between(k_in, k_out) @ b_mat
         else:
             raise ValueError(f"unsupported interaction kind {rec.kind!r}")
-
-    back_dir = _unit(verts[-2] - verts[-1])
-    v_b, h_b = spherical_basis(back_dir)
-    t_mat = np.empty((2, 2), dtype=complex)
-    t_mat[0, :] = v_b @ b_mat
-    t_mat[1, :] = h_b @ b_mat
-    g = free_space_transport(total_len, carrier)
-    return t_mat * (g * amp * tx_antenna.amplitude * rx_antenna.amplitude)
-
-
-def leg_polarization_operator(vertices, interactions, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
-    """Unit-amplitude polarization transform of a reflection-only polyline.
-
-    Maps (V, H) components launched along the first segment to (V, H)
-    components in the arrival basis of the last segment (pointing back toward
-    the previous vertex), including Fresnel coefficients of any interior
-    reflections but no spreading, propagation phase, or antenna gains.  A
-    straight two-point leg therefore returns diag(1, -1).
-    """
-    verts = np.asarray(vertices, dtype=float)
-    if len(verts) != len(interactions) + 2:
-        raise ValueError("vertex count does not match interaction count")
-    seg = np.diff(verts, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
-    if np.any(seg_len < 1e-12):
-        raise ValueError("zero-length path segment")
-    dirs = seg / seg_len[:, None]
-
-    v_hat, h_hat = spherical_basis(dirs[0])
-    b_mat = np.empty((3, 2), dtype=complex)
-    b_mat[:, 0] = v_hat
-    b_mat[:, 1] = h_hat
-    for i, rec in enumerate(interactions):
-        if rec.kind != REFLECTION:
-            raise ValueError("legs support only specular reflections")
-        b_mat, k_ref = _apply_reflection(b_mat, dirs[i], scene, rec, carrier)
-        if abs(float(np.dot(k_ref, dirs[i + 1])) - 1.0) > 1e-6:
-            raise ValueError("leg geometry violates the specular law")
 
     v_b, h_b = spherical_basis(_unit(verts[-2] - verts[-1]))
     t_mat = np.empty((2, 2), dtype=complex)
     t_mat[0, :] = v_b @ b_mat
     t_mat[1, :] = h_b @ b_mat
     return t_mat
+
+
+def compose_path_matrix(
+    vertices: np.ndarray, interactions, scene: Scene, carrier: CarrierConfig
+) -> np.ndarray:
+    """2x2 polarimetric transfer matrix of a validated ray path.
+
+    The :func:`leg_polarization_operator` of the path, times the spreading
+    and phase over the total unfolded length and the knife-edge coefficient
+    of every rooftop vertex.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    t_mat = leg_polarization_operator(verts, interactions, scene, carrier)
+    amp = 1.0 + 0.0j
+    for i, rec in enumerate(interactions):
+        if rec.kind == ROOFTOP_DIFFRACTION:
+            amp *= _rooftop_factor(verts, i + 1, carrier)
+    return t_mat * (free_space_transport(polyline_length(verts), carrier) * amp)

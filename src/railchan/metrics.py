@@ -33,6 +33,10 @@ _CIRCULAR_METRICS = frozenset({"mean_haoa"})
 #: degree, which makes its normalized error meaningless
 DEFAULT_DEGENERATE_GAPS = {"vaoa_spread": 0.05}
 
+#: delay support, in symbols (1 / bandwidth), that a synthesized TV-CIR grid
+#: keeps past the longest path delay
+PULSE_SUPPORT_SYMBOLS = 8.0
+
 METRIC_NAMES = (
     "power_vv",
     "power_vh",
@@ -234,14 +238,13 @@ def synthesize_tv_cir(
     rolloff: float,
     pol_pair: str = "vv",
     delay_grid: np.ndarray | None = None,
-    pulse_support_symbols: float = 8.0,
 ) -> TVCir:
     """Band-limited TV-CIR: each path contributes its transfer entry times a
     raised-cosine pulse centered on its delay.
 
     The delay grid must resolve the bandwidth (spacing <= 1/(2*bandwidth));
-    a grid from 0 to the maximum path delay plus the pulse support is built
-    when none is given.
+    a grid from 0 to the maximum path delay plus ``PULSE_SUPPORT_SYMBOLS``
+    symbols is built when none is given.
     """
     snaps = _snapshots(snapshots)
     r, c = _pol_entry(pol_pair)
@@ -263,7 +266,7 @@ def synthesize_tv_cir(
         for s in snaps:
             for p in s.paths:
                 max_delay = max(max_delay, p.delay_s)
-        span = max_delay + pulse_support_symbols / bandwidth
+        span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
         n = int(math.ceil(span / max_spacing)) + 1
         grid = np.arange(n) * max_spacing
 
@@ -341,14 +344,15 @@ def compare_streams(
     reference,
     test,
     tx_power_dbm: float = 0.0,
-    degenerate_gaps: dict | None = None,
 ) -> ErrorReport:
     """Per-metric RMSE / NRMSE / error CDFs of a test stream against a
     reference stream on identical timestamps.
 
     NRMSE divides the RMSE by the Q90-Q10 gap of the *reference* series; a
     metric whose gap is below its degeneracy threshold is flagged and left
-    out of :meth:`ErrorReport.summary`.
+    out of :meth:`ErrorReport.summary`.  The thresholds come from
+    :data:`DEFAULT_DEGENERATE_GAPS`; a metric it does not name needs a gap of
+    at least 1e-15.
     """
     ref_snaps = _snapshots(reference)
     test_snaps = _snapshots(test)
@@ -359,10 +363,6 @@ def compare_streams(
             f"streams must share identical timestamps ({t_ref.size} reference vs "
             f"{t_test.size} test samples)"
         )
-    gaps = dict(DEFAULT_DEGENERATE_GAPS)
-    if degenerate_gaps:
-        gaps.update(degenerate_gaps)
-
     ref_series = metric_series(ref_snaps, tx_power_dbm)
     test_series = metric_series(test_snaps, tx_power_dbm)
     metrics: dict[str, MetricError] = {}
@@ -383,7 +383,7 @@ def compare_streams(
         else:
             q10 = q90 = math.nan
         gap = q90 - q10
-        min_gap = max(gaps.get(name, 0.0), 1e-15)
+        min_gap = max(DEFAULT_DEGENERATE_GAPS.get(name, 0.0), 1e-15)
         degenerate = (not np.isfinite(gap)) or gap < min_gap or n == 0
         nrmse = rmse / gap if not degenerate else math.nan
         abs_errors = np.sort(np.abs(errors))

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import AntennaConfig, CarrierConfig, leg_polarization_operator
+from .em import CarrierConfig, leg_polarization_operator
 from .rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, RayPath
 from .scene import EPS_GEOM, CylinderScatterer, Scene
 from .specular import _facade_crossing, _polylines
 
-_OMNI = AntennaConfig()
 _J_FLIP = np.diag([1.0, -1.0]).astype(complex)
 
 LEG_POLICIES = ("direct-only", "direct+1-reflection")
@@ -165,28 +164,32 @@ def direct_leg(scene: Scene, point, reference_point) -> ScatterLeg:
     )
 
 
-def reflected_legs(scene: Scene, point, reference_point, carrier: CarrierConfig) -> list[ScatterLeg]:
-    """All single-facade-reflection legs from an antenna to the reference.
+def reflected_legs(
+    scene: Scene, point, reference_points, carrier: CarrierConfig
+) -> list[list[ScatterLeg]]:
+    """All single-facade-reflection legs from an antenna to each reference.
 
-    Each leg carries the antenna's mirror image and constant polarization
-    operators evaluated on the reference geometry.  Occluded candidates are
-    dropped; one occlusion query tests every candidate.
+    ``reference_points`` is (M, 3); the result holds one list of legs per
+    reference point, in facade order.  Each leg carries the antenna's mirror
+    image and constant polarization operators evaluated on the reference
+    geometry.  Occluded candidates are dropped; one facade scan and one
+    occlusion query cover the candidates of every reference point.
     """
     p = np.asarray(point, dtype=float)
-    ref = np.asarray(reference_point, dtype=float)
+    refs = np.asarray(reference_points, dtype=float)
     n = scene.fac_normal
     d_p = n @ p - scene.fac_offset
-    d_ref = n @ ref - scene.fac_offset
-    idx = np.nonzero((d_p > EPS_GEOM) & (d_ref > EPS_GEOM))[0]
-    images = p[None, :] - 2.0 * d_p[idx, None] * n[idx]
-    pts, ok = _facade_crossing(scene, images, ref, idx)
-    verts = _polylines(p, [pts[ok]], ref)
+    d_ref = refs @ n.T - scene.fac_offset[None, :]
+    m, f = np.nonzero((d_p > EPS_GEOM)[None, :] & (d_ref > EPS_GEOM))
+    images = p[None, :] - 2.0 * d_p[f, None] * n[f]
+    pts, ok = _facade_crossing(scene, images, refs[m], f)
+    verts = _polylines(p, [pts[ok]], refs[m[ok]])
     blocked = scene.segments_blocked(verts[:, :-1].reshape(-1, 3), verts[:, 1:].reshape(-1, 3))
     clear = ~blocked.reshape(-1, 2).any(axis=1)
-    legs = []
-    for f, image, v in zip(idx[ok][clear], images[ok][clear], verts[clear]):
-        rec = Interaction(REFLECTION, int(scene.fac_object[f]), int(scene.fac_element[f]))
-        legs.append(
+    legs: list[list[ScatterLeg]] = [[] for _ in refs]
+    for i, fi, image, v in zip(m[ok][clear], f[ok][clear], images[ok][clear], verts[clear]):
+        rec = Interaction(REFLECTION, int(scene.fac_object[fi]), int(scene.fac_element[fi]))
+        legs[i].append(
             ScatterLeg(
                 vertices=v,
                 interactions=(rec,),
@@ -222,27 +225,6 @@ def _batched_spherical_basis(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, h
 
 
-def _illumination_masks(mesh: FacetMesh, src: np.ndarray, obs: np.ndarray):
-    vi = mesh.centers - src[None, :]
-    r_i = np.linalg.norm(vi, axis=1)
-    ki = vi / r_i[:, None]
-    vs = obs[None, :] - mesh.centers
-    r_s = np.linalg.norm(vs, axis=1)
-    ks = vs / r_s[:, None]
-    cos_i = -np.einsum("ij,ij->i", ki, mesh.normals)
-    cos_s = np.einsum("ij,ij->i", ks, mesh.normals)
-    live = (cos_i > 0.0) & (cos_s > 0.0)
-    return ki, r_i, ks, r_s, cos_i, cos_s, live
-
-
-def illuminated_visible_count(mesh: FacetMesh, src, obs) -> int:
-    """Facets both lit by the source and visible from the observer."""
-    src = np.asarray(src, dtype=float)
-    obs = np.asarray(obs, dtype=float)
-    *_, live = _illumination_masks(mesh, src, obs)
-    return int(np.count_nonzero(live))
-
-
 @dataclass
 class _IncidentTerms:
     """Source-side facet quantities, reusable while the source stays put.
@@ -271,6 +253,26 @@ def _incident_terms(mesh: FacetMesh, src: np.ndarray, wavenumber: float) -> _Inc
     return _IncidentTerms(ki=ki, cos_i=cos_i, phase_over_r=phase_over_r, mv=mv, mh=mh)
 
 
+def _observer_terms(mesh: FacetMesh, obs: np.ndarray, cos_i: np.ndarray):
+    """(ks, r_s, cos_s, live): unit directions, distances and cosines from
+    the facets to the observer, and the mask of the facets that are lit by
+    the source (``cos_i > 0``) and visible from the observer."""
+    vs = obs[None, :] - mesh.centers
+    r_s = np.linalg.norm(vs, axis=1)
+    ks = vs / r_s[:, None]
+    cos_s = np.einsum("ij,ij->i", ks, mesh.normals)
+    return ks, r_s, cos_s, (cos_i > 0.0) & (cos_s > 0.0)
+
+
+def illuminated_visible_count(mesh: FacetMesh, src, obs) -> int:
+    """Facets both lit by the source and visible from the observer: the
+    facets the coherent sum of :func:`_facet_sum` runs over."""
+    # the wavenumber sets only the incident phases, not which facets are lit
+    incident = _incident_terms(mesh, np.asarray(src, dtype=float), 0.0)
+    *_, live = _observer_terms(mesh, np.asarray(obs, dtype=float), incident.cos_i)
+    return int(np.count_nonzero(live))
+
+
 def _facet_sum(
     mesh: FacetMesh,
     src: np.ndarray,
@@ -289,11 +291,7 @@ def _facet_sum(
     k = carrier.wavenumber
     if incident is None:
         incident = _incident_terms(mesh, src, k)
-    vs = obs[None, :] - mesh.centers
-    r_s = np.linalg.norm(vs, axis=1)
-    ks = vs / r_s[:, None]
-    cos_s = np.einsum("ij,ij->i", ks, mesh.normals)
-    live = (incident.cos_i > 0.0) & (cos_s > 0.0)
+    ks, r_s, cos_s, live = _observer_terms(mesh, obs, incident.cos_i)
     t = np.zeros((2, 2), dtype=complex)
     if not np.any(live):
         return t
@@ -381,16 +379,12 @@ class ScatterEngine:
         self,
         scene: Scene,
         carrier: CarrierConfig,
-        tx_antenna: AntennaConfig = _OMNI,
-        rx_antenna: AntennaConfig = _OMNI,
         leg_policy: str = "direct-only",
     ):
         if leg_policy not in LEG_POLICIES:
             raise ValueError(f"unknown leg policy {leg_policy!r}; expected one of {LEG_POLICIES}")
         self.scene = scene
         self.carrier = carrier
-        self.tx_antenna = tx_antenna
-        self.rx_antenna = rx_antenna
         self.leg_policy = leg_policy
         self.meshes = [mesh_cylinder(s, carrier) for s in scene.scatterers]
         self._tx_key: bytes | None = None
@@ -413,9 +407,10 @@ class ScatterEngine:
                         effective_point=point,
                     )
                 )
-            if self.leg_policy == "direct+1-reflection":
-                legs.extend(reflected_legs(self.scene, point, ref, self.carrier))
             sides.append(legs)
+        if self.leg_policy == "direct+1-reflection":
+            for legs, reflected in zip(sides, reflected_legs(self.scene, point, refs, self.carrier)):
+                legs.extend(reflected)
         return sides
 
     def _prepare_tx_side(self, tx: np.ndarray):
@@ -433,7 +428,6 @@ class ScatterEngine:
     def paths(self, tx, rx) -> list[RayPath]:
         tx = np.asarray(tx, dtype=float)
         rx = np.asarray(rx, dtype=float)
-        gain = self.tx_antenna.amplitude * self.rx_antenna.amplitude
         out: list[RayPath] = []
         if not self.meshes:
             return out
@@ -445,7 +439,7 @@ class ScatterEngine:
                     t = po_scattered_matrix(mesh, leg_in, leg_out, self.carrier, incident=incident)
                     inters = leg_in.interactions + (s_rec,) + tuple(reversed(leg_out.interactions))
                     verts = np.vstack([leg_in.vertices, leg_out.vertices[::-1][1:]])
-                    out.append(RayPath.from_polyline(inters, verts, t * gain, TAG_SCATTER))
+                    out.append(RayPath.from_polyline(inters, verts, t, TAG_SCATTER))
         return out
 
 
@@ -455,11 +449,9 @@ def enumerate_scatter_paths(
     rx,
     carrier: CarrierConfig,
     leg_policy: str = "direct-only",
-    tx_antenna: AntennaConfig = _OMNI,
-    rx_antenna: AntennaConfig = _OMNI,
 ) -> list[RayPath]:
     """One scatter RayPath per scatterer and unobstructed leg pair."""
     if not scene.scatterers:
         return []
-    engine = ScatterEngine(scene, carrier, tx_antenna, rx_antenna, leg_policy)
+    engine = ScatterEngine(scene, carrier, leg_policy)
     return engine.paths(tx, rx)

@@ -127,7 +127,8 @@ class Wedge:
 
     Angles around the edge are measured from ``o_tangent`` rotating through
     ``o_normal``; the n-face tangent then sits at ``n_index * pi``.  The
-    o-face is the adjacent facade with the lower element id.
+    o-face is the adjacent facade with the lower element id.  Both faces
+    belong to one building, so they share its ``material``.
     """
 
     point_xy: np.ndarray
@@ -135,11 +136,8 @@ class Wedge:
     edge_dir: np.ndarray  # unit, +z
     o_tangent: np.ndarray  # unit, horizontal, into the o-face
     o_normal: np.ndarray
-    n_tangent: np.ndarray
-    n_normal: np.ndarray
     n_index: float  # exterior angle / pi
-    o_material: Material
-    n_material: Material
+    material: Material
     object_id: int
     element_id: int
 
@@ -270,30 +268,23 @@ class Scene:
             )
             interior = math.acos(min(1.0, max(-1.0, cosang)))
             n_index = 2.0 - interior / math.pi
-            # adjacent facades: facade (i-1) ends here, facade i starts here
-            fa_prev = (i - 1) % nv
-            fa_next = i
-            tang_prev = -(e_in / np.linalg.norm(e_in))
-            tang_next = e_out / np.linalg.norm(e_out)
-            nrm_prev = np.array([e_in[1], -e_in[0]]) / np.linalg.norm(e_in)
-            nrm_next = np.array([e_out[1], -e_out[0]]) / np.linalg.norm(e_out)
-            if fa_prev < fa_next:
-                o_el, o_t, o_n = fa_prev, tang_prev, nrm_prev
-                n_t, n_n = tang_next, nrm_next
+            # adjacent facades: facade (i-1) ends here, facade i starts here;
+            # the o-face, the one with the lower element id, is facade (i-1)
+            # except at vertex 0
+            if i > 0:
+                o_t = -(e_in / np.linalg.norm(e_in))
+                o_n = np.array([e_in[1], -e_in[0]]) / np.linalg.norm(e_in)
             else:
-                o_el, o_t, o_n = fa_next, tang_next, nrm_next
-                n_t, n_n = tang_prev, nrm_prev
+                o_t = e_out / np.linalg.norm(e_out)
+                o_n = np.array([e_out[1], -e_out[0]]) / np.linalg.norm(e_out)
             wedge = Wedge(
                 point_xy=this_v.copy(),
                 height=b.height,
                 edge_dir=np.array([0.0, 0.0, 1.0]),
                 o_tangent=np.array([o_t[0], o_t[1], 0.0]),
                 o_normal=np.array([o_n[0], o_n[1], 0.0]),
-                n_tangent=np.array([n_t[0], n_t[1], 0.0]),
-                n_normal=np.array([n_n[0], n_n[1], 0.0]),
                 n_index=n_index,
-                o_material=b.material,
-                n_material=b.material,
+                material=b.material,
                 object_id=b.id,
                 element_id=b.edge_element_id(i),
             )

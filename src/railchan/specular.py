@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import AntennaConfig, CarrierConfig, compose_path_matrix
+from .em import CarrierConfig, compose_path_matrix
 from .rays import (
     EDGE_DIFFRACTION,
     Interaction,
@@ -36,7 +36,6 @@ from .rays import (
 )
 from .scene import EPS_GEOM, Scene
 
-_OMNI = AntennaConfig()
 _TWO_PI = 2.0 * math.pi
 _ANG_EPS = 1e-9
 
@@ -110,17 +109,9 @@ def _wedge_azimuth(p_xy: np.ndarray, o_t: np.ndarray, o_n: np.ndarray, n_index: 
 class SpecularTracer:
     """Reusable tracer holding per-scene and per-transmitter tables."""
 
-    def __init__(
-        self,
-        scene: Scene,
-        carrier: CarrierConfig,
-        tx_antenna: AntennaConfig = _OMNI,
-        rx_antenna: AntennaConfig = _OMNI,
-    ):
+    def __init__(self, scene: Scene, carrier: CarrierConfig):
         self.scene = scene
         self.carrier = carrier
-        self.tx_antenna = tx_antenna
-        self.rx_antenna = rx_antenna
         self._prepare_scene_tables()
         self._tx_key: bytes | None = None
 
@@ -313,9 +304,7 @@ class SpecularTracer:
 
         los_clear = bool(clear[0].any())
         if limits.rooftop and not los_clear:
-            roof = trace_rooftop(
-                sc, tx, rx, self.carrier, self.tx_antenna, self.rx_antenna
-            )
+            roof = trace_rooftop(sc, tx, rx, self.carrier)
             if roof is not None and _above_floor(roof.transfer, limits.power_floor_db):
                 paths.append(roof)
 
@@ -323,9 +312,7 @@ class SpecularTracer:
         return paths
 
     def _finish_path(self, verts, inters, limits: TraceLimits) -> RayPath | None:
-        transfer = compose_path_matrix(
-            verts, inters, self.scene, self.carrier, self.tx_antenna, self.rx_antenna
-        )
+        transfer = compose_path_matrix(verts, inters, self.scene, self.carrier)
         if not _above_floor(transfer, limits.power_floor_db):
             return None
         return RayPath.from_polyline(inters, verts, transfer)
@@ -359,13 +346,11 @@ def trace_specular(
     rx,
     limits: TraceLimits | None = None,
     carrier: CarrierConfig | None = None,
-    tx_antenna: AntennaConfig = _OMNI,
-    rx_antenna: AntennaConfig = _OMNI,
 ) -> list[RayPath]:
     """One-shot specular trace; see :class:`SpecularTracer` for streaming."""
     if carrier is None:
         raise ValueError("a carrier configuration is required")
-    tracer = SpecularTracer(scene, carrier, tx_antenna, rx_antenna)
+    tracer = SpecularTracer(scene, carrier)
     return tracer.trace(tx, rx, limits)
 
 
@@ -374,8 +359,6 @@ def trace_rooftop(
     tx,
     rx,
     carrier: CarrierConfig | None = None,
-    tx_antenna: AntennaConfig = _OMNI,
-    rx_antenna: AntennaConfig = _OMNI,
 ) -> RayPath | None:
     """Over-the-rooftops knife-edge path, or None when the direct ray is clear.
 
@@ -444,5 +427,5 @@ def trace_rooftop(
     verts.append(rx)
     vert_arr = np.array(verts)
     inters = tuple(inters)
-    transfer = compose_path_matrix(vert_arr, inters, scene, carrier, tx_antenna, rx_antenna)
+    transfer = compose_path_matrix(vert_arr, inters, scene, carrier)
     return RayPath.from_polyline(inters, vert_arr, transfer)

@@ -175,6 +175,32 @@ def test_out_of_range_limits_exit_2(tmp_path, capsys, limits):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--duration", "nan"],
+        ["run", "--update-step", "nan"],
+        ["run", "--kf-interval", "nan"],
+        ["run", "--kf-interval", "inf"],
+        ["sweep", "--intervals", "nan"],
+        ["sweep", "--intervals", "inf"],
+        ["run", "--config", "carrier_1e999.json"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    # JSON reads the literal 1e999 as an infinite float
+    text = preset_path(DEFAULT_PRESET, "config").read_text()
+    assert '"carrier_hz": 1.9e9' in text
+    (tmp_path / "carrier_1e999.json").write_text(
+        text.replace('"carrier_hz": 1.9e9', '"carrier_hz": 1e999')
+    )
+    assert main(argv + ["--output-dir", "out"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_scene_preset_ok(capsys):
     assert main(["validate-scene", "urban_canyon"]) == 0
     out = capsys.readouterr().out
@@ -293,6 +319,14 @@ def test_bench_short_run(tmp_path, capsys):
     out = tmp_path / "too_short"
     assert main(["bench", "--duration", "0.05", "--output-dir", str(out)]) == 2
     assert "10 update steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_bench_repeats_below_one_exit_2(tmp_path, capsys, repeats):
+    out = tmp_path / "bench"
+    assert main(["bench", "--repeats", repeats, "--output-dir", str(out)]) == 2
+    assert "--repeats" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -69,14 +69,6 @@ class TestTrajectory:
         # right-continuous at the corner
         np.testing.assert_allclose(traj.velocity(2.0), [0, 5, 0], atol=1e-12)
 
-    def test_piecewise_speeds(self):
-        traj = Trajectory(
-            waypoints=np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [30.0, 0.0, 0.0]]),
-            speed=[10.0, 20.0],
-        )
-        assert traj.duration == pytest.approx(2.0)
-        np.testing.assert_allclose(traj.position(1.5), [20, 0, 0], atol=1e-12)
-
 
 def keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
     """The keyframe snapshots of a stream."""

@@ -18,7 +18,6 @@ import pytest
 
 from railchan.em import (
     C0,
-    AntennaConfig,
     CarrierConfig,
     compose_path_matrix,
     free_space_transport,
@@ -33,7 +32,6 @@ from railchan.rays import Interaction, REFLECTION
 from railchan.scene import Building, Material, PEC, Scene
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
-OMNI = AntennaConfig()
 
 
 def db(x):
@@ -327,7 +325,7 @@ class TestComposePathMatrix:
         scene = Scene(buildings=[])
         tx = np.array([0.0, 0.0, 10.0])
         rx = np.array([100.0, 0.0, 10.0])
-        T = compose_path_matrix(np.array([tx, rx]), [], scene, F19, OMNI, OMNI)
+        T = compose_path_matrix(np.array([tx, rx]), [], scene, F19)
         want = F19.wavelength / (4 * math.pi * 100.0)
         assert abs(T[0, 0]) == pytest.approx(want, rel=1e-12)
         assert abs(T[1, 1]) == pytest.approx(want, rel=1e-12)
@@ -337,16 +335,6 @@ class TestComposePathMatrix:
         # H co-pol negated
         ratio = T[1, 1] / T[0, 0]
         assert ratio.real == pytest.approx(-1.0, rel=1e-12)
-
-    def test_antenna_gains_scale_amplitude(self):
-        scene = Scene(buildings=[])
-        tx = np.array([0.0, 0.0, 10.0])
-        rx = np.array([100.0, 0.0, 10.0])
-        T0 = compose_path_matrix(np.array([tx, rx]), [], scene, F19, OMNI, OMNI)
-        T1 = compose_path_matrix(
-            np.array([tx, rx]), [], scene, F19, AntennaConfig(gain_dbi=3.0), AntennaConfig(gain_dbi=5.0)
-        )
-        assert abs(T1[0, 0]) / abs(T0[0, 0]) == pytest.approx(10 ** (8.0 / 20.0), rel=1e-12)
 
     def test_single_pec_reflection_magnitude(self):
         # hand image construction: wall plane y = 10 (PEC); image of tx is at
@@ -361,7 +349,7 @@ class TestComposePathMatrix:
         hit = image + t * (rx - image)
         vertices = np.array([tx, hit, rx])
         inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-        T = compose_path_matrix(vertices, inter, scene, F19, OMNI, OMNI)
+        T = compose_path_matrix(vertices, inter, scene, F19)
         want = F19.wavelength / (4 * math.pi * d)
         # PEC: |Gamma| = 1 for both polarizations
         assert abs(T[0, 0]) == pytest.approx(want, rel=1e-9)
@@ -385,7 +373,7 @@ class TestComposePathMatrix:
         gte, gtm = fresnel_reflection(mat, math.acos(cos_inc), F19)
         vertices = np.array([tx, hit, rx])
         inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-        T = compose_path_matrix(vertices, inter, scene, F19, OMNI, OMNI)
+        T = compose_path_matrix(vertices, inter, scene, F19)
         want_v = abs(gte) * F19.wavelength / (4 * math.pi * d)
         want_h = abs(gtm) * F19.wavelength / (4 * math.pi * d)
         assert abs(T[0, 0]) == pytest.approx(want_v, rel=1e-9)
@@ -404,8 +392,8 @@ class TestComposePathMatrix:
         t = (10.0 - image[1]) / (rx[1] - image[1])
         hit = image + t * (rx - image)
         inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-        T_fwd = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19, OMNI, OMNI)
-        T_rev = compose_path_matrix(np.array([rx, hit, tx]), inter, scene, F19, OMNI, OMNI)
+        T_fwd = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19)
+        T_rev = compose_path_matrix(np.array([rx, hit, tx]), inter, scene, F19)
         np.testing.assert_allclose(T_rev, T_fwd.T, rtol=1e-10)
 
     def test_energy_not_amplified_by_reflection(self):
@@ -424,7 +412,7 @@ class TestComposePathMatrix:
                 continue
             d = np.linalg.norm(image - rx)
             inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-            T = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19, OMNI, OMNI)
+            T = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19)
             free = abs(free_space_transport(d, F19))
             # spectral norm bounded by the free-space gain over the same length
             smax = np.linalg.svd(T, compute_uv=False)[0]
@@ -453,4 +441,4 @@ class TestComposePathMatrix:
         scene = Scene(buildings=[])
         p = np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
-            compose_path_matrix(np.array([p, p]), [], scene, F19, OMNI, OMNI)
+            compose_path_matrix(np.array([p, p]), [], scene, F19)

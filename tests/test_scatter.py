@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig
 from railchan.rays import TAG_SCATTER
 from railchan.scene import Building, CylinderScatterer, Scene
@@ -241,7 +242,7 @@ class TestLegs:
         scene = Scene(buildings=[wall])
         ref = np.array([20.0, 0.0, 4.1])
         p = np.array([-20.0, 2.0, 6.0])
-        legs = reflected_legs(scene, p, ref, F19)
+        (legs,) = reflected_legs(scene, p, ref[None, :], F19)
         assert len(legs) == 1
         leg = legs[0]
         assert len(leg.interactions) == 1
@@ -254,6 +255,30 @@ class TestLegs:
         assert leg_len == pytest.approx(float(np.linalg.norm(ref - image)), abs=1e-9)
         # bounce point on the wall face
         assert leg.vertices[1][1] == pytest.approx(10.0, abs=1e-9)
+
+    def test_batched_references_match_single_calls(self):
+        # one call for every scatterer of the preset gives, per reference
+        # point, the legs of a call with that reference alone, bit for bit
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        refs = np.array([s.reference_point for s in scene.scatterers])
+        assert len(refs) > 1
+        traj = cfg.trajectory()
+        points = [cfg.tx_position] + [traj.position(t) for t in (5.0, 19.0, 21.0, 23.0, 40.0)]
+        n_legs = 0
+        for p in points:
+            batched = reflected_legs(scene, p, refs, F19)
+            assert len(batched) == len(refs)
+            for ref, got in zip(refs, batched):
+                (want,) = reflected_legs(scene, p, ref[None, :], F19)
+                assert [leg.interactions for leg in got] == [leg.interactions for leg in want]
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a.vertices, b.vertices)
+                    np.testing.assert_array_equal(a.effective_point, b.effective_point)
+                    np.testing.assert_array_equal(a.outbound_operator, b.outbound_operator)
+                    np.testing.assert_array_equal(a.inbound_operator, b.inbound_operator)
+                n_legs += len(got)
+        assert n_legs > 0
 
 
 class TestEnumerate:

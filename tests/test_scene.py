@@ -8,6 +8,7 @@ touching buildings, where ``contains_point`` must agree with them as well.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -251,9 +252,15 @@ class TestElementIds:
         assert len(wedges) == 4
         for w in wedges:
             assert w.n_index == pytest.approx(1.5, abs=1e-12)
-            assert w.o_material.eps_r == 5.0
-            # o/n tangents are perpendicular for a right-angle corner
-            assert abs(np.dot(w.o_tangent, w.n_tangent)) < 1e-12
+            assert w.material.eps_r == 5.0
+            # the n-face tangent sits at n_index * pi from o_tangent, through
+            # o_normal: perpendicular to o_tangent for a right-angle corner,
+            # and the two tangents' bisector points into the building
+            angle = w.n_index * math.pi
+            n_tangent = math.cos(angle) * w.o_tangent + math.sin(angle) * w.o_normal
+            assert abs(np.dot(w.o_tangent, n_tangent)) < 1e-12
+            inward = w.point_xy + 0.5 * (w.o_tangent + n_tangent)[:2]
+            assert scene.contains_point(np.array([inward[0], inward[1], 1.0]))
 
     def test_o_face_is_lower_element_id(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])

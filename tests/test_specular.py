@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from railchan.em import C0, AntennaConfig, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
+from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
 from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE
 from railchan.scene import Building, Material, Scene
 from railchan.specular import TraceLimits, trace_rooftop, trace_specular
