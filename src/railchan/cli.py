@@ -37,7 +37,7 @@ from .dynamics import (
     SCATTER_MODES,
     ChannelSnapshot,
     Trajectory,
-    interpolate_path,
+    interpolate_bracket,
     stream_snapshots,
     track_interval,
 )
@@ -489,13 +489,9 @@ def cmd_bench(args) -> int:
     times = [(step_a + i) * cfg.update_step_s for i in range(1, 10)]
     for rep in range(args.repeats):
         t0 = time.perf_counter()
-        count = 0
-        for t in times:
-            rx = traj.position(t)
-            v = traj.velocity(t)
-            for tr in tracks:
-                if interpolate_path(tr, t, rx, v, carrier) is not None:
-                    count += 1
+        rx = [traj.position(t) for t in times]
+        v = [traj.velocity(t) for t in times]
+        interpolate_bracket(tracks, times, rx, v, carrier)
         el = time.perf_counter() - t0
         rows.append(
             {

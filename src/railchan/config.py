@@ -214,6 +214,8 @@ def parse_config(
     tx_arr = np.asarray(tx, dtype=float) if isinstance(tx, (list, tuple)) else None
     if tx_arr is None or tx_arr.shape != (3,):
         raise ConfigError("'tx_position_m' must be an [x, y, z] triple")
+    if not np.isfinite(tx_arr).all():
+        raise ConfigError(f"'tx_position_m' must hold finite numbers, got {tx}")
 
     tx_power_dbm = _number(raw, "tx_power_dbm", "the scenario")
 
@@ -225,6 +227,8 @@ def parse_config(
     wp_arr = np.asarray(wp, dtype=float) if isinstance(wp, (list, tuple)) else None
     if wp_arr is None or wp_arr.ndim != 2 or wp_arr.shape[1] != 3 or len(wp_arr) < 2:
         raise ConfigError("'trajectory.waypoints_m' must be a list of at least two [x, y, z] points")
+    if not np.isfinite(wp_arr).all():
+        raise ConfigError("'trajectory.waypoints_m' must hold finite numbers")
     has_kmh = "speed_kmh" in traj
     has_mps = "speed_mps" in traj
     if has_kmh == has_mps:

@@ -14,18 +14,21 @@ the delay is recomputed from the interpolated polyline, per-entry transfer
 magnitudes are blended linearly, and the phase advances from the left
 keyframe by ``-2*pi*f*(tau(t) - tau_left)``.  Doppler is the analytic
 derivative of the interpolated polyline length, never a finite difference
-of outputs.  Paths present on only one side of an interval are ramped in or
-out over half the interval (``RAMP_FRACTION``), from a seeded random
-activation time chosen so the linear ramp finishes inside the interval;
-during a ramp the geometry is held frozen from the keyframe where the path
-exists, so the held path has zero Doppler.
+of outputs.  Interpolation runs once per bracket (the interval between two
+keyframes): :func:`interpolate_bracket` stacks the bracket's matched paths
+of each vertex count into one (paths, times, vertices, 3) array and
+evaluates all of its snapshot times at once.  Paths present on only one
+side of an interval are ramped in or out over half the interval
+(``RAMP_FRACTION``), from a seeded random activation time chosen so the
+linear ramp finishes inside the interval; during a ramp the geometry is held
+frozen from the keyframe where the path exists, so the held path has zero
+Doppler.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -276,67 +279,133 @@ def _held_path(source: RayPath, factor: float) -> RayPath:
     return replace(source, transfer=source.transfer * factor, doppler_hz=0.0)
 
 
-def interpolate_path(
-    tracked: TrackedPath,
-    t: float,
-    rx_position: np.ndarray,
-    rx_velocity: np.ndarray,
-    carrier: CarrierConfig,
-) -> RayPath | None:
-    """Path state at time ``t`` inside the tracked interval, or ``None``
-    while a birth has not activated / after a death has completed."""
-    if t < tracked.t_a - _T_EPS or t > tracked.t_b + _T_EPS:
-        raise ValueError(
-            f"time {t} outside tracked interval [{tracked.t_a}, {tracked.t_b}]"
-        )
+def _held_factor(tracked: TrackedPath, t: float) -> float | None:
+    """Ramp factor of a birth or death at time ``t``, or ``None`` while a
+    birth has not activated / after a death has completed."""
+    act = tracked.activation
+    ramp = tracked.ramp_duration
     if tracked.kind == "birth":
-        act = tracked.activation
         if t <= act:
             return None
-        if tracked.ramp_duration > 0.0 and t < act + tracked.ramp_duration:
-            return _held_path(tracked.path_b, (t - act) / tracked.ramp_duration)
-        return _held_path(tracked.path_b, 1.0)
-    if tracked.kind == "death":
-        act = tracked.activation
-        if t < act:
-            return _held_path(tracked.path_a, 1.0)
-        if tracked.ramp_duration > 0.0 and t < act + tracked.ramp_duration:
-            return _held_path(tracked.path_a, 1.0 - (t - act) / tracked.ramp_duration)
-        return None
+        if ramp > 0.0 and t < act + ramp:
+            return (t - act) / ramp
+        return 1.0
+    if t < act:
+        return 1.0
+    if ramp > 0.0 and t < act + ramp:
+        return 1.0 - (t - act) / ramp
+    return None
 
-    pa, pb = tracked.path_a, tracked.path_b
-    span = tracked.t_b - tracked.t_a
-    alpha = (t - tracked.t_a) / span
-    va = pa.vertices
-    vb = pb.vertices
-    if va.shape != vb.shape:
-        raise ValueError(
-            f"matched paths {tracked.signature!r} have {va.shape[0]} and "
-            f"{vb.shape[0]} vertices; cannot interpolate"
-        )
-    verts = va + alpha * (vb - va)
-    verts[-1] = rx_position
-    seg = np.diff(verts, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
-    delay = float(np.sum(seg_len)) / C0
+
+def _interpolate_matched(
+    tracks: list[TrackedPath],
+    times: np.ndarray,
+    rx_positions: np.ndarray,
+    rx_velocities: np.ndarray,
+    carrier: CarrierConfig,
+) -> list[RayPath]:
+    """Rows of M matched tracks with one vertex count at S times, track-major
+    (row ``m * S + s`` is track m at time s)."""
+    pa = [tr.path_a for tr in tracks]
+    pb = [tr.path_b for tr in tracks]
+    t_a = tracks[0].t_a
+    span = tracks[0].t_b - t_a
+    alpha = ((times - t_a) / span)[None, :, None, None]
+    va = np.stack([p.vertices for p in pa])[:, None]  # (M, 1, n, 3)
+    vb = np.stack([p.vertices for p in pb])[:, None]
+    verts = va + alpha * (vb - va)  # (M, S, n, 3)
+    verts[:, :, -1] = rx_positions
+    seg = np.diff(verts, axis=-2)
+    seg_len = np.linalg.norm(seg, axis=-1)
+    lengths = np.sum(seg_len, axis=-1)  # (M, S)
 
     # analytic Doppler: per-vertex velocities are zero at the transmitter,
     # the keyframe difference quotient at interior vertices, and the true
     # trajectory velocity at the receiver
     vel = np.zeros_like(verts)
-    if verts.shape[0] > 2:
-        vel[1:-1] = (vb[1:-1] - va[1:-1]) / span
-    vel[-1] = rx_velocity
+    vel[:, :, 1:-1] = (vb[:, :, 1:-1] - va[:, :, 1:-1]) / span
+    vel[:, :, -1] = rx_velocities
     with np.errstate(invalid="ignore"):
-        units = seg / seg_len[:, None]
-    rate = float(np.sum(np.einsum("ij,ij->i", units, np.diff(vel, axis=0))))
+        units = seg / seg_len[..., None]
+    rate = np.sum(np.einsum("...ij,...ij->...i", units, np.diff(vel, axis=-2)), axis=-1)
     doppler = -carrier.frequency_hz * rate / C0
 
-    mag = (1.0 - alpha) * np.abs(pa.transfer) + alpha * np.abs(pb.transfer)
-    phase = np.angle(pa.transfer) - 2.0 * math.pi * carrier.frequency_hz * (delay - pa.delay_s)
+    ta = np.stack([p.transfer for p in pa])[:, None]  # (M, 1, 2, 2)
+    tb = np.stack([p.transfer for p in pb])[:, None]
+    delay_a = np.array([p.delay_s for p in pa])[:, None]
+    mag = (1.0 - alpha) * np.abs(ta) + alpha * np.abs(tb)
+    dtau = (lengths / C0 - delay_a)[..., None, None]
+    phase = np.angle(ta) - 2.0 * math.pi * carrier.frequency_hz * dtau
     transfer = mag * np.exp(1j * phase)
 
-    return RayPath.from_polyline(pa.interactions, verts, transfer, pa.tag, doppler)
+    n_times = len(times)
+    n_verts = verts.shape[-2]
+    return RayPath.batch(
+        [p.interactions for p in pa for _ in range(n_times)],
+        verts.reshape(-1, n_verts, 3),
+        lengths.reshape(-1),
+        transfer.reshape(-1, 2, 2),
+        [p.tag for p in pa for _ in range(n_times)],
+        doppler.reshape(-1).tolist(),
+    )
+
+
+def interpolate_bracket(
+    tracks: list[TrackedPath],
+    times,
+    rx_positions,
+    rx_velocities,
+    carrier: CarrierConfig,
+) -> list[list[RayPath]]:
+    """Path sets at every one of ``times`` inside one tracked bracket.
+
+    ``tracks`` come from :func:`track_interval` and share its interval;
+    ``rx_positions`` and ``rx_velocities`` are the trajectory at the S
+    ``times``.  Entry s of the result holds the paths alive at ``times[s]``
+    in track order: births before activation and deaths after their ramp
+    are left out.  Matched tracks with equal vertex counts are evaluated as
+    one array batch over all times.
+    """
+    times = np.asarray(times, dtype=float)
+    if not tracks or not len(times):
+        return [[] for _ in times]
+    t_a, t_b = tracks[0].t_a, tracks[0].t_b
+    outside = (times < t_a - _T_EPS) | (times > t_b + _T_EPS)
+    if outside.any():
+        raise ValueError(
+            f"time {times[outside][0]} outside tracked interval [{t_a}, {t_b}]"
+        )
+    rows: list[list] = [[None] * len(tracks) for _ in times]
+
+    groups: dict[int, list[int]] = {}
+    for k, tracked in enumerate(tracks):
+        if tracked.kind == "matched":
+            n_a = tracked.path_a.vertices.shape[0]
+            n_b = tracked.path_b.vertices.shape[0]
+            if n_a != n_b:
+                raise ValueError(
+                    f"matched paths {tracked.signature!r} have {n_a} and "
+                    f"{n_b} vertices; cannot interpolate"
+                )
+            groups.setdefault(n_a, []).append(k)
+            continue
+        source = tracked.path_b if tracked.kind == "birth" else tracked.path_a
+        for row, t in zip(rows, times.tolist()):
+            factor = _held_factor(tracked, t)
+            if factor is not None:
+                row[k] = _held_path(source, factor)
+
+    rx_positions = np.asarray(rx_positions, dtype=float)
+    rx_velocities = np.asarray(rx_velocities, dtype=float)
+    n_times = len(times)
+    for ks in groups.values():
+        paths = _interpolate_matched(
+            [tracks[k] for k in ks], times, rx_positions, rx_velocities, carrier
+        )
+        for m, k in enumerate(ks):
+            for s in range(n_times):
+                rows[s][k] = paths[m * n_times + s]
+    return [[p for p in row if p is not None] for row in rows]
 
 
 def _radial_doppler(path: RayPath, rx_velocity: np.ndarray, carrier: CarrierConfig) -> float:
@@ -436,15 +505,21 @@ def stream_snapshots(
     keyframes = _solve_keyframes(tracer, traj, tx, kf_steps, update_step, limits, kf_engine)
     keyframe_seconds = time.perf_counter() - t0
 
-    # tracked path sets per keyframe interval (only needed when snapshots
-    # fall strictly inside an interval)
+    # interior snapshots, one interpolate_bracket call per keyframe interval
+    # (only when snapshots fall strictly inside an interval)
     interpolation_seconds = 0.0
-    brackets: list[list[TrackedPath]] = []
+    interior: dict[int, tuple] = {}
     if stride > 1:
         t0 = time.perf_counter()
         rng = np.random.default_rng(seed)
         for a, b in zip(keyframes[:-1], keyframes[1:]):
-            brackets.append(track_interval(a, b, rng))
+            tracks = track_interval(a, b, rng)
+            steps = range(a.index + 1, b.index)
+            times = [i * update_step for i in steps]
+            rx = [traj.position(t) for t in times]
+            v = [traj.velocity(t) for t in times]
+            rows = interpolate_bracket(tracks, times, rx, v, carrier)
+            interior.update(zip(steps, zip(rx, v, rows)))
         interpolation_seconds += time.perf_counter() - t0
 
     kf_pos = {s: i for i, s in enumerate(kf_steps)}
@@ -460,16 +535,7 @@ def stream_snapshots(
             paths = [replace(p, doppler_hz=_radial_doppler(p, v, carrier)) for p in kf.paths]
             at_kf = True
         else:
-            t0 = time.perf_counter()
-            j = bisect_right(kf_steps, i) - 1
-            rx = traj.position(t)
-            v = traj.velocity(t)
-            paths = []
-            for tracked in brackets[j]:
-                p = interpolate_path(tracked, t, rx, v, carrier)
-                if p is not None:
-                    paths.append(p)
-            interpolation_seconds += time.perf_counter() - t0
+            rx, v, paths = interior.pop(i)
             at_kf = False
         if engine is not None and scatter_mode == "exact":
             t0 = time.perf_counter()

@@ -105,26 +105,32 @@ def _weighted_mean_rms(values: np.ndarray, weights: np.ndarray) -> tuple[float, 
     return mean, math.sqrt(max(var, 0.0))
 
 
-def delay_stats(snapshot_or_paths) -> tuple[float, float]:
-    """Power-weighted mean delay and RMS delay spread in seconds."""
+def delay_stats(snapshot_or_paths, weights: np.ndarray | None = None) -> tuple[float, float]:
+    """Power-weighted mean delay and RMS delay spread in seconds.
+
+    ``weights`` are the path powers when the caller already has them."""
     paths = _paths(snapshot_or_paths)
     if not paths:
         return math.nan, math.nan
     delays = np.array([p.delay_s for p in paths], dtype=float)
-    return _weighted_mean_rms(delays, _weights(paths))
+    return _weighted_mean_rms(delays, _weights(paths) if weights is None else weights)
 
 
-def angle_stats(snapshot_or_paths) -> tuple[float, float, float, float]:
+def angle_stats(
+    snapshot_or_paths, weights: np.ndarray | None = None
+) -> tuple[float, float, float, float]:
     """(mean_haoa, haoa_spread, mean_vaoa, vaoa_spread) in radians.
 
     Horizontal: circular mean = argument of the power-weighted resultant,
     spread = sqrt(2*(1-R)) with R the resultant length.  Vertical: linear
-    power-weighted mean and RMS spread.
+    power-weighted mean and RMS spread.  ``weights`` as for
+    :func:`delay_stats`.
     """
     paths = _paths(snapshot_or_paths)
     if not paths:
         return math.nan, math.nan, math.nan, math.nan
-    weights = _weights(paths)
+    if weights is None:
+        weights = _weights(paths)
     total = float(np.sum(weights))
     if total <= 0.0:
         return math.nan, math.nan, math.nan, math.nan
@@ -139,13 +145,14 @@ def angle_stats(snapshot_or_paths) -> tuple[float, float, float, float]:
     return mean_h, spread_h, mean_v, spread_v
 
 
-def doppler_stats(snapshot_or_paths) -> tuple[float, float]:
-    """Power-weighted mean Doppler and RMS Doppler spread in Hz."""
+def doppler_stats(snapshot_or_paths, weights: np.ndarray | None = None) -> tuple[float, float]:
+    """Power-weighted mean Doppler and RMS Doppler spread in Hz; ``weights``
+    as for :func:`delay_stats`."""
     paths = _paths(snapshot_or_paths)
     if not paths:
         return math.nan, math.nan
     dop = np.array([p.doppler_hz for p in paths], dtype=float)
-    return _weighted_mean_rms(dop, _weights(paths))
+    return _weighted_mean_rms(dop, _weights(paths) if weights is None else weights)
 
 
 @dataclass
@@ -173,9 +180,10 @@ class SnapshotMetrics:
 def snapshot_metrics(snapshot, tx_power_dbm: float = 0.0) -> SnapshotMetrics:
     paths = _paths(snapshot)
     timestamp = float(getattr(snapshot, "timestamp", 0.0))
-    mean_d, spread_d = delay_stats(paths)
-    mh, sh, mv, sv = angle_stats(paths)
-    md, sd = doppler_stats(paths)
+    weights = _weights(paths)
+    mean_d, spread_d = delay_stats(paths, weights)
+    mh, sh, mv, sv = angle_stats(paths, weights)
+    md, sd = doppler_stats(paths, weights)
     return SnapshotMetrics(
         timestamp=timestamp,
         power_vv=narrowband_power(paths, "vv", tx_power_dbm),

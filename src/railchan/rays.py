@@ -62,8 +62,9 @@ class RayPath:
         arrival direction pointing from the receiver back toward the last
         path vertex
 
-    Tracers and the interpolator build paths with :meth:`from_polyline`, so
-    the delay and the angles always follow from the vertices.
+    Tracers and the interpolator build paths with :meth:`batch` (a single
+    path with :meth:`from_polyline`, its one-row case), so the delay and the
+    angles always follow from the vertices.
     """
 
     interactions: tuple
@@ -76,6 +77,43 @@ class RayPath:
     doppler_hz: float = 0.0
 
     @classmethod
+    def batch(
+        cls,
+        interactions,
+        vertices: np.ndarray,
+        lengths: np.ndarray,
+        transfers: np.ndarray,
+        tags,
+        dopplers,
+    ) -> list[RayPath]:
+        """One path per row of the (K, N, 3) ``vertices``.
+
+        ``lengths`` are the K polyline lengths (:func:`polyline_lengths` of
+        ``vertices``), taken as given so that a caller that needs them before
+        the paths exist computes them once; delays are lengths over C0 and
+        the angles come from :func:`path_angles`.  ``interactions``,
+        ``transfers`` (K, 2, 2), ``tags`` and ``dopplers`` give one entry per
+        row.
+        """
+        az, el = path_angles(vertices)
+        delays = (np.asarray(lengths) / C0).tolist()
+        return [
+            cls(
+                interactions=inters,
+                vertices=verts,
+                delay_s=delay,
+                aod=(d_az, d_el),
+                aoa=(a_az, a_el),
+                transfer=transfer,
+                tag=tag,
+                doppler_hz=doppler,
+            )
+            for inters, verts, delay, (d_az, a_az), (d_el, a_el), transfer, tag, doppler in zip(
+                interactions, vertices, delays, az.tolist(), el.tolist(), transfers, tags, dopplers
+            )
+        ]
+
+    @classmethod
     def from_polyline(
         cls,
         interactions: tuple,
@@ -84,19 +122,11 @@ class RayPath:
         tag: str = TAG_SPECULAR,
         doppler_hz: float = 0.0,
     ) -> RayPath:
-        """Path along ``vertices``: delay is the polyline length over C0,
-        angles come from :func:`path_angles`."""
-        aod, aoa = path_angles(vertices)
-        return cls(
-            interactions=interactions,
-            vertices=vertices,
-            delay_s=polyline_length(vertices) / C0,
-            aod=aod,
-            aoa=aoa,
-            transfer=transfer,
-            tag=tag,
-            doppler_hz=doppler_hz,
-        )
+        """Path along the (N, 3) ``vertices``: the one-row :meth:`batch`."""
+        rows = vertices[None]
+        return cls.batch(
+            (interactions,), rows, polyline_lengths(rows), transfer[None], (tag,), (doppler_hz,)
+        )[0]
 
     @property
     def length_m(self) -> float:
@@ -112,26 +142,30 @@ class RayPath:
         return float(np.sum(np.abs(self.transfer) ** 2))
 
 
+def polyline_lengths(vertices: np.ndarray) -> np.ndarray:
+    """Lengths of (..., N, 3) polylines, shape (...)."""
+    return np.sum(np.linalg.norm(np.diff(vertices, axis=-2), axis=-1), axis=-1)
+
+
 def polyline_length(vertices: np.ndarray) -> float:
-    """Sum of the segment lengths of an (N, 3) polyline."""
-    return float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
+    """Length of one (N, 3) polyline."""
+    return float(polyline_lengths(vertices))
 
 
-def direction_angles(direction: np.ndarray) -> tuple[float, float]:
-    """(azimuth, elevation) in radians of a 3D direction vector."""
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
+def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth, elevation) in radians of (..., 3) direction vectors."""
+    d = np.asarray(directions, dtype=float)
+    # vecdot calls the same dot kernel as np.linalg.norm of one vector, so a
+    # batch gives each row the bits a single-vector norm would
+    norm = np.sqrt(np.vecdot(d, d))
+    if (norm == 0.0).any():
         raise ValueError("zero direction has no angles")
-    d = d / norm
-    az = float(np.arctan2(d[1], d[0]))
-    el = float(np.arcsin(np.clip(d[2], -1.0, 1.0)))
-    return az, el
+    d = d / norm[..., None]
+    return np.arctan2(d[..., 1], d[..., 0]), np.arcsin(np.clip(d[..., 2], -1.0, 1.0))
 
 
-def path_angles(vertices: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(aod, aoa) for a polyline: departure along the first segment, arrival
-    pointing from the receiver back along the last segment."""
-    aod = direction_angles(vertices[1] - vertices[0])
-    aoa = direction_angles(vertices[-2] - vertices[-1])
-    return aod, aoa
+def path_angles(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth, elevation) arrays of shape (..., 2) for (..., N, 3)
+    polylines: entry 0 is the departure along the first segment, entry 1
+    the arrival pointing from the receiver back along the last segment."""
+    return direction_angles(vertices[..., [1, -2], :] - vertices[..., [0, -1], :])

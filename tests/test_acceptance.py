@@ -32,7 +32,8 @@ from railchan.scene import Building, Scene
 from railchan.specular import TraceLimits, trace_specular
 from railchan.scatter import direct_leg, mesh_cylinder, mesh_plate, po_scattered_matrix
 from railchan.scene import CylinderScatterer
-from railchan.traceio import read_trace_csv, write_trace_csv
+from railchan.traceio import write_trace_csv
+from trace_replay import read_trace_csv
 
 F19 = CarrierConfig(1.9e9)
 LAM = F19.wavelength

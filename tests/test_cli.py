@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -199,6 +200,24 @@ def test_non_finite_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert main(argv + ["--output-dir", "out"]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["tx_position_m", "waypoints_m"])
+def test_non_finite_positions_exit_2(tmp_path, capsys, field, value):
+    raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    if field == "tx_position_m":
+        raw["tx_position_m"][0] = value
+    else:
+        raw["trajectory"]["waypoints_m"][1][1] = value
+    cfg = tmp_path / "positions.config.json"
+    cfg.write_text(json.dumps(raw))  # writes the JSON literals NaN / Infinity
+    assert ("NaN" if math.isnan(value) else "Infinity") in cfg.read_text()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--duration", "0.1", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "finite" in err
+    assert not out.exists()
 
 
 def test_validate_scene_preset_ok(capsys):

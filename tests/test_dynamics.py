@@ -3,6 +3,11 @@
 The Doppler oracle value 176.05 Hz is (100/3.6 m/s) * 1.9 GHz / c.  Keyframe
 pinning is structural: snapshots that land on a keyframe step reuse the exact
 keyframe path set, so delays match bitwise and magnitudes to fp noise.
+
+``interpolate_path`` below is the scalar oracle of the batched
+``interpolate_bracket``: one tracked path at one time, with the delay and
+angles of each row computed one vector at a time.  The batch must reproduce
+it bit for bit.
 """
 
 import math
@@ -11,15 +16,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from railchan.config import load_preset
 from railchan.dynamics import (
     TrackedPath,
     Trajectory,
-    interpolate_path,
+    interpolate_bracket,
     match_paths,
     stream_snapshots,
     track_interval,
 )
 from railchan.em import C0, CarrierConfig
+from railchan.rays import RayPath
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.specular import TraceLimits
 
@@ -32,6 +39,85 @@ FULL = TraceLimits(max_reflections=2, max_vertical_diffractions=1, rooftop=True)
 
 def straight_traj(p0, p1, speed, duration=None):
     return Trajectory(waypoints=np.array([p0, p1], dtype=float), speed=speed, duration=duration)
+
+
+# ----------------------------------------------------------------------
+# scalar oracle of interpolate_bracket
+# ----------------------------------------------------------------------
+def _scalar_angles(direction):
+    d = direction / np.linalg.norm(direction)
+    return float(np.arctan2(d[1], d[0])), float(np.arcsin(np.clip(d[2], -1.0, 1.0)))
+
+
+def _scalar_path(interactions, verts, transfer, tag, doppler):
+    return RayPath(
+        interactions=interactions,
+        vertices=verts,
+        delay_s=float(np.sum(np.linalg.norm(np.diff(verts, axis=0), axis=1))) / C0,
+        aod=_scalar_angles(verts[1] - verts[0]),
+        aoa=_scalar_angles(verts[-2] - verts[-1]),
+        transfer=transfer,
+        tag=tag,
+        doppler_hz=doppler,
+    )
+
+
+def _held_path(source, factor):
+    return replace(source, transfer=source.transfer * factor, doppler_hz=0.0)
+
+
+def interpolate_path(tracked, t, rx_position, rx_velocity, carrier):
+    """Path state at time ``t`` inside the tracked interval, or ``None``
+    while a birth has not activated / after a death has completed."""
+    if t < tracked.t_a - 1e-9 or t > tracked.t_b + 1e-9:
+        raise ValueError(f"time {t} outside tracked interval [{tracked.t_a}, {tracked.t_b}]")
+    if tracked.kind == "birth":
+        act = tracked.activation
+        if t <= act:
+            return None
+        if tracked.ramp_duration > 0.0 and t < act + tracked.ramp_duration:
+            return _held_path(tracked.path_b, (t - act) / tracked.ramp_duration)
+        return _held_path(tracked.path_b, 1.0)
+    if tracked.kind == "death":
+        act = tracked.activation
+        if t < act:
+            return _held_path(tracked.path_a, 1.0)
+        if tracked.ramp_duration > 0.0 and t < act + tracked.ramp_duration:
+            return _held_path(tracked.path_a, 1.0 - (t - act) / tracked.ramp_duration)
+        return None
+
+    pa, pb = tracked.path_a, tracked.path_b
+    span = tracked.t_b - tracked.t_a
+    alpha = (t - tracked.t_a) / span
+    va = pa.vertices
+    vb = pb.vertices
+    if va.shape != vb.shape:
+        raise ValueError(f"matched paths {tracked.signature!r} differ in vertex count")
+    verts = va + alpha * (vb - va)
+    verts[-1] = rx_position
+    seg = np.diff(verts, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    delay = float(np.sum(seg_len)) / C0
+
+    vel = np.zeros_like(verts)
+    if verts.shape[0] > 2:
+        vel[1:-1] = (vb[1:-1] - va[1:-1]) / span
+    vel[-1] = rx_velocity
+    with np.errstate(invalid="ignore"):
+        units = seg / seg_len[:, None]
+    rate = float(np.sum(np.einsum("ij,ij->i", units, np.diff(vel, axis=0))))
+    doppler = -carrier.frequency_hz * rate / C0
+
+    mag = (1.0 - alpha) * np.abs(pa.transfer) + alpha * np.abs(pb.transfer)
+    phase = np.angle(pa.transfer) - 2.0 * math.pi * carrier.frequency_hz * (delay - pa.delay_s)
+    transfer = mag * np.exp(1j * phase)
+    return _scalar_path(pa.interactions, verts, transfer, pa.tag, doppler)
+
+
+def interpolate_one(tracked, t, traj, carrier=F19):
+    """The batched routine at a single time: one path or ``None``."""
+    (row,) = interpolate_bracket([tracked], [t], [traj.position(t)], [traj.velocity(t)], carrier)
+    return row[0] if row else None
 
 
 class TestTrajectory:
@@ -162,7 +248,7 @@ class TestInterpolateLoS:
 
     def test_left_keyframe_identity(self):
         scene, tx, traj, tp = self.make()
-        p = interpolate_path(tp, tp.t_a, traj.position(tp.t_a), traj.velocity(tp.t_a), F19)
+        p = interpolate_one(tp, tp.t_a, traj)
         np.testing.assert_array_equal(p.vertices, tp.path_a.vertices)
         assert p.delay_s == tp.path_a.delay_s
         np.testing.assert_allclose(p.transfer, tp.path_a.transfer, rtol=1e-12)
@@ -171,15 +257,14 @@ class TestInterpolateLoS:
         scene, tx, traj, tp = self.make()
         for t in np.linspace(0.0, 1.0, 11):
             rx = traj.position(t)
-            p = interpolate_path(tp, t, rx, traj.velocity(t), F19)
+            p = interpolate_one(tp, t, traj)
             exact_delay = float(np.linalg.norm(rx - tx)) / C0
             assert p.delay_s == pytest.approx(exact_delay, abs=1e-15)
 
     def test_phase_law(self):
         scene, tx, traj, tp = self.make()
         t = 0.37
-        rx = traj.position(t)
-        p = interpolate_path(tp, t, rx, traj.velocity(t), F19)
+        p = interpolate_one(tp, t, traj)
         dtau = p.delay_s - tp.path_a.delay_s
         for idx in [(0, 0), (1, 1)]:
             want = np.angle(tp.path_a.transfer[idx]) - 2.0 * math.pi * 1.9e9 * dtau
@@ -189,15 +274,79 @@ class TestInterpolateLoS:
     def test_magnitude_linear(self):
         scene, tx, traj, tp = self.make()
         t = 0.25
-        p = interpolate_path(tp, t, traj.position(t), traj.velocity(t), F19)
+        p = interpolate_one(tp, t, traj)
         a = np.abs(tp.path_a.transfer)
         b = np.abs(tp.path_b.transfer)
         np.testing.assert_allclose(np.abs(p.transfer), 0.75 * a + 0.25 * b, rtol=1e-12)
 
     def test_outside_interval_rejected(self):
         scene, tx, traj, tp = self.make()
-        with pytest.raises(ValueError):
-            interpolate_path(tp, 1.5, traj.position(1.5), traj.velocity(1.5), F19)
+        times = [0.5, 1.5]
+        rx = [traj.position(t) for t in times]
+        v = [traj.velocity(t) for t in times]
+        with pytest.raises(ValueError, match="outside tracked interval"):
+            interpolate_bracket([tp], times, rx, v, F19)
+
+    def test_vertex_count_mismatch_rejected(self):
+        scene, tx, traj, tp = self.make()
+        pb = tp.path_b
+        bent = RayPath.from_polyline(pb.interactions, np.insert(pb.vertices, 1, [0.0, 10.0, 5.0], axis=0), pb.transfer)
+        tp = replace(tp, path_b=bent)
+        with pytest.raises(ValueError, match="cannot interpolate"):
+            interpolate_bracket([tp], [0.5], [traj.position(0.5)], [traj.velocity(0.5)], F19)
+
+
+@pytest.fixture(scope="module", params=[0.1, 0.5], ids=lambda kf: f"kf{kf}")
+def preset_brackets(request):
+    """Every tracked bracket of a 2 s preset stream with tracked scatter
+    paths, each with its snapshot times on the stream's step clock,
+    keyframes included."""
+    kf = request.param
+    cfg = load_preset(overrides={"duration_s": 2.0})
+    carrier = CarrierConfig(frequency_hz=cfg.carrier_hz)
+    traj = cfg.trajectory()
+    res = stream_snapshots(
+        cfg.load_scene(), traj, cfg.tx_position, carrier, update_step=kf, kf_interval=kf,
+        limits=cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
+    )
+    rng = np.random.default_rng(cfg.seed)
+    step = cfg.update_step_s
+    brackets = []
+    for a, b in zip(res.snapshots[:-1], res.snapshots[1:]):
+        steps = range(round(a.timestamp / step), round(b.timestamp / step) + 1)
+        brackets.append((track_interval(a, b, rng), [i * step for i in steps]))
+    return carrier, traj, brackets
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestBracketAgainstOracle:
+    def test_bit_identical_to_scalar_oracle(self, preset_brackets):
+        carrier, traj, brackets = preset_brackets
+        rows_by_kind = {"matched": 0, "birth": 0, "death": 0}
+        in_ramp = {"birth": 0, "death": 0}
+        for tracks, times in brackets:
+            rx = [traj.position(t) for t in times]
+            v = [traj.velocity(t) for t in times]
+            got_rows = interpolate_bracket(tracks, times, rx, v, carrier)
+            assert len(got_rows) == len(times)
+            for t, r, vel, got in zip(times, rx, v, got_rows):
+                want = [(tr, interpolate_path(tr, t, r, vel, carrier)) for tr in tracks]
+                want = [(tr, p) for tr, p in want if p is not None]
+                assert len(got) == len(want)
+                for p, (tr, q) in zip(got, want):
+                    assert p.interactions is q.interactions
+                    assert p.tag == q.tag
+                    for field in ("vertices", "delay_s", "aod", "aoa", "doppler_hz", "transfer"):
+                        assert _bits(getattr(p, field)) == _bits(getattr(q, field)), (field, tr.signature, t)
+                    rows_by_kind[tr.kind] += 1
+                    if tr.kind != "matched" and tr.activation < t < tr.activation + tr.ramp_duration:
+                        in_ramp[tr.kind] += 1
+        print(f"rows per kind {rows_by_kind}, inside a ramp {in_ramp}")
+        assert min(rows_by_kind.values()) > 0, rows_by_kind
+        assert min(in_ramp.values()) > 0, in_ramp
 
 
 class TestDoppler:
@@ -303,10 +452,10 @@ class TestStream:
         for tp in tracks:
             pa = tp.path_a
             for t in (0.1, 0.25, 0.4):
-                p = interpolate_path(tp, t, traj.position(t), traj.velocity(t), F19)
+                p = interpolate_one(tp, t, traj)
                 assert p.interactions is pa.interactions
                 assert len(p.vertices) == len(pa.vertices)
-            p = interpolate_path(tp, tp.t_a, kf_a.rx_position, traj.velocity(tp.t_a), F19)
+            p = interpolate_one(tp, tp.t_a, traj)
             assert p.interactions is pa.interactions
             assert p.signature == pa.signature and p.tag == pa.tag
             np.testing.assert_array_equal(p.vertices, pa.vertices)

@@ -431,7 +431,8 @@ class TestComposePathMatrix:
         assert length == 22.0
         assert path.delay_s == length / C0  # bit-equal
         assert path.length_m == length
-        assert (path.aod, path.aoa) == path_angles(vertices)
+        az, el = path_angles(vertices)
+        assert path.aod == (az[0], el[0]) and path.aoa == (az[1], el[1])
         assert path.interactions is inters
         # the length follows the vertices, it is not stored
         path.vertices = vertices[:2]
