@@ -28,7 +28,7 @@ from railchan.scene import (
     load_scene,
     load_scene_file,
 )
-from railchan.specular import SpecularTracer, TraceLimits, trace_specular
+from railchan.specular import SpecularTracer, TraceLimits
 
 __version__ = "0.1.0"
 
@@ -59,6 +59,5 @@ __all__ = [
     "snapshot_metrics",
     "stream_snapshots",
     "synthesize_tv_cir",
-    "trace_specular",
     "__version__",
 ]

@@ -436,7 +436,20 @@ def cmd_bench(args) -> int:
     scene = cfg.load_scene()
     el = time.perf_counter() - t0
     out = _out_dir(args, "bench")
-    rows = [{"stage": "scene_load", "repeat": 0, "units": 1, "seconds": el, "per_unit_ms": el * 1e3}]
+    rows = []
+
+    def add_row(stage: str, repeat: int, units: int, seconds: float) -> None:
+        rows.append(
+            {
+                "stage": stage,
+                "repeat": repeat,
+                "units": units,
+                "seconds": seconds,
+                "per_unit_ms": seconds / units * 1e3,
+            }
+        )
+
+    add_row("scene_load", 0, 1, el)
 
     traj = cfg.trajectory()
     fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -448,16 +461,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         for rx in rx_list:
             tracer.trace(cfg.tx_position, rx, cfg.limits)
-        el = time.perf_counter() - t0
-        rows.append(
-            {
-                "stage": "specular_trace",
-                "repeat": rep,
-                "units": len(rx_list),
-                "seconds": el,
-                "per_unit_ms": el / len(rx_list) * 1e3,
-            }
-        )
+        add_row("specular_trace", rep, len(rx_list), time.perf_counter() - t0)
 
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier, leg_policy=cfg.leg_policy)
@@ -466,16 +470,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             for rx in rx_list:
                 engine.paths(cfg.tx_position, rx)
-            el = time.perf_counter() - t0
-            rows.append(
-                {
-                    "stage": "scatter_snapshot",
-                    "repeat": rep,
-                    "units": len(rx_list),
-                    "seconds": el,
-                    "per_unit_ms": el / len(rx_list) * 1e3,
-                }
-            )
+            add_row("scatter_snapshot", rep, len(rx_list), time.perf_counter() - t0)
 
     # interpolation microbench across one bracket at mid-run, on the step clock
     step_a = min(n_steps // 2, n_steps - 10)
@@ -492,16 +487,7 @@ def cmd_bench(args) -> int:
         rx = [traj.position(t) for t in times]
         v = [traj.velocity(t) for t in times]
         interpolate_bracket(tracks, times, rx, v, carrier)
-        el = time.perf_counter() - t0
-        rows.append(
-            {
-                "stage": "interpolate_snapshot",
-                "repeat": rep,
-                "units": len(times),
-                "seconds": el,
-                "per_unit_ms": el / len(times) * 1e3,
-            }
-        )
+        add_row("interpolate_snapshot", rep, len(times), time.perf_counter() - t0)
 
     write_bench_csv(out / "bench.csv", rows)
     stages = {}

@@ -9,7 +9,6 @@ Unknown keys anywhere in the document are rejected rather than ignored.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .dynamics import SCATTER_MODES, Trajectory
 from .scatter import LEG_POLICIES
-from .scene import Scene, load_scene_file
+from .scene import Scene, _is_number, _is_point, load_scene_file
 from .specular import TraceLimits
 
 CONFIG_SCHEMA_VERSION = 1
@@ -75,15 +74,9 @@ def _number(mapping: dict, key: str, where: str) -> float:
         value = mapping[key]
     except KeyError:
         raise ConfigError(f"missing key {key!r} in {where}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
+    if not _is_number(value):
         raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _finite(value) -> bool:
-    """True when a number converts to a finite float (false for NaN, the
-    infinities and integers beyond the float range)."""
-    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _integer_multiple(value: float, step: float) -> bool:
@@ -211,11 +204,9 @@ def parse_config(
         raise ConfigError("'carrier_hz' must be positive")
 
     tx = raw.get("tx_position_m")
-    tx_arr = np.asarray(tx, dtype=float) if isinstance(tx, (list, tuple)) else None
-    if tx_arr is None or tx_arr.shape != (3,):
-        raise ConfigError("'tx_position_m' must be an [x, y, z] triple")
-    if not np.isfinite(tx_arr).all():
-        raise ConfigError(f"'tx_position_m' must hold finite numbers, got {tx}")
+    if not _is_point(tx, 3):
+        raise ConfigError(f"'tx_position_m' must be an [x, y, z] triple of finite numbers, got {tx!r}")
+    tx_arr = np.asarray(tx, dtype=float)
 
     tx_power_dbm = _number(raw, "tx_power_dbm", "the scenario")
 
@@ -224,11 +215,11 @@ def parse_config(
         raise ConfigError("'trajectory' must be an object")
     _reject_unknown(traj, _TRAJECTORY_KEYS, "'trajectory'")
     wp = traj.get("waypoints_m")
-    wp_arr = np.asarray(wp, dtype=float) if isinstance(wp, (list, tuple)) else None
-    if wp_arr is None or wp_arr.ndim != 2 or wp_arr.shape[1] != 3 or len(wp_arr) < 2:
-        raise ConfigError("'trajectory.waypoints_m' must be a list of at least two [x, y, z] points")
-    if not np.isfinite(wp_arr).all():
-        raise ConfigError("'trajectory.waypoints_m' must hold finite numbers")
+    if not isinstance(wp, (list, tuple)) or len(wp) < 2 or not all(_is_point(w, 3) for w in wp):
+        raise ConfigError(
+            "'trajectory.waypoints_m' must be a list of at least two [x, y, z] points of finite numbers"
+        )
+    wp_arr = np.asarray(wp, dtype=float)
     has_kmh = "speed_kmh" in traj
     has_mps = "speed_mps" in traj
     if has_kmh == has_mps:
@@ -306,7 +297,7 @@ def parse_config(
         raise ConfigError("'sweep_intervals_s' must be a list of intervals")
     sweep_vals = []
     for v in sweep:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (v > 0 and _finite(v)):
+        if not (_is_number(v) and v > 0):
             raise ConfigError(
                 f"'sweep_intervals_s' entries must be positive finite numbers, got {v!r}"
             )

@@ -59,12 +59,6 @@ def _paths(snapshot_or_paths) -> list:
     return list(snapshot_or_paths)
 
 
-def _snapshots(stream_or_snapshots) -> list:
-    if hasattr(stream_or_snapshots, "snapshots"):
-        return stream_or_snapshots.snapshots
-    return list(stream_or_snapshots)
-
-
 def _pol_entry(pol_pair: str) -> tuple[int, int]:
     pp = pol_pair.lower()
     if len(pp) != 2 or pp[0] not in _POL_INDEX or pp[1] not in _POL_INDEX:
@@ -178,14 +172,13 @@ class SnapshotMetrics:
 
 
 def snapshot_metrics(snapshot, tx_power_dbm: float = 0.0) -> SnapshotMetrics:
-    paths = _paths(snapshot)
-    timestamp = float(getattr(snapshot, "timestamp", 0.0))
+    paths = snapshot.paths
     weights = _weights(paths)
     mean_d, spread_d = delay_stats(paths, weights)
     mh, sh, mv, sv = angle_stats(paths, weights)
     md, sd = doppler_stats(paths, weights)
     return SnapshotMetrics(
-        timestamp=timestamp,
+        timestamp=float(snapshot.timestamp),
         power_vv=narrowband_power(paths, "vv", tx_power_dbm),
         power_vh=narrowband_power(paths, "vh", tx_power_dbm),
         power_hv=narrowband_power(paths, "hv", tx_power_dbm),
@@ -254,7 +247,6 @@ def synthesize_tv_cir(
     a grid from 0 to the maximum path delay plus ``PULSE_SUPPORT_SYMBOLS``
     symbols is built when none is given.
     """
-    snaps = _snapshots(snapshots)
     r, c = _pol_entry(pol_pair)
     max_spacing = 1.0 / (2.0 * bandwidth)
     if delay_grid is not None:
@@ -271,16 +263,16 @@ def synthesize_tv_cir(
             )
     else:
         max_delay = 0.0
-        for s in snaps:
+        for s in snapshots:
             for p in s.paths:
                 max_delay = max(max_delay, p.delay_s)
         span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
         n = int(math.ceil(span / max_spacing)) + 1
         grid = np.arange(n) * max_spacing
 
-    times = np.array([s.timestamp for s in snaps], dtype=float)
-    amp = np.zeros((grid.size, len(snaps)), dtype=complex)
-    for j, s in enumerate(snaps):
+    times = np.array([s.timestamp for s in snapshots], dtype=float)
+    amp = np.zeros((grid.size, len(snapshots)), dtype=complex)
+    for j, s in enumerate(snapshots):
         for p in s.paths:
             entry = p.transfer[r, c]
             if entry == 0.0:
@@ -343,8 +335,7 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
 
 def metric_series(snapshots, tx_power_dbm: float = 0.0) -> dict:
     """name -> np.ndarray of per-timestamp metric values."""
-    snaps = _snapshots(snapshots)
-    rows = [snapshot_metrics(s, tx_power_dbm) for s in snaps]
+    rows = [snapshot_metrics(s, tx_power_dbm) for s in snapshots]
     return {name: np.array([r.value(name) for r in rows], dtype=float) for name in METRIC_NAMES}
 
 
@@ -362,17 +353,15 @@ def compare_streams(
     :data:`DEFAULT_DEGENERATE_GAPS`; a metric it does not name needs a gap of
     at least 1e-15.
     """
-    ref_snaps = _snapshots(reference)
-    test_snaps = _snapshots(test)
-    t_ref = np.array([s.timestamp for s in ref_snaps], dtype=float)
-    t_test = np.array([s.timestamp for s in test_snaps], dtype=float)
+    t_ref = np.array([s.timestamp for s in reference], dtype=float)
+    t_test = np.array([s.timestamp for s in test], dtype=float)
     if t_ref.shape != t_test.shape or not np.allclose(t_ref, t_test, rtol=0.0, atol=1e-12):
         raise ValueError(
             f"streams must share identical timestamps ({t_ref.size} reference vs "
             f"{t_test.size} test samples)"
         )
-    ref_series = metric_series(ref_snaps, tx_power_dbm)
-    test_series = metric_series(test_snaps, tx_power_dbm)
+    ref_series = metric_series(reference, tx_power_dbm)
+    test_series = metric_series(test, tx_power_dbm)
     metrics: dict[str, MetricError] = {}
     for name in METRIC_NAMES:
         rv = ref_series[name]
@@ -439,18 +428,17 @@ def power_decomposition(
     (mean specular power / mean total power), i.e. energy fractions over
     the window; coherent cross-terms mean they need not sum to one.
     """
-    snaps = _snapshots(snapshots)
     r, c = _pol_entry(pol_pair)
     scale = 10.0 ** (tx_power_dbm / 10.0)
-    n = len(snaps)
+    n = len(snapshots)
     spec_db = np.full(n, -math.inf)
     scat_db = np.full(n, -math.inf)
     tot_db = np.full(n, -math.inf)
     spec_lin = np.zeros(n)
     scat_lin = np.zeros(n)
     tot_lin = np.zeros(n)
-    times = np.array([s.timestamp for s in snaps], dtype=float)
-    for i, s in enumerate(snaps):
+    times = np.array([s.timestamp for s in snapshots], dtype=float)
+    for i, s in enumerate(snapshots):
         spec = sum((p.transfer[r, c] for p in s.paths if p.tag == TAG_SPECULAR), 0.0 + 0.0j)
         scat = sum((p.transfer[r, c] for p in s.paths if p.tag != TAG_SPECULAR), 0.0 + 0.0j)
         total = sum((p.transfer[r, c] for p in s.paths), 0.0 + 0.0j)

@@ -8,6 +8,12 @@ made at the whole-body level.  Incident and scattered legs may include one
 specular facade reflection each; the reflected leg is handled with the exact
 mirror image of the antenna for per-facet distances plus a constant
 polarization/Fresnel operator evaluated on the reference geometry.
+
+:class:`ScatterEngine` alone decides which legs exist: it tests the direct
+legs of a snapshot side in one occlusion query and builds the clear ones with
+:func:`direct_leg`, and :func:`reflected_legs` returns only clear legs, so
+every leg that reaches the facet sum is unobstructed.  The closed-form RCS
+oracles call :func:`direct_leg` and :func:`po_scattered_matrix` directly.
 """
 
 from __future__ import annotations
@@ -141,7 +147,6 @@ class ScatterLeg:
 
     vertices: np.ndarray
     interactions: tuple
-    unobstructed: bool
     effective_point: np.ndarray
     outbound_operator: np.ndarray = field(default_factory=lambda: _J_FLIP.copy())
     inbound_operator: np.ndarray = field(default_factory=lambda: _J_FLIP.copy())
@@ -151,17 +156,11 @@ class ScatterLeg:
         return self.vertices[0]
 
 
-def direct_leg(scene: Scene, point, reference_point) -> ScatterLeg:
-    """Straight antenna-to-reference leg; occlusion tested against the scene."""
+def direct_leg(point, reference_point) -> ScatterLeg:
+    """Straight antenna-to-reference leg; whether it is clear is the caller's
+    occlusion test."""
     p = np.asarray(point, dtype=float)
-    ref = np.asarray(reference_point, dtype=float)
-    blocked = bool(scene.segments_blocked(p[None, :], ref[None, :])[0])
-    return ScatterLeg(
-        vertices=np.array([p, ref]),
-        interactions=(),
-        unobstructed=not blocked,
-        effective_point=p,
-    )
+    return ScatterLeg(vertices=np.array([p, reference_point]), interactions=(), effective_point=p)
 
 
 def reflected_legs(
@@ -193,7 +192,6 @@ def reflected_legs(
             ScatterLeg(
                 vertices=v,
                 interactions=(rec,),
-                unobstructed=True,
                 effective_point=image,
                 outbound_operator=leg_polarization_operator(v, (rec,), scene, carrier),
                 inbound_operator=leg_polarization_operator(v[::-1], (rec,), scene, carrier),
@@ -262,15 +260,6 @@ def _observer_terms(mesh: FacetMesh, obs: np.ndarray, cos_i: np.ndarray):
     ks = vs / r_s[:, None]
     cos_s = np.einsum("ij,ij->i", ks, mesh.normals)
     return ks, r_s, cos_s, (cos_i > 0.0) & (cos_s > 0.0)
-
-
-def illuminated_visible_count(mesh: FacetMesh, src, obs) -> int:
-    """Facets both lit by the source and visible from the observer: the
-    facets the coherent sum of :func:`_facet_sum` runs over."""
-    # the wavenumber sets only the incident phases, not which facets are lit
-    incident = _incident_terms(mesh, np.asarray(src, dtype=float), 0.0)
-    *_, live = _observer_terms(mesh, np.asarray(obs, dtype=float), incident.cos_i)
-    return int(np.count_nonzero(live))
 
 
 def _facet_sum(
@@ -342,7 +331,7 @@ def po_scattered_matrix(
     carrier: CarrierConfig,
     incident: _IncidentTerms | None = None,
 ) -> np.ndarray:
-    """Scattered 2x2 transfer for one leg pair.
+    """Scattered 2x2 transfer for one pair of clear legs.
 
     The matrix chains the incident leg's polarization operator, the coherent
     facet sum evaluated between the legs' effective (possibly mirrored)
@@ -352,8 +341,6 @@ def po_scattered_matrix(
     facet phases.  ``incident`` optionally injects precomputed source-side
     facet terms for the incident leg's effective point.
     """
-    if not (incident_leg.unobstructed and scattered_leg.unobstructed):
-        raise ValueError("both legs must be unobstructed")
     for leg in (incident_leg, scattered_leg):
         if np.linalg.norm(leg.vertices[-1] - mesh.reference_point) > 1e-9:
             raise ValueError("leg does not terminate at the mesh reference point")
@@ -395,19 +382,7 @@ class ScatterEngine:
         refs = np.array([m.reference_point for m in self.meshes])
         # one batched occlusion query covers the direct legs to every mesh
         blocked = self.scene.segments_blocked(np.broadcast_to(point, refs.shape), refs)
-        sides = []
-        for ref, direct_blocked in zip(refs, blocked):
-            legs = []
-            if not direct_blocked:
-                legs.append(
-                    ScatterLeg(
-                        vertices=np.array([point, ref]),
-                        interactions=(),
-                        unobstructed=True,
-                        effective_point=point,
-                    )
-                )
-            sides.append(legs)
+        sides = [[] if b else [direct_leg(point, ref)] for ref, b in zip(refs, blocked)]
         if self.leg_policy == "direct+1-reflection":
             for legs, reflected in zip(sides, reflected_legs(self.scene, point, refs, self.carrier)):
                 legs.extend(reflected)
@@ -441,17 +416,3 @@ class ScatterEngine:
                     verts = np.vstack([leg_in.vertices, leg_out.vertices[::-1][1:]])
                     out.append(RayPath.from_polyline(inters, verts, t, TAG_SCATTER))
         return out
-
-
-def enumerate_scatter_paths(
-    scene: Scene,
-    tx,
-    rx,
-    carrier: CarrierConfig,
-    leg_policy: str = "direct-only",
-) -> list[RayPath]:
-    """One scatter RayPath per scatterer and unobstructed leg pair."""
-    if not scene.scatterers:
-        return []
-    engine = ScatterEngine(scene, carrier, leg_policy)
-    return engine.paths(tx, rx)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -529,15 +530,48 @@ _ALLOWED_BUILDING_KEYS = {"id", "footprint", "height", "material"}
 _ALLOWED_SCATTERER_KEYS = {"id", "base", "radius", "height", "material"}
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number (not a boolean) that converts to a finite float;
+    false for NaN, the infinities and integers beyond the float range."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
+
+
+def _is_point(value, width: int) -> bool:
+    """True for a list of ``width`` finite JSON numbers."""
+    return isinstance(value, (list, tuple)) and len(value) == width and all(map(_is_number, value))
+
+
+def _number(value, name: str, where: str) -> float:
+    if not _is_number(value):
+        raise SceneError(f"{where}: {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _object_id(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SceneError(f"{where}: id must be an integer, got {value!r}")
+    return value
+
+
 def _parse_material(obj, where: str) -> Material:
     if not isinstance(obj, dict):
         raise SceneError(f"{where}: material must be an object")
     unknown = set(obj) - _ALLOWED_MATERIAL_KEYS
     if unknown:
         raise SceneError(f"{where}: unknown material keys {sorted(unknown)}")
-    if obj.get("pec", False):
+    pec = obj.get("pec", False)
+    if not isinstance(pec, bool):
+        raise SceneError(f"{where}: pec must be true or false, got {pec!r}")
+    if pec:
         return Material(eps_r=1.0, sigma=0.0, pec=True)
-    return Material(eps_r=float(obj.get("eps_r", DEFAULT_EPS_R)), sigma=float(obj.get("sigma", DEFAULT_SIGMA)))
+    return Material(
+        eps_r=_number(obj.get("eps_r", DEFAULT_EPS_R), "eps_r", where),
+        sigma=_number(obj.get("sigma", DEFAULT_SIGMA), "sigma", where),
+    )
 
 
 def _resolve_material(ref, materials: dict[str, Material], where: str) -> Material:
@@ -601,13 +635,14 @@ def load_scene(text: str) -> Scene:
         for req in ("id", "footprint", "height"):
             if req not in bobj:
                 raise SceneError(f"{where}: missing required key {req!r}")
-        poly = np.asarray(bobj["footprint"], dtype=float)
-        if poly.ndim != 2 or poly.shape[1] != 2:
-            raise SceneError(f"{where}: footprint must be a list of [x, y] pairs")
+        footprint = bobj["footprint"]
+        if not isinstance(footprint, list) or not all(_is_point(v, 2) for v in footprint):
+            raise SceneError(f"{where}: footprint must be a list of [x, y] pairs of finite numbers")
+        poly = np.asarray(footprint, dtype=float)
         _check_simple_polygon(poly, where)
         if _polygon_signed_area(poly) < 0:
             poly = poly[::-1].copy()  # normalize clockwise input
-        height = float(bobj["height"])
+        height = _number(bobj["height"], "height", where)
         if height <= 0:
             raise SceneError(f"{where}: height must be positive, got {height}")
         mat = (
@@ -615,7 +650,9 @@ def load_scene(text: str) -> Scene:
             if "material" in bobj
             else DEFAULT_MATERIAL
         )
-        buildings.append(Building(id=int(bobj["id"]), footprint=poly, height=height, material=mat))
+        buildings.append(
+            Building(id=_object_id(bobj["id"], where), footprint=poly, height=height, material=mat)
+        )
 
     scatterers = []
     for i, sobj in enumerate(data.get("scatterers", [])):
@@ -628,8 +665,10 @@ def load_scene(text: str) -> Scene:
         for req in ("id", "base", "radius", "height"):
             if req not in sobj:
                 raise SceneError(f"{where}: missing required key {req!r}")
-        radius = float(sobj["radius"])
-        height = float(sobj["height"])
+        if not _is_point(sobj["base"], 3):
+            raise SceneError(f"{where}: base must be an [x, y, z] triple of finite numbers")
+        radius = _number(sobj["radius"], "radius", where)
+        height = _number(sobj["height"], "height", where)
         if radius <= 0:
             raise SceneError(f"{where}: radius must be positive, got {radius}")
         if height <= 0:
@@ -637,7 +676,7 @@ def load_scene(text: str) -> Scene:
         mat = _resolve_material(sobj["material"], materials, where) if "material" in sobj else PEC
         scatterers.append(
             CylinderScatterer(
-                id=int(sobj["id"]),
+                id=_object_id(sobj["id"], where),
                 base_center=np.asarray(sobj["base"], dtype=float),
                 radius=radius,
                 height=height,

@@ -16,7 +16,9 @@ matrices only for the candidates that stay clear.  A :class:`SpecularTracer`
 caches the per-scene tables (second-order image-pair feasibility, wedge
 geometry, facade and wedge records; zero-length when the scene has none) and
 the per-transmitter image positions, which makes repeated solves along a
-receiver trajectory cheap.
+receiver trajectory cheap.  ``SpecularTracer.trace`` is the one entry point:
+it checks the endpoints once and adds the rooftop path of
+:func:`trace_rooftop` when the direct ray is blocked.
 """
 
 from __future__ import annotations
@@ -340,42 +342,18 @@ def _above_floor(transfer: np.ndarray, floor_db: float) -> bool:
     return 10.0 * math.log10(power) >= -floor_db
 
 
-def trace_specular(
-    scene: Scene,
-    tx,
-    rx,
-    limits: TraceLimits | None = None,
-    carrier: CarrierConfig | None = None,
-) -> list[RayPath]:
-    """One-shot specular trace; see :class:`SpecularTracer` for streaming."""
-    if carrier is None:
-        raise ValueError("a carrier configuration is required")
-    tracer = SpecularTracer(scene, carrier)
-    return tracer.trace(tx, rx, limits)
-
-
 def trace_rooftop(
-    scene: Scene,
-    tx,
-    rx,
-    carrier: CarrierConfig | None = None,
+    scene: Scene, tx: np.ndarray, rx: np.ndarray, carrier: CarrierConfig
 ) -> RayPath | None:
     """Over-the-rooftops knife-edge path, or None when the direct ray is clear.
 
     Every roofline the vertical plane of propagation crosses contributes one
     knife edge at the station where the ground track enters or leaves the
     footprint; the path follows the apex polyline and composes the per-edge
-    losses with neighbor-vertex geometry.
+    losses with neighbor-vertex geometry.  ``tx`` and ``rx`` are the distinct
+    float arrays, outside every building, that :meth:`SpecularTracer.trace`
+    has checked.
     """
-    if carrier is None:
-        raise ValueError("a carrier configuration is required")
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    if np.linalg.norm(rx - tx) < EPS_GEOM:
-        raise ValueError("tx and rx must be distinct points")
-    for name, p in (("tx", tx), ("rx", rx)):
-        if scene.contains_point(p):
-            raise ValueError(f"{name} lies inside a building")
     hit = scene.first_hit(tx, rx)
     if hit is None or hit.kind == "ground":
         return None

@@ -29,7 +29,7 @@ from railchan.metrics import (
 )
 from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, RayPath
 from railchan.scene import Building, Scene
-from railchan.specular import TraceLimits, trace_specular
+from railchan.specular import SpecularTracer, TraceLimits
 from railchan.scatter import direct_leg, mesh_cylinder, mesh_plate, po_scattered_matrix
 from railchan.scene import CylinderScatterer
 from railchan.traceio import write_trace_csv
@@ -60,7 +60,7 @@ def plate_rcs(side: float, max_edge: float, distance: float) -> float:
         height=side,
         max_edge=max_edge,
     )
-    leg = direct_leg(EMPTY, np.array([distance, 0.0, 0.0]), mesh.reference_point)
+    leg = direct_leg(np.array([distance, 0.0, 0.0]), mesh.reference_point)
     t = po_scattered_matrix(mesh, leg, leg, F19)
     return rcs_from_transfer(t[0, 0], distance, distance)
 
@@ -124,7 +124,7 @@ def test_02_cylinder_rcs_matches_broadside_formula():
     t0 = time.perf_counter()
     mesh = mesh_cylinder(cyl, F19)
     obs = np.array([1000.0, 0.0, 0.5 * cyl.height])
-    leg = direct_leg(EMPTY, obs, mesh.reference_point)
+    leg = direct_leg(obs, mesh.reference_point)
     t = po_scattered_matrix(mesh, leg, leg, F19)
     elapsed = time.perf_counter() - t0
     sigma = rcs_from_transfer(t[0, 0], 1000.0, 1000.0)
@@ -159,7 +159,7 @@ def test_04_two_wall_street_returns_five_paths_with_exact_lengths():
     tx = np.array([-50.0, 2.0, 5.0])
     rx = np.array([60.0, -3.0, 5.0])
     limits = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
-    paths = trace_specular(scene, tx, rx, limits, F19)
+    paths = SpecularTracer(scene, F19).trace(tx, rx, limits)
 
     # mirror the receiver across the inner faces y = +10 / y = -10 by hand
     dx = rx[0] - tx[0]

@@ -202,7 +202,9 @@ def test_non_finite_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, "a", None, True], ids=["NaN", "Infinity", "text", "null", "true"]
+)
 @pytest.mark.parametrize("field", ["tx_position_m", "waypoints_m"])
 def test_non_finite_positions_exit_2(tmp_path, capsys, field, value):
     raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
@@ -212,11 +214,61 @@ def test_non_finite_positions_exit_2(tmp_path, capsys, field, value):
         raw["trajectory"]["waypoints_m"][1][1] = value
     cfg = tmp_path / "positions.config.json"
     cfg.write_text(json.dumps(raw))  # writes the JSON literals NaN / Infinity
-    assert ("NaN" if math.isnan(value) else "Infinity") in cfg.read_text()
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--duration", "0.1", "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert field in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("buildings", 0, "id"), "x"),
+        (("buildings", 0, "height"), "tall"),
+        (("buildings", 0, "height"), math.nan),
+        (("buildings", 0, "footprint", 1), ["a", 1]),
+        (("buildings", 0, "footprint", 1), [60.0, 8.0, 0.0]),
+        (("scatterers", 0, "id"), 1.5),
+        (("scatterers", 0, "base"), [1, 2]),
+        (("scatterers", 0, "radius"), math.inf),
+        (("scatterers", 0, "height"), "tall"),
+        (("materials", "concrete", "eps_r"), math.nan),
+        (("materials", "concrete", "sigma"), "wet"),
+        (("materials", "metal", "pec"), "no"),
+    ],
+    ids=[
+        "building_id_text",
+        "building_height_text",
+        "building_height_NaN",
+        "footprint_text",
+        "footprint_triple",
+        "scatterer_id_float",
+        "scatterer_base_pair",
+        "scatterer_radius_Infinity",
+        "scatterer_height_text",
+        "eps_r_NaN",
+        "sigma_text",
+        "pec_text",
+    ],
+)
+def test_bad_scene_numbers_exit_2(tmp_path, capsys, path, value):
+    raw = json.loads(preset_path(DEFAULT_PRESET, "scene").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    assert path[-1] in node if isinstance(node, dict) else path[-1] < len(node)
+    node[path[-1]] = value
+    (tmp_path / "bad.scene.json").write_text(json.dumps(raw))
+    cfg = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    cfg["scene"] = "bad.scene.json"
+    (tmp_path / "bad.config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(tmp_path / "bad.config.json"), "--duration", "0.05", "--output-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    field = [key for key in path if isinstance(key, str)][-1]
+    assert path[0] in err and field in err
     assert not out.exists()
 
 

@@ -28,7 +28,7 @@ from railchan.metrics import (
 )
 from railchan.rays import TAG_SCATTER, TAG_SPECULAR, RayPath
 from railchan.scene import Scene
-from railchan.specular import TraceLimits, trace_specular
+from railchan.specular import SpecularTracer, TraceLimits
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
 _DUMMY_VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -56,12 +56,10 @@ def snap(paths, t=0.0):
 class TestNarrowbandPower:
     def test_free_space_100m_43dbm(self):
         scene = Scene(buildings=[])
-        paths = trace_specular(
-            scene,
+        paths = SpecularTracer(scene, F19).trace(
             np.array([0.0, 0.0, 10.0]),
             np.array([100.0, 0.0, 10.0]),
-            limits=TraceLimits(0, 0, rooftop=False),
-            carrier=F19,
+            TraceLimits(0, 0, rooftop=False),
         )
         p = narrowband_power(paths, "vv", tx_power_dbm=43.0)
         assert p == pytest.approx(-35.0, abs=0.1)

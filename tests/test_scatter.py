@@ -20,9 +20,9 @@ from railchan.scatter import (
     LEG_POLICIES,
     ScatterEngine,
     ScatterLeg,
+    _incident_terms,
+    _observer_terms,
     direct_leg,
-    enumerate_scatter_paths,
-    illuminated_visible_count,
     mesh_cylinder,
     mesh_plate,
     po_scattered_matrix,
@@ -52,7 +52,7 @@ def plate_monostatic_rcs(side: float, max_edge: float, distance: float) -> float
         max_edge=max_edge,
     )
     p = np.array([distance, 0.0, 0.0])
-    leg = direct_leg(EMPTY, p, mesh.reference_point)
+    leg = direct_leg(p, mesh.reference_point)
     t = po_scattered_matrix(mesh, leg, leg, F19)
     return estimated_rcs(t[0, 0], distance, distance)
 
@@ -124,7 +124,7 @@ class TestPlateOracle:
             max_edge=LAM / 2.0,
         )
         p = np.array([100.0, 0.0, 0.0])
-        leg = direct_leg(EMPTY, p, mesh.reference_point)
+        leg = direct_leg(p, mesh.reference_point)
         t = po_scattered_matrix(mesh, leg, leg, F19)
         scale = np.max(np.abs(t))
         assert abs(t[0, 1]) < 1e-10 * scale
@@ -141,7 +141,7 @@ class TestPlateOracle:
             max_edge=LAM / 2.0,
         )
         p = np.array([-50.0, 3.0, 1.0])
-        leg = direct_leg(EMPTY, p, mesh.reference_point)
+        leg = direct_leg(p, mesh.reference_point)
         t = po_scattered_matrix(mesh, leg, leg, F19)
         assert np.all(t == 0)
 
@@ -152,7 +152,7 @@ class TestCylinderOracle:
         mesh = mesh_cylinder(cyl, F19)
         sigma_ref = 2.0 * math.pi * 0.375 * 8.2**2 / LAM
         p = np.array([1000.0, 0.0, 4.1])
-        leg = direct_leg(EMPTY, p, mesh.reference_point)
+        leg = direct_leg(p, mesh.reference_point)
         t = po_scattered_matrix(mesh, leg, leg, F19)
         sigma = estimated_rcs(t[0, 0], 1000.0, 1000.0)
         assert abs(db(sigma) - db(sigma_ref)) < 1.0
@@ -168,8 +168,8 @@ class TestCylinderOracle:
         obs1 = ref + 2000.0 * np.array([math.cos(ang), math.sin(ang), 0.0])
         src2 = ref + 2.0 * (src1 - ref)
         obs2 = ref + 2.0 * (obs1 - ref)
-        t1 = po_scattered_matrix(mesh, direct_leg(EMPTY, src1, ref), direct_leg(EMPTY, obs1, ref), F19)
-        t2 = po_scattered_matrix(mesh, direct_leg(EMPTY, src2, ref), direct_leg(EMPTY, obs2, ref), F19)
+        t1 = po_scattered_matrix(mesh, direct_leg(src1, ref), direct_leg(obs1, ref), F19)
+        t2 = po_scattered_matrix(mesh, direct_leg(src2, ref), direct_leg(obs2, ref), F19)
         p1 = float(np.sum(np.abs(t1) ** 2))
         p2 = float(np.sum(np.abs(t2) ** 2))
         assert db(p1) - db(p2) == pytest.approx(12.0, abs=0.1)
@@ -180,24 +180,27 @@ class TestCylinderOracle:
         ref = mesh.reference_point
         src = np.array([300.0, -40.0, 12.0])
         obs = np.array([-120.0, 250.0, 2.0])
-        t_fwd = po_scattered_matrix(mesh, direct_leg(EMPTY, src, ref), direct_leg(EMPTY, obs, ref), F19)
-        t_rev = po_scattered_matrix(mesh, direct_leg(EMPTY, obs, ref), direct_leg(EMPTY, src, ref), F19)
+        t_fwd = po_scattered_matrix(mesh, direct_leg(src, ref), direct_leg(obs, ref), F19)
+        t_rev = po_scattered_matrix(mesh, direct_leg(obs, ref), direct_leg(src, ref), F19)
         scale = np.max(np.abs(t_fwd))
         np.testing.assert_allclose(t_rev, t_fwd.T, rtol=1e-8, atol=1e-8 * scale)
         scene = Scene(buildings=[], scatterers=[cyl])
-        (p_fwd,) = enumerate_scatter_paths(scene, src, obs, F19)
-        (p_rev,) = enumerate_scatter_paths(scene, obs, src, F19)
+        (p_fwd,) = ScatterEngine(scene, F19).paths(src, obs)
+        (p_rev,) = ScatterEngine(scene, F19).paths(obs, src)
         assert p_fwd.delay_s == pytest.approx(p_rev.delay_s, abs=1e-15)
 
     def test_shadow_sweep_monotone_facet_count(self):
         cyl = CylinderScatterer(id=1, base_center=np.zeros(3), radius=0.375, height=8.2)
         mesh = mesh_cylinder(cyl, F19)
         src = np.array([500.0, 0.0, 4.1])
+        incident = _incident_terms(mesh, src, F19.wavenumber)
         counts = []
         for deg in range(10, 171, 10):
             a = math.radians(deg)
             obs = np.array([300.0 * math.cos(a), 300.0 * math.sin(a), 4.1])
-            counts.append(illuminated_visible_count(mesh, src, obs))
+            # the facets lit by the source and visible from the observer
+            *_, live = _observer_terms(mesh, obs, incident.cos_i)
+            counts.append(int(np.count_nonzero(live)))
         assert all(c1 >= c2 for c1, c2 in zip(counts[:-1], counts[1:]))
         assert counts[0] > counts[-1]
 
@@ -208,30 +211,19 @@ class TestCylinderOracle:
         outside = np.array([100.0, 0.0, 4.0])
         inside = np.array([0.1, 0.0, 4.0])
         with pytest.raises(ValueError):
-            po_scattered_matrix(mesh, direct_leg(EMPTY, outside, ref), direct_leg(EMPTY, inside, ref), F19)
+            po_scattered_matrix(mesh, direct_leg(outside, ref), direct_leg(inside, ref), F19)
         with pytest.raises(ValueError):
-            po_scattered_matrix(mesh, direct_leg(EMPTY, inside, ref), direct_leg(EMPTY, outside, ref), F19)
+            po_scattered_matrix(mesh, direct_leg(inside, ref), direct_leg(outside, ref), F19)
 
 
 class TestLegs:
     def test_direct_leg_geometry(self):
         ref = np.array([0.0, 0.0, 4.1])
         p = np.array([30.0, 0.0, 2.0])
-        leg = direct_leg(EMPTY, p, ref)
-        assert leg.unobstructed
+        leg = direct_leg(p, ref)
         assert leg.interactions == ()
         np.testing.assert_array_equal(leg.vertices, [p, ref])
         np.testing.assert_array_equal(leg.effective_point, p)
-
-    def test_direct_leg_blocked_by_building(self):
-        blocker = Building(
-            id=1,
-            footprint=np.array([[10.0, -5.0], [20.0, -5.0], [20.0, 5.0], [10.0, 5.0]]),
-            height=30.0,
-        )
-        scene = Scene(buildings=[blocker])
-        leg = direct_leg(scene, np.array([30.0, 0.0, 2.0]), np.array([0.0, 0.0, 4.1]))
-        assert not leg.unobstructed
 
     def test_reflected_leg_image_geometry(self):
         wall = Building(
@@ -283,13 +275,13 @@ class TestLegs:
 
 class TestEnumerate:
     def test_no_scatterers_empty(self):
-        assert enumerate_scatter_paths(EMPTY, np.array([0.0, 0.0, 5.0]), np.array([100.0, 0.0, 5.0]), F19) == []
+        assert ScatterEngine(EMPTY, F19).paths(np.array([0.0, 0.0, 5.0]), np.array([100.0, 0.0, 5.0])) == []
 
     def test_single_pylon_direct_only(self):
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 30.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        paths = enumerate_scatter_paths(scene, tx, rx, F19)
+        paths = ScatterEngine(scene, F19).paths(tx, rx)
         assert len(paths) == 1
         p = paths[0]
         assert p.signature == "S(9:0)"
@@ -313,7 +305,7 @@ class TestEnumerate:
         )
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        paths = enumerate_scatter_paths(scene, tx, rx, F19, leg_policy="direct+1-reflection")
+        paths = ScatterEngine(scene, F19, "direct+1-reflection").paths(tx, rx)
         sigs = {p.signature for p in paths}
         assert sigs == {
             "S(9:0)",
@@ -334,14 +326,14 @@ class TestEnumerate:
         )
         tx = np.array([0.0, 0.0, 5.0])
         rx = np.array([100.0, 0.0, 5.0])
-        assert enumerate_scatter_paths(scene, tx, rx, F19) == []
+        assert ScatterEngine(scene, F19).paths(tx, rx) == []
 
     def test_own_body_does_not_occlude(self):
         # forward-scatter geometry: pylon directly between the antennas
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 0.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 4.1])
         rx = np.array([100.0, 0.0, 4.1])
-        paths = enumerate_scatter_paths(scene, tx, rx, F19)
+        paths = ScatterEngine(scene, F19).paths(tx, rx)
         assert len(paths) == 1
 
     def test_enumerate_reciprocity_with_reflections(self):
@@ -356,8 +348,8 @@ class TestEnumerate:
         )
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        fwd = {p.signature: p for p in enumerate_scatter_paths(scene, tx, rx, F19, leg_policy="direct+1-reflection")}
-        rev = {p.signature: p for p in enumerate_scatter_paths(scene, rx, tx, F19, leg_policy="direct+1-reflection")}
+        fwd = {p.signature: p for p in ScatterEngine(scene, F19, "direct+1-reflection").paths(tx, rx)}
+        rev = {p.signature: p for p in ScatterEngine(scene, F19, "direct+1-reflection").paths(rx, tx)}
         for sig, p in fwd.items():
             toks = sig.split("|")
             mirror_sig = "|".join(reversed(toks))
@@ -369,8 +361,8 @@ class TestEnumerate:
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 30.0, 0.0]), radius=0.375, height=8.2), CylinderScatterer(id=10, base_center=np.array([70.0, 30.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        a = enumerate_scatter_paths(scene, tx, rx, F19)
-        b = enumerate_scatter_paths(scene, tx, rx, F19)
+        a = ScatterEngine(scene, F19).paths(tx, rx)
+        b = ScatterEngine(scene, F19).paths(tx, rx)
         assert [p.signature for p in a] == [p.signature for p in b]
         for p, q in zip(a, b):
             np.testing.assert_array_equal(p.transfer, q.transfer)

@@ -13,10 +13,14 @@ import pytest
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
 from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE
 from railchan.scene import Building, Material, Scene
-from railchan.specular import TraceLimits, trace_rooftop, trace_specular
+from railchan.specular import SpecularTracer, TraceLimits, trace_rooftop
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
 NO_DIFFRACTION = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
+
+
+def trace(scene, tx, rx, limits):
+    return SpecularTracer(scene, F19).trace(tx, rx, limits)
 
 
 def wall(bid, y0, y1, x0=-200.0, x1=200.0, height=30.0, material=None):
@@ -35,7 +39,7 @@ class TestEmptyScene:
         scene = Scene(buildings=[])
         tx = np.array([0.0, 0.0, 10.0])
         rx = np.array([300.0, 40.0, 4.0])
-        paths = trace_specular(scene, tx, rx, TraceLimits(), F19)
+        paths = trace(scene, tx, rx, TraceLimits())
         assert len(paths) == 1
         p = paths[0]
         assert p.signature == LOS_SIGNATURE
@@ -48,15 +52,35 @@ class TestEmptyScene:
         inside = np.array([0.0, 11.0, 5.0])
         outside = np.array([0.0, -5.0, 5.0])
         with pytest.raises(ValueError):
-            trace_specular(scene, inside, outside, TraceLimits(), F19)
+            trace(scene, inside, outside, TraceLimits())
         with pytest.raises(ValueError):
-            trace_specular(scene, outside, inside, TraceLimits(), F19)
+            trace(scene, outside, inside, TraceLimits())
 
     def test_identical_endpoints_rejected(self):
         scene = Scene(buildings=[])
         p = np.array([0.0, 0.0, 5.0])
         with pytest.raises(ValueError):
-            trace_specular(scene, p, p, TraceLimits(), F19)
+            trace(scene, p, p, TraceLimits())
+
+
+class TestInputChecks:
+    # the tracer checks its endpoints once, before any family or the rooftop
+    # path is built; a box between the antennas would otherwise give a K path
+    BOX = Building(id=7, footprint=np.array([[-5.0, -10.0], [5.0, -10.0], [5.0, 10.0], [-5.0, 10.0]]), height=15.0)
+
+    @pytest.mark.parametrize(
+        "tx, rx, message",
+        [
+            ([-60.0, 0.0, 10.0], [-60.0, 0.0, 10.0], "distinct"),
+            ([0.0, 0.0, 10.0], [50.0, 0.0, 5.0], "tx lies inside"),
+            ([-60.0, 0.0, 10.0], [0.0, 0.0, 5.0], "rx lies inside"),
+        ],
+        ids=["coincident", "tx_inside", "rx_inside"],
+    )
+    def test_trace_rejects_bad_endpoints(self, tx, rx, message):
+        tracer = SpecularTracer(Scene(buildings=[self.BOX]), F19)
+        with pytest.raises(ValueError, match=message):
+            tracer.trace(np.array(tx), np.array(rx), TraceLimits())
 
 
 class TestSingleWall:
@@ -64,7 +88,7 @@ class TestSingleWall:
         scene = Scene(buildings=[wall(1, 10, 12)])
         tx = np.array([-30.0, 0.0, 5.0])
         rx = np.array([40.0, 3.0, 6.0])
-        paths = trace_specular(scene, tx, rx, NO_DIFFRACTION, F19)
+        paths = trace(scene, tx, rx, NO_DIFFRACTION)
         assert len(paths) == 2
         by_sig = lengths_by_signature(paths)
         assert LOS_SIGNATURE in by_sig
@@ -77,7 +101,7 @@ class TestSingleWall:
         scene = Scene(buildings=[wall(1, 10, 12)])
         tx = np.array([-30.0, 0.0, 5.0])
         rx = np.array([40.0, 3.0, 6.0])
-        paths = trace_specular(scene, tx, rx, NO_DIFFRACTION, F19)
+        paths = trace(scene, tx, rx, NO_DIFFRACTION)
         refl = next(p for p in paths if p.signature == "R(1:0)")
         hit = refl.vertices[1]
         assert hit[1] == pytest.approx(10.0, abs=1e-9)
@@ -92,7 +116,7 @@ class TestSingleWall:
         scene = Scene(buildings=[wall(1, 10, 12)])
         tx = np.array([-30.0, 0.0, 5.0])
         rx = np.array([40.0, 30.0, 5.0])  # behind the wall
-        paths = trace_specular(scene, tx, rx, NO_DIFFRACTION, F19)
+        paths = trace(scene, tx, rx, NO_DIFFRACTION)
         # LoS blocked, reflection impossible (rx on the back side)
         assert [p.signature for p in paths] == []
 
@@ -122,11 +146,11 @@ class TestTwoParallelWalls:
         }
 
     def test_exactly_five_paths(self):
-        paths = trace_specular(self.scene, self.tx, self.rx, NO_DIFFRACTION, F19)
+        paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         assert len(paths) == 5
 
     def test_lengths_match_hand_images(self):
-        paths = trace_specular(self.scene, self.tx, self.rx, NO_DIFFRACTION, F19)
+        paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         by_sig = lengths_by_signature(paths)
         img = self.images()
         want = {
@@ -141,8 +165,8 @@ class TestTwoParallelWalls:
             assert by_sig[sig] == pytest.approx(float(d), abs=1e-9), sig
 
     def test_symmetry_under_endpoint_swap(self):
-        fwd = trace_specular(self.scene, self.tx, self.rx, NO_DIFFRACTION, F19)
-        rev = trace_specular(self.scene, self.rx, self.tx, NO_DIFFRACTION, F19)
+        fwd = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
+        rev = trace(self.scene, self.rx, self.tx, NO_DIFFRACTION)
         fwd_sigs = {p.signature: p.length_m for p in fwd}
         rev_sigs = {}
         for p in rev:
@@ -153,24 +177,24 @@ class TestTwoParallelWalls:
             assert fwd_sigs[sig] == pytest.approx(rev_sigs[sig], abs=1e-9)
 
     def test_no_duplicate_signatures(self):
-        paths = trace_specular(self.scene, self.tx, self.rx, NO_DIFFRACTION, F19)
+        paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         sigs = [p.signature for p in paths]
         assert len(sigs) == len(set(sigs))
 
     def test_monotone_limits(self):
-        p1 = trace_specular(self.scene, self.tx, self.rx, TraceLimits(max_reflections=1, max_vertical_diffractions=0, rooftop=False), F19)
-        p2 = trace_specular(self.scene, self.tx, self.rx, NO_DIFFRACTION, F19)
+        p1 = trace(self.scene, self.tx, self.rx, TraceLimits(max_reflections=1, max_vertical_diffractions=0, rooftop=False))
+        p2 = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         assert {p.signature for p in p1} <= {p.signature for p in p2}
         assert len(p1) == 3
 
     def test_all_subsegments_clear(self):
-        paths = trace_specular(self.scene, self.tx, self.rx, NO_DIFFRACTION, F19)
+        paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         for p in paths:
             for a, b in zip(p.vertices[:-1], p.vertices[1:]):
                 assert self.scene.first_hit(a, b) is None, p.signature
 
     def test_delay_matches_length(self):
-        paths = trace_specular(self.scene, self.tx, self.rx, NO_DIFFRACTION, F19)
+        paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         for p in paths:
             assert p.delay_s == pytest.approx(p.length_m / C0, abs=1e-12)
 
@@ -183,7 +207,7 @@ class TestEdgeDiffraction:
         self.rx = np.array([-10.0, 30.0, 5.0])  # deep in the side region
 
     def test_diffraction_path_found(self):
-        paths = trace_specular(self.scene, self.tx, self.rx, TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False), F19)
+        paths = trace(self.scene, self.tx, self.rx, TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False))
         dsigs = [p for p in paths if p.signature.startswith("D(")]
         assert len(dsigs) >= 1
         d = dsigs[0]
@@ -191,7 +215,7 @@ class TestEdgeDiffraction:
         assert d.signature == "D(1:5)"
 
     def test_diffraction_point_on_unfolded_line(self):
-        paths = trace_specular(self.scene, self.tx, self.rx, TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False), F19)
+        paths = trace(self.scene, self.tx, self.rx, TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False))
         d = next(p for p in paths if p.signature == "D(1:5)")
         e = d.vertices[1]
         np.testing.assert_allclose(e[:2], [0.0, 0.0], atol=1e-9)
@@ -204,7 +228,7 @@ class TestEdgeDiffraction:
         scene = Scene(buildings=[Building(id=1, footprint=np.array([[0.0, 0.0], [30.0, 0.0], [30.0, 20.0], [0.0, 20.0]]), height=25.0)])
         tx = np.array([-40.0, -10.0, 8.0])
         rx_lit = np.array([-40.0, 30.0, 5.0])  # sees tx directly
-        paths = trace_specular(scene, tx, rx_lit, TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False), F19)
+        paths = trace(scene, tx, rx_lit, TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False))
         by_sig = {p.signature: p for p in paths}
         assert LOS_SIGNATURE in by_sig
         if "D(1:5)" in by_sig:
@@ -212,8 +236,8 @@ class TestEdgeDiffraction:
 
     def test_reciprocity_of_diffraction_transfer(self):
         lim = TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False)
-        fwd = trace_specular(self.scene, self.tx, self.rx, lim, F19)
-        rev = trace_specular(self.scene, self.rx, self.tx, lim, F19)
+        fwd = trace(self.scene, self.tx, self.rx, lim)
+        rev = trace(self.scene, self.rx, self.tx, lim)
         f = next(p for p in fwd if p.signature == "D(1:5)")
         r = next(p for p in rev if p.signature == "D(1:5)")
         scale = np.max(np.abs(f.transfer))
@@ -221,7 +245,7 @@ class TestEdgeDiffraction:
 
     def test_power_floor_drops_weak_paths(self):
         lim = TraceLimits(max_reflections=0, max_vertical_diffractions=1, rooftop=False, power_floor_db=80.0)
-        paths = trace_specular(self.scene, self.tx, self.rx, lim, F19)
+        paths = trace(self.scene, self.tx, self.rx, lim)
         # a floor of 80 dB removes every diffracted path at these ranges
         assert all(not p.signature.startswith("D(") for p in paths)
 
@@ -239,7 +263,7 @@ class TestMixedOrders:
         tx = np.array([-40.0, -10.0, 8.0])
         rx = np.array([-10.0, 30.0, 5.0])
         lim = TraceLimits(max_reflections=1, max_vertical_diffractions=1, rooftop=False)
-        paths = trace_specular(scene, tx, rx, lim, F19)
+        paths = trace(scene, tx, rx, lim)
         sigs = {p.signature for p in paths}
         kinds = {tuple(tok[0] for tok in s.split("|")) for s in sigs if s != LOS_SIGNATURE}
         assert ("D",) in kinds
@@ -254,7 +278,7 @@ class TestMixedOrders:
         )
         tx = np.array([-40.0, -10.0, 8.0])
         rx = np.array([-10.0, 30.0, 5.0])
-        paths = trace_specular(scene, tx, rx, TraceLimits(max_reflections=2, max_vertical_diffractions=1, rooftop=False), F19)
+        paths = trace(scene, tx, rx, TraceLimits(max_reflections=2, max_vertical_diffractions=1, rooftop=False))
         for p in paths:
             toks = [] if p.signature == LOS_SIGNATURE else p.signature.split("|")
             n_r = sum(1 for t in toks if t.startswith("R"))
@@ -317,14 +341,14 @@ class TestRooftop:
         want_vv = abs(free_space_transport(length, F19)) * factor
         assert abs(path.transfer[0, 0]) == pytest.approx(want_vv, rel=1e-9)
 
-    def test_rooftop_included_by_trace_specular_when_blocked(self):
+    def test_rooftop_included_by_trace_when_blocked(self):
         scene = Scene(buildings=[self.box])
         tx = np.array([-60.0, 0.0, 10.0])
         rx = np.array([50.0, 0.0, 5.0])
-        paths = trace_specular(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=True), F19)
+        paths = trace(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=True))
         sigs = {p.signature for p in paths}
         assert any(s.startswith("K(") for s in sigs)
-        off = trace_specular(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=False), F19)
+        off = trace(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=False))
         assert not any(p.signature.startswith("K(") for p in off)
 
 
@@ -342,7 +366,7 @@ class TestDuplicateGeometry:
         tx = np.array([-5.0, 10.0, 2.0])
         rx = np.array([5.0, 10.0, 2.0])
         lim = TraceLimits(max_reflections=1, max_vertical_diffractions=0, rooftop=False)
-        paths = trace_specular(scene, tx, rx, lim, F19)
+        paths = trace(scene, tx, rx, lim)
         assert [p.signature for p in paths] == [LOS_SIGNATURE, "R(1:2)"]
         np.testing.assert_allclose(paths[1].vertices[1], [0.0, 0.0, 2.0], atol=1e-12)
 
@@ -352,8 +376,8 @@ class TestDeterminism:
         scene = Scene(buildings=[wall(1, 10, 12), wall(2, -12, -10), Building(id=3, footprint=np.array([[80.0, -5.0], [95.0, -5.0], [95.0, 5.0], [80.0, 5.0]]), height=18.0)])
         tx = np.array([-50.0, 2.0, 8.0])
         rx = np.array([60.0, -3.0, 5.0])
-        a = trace_specular(scene, tx, rx, TraceLimits(), F19)
-        b = trace_specular(scene, tx, rx, TraceLimits(), F19)
+        a = trace(scene, tx, rx, TraceLimits())
+        b = trace(scene, tx, rx, TraceLimits())
         assert len(a) == len(b)
         for p, q in zip(a, b):
             assert p.signature == q.signature
