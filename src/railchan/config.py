@@ -125,7 +125,14 @@ class ScenarioConfig:
         )
 
     def load_scene(self) -> Scene:
-        return load_scene_file(self.scene_path)
+        """The scene file, checked to leave the transmitter outside every
+        building."""
+        scene = load_scene_file(self.scene_path)
+        if scene.contains_point(self.tx_position):
+            raise ConfigError(
+                f"'tx_position_m' {self.tx_position.tolist()} lies inside a building of the scene"
+            )
+        return scene
 
     def echo(self) -> dict:
         """JSON-ready normalized view, embedded in run manifests."""

@@ -8,21 +8,25 @@ step reuses the keyframe path set directly, so keyframe timestamps are
 reproduced bit-for-bit by construction rather than through an interpolation
 that happens to hit the endpoints.
 
-Between keyframes, paths matched by signature are interpolated: interior
-vertices move linearly, the receiver vertex follows the exact trajectory,
-the delay is recomputed from the interpolated polyline, per-entry transfer
-magnitudes are blended linearly, and the phase advances from the left
-keyframe by ``-2*pi*f*(tau(t) - tau_left)``.  Doppler is the analytic
-derivative of the interpolated polyline length, never a finite difference
-of outputs.  Interpolation runs once per bracket (the interval between two
-keyframes): :func:`interpolate_bracket` stacks the bracket's matched paths
-of each vertex count into one (paths, times, vertices, 3) array and
-evaluates all of its snapshot times at once.  Paths present on only one
-side of an interval are ramped in or out over half the interval
-(``RAMP_FRACTION``), from a seeded random activation time chosen so the
-linear ramp finishes inside the interval; during a ramp the geometry is held
-frozen from the keyframe where the path exists, so the held path has zero
-Doppler.
+The unit of tracking is the :class:`Bracket`, the interval between two
+keyframes.  :func:`track_interval` builds it: paths matched by signature
+at both ends, and paths present on only one side (births and deaths), each
+with a seeded random activation time chosen so its linear ramp, half the
+interval long (``RAMP_FRACTION``), finishes inside the interval.
+
+:func:`interpolate_bracket` evaluates one bracket at all of its snapshot
+times at once.  Matched paths of each vertex count are stacked into one
+(paths, times, vertices, 3) array: interior vertices move linearly, the
+receiver vertex follows the exact trajectory, the delay is recomputed from
+the interpolated polyline, per-entry transfer magnitudes are blended
+linearly, and the phase advances from the left keyframe by
+``-2*pi*f*(tau(t) - tau_left)``.  Doppler is the analytic derivative of the
+interpolated polyline length, never a finite difference of outputs.  A
+birth or death keeps the geometry of the keyframe where it exists, with
+zero Doppler and its transfer scaled by the ramp factor.
+
+:func:`stream_snapshots` emits the stream bracket by bracket: each keyframe
+snapshot, then the interior snapshots of the bracket it opens.
 """
 
 from __future__ import annotations
@@ -177,22 +181,24 @@ def match_paths(kf_a: ChannelSnapshot, kf_b: ChannelSnapshot):
 
 
 @dataclass
-class TrackedPath:
-    """A path followed across one keyframe interval.
+class Bracket:
+    """Paths tracked across one keyframe interval ``[t_a, t_b]``.
 
-    kind is ``matched`` (present at both ends), ``birth`` (right end only)
-    or ``death`` (left end only).  Births and deaths carry an activation
-    time and a ramp duration chosen by :func:`apply_birth_death`.
+    ``matched`` holds ``(path_a, path_b)`` pairs present at both ends, in the
+    order of the left keyframe.  ``births`` (right end only) and ``deaths``
+    (left end only) hold ``(path, activation)`` pairs scheduled by
+    :func:`apply_birth_death`, each sorted by signature.
     """
 
-    signature: str
-    kind: str
     t_a: float
     t_b: float
-    path_a: RayPath | None = None
-    path_b: RayPath | None = None
-    activation: float | None = None
-    ramp_duration: float = 0.0
+    matched: list
+    births: list
+    deaths: list
+
+
+def _ramp_length(t_a: float, t_b: float) -> float:
+    return RAMP_FRACTION * (t_b - t_a)
 
 
 def apply_birth_death(
@@ -201,115 +207,56 @@ def apply_birth_death(
     t_a: float,
     t_b: float,
     rng: np.random.Generator,
-) -> list[TrackedPath]:
+) -> tuple[list, list]:
     """Schedule ramps for paths that appear or disappear in ``[t_a, t_b]``.
 
     Each ramp takes ``RAMP_FRACTION`` of the interval.  Activation times are
     drawn uniformly from the sub-interval that lets the linear ramp finish
     before the right keyframe, so snapshots that land on keyframes never see
     a partially ramped path.  Births ramp 0 -> 1 starting at the activation;
-    deaths hold full amplitude and ramp 1 -> 0 from it.  Draw order is
+    deaths hold full amplitude and ramp 1 -> 0 from it.  Returns the
+    ``(path, activation)`` lists of births and deaths.  Draw order is
     deterministic: births sorted by signature, then deaths.
     """
-    interval = t_b - t_a
-    ramp = RAMP_FRACTION * interval
-    window = interval - ramp
-    out: list[TrackedPath] = []
-    for p in sorted(births, key=lambda q: q.signature):
-        act = t_a + float(rng.random()) * window
-        out.append(
-            TrackedPath(
-                signature=p.signature,
-                kind="birth",
-                t_a=t_a,
-                t_b=t_b,
-                path_b=p,
-                activation=act,
-                ramp_duration=ramp,
-            )
-        )
-    for p in sorted(deaths, key=lambda q: q.signature):
-        act = t_a + float(rng.random()) * window
-        out.append(
-            TrackedPath(
-                signature=p.signature,
-                kind="death",
-                t_a=t_a,
-                t_b=t_b,
-                path_a=p,
-                activation=act,
-                ramp_duration=ramp,
-            )
-        )
-    return out
+    window = (t_b - t_a) - _ramp_length(t_a, t_b)
+
+    def schedule(paths):
+        return [
+            (p, t_a + float(rng.random()) * window)
+            for p in sorted(paths, key=lambda q: q.signature)
+        ]
+
+    return schedule(births), schedule(deaths)
 
 
 def track_interval(
     kf_a: ChannelSnapshot,
     kf_b: ChannelSnapshot,
     rng: np.random.Generator,
-) -> list[TrackedPath]:
-    """Paths tracked across the interval from ``kf_a`` to ``kf_b``.
-
-    Matched pairs come first, in the order of ``kf_a``, followed by the
-    births and deaths scheduled by :func:`apply_birth_death`.
-    """
+) -> Bracket:
+    """The bracket from ``kf_a`` to ``kf_b``: :func:`match_paths` pairs,
+    with the births and deaths scheduled by :func:`apply_birth_death`."""
     matched, births, deaths = match_paths(kf_a, kf_b)
-    tracks = [
-        TrackedPath(
-            signature=pa.signature,
-            kind="matched",
-            t_a=kf_a.timestamp,
-            t_b=kf_b.timestamp,
-            path_a=pa,
-            path_b=pb,
-        )
-        for pa, pb in matched
-    ]
-    tracks.extend(
-        apply_birth_death(births, deaths, kf_a.timestamp, kf_b.timestamp, rng)
-    )
-    return tracks
+    births, deaths = apply_birth_death(births, deaths, kf_a.timestamp, kf_b.timestamp, rng)
+    return Bracket(kf_a.timestamp, kf_b.timestamp, matched, births, deaths)
 
 
 # ----------------------------------------------------------------------
 # interpolation
 # ----------------------------------------------------------------------
-def _held_path(source: RayPath, factor: float) -> RayPath:
-    return replace(source, transfer=source.transfer * factor, doppler_hz=0.0)
-
-
-def _held_factor(tracked: TrackedPath, t: float) -> float | None:
-    """Ramp factor of a birth or death at time ``t``, or ``None`` while a
-    birth has not activated / after a death has completed."""
-    act = tracked.activation
-    ramp = tracked.ramp_duration
-    if tracked.kind == "birth":
-        if t <= act:
-            return None
-        if ramp > 0.0 and t < act + ramp:
-            return (t - act) / ramp
-        return 1.0
-    if t < act:
-        return 1.0
-    if ramp > 0.0 and t < act + ramp:
-        return 1.0 - (t - act) / ramp
-    return None
-
-
 def _interpolate_matched(
-    tracks: list[TrackedPath],
+    pairs: list,
+    t_a: float,
+    t_b: float,
     times: np.ndarray,
     rx_positions: np.ndarray,
     rx_velocities: np.ndarray,
     carrier: CarrierConfig,
 ) -> list[RayPath]:
-    """Rows of M matched tracks with one vertex count at S times, track-major
-    (row ``m * S + s`` is track m at time s)."""
-    pa = [tr.path_a for tr in tracks]
-    pb = [tr.path_b for tr in tracks]
-    t_a = tracks[0].t_a
-    span = tracks[0].t_b - t_a
+    """Rows of M matched pairs with one vertex count at S times, pair-major
+    (row ``m * S + s`` is pair m at time s)."""
+    pa, pb = zip(*pairs)
+    span = t_b - t_a
     alpha = ((times - t_a) / span)[None, :, None, None]
     va = np.stack([p.vertices for p in pa])[:, None]  # (M, 1, n, 3)
     vb = np.stack([p.vertices for p in pb])[:, None]
@@ -351,61 +298,67 @@ def _interpolate_matched(
 
 
 def interpolate_bracket(
-    tracks: list[TrackedPath],
+    bracket: Bracket,
     times,
     rx_positions,
     rx_velocities,
     carrier: CarrierConfig,
 ) -> list[list[RayPath]]:
-    """Path sets at every one of ``times`` inside one tracked bracket.
+    """Path sets at every one of ``times`` inside ``bracket``.
 
-    ``tracks`` come from :func:`track_interval` and share its interval;
     ``rx_positions`` and ``rx_velocities`` are the trajectory at the S
-    ``times``.  Entry s of the result holds the paths alive at ``times[s]``
-    in track order: births before activation and deaths after their ramp
-    are left out.  Matched tracks with equal vertex counts are evaluated as
-    one array batch over all times.
+    ``times``.  Entry s of the result holds the paths alive at ``times[s]``:
+    the matched pairs, then the births, then the deaths, each in bracket
+    order.  Matched pairs with equal vertex counts are evaluated as one array
+    batch over all times.  A birth or death keeps its keyframe geometry with
+    zero Doppler and its transfer scaled by the ramp factor; births are left
+    out until their activation and deaths after their ramp.
     """
+    t_a, t_b = bracket.t_a, bracket.t_b
     times = np.asarray(times, dtype=float)
-    if not tracks or not len(times):
-        return [[] for _ in times]
-    t_a, t_b = tracks[0].t_a, tracks[0].t_b
     outside = (times < t_a - _T_EPS) | (times > t_b + _T_EPS)
     if outside.any():
         raise ValueError(
             f"time {times[outside][0]} outside tracked interval [{t_a}, {t_b}]"
         )
-    rows: list[list] = [[None] * len(tracks) for _ in times]
+    n_times = len(times)
+    if not n_times:
+        return []
+    rows: list[list] = [[None] * len(bracket.matched) for _ in range(n_times)]
 
     groups: dict[int, list[int]] = {}
-    for k, tracked in enumerate(tracks):
-        if tracked.kind == "matched":
-            n_a = tracked.path_a.vertices.shape[0]
-            n_b = tracked.path_b.vertices.shape[0]
-            if n_a != n_b:
-                raise ValueError(
-                    f"matched paths {tracked.signature!r} have {n_a} and "
-                    f"{n_b} vertices; cannot interpolate"
-                )
-            groups.setdefault(n_a, []).append(k)
-            continue
-        source = tracked.path_b if tracked.kind == "birth" else tracked.path_a
-        for row, t in zip(rows, times.tolist()):
-            factor = _held_factor(tracked, t)
-            if factor is not None:
-                row[k] = _held_path(source, factor)
-
+    for k, (pa, pb) in enumerate(bracket.matched):
+        n_a, n_b = len(pa.vertices), len(pb.vertices)
+        if n_a != n_b:
+            raise ValueError(
+                f"matched paths {pa.signature!r} have {n_a} and {n_b} vertices; "
+                "cannot interpolate"
+            )
+        groups.setdefault(n_a, []).append(k)
     rx_positions = np.asarray(rx_positions, dtype=float)
     rx_velocities = np.asarray(rx_velocities, dtype=float)
-    n_times = len(times)
     for ks in groups.values():
         paths = _interpolate_matched(
-            [tracks[k] for k in ks], times, rx_positions, rx_velocities, carrier
+            [bracket.matched[k] for k in ks], t_a, t_b, times, rx_positions, rx_velocities, carrier
         )
         for m, k in enumerate(ks):
             for s in range(n_times):
                 rows[s][k] = paths[m * n_times + s]
-    return [[p for p in row if p is not None] for row in rows]
+
+    # births and deaths: (alive, ramp factor) over all times
+    ramp = _ramp_length(t_a, t_b)
+    held = []
+    for path, act in bracket.births:
+        factor = np.where(times < act + ramp, (times - act) / ramp, 1.0)
+        held.append((path, times > act, factor))
+    for path, act in bracket.deaths:
+        factor = np.where(times < act, 1.0, 1.0 - (times - act) / ramp)
+        held.append((path, times < act + ramp, factor))
+    for path, alive, factor in held:
+        for row, ok, f in zip(rows, alive.tolist(), factor.tolist()):
+            if ok:
+                row.append(replace(path, transfer=path.transfer * f, doppler_hz=0.0))
+    return rows
 
 
 def _radial_doppler(path: RayPath, rx_velocity: np.ndarray, carrier: CarrierConfig) -> float:
@@ -434,6 +387,11 @@ class StreamResult:
     keyframe_seconds: float = 0.0
     interpolation_seconds: float = 0.0
     scatter_seconds: float = 0.0
+
+
+def _with_doppler(paths: list, rx_velocity: np.ndarray, carrier: CarrierConfig) -> list:
+    """Copies of exactly traced paths with their radial Doppler filled in."""
+    return [replace(p, doppler_hz=_radial_doppler(p, rx_velocity, carrier)) for p in paths]
 
 
 def _path_sort_key(p: RayPath):
@@ -500,52 +458,45 @@ def stream_snapshots(
     if scatter_mode != "off" and scene.scatterers:
         engine = ScatterEngine(scene, carrier, leg_policy)
     kf_engine = engine if scatter_mode == "interpolated" else None
+    exact_engine = engine if scatter_mode == "exact" else None
 
     t0 = time.perf_counter()
     keyframes = _solve_keyframes(tracer, traj, tx, kf_steps, update_step, limits, kf_engine)
     keyframe_seconds = time.perf_counter() - t0
 
-    # interior snapshots, one interpolate_bracket call per keyframe interval
-    # (only when snapshots fall strictly inside an interval)
     interpolation_seconds = 0.0
-    interior: dict[int, tuple] = {}
-    if stride > 1:
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(seed)
-        for a, b in zip(keyframes[:-1], keyframes[1:]):
-            tracks = track_interval(a, b, rng)
-            steps = range(a.index + 1, b.index)
-            times = [i * update_step for i in steps]
-            rx = [traj.position(t) for t in times]
-            v = [traj.velocity(t) for t in times]
-            rows = interpolate_bracket(tracks, times, rx, v, carrier)
-            interior.update(zip(steps, zip(rx, v, rows)))
-        interpolation_seconds += time.perf_counter() - t0
-
-    kf_pos = {s: i for i, s in enumerate(kf_steps)}
     scatter_seconds = 0.0
     snapshots: list[ChannelSnapshot] = []
-    for i in range(start_step, n_steps + 1):
-        t = i * update_step
-        pos = kf_pos.get(i)
-        if pos is not None:
-            kf = keyframes[pos]
-            rx = kf.rx_position
-            v = traj.velocity(t)
-            paths = [replace(p, doppler_hz=_radial_doppler(p, v, carrier)) for p in kf.paths]
-            at_kf = True
-        else:
-            rx, v, paths = interior.pop(i)
-            at_kf = False
-        if engine is not None and scatter_mode == "exact":
+
+    def emit(i, rx, v, paths, at_kf):
+        nonlocal scatter_seconds
+        if exact_engine is not None:
             t0 = time.perf_counter()
-            sp = engine.paths(tx, rx)
-            paths.extend(replace(p, doppler_hz=_radial_doppler(p, v, carrier)) for p in sp)
+            paths = paths + _with_doppler(exact_engine.paths(tx, rx), v, carrier)
             scatter_seconds += time.perf_counter() - t0
         paths.sort(key=_path_sort_key)
         snapshots.append(
-            ChannelSnapshot(index=i, timestamp=t, rx_position=rx, paths=paths, at_keyframe=at_kf)
+            ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=paths, at_keyframe=at_kf)
         )
+
+    # each keyframe, then the snapshots strictly inside its bracket (only
+    # when the stride leaves room for them)
+    rng = np.random.default_rng(seed)
+    for kf, nxt in zip(keyframes, keyframes[1:] + [None]):
+        v = traj.velocity(kf.timestamp)
+        emit(kf.index, kf.rx_position, v, _with_doppler(kf.paths, v, carrier), True)
+        if nxt is None or stride == 1:
+            continue
+        t0 = time.perf_counter()
+        bracket = track_interval(kf, nxt, rng)
+        steps = range(kf.index + 1, nxt.index)
+        times = [i * update_step for i in steps]
+        rx = [traj.position(t) for t in times]
+        v = [traj.velocity(t) for t in times]
+        rows = interpolate_bracket(bracket, times, rx, v, carrier)
+        interpolation_seconds += time.perf_counter() - t0
+        for i, r, vel, paths in zip(steps, rx, v, rows):
+            emit(i, r, vel, paths, False)
 
     return StreamResult(
         snapshots=snapshots,

@@ -181,10 +181,8 @@ def utd_coefficients(
     phi_inc: float,
     phi_out: float,
     distance_param: float,
-    r0_soft: complex,
-    rn_soft: complex,
-    r0_hard: complex,
-    rn_hard: complex,
+    r_soft: complex,
+    r_hard: complex,
 ) -> tuple[complex, complex]:
     """Uniform wedge diffraction coefficients (D_soft, D_hard).
 
@@ -192,9 +190,9 @@ def utd_coefficients(
     ``phi_out`` are measured from the o-face in the exterior region;
     ``beta0`` is the skew angle between ray and edge; ``distance_param`` is
     the spherical-wave distance parameter s s' sin^2(beta0) / (s + s').
-    The face reflection coefficients multiply the two reflection-boundary
-    terms (r0* for the o-face, rn* for the n-face); -1/+1 recover the
-    perfectly-conducting soft/hard cases.
+    Both faces share one material, so one face reflection coefficient per
+    polarization multiplies the two reflection-boundary terms; -1/+1
+    recover the perfectly-conducting soft/hard cases.
     """
     if distance_param <= 0:
         raise ValueError("distance parameter must be positive")
@@ -210,8 +208,9 @@ def utd_coefficients(
     pref = -cmath.exp(-1j * math.pi / 4) / (
         2.0 * n_index * math.sqrt(_TWO_PI * wavenumber) * sin_b
     )
-    d_soft = pref * (t1 + t2 + rn_soft * t3 + r0_soft * t4)
-    d_hard = pref * (t1 + t2 + rn_hard * t3 + r0_hard * t4)
+    # two products, not r * (t3 + t4), which rounds differently
+    d_soft = pref * (t1 + t2 + r_soft * t3 + r_soft * t4)
+    d_hard = pref * (t1 + t2 + r_hard * t3 + r_hard * t4)
     return d_soft, d_hard
 
 
@@ -294,7 +293,8 @@ def _apply_reflection(b_mat, k_in, scene, rec, carrier):
 
 
 def _wedge_face_coefficients(wedge, phi_inc, phi_out, carrier):
-    """Face Fresnel coefficients at a symmetric effective angle.
+    """(soft, hard) Fresnel coefficients of the wedge faces, which share one
+    material, at a symmetric effective angle.
 
     The effective grazing angle (pi - |phi_out - phi_inc|)/2 equals the
     geometric-optics grazing angle at each reflection boundary and is
@@ -305,8 +305,7 @@ def _wedge_face_coefficients(wedge, phi_inc, phi_out, carrier):
     cos_theta = abs(math.sin(grazing))
     theta = math.acos(min(1.0, cos_theta))
     theta = min(theta, math.pi / 2 - 1e-12)
-    r_s, r_h = fresnel_reflection(wedge.material, theta, carrier)
-    return r_s, r_s, r_h, r_h
+    return fresnel_reflection(wedge.material, theta, carrier)
 
 
 def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, carrier):
@@ -325,7 +324,7 @@ def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, c
     phi_inc = math.atan2(np.dot(p_src, wedge.o_normal), np.dot(p_src, wedge.o_tangent)) % _TWO_PI
     phi_out = math.atan2(np.dot(p_obs, wedge.o_normal), np.dot(p_obs, wedge.o_tangent)) % _TWO_PI
     L = s_before * s_after * math.sin(beta0) ** 2 / (s_before + s_after)
-    r0_s, rn_s, r0_h, rn_h = _wedge_face_coefficients(wedge, phi_inc, phi_out, carrier)
+    r_s, r_h = _wedge_face_coefficients(wedge, phi_inc, phi_out, carrier)
     d_soft, d_hard = utd_coefficients(
         n_index=wedge.n_index,
         wavenumber=carrier.wavenumber,
@@ -333,10 +332,8 @@ def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, c
         phi_inc=phi_inc,
         phi_out=phi_out,
         distance_param=L,
-        r0_soft=r0_s,
-        rn_soft=rn_s,
-        r0_hard=r0_h,
-        rn_hard=rn_h,
+        r_soft=r_s,
+        r_hard=r_h,
     )
     # ray-fixed polarization bases: soft acts on the component in the
     # edge-fixed plane of incidence, hard on the perpendicular one

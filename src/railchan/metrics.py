@@ -309,16 +309,10 @@ class MetricError:
 
 @dataclass
 class ErrorReport:
-    """compare_streams output: per-metric errors plus optional timing facts
-    filled in by the experiment drivers."""
+    """compare_streams output: per-metric errors on the reference timestamps."""
 
     metrics: dict
     timestamps: np.ndarray
-    reference_seconds: float = math.nan
-    test_seconds: float = math.nan
-    normalized_compute_time: float = math.nan
-    rt_invocations_reference: int = 0
-    rt_invocations_test: int = 0
 
     def summary(self) -> dict:
         """name -> NRMSE for every metric with a usable normalization."""

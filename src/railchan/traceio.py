@@ -146,7 +146,11 @@ def write_nrmse_csv(path, rows) -> None:
 
 
 def write_timing_csv(path, rows) -> None:
-    """Per-interval compute cost relative to the exact reference."""
+    """Per-interval compute cost relative to the exact reference.
+
+    ``rows`` hold (kf_interval_s, reference_seconds, test_seconds,
+    normalized_compute_time, rt_invocations_reference, rt_invocations_test).
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -159,17 +163,8 @@ def write_timing_csv(path, rows) -> None:
                 "rt_invocations_test",
             )
         )
-        for interval, report in rows:
-            w.writerow(
-                (
-                    _fmt(interval),
-                    _fmt(report.reference_seconds),
-                    _fmt(report.test_seconds),
-                    _fmt(report.normalized_compute_time),
-                    report.rt_invocations_reference,
-                    report.rt_invocations_test,
-                )
-            )
+        for *floats, rt_reference, rt_test in rows:
+            w.writerow((*map(_fmt, floats), rt_reference, rt_test))
 
 
 def write_error_cdf_csv(path, rows) -> None:

@@ -148,6 +148,27 @@ def test_window_outside_run_exits_2(capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scatter-study", "--kf-interval", "0.5", "--window", "20.5:20.605"], "window stop"),
+        (["run", "--config", "tx_inside.json", "--duration", "0.05"], "inside a building"),
+        (["sweep", "--config", "tx_inside.json", "--duration", "0.05"], "inside a building"),
+        (["scatter-study", "--config", "tx_inside.json"], "inside a building"),
+        (["bench", "--config", "tx_inside.json", "--duration", "0.5"], "inside a building"),
+    ],
+    ids=["window_stop_off_step", "run_tx_inside", "sweep_tx_inside", "scatter_study_tx_inside", "bench_tx_inside"],
+)
+def test_bad_inputs_exit_2_before_output(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    raw["tx_position_m"] = [30.0, 18.0, 5.0]  # inside building 0 of the preset scene
+    (tmp_path / "tx_inside.json").write_text(json.dumps(raw))
+    assert main(argv + ["--output-dir", "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_duration_beyond_track_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     # the preset track takes 60.0012 s at 100 km/h

@@ -4,8 +4,8 @@ The Doppler oracle value 176.05 Hz is (100/3.6 m/s) * 1.9 GHz / c.  Keyframe
 pinning is structural: snapshots that land on a keyframe step reuse the exact
 keyframe path set, so delays match bitwise and magnitudes to fp noise.
 
-``interpolate_path`` below is the scalar oracle of the batched
-``interpolate_bracket``: one tracked path at one time, with the delay and
+``oracle_row`` below is the scalar oracle of the batched
+``interpolate_bracket``: one bracket entry at one time, with the delay and
 angles of each row computed one vector at a time.  The batch must reproduce
 it bit for bit.
 """
@@ -18,7 +18,8 @@ import pytest
 
 from railchan.config import load_preset
 from railchan.dynamics import (
-    TrackedPath,
+    RAMP_FRACTION,
+    Bracket,
     Trajectory,
     interpolate_bracket,
     match_paths,
@@ -66,33 +67,45 @@ def _held_path(source, factor):
     return replace(source, transfer=source.transfer * factor, doppler_hz=0.0)
 
 
-def interpolate_path(tracked, t, rx_position, rx_velocity, carrier):
-    """Path state at time ``t`` inside the tracked interval, or ``None``
-    while a birth has not activated / after a death has completed."""
-    if t < tracked.t_a - 1e-9 or t > tracked.t_b + 1e-9:
-        raise ValueError(f"time {t} outside tracked interval [{tracked.t_a}, {tracked.t_b}]")
-    if tracked.kind == "birth":
-        act = tracked.activation
+def bracket_entries(bracket):
+    """``(kind, entry)`` for every entry of a bracket, in row order."""
+    return (
+        [("matched", e) for e in bracket.matched]
+        + [("birth", e) for e in bracket.births]
+        + [("death", e) for e in bracket.deaths]
+    )
+
+
+def oracle_row(bracket, kind, entry, t, rx_position, rx_velocity, carrier):
+    """State of one bracket entry at time ``t``, or ``None`` while a birth
+    has not activated / after a death has completed.  ``entry`` is a
+    ``(path_a, path_b)`` pair for ``kind`` "matched", else ``(path,
+    activation)``."""
+    if t < bracket.t_a - 1e-9 or t > bracket.t_b + 1e-9:
+        raise ValueError(f"time {t} outside tracked interval [{bracket.t_a}, {bracket.t_b}]")
+    ramp = RAMP_FRACTION * (bracket.t_b - bracket.t_a)
+    if kind == "birth":
+        path, act = entry
         if t <= act:
             return None
-        if tracked.ramp_duration > 0.0 and t < act + tracked.ramp_duration:
-            return _held_path(tracked.path_b, (t - act) / tracked.ramp_duration)
-        return _held_path(tracked.path_b, 1.0)
-    if tracked.kind == "death":
-        act = tracked.activation
+        if t < act + ramp:
+            return _held_path(path, (t - act) / ramp)
+        return _held_path(path, 1.0)
+    if kind == "death":
+        path, act = entry
         if t < act:
-            return _held_path(tracked.path_a, 1.0)
-        if tracked.ramp_duration > 0.0 and t < act + tracked.ramp_duration:
-            return _held_path(tracked.path_a, 1.0 - (t - act) / tracked.ramp_duration)
+            return _held_path(path, 1.0)
+        if t < act + ramp:
+            return _held_path(path, 1.0 - (t - act) / ramp)
         return None
 
-    pa, pb = tracked.path_a, tracked.path_b
-    span = tracked.t_b - tracked.t_a
-    alpha = (t - tracked.t_a) / span
+    pa, pb = entry
+    span = bracket.t_b - bracket.t_a
+    alpha = (t - bracket.t_a) / span
     va = pa.vertices
     vb = pb.vertices
     if va.shape != vb.shape:
-        raise ValueError(f"matched paths {tracked.signature!r} differ in vertex count")
+        raise ValueError(f"matched paths {pa.signature!r} differ in vertex count")
     verts = va + alpha * (vb - va)
     verts[-1] = rx_position
     seg = np.diff(verts, axis=0)
@@ -114,9 +127,15 @@ def interpolate_path(tracked, t, rx_position, rx_velocity, carrier):
     return _scalar_path(pa.interactions, verts, transfer, pa.tag, doppler)
 
 
-def interpolate_one(tracked, t, traj, carrier=F19):
-    """The batched routine at a single time: one path or ``None``."""
-    (row,) = interpolate_bracket([tracked], [t], [traj.position(t)], [traj.velocity(t)], carrier)
+def matched_bracket(t_a, t_b, pair):
+    """A bracket holding the one matched ``(path_a, path_b)`` pair."""
+    return Bracket(t_a, t_b, [pair], [], [])
+
+
+def interpolate_one(bracket, t, traj, carrier=F19):
+    """The batched routine at a single time on a one-entry bracket: one path
+    or ``None``."""
+    (row,) = interpolate_bracket(bracket, [t], [traj.position(t)], [traj.velocity(t)], carrier)
     return row[0] if row else None
 
 
@@ -236,64 +255,70 @@ class TestInterpolateLoS:
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=2.0)
         kfs = keyframes(scene, traj, tx, 1.0)
         matched, _, _ = match_paths(kfs[0], kfs[1])
-        tp = TrackedPath(
-            signature="LOS",
-            kind="matched",
-            t_a=kfs[0].timestamp,
-            t_b=kfs[1].timestamp,
-            path_a=matched[0][0],
-            path_b=matched[0][1],
-        )
-        return scene, tx, traj, tp
+        return scene, tx, traj, matched_bracket(kfs[0].timestamp, kfs[1].timestamp, matched[0])
 
     def test_left_keyframe_identity(self):
-        scene, tx, traj, tp = self.make()
-        p = interpolate_one(tp, tp.t_a, traj)
-        np.testing.assert_array_equal(p.vertices, tp.path_a.vertices)
-        assert p.delay_s == tp.path_a.delay_s
-        np.testing.assert_allclose(p.transfer, tp.path_a.transfer, rtol=1e-12)
+        scene, tx, traj, br = self.make()
+        (pa, pb), = br.matched
+        p = interpolate_one(br, br.t_a, traj)
+        np.testing.assert_array_equal(p.vertices, pa.vertices)
+        assert p.delay_s == pa.delay_s
+        np.testing.assert_allclose(p.transfer, pa.transfer, rtol=1e-12)
 
     def test_colinear_los_exact_at_all_times(self):
-        scene, tx, traj, tp = self.make()
+        scene, tx, traj, br = self.make()
         for t in np.linspace(0.0, 1.0, 11):
             rx = traj.position(t)
-            p = interpolate_one(tp, t, traj)
+            p = interpolate_one(br, t, traj)
             exact_delay = float(np.linalg.norm(rx - tx)) / C0
             assert p.delay_s == pytest.approx(exact_delay, abs=1e-15)
 
     def test_phase_law(self):
-        scene, tx, traj, tp = self.make()
+        scene, tx, traj, br = self.make()
+        (pa, pb), = br.matched
         t = 0.37
-        p = interpolate_one(tp, t, traj)
-        dtau = p.delay_s - tp.path_a.delay_s
+        p = interpolate_one(br, t, traj)
+        dtau = p.delay_s - pa.delay_s
         for idx in [(0, 0), (1, 1)]:
-            want = np.angle(tp.path_a.transfer[idx]) - 2.0 * math.pi * 1.9e9 * dtau
+            want = np.angle(pa.transfer[idx]) - 2.0 * math.pi * 1.9e9 * dtau
             got = np.angle(p.transfer[idx])
             assert math.cos(got - want) == pytest.approx(1.0, abs=1e-10)
 
     def test_magnitude_linear(self):
-        scene, tx, traj, tp = self.make()
+        scene, tx, traj, br = self.make()
+        (pa, pb), = br.matched
         t = 0.25
-        p = interpolate_one(tp, t, traj)
-        a = np.abs(tp.path_a.transfer)
-        b = np.abs(tp.path_b.transfer)
+        p = interpolate_one(br, t, traj)
+        a = np.abs(pa.transfer)
+        b = np.abs(pb.transfer)
         np.testing.assert_allclose(np.abs(p.transfer), 0.75 * a + 0.25 * b, rtol=1e-12)
 
     def test_outside_interval_rejected(self):
-        scene, tx, traj, tp = self.make()
+        scene, tx, traj, br = self.make()
         times = [0.5, 1.5]
         rx = [traj.position(t) for t in times]
         v = [traj.velocity(t) for t in times]
         with pytest.raises(ValueError, match="outside tracked interval"):
-            interpolate_bracket([tp], times, rx, v, F19)
+            interpolate_bracket(br, times, rx, v, F19)
+
+    def test_empty_bracket_rejects_outside_times(self):
+        # a bracket with no paths still has an interval to check against
+        scene, tx, traj, br = self.make()
+        empty = Bracket(br.t_a, br.t_b, [], [], [])
+        times = [0.5, 1.5]
+        rx = [traj.position(t) for t in times]
+        v = [traj.velocity(t) for t in times]
+        with pytest.raises(ValueError, match="outside tracked interval"):
+            interpolate_bracket(empty, times, rx, v, F19)
+        assert interpolate_bracket(empty, times[:1], rx[:1], v[:1], F19) == [[]]
 
     def test_vertex_count_mismatch_rejected(self):
-        scene, tx, traj, tp = self.make()
-        pb = tp.path_b
+        scene, tx, traj, br = self.make()
+        (pa, pb), = br.matched
         bent = RayPath.from_polyline(pb.interactions, np.insert(pb.vertices, 1, [0.0, 10.0, 5.0], axis=0), pb.transfer)
-        tp = replace(tp, path_b=bent)
+        br = replace(br, matched=[(pa, bent)])
         with pytest.raises(ValueError, match="cannot interpolate"):
-            interpolate_bracket([tp], [0.5], [traj.position(0.5)], [traj.velocity(0.5)], F19)
+            interpolate_bracket(br, [0.5], [traj.position(0.5)], [traj.velocity(0.5)], F19)
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.5], ids=lambda kf: f"kf{kf}")
@@ -327,23 +352,27 @@ class TestBracketAgainstOracle:
         carrier, traj, brackets = preset_brackets
         rows_by_kind = {"matched": 0, "birth": 0, "death": 0}
         in_ramp = {"birth": 0, "death": 0}
-        for tracks, times in brackets:
+        for bracket, times in brackets:
+            ramp = RAMP_FRACTION * (bracket.t_b - bracket.t_a)
             rx = [traj.position(t) for t in times]
             v = [traj.velocity(t) for t in times]
-            got_rows = interpolate_bracket(tracks, times, rx, v, carrier)
+            got_rows = interpolate_bracket(bracket, times, rx, v, carrier)
             assert len(got_rows) == len(times)
             for t, r, vel, got in zip(times, rx, v, got_rows):
-                want = [(tr, interpolate_path(tr, t, r, vel, carrier)) for tr in tracks]
-                want = [(tr, p) for tr, p in want if p is not None]
+                want = [
+                    (kind, entry, oracle_row(bracket, kind, entry, t, r, vel, carrier))
+                    for kind, entry in bracket_entries(bracket)
+                ]
+                want = [w for w in want if w[2] is not None]
                 assert len(got) == len(want)
-                for p, (tr, q) in zip(got, want):
+                for p, (kind, entry, q) in zip(got, want):
                     assert p.interactions is q.interactions
                     assert p.tag == q.tag
                     for field in ("vertices", "delay_s", "aod", "aoa", "doppler_hz", "transfer"):
-                        assert _bits(getattr(p, field)) == _bits(getattr(q, field)), (field, tr.signature, t)
-                    rows_by_kind[tr.kind] += 1
-                    if tr.kind != "matched" and tr.activation < t < tr.activation + tr.ramp_duration:
-                        in_ramp[tr.kind] += 1
+                        assert _bits(getattr(p, field)) == _bits(getattr(q, field)), (field, q.signature, t)
+                    rows_by_kind[kind] += 1
+                    if kind != "matched" and entry[1] < t < entry[1] + ramp:
+                        in_ramp[kind] += 1
         print(f"rows per kind {rows_by_kind}, inside a ramp {in_ramp}")
         assert min(rows_by_kind.values()) > 0, rows_by_kind
         assert min(in_ramp.values()) > 0, in_ramp
@@ -447,15 +476,16 @@ class TestStream:
         traj = straight_traj([-30, 0, 2], [30, 0, 2], 20.0, duration=1.0)
         tx = np.array([0.0, 30.0, 10.0])
         kf_a, kf_b = keyframes(scene, traj, tx, 0.5, update_step=0.05, limits=FULL)[:2]
-        tracks = [tp for tp in track_interval(kf_a, kf_b, np.random.default_rng(0)) if tp.kind == "matched"]
-        assert any(tp.path_a.interactions for tp in tracks)
-        for tp in tracks:
-            pa = tp.path_a
+        bracket = track_interval(kf_a, kf_b, np.random.default_rng(0))
+        assert any(pa.interactions for pa, _ in bracket.matched)
+        for pair in bracket.matched:
+            pa = pair[0]
+            one = matched_bracket(bracket.t_a, bracket.t_b, pair)
             for t in (0.1, 0.25, 0.4):
-                p = interpolate_one(tp, t, traj)
+                p = interpolate_one(one, t, traj)
                 assert p.interactions is pa.interactions
                 assert len(p.vertices) == len(pa.vertices)
-            p = interpolate_one(tp, tp.t_a, traj)
+            p = interpolate_one(one, one.t_a, traj)
             assert p.interactions is pa.interactions
             assert p.signature == pa.signature and p.tag == pa.tag
             np.testing.assert_array_equal(p.vertices, pa.vertices)

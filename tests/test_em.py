@@ -204,10 +204,8 @@ def half_plane_total_field(phi_obs, phi_src, s_src, s_obs, carrier, pol):
         phi_inc=phi_src,
         phi_out=phi_obs,
         distance_param=L,
-        r0_soft=-1.0,
-        rn_soft=-1.0,
-        r0_hard=+1.0,
-        rn_hard=+1.0,
+        r_soft=-1.0,
+        r_hard=+1.0,
     )
     dcoef = ds if pol == "soft" else dh
     spread = math.sqrt(s_src / (s_obs * (s_src + s_obs)))
@@ -248,10 +246,8 @@ class TestUtd:
             wavenumber=k,
             beta0=math.pi / 2,
             distance_param=20.0,
-            r0_soft=-1.0,
-            rn_soft=-1.0,
-            r0_hard=+1.0,
-            rn_hard=+1.0,
+            r_soft=-1.0,
+            r_hard=+1.0,
         )
         a = utd_coefficients(phi_inc=0.7, phi_out=2.2, **kwargs)
         b = utd_coefficients(phi_inc=2.2, phi_out=0.7, **kwargs)
@@ -271,10 +267,8 @@ class TestUtd:
                 phi_inc=phi_src,
                 phi_out=math.pi + phi_src + dphi,
                 distance_param=15.0,
-                r0_soft=-1.0,
-                rn_soft=-1.0,
-                r0_hard=+1.0,
-                rn_hard=+1.0,
+                r_soft=-1.0,
+                r_hard=+1.0,
             )
             values.append(ds)
         mags = np.abs(values)
