@@ -8,7 +8,8 @@ sweep          accuracy/cost study over keyframe intervals; write nrmse.csv,
 scatter-study  windowed study of discrete-scatterer contributions; write
                tvcir_total.csv, tvcir_scatter.csv, power_split.csv,
                scatter_summary.csv, manifest.json
-bench          micro-benchmarks of the solver stages; write bench.csv
+bench          micro-benchmarks of the solver stages; write bench.csv, and
+               trace.csv of the snapshots the writer stage times
 validate-scene check a scene file and print its inventory
 
 Exit codes: 0 success, 2 configuration/scene errors, 3 unexpected failures.
@@ -38,6 +39,7 @@ from .dynamics import (
     ChannelSnapshot,
     Trajectory,
     interpolate_bracket,
+    keyframe_steps,
     stream_snapshots,
     track_interval,
 )
@@ -169,6 +171,26 @@ def _out_dir(args, command: str) -> Path:
     return out
 
 
+def _check_receiver(cfg: ScenarioConfig, scene, times) -> None:
+    """ConfigError when the receiver track lies inside a building at one of
+    the ``times`` (seconds) the command solves exactly."""
+    traj = cfg.trajectory()
+    for t in times:
+        rx = traj.position(t)
+        if scene.contains_point(rx):
+            raise ConfigError(
+                f"the receiver track at t = {t:g} s, {rx.tolist()}, lies inside a building of the scene"
+            )
+
+
+def _solved_times(cfg: ScenarioConfig, kf_interval: float, start_step: int = 0, stop_s=None) -> list:
+    """Times of the keyframes a stream of ``cfg`` solves (see :func:`_run_stream`)."""
+    step = cfg.update_step_s
+    n_steps = int(round((cfg.duration_s if stop_s is None else stop_s) / step))
+    stride = max(1, int(round(kf_interval / step)))
+    return [i * step for i in keyframe_steps(start_step, n_steps, stride)]
+
+
 def _base_manifest(command: str, cfg: ScenarioConfig) -> dict:
     return {
         "command": command,
@@ -208,6 +230,7 @@ def _run_stream(cfg: ScenarioConfig, scene, *, kf_interval=None, start_step=0, d
 def cmd_run(args) -> int:
     cfg = _scenario_from_args(args)
     scene = cfg.load_scene()
+    _check_receiver(cfg, scene, _solved_times(cfg, cfg.kf_interval_s))
     out = _out_dir(args, "run")
     t0 = time.perf_counter()
     result = _run_stream(cfg, scene)
@@ -253,6 +276,8 @@ def cmd_sweep(args) -> int:
     if not cfg.sweep_intervals_s:
         raise ConfigError("no sweep intervals configured; set 'sweep_intervals_s' or --intervals")
     scene = cfg.load_scene()
+    # the reference stream solves every step; the swept streams solve a subset
+    _check_receiver(cfg, scene, _solved_times(cfg, cfg.update_step_s))
     out = _out_dir(args, "sweep")
 
     t0 = time.perf_counter()
@@ -321,6 +346,7 @@ def cmd_scatter_study(args) -> int:
         if abs(round(edge / step) * step - edge) > 1e-6:
             raise ConfigError(f"window {name} {edge} must be an integer multiple of update_step_s {step}")
     start_step = int(round(w0 / step))
+    _check_receiver(cfg, scene, _solved_times(cfg, cfg.kf_interval_s, start_step, w1))
 
     out = _out_dir(args, "scatter-study")
     t0 = time.perf_counter()
@@ -436,6 +462,14 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     scene = cfg.load_scene()
     el = time.perf_counter() - t0
+
+    traj = cfg.trajectory()
+    fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
+    rx_times = [f * cfg.duration_s for f in fractions]
+    # the interpolation bracket: 10 update steps at mid-run, on the step clock
+    step_a = min(n_steps // 2, n_steps - 10)
+    kf_steps = (step_a, step_a + 10)
+    _check_receiver(cfg, scene, rx_times + [i * cfg.update_step_s for i in kf_steps])
     out = _out_dir(args, "bench")
     rows = []
 
@@ -452,9 +486,7 @@ def cmd_bench(args) -> int:
 
     add_row("scene_load", 0, 1, el)
 
-    traj = cfg.trajectory()
-    fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
-    rx_list = [traj.position(f * cfg.duration_s) for f in fractions]
+    rx_list = [traj.position(t) for t in rx_times]
     tracer = SpecularTracer(scene, carrier)
     tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)  # warm the tables
 
@@ -473,22 +505,38 @@ def cmd_bench(args) -> int:
                 engine.paths(cfg.tx_position, rx)
             add_row("scatter_snapshot", rep, len(rx_list), time.perf_counter() - t0)
 
-    # interpolation microbench across one bracket at mid-run, on the step clock
-    step_a = min(n_steps // 2, n_steps - 10)
+    # interpolation microbench across the bracket
     kfs = []
-    for i in (step_a, step_a + 10):
+    for i in kf_steps:
         t = i * cfg.update_step_s
         rx = traj.position(t)
         paths = tracer.trace(cfg.tx_position, rx, cfg.limits)
         kfs.append(ChannelSnapshot(i, t, rx, paths, at_keyframe=True))
     bracket = track_interval(kfs[0], kfs[1], np.random.default_rng(cfg.seed))
-    times = [(step_a + i) * cfg.update_step_s for i in range(1, 10)]
+    steps = range(step_a + 1, step_a + 10)
+    times = [i * cfg.update_step_s for i in steps]
     for rep in range(args.repeats):
         t0 = time.perf_counter()
         rx = [traj.position(t) for t in times]
         v = [traj.velocity(t) for t in times]
-        interpolate_bracket(bracket, times, rx, v, carrier)
+        interior = interpolate_bracket(bracket, times, rx, v, carrier)
         add_row("interpolate_snapshot", rep, len(times), time.perf_counter() - t0)
+
+    # TV-CIR synthesis and the trace writer over the bracket's snapshots
+    snaps = [
+        kfs[0],
+        *(ChannelSnapshot(*row, at_keyframe=False) for row in zip(steps, times, rx, interior)),
+        kfs[1],
+    ]
+    n_rows = max(1, sum(len(s.paths) for s in snaps))
+    for rep in range(args.repeats):
+        t0 = time.perf_counter()
+        synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
+        add_row("tvcir_snapshot", rep, len(snaps), time.perf_counter() - t0)
+    for rep in range(args.repeats):
+        t0 = time.perf_counter()
+        write_trace_csv(out / "trace.csv", snaps)
+        add_row("trace_csv_row", rep, n_rows, time.perf_counter() - t0)
 
     write_bench_csv(out / "bench.csv", rows)
     stages = {}

@@ -131,6 +131,15 @@ class ChannelSnapshot:
     at_keyframe: bool
 
 
+def keyframe_steps(start_step: int, n_steps: int, stride: int) -> list[int]:
+    """Steps a stream solves exactly: every ``stride``-th step from
+    ``start_step``, plus the final step ``n_steps``."""
+    steps = list(range(start_step, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
 def _solve_keyframes(
     tracer: SpecularTracer,
     traj: Trajectory,
@@ -449,9 +458,7 @@ def stream_snapshots(
     tx = np.asarray(tx_position, dtype=float)
     limits = limits if limits is not None else TraceLimits()
 
-    kf_steps = list(range(start_step, n_steps + 1, stride))
-    if kf_steps[-1] != n_steps:
-        kf_steps.append(n_steps)
+    kf_steps = keyframe_steps(start_step, n_steps, stride)
 
     tracer = SpecularTracer(scene, carrier)
     engine = None

@@ -208,17 +208,19 @@ def raised_cosine_pulse(t, bandwidth: float, rolloff: float):
         raise ValueError("bandwidth must be positive")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError("rolloff must lie in [0, 1]")
-    x = np.asarray(t, dtype=float) * bandwidth
+    x = np.array(t, dtype=float, ndmin=1) * bandwidth
     den = 1.0 - (2.0 * rolloff * x) ** 2
     singular = np.abs(den) < 1e-12
-    safe_den = np.where(singular, 1.0, den)
-    vals = np.sinc(x) * np.cos(math.pi * rolloff * x) / safe_den
+    den[singular] = 1.0
+    # in place, in the order sinc * cos / den
+    vals = np.sinc(x)
+    vals *= np.cos(math.pi * rolloff * x)
+    vals /= den
     if rolloff > 0.0:
-        limit = (math.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-        vals = np.where(singular, limit, vals)
+        vals[singular] = (math.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
     if np.isscalar(t):
-        return float(vals)
-    return vals
+        return float(vals[0])
+    return vals.reshape(np.shape(t))
 
 
 @dataclass
@@ -246,8 +248,19 @@ def synthesize_tv_cir(
     The delay grid must resolve the bandwidth (spacing <= 1/(2*bandwidth));
     a grid from 0 to the maximum path delay plus ``PULSE_SUPPORT_SYMBOLS``
     symbols is built when none is given.
+
+    Each snapshot's pulses are one (paths x delay grid) evaluation; paths
+    with a zero entry are masked out, and the kept paths are added into the
+    snapshot's column one by one in path order, so every bin is the same
+    sequential sum a per-path loop gives.
     """
     r, c = _pol_entry(pol_pair)
+    times, per_snapshot = [], []
+    for s in snapshots:
+        times.append(s.timestamp)
+        delays = np.array([p.delay_s for p in s.paths], dtype=float)
+        entries = np.array([p.transfer[r, c] for p in s.paths], dtype=complex)
+        per_snapshot.append((delays, entries))
     max_spacing = 1.0 / (2.0 * bandwidth)
     if delay_grid is not None:
         grid = np.asarray(delay_grid, dtype=float)
@@ -262,24 +275,24 @@ def synthesize_tv_cir(
                 f"1/(2*bandwidth) = {max_spacing:.3e} s"
             )
     else:
-        max_delay = 0.0
-        for s in snapshots:
-            for p in s.paths:
-                max_delay = max(max_delay, p.delay_s)
+        max_delay = max([0.0] + [float(d.max()) for d, _ in per_snapshot if d.size])
         span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
         n = int(math.ceil(span / max_spacing)) + 1
         grid = np.arange(n) * max_spacing
 
-    times = np.array([s.timestamp for s in snapshots], dtype=float)
-    amp = np.zeros((grid.size, len(snapshots)), dtype=complex)
-    for j, s in enumerate(snapshots):
-        for p in s.paths:
-            entry = p.transfer[r, c]
-            if entry == 0.0:
-                continue
-            amp[:, j] += entry * raised_cosine_pulse(grid - p.delay_s, bandwidth, rolloff)
+    amp = np.zeros((grid.size, len(times)), dtype=complex)
+    column = np.empty(grid.size, dtype=complex)
+    for j, (delays, entries) in enumerate(per_snapshot):
+        keep = entries != 0.0
+        if not keep.any():
+            continue
+        pulses = raised_cosine_pulse(grid - delays[keep, None], bandwidth, rolloff)
+        column[:] = 0.0
+        for entry, pulse in zip(entries[keep], pulses):
+            column += entry * pulse
+        amp[:, j] = column
     return TVCir(
-        times=times,
+        times=np.array(times, dtype=float),
         delays=grid,
         amplitude=amp,
         pol_pair=pol_pair,

@@ -2,15 +2,21 @@
 
 Every float is rendered with repr-faithful precision (%.17g), so a value
 survives a write/read round trip bit-for-bit and two identical runs produce
-byte-identical files.
+byte-identical files.  Each row is formatted whole, by one ``%`` template
+applied to Python floats (from ``.tolist()`` of a per-snapshot or per-table
+float block), and written as it is made, ending in ``\r\n``; the bytes are
+those of formatting each cell with ``%.17g`` and joining the cells with a
+``csv`` writer.  No text field (signature, tag, metric or stage name)
+contains a comma, a quote or a line break, so no field needs quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .metrics import METRIC_NAMES, TVCir
 
@@ -35,9 +41,19 @@ TRACE_COLUMNS = (
     "tag",
 )
 
+_EOL = "\r\n"
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+
+def _floats(n: int) -> str:
+    """Template cells for ``n`` comma-separated floats."""
+    return ",".join(("%.17g",) * n)
+
+
+def _write_table(path, header, template: str, rows) -> None:
+    """The header line, then ``template % row`` for each tuple ``row``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + _EOL)
+        fh.writelines(template % row for row in rows)
 
 
 def write_trace_csv(path, snapshots) -> dict[str, int]:
@@ -48,101 +64,78 @@ def write_trace_csv(path, snapshots) -> dict[str, int]:
     [out, in] with V=row/column 0: vv = T[0,0], vh = T[0,1] (H in, V out).
     """
     ids: dict[str, int] = {}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
+    # delay, aod (2), aoa (2), doppler, then re/im of T00, T01, T10, T11
+    template = "%s,%d,%s," + _floats(14) + ",%s" + _EOL
+
+    def rows():
         for snap in snapshots:
-            ts = _fmt(snap.timestamp)
-            for p in snap.paths:
+            paths = snap.paths
+            if not paths:
+                continue
+            ts = "%.17g" % snap.timestamp
+            block = np.empty((len(paths), 14))
+            block[:, 0] = [p.delay_s for p in paths]
+            block[:, 1:3] = [p.aod for p in paths]
+            block[:, 3:5] = [p.aoa for p in paths]
+            block[:, 5] = [p.doppler_hz for p in paths]
+            block[:, 6:] = np.array([p.transfer for p in paths], dtype=complex).reshape(-1, 4).view(float)
+            for p, values in zip(paths, block.tolist()):
                 sig = p.signature
-                pid = ids.setdefault(sig, len(ids))
-                t = p.transfer
-                w.writerow(
-                    (
-                        ts,
-                        pid,
-                        sig,
-                        _fmt(p.delay_s),
-                        _fmt(p.aod[0]),
-                        _fmt(p.aod[1]),
-                        _fmt(p.aoa[0]),
-                        _fmt(p.aoa[1]),
-                        _fmt(p.doppler_hz),
-                        _fmt(t[0, 0].real),
-                        _fmt(t[0, 0].imag),
-                        _fmt(t[0, 1].real),
-                        _fmt(t[0, 1].imag),
-                        _fmt(t[1, 0].real),
-                        _fmt(t[1, 0].imag),
-                        _fmt(t[1, 1].real),
-                        _fmt(t[1, 1].imag),
-                        p.tag,
-                    )
-                )
+                yield (ts, ids.setdefault(sig, len(ids)), sig, *values, p.tag)
+
+    _write_table(path, TRACE_COLUMNS, template, rows())
     return ids
 
 
 def write_metrics_csv(path, timestamps, series: dict) -> None:
     """Per-snapshot metric table: timestamp_s plus one column per metric."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("timestamp_s",) + tuple(METRIC_NAMES))
-        for i, ts in enumerate(timestamps):
-            w.writerow([_fmt(ts)] + [_fmt(series[name][i]) for name in METRIC_NAMES])
+    block = np.column_stack([np.asarray(timestamps, dtype=float)] + [series[n] for n in METRIC_NAMES])
+    template = _floats(1 + len(METRIC_NAMES)) + _EOL
+    _write_table(
+        path,
+        ("timestamp_s",) + tuple(METRIC_NAMES),
+        template,
+        (tuple(row.tolist()) for row in block),
+    )
 
 
 def write_tvcir_csv(path, cir: TVCir) -> None:
     """Delay-bin rows; per-timestamp re/im column pairs."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["delay_s"]
-        for t in cir.times:
-            stamp = "%.6f" % t
-            header.append(f"re@{stamp}")
-            header.append(f"im@{stamp}")
-        w.writerow(header)
-        for i, d in enumerate(cir.delays):
-            row = [_fmt(d)]
-            for j in range(len(cir.times)):
-                a = cir.amplitude[i, j]
-                row.append(_fmt(a.real))
-                row.append(_fmt(a.imag))
-            w.writerow(row)
+    header = ["delay_s"]
+    for t in cir.times:
+        stamp = "%.6f" % t
+        header.append(f"re@{stamp}")
+        header.append(f"im@{stamp}")
+    n_times = len(cir.times)
+    block = np.empty((len(cir.delays), 2 * n_times + 1))
+    block[:, 0] = cir.delays
+    block[:, 1::2] = cir.amplitude.real
+    block[:, 2::2] = cir.amplitude.imag
+    template = _floats(2 * n_times + 1) + _EOL
+    _write_table(path, header, template, (tuple(row.tolist()) for row in block))
 
 
 def write_nrmse_csv(path, rows) -> None:
     """Long-format sweep errors: one row per (interval, metric)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            (
-                "kf_interval_s",
-                "metric",
-                "rmse",
-                "q10",
-                "q90",
-                "nrmse",
-                "degenerate",
-                "n_samples",
-                "n_excluded",
-            )
-        )
+    header = (
+        "kf_interval_s",
+        "metric",
+        "rmse",
+        "q10",
+        "q90",
+        "nrmse",
+        "degenerate",
+        "n_samples",
+        "n_excluded",
+    )
+
+    def cells():
         for interval, report in rows:
             for name in METRIC_NAMES:
                 m = report.metrics[name]
-                w.writerow(
-                    (
-                        _fmt(interval),
-                        name,
-                        _fmt(m.rmse),
-                        _fmt(m.q10),
-                        _fmt(m.q90),
-                        _fmt(m.nrmse),
-                        int(m.degenerate),
-                        m.n_samples,
-                        m.n_excluded,
-                    )
-                )
+                yield (interval, name, m.rmse, m.q10, m.q90, m.nrmse, m.degenerate, m.n_samples, m.n_excluded)
+
+    _write_table(path, header, "%.17g,%s," + _floats(4) + ",%d,%d,%d" + _EOL, cells())
 
 
 def write_timing_csv(path, rows) -> None:
@@ -151,99 +144,83 @@ def write_timing_csv(path, rows) -> None:
     ``rows`` hold (kf_interval_s, reference_seconds, test_seconds,
     normalized_compute_time, rt_invocations_reference, rt_invocations_test).
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            (
-                "kf_interval_s",
-                "reference_seconds",
-                "test_seconds",
-                "normalized_compute_time",
-                "rt_invocations_reference",
-                "rt_invocations_test",
-            )
-        )
-        for *floats, rt_reference, rt_test in rows:
-            w.writerow((*map(_fmt, floats), rt_reference, rt_test))
+    header = (
+        "kf_interval_s",
+        "reference_seconds",
+        "test_seconds",
+        "normalized_compute_time",
+        "rt_invocations_reference",
+        "rt_invocations_test",
+    )
+    _write_table(path, header, _floats(4) + ",%d,%d" + _EOL, (tuple(r) for r in rows))
 
 
 def write_error_cdf_csv(path, rows) -> None:
     """Long-format error quantiles: one row per (interval, metric, level)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("kf_interval_s", "metric", "quantile_pct", "abs_error"))
-        for interval, report in rows:
-            for name in METRIC_NAMES:
-                m = report.metrics[name]
-                for level, value in m.quantiles.items():
-                    w.writerow((_fmt(interval), name, level, _fmt(value)))
+    _write_table(
+        path,
+        ("kf_interval_s", "metric", "quantile_pct", "abs_error"),
+        "%.17g,%s,%d,%.17g" + _EOL,
+        (
+            (interval, name, level, value)
+            for interval, report in rows
+            for name in METRIC_NAMES
+            for level, value in report.metrics[name].quantiles.items()
+        ),
+    )
 
 
 def write_power_split_csv(path, decomp) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            (
-                "timestamp_s",
-                "specular_dbm",
-                "scattered_dbm",
-                "total_dbm",
-                "specular_fraction",
-                "scattered_fraction",
-            )
-        )
-        for i, ts in enumerate(decomp.timestamps):
-            w.writerow(
-                (
-                    _fmt(ts),
-                    _fmt(decomp.specular_dbm[i]),
-                    _fmt(decomp.scattered_dbm[i]),
-                    _fmt(decomp.total_dbm[i]),
-                    _fmt(decomp.specular_fraction),
-                    _fmt(decomp.scattered_fraction),
-                )
-            )
+    header = (
+        "timestamp_s",
+        "specular_dbm",
+        "scattered_dbm",
+        "total_dbm",
+        "specular_fraction",
+        "scattered_fraction",
+    )
+    block = np.column_stack(
+        (decomp.timestamps, decomp.specular_dbm, decomp.scattered_dbm, decomp.total_dbm)
+    )
+    fractions = (decomp.specular_fraction, decomp.scattered_fraction)
+    _write_table(
+        path, header, _floats(6) + _EOL, ((*row, *fractions) for row in block.tolist())
+    )
 
 
 def write_scatter_summary_csv(path, rows) -> None:
     """Per-scatterer aggregates over the studied window."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
+    header = (
+        "scatterer_id",
+        "n_path_rows",
+        "n_snapshots_visible",
+        "mean_power_dbm",
+        "mean_excess_delay_ns",
+    )
+    _write_table(
+        path,
+        header,
+        "%d,%d,%d,%.17g,%.17g" + _EOL,
+        (
             (
-                "scatterer_id",
-                "n_path_rows",
-                "n_snapshots_visible",
-                "mean_power_dbm",
-                "mean_excess_delay_ns",
+                r["scatterer_id"],
+                r["n_path_rows"],
+                r["n_snapshots_visible"],
+                r["mean_power_dbm"],
+                r["mean_excess_delay_ns"],
             )
-        )
-        for r in rows:
-            w.writerow(
-                (
-                    r["scatterer_id"],
-                    r["n_path_rows"],
-                    r["n_snapshots_visible"],
-                    _fmt(r["mean_power_dbm"]),
-                    _fmt(r["mean_excess_delay_ns"]),
-                )
-            )
+            for r in rows
+        ),
+    )
 
 
 def write_bench_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("stage", "repeat", "units", "seconds", "per_unit_ms"))
-        for r in rows:
-            w.writerow(
-                (
-                    r["stage"],
-                    r["repeat"],
-                    r["units"],
-                    _fmt(r["seconds"]),
-                    _fmt(r["per_unit_ms"]),
-                )
-            )
+    _write_table(
+        path,
+        ("stage", "repeat", "units", "seconds", "per_unit_ms"),
+        "%s,%d,%d,%.17g,%.17g" + _EOL,
+        ((r["stage"], r["repeat"], r["units"], r["seconds"], r["per_unit_ms"]) for r in rows),
+    )
 
 
 def file_sha256(path) -> str:

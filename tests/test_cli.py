@@ -169,6 +169,29 @@ def test_bad_inputs_exit_2_before_output(tmp_path, monkeypatch, capsys, argv, me
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--duration", "0.05"],
+        ["run", "--duration", "1.0", "--kf-interval", "0.5"],
+        ["sweep", "--duration", "0.05"],
+        ["scatter-study", "--kf-interval", "0.5", "--window", "0.0:0.5"],
+        ["bench", "--duration", "0.5"],
+    ],
+    ids=["run", "run_kf_0.5", "sweep", "scatter_study", "bench"],
+)
+def test_receiver_inside_building_exits_2_before_output(tmp_path, monkeypatch, capsys, argv):
+    # the track runs along y = 18 m, through building 0 (x 0-60 m, y 8-28 m,
+    # 12 m high); at t = 0 the receiver is on its wall, not inside
+    monkeypatch.chdir(tmp_path)
+    raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    raw["trajectory"]["waypoints_m"] = [[0.0, 18.0, 5.0], [1666.7, 18.0, 5.0]]
+    (tmp_path / "rx_inside.json").write_text(json.dumps(raw))
+    assert main(argv + ["--config", "rx_inside.json", "--output-dir", "out"]) == 2
+    assert "receiver track" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_duration_beyond_track_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     # the preset track takes 60.0012 s at 100 km/h
@@ -395,11 +418,24 @@ def test_bench_outputs(tmp_path):
     assert rc == 0
     rows = _read_csv(out / "bench.csv")
     stages = {r["stage"] for r in rows}
-    assert {"scene_load", "specular_trace", "scatter_snapshot", "interpolate_snapshot"} <= stages
-    spec = [r for r in rows if r["stage"] == "specular_trace"]
-    assert len(spec) == 2
-    for r in spec:
-        assert float(r["per_unit_ms"]) > 0
+    assert {
+        "scene_load",
+        "specular_trace",
+        "scatter_snapshot",
+        "interpolate_snapshot",
+        "tvcir_snapshot",
+        "trace_csv_row",
+    } <= stages
+    for stage in ("specular_trace", "tvcir_snapshot", "trace_csv_row"):
+        timed = [r for r in rows if r["stage"] == stage]
+        assert len(timed) == 2
+        for r in timed:
+            assert float(r["per_unit_ms"]) > 0
+    # the TV-CIR covers the bracket's 11 snapshots; the writer stage times
+    # one row per path row of trace.csv
+    assert {r["units"] for r in rows if r["stage"] == "tvcir_snapshot"} == {"11"}
+    n_trace_rows = len(_read_csv(out / "trace.csv"))
+    assert {r["units"] for r in rows if r["stage"] == "trace_csv_row"} == {str(n_trace_rows)}
 
 
 def test_bench_short_run(tmp_path, capsys):

@@ -9,13 +9,16 @@ exactly 0.10.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from preset_streams import pylon_window
 
 from railchan.dynamics import ChannelSnapshot
 from railchan.em import CarrierConfig
 from railchan.metrics import (
+    PULSE_SUPPORT_SYMBOLS,
     angle_stats,
     compare_streams,
     delay_stats,
@@ -250,6 +253,96 @@ class TestTVCir:
         snaps = [snap([make_path(delay=50e-9)], t=0.0), snap([], t=0.01)]
         cir = synthesize_tv_cir(snaps, self.B, self.BETA, "vv")
         assert np.all(cir.amplitude[:, 1] == 0.0)
+
+
+def oracle_tv_cir(snapshots, bandwidth, rolloff, pol_pair="vv", delay_grid=None):
+    """Per-path oracle of ``synthesize_tv_cir``: one pulse evaluation per
+    path per snapshot, added into the snapshot's column in path order."""
+    r, c = {"v": 0, "h": 1}[pol_pair[0]], {"v": 0, "h": 1}[pol_pair[1]]
+    if delay_grid is None:
+        max_delay = 0.0
+        for s in snapshots:
+            for p in s.paths:
+                max_delay = max(max_delay, p.delay_s)
+        max_spacing = 1.0 / (2.0 * bandwidth)
+        n = int(math.ceil((max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth) / max_spacing)) + 1
+        delay_grid = np.arange(n) * max_spacing
+    amp = np.zeros((delay_grid.size, len(snapshots)), dtype=complex)
+    for j, s in enumerate(snapshots):
+        for p in s.paths:
+            entry = p.transfer[r, c]
+            if entry == 0.0:
+                continue
+            amp[:, j] += entry * raised_cosine_pulse(delay_grid - p.delay_s, bandwidth, rolloff)
+    return delay_grid, amp
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def pylon_cfg_snaps():
+    cfg, result = pylon_window()
+    return cfg, result.snapshots
+
+
+class TestTVCirAgainstOracle:
+    B = 100e6
+    BETA = 0.95
+
+    def check(self, snaps, bandwidth=B, rolloff=BETA, pol_pair="vv", delay_grid=None):
+        cir = synthesize_tv_cir(snaps, bandwidth, rolloff, pol_pair, delay_grid=delay_grid)
+        grid, amp = oracle_tv_cir(snaps, bandwidth, rolloff, pol_pair, delay_grid)
+        assert_bits_equal(cir.delays, grid)
+        assert_bits_equal(cir.amplitude, amp)
+        return cir
+
+    @pytest.mark.parametrize("pol_pair", ["vv", "hv"])
+    def test_pylon_window(self, pylon_cfg_snaps, pol_pair):
+        cfg, snaps = pylon_cfg_snaps
+        cir = self.check(snaps, cfg.bandwidth_hz, cfg.rolloff, pol_pair)
+        assert np.count_nonzero(cir.amplitude) > 0.9 * cir.amplitude.size
+        scatter = [replace(s, paths=[p for p in s.paths if p.tag == TAG_SCATTER]) for s in snaps]
+        self.check(scatter, cfg.bandwidth_hz, cfg.rolloff, pol_pair, delay_grid=cir.delays)
+
+    def test_zero_entry_is_skipped(self):
+        # 0 * inf would be NaN: a path with a zero entry must add nothing
+        paths = [
+            make_path(delay=100e-9, t00=0.7 - 0.2j),
+            make_path(delay=math.inf, t00=0.0),
+            make_path(delay=150e-9, t00=-0.0),
+        ]
+        cir = self.check([snap(paths)], delay_grid=np.arange(201) * 2.5e-9)
+        assert np.all(np.isfinite(cir.amplitude))
+
+    def test_singular_grid_point(self):
+        grid = np.arange(400) * 2.5e-9
+        delay = grid[40] - 1.0 / (2.0 * self.BETA * self.B)
+        x = (grid - delay) * self.B
+        assert np.any(np.abs(1.0 - (2.0 * self.BETA * x) ** 2) < 1e-12)
+        snaps = [snap([make_path(delay=delay, t00=1.0 + 1.0j), make_path(delay=grid[7], t00=-0.5)])]
+        self.check(snaps, delay_grid=grid)
+        self.check(snaps)
+
+    def test_zero_rolloff(self):
+        paths = [make_path(delay=d, t00=a) for d, a in ((30e-9, 1.0), (31e-9, 0.3j), (90e-9, -0.2 + 0.1j))]
+        self.check([snap(paths), snap(paths[1:], t=0.01)], rolloff=0.0)
+
+    def test_explicit_grid_with_odd_sizes(self):
+        delays = (12e-9, 47.3e-9, 250e-9)
+        paths = [make_path(delay=d, t00=complex(1.0 / (k + 1), k)) for k, d in enumerate(delays)]
+        for n in (2, 3, 17, 401):
+            grid = np.linspace(0.0, 2e-9 * (n - 1), n)
+            self.check([snap(paths), snap(paths[:1], t=0.01)], delay_grid=grid)
+
+    def test_snapshot_without_paths(self):
+        snaps = [snap([], t=0.0), snap([make_path(delay=50e-9, t00=0.5j)], t=0.01), snap([], t=0.02)]
+        cir = self.check(snaps)
+        assert not cir.amplitude[:, [0, 2]].any()
+        cir = self.check([snap([])])
+        assert cir.delays.size == int(math.ceil(PULSE_SUPPORT_SYMBOLS * 2.0)) + 1
 
 
 def power_series_snapshots(values_db, t0=0.0, dt=0.01, aoa=None, doppler=0.0):
