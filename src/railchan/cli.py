@@ -51,8 +51,8 @@ from .metrics import (
     synthesize_tv_cir,
 )
 from .rays import SCATTERING, TAG_SCATTER
-from .scatter import ScatterEngine
-from .scene import SceneError, load_scene_file
+from .scatter import ScatterEngine, _inside_bounding_cylinder
+from .scene import EPS_GEOM, SceneError, load_scene_file
 from .specular import SpecularTracer
 from .traceio import (
     file_sha256,
@@ -167,20 +167,41 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 def _out_dir(args, command: str) -> Path:
     out = Path(args.output_dir) if args.output_dir else Path("railchan-out") / command
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {str(out)!r}: {exc.strerror}") from None
     return out
 
 
-def _check_receiver(cfg: ScenarioConfig, scene, times) -> None:
-    """ConfigError when the receiver track lies inside a building at one of
-    the ``times`` (seconds) the command solves exactly."""
+def _check_antennas(cfg: ScenarioConfig, scene, solved, scattered) -> None:
+    """ConfigError when an antenna position the command evaluates is invalid.
+
+    At the ``solved`` times (seconds) the command traces exactly, the
+    receiver track must lie outside every building and apart from the
+    transmitter.  When the command evaluates the scatter engine, at the
+    ``scattered`` times, neither antenna may lie inside a scatterer body.
+    """
     traj = cfg.trajectory()
-    for t in times:
+    tx = cfg.tx_position
+    for t in solved:
         rx = traj.position(t)
         if scene.contains_point(rx):
             raise ConfigError(
                 f"the receiver track at t = {t:g} s, {rx.tolist()}, lies inside a building of the scene"
             )
+        if np.linalg.norm(rx - tx) < EPS_GEOM:
+            raise ConfigError(
+                f"the receiver track at t = {t:g} s, {rx.tolist()}, meets 'tx_position_m'"
+            )
+    if not scattered:
+        return
+    antennas = [("'tx_position_m'", tx)]
+    antennas += [(f"the receiver track at t = {t:g} s", traj.position(t)) for t in scattered]
+    for name, p in antennas:
+        for cyl in scene.scatterers:
+            if _inside_bounding_cylinder(cyl, p):
+                raise ConfigError(f"{name}, {p.tolist()}, lies inside scatterer {cyl.id} of the scene")
 
 
 def _solved_times(cfg: ScenarioConfig, kf_interval: float, start_step: int = 0, stop_s=None) -> list:
@@ -189,6 +210,15 @@ def _solved_times(cfg: ScenarioConfig, kf_interval: float, start_step: int = 0, 
     n_steps = int(round((cfg.duration_s if stop_s is None else stop_s) / step))
     stride = max(1, int(round(kf_interval / step)))
     return [i * step for i in keyframe_steps(start_step, n_steps, stride)]
+
+
+def _scattered_times(cfg: ScenarioConfig, solved: list, start_step: int = 0, stop_s=None) -> list:
+    """Times at which a stream of ``cfg`` with keyframes at ``solved`` evaluates
+    the scatter engine: every snapshot in ``exact`` mode, the keyframes in
+    ``interpolated`` mode, none when scattering is off."""
+    if cfg.scatter_mode == "exact":
+        return _solved_times(cfg, cfg.update_step_s, start_step, stop_s)
+    return solved if cfg.scatter_mode == "interpolated" else []
 
 
 def _base_manifest(command: str, cfg: ScenarioConfig) -> dict:
@@ -230,7 +260,8 @@ def _run_stream(cfg: ScenarioConfig, scene, *, kf_interval=None, start_step=0, d
 def cmd_run(args) -> int:
     cfg = _scenario_from_args(args)
     scene = cfg.load_scene()
-    _check_receiver(cfg, scene, _solved_times(cfg, cfg.kf_interval_s))
+    solved = _solved_times(cfg, cfg.kf_interval_s)
+    _check_antennas(cfg, scene, solved, _scattered_times(cfg, solved))
     out = _out_dir(args, "run")
     t0 = time.perf_counter()
     result = _run_stream(cfg, scene)
@@ -277,7 +308,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("no sweep intervals configured; set 'sweep_intervals_s' or --intervals")
     scene = cfg.load_scene()
     # the reference stream solves every step; the swept streams solve a subset
-    _check_receiver(cfg, scene, _solved_times(cfg, cfg.update_step_s))
+    solved = _solved_times(cfg, cfg.update_step_s)
+    _check_antennas(cfg, scene, solved, _scattered_times(cfg, solved))
     out = _out_dir(args, "sweep")
 
     t0 = time.perf_counter()
@@ -346,7 +378,8 @@ def cmd_scatter_study(args) -> int:
         if abs(round(edge / step) * step - edge) > 1e-6:
             raise ConfigError(f"window {name} {edge} must be an integer multiple of update_step_s {step}")
     start_step = int(round(w0 / step))
-    _check_receiver(cfg, scene, _solved_times(cfg, cfg.kf_interval_s, start_step, w1))
+    solved = _solved_times(cfg, cfg.kf_interval_s, start_step, w1)
+    _check_antennas(cfg, scene, solved, _scattered_times(cfg, solved, start_step, w1))
 
     out = _out_dir(args, "scatter-study")
     t0 = time.perf_counter()
@@ -469,7 +502,8 @@ def cmd_bench(args) -> int:
     # the interpolation bracket: 10 update steps at mid-run, on the step clock
     step_a = min(n_steps // 2, n_steps - 10)
     kf_steps = (step_a, step_a + 10)
-    _check_receiver(cfg, scene, rx_times + [i * cfg.update_step_s for i in kf_steps])
+    # the scatter stage runs whenever the scene has scatterers
+    _check_antennas(cfg, scene, rx_times + [i * cfg.update_step_s for i in kf_steps], rx_times)
     out = _out_dir(args, "bench")
     rows = []
 

@@ -214,6 +214,8 @@ def parse_config(
     if not _is_point(tx, 3):
         raise ConfigError(f"'tx_position_m' must be an [x, y, z] triple of finite numbers, got {tx!r}")
     tx_arr = np.asarray(tx, dtype=float)
+    if tx_arr[2] < 0.0:
+        raise ConfigError(f"'tx_position_m' {tx_arr.tolist()} lies below the ground (z < 0)")
 
     tx_power_dbm = _number(raw, "tx_power_dbm", "the scenario")
 
@@ -227,6 +229,9 @@ def parse_config(
             "'trajectory.waypoints_m' must be a list of at least two [x, y, z] points of finite numbers"
         )
     wp_arr = np.asarray(wp, dtype=float)
+    for i, w in enumerate(wp_arr):
+        if w[2] < 0.0:
+            raise ConfigError(f"'trajectory.waypoints_m'[{i}] {w.tolist()} lies below the ground (z < 0)")
     has_kmh = "speed_kmh" in traj
     has_mps = "speed_mps" in traj
     if has_kmh == has_mps:

@@ -314,10 +314,8 @@ def _facet_sum(
     return t
 
 
-def _inside_bounding_cylinder(mesh: FacetMesh, p: np.ndarray) -> bool:
-    cyl = mesh.scatterer
-    if cyl is None:
-        return False
+def _inside_bounding_cylinder(cyl: CylinderScatterer, p: np.ndarray) -> bool:
+    """True when ``p`` lies within ``EPS_GEOM`` of the body of ``cyl``."""
     rel = p - np.asarray(cyl.base_center, dtype=float)
     if not (-EPS_GEOM < rel[2] < cyl.height + EPS_GEOM):
         return False
@@ -344,7 +342,7 @@ def po_scattered_matrix(
     for leg in (incident_leg, scattered_leg):
         if np.linalg.norm(leg.vertices[-1] - mesh.reference_point) > 1e-9:
             raise ValueError("leg does not terminate at the mesh reference point")
-        if _inside_bounding_cylinder(mesh, leg.antenna):
+        if mesh.scatterer is not None and _inside_bounding_cylinder(mesh.scatterer, leg.antenna):
             raise ValueError("antenna endpoint lies inside the scatterer body")
     t_po = _facet_sum(
         mesh,

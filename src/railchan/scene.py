@@ -16,9 +16,10 @@ Geometry conventions
   element id ``V + 1 + i``.
 * The ground is addressed as object id ``-1``, element id ``0``.
 
-Intersection queries exclude a tolerance band ``EPS_GEOM`` around segment
-endpoints so that a path vertex lying exactly on a surface does not occlude
-its own segments.
+The scene answers one occlusion query, :meth:`Scene.segments_blocked`, for
+a whole array of segments at once; every tracer asks it.  It excludes a
+tolerance band ``EPS_GEOM`` around segment endpoints so that a path vertex
+lying exactly on a surface does not occlude its own segments.
 """
 
 from __future__ import annotations
@@ -108,18 +109,6 @@ class CylinderScatterer:
     def reference_point(self) -> np.ndarray:
         """Axis point at mid-height; anchor for scatter-path geometry."""
         return self.base_center + np.array([0.0, 0.0, 0.5 * self.height])
-
-
-@dataclass(frozen=True)
-class Hit:
-    """First intersection of a segment with scene geometry."""
-
-    point: np.ndarray
-    object_id: int
-    element_id: int
-    kind: str  # "facade" | "roof" | "ground"
-    distance: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -313,12 +302,6 @@ class Scene:
     def wedge(self, object_id: int, element_id: int) -> Wedge:
         return self._edges[(object_id, element_id)]
 
-    def building_by_id(self, object_id: int) -> Building:
-        for b in self.buildings:
-            if b.id == object_id:
-                return b
-        raise KeyError(object_id)
-
     def contains_point(self, p: np.ndarray) -> bool:
         """True when p is strictly inside some building volume.
 
@@ -383,13 +366,12 @@ class Scene:
     def _crossings(self, p: np.ndarray, q: np.ndarray):
         """Every surface crossing strictly inside the segments ``p[k] -> q[k]``.
 
-        Returns ``(k, t, dist, object_id, element_id)`` with one entry per
-        crossing: the segment index, the parameter along ``q - p``, the
-        distance from ``p`` and the element crossed.  Crossings closer than
-        ``EPS_GEOM`` to either endpoint are dropped, so a segment that starts
-        or ends on a surface is not blocked by it.  Facades and rooftops are
-        only tested for the (segment, building) pairs whose bounding boxes
-        overlap.
+        Returns ``(k, t, object_id, element_id)`` with one entry per
+        crossing: the segment index, the parameter along ``q - p`` and the
+        element crossed.  Crossings closer than ``EPS_GEOM`` to either
+        endpoint are dropped, so a segment that starts or ends on a surface
+        is not blocked by it.  Facades and rooftops are only tested for the
+        (segment, building) pairs whose bounding boxes overlap.
         """
         seg = q - p
         seg_len = np.linalg.norm(seg, axis=1)
@@ -423,7 +405,7 @@ class Scene:
         ok &= (s >= -EPS_GEOM) & (s <= self.fac_len[fi] + EPS_GEOM)
         z = pp[:, 2] + t * ss[:, 2]
         ok &= (z >= -EPS_GEOM) & (z <= self.fac_height[fi] + EPS_GEOM)
-        facade = (kk[ok], t[ok], dist[ok], self.fac_object[fi[ok]], self.fac_element[fi[ok]])
+        facade = (kk[ok], t[ok], self.fac_object[fi[ok]], self.fac_element[fi[ok]])
 
         # rooftop planes, one row per overlapping (segment, building) pair
         pb = p[ki]
@@ -440,7 +422,7 @@ class Scene:
         r = np.nonzero(near)[0]
         inside, on_boundary = self._classify_footprint(x[r], y[r], bi[r])
         r = r[inside | on_boundary]
-        roof = (ki[r], t[r], dist[r], self._bldg_object[bi[r]], self._bldg_roof[bi[r]])
+        roof = (ki[r], t[r], self._bldg_object[bi[r]], self._bldg_roof[bi[r]])
 
         # ground plane z = 0
         dz = seg[:, 2]
@@ -451,7 +433,6 @@ class Scene:
         ground = (
             g,
             t[g],
-            dist[g],
             np.full(len(g), GROUND_OBJECT_ID, dtype=np.intp),
             np.zeros(len(g), dtype=np.intp),
         )
@@ -460,62 +441,15 @@ class Scene:
     def segments_blocked(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Occlusion flags for (K, 3) segment endpoint arrays.
 
-        True where the open segment meets a facade, a rooftop or the ground;
-        the tracers test all their candidate segments in one call.
+        True where the open segment meets a facade, a rooftop or the ground.
+        This is the scene's one intersection query; the tracers test all
+        their candidate segments in one call.
         """
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
         blocked = np.zeros(len(p), dtype=bool)
         blocked[self._crossings(p, q)[0]] = True
         return blocked
-
-    def first_hits(self, p: np.ndarray, q: np.ndarray):
-        """Nearest crossing of each (K, 3) segment: ``(t, object_id, element_id)``.
-
-        ``t`` is the parameter along ``q - p``; it is NaN, and both ids are 0,
-        where the segment is clear.  Equal distances go to a building before
-        the ground, then to the lower object id, then to the lower element id.
-        """
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        k, t, dist, obj, el = self._crossings(p, q)
-        order = np.lexsort((el, obj, obj == GROUND_OBJECT_ID, dist, k))
-        k, t, obj, el = k[order], t[order], obj[order], el[order]
-        first = np.ones(len(k), dtype=bool)
-        first[1:] = k[1:] != k[:-1]
-        k = k[first]
-        t_out = np.full(len(p), np.nan)
-        obj_out = np.zeros(len(p), dtype=np.intp)
-        el_out = np.zeros(len(p), dtype=np.intp)
-        t_out[k], obj_out[k], el_out[k] = t[first], obj[first], el[first]
-        return t_out, obj_out, el_out
-
-    def first_hit(self, p: np.ndarray, q: np.ndarray) -> Hit | None:
-        """Nearest scene intersection strictly between the endpoints, or None.
-
-        One-segment form of :meth:`first_hits`.
-        """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        t, obj, el = self.first_hits(p, q)
-        t, obj, el = float(t[0]), int(obj[0]), int(el[0])
-        if math.isnan(t):
-            return None
-        if obj == GROUND_OBJECT_ID:
-            kind = "ground"
-        elif el == self.building_by_id(obj).roof_element_id:
-            kind = "roof"
-        else:
-            kind = "facade"
-        seg = q - p
-        return Hit(
-            point=p + t * seg,
-            object_id=obj,
-            element_id=el,
-            kind=kind,
-            distance=t * float(np.linalg.norm(seg)),
-            t=t,
-        )
 
 
 # ----------------------------------------------------------------------

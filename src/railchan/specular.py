@@ -18,7 +18,9 @@ geometry, facade and wedge records; zero-length when the scene has none) and
 the per-transmitter image positions, which makes repeated solves along a
 receiver trajectory cheap.  ``SpecularTracer.trace`` is the one entry point:
 it checks the endpoints once and adds the rooftop path of
-:func:`trace_rooftop` when the direct ray is blocked.
+:func:`trace_rooftop` when the direct ray is blocked.  The scene's one
+occlusion query, ``Scene.segments_blocked``, decides every segment; the
+rooftop path reuses the line-of-sight verdict of that same call.
 """
 
 from __future__ import annotations
@@ -261,6 +263,8 @@ class SpecularTracer:
         if np.linalg.norm(rx - tx) < EPS_GEOM:
             raise ValueError("tx and rx must be distinct points")
         for name, p in (("tx", tx), ("rx", rx)):
+            if p[2] < 0.0:
+                raise ValueError(f"{name} lies below the ground")
             if self.scene.contains_point(p):
                 raise ValueError(f"{name} lies inside a building")
         self._prepare_tx_tables(tx)
@@ -345,21 +349,17 @@ def _above_floor(transfer: np.ndarray, floor_db: float) -> bool:
 def trace_rooftop(
     scene: Scene, tx: np.ndarray, rx: np.ndarray, carrier: CarrierConfig
 ) -> RayPath | None:
-    """Over-the-rooftops knife-edge path, or None when the direct ray is clear.
+    """Over-the-rooftops knife-edge path for a blocked direct ray, or None.
 
     Every roofline the vertical plane of propagation crosses contributes one
     knife edge at the station where the ground track enters or leaves the
     footprint; the path follows the apex polyline and composes the per-edge
-    losses with neighbor-vertex geometry.  ``tx`` and ``rx`` are the distinct
-    float arrays, outside every building, that :meth:`SpecularTracer.trace`
-    has checked.
+    losses with neighbor-vertex geometry.  The caller,
+    :meth:`SpecularTracer.trace`, has found the direct ray ``tx -> rx``
+    blocked and has checked ``tx`` and ``rx``: distinct float arrays, outside
+    every building, at or above the ground.  With both endpoints at or above
+    ``z = 0`` the ground cannot block the direct ray, so a building does.
     """
-    hit = scene.first_hit(tx, rx)
-    if hit is None or hit.kind == "ground":
-        return None
-    if not scene.n_facades:
-        return None
-
     a = tx[:2]
     b = rx[:2]
     d = b - a

@@ -10,12 +10,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import railchan
 from railchan.cli import main
 from railchan.config import DEFAULT_PRESET, load_preset, preset_path
 
@@ -190,6 +193,62 @@ def test_receiver_inside_building_exits_2_before_output(tmp_path, monkeypatch, c
     assert main(argv + ["--config", "rx_inside.json", "--output-dir", "out"]) == 2
     assert "receiver track" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, argv, message",
+    [
+        (
+            "tx_position_m",
+            [833.33, 20.0, -3.0],
+            ["run", "--duration", "0.1"],
+            "'tx_position_m' [833.33, 20.0, -3.0] lies below the ground",
+        ),
+        (
+            "waypoints_m",
+            [[0.0, 0.0, -1.0], [1666.7, 0.0, -1.0]],
+            ["run", "--duration", "0.1"],
+            "'trajectory.waypoints_m'[0] [0.0, 0.0, -1.0] lies below the ground",
+        ),
+        (
+            "waypoints_m",
+            [[0.0, -5.0, 4.5], [1666.7, -5.0, 4.5]],
+            ["scatter-study", "--kf-interval", "0.5", "--window", "20.5:21.0"],
+            "the receiver track at t = 20.69 s, [574.7222222222223, -5.0, 4.5], lies inside scatterer 303",
+        ),
+        (
+            "tx_position_m",
+            [515.0, -5.0, 4.0],
+            ["run", "--duration", "0.1"],
+            "'tx_position_m', [515.0, -5.0, 4.0], lies inside scatterer 301",
+        ),
+        ("tx_position_m", [0.0, 0.0, 4.5], ["run", "--duration", "0.1"], "meets 'tx_position_m'"),
+    ],
+    ids=["tx_underground", "track_underground", "rx_through_pylon", "tx_in_pylon", "tx_on_track"],
+)
+def test_bad_antenna_positions_exit_2_before_output(tmp_path, capsys, field, value, argv, message):
+    # the preset pylons stand at y = -5 m, x = 515, 545, ..., 665 m; the
+    # preset track starts at (0, 0, 4.5)
+    raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    if field == "tx_position_m":
+        raw["tx_position_m"] = value
+    else:
+        raw["trajectory"]["waypoints_m"] = value
+    cfg = tmp_path / "antenna.config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_dir_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["run", "--duration", "0.05", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and str(out) in err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_duration_beyond_track_exits_2(tmp_path, capsys):
@@ -462,10 +521,14 @@ def test_bench_repeats_below_one_exit_2(tmp_path, capsys, repeats):
 # module entry point
 # ----------------------------------------------------------------------
 def test_python_m_entry_point():
+    # the child imports the same package as this process, wherever it lives
+    src = str(Path(railchan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "railchan", "validate-scene", "urban_canyon"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "scene OK" in proc.stdout

@@ -1,10 +1,11 @@
 """Geometry and scene-file tests.
 
-The load-bearing checks compare the batched occlusion kernel
-(``segments_blocked``, ``first_hits`` and ``first_hit``) with a scalar
-per-segment scan over every object, ``oracle_crossings``: on random segments,
-and on rays aimed at roof edges, footprint corners and a wall shared by two
-touching buildings, where ``contains_point`` must agree with them as well.
+The load-bearing checks compare the occlusion kernel ``Scene._crossings``,
+crossing by crossing, and the scene's one query ``segments_blocked`` with a
+scalar per-segment scan over every object, ``oracle_crossings``: on random
+segments, and on rays aimed at roof edges, footprint corners and a wall
+shared by two touching buildings, where ``contains_point`` must agree with
+them as well.
 """
 
 import json
@@ -70,10 +71,9 @@ def oracle_crossings(scene, p, q) -> list:
     """Scalar reference for the occlusion kernel, one segment at a time.
 
     Every crossing of the open segment p->q that lies more than EPS_GEOM from
-    both endpoints, as ``(distance, is_ground, object_id, element_id, t)``,
-    sorted, so the first entry is the first hit under the scene's tie-break.
-    Facades are scanned as one array, rooftops one building at a time with
-    the boundary counted as inside.
+    both endpoints, as ``(object_id, element_id, t)``, sorted.  Facades are
+    scanned as one array, rooftops one building at a time with the boundary
+    counted as inside.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -93,48 +93,45 @@ def oracle_crossings(scene, p, q) -> list:
         ok &= (s >= -EPS_GEOM) & (s <= scene.fac_len + EPS_GEOM)
         ok &= (pts[:, 2] >= -EPS_GEOM) & (pts[:, 2] <= scene.fac_height + EPS_GEOM)
         for f in np.nonzero(ok)[0]:
-            found.append(
-                (float(dist[f]), 0, int(scene.fac_object[f]), int(scene.fac_element[f]), float(t[f]))
-            )
+            found.append((int(scene.fac_object[f]), int(scene.fac_element[f]), float(t[f])))
     if abs(seg[2]) > 1e-15:
         for b in scene.buildings:
             t = (b.height - p[2]) / seg[2]
             dist = t * seg_len
             if EPS_GEOM < dist < seg_len - EPS_GEOM and _point_in_polygon((p + t * seg)[:2], b.footprint):
-                found.append((float(dist), 0, b.id, b.roof_element_id, float(t)))
+                found.append((b.id, b.roof_element_id, float(t)))
         t = -p[2] / seg[2]
         dist = t * seg_len
         if EPS_GEOM < dist < seg_len - EPS_GEOM:
-            found.append((float(dist), 1, GROUND_OBJECT_ID, 0, float(t)))
+            found.append((GROUND_OBJECT_ID, 0, float(t)))
     return sorted(found)
 
 
-def assert_agrees_with_oracle(scene, p, q):
-    """Every occlusion query agrees with ``oracle_crossings`` on each segment.
+def crossings(scene, p, q) -> list:
+    """``Scene._crossings`` rows of each segment, as sorted
+    ``(object_id, element_id, t)`` lists."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    rows = [[] for _ in range(len(p))]
+    for k, t, obj, el in zip(*scene._crossings(p, q)):
+        rows[k].append((int(obj), int(el), float(t)))
+    return [sorted(r) for r in rows]
 
-    Crossings whose distances differ by less than 1e-9 m are rounding-level
-    ties; the first hit may be any of them.
-    """
+
+def assert_agrees_with_oracle(scene, p, q):
+    """The kernel crosses, on each segment, exactly the elements that
+    ``oracle_crossings`` finds, at the same ``t`` within 1e-9, and
+    ``segments_blocked`` flags the segments with any crossing."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     blocked = scene.segments_blocked(p, q)
-    t, obj, el = scene.first_hits(p, q)
+    got = crossings(scene, p, q)
     for k in range(len(p)):
         want = oracle_crossings(scene, p[k], q[k])
-        hit = scene.first_hit(p[k], q[k])
-        assert blocked[k] == bool(want) == (not np.isnan(t[k])) == (hit is not None), k
-        if not want:
-            continue
-        best = want[0][0]
-        tied = {(o, e) for d, _, o, e, _ in want if d <= best + 1e-9}
-        assert (obj[k], el[k]) in tied, (k, want)
-        assert (hit.object_id, hit.element_id, hit.t) == (obj[k], el[k], t[k])
-        assert hit.distance == pytest.approx(best, abs=1e-9)
-        if hit.object_id == GROUND_OBJECT_ID:
-            assert hit.kind == "ground"
-        else:
-            roof = scene.building_by_id(hit.object_id).roof_element_id
-            assert hit.kind == ("roof" if hit.element_id == roof else "facade")
+        assert blocked[k] == bool(want), k
+        assert [row[:2] for row in got[k]] == [row[:2] for row in want], (k, got[k], want)
+        for (_, _, t_got), (_, _, t_want) in zip(got[k], want):
+            assert t_got == pytest.approx(t_want, abs=1e-9), (k, got[k], want)
 
 
 class TestSceneLoading:
@@ -279,108 +276,92 @@ class TestElementIds:
 
 
 class TestFirstHit:
+    """Single segments against one or two boxes: which elements the kernel
+    crosses, where, and whether ``segments_blocked`` flags the segment."""
+
     def test_clear_segment_has_no_hit(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        assert scene.first_hit([-20, 20, 2], [20, 20, 2]) is None
+        assert crossings(scene, [-20, 20, 2], [20, 20, 2]) == [[]]
+        assert not scene.segments_blocked([-20, 20, 2], [20, 20, 2])[0]
 
     def test_facade_hit_identity_and_point(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        hit = scene.first_hit([-20, 0, 2], [20, 0, 2])
-        assert hit is not None
-        assert hit.kind == "facade"
-        assert hit.object_id == 1
-        # facade 3 runs from vertex 3 (-5,5) to vertex 0 (-5,-5): the -x face
-        assert hit.element_id == 3
-        np.testing.assert_allclose(hit.point, [-5, 0, 2], atol=1e-9)
-        assert hit.distance == pytest.approx(15.0, abs=1e-9)
+        p, q = np.array([-20.0, 0.0, 2.0]), np.array([20.0, 0.0, 2.0])
+        (row,) = crossings(scene, p, q)
+        # facade 3 runs from vertex 3 (-5,5) to vertex 0 (-5,-5): the -x face;
+        # facade 1 is the +x face
+        assert [(o, e) for o, e, _ in row] == [(1, 1), (1, 3)]
+        t = {e: t for _, e, t in row}
+        np.testing.assert_allclose(p + t[3] * (q - p), [-5, 0, 2], atol=1e-9)
+        np.testing.assert_allclose(p + t[1] * (q - p), [5, 0, 2], atol=1e-9)
 
     def test_nearest_of_two_buildings_wins(self):
         scene = make_scene([box(1, 0, 0, 5, 10), box(2, 30, 0, 5, 10)])
-        hit = scene.first_hit([-20, 0, 2], [60, 0, 2])
-        assert hit.object_id == 1
+        (row,) = crossings(scene, [-20, 0, 2], [60, 0, 2])
+        assert {o for o, _, _ in row} == {1, 2}
+        assert min(row, key=lambda r: r[2])[0] == 1
 
     def test_over_the_roof_is_clear(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        assert scene.first_hit([-20, 0, 12], [20, 0, 12]) is None
+        assert crossings(scene, [-20, 0, 12], [20, 0, 12]) == [[]]
 
     def test_descending_ray_hits_roof_before_far_facade(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # crosses the roof plane at (-4, 0, 10), inside the footprint, while
-        # passing above the near facade
-        hit = scene.first_hit([-20, 0, 30], [0, 0, 5])
-        assert hit is not None
-        assert hit.kind == "roof"
-        np.testing.assert_allclose(hit.point, [-4, 0, 10], atol=1e-9)
+        # passing above the near facade; it ends inside, before the far facade
+        p, q = np.array([-20.0, 0.0, 30.0]), np.array([0.0, 0.0, 5.0])
+        ((obj, el, t),) = crossings(scene, p, q)[0]
+        assert (obj, el) == (1, 4)
+        np.testing.assert_allclose(p + t * (q - p), [-4, 0, 10], atol=1e-9)
 
     def test_roof_hit(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        hit = scene.first_hit([0, 0, 30], [0, 0, 2])
-        assert hit.kind == "roof"
-        assert hit.element_id == 4
-        np.testing.assert_allclose(hit.point, [0, 0, 10], atol=1e-9)
+        p, q = np.array([0.0, 0.0, 30.0]), np.array([0.0, 0.0, 2.0])
+        ((obj, el, t),) = crossings(scene, p, q)[0]
+        assert (obj, el) == (1, 4)
+        np.testing.assert_allclose(p + t * (q - p), [0, 0, 10], atol=1e-9)
 
     def test_ground_hit(self):
         scene = make_scene([box(1, 100, 100, 5, 10)])
-        hit = scene.first_hit([0, 0, 2], [10, 0, -2])
-        assert hit.kind == "ground"
-        assert hit.object_id == GROUND_OBJECT_ID
-        np.testing.assert_allclose(hit.point, [5, 0, 0], atol=1e-9)
+        p, q = np.array([0.0, 0.0, 2.0]), np.array([10.0, 0.0, -2.0])
+        ((obj, el, t),) = crossings(scene, p, q)[0]
+        assert (obj, el) == (GROUND_OBJECT_ID, 0)
+        np.testing.assert_allclose(p + t * (q - p), [5, 0, 0], atol=1e-9)
 
     def test_endpoint_on_surface_is_not_occluded(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        # segment ending exactly on the -x facade
-        assert scene.first_hit([-20, 0, 2], [-5, 0, 2]) is None
-        # and starting exactly on it, going away
-        assert scene.first_hit([-5, 0, 2], [-20, 0, 2]) is None
+        # segment ending exactly on the -x facade, and starting on it, going away
+        p = np.array([[-20.0, 0.0, 2.0], [-5.0, 0.0, 2.0]])
+        q = p[::-1]
+        assert crossings(scene, p, q) == [[], []]
+        assert not scene.segments_blocked(p, q).any()
 
     def test_grazing_corner_within_eps_passes(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # passes within EPS_GEOM/10 outside the +y facade: treated as touching, not blocking
         y = 5.0 + EPS_GEOM / 10
-        hit = scene.first_hit([-20, y, 2], [20, y, 2])
-        # a graze within tolerance may report the facade or nothing; it must not
-        # report some unrelated element
-        if hit is not None:
-            assert hit.object_id == 1
+        (row,) = crossings(scene, [-20, y, 2], [20, y, 2])
+        # a graze within tolerance may cross the box's elements or nothing; it
+        # must not cross some unrelated element
+        assert all(obj == 1 for obj, _, _ in row)
 
     def test_coincident_points_are_never_blocked(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # above the roof, on a facade, on the ground
         p = np.array([[0.0, 0.0, 20.0], [-5.0, 0.0, 2.0], [20.0, 0.0, 0.0]])
         assert not scene.segments_blocked(p, p).any()
-        assert np.isnan(scene.first_hits(p, p)[0]).all()
-        assert scene.first_hit(p[1], p[1]) is None
+        assert crossings(scene, p, p) == [[], [], []]
 
     def test_is_los_through_and_around(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        assert scene.first_hit([-20, 0, 2], [20, 0, 2]) is not None
-        assert scene.first_hit([-20, 20, 2], [20, 20, 2]) is None
+        p = np.array([[-20.0, 0.0, 2.0], [-20.0, 20.0, 2.0]])
+        q = np.array([[20.0, 0.0, 2.0], [20.0, 20.0, 2.0]])
+        np.testing.assert_array_equal(scene.segments_blocked(p, q), [True, False])
 
     def test_underground_crossing_blocked(self):
         scene = make_scene([])
         assert scene.segments_blocked([0, 0, 5], [30, 0, -5])[0]
-        assert scene.first_hit([0, 0, 5], [30, 0, -5]).kind == "ground"
-
-    def test_tie_at_shared_wall_goes_to_lower_object_id(self):
-        # boxes 1 and 2 share the wall x = 5; a ray along it meets the y = -5
-        # facades of both at the same point
-        scene = make_scene([box(2, 10, 0, 5, 15), box(1, 0, 0, 5, 10)])
-        hit = scene.first_hit([5, -20, 5], [5, 20, 5])
-        assert (hit.object_id, hit.element_id) == (1, 0)
-        assert hit.distance == 15.0
-        hit = scene.first_hit([5, 20, 5], [5, -20, 5])
-        assert (hit.object_id, hit.element_id) == (1, 2)
-
-    def test_tie_between_facade_foot_and_ground_goes_to_facade(self):
-        scene = make_scene([box(1, 0, 0, 5, 10)])
-        hit = scene.first_hit([-15, 0, 10], [5, 0, -10])
-        assert (hit.kind, hit.object_id, hit.element_id, hit.t) == ("facade", 1, 3, 0.5)
-
-    def test_tie_at_roof_edge_goes_to_lower_element_id(self):
-        scene = make_scene([box(1, 0, 0, 5, 10)])
-        # meets the top of the -x facade and the roof edge at (-5, 0, 10)
-        hit = scene.first_hit([-15, 0, 20], [5, 0, 0])
-        assert (hit.kind, hit.object_id, hit.element_id, hit.t) == ("facade", 1, 3, 0.5)
+        assert crossings(scene, [0, 0, 5], [30, 0, -5]) == [[(GROUND_OBJECT_ID, 0, 0.5)]]
 
 
 @pytest.fixture(scope="module")

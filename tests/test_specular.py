@@ -65,7 +65,9 @@ class TestEmptyScene:
 
 class TestInputChecks:
     # the tracer checks its endpoints once, before any family or the rooftop
-    # path is built; a box between the antennas would otherwise give a K path
+    # path is built; a box between the antennas would otherwise give a K path.
+    # With both endpoints at or above z = 0 the ground never blocks the direct
+    # ray, so a blocked direct ray means a building blocks it.
     BOX = Building(id=7, footprint=np.array([[-5.0, -10.0], [5.0, -10.0], [5.0, 10.0], [-5.0, 10.0]]), height=15.0)
 
     @pytest.mark.parametrize(
@@ -74,8 +76,10 @@ class TestInputChecks:
             ([-60.0, 0.0, 10.0], [-60.0, 0.0, 10.0], "distinct"),
             ([0.0, 0.0, 10.0], [50.0, 0.0, 5.0], "tx lies inside"),
             ([-60.0, 0.0, 10.0], [0.0, 0.0, 5.0], "rx lies inside"),
+            ([-60.0, 0.0, -1.0], [50.0, 0.0, 5.0], "tx lies below the ground"),
+            ([-60.0, 0.0, 10.0], [50.0, 0.0, -1e-9], "rx lies below the ground"),
         ],
-        ids=["coincident", "tx_inside", "rx_inside"],
+        ids=["coincident", "tx_inside", "rx_inside", "tx_below_ground", "rx_below_ground"],
     )
     def test_trace_rejects_bad_endpoints(self, tx, rx, message):
         tracer = SpecularTracer(Scene(buildings=[self.BOX]), F19)
@@ -190,8 +194,7 @@ class TestTwoParallelWalls:
     def test_all_subsegments_clear(self):
         paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         for p in paths:
-            for a, b in zip(p.vertices[:-1], p.vertices[1:]):
-                assert self.scene.first_hit(a, b) is None, p.signature
+            assert not self.scene.segments_blocked(p.vertices[:-1], p.vertices[1:]).any(), p.signature
 
     def test_delay_matches_length(self):
         paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
@@ -310,12 +313,6 @@ class TestRooftop:
         assert path.length_m > np.linalg.norm(rx - tx)
         assert path.delay_s == pytest.approx(path.length_m / C0, abs=1e-15)
 
-    def test_los_present_gives_none(self):
-        scene = Scene(buildings=[self.box])
-        tx = np.array([-60.0, 0.0, 30.0])
-        rx = np.array([50.0, 0.0, 30.0])
-        assert trace_rooftop(scene, tx, rx, F19) is None
-
     def test_two_boxes_four_edges_and_epstein_peterson_loss(self):
         box2 = Building(id=8, footprint=np.array([[20.0, -10.0], [30.0, -10.0], [30.0, 10.0], [20.0, 10.0]]), height=12.0)
         scene = Scene(buildings=[self.box, box2])
@@ -345,11 +342,15 @@ class TestRooftop:
         scene = Scene(buildings=[self.box])
         tx = np.array([-60.0, 0.0, 10.0])
         rx = np.array([50.0, 0.0, 5.0])
-        paths = trace(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=True))
+        roof_only = TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=True)
+        paths = trace(scene, tx, rx, roof_only)
         sigs = {p.signature for p in paths}
         assert any(s.startswith("K(") for s in sigs)
         off = trace(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=False))
         assert not any(p.signature.startswith("K(") for p in off)
+        # a direct ray over the roof is clear: line of sight, no K path
+        clear = trace(scene, np.array([-60.0, 0.0, 30.0]), np.array([50.0, 0.0, 30.0]), roof_only)
+        assert [p.signature for p in clear] == [LOS_SIGNATURE]
 
 
 class TestDuplicateGeometry:
