@@ -313,6 +313,14 @@ class TestRooftop:
         assert path.length_m > np.linalg.norm(rx - tx)
         assert path.delay_s == pytest.approx(path.length_m / C0, abs=1e-15)
 
+    def test_los_present_gives_none(self):
+        # a direct ray over the roof is clear: line of sight, no K path
+        scene = Scene(buildings=[self.box])
+        tx = np.array([-60.0, 0.0, 30.0])
+        rx = np.array([50.0, 0.0, 30.0])
+        roof_only = TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=True)
+        assert [p.signature for p in trace(scene, tx, rx, roof_only)] == [LOS_SIGNATURE]
+
     def test_two_boxes_four_edges_and_epstein_peterson_loss(self):
         box2 = Building(id=8, footprint=np.array([[20.0, -10.0], [30.0, -10.0], [30.0, 10.0], [20.0, 10.0]]), height=12.0)
         scene = Scene(buildings=[self.box, box2])
@@ -348,9 +356,6 @@ class TestRooftop:
         assert any(s.startswith("K(") for s in sigs)
         off = trace(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=False))
         assert not any(p.signature.startswith("K(") for p in off)
-        # a direct ray over the roof is clear: line of sight, no K path
-        clear = trace(scene, np.array([-60.0, 0.0, 30.0]), np.array([50.0, 0.0, 30.0]), roof_only)
-        assert [p.signature for p in clear] == [LOS_SIGNATURE]
 
 
 class TestDuplicateGeometry:
