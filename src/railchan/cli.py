@@ -432,8 +432,11 @@ def cmd_scatter_study(args) -> int:
 
 
 def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
+    """One row per scatterer: its path rows, the snapshots that see it, its
+    mean power, and its mean delay past the earliest specular path, over the
+    rows whose snapshot has a specular path."""
     by_id: dict[int, dict] = {
-        s.id: {"rows": 0, "snaps": 0, "power_acc": 0.0, "excess_acc": 0.0}
+        s.id: {"rows": 0, "snaps": 0, "power_acc": 0.0, "excess_rows": 0, "excess_acc": 0.0}
         for s in scene.scatterers
     }
     for snap in snapshots:
@@ -452,6 +455,7 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
             acc["rows"] += 1
             acc["power_acc"] += p.power
             if base is not None:
+                acc["excess_rows"] += 1
                 acc["excess_acc"] += (p.delay_s - base) * 1e9
             seen.add(sid)
         for sid in seen:
@@ -470,7 +474,9 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
                 "n_path_rows": n,
                 "n_snapshots_visible": acc["snaps"],
                 "mean_power_dbm": mean_dbm,
-                "mean_excess_delay_ns": acc["excess_acc"] / n if n else np.nan,
+                "mean_excess_delay_ns": (
+                    acc["excess_acc"] / acc["excess_rows"] if acc["excess_rows"] else np.nan
+                ),
             }
         )
     return rows
@@ -518,26 +524,25 @@ def cmd_bench(args) -> int:
             }
         )
 
+    def timed(stage: str, units: int, work):
+        """One ``stage`` row per repeat, timing ``work()``; its last result."""
+        for rep in range(args.repeats):
+            t0 = time.perf_counter()
+            result = work()
+            add_row(stage, rep, units, time.perf_counter() - t0)
+        return result
+
     add_row("scene_load", 0, 1, el)
 
     rx_list = [traj.position(t) for t in rx_times]
     tracer = SpecularTracer(scene, carrier)
     tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)  # warm the tables
-
-    for rep in range(args.repeats):
-        t0 = time.perf_counter()
-        for rx in rx_list:
-            tracer.trace(cfg.tx_position, rx, cfg.limits)
-        add_row("specular_trace", rep, len(rx_list), time.perf_counter() - t0)
+    timed("specular_trace", len(rx_list), lambda: [tracer.trace(cfg.tx_position, r, cfg.limits) for r in rx_list])
 
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier, leg_policy=cfg.leg_policy)
         engine.paths(cfg.tx_position, rx_list[0])  # warm the incident cache
-        for rep in range(args.repeats):
-            t0 = time.perf_counter()
-            for rx in rx_list:
-                engine.paths(cfg.tx_position, rx)
-            add_row("scatter_snapshot", rep, len(rx_list), time.perf_counter() - t0)
+        timed("scatter_snapshot", len(rx_list), lambda: [engine.paths(cfg.tx_position, r) for r in rx_list])
 
     # interpolation microbench across the bracket
     kfs = []
@@ -549,28 +554,24 @@ def cmd_bench(args) -> int:
     bracket = track_interval(kfs[0], kfs[1], np.random.default_rng(cfg.seed))
     steps = range(step_a + 1, step_a + 10)
     times = [i * cfg.update_step_s for i in steps]
-    for rep in range(args.repeats):
-        t0 = time.perf_counter()
+
+    def interpolate():
         rx = [traj.position(t) for t in times]
         v = [traj.velocity(t) for t in times]
-        interior = interpolate_bracket(bracket, times, rx, v, carrier)
-        add_row("interpolate_snapshot", rep, len(times), time.perf_counter() - t0)
+        return rx, interpolate_bracket(bracket, times, rx, v, carrier)
 
-    # TV-CIR synthesis and the trace writer over the bracket's snapshots
+    rx, interior = timed("interpolate_snapshot", len(times), interpolate)
+
+    # metrics, TV-CIR synthesis and the trace writer over the bracket's snapshots
     snaps = [
         kfs[0],
         *(ChannelSnapshot(*row, at_keyframe=False) for row in zip(steps, times, rx, interior)),
         kfs[1],
     ]
     n_rows = max(1, sum(len(s.paths) for s in snaps))
-    for rep in range(args.repeats):
-        t0 = time.perf_counter()
-        synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
-        add_row("tvcir_snapshot", rep, len(snaps), time.perf_counter() - t0)
-    for rep in range(args.repeats):
-        t0 = time.perf_counter()
-        write_trace_csv(out / "trace.csv", snaps)
-        add_row("trace_csv_row", rep, n_rows, time.perf_counter() - t0)
+    timed("metric_snapshot", len(snaps), lambda: metric_series(snaps, cfg.tx_power_dbm))
+    timed("tvcir_snapshot", len(snaps), lambda: synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv"))
+    timed("trace_csv_row", n_rows, lambda: write_trace_csv(out / "trace.csv", snaps))
 
     write_bench_csv(out / "bench.csv", rows)
     stages = {}

@@ -2,6 +2,10 @@
 reference-vs-interpolated error harness (RMSE, quantile-normalized RMSE,
 error CDFs).
 
+One kernel, :func:`snapshot_metrics`, reads a snapshot's paths once as
+arrays and returns its row of the twelve :data:`METRIC_NAMES`; coherent sums
+add the paths in path order, as a per-path loop does.
+
 Conventions: per-path weights are the Frobenius-squared transfer power, so
 delay/angle/Doppler statistics are polarization-agnostic.  Horizontal
 arrival angles use circular statistics (power-weighted resultant vector;
@@ -14,7 +18,7 @@ always taken over the *reference* series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +35,7 @@ _CIRCULAR_METRICS = frozenset({"mean_haoa"})
 #: minimum reference Q90-Q10 gap per metric before NRMSE is reported; the
 #: vertical-angle spread of a near-planar scene varies by well under a
 #: degree, which makes its normalized error meaningless
-DEFAULT_DEGENERATE_GAPS = {"vaoa_spread": 0.05}
+DEGENERATE_GAPS = {"vaoa_spread": 0.05}
 
 #: delay support, in symbols (1 / bandwidth), that a synthesized TV-CIR grid
 #: keeps past the longest path delay
@@ -53,12 +57,6 @@ METRIC_NAMES = (
 )
 
 
-def _paths(snapshot_or_paths) -> list:
-    if hasattr(snapshot_or_paths, "paths"):
-        return snapshot_or_paths.paths
-    return list(snapshot_or_paths)
-
-
 def _pol_entry(pol_pair: str) -> tuple[int, int]:
     pp = pol_pair.lower()
     if len(pp) != 2 or pp[0] not in _POL_INDEX or pp[1] not in _POL_INDEX:
@@ -66,29 +64,15 @@ def _pol_entry(pol_pair: str) -> tuple[int, int]:
     return _POL_INDEX[pp[0]], _POL_INDEX[pp[1]]
 
 
+def _path_order_sum(x: np.ndarray):
+    """Sum of ``x`` over its first (path) axis, added in path order as a
+    sequential ``+=`` adds it (``np.sum`` pairs terms up); zero when empty."""
+    return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:], x.dtype)
+
+
 # ----------------------------------------------------------------------
 # per-snapshot statistics
 # ----------------------------------------------------------------------
-def narrowband_power(snapshot_or_paths, pol_pair: str = "vv", tx_power_dbm: float = 0.0) -> float:
-    """Coherent narrowband received power in dBm for one polarization pair.
-
-    ``tx_power_dbm + 20*log10(|sum of T[pol] over paths|)``; minus infinity
-    for an empty snapshot or perfect cancellation.
-    """
-    r, c = _pol_entry(pol_pair)
-    total = 0.0 + 0.0j
-    for p in _paths(snapshot_or_paths):
-        total += p.transfer[r, c]
-    mag = abs(total)
-    if mag == 0.0:
-        return -math.inf
-    return tx_power_dbm + 20.0 * math.log10(mag)
-
-
-def _weights(paths) -> np.ndarray:
-    return np.array([p.power for p in paths], dtype=float)
-
-
 def _weighted_mean_rms(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     total = float(np.sum(weights))
     if total <= 0.0:
@@ -99,98 +83,39 @@ def _weighted_mean_rms(values: np.ndarray, weights: np.ndarray) -> tuple[float, 
     return mean, math.sqrt(max(var, 0.0))
 
 
-def delay_stats(snapshot_or_paths, weights: np.ndarray | None = None) -> tuple[float, float]:
-    """Power-weighted mean delay and RMS delay spread in seconds.
+def snapshot_metrics(paths, tx_power_dbm: float = 0.0) -> tuple:
+    """The :data:`METRIC_NAMES` values of one snapshot's paths, in order.
 
-    ``weights`` are the path powers when the caller already has them."""
-    paths = _paths(snapshot_or_paths)
-    if not paths:
-        return math.nan, math.nan
-    delays = np.array([p.delay_s for p in paths], dtype=float)
-    return _weighted_mean_rms(delays, _weights(paths) if weights is None else weights)
-
-
-def angle_stats(
-    snapshot_or_paths, weights: np.ndarray | None = None
-) -> tuple[float, float, float, float]:
-    """(mean_haoa, haoa_spread, mean_vaoa, vaoa_spread) in radians.
-
-    Horizontal: circular mean = argument of the power-weighted resultant,
-    spread = sqrt(2*(1-R)) with R the resultant length.  Vertical: linear
-    power-weighted mean and RMS spread.  ``weights`` as for
-    :func:`delay_stats`.
+    Powers are ``tx_power_dbm + 20*log10(|coherent sum of T[pol]|)`` in dBm,
+    minus infinity for no paths or perfect cancellation.  Delay, vertical
+    angle and Doppler take the power-weighted mean and RMS spread; the
+    horizontal angle takes the argument of the power-weighted resultant and
+    the spread sqrt(2*(1-R)), R the resultant length.  Statistics are NaN
+    when no path carries power.
     """
-    paths = _paths(snapshot_or_paths)
     if not paths:
-        return math.nan, math.nan, math.nan, math.nan
-    if weights is None:
-        weights = _weights(paths)
+        return (-math.inf,) * 4 + (math.nan,) * 8
+    transfers = np.array([p.transfer for p in paths])
+    delay, az, el, doppler = np.array([(p.delay_s, *p.aoa, p.doppler_hz) for p in paths], dtype=float).T
+    # scalar abs is libm hypot; the array np.abs may differ in the last bit
+    powers = [
+        -math.inf if abs(z) == 0.0 else tx_power_dbm + 20.0 * math.log10(abs(z))
+        for z in _path_order_sum(transfers).ravel().tolist()
+    ]
+    weights = np.sum(np.abs(transfers) ** 2, axis=(1, 2))
     total = float(np.sum(weights))
-    if total <= 0.0:
-        return math.nan, math.nan, math.nan, math.nan
-    az = np.array([p.aoa[0] for p in paths], dtype=float)
-    el = np.array([p.aoa[1] for p in paths], dtype=float)
-    w = weights / total
-    resultant = complex(np.sum(w * np.exp(1j * az)))
-    mean_h = float(np.angle(resultant))
-    r_len = min(abs(resultant), 1.0)
-    spread_h = math.sqrt(2.0 * (1.0 - r_len))
-    mean_v, spread_v = _weighted_mean_rms(el, weights)
-    return mean_h, spread_h, mean_v, spread_v
-
-
-def doppler_stats(snapshot_or_paths, weights: np.ndarray | None = None) -> tuple[float, float]:
-    """Power-weighted mean Doppler and RMS Doppler spread in Hz; ``weights``
-    as for :func:`delay_stats`."""
-    paths = _paths(snapshot_or_paths)
-    if not paths:
-        return math.nan, math.nan
-    dop = np.array([p.doppler_hz for p in paths], dtype=float)
-    return _weighted_mean_rms(dop, _weights(paths) if weights is None else weights)
-
-
-@dataclass
-class SnapshotMetrics:
-    """The per-timestamp channel descriptors tracked by the harness."""
-
-    timestamp: float
-    power_vv: float
-    power_vh: float
-    power_hv: float
-    power_hh: float
-    mean_delay: float
-    delay_spread: float
-    mean_haoa: float
-    haoa_spread: float
-    mean_vaoa: float
-    vaoa_spread: float
-    mean_doppler: float
-    doppler_spread: float
-
-    def value(self, name: str) -> float:
-        return getattr(self, name)
-
-
-def snapshot_metrics(snapshot, tx_power_dbm: float = 0.0) -> SnapshotMetrics:
-    paths = snapshot.paths
-    weights = _weights(paths)
-    mean_d, spread_d = delay_stats(paths, weights)
-    mh, sh, mv, sv = angle_stats(paths, weights)
-    md, sd = doppler_stats(paths, weights)
-    return SnapshotMetrics(
-        timestamp=float(snapshot.timestamp),
-        power_vv=narrowband_power(paths, "vv", tx_power_dbm),
-        power_vh=narrowband_power(paths, "vh", tx_power_dbm),
-        power_hv=narrowband_power(paths, "hv", tx_power_dbm),
-        power_hh=narrowband_power(paths, "hh", tx_power_dbm),
-        mean_delay=mean_d,
-        delay_spread=spread_d,
-        mean_haoa=mh,
-        haoa_spread=sh,
-        mean_vaoa=mv,
-        vaoa_spread=sv,
-        mean_doppler=md,
-        doppler_spread=sd,
+    mean_h = spread_h = math.nan
+    if total > 0.0:
+        resultant = complex(np.sum(weights / total * np.exp(1j * az)))
+        mean_h = float(np.angle(resultant))
+        spread_h = math.sqrt(2.0 * (1.0 - min(abs(resultant), 1.0)))
+    return (
+        *powers,
+        *_weighted_mean_rms(delay, weights),
+        mean_h,
+        spread_h,
+        *_weighted_mean_rms(el, weights),
+        *_weighted_mean_rms(doppler, weights),
     )
 
 
@@ -342,8 +267,9 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
 
 def metric_series(snapshots, tx_power_dbm: float = 0.0) -> dict:
     """name -> np.ndarray of per-timestamp metric values."""
-    rows = [snapshot_metrics(s, tx_power_dbm) for s in snapshots]
-    return {name: np.array([r.value(name) for r in rows], dtype=float) for name in METRIC_NAMES}
+    rows = [snapshot_metrics(s.paths, tx_power_dbm) for s in snapshots]
+    columns = np.array(rows, dtype=float).reshape(len(rows), len(METRIC_NAMES)).T.copy()
+    return dict(zip(METRIC_NAMES, columns))
 
 
 def compare_streams(
@@ -357,7 +283,7 @@ def compare_streams(
     NRMSE divides the RMSE by the Q90-Q10 gap of the *reference* series; a
     metric whose gap is below its degeneracy threshold is flagged and left
     out of :meth:`ErrorReport.summary`.  The thresholds come from
-    :data:`DEFAULT_DEGENERATE_GAPS`; a metric it does not name needs a gap of
+    :data:`DEGENERATE_GAPS`; a metric it does not name needs a gap of
     at least 1e-15.
     """
     t_ref = np.array([s.timestamp for s in reference], dtype=float)
@@ -387,7 +313,7 @@ def compare_streams(
         else:
             q10 = q90 = math.nan
         gap = q90 - q10
-        min_gap = max(DEFAULT_DEGENERATE_GAPS.get(name, 0.0), 1e-15)
+        min_gap = max(DEGENERATE_GAPS.get(name, 0.0), 1e-15)
         degenerate = (not np.isfinite(gap)) or gap < min_gap or n == 0
         nrmse = rmse / gap if not degenerate else math.nan
         abs_errors = np.sort(np.abs(errors))
@@ -438,37 +364,29 @@ def power_decomposition(
     r, c = _pol_entry(pol_pair)
     scale = 10.0 ** (tx_power_dbm / 10.0)
     n = len(snapshots)
-    spec_db = np.full(n, -math.inf)
-    scat_db = np.full(n, -math.inf)
-    tot_db = np.full(n, -math.inf)
-    spec_lin = np.zeros(n)
-    scat_lin = np.zeros(n)
-    tot_lin = np.zeros(n)
+    # rows: specular, scattered, total
+    dbm = np.full((3, n), -math.inf)
+    lin = np.zeros((3, n))
     times = np.array([s.timestamp for s in snapshots], dtype=float)
     for i, s in enumerate(snapshots):
-        spec = sum((p.transfer[r, c] for p in s.paths if p.tag == TAG_SPECULAR), 0.0 + 0.0j)
-        scat = sum((p.transfer[r, c] for p in s.paths if p.tag != TAG_SPECULAR), 0.0 + 0.0j)
-        total = sum((p.transfer[r, c] for p in s.paths), 0.0 + 0.0j)
-        spec_lin[i] = scale * abs(spec) ** 2
-        scat_lin[i] = scale * abs(scat) ** 2
-        tot_lin[i] = scale * abs(total) ** 2
-        if abs(spec) > 0.0:
-            spec_db[i] = tx_power_dbm + 20.0 * math.log10(abs(spec))
-        if abs(scat) > 0.0:
-            scat_db[i] = tx_power_dbm + 20.0 * math.log10(abs(scat))
-        if abs(total) > 0.0:
-            tot_db[i] = tx_power_dbm + 20.0 * math.log10(abs(total))
-    mean_tot = float(np.mean(tot_lin)) if n else 0.0
+        entries = np.array([p.transfer[r, c] for p in s.paths], dtype=complex)
+        specular = np.array([p.tag == TAG_SPECULAR for p in s.paths], dtype=bool)
+        for k, part in enumerate((entries[specular], entries[~specular], entries)):
+            mag = abs(_path_order_sum(part))
+            lin[k, i] = scale * mag**2
+            if mag > 0.0:
+                dbm[k, i] = tx_power_dbm + 20.0 * math.log10(mag)
+    mean_tot = float(np.mean(lin[2])) if n else 0.0
     if mean_tot > 0.0:
-        spec_frac = float(np.mean(spec_lin)) / mean_tot
-        scat_frac = float(np.mean(scat_lin)) / mean_tot
+        spec_frac = float(np.mean(lin[0])) / mean_tot
+        scat_frac = float(np.mean(lin[1])) / mean_tot
     else:
         spec_frac = scat_frac = math.nan
     return PowerDecomposition(
         timestamps=times,
-        specular_dbm=spec_db,
-        scattered_dbm=scat_db,
-        total_dbm=tot_db,
+        specular_dbm=dbm[0],
+        scattered_dbm=dbm[1],
+        total_dbm=dbm[2],
         specular_fraction=spec_frac,
         scattered_fraction=scat_frac,
     )

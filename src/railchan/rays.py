@@ -129,10 +129,6 @@ class RayPath:
         )[0]
 
     @property
-    def length_m(self) -> float:
-        return polyline_length(self.vertices)
-
-    @property
     def signature(self) -> str:
         return signature_of(self.interactions)
 

@@ -97,13 +97,13 @@ class Building:
 
 @dataclass
 class CylinderScatterer:
-    """Vertical cylinder (catenary-pylon style discrete scatterer)."""
+    """Vertical cylinder (catenary-pylon style discrete scatterer), a
+    perfect conductor."""
 
     id: int
     base_center: np.ndarray
     radius: float
     height: float
-    material: Material = PEC
 
     @property
     def reference_point(self) -> np.ndarray:
@@ -536,7 +536,9 @@ def load_scene(text: str) -> Scene:
         }
 
     Footprints must be simple polygons with >= 3 vertices; clockwise input is
-    normalized to counterclockwise on load.  Unknown keys are rejected.
+    normalized to counterclockwise on load.  Scatterers are perfect
+    conductors: a scatterer ``material`` must resolve to ``{"pec": true}``.
+    Unknown keys are rejected.
     """
     try:
         data = json.loads(text)
@@ -607,14 +609,15 @@ def load_scene(text: str) -> Scene:
             raise SceneError(f"{where}: radius must be positive, got {radius}")
         if height <= 0:
             raise SceneError(f"{where}: height must be positive, got {height}")
-        mat = _resolve_material(sobj["material"], materials, where) if "material" in sobj else PEC
+        sid = _object_id(sobj["id"], where)
+        if "material" in sobj and not _resolve_material(sobj["material"], materials, where).pec:
+            raise SceneError(f"{where}: scatterer {sid} must be a perfect conductor, got {sobj['material']!r}")
         scatterers.append(
             CylinderScatterer(
-                id=_object_id(sobj["id"], where),
+                id=sid,
                 base_center=np.asarray(sobj["base"], dtype=float),
                 radius=radius,
                 height=height,
-                material=mat,
             )
         )
 

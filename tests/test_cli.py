@@ -19,8 +19,11 @@ import numpy as np
 import pytest
 
 import railchan
-from railchan.cli import main
+from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, load_preset, preset_path
+from railchan.dynamics import ChannelSnapshot
+from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction, RayPath
+from railchan.scene import CylinderScatterer, Scene
 
 
 def _sha(path):
@@ -375,6 +378,25 @@ def test_bad_scene_numbers_exit_2(tmp_path, capsys, path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate-scene"])
+def test_lossy_scatterer_exits_2_before_output(tmp_path, capsys, command):
+    raw = json.loads(preset_path(DEFAULT_PRESET, "scene").read_text())
+    pylon = raw["scatterers"][2]
+    pylon["material"] = "concrete"
+    (tmp_path / "lossy.scene.json").write_text(json.dumps(raw))
+    cfg = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    cfg["scene"] = "lossy.scene.json"
+    (tmp_path / "lossy.config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--config", str(tmp_path / "lossy.config.json"), "--duration", "0.05", "--output-dir", str(out)]
+    else:
+        argv = ["validate-scene", str(tmp_path / "lossy.scene.json")]
+    assert main(argv) == 2
+    assert f"scatterer {pylon['id']} must be a perfect conductor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_scene_preset_ok(capsys):
     assert main(["validate-scene", "urban_canyon"]) == 0
     out = capsys.readouterr().out
@@ -460,6 +482,30 @@ def test_scatter_study_outputs(tmp_path):
         assert float(r["mean_excess_delay_ns"]) > 0.0
 
 
+def test_scatter_summary_excess_delay_over_rows_with_a_specular_path():
+    # a specular path at 100 ns and a pylon echo at 150 ns: 50 ns excess; a
+    # second snapshot holding only the echo has no reference and adds nothing
+    scene = Scene(
+        buildings=[],
+        scatterers=[CylinderScatterer(id=7, base_center=np.zeros(3), radius=0.375, height=8.2)],
+    )
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    t = np.eye(2, dtype=complex)
+
+    def path(delay, tag, inters=()):
+        return RayPath(inters, verts, delay, (0.0, 0.0), (0.0, 0.0), t, tag)
+
+    spec = path(100e-9, TAG_SPECULAR)
+    echo = path(150e-9, TAG_SCATTER, (Interaction(SCATTERING, 7, 0),))
+    one = [ChannelSnapshot(0, 0.0, np.zeros(3), [spec, echo], False)]
+    two = one + [ChannelSnapshot(1, 0.01, np.zeros(3), [echo], False)]
+    for snaps in (one, two):
+        (row,) = _scatter_summary(scene, snaps, 0.0)
+        assert row["mean_excess_delay_ns"] == pytest.approx(50.0, rel=1e-12)
+    (row,) = _scatter_summary(scene, two[1:], 0.0)
+    assert row["n_path_rows"] == 1 and math.isnan(row["mean_excess_delay_ns"])
+
+
 def test_scatter_study_requires_scatter_mode(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["scatter-study", "--duration", "24.0", "--scatter", "off"])
@@ -476,23 +522,26 @@ def test_bench_outputs(tmp_path):
     rc = main(["bench", "--repeats", "2", "--output-dir", str(out)])
     assert rc == 0
     rows = _read_csv(out / "bench.csv")
+    assert list(rows[0]) == ["stage", "repeat", "units", "seconds", "per_unit_ms"]
     stages = {r["stage"] for r in rows}
     assert {
         "scene_load",
         "specular_trace",
         "scatter_snapshot",
         "interpolate_snapshot",
+        "metric_snapshot",
         "tvcir_snapshot",
         "trace_csv_row",
     } <= stages
-    for stage in ("specular_trace", "tvcir_snapshot", "trace_csv_row"):
+    for stage in ("specular_trace", "metric_snapshot", "tvcir_snapshot", "trace_csv_row"):
         timed = [r for r in rows if r["stage"] == stage]
         assert len(timed) == 2
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
-    # the TV-CIR covers the bracket's 11 snapshots; the writer stage times
-    # one row per path row of trace.csv
-    assert {r["units"] for r in rows if r["stage"] == "tvcir_snapshot"} == {"11"}
+    # the metrics and the TV-CIR cover the bracket's 11 snapshots; the writer
+    # stage times one row per path row of trace.csv
+    for stage in ("metric_snapshot", "tvcir_snapshot"):
+        assert {r["units"] for r in rows if r["stage"] == stage} == {"11"}
     n_trace_rows = len(_read_csv(out / "trace.csv"))
     assert {r["units"] for r in rows if r["stage"] == "trace_csv_row"} == {str(n_trace_rows)}
 

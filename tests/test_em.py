@@ -28,7 +28,7 @@ from railchan.em import (
     transition_function,
     utd_coefficients,
 )
-from railchan.rays import Interaction, REFLECTION
+from railchan.rays import Interaction, REFLECTION, polyline_length
 from railchan.scene import Building, Material, PEC, Scene
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
@@ -424,13 +424,13 @@ class TestComposePathMatrix:
         length = float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
         assert length == 22.0
         assert path.delay_s == length / C0  # bit-equal
-        assert path.length_m == length
+        assert polyline_length(path.vertices) == length
         az, el = path_angles(vertices)
         assert path.aod == (az[0], el[0]) and path.aoa == (az[1], el[1])
         assert path.interactions is inters
         # the length follows the vertices, it is not stored
         path.vertices = vertices[:2]
-        assert path.length_m == 10.0
+        assert polyline_length(path.vertices) == 10.0
 
     def test_zero_length_segment_rejected(self):
         scene = Scene(buildings=[])

@@ -157,7 +157,7 @@ class TestSceneLoading:
         assert b.material.eps_r == 5.0
         assert len(scene.scatterers) == 1
         s = scene.scatterers[0]
-        assert s.material.pec
+        assert s.id == 1
         np.testing.assert_allclose(s.reference_point, [20.0, 0.0, 4.1])
 
     def test_version_field_is_mandatory(self):
@@ -215,6 +215,33 @@ class TestSceneLoading:
         bad = {"version": 1, "buildings": [{"id": 1, "footprint": square(0, 0, 1), "height": 3, "material": "nope"}]}
         with pytest.raises(SceneError, match="nope"):
             load_scene(json.dumps(bad))
+
+    @pytest.mark.parametrize("material", ["metal", {"pec": True}])
+    def test_perfect_conductor_scatterer_accepted(self, material):
+        text = json.dumps(
+            {
+                "version": 1,
+                "materials": {"metal": {"pec": True}},
+                "scatterers": [{"id": 4, "base": [0, 0, 0], "radius": 0.3, "height": 8.0, "material": material}],
+            }
+        )
+        assert [s.id for s in load_scene(text).scatterers] == [4]
+
+    @pytest.mark.parametrize("material", ["concrete", {"eps_r": 5.0, "sigma": 0.1}, {"pec": False}])
+    def test_lossy_scatterer_material_rejected(self, material):
+        # the facet sum models perfect conductors only
+        text = json.dumps(
+            {
+                "version": 1,
+                "materials": {"concrete": {"eps_r": 5.0, "sigma": 0.1}},
+                "scatterers": [
+                    {"id": 3, "base": [0, 0, 0], "radius": 0.3, "height": 8.0},
+                    {"id": 4, "base": [5, 0, 0], "radius": 0.3, "height": 8.0, "material": material},
+                ],
+            }
+        )
+        with pytest.raises(SceneError, match=r"scatterers\[1\]: scatterer 4 must be a perfect conductor"):
+            load_scene(text)
 
     def test_invalid_permittivity_rejected(self):
         with pytest.raises(SceneError, match="permittivity"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
-from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE
+from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_length
 from railchan.scene import Building, Material, Scene
 from railchan.specular import SpecularTracer, TraceLimits, trace_rooftop
 
@@ -31,7 +31,7 @@ def wall(bid, y0, y1, x0=-200.0, x1=200.0, height=30.0, material=None):
 
 
 def lengths_by_signature(paths):
-    return {p.signature: p.length_m for p in paths}
+    return {p.signature: polyline_length(p.vertices) for p in paths}
 
 
 class TestEmptyScene:
@@ -44,7 +44,7 @@ class TestEmptyScene:
         p = paths[0]
         assert p.signature == LOS_SIGNATURE
         d = np.linalg.norm(rx - tx)
-        assert p.length_m == pytest.approx(d, abs=1e-9)
+        assert polyline_length(p.vertices) == pytest.approx(d, abs=1e-9)
         assert p.delay_s == pytest.approx(d / C0, abs=1e-15)
 
     def test_tx_inside_building_rejected(self):
@@ -171,11 +171,11 @@ class TestTwoParallelWalls:
     def test_symmetry_under_endpoint_swap(self):
         fwd = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         rev = trace(self.scene, self.rx, self.tx, NO_DIFFRACTION)
-        fwd_sigs = {p.signature: p.length_m for p in fwd}
+        fwd_sigs = {p.signature: polyline_length(p.vertices) for p in fwd}
         rev_sigs = {}
         for p in rev:
             toks = p.signature.split("|")
-            rev_sigs["|".join(reversed(toks))] = p.length_m
+            rev_sigs["|".join(reversed(toks))] = polyline_length(p.vertices)
         assert set(fwd_sigs) == set(rev_sigs)
         for sig in fwd_sigs:
             assert fwd_sigs[sig] == pytest.approx(rev_sigs[sig], abs=1e-9)
@@ -199,7 +199,7 @@ class TestTwoParallelWalls:
     def test_delay_matches_length(self):
         paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         for p in paths:
-            assert p.delay_s == pytest.approx(p.length_m / C0, abs=1e-12)
+            assert p.delay_s == pytest.approx(polyline_length(p.vertices) / C0, abs=1e-12)
 
 
 class TestEdgeDiffraction:
@@ -310,8 +310,8 @@ class TestRooftop:
         for apex in path.vertices[1:-1]:
             assert apex[2] == pytest.approx(15.0, abs=1e-9)
         # delay follows the apex polyline, longer than direct distance
-        assert path.length_m > np.linalg.norm(rx - tx)
-        assert path.delay_s == pytest.approx(path.length_m / C0, abs=1e-15)
+        assert polyline_length(path.vertices) > np.linalg.norm(rx - tx)
+        assert path.delay_s == pytest.approx(polyline_length(path.vertices) / C0, abs=1e-15)
 
     def test_los_present_gives_none(self):
         # a direct ray over the roof is clear: line of sight, no K path
