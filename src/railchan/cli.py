@@ -53,7 +53,7 @@ from .metrics import (
 from .rays import SCATTERING, TAG_SCATTER
 from .scatter import ScatterEngine, _inside_bounding_cylinder
 from .scene import EPS_GEOM, SceneError, load_scene_file
-from .specular import SpecularTracer
+from .specular import SpecularTracer, _clear_masks
 from .traceio import (
     file_sha256,
     write_bench_csv,
@@ -538,6 +538,8 @@ def cmd_bench(args) -> int:
     tracer = SpecularTracer(scene, carrier)
     tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)  # warm the tables
     timed("specular_trace", len(rx_list), lambda: [tracer.trace(cfg.tx_position, r, cfg.limits) for r in rx_list])
+    families = [tracer.candidates(cfg.tx_position, r, cfg.limits) for r in rx_list]
+    timed("occlusion_solve", len(families), lambda: [_clear_masks(scene, f) for f in families])
 
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier, leg_policy=cfg.leg_policy)

@@ -9,6 +9,7 @@ the matching rule used when tracking paths across keyframes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,8 +129,9 @@ class RayPath:
             (interactions,), rows, polyline_lengths(rows), transfer[None], (tag,), (doppler_hz,)
         )[0]
 
-    @property
+    @cached_property
     def signature(self) -> str:
+        """:func:`signature_of` the interactions, built on first access."""
         return signature_of(self.interactions)
 
     @property

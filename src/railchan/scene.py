@@ -442,8 +442,10 @@ class Scene:
         """Occlusion flags for (K, 3) segment endpoint arrays.
 
         True where the open segment meets a facade, a rooftop or the ground.
-        This is the scene's one intersection query; the tracers test all
-        their candidate segments in one call.
+        This is the scene's one intersection query.  A segment's flag does
+        not depend on the other segments of the call, so the specular tracer
+        tests its candidates in rounds, one segment position per call, and
+        the scatter engine tests each batch of legs in one call.
         """
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))

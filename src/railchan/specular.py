@@ -10,9 +10,12 @@ Reflections use exact mirror images and diffraction points follow from the
 unfolded ray, so each path family (LoS, R, RR, D, RD, DR) is generated as one
 array of candidate polylines, shape (K, n, 3), together with the host of each
 interior vertex as an index into a per-scene record table.  The trace masks
-out candidates with a degenerate segment, tests every segment of every
-family in one occlusion query, and builds interaction records and transfer
-matrices only for the candidates that stay clear.  A :class:`SpecularTracer`
+out candidates with a degenerate segment and tests the rest for occlusion in
+rounds, in path order: round ``j`` sends segment ``j`` of every candidate
+still clear, across all families, to one occlusion query, so a blocked
+candidate's later segments are never tested and a solve makes at most three
+queries.  Interaction records and transfer matrices are built only for the
+candidates that stay clear.  A :class:`SpecularTracer`
 caches the per-scene tables (second-order image-pair feasibility, wedge
 geometry, facade and wedge records; zero-length when the scene has none) and
 the per-transmitter image positions, which makes repeated solves along a
@@ -20,7 +23,7 @@ receiver trajectory cheap.  ``SpecularTracer.trace`` is the one entry point:
 it checks the endpoints once and adds the rooftop path of
 :func:`trace_rooftop` when the direct ray is blocked.  The scene's one
 occlusion query, ``Scene.segments_blocked``, decides every segment; the
-rooftop path reuses the line-of-sight verdict of that same call.
+rooftop path reuses the line-of-sight verdict of the first round.
 """
 
 from __future__ import annotations
@@ -256,17 +259,10 @@ class SpecularTracer:
     # ------------------------------------------------------------------
     # the trace
     # ------------------------------------------------------------------
-    def trace(self, tx, rx, limits: TraceLimits | None = None) -> list[RayPath]:
-        limits = limits or TraceLimits()
-        tx = np.asarray(tx, dtype=float)
-        rx = np.asarray(rx, dtype=float)
-        if np.linalg.norm(rx - tx) < EPS_GEOM:
-            raise ValueError("tx and rx must be distinct points")
-        for name, p in (("tx", tx), ("rx", rx)):
-            if p[2] < 0.0:
-                raise ValueError(f"{name} lies below the ground")
-            if self.scene.contains_point(p):
-                raise ValueError(f"{name} lies inside a building")
+    def candidates(self, tx, rx, limits: TraceLimits) -> list:
+        """The candidate families of one solve, LoS first: one (vertices
+        (K, n, 3), hosts) pair per family, without the candidates that have
+        a degenerate segment.  ``tx`` and ``rx`` are checked float arrays."""
         self._prepare_tx_tables(tx)
         sc = self.scene
         rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
@@ -281,19 +277,22 @@ class SpecularTracer:
             if limits.max_reflections >= 1:
                 families.append(self._reflection_then_diffraction(tx, rx))
                 families.append(self._diffraction_then_reflection(tx, rx, rx_front))
+        return [_drop_degenerate(verts, hosts) for verts, hosts in families]
 
-        # drop candidates with a degenerate segment, then test every segment
-        # of the rest in one occlusion pass
-        families = [_drop_degenerate(verts, hosts) for verts, hosts in families]
-        blocked = sc.segments_blocked(
-            np.concatenate([v[:, :-1].reshape(-1, 3) for v, _ in families]),
-            np.concatenate([v[:, 1:].reshape(-1, 3) for v, _ in families]),
-        )
-        ends = np.cumsum([v.shape[0] * (v.shape[1] - 1) for v, _ in families])
-        clear = [
-            ~b.reshape(v.shape[0], v.shape[1] - 1).any(axis=1)
-            for (v, _), b in zip(families, np.split(blocked, ends[:-1]))
-        ]
+    def trace(self, tx, rx, limits: TraceLimits | None = None) -> list[RayPath]:
+        limits = limits or TraceLimits()
+        tx = np.asarray(tx, dtype=float)
+        rx = np.asarray(rx, dtype=float)
+        if np.linalg.norm(rx - tx) < EPS_GEOM:
+            raise ValueError("tx and rx must be distinct points")
+        for name, p in (("tx", tx), ("rx", rx)):
+            if p[2] < 0.0:
+                raise ValueError(f"{name} lies below the ground")
+            if self.scene.contains_point(p):
+                raise ValueError(f"{name} lies inside a building")
+        sc = self.scene
+        families = self.candidates(tx, rx, limits)
+        clear = _clear_masks(sc, families)
 
         paths: list[RayPath] = []
         seen: set[bytes] = set()
@@ -337,6 +336,32 @@ def _drop_degenerate(verts: np.ndarray, hosts: list):
     seg = verts[:, 1:] - verts[:, :-1]
     live = np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
     return verts[live], [(rec, idx[live]) for rec, idx in hosts]
+
+
+def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
+    """Per family, the mask of the candidates whose every segment is clear.
+
+    Occlusion is tested in rounds, in path order: round ``j`` sends segment
+    ``j`` (from the transmitter end) of every candidate still clear, across
+    all families, to one ``Scene.segments_blocked`` call, and drops the
+    blocked candidates.  A round with nothing left to test makes no call.  A
+    segment's verdict does not depend on the other segments of its call, so
+    the masks equal those of one call over every segment.
+    """
+    verts = [v for v, _ in families]
+    clear = [np.ones(len(v), dtype=bool) for v in verts]
+    for j in range(max(v.shape[1] for v in verts) - 1):
+        rows = [(f, np.nonzero(clear[f])[0]) for f, v in enumerate(verts) if v.shape[1] > j + 1]
+        counts = [len(k) for _, k in rows]
+        if not sum(counts):
+            break
+        blocked = scene.segments_blocked(
+            np.concatenate([verts[f][k, j] for f, k in rows]),
+            np.concatenate([verts[f][k, j + 1] for f, k in rows]),
+        )
+        for (f, k), b in zip(rows, np.split(blocked, np.cumsum(counts)[:-1])):
+            clear[f][k[b]] = False
+    return clear
 
 
 def _above_floor(transfer: np.ndarray, floor_db: float) -> bool:

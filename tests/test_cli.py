@@ -527,17 +527,21 @@ def test_bench_outputs(tmp_path):
     assert {
         "scene_load",
         "specular_trace",
+        "occlusion_solve",
         "scatter_snapshot",
         "interpolate_snapshot",
         "metric_snapshot",
         "tvcir_snapshot",
         "trace_csv_row",
     } <= stages
-    for stage in ("specular_trace", "metric_snapshot", "tvcir_snapshot", "trace_csv_row"):
+    for stage in ("specular_trace", "occlusion_solve", "metric_snapshot", "tvcir_snapshot", "trace_csv_row"):
         timed = [r for r in rows if r["stage"] == stage]
         assert len(timed) == 2
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
+    # the occlusion stage times the rounds of the trace stage's five solves
+    for stage in ("specular_trace", "occlusion_solve"):
+        assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}
     # the metrics and the TV-CIR cover the bracket's 11 snapshots; the writer
     # stage times one row per path row of trace.csv
     for stage in ("metric_snapshot", "tvcir_snapshot"):

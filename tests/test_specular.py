@@ -2,7 +2,9 @@
 
 The image-method oracles come from hand constructions: single-wall and
 two-parallel-wall scenes where every image position and path length is
-computable in closed form.
+computable in closed form.  The staged occlusion rounds are checked against
+``oracle_single_call_masks``, one ``segments_blocked`` call over every
+segment of every candidate, as the tracer tested them before the rounds.
 """
 
 import math
@@ -10,10 +12,12 @@ import math
 import numpy as np
 import pytest
 
+from railchan import specular
+from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
 from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_length
 from railchan.scene import Building, Material, Scene
-from railchan.specular import SpecularTracer, TraceLimits, trace_rooftop
+from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
 NO_DIFFRACTION = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
@@ -389,3 +393,132 @@ class TestDeterminism:
             assert p.signature == q.signature
             np.testing.assert_array_equal(p.vertices, q.vertices)
             np.testing.assert_array_equal(p.transfer, q.transfer)
+
+
+# ----------------------------------------------------------------------
+# staged occlusion against one call over every segment
+# ----------------------------------------------------------------------
+def oracle_single_call_masks(scene, families):
+    """Per family, the candidates whose every segment is clear, from one
+    ``segments_blocked`` call over every segment of every candidate."""
+    blocked = scene.segments_blocked(
+        np.concatenate([v[:, :-1].reshape(-1, 3) for v, _ in families]),
+        np.concatenate([v[:, 1:].reshape(-1, 3) for v, _ in families]),
+    )
+    ends = np.cumsum([v.shape[0] * (v.shape[1] - 1) for v, _ in families])
+    return [
+        ~b.reshape(v.shape[0], v.shape[1] - 1).any(axis=1)
+        for (v, _), b in zip(families, np.split(blocked, ends[:-1]))
+    ]
+
+
+CORNER = Building(id=1, footprint=np.array([[0.0, 0.0], [30.0, 0.0], [30.0, 20.0], [0.0, 20.0]]), height=25.0)
+ROOF_BOX = Building(id=7, footprint=np.array([[-5.0, -10.0], [5.0, -10.0], [5.0, 10.0], [-5.0, 10.0]]), height=15.0)
+ROOF_BOX2 = Building(id=8, footprint=np.array([[20.0, -10.0], [30.0, -10.0], [30.0, 10.0], [20.0, 10.0]]), height=12.0)
+# (buildings, tx, rx) of TestEdgeDiffraction, TestMixedOrders and TestRooftop
+SMALL_SCENES = {
+    "corner": ([CORNER], [-40.0, -10.0, 8.0], [-10.0, 30.0, 5.0]),
+    "corner_lit": ([CORNER], [-40.0, -10.0, 8.0], [-40.0, 30.0, 5.0]),
+    "rear_wall": ([CORNER, wall(2, -40.0, -38.0, x0=-80.0, x1=40.0, height=25.0)], [-40.0, -10.0, 8.0], [-10.0, 30.0, 5.0]),
+    "rooftop": ([ROOF_BOX], [-60.0, 0.0, 10.0], [50.0, 0.0, 5.0]),
+    "rooftop_clear": ([ROOF_BOX], [-60.0, 0.0, 30.0], [50.0, 0.0, 30.0]),
+    "rooftop_two_boxes": ([ROOF_BOX, ROOF_BOX2], [-60.0, 0.0, 10.0], [70.0, 0.0, 5.0]),
+}
+
+
+def small_solves(name):
+    """(scene, tx, rx) of one small scene, each way round."""
+    buildings, tx, rx = SMALL_SCENES[name]
+    scene = Scene(buildings=buildings)
+    return [(scene, np.array(tx), np.array(rx)), (scene, np.array(rx), np.array(tx))]
+
+
+@pytest.fixture(scope="module")
+def preset_solves():
+    """(tracer, tx, receiver positions, limits) of the preset at t = 0-2 s
+    every 0.1 s."""
+    cfg = load_preset()
+    traj = cfg.trajectory()
+    tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz))
+    return tracer, cfg.tx_position, [traj.position(0.1 * i) for i in range(21)], cfg.limits
+
+
+def assert_same_paths(got, want):
+    assert [p.interactions for p in got] == [p.interactions for p in want]
+    for p, q in zip(got, want):
+        assert p.vertices.tobytes() == q.vertices.tobytes(), p.signature
+        assert p.transfer.tobytes() == q.transfer.tobytes(), p.signature
+        assert np.array([p.delay_s, *p.aod, *p.aoa, p.doppler_hz]).tobytes() == np.array(
+            [q.delay_s, *q.aod, *q.aoa, q.doppler_hz]
+        ).tobytes(), p.signature
+        assert p.tag == q.tag
+
+
+class TestStagedOcclusion:
+    def check_masks(self, tracer, tx, rx, limits):
+        families = tracer.candidates(tx, rx, limits)
+        got = _clear_masks(tracer.scene, families)
+        want = oracle_single_call_masks(tracer.scene, families)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        return families, want
+
+    def check_trace(self, monkeypatch, tracer, tx, rx, limits):
+        got = tracer.trace(tx, rx, limits)
+        with monkeypatch.context() as m:
+            m.setattr(specular, "_clear_masks", oracle_single_call_masks)
+            want = tracer.trace(tx, rx, limits)
+        assert_same_paths(got, want)
+        return got
+
+    def test_masks_equal_single_call_on_preset(self, preset_solves):
+        tracer, tx, rx_list, limits = preset_solves
+        n_clear = 0
+        for rx in rx_list:
+            _, want = self.check_masks(tracer, tx, rx, limits)
+            n_clear += sum(int(w.sum()) for w in want)
+        assert n_clear > 0
+
+    @pytest.mark.parametrize("name", SMALL_SCENES)
+    def test_masks_equal_single_call_on_small_scenes(self, name):
+        for scene, tx, rx in small_solves(name):
+            families, want = self.check_masks(SpecularTracer(scene, F19), tx, rx, TraceLimits())
+            assert len(families) == 6
+
+    def test_trace_equals_single_pass_oracle_on_preset(self, preset_solves, monkeypatch):
+        tracer, tx, rx_list, limits = preset_solves
+        kinds = set()
+        for rx in rx_list:
+            paths = self.check_trace(monkeypatch, tracer, tx, rx, limits)
+            kinds.update(tuple(r.kind for r in p.interactions) for p in paths)
+        # the preset's solves keep D, RD and DR paths and the rooftop path
+        assert {("D",), ("R", "D"), ("D", "R")} <= kinds
+        assert any(k and k[0] == ROOFTOP_DIFFRACTION for k in kinds)
+
+    @pytest.mark.parametrize("name", SMALL_SCENES)
+    def test_trace_equals_single_pass_oracle_on_small_scenes(self, monkeypatch, name):
+        for scene, tx, rx in small_solves(name):
+            for limits in (TraceLimits(), TraceLimits(max_reflections=1), NO_DIFFRACTION):
+                self.check_trace(monkeypatch, SpecularTracer(scene, F19), tx, rx, limits)
+
+    def test_rounds_halve_the_segments_tested_on_preset(self, preset_solves, monkeypatch):
+        tracer, tx, rx_list, limits = preset_solves
+        calls = []
+        original = Scene.segments_blocked
+
+        def spy(scene, p, q):
+            calls.append(len(p))
+            return original(scene, p, q)
+
+        single = 0
+        for rx in rx_list:
+            single += sum(v.shape[0] * (v.shape[1] - 1) for v, _ in tracer.candidates(tx, rx, limits))
+            monkeypatch.setattr(Scene, "segments_blocked", spy)
+            n_before = len(calls)
+            tracer.trace(tx, rx, limits)
+            monkeypatch.undo()
+            # one call per segment position, and none without a segment
+            assert 1 <= len(calls) - n_before <= 3
+        assert min(calls) > 0
+        assert sum(calls) <= single // 2

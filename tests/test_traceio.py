@@ -402,6 +402,20 @@ def test_bench_csv_matches_oracle(tmp_path):
     assert_same_bytes(tmp_path, write_bench_csv, oracle_write_bench_csv, rows)
 
 
+def test_signature_is_built_once_and_equals_signature_of(run_stream, pylon_stream):
+    # keyframe, interpolated, held and scatter rows of both streams, and
+    # the crafted rows built without a tracer
+    paths = [p for _, snaps in (run_stream, pylon_stream) for s in snaps for p in s.paths]
+    paths += [p for s in crafted_snapshots() for p in s.paths]
+    for p in paths:
+        sig = p.signature
+        assert sig == signature_of(p.interactions)
+        assert p.signature is sig
+    # a copy with other interactions gets its own signature
+    q = replace(paths[-1], interactions=(Interaction(KINDS[0], 3, 4),))
+    assert q.signature == "R(3:4)"
+
+
 # ----------------------------------------------------------------------
 # text fields never need quoting
 # ----------------------------------------------------------------------
