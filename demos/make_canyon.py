@@ -79,7 +79,6 @@ def build_scene():
             "concrete": {"eps_r": 5.0, "sigma": 0.1},
             "metal": {"pec": True},
         },
-        "ground_material": "concrete",
         "buildings": buildings,
         "scatterers": scatterers,
     }

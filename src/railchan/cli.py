@@ -43,7 +43,7 @@ from .dynamics import (
     stream_snapshots,
     track_interval,
 )
-from .em import CarrierConfig
+from .em import CarrierConfig, compose_path_matrix
 from .metrics import (
     compare_streams,
     metric_series,
@@ -53,7 +53,7 @@ from .metrics import (
 from .rays import SCATTERING, TAG_SCATTER
 from .scatter import ScatterEngine, _inside_bounding_cylinder
 from .scene import EPS_GEOM, SceneError, load_scene_file
-from .specular import SpecularTracer, _clear_masks
+from .specular import SpecularTracer, _clear_masks, _unique_clear
 from .traceio import (
     file_sha256,
     write_bench_csv,
@@ -315,6 +315,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     reference = _run_stream(cfg, scene, kf_interval=cfg.update_step_s)
     ref_wall = time.perf_counter() - t0
+    ref_series = metric_series(reference.snapshots, cfg.tx_power_dbm)
 
     rows = []
     timing = []
@@ -322,7 +323,7 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         test = _run_stream(cfg, scene, kf_interval=interval)
         test_wall = time.perf_counter() - t0
-        report = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm)
+        report = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm, ref_series)
         rows.append((interval, report))
         normalized = test_wall / ref_wall
         timing.append(
@@ -539,7 +540,14 @@ def cmd_bench(args) -> int:
     tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)  # warm the tables
     timed("specular_trace", len(rx_list), lambda: [tracer.trace(cfg.tx_position, r, cfg.limits) for r in rx_list])
     families = [tracer.candidates(cfg.tx_position, r, cfg.limits) for r in rx_list]
-    timed("occlusion_solve", len(families), lambda: [_clear_masks(scene, f) for f in families])
+    clear = timed("occlusion_solve", len(families), lambda: [_clear_masks(scene, f) for f in families])
+    # the clear, distinct candidates of every family of the five solves
+    kept = [family for f, c in zip(families, clear) for family in _unique_clear(f, c)]
+    timed(
+        "compose_solve",
+        len(families),
+        lambda: [compose_path_matrix(verts, kinds, hosts, scene, carrier) for verts, (kinds, hosts) in kept],
+    )
 
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier, leg_policy=cfg.leg_policy)
@@ -597,7 +605,7 @@ def cmd_validate_scene(args) -> int:
     else:
         path = preset_path(spec, "scene")
     scene = load_scene_file(path)
-    n_wedges = len(scene.wedges())
+    n_wedges = scene.n_wedges
     all_xy = np.concatenate([b.footprint for b in scene.buildings]) if scene.buildings else np.zeros((0, 2))
     print(f"scene OK: {path}")
     print(f"  buildings:  {len(scene.buildings)}")

@@ -15,8 +15,14 @@ Conventions used throughout:
   transfer matrix g * diag(1, -1), and reversing a path transposes the
   matrix.
 * One walker, :func:`leg_polarization_operator`, follows the polarization
-  basis along a polyline through every interaction; :func:`compose_path_matrix`
-  adds the spreading, the phase and the knife-edge losses to its result.
+  basis through every interaction of a family of K paths that share one
+  interaction sequence: ``vertices`` is (K, n, 3), ``kinds`` names the
+  interaction at each interior vertex and ``hosts`` holds one index array
+  per interior vertex into the scene's facade table (reflections, rooftop
+  edges) or wedge table (vertical-edge diffractions).  Every coefficient is
+  evaluated on arrays, so a family costs a fixed number of numpy calls and
+  a single path is the K = 1 case.  :func:`compose_path_matrix` adds the
+  spreading, the phase and the knife-edge losses to its result.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from railchan.rays import (
     EDGE_DIFFRACTION,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
-    polyline_length,
+    polyline_lengths,
 )
-from railchan.scene import GROUND_OBJECT_ID, Material, Scene
+from railchan.scene import Scene
 
 #: Vacuum permittivity, F/m.
 EPS0 = 8.8541878128e-12
@@ -61,76 +67,74 @@ class CarrierConfig:
         return _TWO_PI / self.wavelength
 
 
-def spherical_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta_hat, phi_hat) of the global spherical frame at a direction.
+def spherical_basis(directions) -> tuple[np.ndarray, np.ndarray]:
+    """(theta_hat, phi_hat) of the global spherical frame at (..., 3) unit
+    directions, each (..., 3).
 
     theta_hat points toward increasing polar angle (downward for horizontal
     directions), phi_hat toward increasing azimuth; theta_hat x phi_hat
-    equals the unit direction.  At the poles the azimuth is taken as 0.
+    equals the direction.  At the poles the azimuth is taken as 0.
     """
-    d = np.asarray(direction, dtype=float)
-    norm = math.sqrt(float(d[0]) ** 2 + float(d[1]) ** 2 + float(d[2]) ** 2)
-    if norm == 0.0:
-        raise ValueError("zero direction has no polarization basis")
-    d = d / norm
-    rho = math.hypot(d[0], d[1])
-    if rho < 1e-12:
-        sign = 1.0 if d[2] > 0 else -1.0
-        theta_hat = np.array([sign, 0.0, 0.0])
-        phi_hat = np.array([0.0, 1.0, 0.0])
-        return theta_hat, phi_hat
-    cos_phi, sin_phi = d[0] / rho, d[1] / rho
-    cos_theta, sin_theta = d[2], rho
-    theta_hat = np.array([cos_theta * cos_phi, cos_theta * sin_phi, -sin_theta])
-    phi_hat = np.array([-sin_phi, cos_phi, 0.0])
+    d = np.asarray(directions, dtype=float)
+    rho = np.hypot(d[..., 0], d[..., 1])
+    safe = rho > 1e-12
+    inv = np.where(safe, rho, 1.0)
+    cos_phi = np.where(safe, d[..., 0] / inv, 1.0)
+    sin_phi = np.where(safe, d[..., 1] / inv, 0.0)
+    cos_theta = d[..., 2]
+    theta_hat = np.stack([cos_theta * cos_phi, cos_theta * sin_phi, -rho], axis=-1)
+    phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(rho)], axis=-1)
+    pole = ~safe
+    if np.any(pole):
+        theta_hat[pole] = 0.0
+        theta_hat[pole, 0] = np.sign(d[pole, 2])
+        phi_hat[pole] = (0.0, 1.0, 0.0)
     return theta_hat, phi_hat
 
 
-def free_space_transport(distance: float, carrier: CarrierConfig) -> complex:
-    """Spherical-spreading amplitude with propagation phase over a distance."""
-    if distance <= 0.0:
-        raise ValueError(f"propagation distance must be positive, got {distance}")
+def free_space_transport(distance, carrier: CarrierConfig):
+    """Spherical-spreading amplitude with propagation phase over distances."""
+    d = np.asarray(distance, dtype=float)
+    if np.any(d <= 0.0):
+        raise ValueError(f"propagation distance must be positive, got {d}")
     lam = carrier.wavelength
-    return (lam / (4.0 * math.pi * distance)) * cmath.exp(-1j * _TWO_PI * distance / lam)
+    # the phase in real arithmetic: it reaches 1e4-1e5 rad, where dividing a
+    # complex array by lam (a reciprocal multiply) would move it by an ulp
+    return (lam / (4.0 * math.pi * d)) * np.exp(1j * (-_TWO_PI * d / lam))
 
 
-def complex_permittivity(material: Material, carrier: CarrierConfig) -> complex:
-    """Relative permittivity with conductive loss, eps_r - j sigma/(2 pi f eps0)."""
-    return material.eps_r - 1j * material.sigma / (_TWO_PI * carrier.frequency_hz * EPS0)
+def fresnel_reflection(eps_r, sigma, pec, incidence_angle, carrier: CarrierConfig):
+    """(Gamma_TE, Gamma_TM) arrays for lossy half-spaces; angles from the normal.
 
-
-def fresnel_reflection(
-    material: Material, incidence_angle: float, carrier: CarrierConfig
-) -> tuple[complex, complex]:
-    """(Gamma_TE, Gamma_TM) for a lossy half-space; angle measured from the normal.
-
-    TE is the component perpendicular to the plane of incidence, TM the
-    component in it.  A perfect conductor returns (-1, +1) at every angle.
+    ``eps_r``, ``sigma`` and ``pec`` are the material columns (see
+    :class:`~railchan.scene.Material`); the complex relative permittivity is
+    eps_r - j sigma/(2 pi f eps0).  TE is the component perpendicular to the
+    plane of incidence, TM the component in it.  A perfect conductor returns
+    (-1, +1) at every angle.
     """
-    if not 0.0 <= incidence_angle < math.pi / 2:
-        raise ValueError(f"incidence angle must be in [0, pi/2), got {incidence_angle}")
-    if material.pec:
-        return (-1.0 + 0.0j, +1.0 + 0.0j)
-    eps = complex_permittivity(material, carrier)
-    sin_i = math.sin(incidence_angle)
-    cos_i = math.cos(incidence_angle)
+    theta = np.asarray(incidence_angle, dtype=float)
+    if not np.all((theta >= 0.0) & (theta < math.pi / 2)):
+        raise ValueError(f"incidence angle must be in [0, pi/2), got {theta}")
+    eps = eps_r - 1j * sigma / (_TWO_PI * carrier.frequency_hz * EPS0)
+    sin_i = np.sin(theta)
+    cos_i = np.cos(theta)
     root = np.sqrt(eps - sin_i * sin_i + 0j)
     gamma_te = (cos_i - root) / (cos_i + root)
     gamma_tm = (eps * cos_i - root) / (eps * cos_i + root)
-    return complex(gamma_te), complex(gamma_tm)
+    return np.where(pec, -1.0 + 0.0j, gamma_te), np.where(pec, 1.0 + 0.0j, gamma_tm)
 
 
-def knife_edge_v(h: float, d1: float, d2: float, wavelength: float) -> float:
-    """Fresnel-Kirchhoff diffraction parameter for one knife edge.
+def knife_edge_v(h, d1, d2, wavelength: float):
+    """Fresnel-Kirchhoff diffraction parameter for knife edges.
 
     ``h`` is the edge clearance above the straight line between the two
     neighbor points (positive when the edge obstructs), ``d1``/``d2`` the
     distances from the edge to those points.
     """
-    return h * math.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2))
+    return h * np.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2))
 
 
-def knife_edge_diffraction(v: float) -> complex:
+def knife_edge_diffraction(v):
     """Complex knife-edge coefficient F(v); F(-inf) = 1, |F(0)| = 1/2."""
     # scipy.special is imported on first use: it costs about 0.3 s of startup
     from scipy.special import fresnel
@@ -156,35 +160,12 @@ def transition_function(x):
     return out
 
 
-def _diffraction_term(beta: float, n: float, k: float, L: float, sign1: int) -> complex:
-    """One cotangent/transition term of the wedge diffraction coefficient.
-
-    Near its shadow/reflection boundary the cotangent pole and the vanishing
-    transition function cancel; inside a small window the closed-form limit
-    replaces the product to keep the evaluation finite and smooth.
-    """
-    big_n = round((beta + sign1 * math.pi) / (_TWO_PI * n))
-    eps = beta - sign1 * (_TWO_PI * n * big_n - math.pi)
-    if abs(eps) < 1e-6:
-        sgn = 1.0 if eps >= 0 else -1.0
-        val = math.sqrt(_TWO_PI * k * L) * sgn - 2.0 * k * L * eps * cmath.exp(1j * math.pi / 4)
-        return n * cmath.exp(1j * math.pi / 4) * val
-    a = 2.0 * math.cos((_TWO_PI * n * big_n - beta) / 2.0) ** 2
-    cot = 1.0 / math.tan((math.pi + sign1 * beta) / (2.0 * n))
-    return cot * transition_function(k * L * a)
+_UTD_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_EXP_J_PI_4 = cmath.exp(1j * math.pi / 4)
 
 
-def utd_coefficients(
-    n_index: float,
-    wavenumber: float,
-    beta0: float,
-    phi_inc: float,
-    phi_out: float,
-    distance_param: float,
-    r_soft: complex,
-    r_hard: complex,
-) -> tuple[complex, complex]:
-    """Uniform wedge diffraction coefficients (D_soft, D_hard).
+def utd_coefficients(n_index, wavenumber: float, beta0, phi_inc, phi_out, distance_param, r_soft, r_hard):
+    """Uniform wedge diffraction coefficients (D_soft, D_hard), as arrays.
 
     ``n_index`` parameterizes the exterior wedge angle n*pi; ``phi_inc`` and
     ``phi_out`` are measured from the o-face in the exterior region;
@@ -192,244 +173,220 @@ def utd_coefficients(
     the spherical-wave distance parameter s s' sin^2(beta0) / (s + s').
     Both faces share one material, so one face reflection coefficient per
     polarization multiplies the two reflection-boundary terms; -1/+1
-    recover the perfectly-conducting soft/hard cases.
+    recover the perfectly-conducting soft/hard cases.  The arguments
+    broadcast against each other.
+
+    Each of the four cotangent/transition terms has a shadow or reflection
+    boundary, where the cotangent pole and the vanishing transition function
+    cancel; inside a small window the closed-form limit replaces the product
+    to keep the evaluation finite and smooth.
     """
-    if distance_param <= 0:
+    L = np.asarray(distance_param, dtype=float)
+    if np.any(L <= 0):
         raise ValueError("distance parameter must be positive")
-    sin_b = math.sin(beta0)
-    if sin_b <= 1e-9:
+    sin_b = np.sin(beta0)
+    if np.any(sin_b <= 1e-9):
         raise ValueError("ray grazing along the edge is outside the model")
+    n = np.asarray(n_index, dtype=float)
+    k = wavenumber
     beta_d = phi_out - phi_inc
     beta_s = phi_out + phi_inc
-    t1 = _diffraction_term(beta_d, n_index, wavenumber, distance_param, +1)
-    t2 = _diffraction_term(beta_d, n_index, wavenumber, distance_param, -1)
-    t3 = _diffraction_term(beta_s, n_index, wavenumber, distance_param, +1)
-    t4 = _diffraction_term(beta_s, n_index, wavenumber, distance_param, -1)
-    pref = -cmath.exp(-1j * math.pi / 4) / (
-        2.0 * n_index * math.sqrt(_TWO_PI * wavenumber) * sin_b
-    )
+    beta = np.stack(np.broadcast_arrays(beta_d, beta_d, beta_s, beta_s))
+    sign = _UTD_SIGNS.reshape((4,) + (1,) * (beta.ndim - 1))
+    big_n = np.round((beta + sign * math.pi) / (_TWO_PI * n))
+    eps = beta - sign * (_TWO_PI * n * big_n - math.pi)
+    a = 2.0 * np.cos((_TWO_PI * n * big_n - beta) / 2.0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = 1.0 / np.tan((math.pi + sign * beta) / (2.0 * n))
+        terms = cot * transition_function(k * L * a)
+    limit = np.sqrt(_TWO_PI * k * L) * np.where(eps >= 0, 1.0, -1.0) - 2.0 * k * L * eps * _EXP_J_PI_4
+    t1, t2, t3, t4 = np.where(np.abs(eps) < 1e-6, n * _EXP_J_PI_4 * limit, terms)
+    pref = -cmath.exp(-1j * math.pi / 4) / (2.0 * n * math.sqrt(_TWO_PI * k) * sin_b)
     # two products, not r * (t3 + t4), which rounds differently
     d_soft = pref * (t1 + t2 + r_soft * t3 + r_soft * t4)
     d_hard = pref * (t1 + t2 + r_hard * t3 + r_hard * t4)
     return d_soft, d_hard
 
 
-def _norm3(v) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+def _dot(a, b):
+    """Row-wise dot products of (K, d) vectors."""
+    return np.einsum("kj,kj->k", a, b)
 
 
-def _cross3(a, b) -> np.ndarray:
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+
+
+def _cross(a, b):
+    """Row-wise cross products of (K, 3) vectors."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
+
+
+def _project(vectors, basis):
+    """Components of the (K, 3, 2) ``basis`` columns along (K, 3) vectors, (K, 2)."""
+    return np.einsum("kj,kjc->kc", vectors, basis)
+
+
+def _outer(vectors, components):
+    """(K, 3, 2) columns ``vectors`` scaled by (K, 2) ``components``."""
+    return vectors[:, :, None] * components[:, None, :]
+
+
+def _face_fresnel(scene: Scene, faces, theta, carrier: CarrierConfig):
+    return fresnel_reflection(
+        scene.fac_eps_r[faces], scene.fac_sigma[faces], scene.fac_pec[faces], theta, carrier
     )
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / _norm3(v)
+def _reflect(basis, k_in, k_out, scene: Scene, faces, carrier: CarrierConfig):
+    """Facade reflection of the basis; checks the specular law against k_out."""
+    normal = scene.fac_normal[faces]
+    cos_i = -_dot(k_in, normal)
+    normal = np.where((cos_i < 0)[:, None], -normal, normal)
+    cos_i = np.abs(cos_i)
+    k_ref = k_in + 2.0 * cos_i[:, None] * normal
+    if np.any(np.abs(_dot(k_ref, k_out) - 1.0) > 1e-6):
+        raise ValueError("path geometry violates the specular law")
+    perp = _cross(k_in, normal)
+    nrm = np.sqrt(_dot(perp, perp))
+    normal_incidence = nrm < 1e-9
+    perp = perp / np.where(normal_incidence, 1.0, nrm)[:, None]
+    if np.any(normal_incidence):
+        # any transverse direction works (TE and TM coefficients act
+        # identically up to the sign convention here)
+        perp[normal_incidence] = spherical_basis(k_in[normal_incidence])[0]
+    par_in = _cross(perp, k_in)
+    par_out = _cross(perp, k_ref)
+    theta = np.minimum(np.arccos(np.minimum(1.0, cos_i)), math.pi / 2 - 1e-12)
+    g_te, g_tm = (g[:, None, None] for g in _face_fresnel(scene, faces, theta, carrier))
+    return g_te * _outer(perp, _project(perp, basis)) + g_tm * _outer(par_out, _project(par_in, basis))
 
 
-def _rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimal rotation matrix taking unit vector a to unit vector b."""
-    c = float(np.dot(a, b))
-    axis = _cross3(a, b)
-    s = _norm3(axis)
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
-        # antiparallel: rotate by pi about any perpendicular axis
-        perp = np.array([1.0, 0.0, 0.0])
-        if abs(a[0]) > 0.9:
-            perp = np.array([0.0, 1.0, 0.0])
-        axis = _unit(_cross3(a, perp))
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
-    axis = axis / s
-    kmat = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + s * kmat + (1 - c) * (kmat @ kmat)
-
-
-def _reflection_frame(k_in: np.ndarray, normal: np.ndarray):
-    """(e_perp, e_par_in, e_par_out, k_out, cos_incidence) for a mirror."""
-    cos_i = -float(np.dot(k_in, normal))
-    if cos_i < 0:
-        normal = -normal
-        cos_i = -cos_i
-    k_out = k_in + 2.0 * cos_i * normal
-    perp = _cross3(k_in, normal)
-    nrm = _norm3(perp)
-    if nrm < 1e-9:
-        # normal incidence: any transverse direction works (TE and TM
-        # coefficients act identically up to the sign convention here)
-        perp, _ = spherical_basis(k_in)
-    else:
-        perp = perp / nrm
-    par_in = _cross3(perp, k_in)
-    par_out = _cross3(perp, k_out)
-    return perp, par_in, par_out, k_out, min(cos_i, 1.0)
-
-
-def _facade_normal_material(scene: Scene, rec):
-    if rec.object_id == GROUND_OBJECT_ID:
-        return np.array([0.0, 0.0, 1.0]), scene.ground_material
-    _, _, _, _, normal, material = scene.facade_frame(rec.object_id, rec.element_id)
-    return normal, material
-
-
-def _apply_reflection(b_mat, k_in, scene, rec, carrier):
-    normal, material = _facade_normal_material(scene, rec)
-    perp, par_in, par_out, k_out, cos_i = _reflection_frame(k_in, normal)
-    theta_i = math.acos(min(1.0, cos_i))
-    theta_i = min(theta_i, math.pi / 2 - 1e-12)
-    gamma_te, gamma_tm = fresnel_reflection(material, theta_i, carrier)
-    c_perp = perp @ b_mat
-    c_par = par_in @ b_mat
-    out = gamma_te * np.outer(perp, c_perp) + gamma_tm * np.outer(par_out, c_par)
-    return out, k_out
-
-
-def _wedge_face_coefficients(wedge, phi_inc, phi_out, carrier):
-    """(soft, hard) Fresnel coefficients of the wedge faces, which share one
-    material, at a symmetric effective angle.
-
-    The effective grazing angle (pi - |phi_out - phi_inc|)/2 equals the
-    geometric-optics grazing angle at each reflection boundary and is
-    symmetric under exchanging source and observer, which keeps composed
-    paths exactly reciprocal.
-    """
-    grazing = (math.pi - abs(phi_out - phi_inc)) / 2.0
-    cos_theta = abs(math.sin(grazing))
-    theta = math.acos(min(1.0, cos_theta))
-    theta = min(theta, math.pi / 2 - 1e-12)
-    return fresnel_reflection(wedge.material, theta, carrier)
-
-
-def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, carrier):
-    wedge = scene.wedge(rec.object_id, rec.element_id)
-    edge = wedge.edge_dir
-    cos_beta = float(np.dot(k_in, edge))
-    beta0 = math.acos(np.clip(cos_beta, -1.0, 1.0))
-    # angles around the edge, measured from the o-face through the exterior
-    d_src = -k_in
-    p_src = d_src - np.dot(d_src, edge) * edge
-    p_obs = k_out - np.dot(k_out, edge) * edge
-    if _norm3(p_src) < 1e-12 or _norm3(p_obs) < 1e-12:
+def _diffract(basis, k_in, k_out, s_before, s_after, scene: Scene, wedges, carrier: CarrierConfig):
+    """Vertical-edge UTD diffraction of the basis, with the edge spreading."""
+    beta0 = np.arccos(np.clip(k_in[:, 2], -1.0, 1.0))
+    # the edge is vertical: angles around it from the horizontal projections
+    src_xy = -k_in[:, :2]
+    obs_xy = k_out[:, :2]
+    src_len = np.hypot(src_xy[:, 0], src_xy[:, 1])
+    obs_len = np.hypot(obs_xy[:, 0], obs_xy[:, 1])
+    if np.any((src_len < 1e-12) | (obs_len < 1e-12)):
         raise ValueError("ray along the diffracting edge")
-    p_src = _unit(p_src)
-    p_obs = _unit(p_obs)
-    phi_inc = math.atan2(np.dot(p_src, wedge.o_normal), np.dot(p_src, wedge.o_tangent)) % _TWO_PI
-    phi_out = math.atan2(np.dot(p_obs, wedge.o_normal), np.dot(p_obs, wedge.o_tangent)) % _TWO_PI
-    L = s_before * s_after * math.sin(beta0) ** 2 / (s_before + s_after)
-    r_s, r_h = _wedge_face_coefficients(wedge, phi_inc, phi_out, carrier)
+    o_t = scene.wedge_o_tangent[wedges]
+    o_n = scene.wedge_o_normal[wedges]
+    phi_inc = np.mod(np.arctan2(_dot(src_xy, o_n), _dot(src_xy, o_t)), _TWO_PI)
+    phi_out = np.mod(np.arctan2(_dot(obs_xy, o_n), _dot(obs_xy, o_t)), _TWO_PI)
+    L = s_before * s_after * np.sin(beta0) ** 2 / (s_before + s_after)
+    # the wedge faces' Fresnel coefficients at the symmetric effective
+    # grazing angle (pi - |phi_out - phi_inc|)/2: the geometric-optics
+    # grazing angle at each reflection boundary, unchanged when source and
+    # observer swap, which keeps composed paths exactly reciprocal
+    grazing = (math.pi - np.abs(phi_out - phi_inc)) / 2.0
+    theta = np.minimum(np.arccos(np.minimum(1.0, np.abs(np.sin(grazing)))), math.pi / 2 - 1e-12)
+    r_soft, r_hard = _face_fresnel(scene, scene.wedge_face[wedges], theta, carrier)
     d_soft, d_hard = utd_coefficients(
-        n_index=wedge.n_index,
-        wavenumber=carrier.wavenumber,
-        beta0=beta0,
-        phi_inc=phi_inc,
-        phi_out=phi_out,
-        distance_param=L,
-        r_soft=r_s,
-        r_hard=r_h,
+        scene.wedge_n_index[wedges], carrier.wavenumber, beta0, phi_inc, phi_out, L, r_soft, r_hard
     )
-    # ray-fixed polarization bases: soft acts on the component in the
-    # edge-fixed plane of incidence, hard on the perpendicular one
-    phi_hat_in = -_cross3(edge, k_in)
-    phi_hat_in = _unit(phi_hat_in)
-    beta_hat_in = _cross3(phi_hat_in, k_in)
-    phi_hat_out = _unit(_cross3(edge, k_out))
-    beta_hat_out = _cross3(phi_hat_out, k_out)
-    a_b = beta_hat_in @ b_mat
-    a_p = phi_hat_in @ b_mat
-    out = -(d_soft * np.outer(beta_hat_out, a_b) + d_hard * np.outer(phi_hat_out, a_p))
-    spread = math.sqrt((s_before + s_after) / (s_before * s_after))
-    return out * spread
+    # ray-fixed bases: soft acts on the component in the edge-fixed plane of
+    # incidence (beta_hat), hard on the perpendicular one (phi_hat = z x k,
+    # negated on the incident side)
+    zero = np.zeros(len(k_in))
+    phi_in = np.stack([k_in[:, 1], -k_in[:, 0], zero], axis=1) / src_len[:, None]
+    phi_out_hat = np.stack([-k_out[:, 1], k_out[:, 0], zero], axis=1) / obs_len[:, None]
+    beta_in = _cross(phi_in, k_in)
+    beta_out = _cross(phi_out_hat, k_out)
+    out = -(
+        d_soft[:, None, None] * _outer(beta_out, _project(beta_in, basis))
+        + d_hard[:, None, None] * _outer(phi_out_hat, _project(phi_in, basis))
+    )
+    spread = np.sqrt((s_before + s_after) / (s_before * s_after))
+    return out * spread[:, None, None]
 
 
-def _rooftop_factor(vertices, i, carrier) -> complex:
-    """Knife-edge coefficient for the rooftop vertex i from its neighbors."""
-    prev_v, apex, next_v = vertices[i - 1], vertices[i], vertices[i + 1]
+def _rotate(basis, k_in, k_out):
+    """The minimal rotation taking k_in to k_out, applied to the basis."""
+    c = _dot(k_in, k_out)
+    axis = _cross(k_in, k_out)
+    s = np.sqrt(_dot(axis, axis))
+    straight = s < 1e-12
+    if np.any(straight & (c < 0)):
+        raise ValueError("path turns back on itself")
+    axis = axis / np.where(straight, 1.0, s)[:, None]
+    # cross-product matrices: kmat[k] @ v = axis[k] x v
+    kmat = np.cross(axis[:, None, :], np.eye(3)).transpose(0, 2, 1)
+    rot = np.eye(3) + s[:, None, None] * kmat + (1 - c)[:, None, None] * (kmat @ kmat)
+    rot[straight] = np.eye(3)
+    return rot @ basis
+
+
+def _knife_edge_factor(verts, i, carrier: CarrierConfig):
+    """Knife-edge coefficients of interior vertex ``i`` of (K, n, 3) polylines,
+    from its neighbors."""
+    prev_v, apex, next_v = verts[:, i - 1], verts[:, i], verts[:, i + 1]
     chord = next_v - prev_v
-    u = _unit(chord)
+    u = chord / np.linalg.norm(chord, axis=1)[:, None]
     rel = apex - prev_v
-    offset = rel - np.dot(rel, u) * u
-    h = _norm3(offset)
-    if h > 0 and offset[2] < 0:
-        h = -h
-    d1 = _norm3(apex - prev_v)
-    d2 = _norm3(next_v - apex)
-    v = knife_edge_v(h, d1, d2, carrier.wavelength)
-    return knife_edge_diffraction(v)
+    offset = rel - _dot(rel, u)[:, None] * u
+    h = np.linalg.norm(offset, axis=1)
+    h = np.where((h > 0) & (offset[:, 2] < 0), -h, h)
+    d1 = np.linalg.norm(apex - prev_v, axis=1)
+    d2 = np.linalg.norm(next_v - apex, axis=1)
+    return knife_edge_diffraction(knife_edge_v(h, d1, d2, carrier.wavelength))
 
 
-def leg_polarization_operator(vertices, interactions, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
-    """Polarization transform of a validated ray path, without spreading.
+def leg_polarization_operator(vertices, kinds, hosts, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
+    """Polarization transforms of a family of validated ray paths, (K, 2, 2).
 
-    ``vertices`` is the Tx...Rx polyline; ``interactions`` the records for
-    the interior vertices in order.  The result maps (V, H) components
-    launched along the first segment to (V, H) components in the arrival
-    basis of the last segment (pointing back toward the previous vertex).
-    It holds the Fresnel and UTD wedge coefficients and the basis rotations,
-    but no free-space spreading, propagation phase or knife-edge losses.  A
+    ``vertices`` holds K Tx...Rx polylines, (K, n, 3); ``kinds`` the
+    interaction kind of each of the n - 2 interior vertices and ``hosts``
+    one (K,) index array per interior vertex: into the scene's facade table
+    for reflections and rooftop edges, into its wedge table for edge
+    diffractions.  Each result maps (V, H) components launched along the
+    first segment to (V, H) components in the arrival basis of the last
+    segment (pointing back toward the previous vertex).  It holds the
+    Fresnel and UTD wedge coefficients and the basis rotations, but no
+    free-space spreading, propagation phase or knife-edge losses.  A
     straight two-point path therefore returns diag(1, -1).
     """
     verts = np.asarray(vertices, dtype=float)
-    if len(verts) != len(interactions) + 2:
+    if verts.ndim != 3 or verts.shape[1] != len(kinds) + 2 or len(hosts) != len(kinds):
         raise ValueError("vertex count does not match interaction count")
-    seg = np.diff(verts, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
+    seg = np.diff(verts, axis=1)
+    seg_len = np.linalg.norm(seg, axis=2)
     if np.any(seg_len < 1e-12):
         raise ValueError("zero-length path segment")
-    dirs = seg / seg_len[:, None]
-    total_len = float(np.sum(seg_len))
+    dirs = seg / seg_len[:, :, None]
+    reached = np.cumsum(seg_len, axis=1)  # path length up to vertex i + 1
+    total = reached[:, -1]
 
-    v_hat, h_hat = spherical_basis(dirs[0])
-    b_mat = np.empty((3, 2), dtype=complex)
-    b_mat[:, 0] = v_hat
-    b_mat[:, 1] = h_hat
-
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    for i, rec in enumerate(interactions):
-        k_in = dirs[i]
-        k_out = dirs[i + 1]
-        if rec.kind == REFLECTION:
-            b_mat, k_ref = _apply_reflection(b_mat, k_in, scene, rec, carrier)
-            if abs(float(np.dot(k_ref, k_out)) - 1.0) > 1e-6:
-                raise ValueError("path geometry violates the specular law")
-        elif rec.kind == EDGE_DIFFRACTION:
-            s_before = float(cum[i + 1])
-            s_after = total_len - s_before
-            b_mat = _apply_edge_diffraction(
-                b_mat, k_in, k_out, s_before, s_after, scene, rec, carrier
-            )
-        elif rec.kind == ROOFTOP_DIFFRACTION:
-            b_mat = _rotation_between(k_in, k_out) @ b_mat
+    basis = np.stack(spherical_basis(dirs[:, 0]), axis=2).astype(complex)  # (K, 3, 2)
+    for i, (kind, host) in enumerate(zip(kinds, hosts)):
+        k_in, k_out = dirs[:, i], dirs[:, i + 1]
+        if kind == REFLECTION:
+            basis = _reflect(basis, k_in, k_out, scene, host, carrier)
+        elif kind == EDGE_DIFFRACTION:
+            basis = _diffract(basis, k_in, k_out, reached[:, i], total - reached[:, i], scene, host, carrier)
+        elif kind == ROOFTOP_DIFFRACTION:
+            basis = _rotate(basis, k_in, k_out)
         else:
-            raise ValueError(f"unsupported interaction kind {rec.kind!r}")
+            raise ValueError(f"unsupported interaction kind {kind!r}")
 
-    v_b, h_b = spherical_basis(_unit(verts[-2] - verts[-1]))
-    t_mat = np.empty((2, 2), dtype=complex)
-    t_mat[0, :] = v_b @ b_mat
-    t_mat[1, :] = h_b @ b_mat
-    return t_mat
+    theta_hat, phi_hat = spherical_basis(-dirs[:, -1])
+    return np.stack([_project(theta_hat, basis), _project(phi_hat, basis)], axis=1)
 
 
-def compose_path_matrix(
-    vertices: np.ndarray, interactions, scene: Scene, carrier: CarrierConfig
-) -> np.ndarray:
-    """2x2 polarimetric transfer matrix of a validated ray path.
+def compose_path_matrix(vertices, kinds, hosts, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
+    """2x2 polarimetric transfer matrices of a family of validated ray
+    paths, (K, 2, 2); the arguments are those of
+    :func:`leg_polarization_operator`.
 
-    The :func:`leg_polarization_operator` of the path, times the spreading
-    and phase over the total unfolded length and the knife-edge coefficient
+    The :func:`leg_polarization_operator` of each path, times the spreading
+    and phase over its total unfolded length and the knife-edge coefficient
     of every rooftop vertex.
     """
     verts = np.asarray(vertices, dtype=float)
-    t_mat = leg_polarization_operator(verts, interactions, scene, carrier)
-    amp = 1.0 + 0.0j
-    for i, rec in enumerate(interactions):
-        if rec.kind == ROOFTOP_DIFFRACTION:
-            amp *= _rooftop_factor(verts, i + 1, carrier)
-    return t_mat * (free_space_transport(polyline_length(verts), carrier) * amp)
+    t_mat = leg_polarization_operator(verts, kinds, hosts, scene, carrier)
+    amp = np.ones(len(verts), dtype=complex)
+    for i, kind in enumerate(kinds):
+        if kind == ROOFTOP_DIFFRACTION:
+            amp = amp * _knife_edge_factor(verts, i + 1, carrier)
+    return t_mat * (free_space_transport(polyline_lengths(verts), carrier) * amp)[:, None, None]

@@ -276,9 +276,13 @@ def compare_streams(
     reference,
     test,
     tx_power_dbm: float = 0.0,
+    reference_series: dict | None = None,
 ) -> ErrorReport:
     """Per-metric RMSE / NRMSE / error CDFs of a test stream against a
     reference stream on identical timestamps.
+
+    ``reference_series`` is ``metric_series(reference, tx_power_dbm)`` when
+    the caller has it already, as a sweep does for its one reference.
 
     NRMSE divides the RMSE by the Q90-Q10 gap of the *reference* series; a
     metric whose gap is below its degeneracy threshold is flagged and left
@@ -293,7 +297,7 @@ def compare_streams(
             f"streams must share identical timestamps ({t_ref.size} reference vs "
             f"{t_test.size} test samples)"
         )
-    ref_series = metric_series(reference, tx_power_dbm)
+    ref_series = reference_series if reference_series is not None else metric_series(reference, tx_power_dbm)
     test_series = metric_series(test, tx_power_dbm)
     metrics: dict[str, MetricError] = {}
     for name in METRIC_NAMES:

@@ -7,7 +7,10 @@ per-facet spherical spreading and phase so that no far-field assumption is
 made at the whole-body level.  Incident and scattered legs may include one
 specular facade reflection each; the reflected leg is handled with the exact
 mirror image of the antenna for per-facet distances plus a constant
-polarization/Fresnel operator evaluated on the reference geometry.
+polarization/Fresnel operator evaluated on the reference geometry, which one
+call of the array walker ``em.leg_polarization_operator`` gives for every
+reflected leg of an antenna, outbound and reversed.  The facet sum's
+polarization bases come from ``em.spherical_basis``, the walker's own.
 
 :class:`ScatterEngine` alone decides which legs exist: it tests the direct
 legs of a snapshot side in one occlusion query and builds the clear ones with
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import CarrierConfig, leg_polarization_operator
+from .em import CarrierConfig, leg_polarization_operator, spherical_basis
 from .rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, RayPath
 from .scene import EPS_GEOM, CylinderScatterer, Scene
 from .specular import _facade_crossing, _polylines
@@ -171,8 +174,9 @@ def reflected_legs(
     ``reference_points`` is (M, 3); the result holds one list of legs per
     reference point, in facade order.  Each leg carries the antenna's mirror
     image and constant polarization operators evaluated on the reference
-    geometry.  Occluded candidates are dropped; one facade scan and one
-    occlusion query cover the candidates of every reference point.
+    geometry.  Occluded candidates are dropped; one facade scan, one
+    occlusion query and one walker call, over every leg outbound and
+    reversed, cover the candidates of every reference point.
     """
     p = np.asarray(point, dtype=float)
     refs = np.asarray(reference_points, dtype=float)
@@ -185,16 +189,21 @@ def reflected_legs(
     verts = _polylines(p, [pts[ok]], refs[m[ok]])
     blocked = scene.segments_blocked(verts[:, :-1].reshape(-1, 3), verts[:, 1:].reshape(-1, 3))
     clear = ~blocked.reshape(-1, 2).any(axis=1)
+    m, f, images, verts = m[ok][clear], f[ok][clear], images[ok][clear], verts[clear]
+    operators = leg_polarization_operator(
+        np.concatenate([verts, verts[:, ::-1]]), (REFLECTION,), [np.concatenate([f, f])], scene, carrier
+    )
+    outbound, inbound = operators[: len(f)], operators[len(f) :]
     legs: list[list[ScatterLeg]] = [[] for _ in refs]
-    for i, fi, image, v in zip(m[ok][clear], f[ok][clear], images[ok][clear], verts[clear]):
+    for i, fi, image, v, t_out, t_in in zip(m, f, images, verts, outbound, inbound):
         rec = Interaction(REFLECTION, int(scene.fac_object[fi]), int(scene.fac_element[fi]))
         legs[i].append(
             ScatterLeg(
                 vertices=v,
                 interactions=(rec,),
                 effective_point=image,
-                outbound_operator=leg_polarization_operator(v, (rec,), scene, carrier),
-                inbound_operator=leg_polarization_operator(v[::-1], (rec,), scene, carrier),
+                outbound_operator=t_out,
+                inbound_operator=t_in,
             )
         )
     return legs
@@ -203,26 +212,6 @@ def reflected_legs(
 # ----------------------------------------------------------------------
 # the facet sum
 # ----------------------------------------------------------------------
-def _batched_spherical_basis(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of em.spherical_basis (same pole fallback)."""
-    rho = np.hypot(dirs[:, 0], dirs[:, 1])
-    safe = rho > 1e-12
-    inv = np.where(safe, rho, 1.0)
-    cos_phi = np.where(safe, dirs[:, 0] / inv, 1.0)
-    sin_phi = np.where(safe, dirs[:, 1] / inv, 0.0)
-    cos_theta = dirs[:, 2]
-    sin_theta = rho
-    v = np.stack([cos_theta * cos_phi, cos_theta * sin_phi, -sin_theta], axis=1)
-    h = np.stack([-sin_phi, cos_phi, np.zeros(len(dirs))], axis=1)
-    pole = ~safe
-    if np.any(pole):
-        v[pole] = 0.0
-        v[pole, 0] = np.sign(dirs[pole, 2])
-        h[pole] = 0.0
-        h[pole, 1] = 1.0
-    return v, h
-
-
 @dataclass
 class _IncidentTerms:
     """Source-side facet quantities, reusable while the source stays put.
@@ -244,7 +233,7 @@ def _incident_terms(mesh: FacetMesh, src: np.ndarray, wavenumber: float) -> _Inc
     ki = vi / r_i[:, None]
     cos_i = -np.einsum("ij,ij->i", ki, mesh.normals)
     phase_over_r = np.exp(-1j * wavenumber * r_i) / r_i
-    ev_i, eh_i = _batched_spherical_basis(ki)
+    ev_i, eh_i = spherical_basis(ki)
     nrm = mesh.normals
     mv = 2.0 * np.einsum("ij,ij->i", nrm, ev_i)[:, None] * nrm - ev_i
     mh = 2.0 * np.einsum("ij,ij->i", nrm, eh_i)[:, None] * nrm - eh_i
@@ -306,7 +295,7 @@ def _facet_sum(
         * pref_i
     )
 
-    bv, bh = _batched_spherical_basis(-ks)
+    bv, bh = spherical_basis(-ks)
     t[0, 0] = np.sum(amp * np.einsum("ij,ij->i", bv, mv))
     t[0, 1] = np.sum(amp * np.einsum("ij,ij->i", bv, mh))
     t[1, 0] = np.sum(amp * np.einsum("ij,ij->i", bh, mv))

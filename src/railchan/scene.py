@@ -16,6 +16,13 @@ Geometry conventions
   element id ``V + 1 + i``.
 * The ground is addressed as object id ``-1``, element id ``0``.
 
+Besides the buildings, the scene holds struct-of-arrays tables that the
+tracers and the polarization walker index directly: the facade table
+(``fac_*``: frame, extent, plane and material of every facade) and the
+wedge table (``wedge_*``: position, height, local frame, exterior angle and
+o-face of every diffracting vertical edge).  An interaction's host is a row
+of one of them.
+
 The scene answers one occlusion query, :meth:`Scene.segments_blocked`, for
 a whole array of segments at once; every tracer asks it.  It excludes a
 tolerance band ``EPS_GEOM`` around segment endpoints so that a path vertex
@@ -111,27 +118,6 @@ class CylinderScatterer:
         return self.base_center + np.array([0.0, 0.0, 0.5 * self.height])
 
 
-@dataclass(frozen=True)
-class Wedge:
-    """Local frame of a vertical building edge, for diffraction coefficients.
-
-    Angles around the edge are measured from ``o_tangent`` rotating through
-    ``o_normal``; the n-face tangent then sits at ``n_index * pi``.  The
-    o-face is the adjacent facade with the lower element id.  Both faces
-    belong to one building, so they share its ``material``.
-    """
-
-    point_xy: np.ndarray
-    height: float
-    edge_dir: np.ndarray  # unit, +z
-    o_tangent: np.ndarray  # unit, horizontal, into the o-face
-    o_normal: np.ndarray
-    n_index: float  # exterior angle / pi
-    material: Material
-    object_id: int
-    element_id: int
-
-
 def _polygon_signed_area(poly: np.ndarray) -> float:
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -170,13 +156,54 @@ def _check_simple_polygon(poly: np.ndarray, where: str) -> None:
                 raise SceneError(f"{where}: footprint self-intersects (edges {i} and {j})")
 
 
+def _wedge_rows(b: Building, first_facade: int) -> list[tuple]:
+    """Wedge-table rows of building ``b``, whose facade ``i`` has scene
+    index ``first_facade + i``: one row per convex footprint vertex.
+
+    A row is (point_xy, height, o_tangent, o_normal, n_index, o-face index,
+    object id, element id).  The edge is vertical.  Angles around it are
+    measured from the horizontal unit ``o_tangent`` rotating through
+    ``o_normal``; the n-face tangent then sits at the exterior angle
+    ``n_index * pi``.  The o-face is the adjacent facade with the lower
+    element id; both faces carry the building's material.
+    """
+    poly = b.footprint
+    nv = len(poly)
+    rows = []
+    for i in range(nv):
+        prev_v = poly[(i - 1) % nv]
+        this_v = poly[i]
+        next_v = poly[(i + 1) % nv]
+        e_in = this_v - prev_v
+        e_out = next_v - this_v
+        turn = _cross2(e_in, e_out)
+        if turn <= EPS_GEOM:
+            continue  # reflex or straight vertex: not a diffracting edge
+        cosang = float(np.dot(-e_in, e_out) / (np.linalg.norm(e_in) * np.linalg.norm(e_out)))
+        interior = math.acos(min(1.0, max(-1.0, cosang)))
+        n_index = 2.0 - interior / math.pi
+        # adjacent facades: facade (i-1) ends here, facade i starts here;
+        # the o-face is facade (i-1) except at vertex 0
+        if i > 0:
+            o_t = -(e_in / np.linalg.norm(e_in))
+            o_n = np.array([e_in[1], -e_in[0]]) / np.linalg.norm(e_in)
+            o_face = i - 1
+        else:
+            o_t = e_out / np.linalg.norm(e_out)
+            o_n = np.array([e_out[1], -e_out[0]]) / np.linalg.norm(e_out)
+            o_face = 0
+        rows.append(
+            (this_v, b.height, o_t, o_n, n_index, first_facade + o_face, b.id, b.edge_element_id(i))
+        )
+    return rows
+
+
 @dataclass
 class Scene:
     """Immutable environment: buildings, scatterers, ground."""
 
     buildings: list[Building]
     scatterers: list[CylinderScatterer] = field(default_factory=list)
-    ground_material: Material = DEFAULT_MATERIAL
 
     def __post_init__(self):
         ids = [b.id for b in self.buildings]
@@ -192,12 +219,12 @@ class Scene:
     # ------------------------------------------------------------------
     def _build_arrays(self):
         origins, ends, dirs, lengths, heights, normals, offsets = [], [], [], [], [], [], []
-        fac_building, fac_object, fac_element = [], [], []
-        self._edges: dict[tuple[int, int], Wedge] = {}
-        self._facade_info: dict[tuple[int, int], int] = {}
-        for bi, b in enumerate(self.buildings):
+        materials, fac_object, fac_element = [], [], []
+        wedges = []
+        for b in self.buildings:
             poly = b.footprint
             nv = len(poly)
+            wedges.extend(_wedge_rows(b, len(origins)))
             for i in range(nv):
                 v0, v1 = poly[i], poly[(i + 1) % nv]
                 edge = v1 - v0
@@ -211,24 +238,36 @@ class Scene:
                 n = np.array([u[1], -u[0], 0.0])  # outward for CCW footprints
                 normals.append(n)
                 offsets.append(n[0] * v0[0] + n[1] * v0[1])
-                fac_building.append(bi)
+                materials.append(b.material)
                 fac_object.append(b.id)
                 fac_element.append(i)
-                self._facade_info[(b.id, i)] = len(origins) - 1
-            self._build_edges(b)
         self.fac_origin = np.array(origins, dtype=float).reshape(-1, 3)
         self.fac_dir = np.array(dirs, dtype=float).reshape(-1, 3)
         self.fac_len = np.array(lengths, dtype=float)
         self.fac_height = np.array(heights, dtype=float)
         self.fac_normal = np.array(normals, dtype=float).reshape(-1, 3)
         self.fac_offset = np.array(offsets, dtype=float)
-        self.fac_building = np.array(fac_building, dtype=np.intp)
         self.fac_object = np.array(fac_object, dtype=np.intp)
         self.fac_element = np.array(fac_element, dtype=np.intp)
         self.n_facades = len(self.fac_len)
         self.fac_od = np.einsum("ij,ij->i", self.fac_origin, self.fac_dir)
         # facade f is also footprint edge f, from fac_origin[f] to _fac_end[f]
         self._fac_end = np.array(ends, dtype=float).reshape(-1, 2)
+        # each facade carries its building's material
+        self.fac_eps_r = np.array([m.eps_r for m in materials], dtype=float)
+        self.fac_sigma = np.array([m.sigma for m in materials], dtype=float)
+        self.fac_pec = np.array([m.pec for m in materials], dtype=bool)
+        # the wedge table, one row per diffracting vertical edge (see _wedge_rows)
+        xy, height, o_t, o_n, n_index, face, obj, el = list(zip(*wedges)) or [()] * 8
+        self.wedge_xy = np.array(xy, dtype=float).reshape(-1, 2)
+        self.wedge_height = np.array(height, dtype=float)
+        self.wedge_o_tangent = np.array(o_t, dtype=float).reshape(-1, 2)
+        self.wedge_o_normal = np.array(o_n, dtype=float).reshape(-1, 2)
+        self.wedge_n_index = np.array(n_index, dtype=float)
+        self.wedge_face = np.array(face, dtype=np.intp)
+        self.wedge_object = np.array(obj, dtype=np.intp)
+        self.wedge_element = np.array(el, dtype=np.intp)
+        self.n_wedges = len(self.wedge_height)
         # per-building extents and roof ids for the batched queries
         bs = self.buildings
         self._bldg_height = np.array([b.height for b in bs], dtype=float)
@@ -240,67 +279,6 @@ class Scene:
         # contiguous facade range [start[b], start[b+1])
         counts = [len(b.footprint) for b in bs]
         self._bldg_fac_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-
-    def _build_edges(self, b: Building):
-        poly = b.footprint
-        nv = len(poly)
-        for i in range(nv):
-            prev_v = poly[(i - 1) % nv]
-            this_v = poly[i]
-            next_v = poly[(i + 1) % nv]
-            e_in = this_v - prev_v
-            e_out = next_v - this_v
-            turn = _cross2(e_in, e_out)
-            if turn <= EPS_GEOM:
-                continue  # reflex or straight vertex: not a diffracting edge
-            cosang = float(
-                np.dot(-e_in, e_out) / (np.linalg.norm(e_in) * np.linalg.norm(e_out))
-            )
-            interior = math.acos(min(1.0, max(-1.0, cosang)))
-            n_index = 2.0 - interior / math.pi
-            # adjacent facades: facade (i-1) ends here, facade i starts here;
-            # the o-face, the one with the lower element id, is facade (i-1)
-            # except at vertex 0
-            if i > 0:
-                o_t = -(e_in / np.linalg.norm(e_in))
-                o_n = np.array([e_in[1], -e_in[0]]) / np.linalg.norm(e_in)
-            else:
-                o_t = e_out / np.linalg.norm(e_out)
-                o_n = np.array([e_out[1], -e_out[0]]) / np.linalg.norm(e_out)
-            wedge = Wedge(
-                point_xy=this_v.copy(),
-                height=b.height,
-                edge_dir=np.array([0.0, 0.0, 1.0]),
-                o_tangent=np.array([o_t[0], o_t[1], 0.0]),
-                o_normal=np.array([o_n[0], o_n[1], 0.0]),
-                n_index=n_index,
-                material=b.material,
-                object_id=b.id,
-                element_id=b.edge_element_id(i),
-            )
-            self._edges[(b.id, wedge.element_id)] = wedge
-
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-    def facade_frame(self, object_id: int, element_id: int):
-        """(origin, dir, length, height, normal, material) for one facade."""
-        fi = self._facade_info[(object_id, element_id)]
-        bi = self.fac_building[fi]
-        return (
-            self.fac_origin[fi],
-            self.fac_dir[fi],
-            float(self.fac_len[fi]),
-            float(self.fac_height[fi]),
-            self.fac_normal[fi],
-            self.buildings[bi].material,
-        )
-
-    def wedges(self) -> list[Wedge]:
-        return list(self._edges.values())
-
-    def wedge(self, object_id: int, element_id: int) -> Wedge:
-        return self._edges[(object_id, element_id)]
 
     def contains_point(self, p: np.ndarray) -> bool:
         """True when p is strictly inside some building volume.
@@ -460,7 +438,7 @@ class Scene:
 
 SCENE_SCHEMA_VERSION = 1
 
-_ALLOWED_TOP_KEYS = {"version", "materials", "ground_material", "buildings", "scatterers"}
+_ALLOWED_TOP_KEYS = {"version", "materials", "buildings", "scatterers"}
 _ALLOWED_MATERIAL_KEYS = {"eps_r", "sigma", "pec"}
 _ALLOWED_BUILDING_KEYS = {"id", "footprint", "height", "material"}
 _ALLOWED_SCATTERER_KEYS = {"id", "base", "radius", "height", "material"}
@@ -527,7 +505,6 @@ def load_scene(text: str) -> Scene:
           "version": 1,
           "materials": {"concrete": {"eps_r": 5.0, "sigma": 0.1},
                         "metal": {"pec": true}},
-          "ground_material": "concrete",
           "buildings": [{"id": 1,
                          "footprint": [[x, y], ...],
                          "height": 20.0,
@@ -557,10 +534,6 @@ def load_scene(text: str) -> Scene:
         raise SceneError(f"unknown top-level scene keys {sorted(unknown)}")
 
     materials = {name: _parse_material(m, f"materials[{name!r}]") for name, m in data.get("materials", {}).items()}
-    ground = data.get("ground_material")
-    ground_material = (
-        _resolve_material(ground, materials, "ground_material") if ground is not None else DEFAULT_MATERIAL
-    )
 
     buildings = []
     for i, bobj in enumerate(data.get("buildings", [])):
@@ -623,7 +596,7 @@ def load_scene(text: str) -> Scene:
             )
         )
 
-    return Scene(buildings=buildings, scatterers=scatterers, ground_material=ground_material)
+    return Scene(buildings=buildings, scatterers=scatterers)
 
 
 def load_scene_file(path) -> Scene:

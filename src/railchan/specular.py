@@ -8,20 +8,24 @@ direct ray is blocked.
 
 Reflections use exact mirror images and diffraction points follow from the
 unfolded ray, so each path family (LoS, R, RR, D, RD, DR) is generated as one
-array of candidate polylines, shape (K, n, 3), together with the host of each
-interior vertex as an index into a per-scene record table.  The trace masks
-out candidates with a degenerate segment and tests the rest for occlusion in
-rounds, in path order: round ``j`` sends segment ``j`` of every candidate
-still clear, across all families, to one occlusion query, so a blocked
-candidate's later segments are never tested and a solve makes at most three
-queries.  Interaction records and transfer matrices are built only for the
-candidates that stay clear.  A :class:`SpecularTracer`
-caches the per-scene tables (second-order image-pair feasibility, wedge
-geometry, facade and wedge records; zero-length when the scene has none) and
-the per-transmitter image positions, which makes repeated solves along a
-receiver trajectory cheap.  ``SpecularTracer.trace`` is the one entry point:
-it checks the endpoints once and adds the rooftop path of
-:func:`trace_rooftop` when the direct ray is blocked.  The scene's one
+array of candidate polylines, shape (K, n, 3), together with its interaction
+kinds and the host of each interior vertex as an index into the scene's
+facade or wedge table.  The trace masks out candidates with a degenerate
+segment and tests the rest for occlusion in rounds, in path order: round
+``j`` sends segment ``j`` of every candidate still clear, across all
+families, to one occlusion query, so a blocked candidate's later segments
+are never tested and a solve makes at most three queries.  The clear
+candidates of each family, less any whose geometry an earlier candidate
+already has, get their transfer matrices from one
+:func:`~railchan.em.compose_path_matrix` call; the power floor is an array
+mask over them, and interaction records are built only for the paths kept.
+A :class:`SpecularTracer` caches the per-scene tables (second-order
+image-pair feasibility, wedge fronts and interaction records; zero-length
+when the scene has none) and the per-transmitter image positions, which
+makes repeated solves along a receiver trajectory cheap.
+``SpecularTracer.trace`` is the one entry point: it checks the endpoints
+once and adds the rooftop path of :func:`trace_rooftop` when the direct ray
+is blocked.  The scene's one
 occlusion query, ``Scene.segments_blocked``, decides every segment; the
 rooftop path reuses the line-of-sight verdict of the first round.
 """
@@ -39,7 +43,9 @@ from .rays import (
     Interaction,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
+    TAG_SPECULAR,
     RayPath,
+    polyline_lengths,
 )
 from .scene import EPS_GEOM, Scene
 
@@ -138,21 +144,17 @@ class SpecularTracer:
         feasible = partly_front & partly_front.T
         np.fill_diagonal(feasible, False)
         self._pair_i, self._pair_j = np.nonzero(feasible)
-        self._fac_rec = [
-            Interaction(REFLECTION, int(o), int(e)) for o, e in zip(sc.fac_object, sc.fac_element)
-        ]
-
-        # zero-length tables when the scene has no wedges
-        wl = sc.wedges()
-        self._w_xy = np.array([w.point_xy for w in wl], dtype=float).reshape(-1, 2)
-        self._w_h = np.array([w.height for w in wl], dtype=float)
-        self._w_ot = np.array([w.o_tangent[:2] for w in wl], dtype=float).reshape(-1, 2)
-        self._w_on = np.array([w.o_normal[:2] for w in wl], dtype=float).reshape(-1, 2)
-        self._w_n = np.array([w.n_index for w in wl], dtype=float)
-        self._wedge_rec = [
-            Interaction(EDGE_DIFFRACTION, int(w.object_id), int(w.element_id)) for w in wl
-        ]
-        d = self._w_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
+        # the interaction record of each facade and wedge table row, by kind
+        self._records = {
+            REFLECTION: [
+                Interaction(REFLECTION, int(o), int(e)) for o, e in zip(sc.fac_object, sc.fac_element)
+            ],
+            EDGE_DIFFRACTION: [
+                Interaction(EDGE_DIFFRACTION, int(o), int(e))
+                for o, e in zip(sc.wedge_object, sc.wedge_element)
+            ],
+        }
+        d = sc.wedge_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
         self._w_front_of = d > EPS_GEOM  # [w, f]
 
     def _prepare_tx_tables(self, tx: np.ndarray):
@@ -178,13 +180,14 @@ class SpecularTracer:
         self._tx_key = key
 
     # ------------------------------------------------------------------
-    # families: each returns (vertices (K, n, 3), hosts), where hosts holds
-    # one (record table, index array) pair per interior vertex
+    # families: each returns (vertices (K, n, 3), (kinds, hosts)), where
+    # kinds names the interaction at each interior vertex and hosts holds one
+    # index array per interior vertex into the facade or wedge table
     # ------------------------------------------------------------------
     def _single_reflections(self, tx, rx, rx_front):
         idx = np.nonzero(self._tx_front & rx_front)[0]
         pts, ok = _facade_crossing(self.scene, self._img1[idx], rx, idx)
-        return _polylines(tx, [pts[ok]], rx), [(self._fac_rec, idx[ok])]
+        return _polylines(tx, [pts[ok]], rx), ((REFLECTION,), [idx[ok]])
 
     def _double_reflections(self, tx, rx, rx_front):
         sc = self.scene
@@ -198,14 +201,12 @@ class SpecularTracer:
         # front side
         d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
-        return (
-            _polylines(tx, [x1[ok], x2[ok]], rx),
-            [(self._fac_rec, fi[ok]), (self._fac_rec, fj[ok])],
-        )
+        return _polylines(tx, [x1[ok], x2[ok]], rx), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]])
 
     def _edge_candidates(self, src, dst, widx):
         """Diffraction points on wedges widx for the unfolded src->dst rays."""
-        w_xy = self._w_xy[widx]
+        sc = self.scene
+        w_xy = sc.wedge_xy[widx]
         p_src = src[..., :2] - w_xy
         p_dst = dst[..., :2] - w_xy
         d1 = np.linalg.norm(p_src, axis=-1)
@@ -215,18 +216,19 @@ class SpecularTracer:
         src_z = np.broadcast_to(np.asarray(src)[..., 2], d1.shape)
         dst_z = np.broadcast_to(np.asarray(dst)[..., 2], d1.shape)
         z = src_z + (dst_z - src_z) * d1 / denom
-        ok &= (z >= -EPS_GEOM) & (z <= self._w_h[widx] + EPS_GEOM)
-        _, ok_src = _wedge_azimuth(p_src, self._w_ot[widx], self._w_on[widx], self._w_n[widx])
-        _, ok_dst = _wedge_azimuth(p_dst, self._w_ot[widx], self._w_on[widx], self._w_n[widx])
+        ok &= (z >= -EPS_GEOM) & (z <= sc.wedge_height[widx] + EPS_GEOM)
+        o_t, o_n, n_index = sc.wedge_o_tangent[widx], sc.wedge_o_normal[widx], sc.wedge_n_index[widx]
+        _, ok_src = _wedge_azimuth(p_src, o_t, o_n, n_index)
+        _, ok_dst = _wedge_azimuth(p_dst, o_t, o_n, n_index)
         ok &= ok_src & ok_dst
-        z = np.clip(z, 0.0, self._w_h[widx])
+        z = np.clip(z, 0.0, sc.wedge_height[widx])
         points = np.concatenate([np.broadcast_to(w_xy, d1.shape + (2,)), z[..., None]], axis=-1)
         return points, ok
 
     def _single_diffractions(self, tx, rx):
-        widx = np.arange(len(self._wedge_rec))
+        widx = np.arange(self.scene.n_wedges)
         pts, ok = self._edge_candidates(tx, rx, widx)
-        return _polylines(tx, [pts[ok]], rx), [(self._wedge_rec, widx[ok])]
+        return _polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]])
 
     def _reflection_then_diffraction(self, tx, rx):
         fsel = np.nonzero(self._tx_front)[0]
@@ -238,7 +240,7 @@ class SpecularTracer:
         ok &= ok_x
         return (
             _polylines(tx, [x1[ok], e_pts[ok]], rx),
-            [(self._fac_rec, fidx[ok]), (self._wedge_rec, wi[ok])],
+            ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]),
         )
 
     def _diffraction_then_reflection(self, tx, rx, rx_front):
@@ -253,7 +255,7 @@ class SpecularTracer:
         ok &= ok_x
         return (
             _polylines(tx, [e_pts[ok], x2[ok]], rx),
-            [(self._wedge_rec, wi[ok]), (self._fac_rec, fidx[ok])],
+            ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]),
         )
 
     # ------------------------------------------------------------------
@@ -261,13 +263,14 @@ class SpecularTracer:
     # ------------------------------------------------------------------
     def candidates(self, tx, rx, limits: TraceLimits) -> list:
         """The candidate families of one solve, LoS first: one (vertices
-        (K, n, 3), hosts) pair per family, without the candidates that have
-        a degenerate segment.  ``tx`` and ``rx`` are checked float arrays."""
+        (K, n, 3), (kinds, hosts)) pair per family, without the candidates
+        that have a degenerate segment.  ``tx`` and ``rx`` are checked float
+        arrays."""
         self._prepare_tx_tables(tx)
         sc = self.scene
         rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
 
-        families = [(_polylines(tx, [], rx), [])]
+        families = [(_polylines(tx, [], rx), ((), []))]
         if limits.max_reflections >= 1:
             families.append(self._single_reflections(tx, rx, rx_front))
         if limits.max_reflections >= 2:
@@ -295,32 +298,29 @@ class SpecularTracer:
         clear = _clear_masks(sc, families)
 
         paths: list[RayPath] = []
-        seen: set[bytes] = set()
-        for (verts, hosts), ok in zip(families, clear):
-            for k in np.nonzero(ok)[0]:
-                geo_key = np.round(verts[k], 6).tobytes()
-                if geo_key in seen:
-                    continue
-                seen.add(geo_key)
-                inters = tuple(rec[idx[k]] for rec, idx in hosts)
-                path = self._finish_path(verts[k].copy(), inters, limits)
-                if path is not None:
-                    paths.append(path)
+        for verts, (kinds, hosts) in _unique_clear(families, clear):
+            transfer = compose_path_matrix(verts, kinds, hosts, sc, self.carrier)
+            kept = _above_floor(transfer, limits.power_floor_db)
+            verts = verts[kept]
+            records = [[self._records[kind][j] for j in idx[kept]] for kind, idx in zip(kinds, hosts)]
+            n = len(verts)
+            paths += RayPath.batch(
+                list(zip(*records)) if records else [()] * n,
+                verts,
+                polyline_lengths(verts),
+                transfer[kept],
+                [TAG_SPECULAR] * n,
+                [0.0] * n,
+            )
 
         los_clear = bool(clear[0].any())
         if limits.rooftop and not los_clear:
             roof = trace_rooftop(sc, tx, rx, self.carrier)
-            if roof is not None and _above_floor(roof.transfer, limits.power_floor_db):
+            if roof is not None and _above_floor(roof.transfer[None], limits.power_floor_db)[0]:
                 paths.append(roof)
 
         paths.sort(key=lambda p: (len(p.interactions), p.signature))
         return paths
-
-    def _finish_path(self, verts, inters, limits: TraceLimits) -> RayPath | None:
-        transfer = compose_path_matrix(verts, inters, self.scene, self.carrier)
-        if not _above_floor(transfer, limits.power_floor_db):
-            return None
-        return RayPath.from_polyline(inters, verts, transfer)
 
 
 def _polylines(tx: np.ndarray, interior: list[np.ndarray], rx: np.ndarray) -> np.ndarray:
@@ -331,11 +331,12 @@ def _polylines(tx: np.ndarray, interior: list[np.ndarray], rx: np.ndarray) -> np
     )
 
 
-def _drop_degenerate(verts: np.ndarray, hosts: list):
+def _drop_degenerate(verts: np.ndarray, hosts: tuple):
     """The candidates of one family whose segments are all longer than EPS_GEOM."""
     seg = verts[:, 1:] - verts[:, :-1]
     live = np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
-    return verts[live], [(rec, idx[live]) for rec, idx in hosts]
+    kinds, idx = hosts
+    return verts[live], (kinds, [i[live] for i in idx])
 
 
 def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
@@ -364,11 +365,31 @@ def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
     return clear
 
 
-def _above_floor(transfer: np.ndarray, floor_db: float) -> bool:
-    power = float(np.sum(np.abs(transfer) ** 2))
-    if power <= 0.0:
-        return False
-    return 10.0 * math.log10(power) >= -floor_db
+def _unique_clear(families: list, clear: list) -> list:
+    """Per family, its clear candidates less those whose vertices, rounded to
+    1 um, an earlier candidate of the solve already has: (vertices,
+    (kinds, hosts)), in candidate order.  Families left with no candidate
+    are dropped."""
+    seen: set[bytes] = set()
+    out = []
+    for (verts, (kinds, hosts)), ok in zip(families, clear):
+        cand = np.nonzero(ok)[0]
+        keep = []
+        for k, rounded in zip(cand, np.round(verts[cand], 6)):
+            key = rounded.tobytes()
+            if key not in seen:
+                seen.add(key)
+                keep.append(k)
+        if keep:
+            out.append((verts[keep], (kinds, [i[keep] for i in hosts])))
+    return out
+
+
+def _above_floor(transfers: np.ndarray, floor_db: float) -> np.ndarray:
+    """Mask of the (K, 2, 2) transfers whose power is at least -floor_db dB."""
+    power = np.sum(np.abs(transfers) ** 2, axis=(1, 2))
+    with np.errstate(divide="ignore"):
+        return (power > 0.0) & (10.0 * np.log10(power) >= -floor_db)
 
 
 def trace_rooftop(
@@ -412,23 +433,20 @@ def trace_rooftop(
     )
 
     verts = [tx]
-    inters = []
+    hosts = []
     for f in order:
         apex = np.array([a[0] + t[f] * d[0], a[1] + t[f] * d[1], scene.fac_height[f]])
         if np.linalg.norm(apex - verts[-1]) < EPS_GEOM:
             continue
         verts.append(apex)
-        inters.append(
-            Interaction(
-                kind=ROOFTOP_DIFFRACTION,
-                object_id=int(scene.fac_object[f]),
-                element_id=int(scene.fac_element[f]),
-            )
-        )
-    if not inters or np.linalg.norm(rx - verts[-1]) < EPS_GEOM:
+        hosts.append(f)
+    if not hosts or np.linalg.norm(rx - verts[-1]) < EPS_GEOM:
         return None
     verts.append(rx)
     vert_arr = np.array(verts)
-    inters = tuple(inters)
-    transfer = compose_path_matrix(vert_arr, inters, scene, carrier)
-    return RayPath.from_polyline(inters, vert_arr, transfer)
+    kinds = (ROOFTOP_DIFFRACTION,) * len(hosts)
+    transfer = compose_path_matrix(vert_arr[None], kinds, [np.array([f]) for f in hosts], scene, carrier)
+    inters = tuple(
+        Interaction(ROOFTOP_DIFFRACTION, int(scene.fac_object[f]), int(scene.fac_element[f])) for f in hosts
+    )
+    return RayPath.from_polyline(inters, vert_arr, transfer[0])

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 import railchan
+import railchan.cli
+import railchan.metrics
 from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, load_preset, preset_path
 from railchan.dynamics import ChannelSnapshot
@@ -397,6 +399,16 @@ def test_lossy_scatterer_exits_2_before_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_ground_material_key_exits_2(tmp_path, capsys):
+    # the ground is an occluder only: no path reflects off it, so a scene
+    # file cannot give it a material
+    raw = json.loads(preset_path(DEFAULT_PRESET, "scene").read_text())
+    raw["ground_material"] = "concrete"
+    (tmp_path / "ground.scene.json").write_text(json.dumps(raw))
+    assert main(["validate-scene", str(tmp_path / "ground.scene.json")]) == 2
+    assert "unknown top-level scene keys ['ground_material']" in capsys.readouterr().err
+
+
 def test_validate_scene_preset_ok(capsys):
     assert main(["validate-scene", "urban_canyon"]) == 0
     out = capsys.readouterr().out
@@ -406,7 +418,17 @@ def test_validate_scene_preset_ok(capsys):
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
-def test_sweep_outputs(tmp_path):
+def test_sweep_outputs(tmp_path, monkeypatch):
+    # the reference's series are computed once, not once per interval
+    series_of = []
+    for module in (railchan.cli, railchan.metrics):
+        real = module.metric_series
+
+        def spy(snapshots, tx_power_dbm=0.0, real=real):
+            series_of.append(len(snapshots))
+            return real(snapshots, tx_power_dbm)
+
+        monkeypatch.setattr(module, "metric_series", spy)
     out = tmp_path / "sweep"
     rc = main(
         [
@@ -435,6 +457,7 @@ def test_sweep_outputs(tmp_path):
     assert {"quantile_pct", "abs_error"} <= set(cdf[0])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["intervals_s"] == [0.1, 0.2]
+    assert series_of == [41, 41, 41]  # the reference, then each interval's stream
 
 
 # ----------------------------------------------------------------------
@@ -528,19 +551,28 @@ def test_bench_outputs(tmp_path):
         "scene_load",
         "specular_trace",
         "occlusion_solve",
+        "compose_solve",
         "scatter_snapshot",
         "interpolate_snapshot",
         "metric_snapshot",
         "tvcir_snapshot",
         "trace_csv_row",
     } <= stages
-    for stage in ("specular_trace", "occlusion_solve", "metric_snapshot", "tvcir_snapshot", "trace_csv_row"):
+    for stage in (
+        "specular_trace",
+        "occlusion_solve",
+        "compose_solve",
+        "metric_snapshot",
+        "tvcir_snapshot",
+        "trace_csv_row",
+    ):
         timed = [r for r in rows if r["stage"] == stage]
         assert len(timed) == 2
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
-    # the occlusion stage times the rounds of the trace stage's five solves
-    for stage in ("specular_trace", "occlusion_solve"):
+    # the occlusion and composition stages time the rounds and the kept
+    # candidates of the trace stage's five solves
+    for stage in ("specular_trace", "occlusion_solve", "compose_solve"):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}
     # the metrics and the TV-CIR cover the bracket's 11 snapshots; the writer
     # stage times one row per path row of trace.csv

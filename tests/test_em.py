@@ -8,14 +8,20 @@ Oracles:
 * UTD wedge coefficients against the total-field continuity requirement
   across shadow boundaries of a PEC half-plane,
 * path-matrix composition against hand image constructions, plus the
-  reciprocity (transpose) property.
+  reciprocity (transpose) property,
+* the array walker against the scalar chain it replaced
+  (``oracle_compose_path_matrix``, one path at a time): on every solve of
+  the preset at t = 0-2 s, on the small scenes of ``test_specular.py`` and
+  on the reflected scatter legs.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from railchan.config import load_preset
 from railchan.em import (
     C0,
     CarrierConfig,
@@ -28,14 +34,29 @@ from railchan.em import (
     transition_function,
     utd_coefficients,
 )
-from railchan.rays import Interaction, REFLECTION, polyline_length
+from railchan.rays import (
+    EDGE_DIFFRACTION,
+    Interaction,
+    REFLECTION,
+    ROOFTOP_DIFFRACTION,
+    RayPath,
+    polyline_length,
+)
+from railchan.scatter import ScatterEngine
 from railchan.scene import Building, Material, PEC, Scene
+from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
+from test_specular import SMALL_SCENES, small_solves
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
 
 
 def db(x):
     return 20.0 * math.log10(abs(x))
+
+
+def fresnel(material, incidence_angle, carrier=F19):
+    """The array :func:`fresnel_reflection` for one material and angle."""
+    return fresnel_reflection(material.eps_r, material.sigma, material.pec, incidence_angle, carrier)
 
 
 class TestCarrier:
@@ -72,13 +93,13 @@ class TestFreeSpace:
 class TestFresnelReflection:
     def test_pec_all_angles(self):
         for ang in [0.0, 0.3, 1.0, 1.4]:
-            gte, gtm = fresnel_reflection(PEC, ang, F19)
+            gte, gtm = fresnel(PEC, ang, F19)
             assert gte == pytest.approx(-1.0)
             assert gtm == pytest.approx(+1.0)
 
     def test_lossless_normal_incidence_closed_form(self):
         mat = Material(eps_r=5.0, sigma=0.0)
-        gte, gtm = fresnel_reflection(mat, 0.0, F19)
+        gte, gtm = fresnel(mat, 0.0, F19)
         want = (math.sqrt(5) - 1) / (math.sqrt(5) + 1)
         assert abs(gte) == pytest.approx(want, rel=1e-12)
         assert abs(gtm) == pytest.approx(want, rel=1e-12)
@@ -89,7 +110,7 @@ class TestFresnelReflection:
 
     def test_grazing_limit(self):
         mat = Material(eps_r=5.0, sigma=0.1)
-        gte, _ = fresnel_reflection(mat, math.pi / 2 - 1e-6, F19)
+        gte, _ = fresnel(mat, math.pi / 2 - 1e-6, F19)
         assert gte.real == pytest.approx(-1.0, abs=1e-3)
         assert abs(gte) <= 1.0 + 1e-12
 
@@ -98,7 +119,7 @@ class TestFresnelReflection:
         for _ in range(200):
             mat = Material(eps_r=float(rng.uniform(1, 15)), sigma=float(rng.uniform(0, 5)))
             ang = float(rng.uniform(0, math.pi / 2 - 1e-9))
-            gte, gtm = fresnel_reflection(mat, ang, F19)
+            gte, gtm = fresnel(mat, ang, F19)
             assert abs(gte) <= 1.0 + 1e-12
             assert abs(gtm) <= 1.0 + 1e-12
 
@@ -106,14 +127,14 @@ class TestFresnelReflection:
         # lossless dielectric: TM reflection vanishes at arctan(sqrt(eps))
         mat = Material(eps_r=5.0, sigma=0.0)
         brewster = math.atan(math.sqrt(5.0))
-        _, gtm = fresnel_reflection(mat, brewster, F19)
+        _, gtm = fresnel(mat, brewster, F19)
         assert abs(gtm) < 1e-10
 
     def test_angle_domain(self):
         with pytest.raises(ValueError):
-            fresnel_reflection(PEC, -0.1, F19)
+            fresnel(PEC, -0.1, F19)
         with pytest.raises(ValueError):
-            fresnel_reflection(PEC, math.pi / 2, F19)
+            fresnel(PEC, math.pi / 2, F19)
 
 
 class TestKnifeEdge:
@@ -303,6 +324,32 @@ class TestSphericalBasis:
         np.testing.assert_allclose(h_hat, [0, 1, 0], atol=1e-15)
 
 
+def host_index(scene, rec):
+    """Facade-table row of a reflection or rooftop record, wedge-table row
+    of an edge-diffraction record."""
+    if rec.kind == EDGE_DIFFRACTION:
+        rows = (scene.wedge_object == rec.object_id) & (scene.wedge_element == rec.element_id)
+    else:
+        rows = (scene.fac_object == rec.object_id) & (scene.fac_element == rec.element_id)
+    (row,) = np.nonzero(rows)[0]
+    return row
+
+
+def record(scene, kind, row):
+    """The interaction record of facade- or wedge-table ``row``."""
+    if kind == EDGE_DIFFRACTION:
+        return Interaction(kind, int(scene.wedge_object[row]), int(scene.wedge_element[row]))
+    return Interaction(kind, int(scene.fac_object[row]), int(scene.fac_element[row]))
+
+
+def compose_one(vertices, interactions, scene, carrier=F19):
+    """:func:`compose_path_matrix` of one path (K = 1), its hosts looked up
+    from the interaction records."""
+    kinds = tuple(rec.kind for rec in interactions)
+    hosts = [np.array([host_index(scene, rec)]) for rec in interactions]
+    return compose_path_matrix(np.asarray(vertices, dtype=float)[None], kinds, hosts, scene, carrier)[0]
+
+
 def wall_scene():
     # single long wall along x at y = 10, facing the antennas at y < 10
     b = Building(
@@ -319,7 +366,7 @@ class TestComposePathMatrix:
         scene = Scene(buildings=[])
         tx = np.array([0.0, 0.0, 10.0])
         rx = np.array([100.0, 0.0, 10.0])
-        T = compose_path_matrix(np.array([tx, rx]), [], scene, F19)
+        T = compose_one(np.array([tx, rx]), [], scene)
         want = F19.wavelength / (4 * math.pi * 100.0)
         assert abs(T[0, 0]) == pytest.approx(want, rel=1e-12)
         assert abs(T[1, 1]) == pytest.approx(want, rel=1e-12)
@@ -343,7 +390,7 @@ class TestComposePathMatrix:
         hit = image + t * (rx - image)
         vertices = np.array([tx, hit, rx])
         inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-        T = compose_path_matrix(vertices, inter, scene, F19)
+        T = compose_one(vertices, inter, scene)
         want = F19.wavelength / (4 * math.pi * d)
         # PEC: |Gamma| = 1 for both polarizations
         assert abs(T[0, 0]) == pytest.approx(want, rel=1e-9)
@@ -364,10 +411,10 @@ class TestComposePathMatrix:
         # incidence angle from the wall normal (horizontal path, vertical wall)
         inc_dir = (hit - tx) / np.linalg.norm(hit - tx)
         cos_inc = abs(inc_dir[1])
-        gte, gtm = fresnel_reflection(mat, math.acos(cos_inc), F19)
+        gte, gtm = fresnel(mat, math.acos(cos_inc), F19)
         vertices = np.array([tx, hit, rx])
         inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-        T = compose_path_matrix(vertices, inter, scene, F19)
+        T = compose_one(vertices, inter, scene)
         want_v = abs(gte) * F19.wavelength / (4 * math.pi * d)
         want_h = abs(gtm) * F19.wavelength / (4 * math.pi * d)
         assert abs(T[0, 0]) == pytest.approx(want_v, rel=1e-9)
@@ -386,8 +433,8 @@ class TestComposePathMatrix:
         t = (10.0 - image[1]) / (rx[1] - image[1])
         hit = image + t * (rx - image)
         inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-        T_fwd = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19)
-        T_rev = compose_path_matrix(np.array([rx, hit, tx]), inter, scene, F19)
+        T_fwd = compose_one(np.array([tx, hit, rx]), inter, scene)
+        T_rev = compose_one(np.array([rx, hit, tx]), inter, scene)
         np.testing.assert_allclose(T_rev, T_fwd.T, rtol=1e-10)
 
     def test_energy_not_amplified_by_reflection(self):
@@ -406,7 +453,7 @@ class TestComposePathMatrix:
                 continue
             d = np.linalg.norm(image - rx)
             inter = [Interaction(kind=REFLECTION, object_id=1, element_id=0)]
-            T = compose_path_matrix(np.array([tx, hit, rx]), inter, scene, F19)
+            T = compose_one(np.array([tx, hit, rx]), inter, scene)
             free = abs(free_space_transport(d, F19))
             # spectral norm bounded by the free-space gain over the same length
             smax = np.linalg.svd(T, compute_uv=False)[0]
@@ -436,4 +483,333 @@ class TestComposePathMatrix:
         scene = Scene(buildings=[])
         p = np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
-            compose_path_matrix(np.array([p, p]), [], scene, F19)
+            compose_one(np.array([p, p]), [], scene)
+
+
+# ----------------------------------------------------------------------
+# the scalar chain, one path at a time: the walker's differential oracle
+# ----------------------------------------------------------------------
+_TWO_PI = 2.0 * math.pi
+
+
+def oracle_spherical_basis(direction):
+    d = np.asarray(direction, dtype=float)
+    norm = math.sqrt(float(d[0]) ** 2 + float(d[1]) ** 2 + float(d[2]) ** 2)
+    d = d / norm
+    rho = math.hypot(d[0], d[1])
+    if rho < 1e-12:
+        sign = 1.0 if d[2] > 0 else -1.0
+        return np.array([sign, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    cos_phi, sin_phi = d[0] / rho, d[1] / rho
+    cos_theta, sin_theta = d[2], rho
+    theta_hat = np.array([cos_theta * cos_phi, cos_theta * sin_phi, -sin_theta])
+    phi_hat = np.array([-sin_phi, cos_phi, 0.0])
+    return theta_hat, phi_hat
+
+
+def oracle_fresnel_reflection(material, incidence_angle, carrier):
+    if material.pec:
+        return (-1.0 + 0.0j, +1.0 + 0.0j)
+    eps = material.eps_r - 1j * material.sigma / (_TWO_PI * carrier.frequency_hz * 8.8541878128e-12)
+    sin_i = math.sin(incidence_angle)
+    cos_i = math.cos(incidence_angle)
+    root = np.sqrt(eps - sin_i * sin_i + 0j)
+    gamma_te = (cos_i - root) / (cos_i + root)
+    gamma_tm = (eps * cos_i - root) / (eps * cos_i + root)
+    return complex(gamma_te), complex(gamma_tm)
+
+
+def oracle_diffraction_term(beta, n, k, L, sign1):
+    big_n = round((beta + sign1 * math.pi) / (_TWO_PI * n))
+    eps = beta - sign1 * (_TWO_PI * n * big_n - math.pi)
+    if abs(eps) < 1e-6:
+        sgn = 1.0 if eps >= 0 else -1.0
+        val = math.sqrt(_TWO_PI * k * L) * sgn - 2.0 * k * L * eps * cmath.exp(1j * math.pi / 4)
+        return n * cmath.exp(1j * math.pi / 4) * val
+    a = 2.0 * math.cos((_TWO_PI * n * big_n - beta) / 2.0) ** 2
+    cot = 1.0 / math.tan((math.pi + sign1 * beta) / (2.0 * n))
+    return cot * transition_function(k * L * a)
+
+
+def oracle_utd_coefficients(n_index, wavenumber, beta0, phi_inc, phi_out, distance_param, r_soft, r_hard):
+    beta_d = phi_out - phi_inc
+    beta_s = phi_out + phi_inc
+    t1 = oracle_diffraction_term(beta_d, n_index, wavenumber, distance_param, +1)
+    t2 = oracle_diffraction_term(beta_d, n_index, wavenumber, distance_param, -1)
+    t3 = oracle_diffraction_term(beta_s, n_index, wavenumber, distance_param, +1)
+    t4 = oracle_diffraction_term(beta_s, n_index, wavenumber, distance_param, -1)
+    pref = -cmath.exp(-1j * math.pi / 4) / (
+        2.0 * n_index * math.sqrt(_TWO_PI * wavenumber) * math.sin(beta0)
+    )
+    d_soft = pref * (t1 + t2 + r_soft * t3 + r_soft * t4)
+    d_hard = pref * (t1 + t2 + r_hard * t3 + r_hard * t4)
+    return d_soft, d_hard
+
+
+def _norm3(v):
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def _cross3(a, b):
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
+def _unit(v):
+    return v / _norm3(v)
+
+
+def _rotation_between(a, b):
+    c = float(np.dot(a, b))
+    axis = _cross3(a, b)
+    s = _norm3(axis)
+    if s < 1e-12:
+        if c > 0:
+            return np.eye(3)
+        perp = np.array([1.0, 0.0, 0.0])
+        if abs(a[0]) > 0.9:
+            perp = np.array([0.0, 1.0, 0.0])
+        axis = _unit(_cross3(a, perp))
+        return 2.0 * np.outer(axis, axis) - np.eye(3)
+    axis = axis / s
+    kmat = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    return np.eye(3) + s * kmat + (1 - c) * (kmat @ kmat)
+
+
+def _building_material(scene, object_id):
+    return next(b.material for b in scene.buildings if b.id == object_id)
+
+
+def _apply_reflection(b_mat, k_in, scene, rec, carrier):
+    normal = scene.fac_normal[host_index(scene, rec)]
+    cos_i = -float(np.dot(k_in, normal))
+    if cos_i < 0:
+        normal = -normal
+        cos_i = -cos_i
+    k_out = k_in + 2.0 * cos_i * normal
+    perp = _cross3(k_in, normal)
+    nrm = _norm3(perp)
+    perp = oracle_spherical_basis(k_in)[0] if nrm < 1e-9 else perp / nrm
+    par_in = _cross3(perp, k_in)
+    par_out = _cross3(perp, k_out)
+    theta_i = min(math.acos(min(1.0, cos_i)), math.pi / 2 - 1e-12)
+    material = _building_material(scene, rec.object_id)
+    gamma_te, gamma_tm = oracle_fresnel_reflection(material, theta_i, carrier)
+    out = gamma_te * np.outer(perp, perp @ b_mat) + gamma_tm * np.outer(par_out, par_in @ b_mat)
+    return out, k_out
+
+
+def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, carrier):
+    w = host_index(scene, rec)
+    o_tangent = np.array([*scene.wedge_o_tangent[w], 0.0])
+    o_normal = np.array([*scene.wedge_o_normal[w], 0.0])
+    edge = np.array([0.0, 0.0, 1.0])
+    beta0 = math.acos(np.clip(float(np.dot(k_in, edge)), -1.0, 1.0))
+    d_src = -k_in
+    p_src = _unit(d_src - np.dot(d_src, edge) * edge)
+    p_obs = _unit(k_out - np.dot(k_out, edge) * edge)
+    phi_inc = math.atan2(np.dot(p_src, o_normal), np.dot(p_src, o_tangent)) % _TWO_PI
+    phi_out = math.atan2(np.dot(p_obs, o_normal), np.dot(p_obs, o_tangent)) % _TWO_PI
+    L = s_before * s_after * math.sin(beta0) ** 2 / (s_before + s_after)
+    grazing = (math.pi - abs(phi_out - phi_inc)) / 2.0
+    theta = min(math.acos(min(1.0, abs(math.sin(grazing)))), math.pi / 2 - 1e-12)
+    r_s, r_h = oracle_fresnel_reflection(_building_material(scene, rec.object_id), theta, carrier)
+    d_soft, d_hard = oracle_utd_coefficients(
+        scene.wedge_n_index[w], carrier.wavenumber, beta0, phi_inc, phi_out, L, r_s, r_h
+    )
+    phi_hat_in = _unit(-_cross3(edge, k_in))
+    beta_hat_in = _cross3(phi_hat_in, k_in)
+    phi_hat_out = _unit(_cross3(edge, k_out))
+    beta_hat_out = _cross3(phi_hat_out, k_out)
+    out = -(
+        d_soft * np.outer(beta_hat_out, beta_hat_in @ b_mat)
+        + d_hard * np.outer(phi_hat_out, phi_hat_in @ b_mat)
+    )
+    return out * math.sqrt((s_before + s_after) / (s_before * s_after))
+
+
+def _rooftop_factor(vertices, i, carrier):
+    prev_v, apex, next_v = vertices[i - 1], vertices[i], vertices[i + 1]
+    u = _unit(next_v - prev_v)
+    rel = apex - prev_v
+    offset = rel - np.dot(rel, u) * u
+    h = _norm3(offset)
+    if h > 0 and offset[2] < 0:
+        h = -h
+    v = float(knife_edge_v(h, _norm3(apex - prev_v), _norm3(next_v - apex), carrier.wavelength))
+    return complex(knife_edge_diffraction(v))
+
+
+def oracle_leg_polarization_operator(vertices, interactions, scene, carrier):
+    """The scalar walker: one validated path, its interaction records looked
+    up one at a time."""
+    verts = np.asarray(vertices, dtype=float)
+    seg = np.diff(verts, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    dirs = seg / seg_len[:, None]
+    total_len = float(np.sum(seg_len))
+    b_mat = np.empty((3, 2), dtype=complex)
+    b_mat[:, 0], b_mat[:, 1] = oracle_spherical_basis(dirs[0])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    for i, rec in enumerate(interactions):
+        k_in, k_out = dirs[i], dirs[i + 1]
+        if rec.kind == REFLECTION:
+            b_mat, k_ref = _apply_reflection(b_mat, k_in, scene, rec, carrier)
+            assert abs(float(np.dot(k_ref, k_out)) - 1.0) <= 1e-6
+        elif rec.kind == EDGE_DIFFRACTION:
+            s_before = float(cum[i + 1])
+            b_mat = _apply_edge_diffraction(
+                b_mat, k_in, k_out, s_before, total_len - s_before, scene, rec, carrier
+            )
+        else:
+            assert rec.kind == ROOFTOP_DIFFRACTION
+            b_mat = _rotation_between(k_in, k_out) @ b_mat
+    v_b, h_b = oracle_spherical_basis(_unit(verts[-2] - verts[-1]))
+    return np.array([v_b @ b_mat, h_b @ b_mat])
+
+
+def oracle_compose_path_matrix(vertices, interactions, scene, carrier):
+    verts = np.asarray(vertices, dtype=float)
+    t_mat = oracle_leg_polarization_operator(verts, interactions, scene, carrier)
+    amp = 1.0 + 0.0j
+    for i, rec in enumerate(interactions):
+        if rec.kind == ROOFTOP_DIFFRACTION:
+            amp *= _rooftop_factor(verts, i + 1, carrier)
+    length = polyline_length(verts)
+    lam = carrier.wavelength
+    g = (lam / (4.0 * math.pi * length)) * cmath.exp(-1j * _TWO_PI * length / lam)
+    return t_mat * (g * amp)
+
+
+def _oracle_above_floor(transfer, floor_db):
+    power = float(np.sum(np.abs(transfer) ** 2))
+    return power > 0.0 and 10.0 * math.log10(power) >= -floor_db
+
+
+def oracle_trace(tracer, tx, rx, limits):
+    """``SpecularTracer.trace`` with the scalar chain: candidates and
+    occlusion from the tracer, then one record lookup and one
+    :func:`oracle_compose_path_matrix` call per kept candidate."""
+    scene, carrier = tracer.scene, tracer.carrier
+    tx = np.asarray(tx, dtype=float)
+    rx = np.asarray(rx, dtype=float)
+    families = tracer.candidates(tx, rx, limits)
+    clear = _clear_masks(scene, families)
+    paths, seen = [], set()
+    for (verts, (kinds, hosts)), ok in zip(families, clear):
+        for k in np.nonzero(ok)[0]:
+            geo_key = np.round(verts[k], 6).tobytes()
+            if geo_key in seen:
+                continue
+            seen.add(geo_key)
+            inters = tuple(record(scene, kind, idx[k]) for kind, idx in zip(kinds, hosts))
+            transfer = oracle_compose_path_matrix(verts[k], inters, scene, carrier)
+            if _oracle_above_floor(transfer, limits.power_floor_db):
+                paths.append(RayPath.from_polyline(inters, verts[k].copy(), transfer))
+    if limits.rooftop and not clear[0].any():
+        roof = trace_rooftop(scene, tx, rx, carrier)
+        if roof is not None:
+            transfer = oracle_compose_path_matrix(roof.vertices, roof.interactions, scene, carrier)
+            if _oracle_above_floor(transfer, limits.power_floor_db):
+                paths.append(RayPath.from_polyline(roof.interactions, roof.vertices, transfer))
+    paths.sort(key=lambda p: (len(p.interactions), p.signature))
+    return paths
+
+
+#: transfer bound, relative to each path's largest entry.  numpy's tan,
+#: arccos, arctan2 and hypot differ from libm in the last bit for a few
+#: percent of arguments, and einsum sums in another order; where the four
+#: UTD terms nearly cancel, one ulp of a cotangent moves D by about 3e-12.
+#: The preset's worst case is 1.3e-12.
+WALKER_RTOL = 1e-10
+
+
+def relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def assert_matches_oracle(got, want):
+    """Kept paths, their order, records and geometry bit for bit; transfers
+    within WALKER_RTOL.  Returns the worst relative transfer difference."""
+    assert [p.interactions for p in got] == [p.interactions for p in want]
+    worst = 0.0
+    for p, q in zip(got, want):
+        assert p.vertices.tobytes() == q.vertices.tobytes(), p.signature
+        assert np.array([p.delay_s, *p.aod, *p.aoa, p.doppler_hz]).tobytes() == np.array(
+            [q.delay_s, *q.aod, *q.aoa, q.doppler_hz]
+        ).tobytes(), p.signature
+        assert p.tag == q.tag
+        worst = max(worst, relative_error(p.transfer, q.transfer))
+    assert worst <= WALKER_RTOL
+    return worst
+
+
+@pytest.fixture(scope="module")
+def preset():
+    cfg = load_preset()
+    return cfg, cfg.load_scene(), CarrierConfig(cfg.carrier_hz)
+
+
+class TestWalkerAgainstScalarOracle:
+    def test_every_preset_solve_t0_to_2s(self, preset):
+        cfg, scene, carrier = preset
+        tracer = SpecularTracer(scene, carrier)
+        traj = cfg.trajectory()
+        kinds = set()
+        for i in range(201):
+            rx = traj.position(i * cfg.update_step_s)
+            got = tracer.trace(cfg.tx_position, rx, cfg.limits)
+            assert_matches_oracle(got, oracle_trace(tracer, cfg.tx_position, rx, cfg.limits))
+            kinds.update(tuple(r.kind for r in p.interactions) for p in got)
+        # every family the preset keeps, the rooftop path included
+        assert {("D",), ("R", "R"), ("R", "D"), ("D", "R")} <= kinds
+        assert any(k and k[0] == ROOFTOP_DIFFRACTION for k in kinds)
+
+    @pytest.mark.parametrize("name", SMALL_SCENES)
+    def test_small_scenes(self, name):
+        for scene, tx, rx in small_solves(name):
+            tracer = SpecularTracer(scene, F19)
+            for limits in (TraceLimits(), TraceLimits(max_reflections=1)):
+                got = tracer.trace(tx, rx, limits)
+                assert got
+                assert_matches_oracle(got, oracle_trace(tracer, tx, rx, limits))
+
+    def test_reflected_scatter_legs(self, preset):
+        cfg, scene, carrier = preset
+        engine = ScatterEngine(scene, carrier, leg_policy="direct+1-reflection")
+        traj = cfg.trajectory()
+        points = [cfg.tx_position] + [traj.position(t) for t in np.arange(18.5, 24.0, 0.5)]
+        n_reflected = 0
+        for point in points:
+            for legs in engine._legs(np.asarray(point, dtype=float)):
+                for leg in legs:
+                    if not leg.interactions:
+                        continue
+                    n_reflected += 1
+                    for got, verts in (
+                        (leg.outbound_operator, leg.vertices),
+                        (leg.inbound_operator, leg.vertices[::-1]),
+                    ):
+                        want = oracle_leg_polarization_operator(verts, leg.interactions, scene, carrier)
+                        assert relative_error(got, want) <= WALKER_RTOL
+        assert n_reflected > 0
+
+    def test_utd_arrays_against_scalar_terms(self):
+        # random wedges and angles, a quarter of them within 1e-7 of a
+        # shadow or reflection boundary, where the closed-form limit applies
+        rng = np.random.default_rng(7)
+        n = rng.uniform(1.05, 2.0, 400)
+        phi_inc = rng.uniform(0.01, 1.0, 400) * n * math.pi
+        phi_out = rng.uniform(0.01, 1.0, 400) * n * math.pi
+        edge = slice(0, 100)
+        phi_out[edge] = math.pi + phi_inc[edge] + rng.uniform(-1e-7, 1e-7, 100)
+        beta0 = rng.uniform(0.2, math.pi - 0.2, 400)
+        L = rng.uniform(0.5, 500.0, 400)
+        r_soft = rng.uniform(-1, 0, 400) + 1j * rng.uniform(-0.2, 0.2, 400)
+        r_hard = rng.uniform(0, 1, 400) + 1j * rng.uniform(-0.2, 0.2, 400)
+        k = F19.wavenumber
+        got = np.array(utd_coefficients(n, k, beta0, phi_inc, phi_out, L, r_soft, r_hard)).T
+        for row, args in zip(got, zip(n, beta0, phi_inc, phi_out, L, r_soft, r_hard)):
+            want = np.array(oracle_utd_coefficients(args[0], k, *args[1:]))
+            assert relative_error(row, want) <= WALKER_RTOL

@@ -140,7 +140,6 @@ class TestSceneLoading:
             {
                 "version": 1,
                 "materials": {"concrete": {"eps_r": 5.0, "sigma": 0.1}, "metal": {"pec": True}},
-                "ground_material": "concrete",
                 "buildings": [
                     {"id": 7, "footprint": square(0, 0, 5), "height": 12.0, "material": "concrete"}
                 ],
@@ -262,8 +261,8 @@ class TestElementIds:
 
     def test_facade_normals_point_outward(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        for el in range(4):
-            origin, u, length, height, normal, _ = scene.facade_frame(1, el)
+        assert scene.fac_element.tolist() == [0, 1, 2, 3]
+        for origin, u, length, normal in zip(scene.fac_origin, scene.fac_dir, scene.fac_len, scene.fac_normal):
             mid = origin + 0.5 * length * u + np.array([0, 0, 1.0])
             # stepping along +normal must move away from the centroid
             d0 = np.linalg.norm(mid[:2])
@@ -272,34 +271,35 @@ class TestElementIds:
 
     def test_square_corners_are_right_angle_wedges(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        wedges = scene.wedges()
-        assert len(wedges) == 4
-        for w in wedges:
-            assert w.n_index == pytest.approx(1.5, abs=1e-12)
-            assert w.material.eps_r == 5.0
+        assert scene.n_wedges == 4
+        for w in range(scene.n_wedges):
+            n_index = scene.wedge_n_index[w]
+            o_tangent, o_normal = scene.wedge_o_tangent[w], scene.wedge_o_normal[w]
+            assert n_index == pytest.approx(1.5, abs=1e-12)
+            assert scene.fac_eps_r[scene.wedge_face[w]] == 5.0
             # the n-face tangent sits at n_index * pi from o_tangent, through
             # o_normal: perpendicular to o_tangent for a right-angle corner,
             # and the two tangents' bisector points into the building
-            angle = w.n_index * math.pi
-            n_tangent = math.cos(angle) * w.o_tangent + math.sin(angle) * w.o_normal
-            assert abs(np.dot(w.o_tangent, n_tangent)) < 1e-12
-            inward = w.point_xy + 0.5 * (w.o_tangent + n_tangent)[:2]
+            angle = n_index * math.pi
+            n_tangent = math.cos(angle) * o_tangent + math.sin(angle) * o_normal
+            assert abs(np.dot(o_tangent, n_tangent)) < 1e-12
+            inward = scene.wedge_xy[w] + 0.5 * (o_tangent + n_tangent)
             assert scene.contains_point(np.array([inward[0], inward[1], 1.0]))
 
     def test_o_face_is_lower_element_id(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # wedge at vertex 1 joins facade 0 and facade 1 -> o must match facade 0
-        w = scene.wedge(1, 5 + 1)
-        origin0, u0, len0, _, n0, _ = scene.facade_frame(1, 0)
-        np.testing.assert_allclose(w.o_normal, n0, atol=1e-12)
+        (w,) = np.nonzero((scene.wedge_object == 1) & (scene.wedge_element == 5 + 1))[0]
+        assert scene.wedge_face[w] == 0
+        np.testing.assert_allclose(scene.wedge_o_normal[w], scene.fac_normal[0, :2], atol=1e-12)
         # o_tangent points from the edge into facade 0, i.e. along -u0
-        np.testing.assert_allclose(w.o_tangent, -u0, atol=1e-12)
+        np.testing.assert_allclose(scene.wedge_o_tangent[w], -scene.fac_dir[0, :2], atol=1e-12)
 
     def test_reflex_vertices_do_not_diffract(self):
         # L-shaped footprint: one reflex corner, five convex ones
         fp = np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float)
         scene = make_scene([Building(id=1, footprint=fp, height=6.0)])
-        assert len(scene.wedges()) == 5
+        assert scene.n_wedges == 5
 
 
 class TestFirstHit:
