@@ -37,11 +37,12 @@ from .config import (
 from .dynamics import (
     SCATTER_MODES,
     ChannelSnapshot,
+    StepSchedule,
     Trajectory,
     interpolate_bracket,
-    keyframe_steps,
     stream_snapshots,
     track_interval,
+    whole_steps,
 )
 from .em import CarrierConfig, compose_path_matrix
 from .metrics import (
@@ -174,15 +175,14 @@ def _out_dir(args, command: str) -> Path:
     return out
 
 
-def _check_antennas(cfg: ScenarioConfig, scene, solved, scattered) -> None:
+def _check_antennas(cfg: ScenarioConfig, scene, traj: Trajectory, solved, scattered) -> None:
     """ConfigError when an antenna position the command evaluates is invalid.
 
     At the ``solved`` times (seconds) the command traces exactly, the
-    receiver track must lie outside every building and apart from the
+    receiver on ``traj`` must lie outside every building and apart from the
     transmitter.  When the command evaluates the scatter engine, at the
     ``scattered`` times, neither antenna may lie inside a scatterer body.
     """
-    traj = cfg.trajectory()
     tx = cfg.tx_position
     for t in solved:
         rx = traj.position(t)
@@ -204,21 +204,14 @@ def _check_antennas(cfg: ScenarioConfig, scene, solved, scattered) -> None:
                 raise ConfigError(f"{name}, {p.tolist()}, lies inside scatterer {cyl.id} of the scene")
 
 
-def _solved_times(cfg: ScenarioConfig, kf_interval: float, start_step: int = 0, stop_s=None) -> list:
-    """Times of the keyframes a stream of ``cfg`` solves (see :func:`_run_stream`)."""
-    step = cfg.update_step_s
-    n_steps = int(round((cfg.duration_s if stop_s is None else stop_s) / step))
-    stride = max(1, int(round(kf_interval / step)))
-    return [i * step for i in keyframe_steps(start_step, n_steps, stride)]
-
-
-def _scattered_times(cfg: ScenarioConfig, solved: list, start_step: int = 0, stop_s=None) -> list:
-    """Times at which a stream of ``cfg`` with keyframes at ``solved`` evaluates
-    the scatter engine: every snapshot in ``exact`` mode, the keyframes in
+def _check_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: float, start_step: int = 0) -> None:
+    """:func:`_check_antennas` for the stream :func:`_run_stream` runs with the
+    same arguments: at its keyframes, and where it evaluates the scatter
+    engine, at every snapshot in ``exact`` mode, the keyframes in
     ``interpolated`` mode, none when scattering is off."""
-    if cfg.scatter_mode == "exact":
-        return _solved_times(cfg, cfg.update_step_s, start_step, stop_s)
-    return solved if cfg.scatter_mode == "interpolated" else []
+    sched = StepSchedule(cfg.update_step_s, kf_interval, start_step, traj.duration)
+    scattered = {"exact": sched.snapshots, "interpolated": sched.keyframes}.get(cfg.scatter_mode, [])
+    _check_antennas(cfg, scene, traj, sched.seconds(sched.keyframes), sched.seconds(scattered))
 
 
 def _base_manifest(command: str, cfg: ScenarioConfig) -> dict:
@@ -235,17 +228,14 @@ def _digests(out: Path, names) -> dict:
     return {name: file_sha256(out / name) for name in names}
 
 
-def _run_stream(cfg: ScenarioConfig, scene, *, kf_interval=None, start_step=0, duration=None):
-    traj = cfg.trajectory()
-    if duration is not None:
-        traj = Trajectory(waypoints=cfg.waypoints.copy(), speed=cfg.speed_mps, duration=duration)
+def _run_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: float, start_step: int = 0):
     return stream_snapshots(
         scene,
         traj,
         cfg.tx_position,
         CarrierConfig(cfg.carrier_hz),
         cfg.update_step_s,
-        kf_interval if kf_interval is not None else cfg.kf_interval_s,
+        kf_interval,
         limits=cfg.limits,
         scatter_mode=cfg.scatter_mode,
         leg_policy=cfg.leg_policy,
@@ -260,11 +250,11 @@ def _run_stream(cfg: ScenarioConfig, scene, *, kf_interval=None, start_step=0, d
 def cmd_run(args) -> int:
     cfg = _scenario_from_args(args)
     scene = cfg.load_scene()
-    solved = _solved_times(cfg, cfg.kf_interval_s)
-    _check_antennas(cfg, scene, solved, _scattered_times(cfg, solved))
+    traj = cfg.trajectory()
+    _check_stream(cfg, scene, traj, cfg.kf_interval_s)
     out = _out_dir(args, "run")
     t0 = time.perf_counter()
-    result = _run_stream(cfg, scene)
+    result = _run_stream(cfg, scene, traj, cfg.kf_interval_s)
     wall = time.perf_counter() - t0
 
     ids = write_trace_csv(out / "trace.csv", result.snapshots)
@@ -308,12 +298,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("no sweep intervals configured; set 'sweep_intervals_s' or --intervals")
     scene = cfg.load_scene()
     # the reference stream solves every step; the swept streams solve a subset
-    solved = _solved_times(cfg, cfg.update_step_s)
-    _check_antennas(cfg, scene, solved, _scattered_times(cfg, solved))
+    traj = cfg.trajectory()
+    _check_stream(cfg, scene, traj, cfg.update_step_s)
     out = _out_dir(args, "sweep")
 
     t0 = time.perf_counter()
-    reference = _run_stream(cfg, scene, kf_interval=cfg.update_step_s)
+    reference = _run_stream(cfg, scene, traj, cfg.update_step_s)
     ref_wall = time.perf_counter() - t0
     ref_series = metric_series(reference.snapshots, cfg.tx_power_dbm)
 
@@ -321,7 +311,7 @@ def cmd_sweep(args) -> int:
     timing = []
     for interval in cfg.sweep_intervals_s:
         t0 = time.perf_counter()
-        test = _run_stream(cfg, scene, kf_interval=interval)
+        test = _run_stream(cfg, scene, traj, interval)
         test_wall = time.perf_counter() - t0
         report = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm, ref_series)
         rows.append((interval, report))
@@ -376,15 +366,15 @@ def cmd_scatter_study(args) -> int:
         )
     step = cfg.update_step_s
     for name, edge in (("start", w0), ("stop", w1)):
-        if abs(round(edge / step) * step - edge) > 1e-6:
+        if whole_steps(edge, step) is None:
             raise ConfigError(f"window {name} {edge} must be an integer multiple of update_step_s {step}")
-    start_step = int(round(w0 / step))
-    solved = _solved_times(cfg, cfg.kf_interval_s, start_step, w1)
-    _check_antennas(cfg, scene, solved, _scattered_times(cfg, solved, start_step, w1))
+    start_step = whole_steps(w0, step)
+    traj = Trajectory(waypoints=cfg.waypoints.copy(), speed=cfg.speed_mps, duration=w1)
+    _check_stream(cfg, scene, traj, cfg.kf_interval_s, start_step)
 
     out = _out_dir(args, "scatter-study")
     t0 = time.perf_counter()
-    result = _run_stream(cfg, scene, start_step=start_step, duration=w1)
+    result = _run_stream(cfg, scene, traj, cfg.kf_interval_s, start_step)
     wall = time.perf_counter() - t0
 
     cir_total = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff, "vv")
@@ -493,7 +483,7 @@ def cmd_bench(args) -> int:
     carrier = CarrierConfig(cfg.carrier_hz)
 
     # the interpolation bracket spans 10 update steps of the run
-    n_steps = round(cfg.duration_s / cfg.update_step_s)
+    n_steps = whole_steps(cfg.duration_s, cfg.update_step_s)
     if n_steps < 10:
         raise ConfigError(
             f"bench needs a run of at least 10 update steps, got {n_steps}; raise --duration"
@@ -510,7 +500,7 @@ def cmd_bench(args) -> int:
     step_a = min(n_steps // 2, n_steps - 10)
     kf_steps = (step_a, step_a + 10)
     # the scatter stage runs whenever the scene has scatterers
-    _check_antennas(cfg, scene, rx_times + [i * cfg.update_step_s for i in kf_steps], rx_times)
+    _check_antennas(cfg, scene, traj, rx_times + [i * cfg.update_step_s for i in kf_steps], rx_times)
     out = _out_dir(args, "bench")
     rows = []
 

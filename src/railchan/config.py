@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SCATTER_MODES, Trajectory
+from .dynamics import SCATTER_MODES, Trajectory, whole_steps
 from .scatter import LEG_POLICIES
 from .scene import Scene, _is_number, _is_point, load_scene_file
 from .specular import TraceLimits
@@ -77,11 +77,6 @@ def _number(mapping: dict, key: str, where: str) -> float:
     if not _is_number(value):
         raise ConfigError(f"{where}: {key!r} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _integer_multiple(value: float, step: float) -> bool:
-    ratio = value / step
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio)) and round(ratio) >= 1
 
 
 def preset_path(name: str, kind: str) -> Path:
@@ -252,11 +247,11 @@ def parse_config(
         Trajectory(waypoints=wp_arr, speed=speed_mps, duration=duration_s)
     except ValueError as exc:
         raise ConfigError(f"'trajectory': {exc}") from None
-    if not _integer_multiple(duration_s, update_step_s):
+    if not whole_steps(duration_s, update_step_s):
         raise ConfigError(
             f"'duration_s' ({duration_s}) must be an integer multiple of 'update_step_s' ({update_step_s})"
         )
-    if not _integer_multiple(kf_interval_s, update_step_s):
+    if not whole_steps(kf_interval_s, update_step_s):
         raise ConfigError(
             f"'kf_interval_s' ({kf_interval_s}) must be an integer multiple of 'update_step_s' ({update_step_s})"
         )
@@ -313,7 +308,7 @@ def parse_config(
             raise ConfigError(
                 f"'sweep_intervals_s' entries must be positive finite numbers, got {v!r}"
             )
-        if not _integer_multiple(float(v), update_step_s):
+        if not whole_steps(float(v), update_step_s):
             raise ConfigError(
                 f"sweep interval {v} must be an integer multiple of 'update_step_s' ({update_step_s})"
             )
@@ -352,19 +347,15 @@ def parse_config(
     )
 
 
-def load_config(text: str, base_dir: Path | None = None, overrides: dict | None = None) -> ScenarioConfig:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    return parse_config(raw, base_dir=base_dir, overrides=overrides)
-
-
 def load_config_file(path, overrides: dict | None = None) -> ScenarioConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return load_config(p.read_text(), base_dir=p.parent, overrides=overrides)
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    return parse_config(raw, base_dir=p.parent, overrides=overrides)
 
 
 def load_preset(name: str = DEFAULT_PRESET, overrides: dict | None = None) -> ScenarioConfig:

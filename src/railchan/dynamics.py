@@ -1,12 +1,14 @@
-"""Time axis: receiver trajectory, keyframe solves, tracking, interpolation.
+"""Time axis: receiver trajectory, step clock, tracking, interpolation.
 
 The receiver follows a polyline track at one constant speed.  The stream
-works on an integer step clock.  Snapshots live at ``i * update_step``;
-keyframes at every ``stride``-th step (``stride = kf_interval /
-update_step``) plus the final step.  A snapshot that lands on a keyframe
-step reuses the keyframe path set directly, so keyframe timestamps are
-reproduced bit-for-bit by construction rather than through an interpolation
-that happens to hit the endpoints.
+works on an integer step clock: snapshots live at ``i * update_step``.
+:func:`whole_steps` is the one rule that turns seconds into steps, and a
+:class:`StepSchedule` is the one place that decides which steps a stream
+visits: every step from its start to its stop, and keyframes at every
+``stride``-th step (``stride = kf_interval / update_step``) plus the final
+step.  A snapshot that lands on a keyframe step reuses the keyframe path set
+directly, so keyframe timestamps are reproduced bit-for-bit by construction
+rather than through an interpolation that happens to hit the endpoints.
 
 The unit of tracking is the :class:`Bracket`, the interval between two
 keyframes.  :func:`track_interval` builds it: paths matched by signature
@@ -25,8 +27,10 @@ interpolated polyline length, never a finite difference of outputs.  A
 birth or death keeps the geometry of the keyframe where it exists, with
 zero Doppler and its transfer scaled by the ramp factor.
 
-:func:`stream_snapshots` emits the stream bracket by bracket: each keyframe
-snapshot, then the interior snapshots of the bracket it opens.
+:func:`stream_snapshots` walks the schedule once, bracket by bracket: it
+solves each keyframe when the walk reaches it, emits the keyframe snapshot,
+then the interior snapshots of the bracket it opens.  At most two solved
+keyframes are held at a time.
 """
 
 from __future__ import annotations
@@ -131,35 +135,58 @@ class ChannelSnapshot:
     at_keyframe: bool
 
 
-def keyframe_steps(start_step: int, n_steps: int, stride: int) -> list[int]:
-    """Steps a stream solves exactly: every ``stride``-th step from
-    ``start_step``, plus the final step ``n_steps``."""
-    steps = list(range(start_step, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
+def whole_steps(seconds: float, update_step: float) -> int | None:
+    """``seconds`` as a number of ``update_step`` steps, or None when it is
+    not a whole number of them.
+
+    The one seconds-to-steps rule: the ratio must lie within 1e-9 of a
+    non-negative integer, relative to the ratio once it exceeds 1.  A window
+    start may be 0 steps; a caller that needs at least one step tests the
+    result for truth.
+    """
+    ratio = seconds / update_step
+    steps = round(ratio)
+    if steps < 0 or abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
+        return None
     return steps
 
 
-def _solve_keyframes(
-    tracer: SpecularTracer,
-    traj: Trajectory,
-    tx: np.ndarray,
-    steps: list[int],
-    update_step: float,
-    limits: TraceLimits,
-    engine: ScatterEngine | None,
-) -> list[ChannelSnapshot]:
-    keyframes = []
-    for i in steps:
-        t = i * update_step
-        rx = traj.position(t)
-        paths = tracer.trace(tx, rx, limits)
-        if engine is not None:
-            paths = paths + engine.paths(tx, rx)
-        keyframes.append(
-            ChannelSnapshot(index=i, timestamp=t, rx_position=rx, paths=paths, at_keyframe=True)
-        )
-    return keyframes
+class StepSchedule:
+    """The steps a stream visits on the clock ``t = i * update_step``.
+
+    ``snapshots`` runs from ``start_step`` to the step of ``stop_s``;
+    ``keyframes``, the steps solved exactly, are every ``stride``-th of them
+    from ``start_step`` (``stride`` is ``kf_interval`` in steps), plus the
+    final step.  ValueError unless ``kf_interval`` and ``stop_s`` are whole
+    numbers of steps (:func:`whole_steps`), ``kf_interval`` at least one,
+    and ``start_step`` a non-negative integer no later than the stop.
+    """
+
+    def __init__(self, update_step: float, kf_interval: float, start_step: int, stop_s: float):
+        if not update_step > 0.0:
+            raise ValueError("update_step must be positive")
+        stride = whole_steps(kf_interval, update_step)
+        if not stride:
+            raise ValueError(
+                f"kf_interval {kf_interval} must be a positive whole number of update steps ({update_step} s)"
+            )
+        stop = whole_steps(stop_s, update_step)
+        if stop is None:
+            raise ValueError(f"duration {stop_s} must be a whole number of update steps ({update_step} s)")
+        if not isinstance(start_step, int) or isinstance(start_step, bool) or start_step < 0:
+            raise ValueError("start_step must be a non-negative integer")
+        if start_step > stop:
+            raise ValueError(f"start_step {start_step} lies beyond the final step {stop}")
+        self.update_step = update_step
+        self.stride = stride
+        self.snapshots = range(start_step, stop + 1)
+        self.keyframes = list(self.snapshots[::stride])
+        if self.keyframes[-1] != stop:
+            self.keyframes.append(stop)
+
+    def seconds(self, steps) -> list[float]:
+        """The times of ``steps``."""
+        return [i * self.update_step for i in steps]
 
 
 # ----------------------------------------------------------------------
@@ -436,29 +463,10 @@ def stream_snapshots(
         raise ValueError(f"unknown scatter_mode {scatter_mode!r}; expected one of {SCATTER_MODES}")
     if leg_policy not in LEG_POLICIES:
         raise ValueError(f"unknown leg policy {leg_policy!r}; expected one of {LEG_POLICIES}")
-    if update_step <= 0.0:
-        raise ValueError("update_step must be positive")
-    if kf_interval < update_step - _T_EPS:
-        raise ValueError("kf_interval must be >= update_step")
-    stride = max(1, int(round(kf_interval / update_step)))
-    if abs(stride * update_step - kf_interval) > 1e-9:
-        raise ValueError(
-            f"kf_interval {kf_interval} must be an integer multiple of update_step {update_step}"
-        )
-    n_steps = int(round(traj.duration / update_step))
-    if abs(n_steps * update_step - traj.duration) > 1e-6:
-        raise ValueError(
-            f"duration {traj.duration} must be an integer multiple of update_step {update_step}"
-        )
-    if not isinstance(start_step, int) or isinstance(start_step, bool) or start_step < 0:
-        raise ValueError("start_step must be a non-negative integer")
-    if start_step > n_steps:
-        raise ValueError(f"start_step {start_step} lies beyond the final step {n_steps}")
+    schedule = StepSchedule(update_step, kf_interval, start_step, traj.duration)
 
     tx = np.asarray(tx_position, dtype=float)
     limits = limits if limits is not None else TraceLimits()
-
-    kf_steps = keyframe_steps(start_step, n_steps, stride)
 
     tracer = SpecularTracer(scene, carrier)
     engine = None
@@ -467,10 +475,7 @@ def stream_snapshots(
     kf_engine = engine if scatter_mode == "interpolated" else None
     exact_engine = engine if scatter_mode == "exact" else None
 
-    t0 = time.perf_counter()
-    keyframes = _solve_keyframes(tracer, traj, tx, kf_steps, update_step, limits, kf_engine)
-    keyframe_seconds = time.perf_counter() - t0
-
+    keyframe_seconds = 0.0
     interpolation_seconds = 0.0
     scatter_seconds = 0.0
     snapshots: list[ChannelSnapshot] = []
@@ -486,28 +491,37 @@ def stream_snapshots(
             ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=paths, at_keyframe=at_kf)
         )
 
-    # each keyframe, then the snapshots strictly inside its bracket (only
-    # when the stride leaves room for them)
+    # each keyframe is solved when the walk reaches it; the snapshots
+    # strictly inside the bracket it closes (only when the stride leaves
+    # room for them) come before it
     rng = np.random.default_rng(seed)
-    for kf, nxt in zip(keyframes, keyframes[1:] + [None]):
-        v = traj.velocity(kf.timestamp)
-        emit(kf.index, kf.rx_position, v, _with_doppler(kf.paths, v, carrier), True)
-        if nxt is None or stride == 1:
-            continue
+    kf_a = None
+    for step in schedule.keyframes:
         t0 = time.perf_counter()
-        bracket = track_interval(kf, nxt, rng)
-        steps = range(kf.index + 1, nxt.index)
-        times = [i * update_step for i in steps]
-        rx = [traj.position(t) for t in times]
-        v = [traj.velocity(t) for t in times]
-        rows = interpolate_bracket(bracket, times, rx, v, carrier)
-        interpolation_seconds += time.perf_counter() - t0
-        for i, r, vel, paths in zip(steps, rx, v, rows):
-            emit(i, r, vel, paths, False)
+        t = step * update_step
+        rx = traj.position(t)
+        paths = tracer.trace(tx, rx, limits)
+        if kf_engine is not None:
+            paths = paths + kf_engine.paths(tx, rx)
+        kf_b = ChannelSnapshot(index=step, timestamp=t, rx_position=rx, paths=paths, at_keyframe=True)
+        keyframe_seconds += time.perf_counter() - t0
+        if kf_a is not None and schedule.stride > 1:
+            t0 = time.perf_counter()
+            steps = range(kf_a.index + 1, step)
+            times = schedule.seconds(steps)
+            rx = [traj.position(t) for t in times]
+            v = [traj.velocity(t) for t in times]
+            rows = interpolate_bracket(track_interval(kf_a, kf_b, rng), times, rx, v, carrier)
+            interpolation_seconds += time.perf_counter() - t0
+            for i, r, vel, paths in zip(steps, rx, v, rows):
+                emit(i, r, vel, paths, False)
+        v = traj.velocity(kf_b.timestamp)
+        emit(step, kf_b.rx_position, v, _with_doppler(kf_b.paths, v, carrier), True)
+        kf_a = kf_b
 
     return StreamResult(
         snapshots=snapshots,
-        rt_invocations=len(kf_steps),
+        rt_invocations=len(schedule.keyframes),
         keyframe_seconds=keyframe_seconds,
         interpolation_seconds=interpolation_seconds,
         scatter_seconds=scatter_seconds,

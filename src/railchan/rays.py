@@ -22,8 +22,6 @@ EDGE_DIFFRACTION = "D"  # vertical building edge
 ROOFTOP_DIFFRACTION = "K"  # knife edge over a rooftop
 SCATTERING = "S"  # discrete scatterer (cylinder)
 
-KINDS = (REFLECTION, EDGE_DIFFRACTION, ROOFTOP_DIFFRACTION, SCATTERING)
-
 #: tag values for the trace output
 TAG_SPECULAR = "specular"
 TAG_SCATTER = "scatter"
@@ -143,11 +141,6 @@ class RayPath:
 def polyline_lengths(vertices: np.ndarray) -> np.ndarray:
     """Lengths of (..., N, 3) polylines, shape (...)."""
     return np.sum(np.linalg.norm(np.diff(vertices, axis=-2), axis=-1), axis=-1)
-
-
-def polyline_length(vertices: np.ndarray) -> float:
-    """Length of one (N, 3) polyline."""
-    return float(polyline_lengths(vertices))
 
 
 def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -481,7 +481,7 @@ def _parse_material(obj, where: str) -> Material:
     if not isinstance(pec, bool):
         raise SceneError(f"{where}: pec must be true or false, got {pec!r}")
     if pec:
-        return Material(eps_r=1.0, sigma=0.0, pec=True)
+        return PEC
     return Material(
         eps_r=_number(obj.get("eps_r", DEFAULT_EPS_R), "eps_r", where),
         sigma=_number(obj.get("sigma", DEFAULT_SIGMA), "sigma", where),

@@ -27,7 +27,7 @@ from railchan.metrics import (
     raised_cosine_pulse,
     synthesize_tv_cir,
 )
-from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, RayPath, polyline_length
+from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, RayPath, polyline_lengths
 from railchan.scene import Building, Scene
 from railchan.specular import SpecularTracer, TraceLimits
 from railchan.scatter import direct_leg, mesh_cylinder, mesh_plate, po_scattered_matrix
@@ -178,7 +178,7 @@ def test_04_two_wall_street_returns_five_paths_with_exact_lengths():
             length(s_bot(s_top(rx[1]))),  # two bounces, +y then -y
         ]
     )
-    got = sorted(polyline_length(p.vertices) for p in paths)
+    got = sorted(polyline_lengths(p.vertices) for p in paths)
     assert len(paths) == 5, f"expected 5 paths, got {len(paths)}"
     worst = max(abs(a - b) for a, b in zip(got, expected))
     print(f"PASS 04 five street paths, worst length error {worst:.2e} m")

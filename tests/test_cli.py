@@ -25,7 +25,9 @@ from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, load_preset, preset_path
 from railchan.dynamics import ChannelSnapshot
 from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction, RayPath
+from railchan.scatter import ScatterEngine
 from railchan.scene import CylinderScatterer, Scene
+from railchan.specular import SpecularTracer
 
 
 def _sha(path):
@@ -110,6 +112,62 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert main(_run_args(out_b)) == 0
     assert _sha(out_a / "trace.csv") == _sha(out_b / "trace.csv")
     assert _sha(out_a / "metrics.csv") == _sha(out_b / "metrics.csv")
+
+
+def test_intervals_within_the_step_rule_run_at_their_whole_stride(tmp_path):
+    # 5.000000003 s is 100 update steps of 0.05 s under the relative 1e-9
+    # rule that the config check applies; the stream applies the same rule,
+    # so the run takes the stride of --kf-interval 5, byte for byte
+    odd, whole, sweep = tmp_path / "odd", tmp_path / "whole", tmp_path / "sweep"
+    run = ["run", "--duration", "10", "--update-step", "0.05", "--scatter", "off"]
+    assert main(run + ["--kf-interval", "5.000000003", "--output-dir", str(odd)]) == 0
+    assert main(run + ["--kf-interval", "5", "--output-dir", str(whole)]) == 0
+    for name in ("trace.csv", "metrics.csv"):
+        assert (odd / name).read_bytes() == (whole / name).read_bytes()
+    argv = ["sweep", "--duration", "1.0", "--update-step", "0.05", "--kf-interval", "0.05"]
+    argv += ["--intervals", "5.000000003", "--scatter", "off", "--output-dir", str(sweep)]
+    assert main(argv) == 0
+    names = {"nrmse.csv", "timing.csv", "error_cdf.csv", "manifest.json"}
+    assert names <= {p.name for p in sweep.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--duration", "1.0", "--kf-interval", "0.5", "--scatter", "exact"],
+        ["run", "--duration", "1.0", "--kf-interval", "0.5", "--scatter", "interpolated"],
+        ["scatter-study", "--kf-interval", "0.5", "--window", "20.5:21.0"],
+    ],
+    ids=["run_exact", "run_interpolated", "scatter_study_window"],
+)
+def test_streams_evaluate_exactly_where_the_antenna_check_looked(tmp_path, monkeypatch, argv):
+    # the receiver positions the tracer and the scatter engine are given are
+    # those of the times the pre-check validated, in order: the keyframes,
+    # and every snapshot (exact) or the keyframes (interpolated)
+    checked, traced, scattered = [], [], []
+    check = railchan.cli._check_antennas
+
+    def spy_check(*args):
+        checked.append(args[-2:])
+        return check(*args)
+
+    def spy(method, seen):
+        def wrapper(self, tx, rx, *rest):
+            seen.append(np.array(rx))
+            return method(self, tx, rx, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(railchan.cli, "_check_antennas", spy_check)
+    monkeypatch.setattr(SpecularTracer, "trace", spy(SpecularTracer.trace, traced))
+    monkeypatch.setattr(ScatterEngine, "paths", spy(ScatterEngine.paths, scattered))
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 0
+
+    ((solved_s, scattered_s),) = checked
+    traj = load_preset().trajectory()
+    for seen, times in ((traced, solved_s), (scattered, scattered_s)):
+        assert len(seen) == len(times) > 0
+        np.testing.assert_array_equal(seen, [traj.position(t) for t in times])
 
 
 def test_longer_kf_interval_means_fewer_exact_solves(tmp_path):

@@ -27,7 +27,7 @@ from railchan.dynamics import (
     track_interval,
 )
 from railchan.em import C0, CarrierConfig
-from railchan.rays import RayPath, polyline_length
+from railchan.rays import RayPath, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.specular import TraceLimits
 
@@ -490,7 +490,7 @@ class TestStream:
             assert p.signature == pa.signature and p.tag == pa.tag
             np.testing.assert_array_equal(p.vertices, pa.vertices)
             assert p.delay_s == pa.delay_s
-            assert polyline_length(p.vertices) == polyline_length(pa.vertices)
+            assert polyline_lengths(p.vertices) == polyline_lengths(pa.vertices)
             assert (p.aod, p.aoa) == (pa.aod, pa.aoa)
             np.testing.assert_allclose(p.transfer, pa.transfer, rtol=1e-12)
 

@@ -40,7 +40,7 @@ from railchan.rays import (
     REFLECTION,
     ROOFTOP_DIFFRACTION,
     RayPath,
-    polyline_length,
+    polyline_lengths,
 )
 from railchan.scatter import ScatterEngine
 from railchan.scene import Building, Material, PEC, Scene
@@ -471,13 +471,13 @@ class TestComposePathMatrix:
         length = float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
         assert length == 22.0
         assert path.delay_s == length / C0  # bit-equal
-        assert polyline_length(path.vertices) == length
+        assert polyline_lengths(path.vertices) == length
         az, el = path_angles(vertices)
         assert path.aod == (az[0], el[0]) and path.aoa == (az[1], el[1])
         assert path.interactions is inters
         # the length follows the vertices, it is not stored
         path.vertices = vertices[:2]
-        assert polyline_length(path.vertices) == 10.0
+        assert polyline_lengths(path.vertices) == 10.0
 
     def test_zero_length_segment_rejected(self):
         scene = Scene(buildings=[])
@@ -676,7 +676,7 @@ def oracle_compose_path_matrix(vertices, interactions, scene, carrier):
     for i, rec in enumerate(interactions):
         if rec.kind == ROOFTOP_DIFFRACTION:
             amp *= _rooftop_factor(verts, i + 1, carrier)
-    length = polyline_length(verts)
+    length = float(polyline_lengths(verts))
     lam = carrier.wavelength
     g = (lam / (4.0 * math.pi * length)) * cmath.exp(-1j * _TWO_PI * length / lam)
     return t_mat * (g * amp)

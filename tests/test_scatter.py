@@ -14,7 +14,7 @@ import pytest
 
 from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig
-from railchan.rays import TAG_SCATTER, polyline_length
+from railchan.rays import TAG_SCATTER, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.scatter import (
     LEG_POLICIES,
@@ -288,7 +288,7 @@ class TestEnumerate:
         assert p.tag == TAG_SCATTER
         ref = np.array([50.0, 30.0, 4.1])
         want_len = float(np.linalg.norm(ref - tx) + np.linalg.norm(rx - ref))
-        assert polyline_length(p.vertices) == pytest.approx(want_len, abs=1e-9)
+        assert polyline_lengths(p.vertices) == pytest.approx(want_len, abs=1e-9)
         assert p.delay_s == pytest.approx(want_len / C0, abs=1e-12)
         los_delay = float(np.linalg.norm(rx - tx)) / C0
         assert p.delay_s > los_delay

@@ -15,7 +15,7 @@ import pytest
 from railchan import specular
 from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
-from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_length
+from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
 from railchan.scene import Building, Material, Scene
 from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 
@@ -35,7 +35,7 @@ def wall(bid, y0, y1, x0=-200.0, x1=200.0, height=30.0, material=None):
 
 
 def lengths_by_signature(paths):
-    return {p.signature: polyline_length(p.vertices) for p in paths}
+    return {p.signature: polyline_lengths(p.vertices) for p in paths}
 
 
 class TestEmptyScene:
@@ -48,7 +48,7 @@ class TestEmptyScene:
         p = paths[0]
         assert p.signature == LOS_SIGNATURE
         d = np.linalg.norm(rx - tx)
-        assert polyline_length(p.vertices) == pytest.approx(d, abs=1e-9)
+        assert polyline_lengths(p.vertices) == pytest.approx(d, abs=1e-9)
         assert p.delay_s == pytest.approx(d / C0, abs=1e-15)
 
     def test_tx_inside_building_rejected(self):
@@ -175,11 +175,11 @@ class TestTwoParallelWalls:
     def test_symmetry_under_endpoint_swap(self):
         fwd = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         rev = trace(self.scene, self.rx, self.tx, NO_DIFFRACTION)
-        fwd_sigs = {p.signature: polyline_length(p.vertices) for p in fwd}
+        fwd_sigs = {p.signature: polyline_lengths(p.vertices) for p in fwd}
         rev_sigs = {}
         for p in rev:
             toks = p.signature.split("|")
-            rev_sigs["|".join(reversed(toks))] = polyline_length(p.vertices)
+            rev_sigs["|".join(reversed(toks))] = polyline_lengths(p.vertices)
         assert set(fwd_sigs) == set(rev_sigs)
         for sig in fwd_sigs:
             assert fwd_sigs[sig] == pytest.approx(rev_sigs[sig], abs=1e-9)
@@ -203,7 +203,7 @@ class TestTwoParallelWalls:
     def test_delay_matches_length(self):
         paths = trace(self.scene, self.tx, self.rx, NO_DIFFRACTION)
         for p in paths:
-            assert p.delay_s == pytest.approx(polyline_length(p.vertices) / C0, abs=1e-12)
+            assert p.delay_s == pytest.approx(polyline_lengths(p.vertices) / C0, abs=1e-12)
 
 
 class TestEdgeDiffraction:
@@ -314,8 +314,8 @@ class TestRooftop:
         for apex in path.vertices[1:-1]:
             assert apex[2] == pytest.approx(15.0, abs=1e-9)
         # delay follows the apex polyline, longer than direct distance
-        assert polyline_length(path.vertices) > np.linalg.norm(rx - tx)
-        assert path.delay_s == pytest.approx(polyline_length(path.vertices) / C0, abs=1e-15)
+        assert polyline_lengths(path.vertices) > np.linalg.norm(rx - tx)
+        assert path.delay_s == pytest.approx(polyline_lengths(path.vertices) / C0, abs=1e-15)
 
     def test_los_present_gives_none(self):
         # a direct ray over the roof is clear: line of sight, no K path

@@ -28,7 +28,17 @@ from railchan.metrics import (
     power_decomposition,
     synthesize_tv_cir,
 )
-from railchan.rays import KINDS, TAG_SCATTER, TAG_SPECULAR, Interaction, RayPath, signature_of
+from railchan.rays import (
+    EDGE_DIFFRACTION,
+    REFLECTION,
+    ROOFTOP_DIFFRACTION,
+    SCATTERING,
+    TAG_SCATTER,
+    TAG_SPECULAR,
+    Interaction,
+    RayPath,
+    signature_of,
+)
 from railchan.traceio import (
     TRACE_COLUMNS,
     write_bench_csv,
@@ -45,6 +55,8 @@ from railchan.traceio import (
 ODD_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, 0.1, -1.0)
 #: characters a csv writer would quote a field for
 SPECIAL = (",", '"', "\r", "\n")
+#: every interaction kind a path record can carry
+KINDS = (REFLECTION, EDGE_DIFFRACTION, ROOFTOP_DIFFRACTION, SCATTERING)
 
 
 # ----------------------------------------------------------------------
