@@ -8,24 +8,26 @@ afterwards — the classic scatterer signature in the delay/time plane.  The
 script prints a coarse ASCII rendering of the 100 MHz impulse-response
 magnitude plus the specular/scattered power split.
 
-Usage: python3 demos/pylon_flyby_cir.py  (runs ~1 minute)
+Usage: python3 demos/pylon_flyby_cir.py  (541 exact solves, 24 s on a 2-core
+Intel Xeon)
 """
 
 import numpy as np
 
 from railchan.config import load_preset
-from railchan.dynamics import stream_snapshots
+from railchan.dynamics import Trajectory, stream_snapshots, whole_steps
 from railchan.em import CarrierConfig
 from railchan.metrics import power_decomposition, synthesize_tv_cir
 
 cfg = load_preset()
 scene = cfg.load_scene()
 w0, w1 = cfg.scatter_window_s
-start_step = round(w0 / cfg.update_step_s)
+# stream the window only, as `railchan scatter-study` does
+traj = Trajectory(waypoints=cfg.waypoints.copy(), speed=cfg.speed_mps, duration=w1)
 
-result = stream_snapshots(
+snaps = stream_snapshots(
     scene,
-    cfg.trajectory(),
+    traj,
     cfg.tx_position,
     CarrierConfig(cfg.carrier_hz),
     cfg.update_step_s,
@@ -34,10 +36,8 @@ result = stream_snapshots(
     scatter_mode="exact",
     leg_policy=cfg.leg_policy,
     seed=cfg.seed,
-    start_step=start_step,
-)
-# keep only the window itself
-snaps = [s for s in result.snapshots if s.timestamp <= w1 + 1e-9]
+    start_step=whole_steps(w0, cfg.update_step_s),
+).snapshots
 print(f"{len(snaps)} snapshots over [{w0}, {w1}] s")
 
 cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")

@@ -36,12 +36,9 @@ from .config import (
 )
 from .dynamics import (
     SCATTER_MODES,
-    ChannelSnapshot,
     StepSchedule,
     Trajectory,
-    interpolate_bracket,
     stream_snapshots,
-    track_interval,
     whole_steps,
 )
 from .em import CarrierConfig, compose_path_matrix
@@ -145,7 +142,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         "scatter_mode": args.scatter,
         "seed": args.seed,
     }
-    if getattr(args, "intervals", None):
+    if getattr(args, "intervals", None) is not None:
         try:
             vals = [float(v) for v in args.intervals.split(",") if v.strip()]
         except ValueError:
@@ -153,7 +150,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         if not vals:
             raise ConfigError("--intervals must name at least one interval")
         overrides["sweep_intervals_s"] = vals
-    if getattr(args, "window", None):
+    if getattr(args, "window", None) is not None:
         parts = args.window.split(":")
         if len(parts) != 2:
             raise ConfigError(f"--window must be START:STOP seconds, got {args.window!r}")
@@ -496,11 +493,16 @@ def cmd_bench(args) -> int:
     traj = cfg.trajectory()
     fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
     rx_times = [f * cfg.duration_s for f in fractions]
-    # the interpolation bracket: 10 update steps at mid-run, on the step clock
-    step_a = min(n_steps // 2, n_steps - 10)
-    kf_steps = (step_a, step_a + 10)
     # the scatter stage runs whenever the scene has scatterers
-    _check_antennas(cfg, scene, traj, rx_times + [i * cfg.update_step_s for i in kf_steps], rx_times)
+    _check_antennas(cfg, scene, traj, rx_times, rx_times)
+    # the interpolation bracket: a stream of 10 update steps at mid-run, one
+    # keyframe at each end
+    step_a = min(n_steps // 2, n_steps - 10)
+    kf_interval = 10 * cfg.update_step_s
+    bracket_traj = Trajectory(
+        waypoints=cfg.waypoints.copy(), speed=cfg.speed_mps, duration=(step_a + 10) * cfg.update_step_s
+    )
+    _check_stream(cfg, scene, bracket_traj, kf_interval, step_a)
     out = _out_dir(args, "bench")
     rows = []
 
@@ -544,30 +546,13 @@ def cmd_bench(args) -> int:
         engine.paths(cfg.tx_position, rx_list[0])  # warm the incident cache
         timed("scatter_snapshot", len(rx_list), lambda: [engine.paths(cfg.tx_position, r) for r in rx_list])
 
-    # interpolation microbench across the bracket
-    kfs = []
-    for i in kf_steps:
-        t = i * cfg.update_step_s
-        rx = traj.position(t)
-        paths = tracer.trace(cfg.tx_position, rx, cfg.limits)
-        kfs.append(ChannelSnapshot(i, t, rx, paths, at_keyframe=True))
-    bracket = track_interval(kfs[0], kfs[1], np.random.default_rng(cfg.seed))
-    steps = range(step_a + 1, step_a + 10)
-    times = [i * cfg.update_step_s for i in steps]
-
-    def interpolate():
-        rx = [traj.position(t) for t in times]
-        v = [traj.velocity(t) for t in times]
-        return rx, interpolate_bracket(bracket, times, rx, v, carrier)
-
-    rx, interior = timed("interpolate_snapshot", len(times), interpolate)
+    # the stream's own interpolation time over the bracket's 9 interior snapshots
+    for rep in range(args.repeats):
+        stream = _run_stream(cfg, scene, bracket_traj, kf_interval, step_a)
+        add_row("interpolate_snapshot", rep, 9, stream.interpolation_seconds)
 
     # metrics, TV-CIR synthesis and the trace writer over the bracket's snapshots
-    snaps = [
-        kfs[0],
-        *(ChannelSnapshot(*row, at_keyframe=False) for row in zip(steps, times, rx, interior)),
-        kfs[1],
-    ]
+    snaps = stream.snapshots
     n_rows = max(1, sum(len(s.paths) for s in snaps))
     timed("metric_snapshot", len(snaps), lambda: metric_series(snaps, cfg.tx_power_dbm))
     timed("tvcir_snapshot", len(snaps), lambda: synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv"))

@@ -1,8 +1,7 @@
 """Static environment model: extruded buildings, cylindrical scatterers, ground.
 
 The scene is loaded once from a JSON description and is immutable afterwards;
-every query here is a pure function of the scene, so tracers may share one
-instance across workers freely.
+every query here is a pure function of the scene.
 
 Geometry conventions
 --------------------
@@ -14,7 +13,6 @@ Geometry conventions
   facade ``i`` (from vertex ``i`` to ``i+1``) has element id ``i``, the
   rooftop has element id ``V``, and the vertical edge at vertex ``i`` has
   element id ``V + 1 + i``.
-* The ground is addressed as object id ``-1``, element id ``0``.
 
 Besides the buildings, the scene holds struct-of-arrays tables that the
 tracers and the polarization walker index directly: the facade table
@@ -24,9 +22,13 @@ o-face of every diffracting vertical edge).  An interaction's host is a row
 of one of them.
 
 The scene answers one occlusion query, :meth:`Scene.segments_blocked`, for
-a whole array of segments at once; every tracer asks it.  It excludes a
-tolerance band ``EPS_GEOM`` around segment endpoints so that a path vertex
-lying exactly on a surface does not occlude its own segments.
+a whole array of segments at once; every tracer asks it.  The answer is one
+yes/no flag per segment, not the surfaces crossed: the kernel tests the
+ground plane, then the facades of the buildings whose bounding boxes meet
+the segment's, then those buildings' rooftops, and each stage sees only the
+segments that no earlier stage blocked.  It excludes a tolerance band
+``EPS_GEOM`` around segment endpoints so that a path vertex lying exactly on
+a surface does not occlude its own segments.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ EPS_GEOM = 1e-6
 #: Default building material (concrete-class dielectric).
 DEFAULT_EPS_R = 5.0
 DEFAULT_SIGMA = 0.1
-
-GROUND_OBJECT_ID = -1
-
 
 class SceneError(ValueError):
     """Raised when a scene description is malformed."""
@@ -93,10 +92,6 @@ class Building:
     @property
     def n_vertices(self) -> int:
         return len(self.footprint)
-
-    @property
-    def roof_element_id(self) -> int:
-        return self.n_vertices
 
     def edge_element_id(self, vertex_index: int) -> int:
         return self.n_vertices + 1 + vertex_index
@@ -268,13 +263,11 @@ class Scene:
         self.wedge_object = np.array(obj, dtype=np.intp)
         self.wedge_element = np.array(el, dtype=np.intp)
         self.n_wedges = len(self.wedge_height)
-        # per-building extents and roof ids for the batched queries
+        # per-building extents for the occlusion kernel
         bs = self.buildings
         self._bldg_height = np.array([b.height for b in bs], dtype=float)
         self._bldg_lo = np.array([b.footprint.min(axis=0) for b in bs], dtype=float).reshape(-1, 2)
         self._bldg_hi = np.array([b.footprint.max(axis=0) for b in bs], dtype=float).reshape(-1, 2)
-        self._bldg_object = np.array([b.id for b in bs], dtype=np.intp)
-        self._bldg_roof = np.array([b.roof_element_id for b in bs], dtype=np.intp)
         # facades are appended building by building, so each building owns the
         # contiguous facade range [start[b], start[b+1])
         counts = [len(b.footprint) for b in bs]
@@ -341,20 +334,36 @@ class Scene:
     # ------------------------------------------------------------------
     # intersection queries
     # ------------------------------------------------------------------
-    def _crossings(self, p: np.ndarray, q: np.ndarray):
-        """Every surface crossing strictly inside the segments ``p[k] -> q[k]``.
+    def segments_blocked(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Occlusion flags for (K, 3) segment endpoint arrays.
 
-        Returns ``(k, t, object_id, element_id)`` with one entry per
-        crossing: the segment index, the parameter along ``q - p`` and the
-        element crossed.  Crossings closer than ``EPS_GEOM`` to either
-        endpoint are dropped, so a segment that starts or ends on a surface
-        is not blocked by it.  Facades and rooftops are only tested for the
-        (segment, building) pairs whose bounding boxes overlap.
+        True where the open segment meets the ground, a facade or a rooftop
+        more than ``EPS_GEOM`` from both endpoints, so a segment that starts
+        or ends on a surface is not blocked by it.  Each stage tests only the
+        segments that no earlier stage blocked: the ground plane; the
+        facades of every building whose bounding box meets the segment's;
+        the rooftops of those (segment, building) pairs.  A flag is the OR of
+        its stages and does not depend on the other segments of the call, so
+        the specular tracer tests its candidates in rounds, one segment
+        position per call, and the scatter engine tests each batch of legs in
+        one call.
         """
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        q = np.atleast_2d(np.asarray(q, dtype=float))
         seg = q - p
         seg_len = np.linalg.norm(seg, axis=1)
-        lo = np.minimum(p, q) - EPS_GEOM
-        hi = np.maximum(p, q) + EPS_GEOM
+
+        # ground plane z = 0
+        dz = seg[:, 2]
+        safe = np.abs(dz) > 1e-15
+        dist = np.where(safe, -p[:, 2] / np.where(safe, dz, 1.0), 0.0) * seg_len
+        blocked = (dist > EPS_GEOM) & (dist < seg_len - EPS_GEOM)
+
+        # (segment, building) pairs whose bounding boxes overlap, for the
+        # segments the ground left clear
+        k = np.nonzero(~blocked)[0]
+        lo = np.minimum(p[k], q[k]) - EPS_GEOM
+        hi = np.maximum(p[k], q[k]) + EPS_GEOM
         cand = (
             (lo[:, 0:1] <= self._bldg_hi[None, :, 0])
             & (hi[:, 0:1] >= self._bldg_lo[None, :, 0])
@@ -362,8 +371,9 @@ class Scene:
             & (hi[:, 1:2] >= self._bldg_lo[None, :, 1])
             & (lo[:, 2:3] <= self._bldg_height[None, :])
             & (hi[:, 2:3] >= 0.0)
-        )  # (K, B)
+        )  # (len(k), B)
         ki, bi = np.nonzero(cand)
+        ki = k[ki]
 
         # facade planes, one row per (segment, facade of an overlapping building)
         rows, fi = self._building_facades(bi)
@@ -383,52 +393,23 @@ class Scene:
         ok &= (s >= -EPS_GEOM) & (s <= self.fac_len[fi] + EPS_GEOM)
         z = pp[:, 2] + t * ss[:, 2]
         ok &= (z >= -EPS_GEOM) & (z <= self.fac_height[fi] + EPS_GEOM)
-        facade = (kk[ok], t[ok], self.fac_object[fi[ok]], self.fac_element[fi[ok]])
+        blocked[kk[ok]] = True
 
-        # rooftop planes, one row per overlapping (segment, building) pair
-        pb = p[ki]
-        sb = seg[ki]
-        dz = sb[:, 2]
+        # rooftop planes, for the overlapping pairs whose segment is still clear
+        keep = ~blocked[ki]
+        ki, bi = ki[keep], bi[keep]
+        dz = seg[ki, 2]
         safe = np.abs(dz) > 1e-15
-        t = np.where(safe, (self._bldg_height[bi] - pb[:, 2]) / np.where(safe, dz, 1.0), 0.0)
+        t = np.where(safe, (self._bldg_height[bi] - p[ki, 2]) / np.where(safe, dz, 1.0), 0.0)
         sl = seg_len[ki]
         dist = t * sl
-        x = pb[:, 0] + t * sb[:, 0]
-        y = pb[:, 1] + t * sb[:, 1]
         near = (dist > EPS_GEOM) & (dist < sl - EPS_GEOM)
+        x = p[ki, 0] + t * seg[ki, 0]
+        y = p[ki, 1] + t * seg[ki, 1]
         near &= self._near_footprint_bbox(x, y, bi)
         r = np.nonzero(near)[0]
         inside, on_boundary = self._classify_footprint(x[r], y[r], bi[r])
-        r = r[inside | on_boundary]
-        roof = (ki[r], t[r], self._bldg_object[bi[r]], self._bldg_roof[bi[r]])
-
-        # ground plane z = 0
-        dz = seg[:, 2]
-        safe = np.abs(dz) > 1e-15
-        t = np.where(safe, -p[:, 2] / np.where(safe, dz, 1.0), 0.0)
-        dist = t * seg_len
-        g = np.nonzero((dist > EPS_GEOM) & (dist < seg_len - EPS_GEOM))[0]
-        ground = (
-            g,
-            t[g],
-            np.full(len(g), GROUND_OBJECT_ID, dtype=np.intp),
-            np.zeros(len(g), dtype=np.intp),
-        )
-        return tuple(np.concatenate(cols) for cols in zip(facade, roof, ground))
-
-    def segments_blocked(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Occlusion flags for (K, 3) segment endpoint arrays.
-
-        True where the open segment meets a facade, a rooftop or the ground.
-        This is the scene's one intersection query.  A segment's flag does
-        not depend on the other segments of the call, so the specular tracer
-        tests its candidates in rounds, one segment position per call, and
-        the scatter engine tests each batch of legs in one call.
-        """
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        blocked = np.zeros(len(p), dtype=bool)
-        blocked[self._crossings(p, q)[0]] = True
+        blocked[ki[r[inside | on_boundary]]] = True
         return blocked
 
 

@@ -222,8 +222,18 @@ def test_window_outside_run_exits_2(capsys):
         (["sweep", "--config", "tx_inside.json", "--duration", "0.05"], "inside a building"),
         (["scatter-study", "--config", "tx_inside.json"], "inside a building"),
         (["bench", "--config", "tx_inside.json", "--duration", "0.5"], "inside a building"),
+        (["sweep", "--duration", "0.05", "--intervals", "", "--scatter", "off"], "at least one interval"),
+        (["scatter-study", "--window", ""], "START:STOP"),
     ],
-    ids=["window_stop_off_step", "run_tx_inside", "sweep_tx_inside", "scatter_study_tx_inside", "bench_tx_inside"],
+    ids=[
+        "window_stop_off_step",
+        "run_tx_inside",
+        "sweep_tx_inside",
+        "scatter_study_tx_inside",
+        "bench_tx_inside",
+        "sweep_empty_intervals",
+        "scatter_study_empty_window",
+    ],
 )
 def test_bad_inputs_exit_2_before_output(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

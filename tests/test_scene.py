@@ -1,11 +1,12 @@
 """Geometry and scene-file tests.
 
-The load-bearing checks compare the occlusion kernel ``Scene._crossings``,
-crossing by crossing, and the scene's one query ``segments_blocked`` with a
-scalar per-segment scan over every object, ``oracle_crossings``: on random
-segments, and on rays aimed at roof edges, footprint corners and a wall
-shared by two touching buildings, where ``contains_point`` must agree with
-them as well.
+The load-bearing checks compare the scene's one occlusion query
+``segments_blocked``, segment by segment, with a scalar per-segment scan over
+every object, ``oracle_crossings``: a segment is blocked exactly when the
+oracle finds a crossing.  They run on random segments, on the segments of the
+specular tracer's occlusion rounds on the preset, and on rays aimed at roof
+edges, footprint corners and a wall shared by two touching buildings, where
+``contains_point`` must agree with them as well.
 """
 
 import json
@@ -14,9 +15,10 @@ import math
 import numpy as np
 import pytest
 
+from railchan.config import load_preset
+from railchan.em import CarrierConfig
 from railchan.scene import (
     EPS_GEOM,
-    GROUND_OBJECT_ID,
     Building,
     CylinderScatterer,
     Material,
@@ -24,6 +26,10 @@ from railchan.scene import (
     SceneError,
     load_scene,
 )
+from railchan.specular import SpecularTracer
+
+#: The object id under which ``oracle_crossings`` reports the ground.
+GROUND = -1
 
 
 def square(cx, cy, half):
@@ -46,11 +52,16 @@ def box(bid, cx, cy, half, height, material=None):
     return Building(id=bid, footprint=fp, height=height, material=material)
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, -1)`` of a 1-D array: each vertex's successor."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _point_in_polygon(point_xy, poly) -> bool:
     """Even-odd rule; points within EPS_GEOM of the boundary count as inside."""
     x, y = point_xy
     xs, ys = poly[:, 0], poly[:, 1]
-    xe, ye = np.roll(xs, -1), np.roll(ys, -1)
+    xe, ye = _next(xs), _next(ys)
     crosses = ((ys > y) != (ye > y)) & (
         x < xs + (y - ys) * (xe - xs) / np.where(ye != ys, ye - ys, 1.0)
     )
@@ -62,7 +73,7 @@ def _point_in_polygon(point_xy, poly) -> bool:
 def _boundary_distance(point_xy, poly) -> float:
     x, y = point_xy
     xs, ys = poly[:, 0], poly[:, 1]
-    dx, dy = np.roll(xs, -1) - xs, np.roll(ys, -1) - ys
+    dx, dy = _next(xs) - xs, _next(ys) - ys
     tproj = np.clip(((x - xs) * dx + (y - ys) * dy) / (dx * dx + dy * dy), 0, 1)
     return float(np.sqrt(np.min((xs + tproj * dx - x) ** 2 + (ys + tproj * dy - y) ** 2)))
 
@@ -71,9 +82,10 @@ def oracle_crossings(scene, p, q) -> list:
     """Scalar reference for the occlusion kernel, one segment at a time.
 
     Every crossing of the open segment p->q that lies more than EPS_GEOM from
-    both endpoints, as ``(object_id, element_id, t)``, sorted.  Facades are
-    scanned as one array, rooftops one building at a time with the boundary
-    counted as inside.
+    both endpoints, as ``(object_id, element_id, t)``, sorted; a rooftop has
+    its building's element id ``V``, the ground is ``(GROUND, 0)``.  Facades
+    are scanned as one array, rooftops one building at a time with the
+    boundary counted as inside.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -99,39 +111,26 @@ def oracle_crossings(scene, p, q) -> list:
             t = (b.height - p[2]) / seg[2]
             dist = t * seg_len
             if EPS_GEOM < dist < seg_len - EPS_GEOM and _point_in_polygon((p + t * seg)[:2], b.footprint):
-                found.append((b.id, b.roof_element_id, float(t)))
+                found.append((b.id, b.n_vertices, float(t)))
         t = -p[2] / seg[2]
         dist = t * seg_len
         if EPS_GEOM < dist < seg_len - EPS_GEOM:
-            found.append((GROUND_OBJECT_ID, 0, float(t)))
+            found.append((GROUND, 0, float(t)))
     return sorted(found)
 
 
-def crossings(scene, p, q) -> list:
-    """``Scene._crossings`` rows of each segment, as sorted
-    ``(object_id, element_id, t)`` lists."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    rows = [[] for _ in range(len(p))]
-    for k, t, obj, el in zip(*scene._crossings(p, q)):
-        rows[k].append((int(obj), int(el), float(t)))
-    return [sorted(r) for r in rows]
-
-
-def assert_agrees_with_oracle(scene, p, q):
-    """The kernel crosses, on each segment, exactly the elements that
-    ``oracle_crossings`` finds, at the same ``t`` within 1e-9, and
-    ``segments_blocked`` flags the segments with any crossing."""
+def assert_agrees_with_oracle(scene, p, q) -> list:
+    """``segments_blocked`` flags exactly the segments on which
+    ``oracle_crossings`` finds a crossing; the oracle's crossings of each
+    segment."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     blocked = scene.segments_blocked(p, q)
-    got = crossings(scene, p, q)
-    for k in range(len(p)):
-        want = oracle_crossings(scene, p[k], q[k])
-        assert blocked[k] == bool(want), k
-        assert [row[:2] for row in got[k]] == [row[:2] for row in want], (k, got[k], want)
-        for (_, _, t_got), (_, _, t_want) in zip(got[k], want):
-            assert t_got == pytest.approx(t_want, abs=1e-9), (k, got[k], want)
+    assert blocked.shape == (len(p),) and blocked.dtype == bool
+    want = [oracle_crossings(scene, a, b) for a, b in zip(p, q)]
+    wrong = [k for k in range(len(p)) if blocked[k] != bool(want[k])]
+    assert not wrong, [(k, p[k].tolist(), q[k].tolist(), want[k]) for k in wrong[:5]]
+    return want
 
 
 class TestSceneLoading:
@@ -255,7 +254,6 @@ class TestElementIds:
     def test_square_building_element_layout(self):
         b = box(3, 0, 0, 5, 10)
         assert b.n_vertices == 4
-        assert b.roof_element_id == 4
         assert b.edge_element_id(0) == 5
         assert b.edge_element_id(3) == 8
 
@@ -303,71 +301,69 @@ class TestElementIds:
 
 
 class TestFirstHit:
-    """Single segments against one or two boxes: which elements the kernel
-    crosses, where, and whether ``segments_blocked`` flags the segment."""
+    """Single segments against one or two boxes: whether ``segments_blocked``
+    flags the segment, as the oracle does, and which surfaces the oracle
+    crosses, which names the kernel stage that decides it."""
 
     def test_clear_segment_has_no_hit(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        assert crossings(scene, [-20, 20, 2], [20, 20, 2]) == [[]]
-        assert not scene.segments_blocked([-20, 20, 2], [20, 20, 2])[0]
+        assert assert_agrees_with_oracle(scene, [-20, 20, 2], [20, 20, 2]) == [[]]
 
     def test_facade_hit_identity_and_point(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         p, q = np.array([-20.0, 0.0, 2.0]), np.array([20.0, 0.0, 2.0])
-        (row,) = crossings(scene, p, q)
-        # facade 3 runs from vertex 3 (-5,5) to vertex 0 (-5,-5): the -x face;
-        # facade 1 is the +x face
+        (row,) = assert_agrees_with_oracle(scene, p, q)
+        assert scene.segments_blocked(p, q)[0]
+        # facade 3 is the -x face, facade 1 the +x face
         assert [(o, e) for o, e, _ in row] == [(1, 1), (1, 3)]
-        t = {e: t for _, e, t in row}
-        np.testing.assert_allclose(p + t[3] * (q - p), [-5, 0, 2], atol=1e-9)
-        np.testing.assert_allclose(p + t[1] * (q - p), [5, 0, 2], atol=1e-9)
 
     def test_nearest_of_two_buildings_wins(self):
         scene = make_scene([box(1, 0, 0, 5, 10), box(2, 30, 0, 5, 10)])
-        (row,) = crossings(scene, [-20, 0, 2], [60, 0, 2])
+        (row,) = assert_agrees_with_oracle(scene, [-20, 0, 2], [60, 0, 2])
+        assert scene.segments_blocked([-20, 0, 2], [60, 0, 2])[0]
         assert {o for o, _, _ in row} == {1, 2}
-        assert min(row, key=lambda r: r[2])[0] == 1
 
     def test_over_the_roof_is_clear(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        assert crossings(scene, [-20, 0, 12], [20, 0, 12]) == [[]]
+        assert assert_agrees_with_oracle(scene, [-20, 0, 12], [20, 0, 12]) == [[]]
 
     def test_descending_ray_hits_roof_before_far_facade(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # crosses the roof plane at (-4, 0, 10), inside the footprint, while
-        # passing above the near facade; it ends inside, before the far facade
+        # passing above the near facade; it ends inside, before the far
+        # facade, so only the rooftop stage blocks it
         p, q = np.array([-20.0, 0.0, 30.0]), np.array([0.0, 0.0, 5.0])
-        ((obj, el, t),) = crossings(scene, p, q)[0]
+        ((obj, el, _),) = assert_agrees_with_oracle(scene, p, q)[0]
         assert (obj, el) == (1, 4)
-        np.testing.assert_allclose(p + t * (q - p), [-4, 0, 10], atol=1e-9)
+        assert scene.segments_blocked(p, q)[0]
 
     def test_roof_hit(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         p, q = np.array([0.0, 0.0, 30.0]), np.array([0.0, 0.0, 2.0])
-        ((obj, el, t),) = crossings(scene, p, q)[0]
+        ((obj, el, _),) = assert_agrees_with_oracle(scene, p, q)[0]
         assert (obj, el) == (1, 4)
-        np.testing.assert_allclose(p + t * (q - p), [0, 0, 10], atol=1e-9)
+        assert scene.segments_blocked(p, q)[0]
 
     def test_ground_hit(self):
         scene = make_scene([box(1, 100, 100, 5, 10)])
         p, q = np.array([0.0, 0.0, 2.0]), np.array([10.0, 0.0, -2.0])
-        ((obj, el, t),) = crossings(scene, p, q)[0]
-        assert (obj, el) == (GROUND_OBJECT_ID, 0)
-        np.testing.assert_allclose(p + t * (q - p), [5, 0, 0], atol=1e-9)
+        ((obj, el, _),) = assert_agrees_with_oracle(scene, p, q)[0]
+        assert (obj, el) == (GROUND, 0)
+        assert scene.segments_blocked(p, q)[0]
 
     def test_endpoint_on_surface_is_not_occluded(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # segment ending exactly on the -x facade, and starting on it, going away
         p = np.array([[-20.0, 0.0, 2.0], [-5.0, 0.0, 2.0]])
         q = p[::-1]
-        assert crossings(scene, p, q) == [[], []]
+        assert assert_agrees_with_oracle(scene, p, q) == [[], []]
         assert not scene.segments_blocked(p, q).any()
 
     def test_grazing_corner_within_eps_passes(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # passes within EPS_GEOM/10 outside the +y facade: treated as touching, not blocking
         y = 5.0 + EPS_GEOM / 10
-        (row,) = crossings(scene, [-20, y, 2], [20, y, 2])
+        (row,) = assert_agrees_with_oracle(scene, [-20, y, 2], [20, y, 2])
         # a graze within tolerance may cross the box's elements or nothing; it
         # must not cross some unrelated element
         assert all(obj == 1 for obj, _, _ in row)
@@ -376,19 +372,40 @@ class TestFirstHit:
         scene = make_scene([box(1, 0, 0, 5, 10)])
         # above the roof, on a facade, on the ground
         p = np.array([[0.0, 0.0, 20.0], [-5.0, 0.0, 2.0], [20.0, 0.0, 0.0]])
+        assert assert_agrees_with_oracle(scene, p, p) == [[], [], []]
         assert not scene.segments_blocked(p, p).any()
-        assert crossings(scene, p, p) == [[], [], []]
 
     def test_is_los_through_and_around(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
         p = np.array([[-20.0, 0.0, 2.0], [-20.0, 20.0, 2.0]])
         q = np.array([[20.0, 0.0, 2.0], [20.0, 20.0, 2.0]])
+        assert_agrees_with_oracle(scene, p, q)
         np.testing.assert_array_equal(scene.segments_blocked(p, q), [True, False])
 
     def test_underground_crossing_blocked(self):
         scene = make_scene([])
         assert scene.segments_blocked([0, 0, 5], [30, 0, -5])[0]
-        assert crossings(scene, [0, 0, 5], [30, 0, -5]) == [[(GROUND_OBJECT_ID, 0, 0.5)]]
+        ((obj, el, _),) = assert_agrees_with_oracle(scene, [0, 0, 5], [30, 0, -5])[0]
+        assert (obj, el) == (GROUND, 0)
+
+    def test_zero_segments_give_an_empty_mask(self):
+        for scene in (make_scene([]), make_scene([box(1, 0, 0, 5, 10)])):
+            blocked = scene.segments_blocked(np.zeros((0, 3)), np.zeros((0, 3)))
+            assert blocked.shape == (0,) and blocked.dtype == bool
+
+    def test_scene_without_buildings_gives_ground_verdicts(self):
+        scene = make_scene([])
+        rng = np.random.default_rng(5)
+        p = rng.uniform([-50, -50, -5], [50, 50, 20], size=(300, 3))
+        q = rng.uniform([-50, -50, -5], [50, 50, 20], size=(300, 3))
+        # segments ending on the ground, lying in it, and starting on it
+        p[:3, 2], q[:3, 2] = [10.0, 0.0, 0.0], [0.0, 0.0, 10.0]
+        found = assert_agrees_with_oracle(scene, p, q)
+        assert all(obj == GROUND for row in found for obj, _, _ in row)
+        # the open segment changes side of z = 0
+        crosses = np.sign(p[:, 2]) * np.sign(q[:, 2]) < 0
+        np.testing.assert_array_equal(scene.segments_blocked(p, q), crosses)
+        assert 0 < crosses.sum() < len(p)
 
 
 @pytest.fixture(scope="module")
@@ -482,7 +499,8 @@ class TestSegmentsBlocked:
 
 
 class TestGridOracle:
-    """Queries on the 6 x 4 town grid must agree with the scalar oracle."""
+    """Queries on the 6 x 4 town grid and the tracer's queries on the preset
+    must agree with the scalar oracle."""
 
     def test_thousand_random_segments(self, town):
         rng = np.random.default_rng(2024)
@@ -497,6 +515,30 @@ class TestGridOracle:
         got = town.segments_blocked(p, q)
         want = np.array([bool(oracle_crossings(town, a, b)) for a, b in zip(p, q)])
         np.testing.assert_array_equal(got, want)
+
+    def test_preset_occlusion_rounds_agree_with_oracle(self, monkeypatch):
+        # every segment of every occlusion round of five preset solves, one
+        # of them among the pylons
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        traj = cfg.trajectory()
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
+        rounds = []
+        original = Scene.segments_blocked
+
+        def spy(self, p, q):
+            rounds.append((p, q))
+            return original(self, p, q)
+
+        monkeypatch.setattr(Scene, "segments_blocked", spy)
+        for t in (0.0, 8.0, 21.0, 34.0, 55.0):
+            tracer.trace(cfg.tx_position, traj.position(t), cfg.limits)
+        monkeypatch.undo()
+        assert 5 <= len(rounds) <= 15
+        p = np.concatenate([p for p, _ in rounds])
+        q = np.concatenate([q for _, q in rounds])
+        want = assert_agrees_with_oracle(scene, p, q)
+        assert 0 < sum(map(bool, want)) < len(want)
 
 
 class TestContainment:
