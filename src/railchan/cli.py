@@ -143,12 +143,13 @@ def _scenario_from_args(args) -> ScenarioConfig:
         "seed": args.seed,
     }
     if getattr(args, "intervals", None) is not None:
+        parts = args.intervals.split(",")
+        if not any(v.strip() for v in parts):
+            raise ConfigError("--intervals must name at least one interval")
         try:
-            vals = [float(v) for v in args.intervals.split(",") if v.strip()]
+            vals = [float(v) for v in parts]
         except ValueError:
             raise ConfigError(f"--intervals must be comma-separated numbers, got {args.intervals!r}")
-        if not vals:
-            raise ConfigError("--intervals must name at least one interval")
         overrides["sweep_intervals_s"] = vals
     if getattr(args, "window", None) is not None:
         parts = args.window.split(":")

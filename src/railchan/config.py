@@ -315,12 +315,8 @@ def parse_config(
         sweep_vals.append(float(v))
 
     window = raw.get("scatter_window_s", [0.0, duration_s])
-    if (
-        not isinstance(window, (list, tuple))
-        or len(window) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in window)
-    ):
-        raise ConfigError("'scatter_window_s' must be a [start, stop] pair of seconds")
+    if not isinstance(window, (list, tuple)) or len(window) != 2 or not all(map(_is_number, window)):
+        raise ConfigError("'scatter_window_s' must be a [start, stop] pair of finite seconds")
     w0, w1 = float(window[0]), float(window[1])
     if not (0.0 <= w0 < w1):
         raise ConfigError("'scatter_window_s' must satisfy 0 <= start < stop")

@@ -271,10 +271,8 @@ def _diffract(basis, k_in, k_out, s_before, s_after, scene: Scene, wedges, carri
     obs_len = np.hypot(obs_xy[:, 0], obs_xy[:, 1])
     if np.any((src_len < 1e-12) | (obs_len < 1e-12)):
         raise ValueError("ray along the diffracting edge")
-    o_t = scene.wedge_o_tangent[wedges]
-    o_n = scene.wedge_o_normal[wedges]
-    phi_inc = np.mod(np.arctan2(_dot(src_xy, o_n), _dot(src_xy, o_t)), _TWO_PI)
-    phi_out = np.mod(np.arctan2(_dot(obs_xy, o_n), _dot(obs_xy, o_t)), _TWO_PI)
+    phi_inc = scene.wedge_azimuths(wedges, src_xy)[0]
+    phi_out = scene.wedge_azimuths(wedges, obs_xy)[0]
     L = s_before * s_after * np.sin(beta0) ** 2 / (s_before + s_after)
     # the wedge faces' Fresnel coefficients at the symmetric effective
     # grazing angle (pi - |phi_out - phi_inc|)/2: the geometric-optics

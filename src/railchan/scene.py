@@ -21,6 +21,11 @@ wedge table (``wedge_*``: position, height, local frame, exterior angle and
 o-face of every diffracting vertical edge).  An interaction's host is a row
 of one of them.
 
+The scene also owns the two placement rules that the tracers, the occlusion
+kernel and the polarization walker share, so a ray grazing a facade, a
+corner, a roof line or a wedge face gets one answer from all of them:
+:meth:`Scene.facade_crossings` and :meth:`Scene.wedge_azimuths`.
+
 The scene answers one occlusion query, :meth:`Scene.segments_blocked`, for
 a whole array of segments at once; every tracer asks it.  The answer is one
 yes/no flag per segment, not the surfaces crossed: the kernel tests the
@@ -332,6 +337,40 @@ class Scene:
         return inside, on_boundary
 
     # ------------------------------------------------------------------
+    # placement rules
+    # ------------------------------------------------------------------
+    def facade_crossings(self, p, seg, fi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(t, s, z)`` where segments ``p -> p + seg`` (K, 3) meet the planes
+        of facades ``fi`` (K,): the segment parameter, the offset along the
+        facade from its origin and the height.  All three are NaN where a
+        segment is parallel to the plane, so every band a caller tests on them
+        is false there; each caller keeps its own bands for the segment ends
+        and the facade edges."""
+        n = self.fac_normal[fi]
+        denom = np.einsum("ij,ij->i", n, seg)
+        safe = np.abs(denom) > 1e-15
+        off = self.fac_offset[fi] - np.einsum("ij,ij->i", n, p)
+        t = np.where(safe, off / np.where(safe, denom, 1.0), np.nan)
+        u = self.fac_dir[fi]
+        s = np.einsum("ij,ij->i", p, u) - self.fac_od[fi] + t * np.einsum("ij,ij->i", seg, u)
+        return t, s, p[:, 2] + t * seg[:, 2]
+
+    def wedge_azimuths(self, wi, xy) -> tuple[np.ndarray, np.ndarray]:
+        """Azimuths in [0, 2 pi) of horizontal vectors ``xy`` (K, 2) pointing
+        away from the edges of wedges ``wi`` (K,), measured from the o-face
+        tangent through the region outside the building, and the mask of
+        those outside the wedge material (at most ``n_index * pi``).  An
+        angle within 1e-9 rad below 2 pi reads as 0, on the o-face, so a point
+        on the o-face plane gets one angle whichever side rounding puts it."""
+        phi = np.arctan2(
+            np.einsum("kj,kj->k", xy, self.wedge_o_normal[wi]),
+            np.einsum("kj,kj->k", xy, self.wedge_o_tangent[wi]),
+        )
+        phi = np.mod(phi, 2.0 * math.pi)
+        phi = np.where(phi >= 2.0 * math.pi - 1e-9, 0.0, phi)
+        return phi, phi <= self.wedge_n_index[wi] * math.pi + 1e-9
+
+    # ------------------------------------------------------------------
     # intersection queries
     # ------------------------------------------------------------------
     def segments_blocked(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -378,20 +417,11 @@ class Scene:
         # facade planes, one row per (segment, facade of an overlapping building)
         rows, fi = self._building_facades(bi)
         kk = ki[rows]
-        nx = self.fac_normal[fi]
-        pp = p[kk]
-        ss = seg[kk]
-        denom = np.einsum("ij,ij->i", nx, ss)
-        off = self.fac_offset[fi] - np.einsum("ij,ij->i", nx, pp)
-        safe = np.abs(denom) > 1e-15
-        t = np.where(safe, off / np.where(safe, denom, 1.0), 0.0)
+        t, s, z = self.facade_crossings(p[kk], seg[kk], fi)
         sl = seg_len[kk]
         dist = t * sl
         ok = (dist > EPS_GEOM) & (dist < sl - EPS_GEOM)
-        dx = self.fac_dir[fi]
-        s = np.einsum("ij,ij->i", pp, dx) - self.fac_od[fi] + t * np.einsum("ij,ij->i", ss, dx)
         ok &= (s >= -EPS_GEOM) & (s <= self.fac_len[fi] + EPS_GEOM)
-        z = pp[:, 2] + t * ss[:, 2]
         ok &= (z >= -EPS_GEOM) & (z <= self.fac_height[fi] + EPS_GEOM)
         blocked[kk[ok]] = True
 

@@ -32,7 +32,6 @@ rooftop path reuses the line-of-sight verdict of the first round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,6 @@ from .rays import (
     polyline_lengths,
 )
 from .scene import EPS_GEOM, Scene
-
-_TWO_PI = 2.0 * math.pi
-_ANG_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,40 +79,14 @@ def _facade_crossing(scene: Scene, src: np.ndarray, dst: np.ndarray, fidx: np.nd
 
     Returns ``(points, ok)`` where ``ok`` demands a proper interior crossing
     (parameter strictly inside the segment) that lands on the facade
-    rectangle.
+    rectangle, placed by :meth:`Scene.facade_crossings`.
     """
-    n = scene.fac_normal[fidx]
-    off = scene.fac_offset[fidx]
-    dst = np.broadcast_to(np.asarray(dst, dtype=float), src.shape)
-    seg = dst - src
-    denom = np.einsum("kj,kj->k", seg, n)
-    num = off - np.einsum("kj,kj->k", src, n)
-    ok = np.abs(denom) > 1e-15
-    t = np.where(ok, num / np.where(ok, denom, 1.0), 0.5)
-    ok &= (t > 1e-12) & (t < 1.0 - 1e-12)
-    pts = src + t[:, None] * seg
-    rel = pts - scene.fac_origin[fidx]
-    s = np.einsum("kj,kj->k", rel, scene.fac_dir[fidx])
+    seg = np.broadcast_to(np.asarray(dst, dtype=float), src.shape) - src
+    t, s, z = scene.facade_crossings(src, seg, fidx)
+    ok = (t > 1e-12) & (t < 1.0 - 1e-12)
     ok &= (s >= -EPS_GEOM) & (s <= scene.fac_len[fidx] + EPS_GEOM)
-    ok &= (pts[:, 2] >= -EPS_GEOM) & (pts[:, 2] <= scene.fac_height[fidx] + EPS_GEOM)
-    return pts, ok
-
-
-def _wedge_azimuth(p_xy: np.ndarray, o_t: np.ndarray, o_n: np.ndarray, n_index: np.ndarray):
-    """Wedge-frame azimuth of horizontal vectors and an exterior-region mask.
-
-    The angle is measured from the zero-face tangent, sweeping through the
-    region outside the building; directions inside the wedge material fall
-    beyond ``n_index * pi`` and are rejected.
-    """
-    phi = np.arctan2(
-        np.einsum("kj,kj->k", p_xy, o_n),
-        np.einsum("kj,kj->k", p_xy, o_t),
-    )
-    phi = np.mod(phi, _TWO_PI)
-    phi = np.where(phi >= _TWO_PI - _ANG_EPS, 0.0, phi)
-    ok = phi <= n_index * math.pi + _ANG_EPS
-    return phi, ok
+    ok &= (z >= -EPS_GEOM) & (z <= scene.fac_height[fidx] + EPS_GEOM)
+    return src + t[:, None] * seg, ok
 
 
 class SpecularTracer:
@@ -217,10 +187,7 @@ class SpecularTracer:
         dst_z = np.broadcast_to(np.asarray(dst)[..., 2], d1.shape)
         z = src_z + (dst_z - src_z) * d1 / denom
         ok &= (z >= -EPS_GEOM) & (z <= sc.wedge_height[widx] + EPS_GEOM)
-        o_t, o_n, n_index = sc.wedge_o_tangent[widx], sc.wedge_o_normal[widx], sc.wedge_n_index[widx]
-        _, ok_src = _wedge_azimuth(p_src, o_t, o_n, n_index)
-        _, ok_dst = _wedge_azimuth(p_dst, o_t, o_n, n_index)
-        ok &= ok_src & ok_dst
+        ok &= sc.wedge_azimuths(widx, p_src)[1] & sc.wedge_azimuths(widx, p_dst)[1]
         z = np.clip(z, 0.0, sc.wedge_height[widx])
         points = np.concatenate([np.broadcast_to(w_xy, d1.shape + (2,)), z[..., None]], axis=-1)
         return points, ok
@@ -406,23 +373,16 @@ def trace_rooftop(
     every building, at or above the ground.  With both endpoints at or above
     ``z = 0`` the ground cannot block the direct ray, so a building does.
     """
-    a = tx[:2]
-    b = rx[:2]
-    d = b - a
-    horiz = float(np.linalg.norm(d))
+    seg = rx - tx
+    horiz = float(np.linalg.norm(seg[:2]))
     if horiz < EPS_GEOM:
         return None  # vertical link: no ground track to cross rooflines
 
-    u = scene.fac_dir[:, :2]
-    o = scene.fac_origin[:, :2]
-    rel = o - a
-    denom = d[0] * u[:, 1] - d[1] * u[:, 0]
-    ok = np.abs(denom) > 1e-15
-    safe = np.where(ok, denom, 1.0)
-    t = (rel[:, 0] * u[:, 1] - rel[:, 1] * u[:, 0]) / safe
-    s = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / safe
+    # facades are vertical, so t along tx -> rx is also t along the ground track
+    n = scene.n_facades
+    t, s, _ = scene.facade_crossings(np.broadcast_to(tx, (n, 3)), np.broadcast_to(seg, (n, 3)), np.arange(n))
     tmin = EPS_GEOM / horiz
-    ok &= (t > tmin) & (t < 1.0 - tmin)
+    ok = (t > tmin) & (t < 1.0 - tmin)
     # half-open span so a crossing at a shared footprint corner counts once
     ok &= (s >= -1e-12) & (s < scene.fac_len - 1e-12)
     idx = np.nonzero(ok)[0]
@@ -435,7 +395,7 @@ def trace_rooftop(
     verts = [tx]
     hosts = []
     for f in order:
-        apex = np.array([a[0] + t[f] * d[0], a[1] + t[f] * d[1], scene.fac_height[f]])
+        apex = np.array([tx[0] + t[f] * seg[0], tx[1] + t[f] * seg[1], scene.fac_height[f]])
         if np.linalg.norm(apex - verts[-1]) < EPS_GEOM:
             continue
         verts.append(apex)

@@ -223,6 +223,7 @@ def test_window_outside_run_exits_2(capsys):
         (["scatter-study", "--config", "tx_inside.json"], "inside a building"),
         (["bench", "--config", "tx_inside.json", "--duration", "0.5"], "inside a building"),
         (["sweep", "--duration", "0.05", "--intervals", "", "--scatter", "off"], "at least one interval"),
+        (["sweep", "--duration", "0.05", "--intervals", "0.05,,0.1", "--scatter", "off"], "comma-separated"),
         (["scatter-study", "--window", ""], "START:STOP"),
     ],
     ids=[
@@ -232,6 +233,7 @@ def test_window_outside_run_exits_2(capsys):
         "scatter_study_tx_inside",
         "bench_tx_inside",
         "sweep_empty_intervals",
+        "sweep_empty_interval_entry",
         "scatter_study_empty_window",
     ],
 )
@@ -362,6 +364,8 @@ def test_out_of_range_limits_exit_2(tmp_path, capsys, limits):
         ["sweep", "--intervals", "nan"],
         ["sweep", "--intervals", "inf"],
         ["run", "--config", "carrier_1e999.json"],
+        ["scatter-study", "--window", "20.5:inf"],
+        ["scatter-study", "--config", "window_1e999.json"],
     ],
     ids=" ".join,
 )
@@ -369,10 +373,12 @@ def test_non_finite_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     # JSON reads the literal 1e999 as an infinite float
     text = preset_path(DEFAULT_PRESET, "config").read_text()
-    assert '"carrier_hz": 1.9e9' in text
-    (tmp_path / "carrier_1e999.json").write_text(
-        text.replace('"carrier_hz": 1.9e9', '"carrier_hz": 1e999')
-    )
+    for finite, infinite, name in (
+        ('"carrier_hz": 1.9e9', '"carrier_hz": 1e999', "carrier_1e999.json"),
+        ('"scatter_window_s": [18.5, 23.9]', '"scatter_window_s": [18.5, 1e999]', "window_1e999.json"),
+    ):
+        assert finite in text
+        (tmp_path / name).write_text(text.replace(finite, infinite))
     assert main(argv + ["--output-dir", "out"]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -600,6 +600,13 @@ def _apply_reflection(b_mat, k_in, scene, rec, carrier):
     return out, k_out
 
 
+def _oracle_azimuth(p, o_tangent, o_normal):
+    """Wedge azimuth in [0, 2 pi); within 1e-9 rad below 2 pi it reads 0, on
+    the o-face, as in ``Scene.wedge_azimuths``."""
+    phi = math.atan2(np.dot(p, o_normal), np.dot(p, o_tangent)) % _TWO_PI
+    return 0.0 if phi >= _TWO_PI - 1e-9 else phi
+
+
 def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, carrier):
     w = host_index(scene, rec)
     o_tangent = np.array([*scene.wedge_o_tangent[w], 0.0])
@@ -609,8 +616,8 @@ def _apply_edge_diffraction(b_mat, k_in, k_out, s_before, s_after, scene, rec, c
     d_src = -k_in
     p_src = _unit(d_src - np.dot(d_src, edge) * edge)
     p_obs = _unit(k_out - np.dot(k_out, edge) * edge)
-    phi_inc = math.atan2(np.dot(p_src, o_normal), np.dot(p_src, o_tangent)) % _TWO_PI
-    phi_out = math.atan2(np.dot(p_obs, o_normal), np.dot(p_obs, o_tangent)) % _TWO_PI
+    phi_inc = _oracle_azimuth(p_src, o_tangent, o_normal)
+    phi_out = _oracle_azimuth(p_obs, o_tangent, o_normal)
     L = s_before * s_after * math.sin(beta0) ** 2 / (s_before + s_after)
     grazing = (math.pi - abs(phi_out - phi_inc)) / 2.0
     theta = min(math.acos(min(1.0, abs(math.sin(grazing)))), math.pi / 2 - 1e-12)
@@ -794,6 +801,22 @@ class TestWalkerAgainstScalarOracle:
                         want = oracle_leg_polarization_operator(verts, leg.interactions, scene, carrier)
                         assert relative_error(got, want) <= WALKER_RTOL
         assert n_reflected > 0
+
+    def test_o_face_wrap(self):
+        # a transmitter 1 nm inside the o-face plane of edge D(1:6) is outside
+        # the building (within EPS_GEOM of its footprint); the generator and
+        # the walker both read its azimuth as 0, so the path keeps the
+        # transfer it has with the transmitter on the plane
+        box = Building(1, np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float), 10.0)
+        tracer = SpecularTracer(Scene(buildings=[box]), F19)
+        rx = np.array([20.0, 20.0, 3.0])
+        found = {}
+        for y in (0.0, 1e-9):
+            tx = np.array([5.0, y, 5.0])
+            paths = tracer.trace(tx, rx)
+            assert_matches_oracle(paths, oracle_trace(tracer, tx, rx, TraceLimits()))
+            found[y] = next(p for p in paths if p.signature == "D(1:6)")
+        assert relative_error(found[1e-9].transfer, found[0.0].transfer) <= WALKER_RTOL
 
     def test_utd_arrays_against_scalar_terms(self):
         # random wedges and angles, a quarter of them within 1e-7 of a

@@ -6,7 +6,11 @@ every object, ``oracle_crossings``: a segment is blocked exactly when the
 oracle finds a crossing.  They run on random segments, on the segments of the
 specular tracer's occlusion rounds on the preset, and on rays aimed at roof
 edges, footprint corners and a wall shared by two touching buildings, where
-``contains_point`` must agree with them as well.
+``contains_point`` must agree with them as well.  On scenes with rotated
+footprints, rays grazing facade edges, corners and roof lines must get one
+answer from the reflection generator's ``_facade_crossing`` and from
+``segments_blocked``: both place a ray against a facade with
+``Scene.facade_crossings``.
 """
 
 import json
@@ -26,7 +30,7 @@ from railchan.scene import (
     SceneError,
     load_scene,
 )
-from railchan.specular import SpecularTracer
+from railchan.specular import SpecularTracer, _facade_crossing, trace_rooftop
 
 #: The object id under which ``oracle_crossings`` reports the ground.
 GROUND = -1
@@ -539,6 +543,140 @@ class TestGridOracle:
         q = np.concatenate([q for _, q in rounds])
         want = assert_agrees_with_oracle(scene, p, q)
         assert 0 < sum(map(bool, want)) < len(want)
+
+
+def rotate(poly, angle, center=(0.0, 0.0)):
+    """``poly`` turned counterclockwise by ``angle`` about ``center``."""
+    c, s = math.cos(angle), math.sin(angle)
+    p = np.asarray(poly, dtype=float) - center
+    return p @ np.array([[c, s], [-s, c]]) + center
+
+
+#: Scenes with no axis-aligned facade: a box, two boxes sharing a wall, and
+#: an L (one reflex corner) beside a pentagon.
+ROTATED_SCENES = {
+    "box": [Building(1, rotate(square(0, 0, 6.5), 0.3), 12.0)],
+    "shared_wall": [
+        Building(1, rotate([[0, 0], [10, 0], [10, 10], [0, 10]], 0.7), 10.0),
+        Building(2, rotate([[10, 0], [22, 0], [22, 10], [10, 10]], 0.7), 15.0),
+    ],
+    "ell_pentagon": [
+        Building(1, rotate([[0, 0], [15, 0], [15, 5], [7, 5], [7, 10], [0, 10]], 1.1, (7, 5)), 8.0),
+        Building(2, rotate([[0, 0], [12, -3], [18, 6], [9, 14], [-2, 8]], -0.45) + [25, 0], 14.0),
+    ],
+}
+
+
+def grazing_segments(scene, seed):
+    """Segments through points within a few EPS_GEOM of every facade's
+    vertical edges, its roof line, its foot and its middle, with the crossing
+    1-20 m from either end; a third of them horizontal."""
+    rng = np.random.default_rng(seed)
+    k = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 3.0, -3.0])
+    p, q = [], []
+    for f in range(scene.n_facades):
+        u, n = scene.fac_dir[f], scene.fac_normal[f]
+        for s in (0.0, 0.5 * scene.fac_len[f], scene.fac_len[f]):
+            for z in (0.0, 0.5 * scene.fac_height[f], scene.fac_height[f]):
+                x = scene.fac_origin[f] + s * u + [0.0, 0.0, z]
+                for ks, kn, kz in rng.choice(k, size=(12, 3)):
+                    xk = x + EPS_GEOM * (ks * u + kn * n + [0.0, 0.0, kz])
+                    d = rng.normal(size=3)
+                    if rng.uniform() < 1 / 3:
+                        d[2] = 0.0
+                    d /= np.linalg.norm(d)
+                    p.append(xk - rng.uniform(1, 20) * d)
+                    q.append(xk + rng.uniform(1, 20) * d)
+    return np.array(p), np.array(q)
+
+
+@pytest.fixture(scope="module", params=list(ROTATED_SCENES))
+def rotated(request):
+    return Scene(buildings=ROTATED_SCENES[request.param])
+
+
+class TestGrazingAgreement:
+    """The reflection generator and the occlusion kernel place a ray against
+    a facade with the same routine, so at grazing they agree."""
+
+    def test_accepted_crossings_are_blocked(self, rotated):
+        # a crossing point _facade_crossing accepts lies on a facade the
+        # kernel sees the segment through it cross
+        p, q = grazing_segments(rotated, 3)
+        rows, fi = np.divmod(np.arange(len(p) * rotated.n_facades), rotated.n_facades)
+        _, ok = _facade_crossing(rotated, p[rows], q[rows], fi)
+        crossing = np.zeros(len(p), dtype=bool)
+        crossing[rows[ok]] = True
+        assert 0 < crossing.sum() < len(p)
+        assert rotated.segments_blocked(p[crossing], q[crossing]).all()
+
+    def test_blocked_segments_cross_an_accepted_facade(self, rotated):
+        # on the segments that neither the ground nor a rooftop plane can
+        # block, the kernel blocks exactly those with an accepted crossing
+        p, q = grazing_segments(rotated, 4)
+        heights = np.array([0.0] + [b.height for b in rotated.buildings])
+        keep = np.all((p[:, 2:3] - heights) * (q[:, 2:3] - heights) > 0, axis=1)
+        p, q = p[keep], q[keep]
+        rows, fi = np.divmod(np.arange(len(p) * rotated.n_facades), rotated.n_facades)
+        _, ok = _facade_crossing(rotated, p[rows], q[rows], fi)
+        crossing = np.bincount(rows[ok], minlength=len(p)) > 0
+        blocked = rotated.segments_blocked(p, q)
+        assert 0 < blocked.sum() < len(p)
+        np.testing.assert_array_equal(blocked, crossing)
+
+
+class TestPlacementRules:
+    def test_parallel_segment_has_no_crossing(self):
+        scene = Scene(buildings=ROTATED_SCENES["box"])
+        u, n = scene.fac_dir[0], scene.fac_normal[0]
+        # along the facade, 1 m in front of it and in its plane
+        x = scene.fac_origin[0] + 2.0 * u + [0.0, 0.0, 5.0]
+        p = np.array([x + n, x])
+        seg = np.array([5.0 * u, 5.0 * u])
+        t, s, z = scene.facade_crossings(p, seg, np.array([0, 0]))
+        assert np.isnan(t).all() and np.isnan(s).all() and np.isnan(z).all()
+        _, ok = _facade_crossing(scene, p, p + seg, np.array([0, 0]))
+        assert not ok.any()
+        assert not scene.segments_blocked(p, p + seg).any()
+
+    def test_zero_rows_give_empty_results(self):
+        scene = Scene(buildings=ROTATED_SCENES["box"])
+        none = np.empty((0, 3))
+        for out in scene.facade_crossings(none, none, np.empty(0, dtype=np.intp)):
+            assert out.shape == (0,)
+        for out in scene.wedge_azimuths(np.empty(0, dtype=np.intp), np.empty((0, 2))):
+            assert out.shape == (0,)
+
+    def test_o_face_wrap(self):
+        scene = Scene(buildings=ROTATED_SCENES["box"])
+        w = np.zeros(4, dtype=np.intp)
+        o_t, o_n = scene.wedge_o_tangent[0], scene.wedge_o_normal[0]
+        # 1e-12 rad below the o-face (read as on it), on it, 1e-6 rad below it
+        # (in the wedge material), and along the n-face at n pi = 3 pi / 2
+        xy = np.array([o_t - 1e-12 * o_n, o_t, o_t - 1e-6 * o_n, -o_n])
+        phi, exterior = scene.wedge_azimuths(w, xy)
+        assert phi[:2].tolist() == [0.0, 0.0]
+        assert phi[2] == pytest.approx(2 * math.pi - 1e-6, abs=1e-12)
+        assert phi[3] == pytest.approx(1.5 * math.pi, abs=1e-12)
+        assert exterior.tolist() == [True, True, False, True]
+
+    def test_rotated_box_rooftop_apexes(self):
+        scene = Scene(buildings=ROTATED_SCENES["box"])
+        fp = scene.buildings[0].footprint
+        tx, rx = np.array([-20.0, -3.0, 4.0]), np.array([18.0, 5.0, 2.0])
+        path = trace_rooftop(scene, tx, rx, CarrierConfig(1.9e9))
+        # the roofline crossings of the ground track, solved edge by edge
+        want = []
+        for i in range(len(fp)):
+            a, b = fp[i], fp[(i + 1) % len(fp)]
+            t, s = np.linalg.solve(np.column_stack([rx[:2] - tx[:2], a - b]), a - tx[:2])
+            if 0 < t < 1 and 0 <= s < 1:
+                want.append((t, i, tx[:2] + t * (rx[:2] - tx[:2])))
+        want.sort(key=lambda w: w[0])
+        assert [r.element_id for r in path.interactions] == [i for _, i, _ in want]
+        apexes = path.vertices[1:-1]
+        np.testing.assert_allclose(apexes[:, :2], [x for _, _, x in want], rtol=0, atol=1e-9)
+        assert (apexes[:, 2] == 12.0).all()
 
 
 class TestContainment:
