@@ -51,7 +51,7 @@ from .metrics import (
 from .rays import SCATTERING, TAG_SCATTER
 from .scatter import ScatterEngine, _inside_bounding_cylinder
 from .scene import EPS_GEOM, SceneError, load_scene_file
-from .specular import SpecularTracer, _clear_masks, _unique_clear
+from .specular import SpecularTracer, _clear_masks_given, _unique_clear
 from .traceio import (
     file_sha256,
     write_bench_csv,
@@ -268,6 +268,7 @@ def cmd_run(args) -> int:
             "n_path_rows": n_rows,
             "n_distinct_paths": len(ids),
             "rt_invocations": result.rt_invocations,
+            "counters": result.counters,
             "timings_s": {
                 "keyframe": result.keyframe_seconds,
                 "interpolation": result.interpolation_seconds,
@@ -529,16 +530,25 @@ def cmd_bench(args) -> int:
     add_row("scene_load", 0, 1, el)
 
     rx_list = [traj.position(t) for t in rx_times]
+    tx = np.asarray(cfg.tx_position, dtype=float)
+    # what the transmitter alone decides, built once per stream at its first
+    # solve, timed on fresh tracers
+    fresh = iter([SpecularTracer(scene, carrier) for _ in range(args.repeats)])
+    timed("tx_tables", 1, lambda: next(fresh)._prepare_tx_tables(tx))
     tracer = SpecularTracer(scene, carrier)
-    tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)  # warm the tables
-    timed("specular_trace", len(rx_list), lambda: [tracer.trace(cfg.tx_position, r, cfg.limits) for r in rx_list])
-    families = [tracer.candidates(cfg.tx_position, r, cfg.limits) for r in rx_list]
-    clear = timed("occlusion_solve", len(families), lambda: [_clear_masks(scene, f) for f in families])
+    tracer.trace(tx, rx_list[0], cfg.limits)  # warm the tables
+    timed("specular_trace", len(rx_list), lambda: [tracer.trace(tx, r, cfg.limits) for r in rx_list])
+    solves = timed("candidate_solve", len(rx_list), lambda: [tracer._candidates(tx, r, cfg.limits) for r in rx_list])
+    # the occlusion rounds as the trace runs them, the first segments the
+    # transmitter table settled left out
+    clear = timed(
+        "occlusion_solve", len(solves), lambda: [_clear_masks_given(scene, f, first) for f, first in solves]
+    )
     # the clear, distinct candidates of every family of the five solves
-    kept = [family for f, c in zip(families, clear) for family in _unique_clear(f, c)]
+    kept = [family for (f, _), c in zip(solves, clear) for family in _unique_clear(f, c)]
     timed(
         "compose_solve",
-        len(families),
+        len(solves),
         lambda: [compose_path_matrix(verts, kinds, hosts, scene, carrier) for verts, (kinds, hosts) in kept],
     )
 

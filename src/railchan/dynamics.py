@@ -416,10 +416,17 @@ def _radial_doppler(path: RayPath, rx_velocity: np.ndarray, carrier: CarrierConf
 # ----------------------------------------------------------------------
 @dataclass
 class StreamResult:
-    """Snapshot stream plus bookkeeping for cost/accuracy studies."""
+    """Snapshot stream plus bookkeeping for cost/accuracy studies.
+
+    ``counters`` holds the stream's deterministic work counts, apart from
+    the ``*_seconds`` timings: the specular tracer's per-family candidates
+    generated, left clear and kept, the segments of each occlusion round
+    (see :class:`~railchan.specular.SpecularTracer`) and the exact solves.
+    """
 
     snapshots: list
     rt_invocations: int
+    counters: dict
     keyframe_seconds: float = 0.0
     interpolation_seconds: float = 0.0
     scatter_seconds: float = 0.0
@@ -522,6 +529,7 @@ def stream_snapshots(
     return StreamResult(
         snapshots=snapshots,
         rt_invocations=len(schedule.keyframes),
+        counters={**tracer.counters, "exact_solves": len(schedule.keyframes)},
         keyframe_seconds=keyframe_seconds,
         interpolation_seconds=interpolation_seconds,
         scatter_seconds=scatter_seconds,

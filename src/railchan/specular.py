@@ -21,8 +21,29 @@ already has, get their transfer matrices from one
 mask over them, and interaction records are built only for the paths kept.
 A :class:`SpecularTracer` caches the per-scene tables (second-order
 image-pair feasibility, wedge fronts and interaction records; zero-length
-when the scene has none) and the per-transmitter image positions, which
-makes repeated solves along a receiver trajectory cheap.
+when the scene has none) and, from the first solve until the transmitter
+moves, everything the transmitter alone decides:
+
+* the facade images;
+* the wedges whose edge the transmitter sees from outside the wedge
+  material, for D and DR, and the (wedge, facade) pairs whose facade image
+  sees the edge and whose image-to-edge line crosses the facade, for RD.
+  Both are subsequences of the full pair order, so candidate order and
+  path order do not change;
+* a first-segment verdict table per wedge and per RD pair.  The first
+  segment of a D or DR candidate ends on its wedge, that of an RD candidate
+  on the pair's facade crossing: a fixed (x, y), with only the height
+  moving with the receiver.
+  :func:`~railchan.visibility.first_segment_table` settles the occlusion
+  verdict of that segment at every height outside narrow bands around its
+  critical heights.  A candidate whose first segment is settled
+  blocked is dropped, one settled clear enters the occlusion rounds at its
+  second vertex, and one in a band is tested in round 0; a target blocked
+  at every height leaves its table.
+
+The rounds test every other segment: those of LoS, R and RR, and every
+segment after the first.
+
 ``SpecularTracer.trace`` is the one entry point: it checks the endpoints
 once and adds the rooftop path of :func:`trace_rooftop` when the direct ray
 is blocked.  The scene's one
@@ -83,20 +104,48 @@ def _facade_crossing(scene: Scene, src: np.ndarray, dst: np.ndarray, fidx: np.nd
     """
     seg = np.broadcast_to(np.asarray(dst, dtype=float), src.shape) - src
     t, s, z = scene.facade_crossings(src, seg, fidx)
-    ok = (t > 1e-12) & (t < 1.0 - 1e-12)
-    ok &= (s >= -EPS_GEOM) & (s <= scene.fac_len[fidx] + EPS_GEOM)
+    ok = _within_facade_span(scene, t, s, fidx)
     ok &= (z >= -EPS_GEOM) & (z <= scene.fac_height[fidx] + EPS_GEOM)
     return src + t[:, None] * seg, ok
 
 
+def _within_facade_span(scene: Scene, t, s, fidx):
+    """The part of :func:`_facade_crossing`'s test that ignores heights: the
+    crossing lies strictly inside the segment and within the facade's
+    length.  Facades are vertical, so ``t`` and ``s`` do not depend on the
+    heights of the segment's ends."""
+    ok = (t > 1e-12) & (t < 1.0 - 1e-12)
+    ok &= (s >= -EPS_GEOM) & (s <= scene.fac_len[fidx] + EPS_GEOM)
+    return ok
+
+
+def _sees_wedge(scene: Scene, src_xy: np.ndarray, widx: np.ndarray) -> np.ndarray:
+    """The source half of the diffraction test: ``src_xy`` (K, 2) lies more
+    than EPS_GEOM from the edges of wedges ``widx`` and outside their
+    material."""
+    p_src = src_xy - scene.wedge_xy[widx]
+    return (np.linalg.norm(p_src, axis=-1) > EPS_GEOM) & scene.wedge_azimuths(widx, p_src)[1]
+
+
 class SpecularTracer:
-    """Reusable tracer holding per-scene and per-transmitter tables."""
+    """Reusable tracer holding per-scene and per-transmitter tables.
+
+    ``counters`` accumulates over every :meth:`trace` call: per family (LoS,
+    R, RR, D, RD, DR and the rooftop path K) the candidates generated, the
+    candidates left clear and the paths kept, and per occlusion round the
+    segments tested.  A K candidate is a rooftop path attempted; it is clear
+    when :func:`trace_rooftop` finds one.
+    """
 
     def __init__(self, scene: Scene, carrier: CarrierConfig):
         self.scene = scene
         self.carrier = carrier
         self._prepare_scene_tables()
         self._tx_key: bytes | None = None
+        self.counters = {
+            "families": {name: {"generated": 0, "clear": 0, "kept": 0} for name in FAMILIES},
+            "occlusion_segments": [],
+        }
 
     # ------------------------------------------------------------------
     # static tables
@@ -128,6 +177,10 @@ class SpecularTracer:
         self._w_front_of = d > EPS_GEOM  # [w, f]
 
     def _prepare_tx_tables(self, tx: np.ndarray):
+        """Everything the transmitter alone decides, built at the first solve
+        from ``tx`` and kept until the transmitter moves: the facade images,
+        the D/DR wedge table, the RD pair table and the first-segment verdict
+        tables of both (see :func:`~railchan.visibility.first_segment_table`)."""
         key = tx.tobytes()
         if self._tx_key == key:
             return
@@ -147,17 +200,61 @@ class SpecularTracer:
         self._live_i = pi[keep]
         self._live_j = pj[keep]
         self._img2 = m1[keep] - 2.0 * d2[keep, None] * n2[keep]
+
+        # D and DR: the wedges whose edge the transmitter sees from outside
+        # the wedge material
+        wedges = np.nonzero(_sees_wedge(sc, tx[:2], np.arange(sc.n_wedges)))[0]
+        # RD: the (wedge, facade) pairs, wedge-major, whose facade image sees
+        # the edge and whose image-to-edge line crosses the facade; facades
+        # are vertical, so that crossing's (x, y) does not depend on heights
+        fsel = np.nonzero(self._tx_front)[0]
+        rd_w, fk = np.nonzero(self._w_front_of[:, fsel])
+        rd_f = fsel[fk]
+        src = self._img1[rd_f]
+        seg = np.zeros_like(src)
+        seg[:, :2] = sc.wedge_xy[rd_w] - src[:, :2]
+        t, s, _ = sc.facade_crossings(src, seg, rd_f)
+        live = _sees_wedge(sc, src[:, :2], rd_w) & _within_facade_span(sc, t, s, rd_f)
+        rd_w, rd_f, src = rd_w[live], rd_f[live], src[live]
+        crossing_xy = src[:, :2] + t[live, None] * seg[live, :2]
+
+        # the first segments of D and DR end on a wedge, at a height the
+        # edge test clips to [0, top]; those of RD on the pair's facade
+        # crossing, at a height _facade_crossing keeps within
+        # [-EPS_GEOM, top + EPS_GEOM].  A target blocked at every height
+        # leaves its table
+        # the table builder is imported on first use, so start-up does not
+        # pay for loading it
+        from .visibility import first_segment_table
+
+        nw = len(wedges)
+        table, blocked = first_segment_table(
+            sc,
+            tx,
+            np.concatenate([sc.wedge_xy[wedges], crossing_xy]),
+            np.concatenate([np.zeros(nw), np.full(len(rd_f), -EPS_GEOM)]),
+            np.concatenate([sc.wedge_height[wedges], sc.fac_height[rd_f] + EPS_GEOM]),
+        )
+        w_keep = np.nonzero(~blocked[:nw])[0]
+        self._wedges = wedges[w_keep]
+        self._wedge_front_of = self._w_front_of[self._wedges]
+        self._wedge_first = table.rows(w_keep)
+        rd_keep = np.nonzero(~blocked[nw:])[0]
+        self._rd_w, self._rd_f, self._rd_src = rd_w[rd_keep], rd_f[rd_keep], src[rd_keep]
+        self._rd_first = table.rows(nw + rd_keep)
         self._tx_key = key
 
     # ------------------------------------------------------------------
-    # families: each returns (vertices (K, n, 3), (kinds, hosts)), where
-    # kinds names the interaction at each interior vertex and hosts holds one
-    # index array per interior vertex into the facade or wedge table
+    # families: each returns (vertices (K, n, 3), (kinds, hosts), first),
+    # where kinds names the interaction at each interior vertex, hosts holds
+    # one index array per interior vertex into the facade or wedge table and
+    # first marks the candidates whose first segment a transmitter table has
+    # settled clear
     # ------------------------------------------------------------------
     def _single_reflections(self, tx, rx, rx_front):
         idx = np.nonzero(self._tx_front & rx_front)[0]
         pts, ok = _facade_crossing(self.scene, self._img1[idx], rx, idx)
-        return _polylines(tx, [pts[ok]], rx), ((REFLECTION,), [idx[ok]])
+        return _polylines(tx, [pts[ok]], rx), ((REFLECTION,), [idx[ok]]), np.zeros(int(ok.sum()), dtype=bool)
 
     def _double_reflections(self, tx, rx, rx_front):
         sc = self.scene
@@ -171,73 +268,82 @@ class SpecularTracer:
         # front side
         d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
-        return _polylines(tx, [x1[ok], x2[ok]], rx), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]])
+        return (
+            _polylines(tx, [x1[ok], x2[ok]], rx),
+            ((REFLECTION, REFLECTION), [fi[ok], fj[ok]]),
+            np.zeros(int(ok.sum()), dtype=bool),
+        )
 
     def _edge_candidates(self, src, dst, widx):
-        """Diffraction points on wedges widx for the unfolded src->dst rays."""
+        """Diffraction points on wedges widx for the unfolded src->dst rays.
+
+        Every source is decided by the transmitter, and the tables hold only
+        the wedges each source sees (:func:`_sees_wedge`), so only the
+        destination half of the test is made here."""
         sc = self.scene
         w_xy = sc.wedge_xy[widx]
         p_src = src[..., :2] - w_xy
         p_dst = dst[..., :2] - w_xy
         d1 = np.linalg.norm(p_src, axis=-1)
         d2 = np.linalg.norm(p_dst, axis=-1)
-        ok = (d1 > EPS_GEOM) & (d2 > EPS_GEOM)
+        ok = d2 > EPS_GEOM
         denom = np.where(ok, d1 + d2, 1.0)
         src_z = np.broadcast_to(np.asarray(src)[..., 2], d1.shape)
         dst_z = np.broadcast_to(np.asarray(dst)[..., 2], d1.shape)
         z = src_z + (dst_z - src_z) * d1 / denom
         ok &= (z >= -EPS_GEOM) & (z <= sc.wedge_height[widx] + EPS_GEOM)
-        ok &= sc.wedge_azimuths(widx, p_src)[1] & sc.wedge_azimuths(widx, p_dst)[1]
+        ok &= sc.wedge_azimuths(widx, p_dst)[1]
         z = np.clip(z, 0.0, sc.wedge_height[widx])
         points = np.concatenate([np.broadcast_to(w_xy, d1.shape + (2,)), z[..., None]], axis=-1)
         return points, ok
 
     def _single_diffractions(self, tx, rx):
-        widx = np.arange(self.scene.n_wedges)
+        widx = self._wedges
         pts, ok = self._edge_candidates(tx, rx, widx)
-        return _polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]])
+        k, first = self._wedge_first.settle(np.arange(len(widx)), pts[:, 2], ok)
+        return _polylines(tx, [pts[k]], rx), ((EDGE_DIFFRACTION,), [widx[k]]), first
 
     def _reflection_then_diffraction(self, tx, rx):
-        fsel = np.nonzero(self._tx_front)[0]
-        wi, fk = np.nonzero(self._w_front_of[:, fsel])
-        fidx = fsel[fk]
-        src = self._img1[fidx]
+        fidx, wi, src = self._rd_f, self._rd_w, self._rd_src
         e_pts, ok = self._edge_candidates(src, rx, wi)
         x1, ok_x = _facade_crossing(self.scene, src, e_pts, fidx)
         ok &= ok_x
+        k, first = self._rd_first.settle(np.arange(len(wi)), x1[:, 2], ok)
         return (
-            _polylines(tx, [x1[ok], e_pts[ok]], rx),
-            ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]),
+            _polylines(tx, [x1[k], e_pts[k]], rx),
+            ((REFLECTION, EDGE_DIFFRACTION), [fidx[k], wi[k]]),
+            first,
         )
 
     def _diffraction_then_reflection(self, tx, rx, rx_front):
         sc = self.scene
         fsel = np.nonzero(rx_front)[0]
-        wi, fk = np.nonzero(self._w_front_of[:, fsel])
+        tk, fk = np.nonzero(self._wedge_front_of[:, fsel])
+        wi = self._wedges[tk]
         fidx = fsel[fk]
         d = sc.fac_normal[fidx] @ rx - sc.fac_offset[fidx]
         rx_img = rx[None, :] - 2.0 * d[:, None] * sc.fac_normal[fidx]
         e_pts, ok = self._edge_candidates(tx, rx_img, wi)
         x2, ok_x = _facade_crossing(sc, e_pts, rx_img, fidx)
         ok &= ok_x
+        k, first = self._wedge_first.settle(tk, e_pts[:, 2], ok)
         return (
-            _polylines(tx, [e_pts[ok], x2[ok]], rx),
-            ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]),
+            _polylines(tx, [e_pts[k], x2[k]], rx),
+            ((EDGE_DIFFRACTION, REFLECTION), [wi[k], fidx[k]]),
+            first,
         )
 
     # ------------------------------------------------------------------
     # the trace
     # ------------------------------------------------------------------
-    def candidates(self, tx, rx, limits: TraceLimits) -> list:
-        """The candidate families of one solve, LoS first: one (vertices
-        (K, n, 3), (kinds, hosts)) pair per family, without the candidates
-        that have a degenerate segment.  ``tx`` and ``rx`` are checked float
-        arrays."""
+    def _candidates(self, tx, rx, limits: TraceLimits) -> tuple[list, list]:
+        """The candidate families of one solve, LoS first, and per family the
+        mask of the candidates whose first segment is settled clear."""
         self._prepare_tx_tables(tx)
         sc = self.scene
         rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
 
-        families = [(_polylines(tx, [], rx), ((), []))]
+        families = [(_polylines(tx, [], rx), ((), []), np.zeros(1, dtype=bool))]
         if limits.max_reflections >= 1:
             families.append(self._single_reflections(tx, rx, rx_front))
         if limits.max_reflections >= 2:
@@ -247,7 +353,19 @@ class SpecularTracer:
             if limits.max_reflections >= 1:
                 families.append(self._reflection_then_diffraction(tx, rx))
                 families.append(self._diffraction_then_reflection(tx, rx, rx_front))
-        return [_drop_degenerate(verts, hosts) for verts, hosts in families]
+        live = [_nondegenerate(verts) for verts, _, _ in families]
+        return (
+            [(verts[m], (kinds, [i[m] for i in idx])) for (verts, (kinds, idx), _), m in zip(families, live)],
+            [first[m] for (_, _, first), m in zip(families, live)],
+        )
+
+    def candidates(self, tx, rx, limits: TraceLimits) -> list:
+        """The candidate families of one solve, LoS first: one (vertices
+        (K, n, 3), (kinds, hosts)) pair per family, without the candidates
+        that have a degenerate segment or whose first segment the
+        transmitter's verdict table finds blocked.  ``tx`` and ``rx`` are
+        checked float arrays."""
+        return self._candidates(tx, rx, limits)[0]
 
     def trace(self, tx, rx, limits: TraceLimits | None = None) -> list[RayPath]:
         limits = limits or TraceLimits()
@@ -261,8 +379,19 @@ class SpecularTracer:
             if self.scene.contains_point(p):
                 raise ValueError(f"{name} lies inside a building")
         sc = self.scene
-        families = self.candidates(tx, rx, limits)
-        clear = _clear_masks(sc, families)
+        families, first = self._candidates(tx, rx, limits)
+        query = _CountedQuery(sc)
+        clear = _clear_masks_given(query, families, first)
+
+        counts = self.counters["families"]
+        for (verts, (kinds, _)), ok in zip(families, clear):
+            count = counts[_family_name(kinds)]
+            count["generated"] += len(verts)
+            count["clear"] += int(ok.sum())
+        rounds = self.counters["occlusion_segments"]
+        rounds += [0] * (len(query.calls) - len(rounds))
+        for j, n in enumerate(query.calls):
+            rounds[j] += n
 
         paths: list[RayPath] = []
         for verts, (kinds, hosts) in _unique_clear(families, clear):
@@ -271,6 +400,7 @@ class SpecularTracer:
             verts = verts[kept]
             records = [[self._records[kind][j] for j in idx[kept]] for kind, idx in zip(kinds, hosts)]
             n = len(verts)
+            counts[_family_name(kinds)]["kept"] += n
             paths += RayPath.batch(
                 list(zip(*records)) if records else [()] * n,
                 verts,
@@ -282,9 +412,14 @@ class SpecularTracer:
 
         los_clear = bool(clear[0].any())
         if limits.rooftop and not los_clear:
+            count = counts[ROOFTOP_DIFFRACTION]
+            count["generated"] += 1
             roof = trace_rooftop(sc, tx, rx, self.carrier)
-            if roof is not None and _above_floor(roof.transfer[None], limits.power_floor_db)[0]:
-                paths.append(roof)
+            if roof is not None:
+                count["clear"] += 1
+                if _above_floor(roof.transfer[None], limits.power_floor_db)[0]:
+                    count["kept"] += 1
+                    paths.append(roof)
 
         paths.sort(key=lambda p: (len(p.interactions), p.signature))
         return paths
@@ -298,12 +433,19 @@ def _polylines(tx: np.ndarray, interior: list[np.ndarray], rx: np.ndarray) -> np
     )
 
 
-def _drop_degenerate(verts: np.ndarray, hosts: tuple):
-    """The candidates of one family whose segments are all longer than EPS_GEOM."""
+def _nondegenerate(verts: np.ndarray) -> np.ndarray:
+    """Mask of the candidates of one family whose segments are all longer
+    than EPS_GEOM."""
     seg = verts[:, 1:] - verts[:, :-1]
-    live = np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
-    kinds, idx = hosts
-    return verts[live], (kinds, [i[live] for i in idx])
+    return np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
+
+
+def _family_name(kinds: tuple) -> str:
+    return "".join(kinds) or "LoS"
+
+
+#: the path families a solve counts, in candidate order, then the rooftop path
+FAMILIES = ("LoS", "R", "RR", "D", "RD", "DR", ROOFTOP_DIFFRACTION)
 
 
 def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
@@ -329,6 +471,34 @@ def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
         )
         for (f, k), b in zip(rows, np.split(blocked, np.cumsum(counts)[:-1])):
             clear[f][k[b]] = False
+    return clear
+
+
+class _CountedQuery:
+    """A scene's occlusion query that records the segments of each call."""
+
+    def __init__(self, scene: Scene):
+        self.scene = scene
+        self.calls: list[int] = []
+
+    def segments_blocked(self, p, q):
+        self.calls.append(len(p))
+        return self.scene.segments_blocked(p, q)
+
+
+def _clear_masks_given(scene, families: list, first: list) -> list[np.ndarray]:
+    """:func:`_clear_masks` for families some of whose candidates, marked in
+    ``first``, have a first segment the transmitter's verdict table settled
+    clear: those enter the rounds at their second vertex, so round 0 tests
+    only the first segments the table left open."""
+    parts, rows = [], []
+    for (verts, hosts), settled in zip(families, first):
+        for start, k in ((0, np.nonzero(~settled)[0]), (1, np.nonzero(settled)[0])):
+            parts.append((verts[k, start:], hosts))
+            rows.append(k)
+    clear = [np.empty(len(verts), dtype=bool) for verts, _ in families]
+    for i, (k, mask) in enumerate(zip(rows, _clear_masks(scene, parts))):
+        clear[i // 2][k] = mask
     return clear
 
 
@@ -388,8 +558,12 @@ def trace_rooftop(
     idx = np.nonzero(ok)[0]
     if not len(idx):
         return None
+    # at a wall two buildings share, the track leaves one footprint where it
+    # enters the next, at the same t: the exit (outward normal along the
+    # track) comes first, so the apex chain steps from one roof to the next
+    leaving = scene.fac_normal @ seg > 0.0
     order = sorted(
-        idx, key=lambda f: (t[f], int(scene.fac_object[f]), int(scene.fac_element[f]))
+        idx, key=lambda f: (t[f], not leaving[f], int(scene.fac_object[f]), int(scene.fac_element[f]))
     )
 
     verts = [tx]

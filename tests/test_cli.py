@@ -114,6 +114,31 @@ def test_run_rerun_is_byte_identical(tmp_path):
     assert _sha(out_a / "metrics.csv") == _sha(out_b / "metrics.csv")
 
 
+def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
+    manifests = []
+    for name in ("a", "b"):
+        assert main(_run_args(tmp_path / name)) == 0
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    a, b = manifests
+    # the counters are deterministic and kept apart from the timings; the
+    # digested outputs repeat although the timings of the two runs differ
+    assert a["counters"] == b["counters"]
+    assert a["outputs"] == b["outputs"]
+    assert set(a["timings_s"]) == {"keyframe", "interpolation", "scatter", "total"}
+    counters = a["counters"]
+    assert counters["exact_solves"] == a["rt_invocations"] == 5
+    families = counters["families"]
+    assert list(families) == sorted(["LoS", "R", "RR", "D", "RD", "DR", "K"])
+    for name, c in families.items():
+        assert all(isinstance(v, int) for v in c.values()), name
+        assert c["generated"] >= c["clear"] >= c["kept"] >= 0, name
+    assert families["LoS"]["generated"] == 5
+    # at most three occlusion rounds, each testing fewer segments
+    rounds = counters["occlusion_segments"]
+    assert 1 <= len(rounds) <= 3 and all(isinstance(n, int) for n in rounds)
+    assert rounds == sorted(rounds, reverse=True)
+
+
 def test_intervals_within_the_step_rule_run_at_their_whole_stride(tmp_path):
     # 5.000000003 s is 100 update steps of 0.05 s under the relative 1e-9
     # rule that the config check applies; the stream applies the same rule,
@@ -623,7 +648,9 @@ def test_bench_outputs(tmp_path):
     stages = {r["stage"] for r in rows}
     assert {
         "scene_load",
+        "tx_tables",
         "specular_trace",
+        "candidate_solve",
         "occlusion_solve",
         "compose_solve",
         "scatter_snapshot",
@@ -633,7 +660,9 @@ def test_bench_outputs(tmp_path):
         "trace_csv_row",
     } <= stages
     for stage in (
+        "tx_tables",
         "specular_trace",
+        "candidate_solve",
         "occlusion_solve",
         "compose_solve",
         "metric_snapshot",
@@ -644,10 +673,12 @@ def test_bench_outputs(tmp_path):
         assert len(timed) == 2
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
-    # the occlusion and composition stages time the rounds and the kept
-    # candidates of the trace stage's five solves
-    for stage in ("specular_trace", "occlusion_solve", "compose_solve"):
+    # the candidate, occlusion and composition stages time the candidates,
+    # the rounds and the kept candidates of the trace stage's five solves;
+    # the transmitter tables are built once
+    for stage in ("specular_trace", "candidate_solve", "occlusion_solve", "compose_solve"):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}
+    assert {r["units"] for r in rows if r["stage"] == "tx_tables"} == {"1"}
     # the metrics and the TV-CIR cover the bracket's 11 snapshots; the writer
     # stage times one row per path row of trace.csv
     for stage in ("metric_snapshot", "tvcir_snapshot"):

@@ -12,11 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from railchan import specular
+from railchan import specular, visibility
 from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
 from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
-from railchan.scene import Building, Material, Scene
+from railchan.scene import EPS_GEOM, Building, Material, Scene
 from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
@@ -350,6 +350,23 @@ class TestRooftop:
         want_vv = abs(free_space_transport(length, F19)) * factor
         assert abs(path.transfer[0, 0]) == pytest.approx(want_vv, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "x0, x1, heights, want",
+        [
+            (-30.0, 30.0, [15.0, 15.0, 10.0, 10.0], "K(2:3)|K(2:1)|K(1:3)|K(1:1)"),
+            (30.0, -30.0, [10.0, 10.0, 15.0, 15.0], "K(1:1)|K(1:3)|K(2:1)|K(2:3)"),
+        ],
+        ids=["tall_to_low", "low_to_tall"],
+    )
+    def test_shared_wall_steps_from_roof_to_roof(self, x0, x1, heights, want):
+        # buildings 2 (15 m) and 1 (10 m) share the wall x = 0, where the
+        # track's exit from one footprint and entry into the other tie in t;
+        # the exit comes first, so the chain never zig-zags between roofs
+        scene = Scene(buildings=[box(1, 0.0, -10.0, 10.0, 10.0, 10.0), box(2, -10.0, -10.0, 0.0, 10.0, 15.0)])
+        path = trace_rooftop(scene, np.array([x0, 0.0, 5.0]), np.array([x1, 0.0, 5.0]), F19)
+        assert path.signature == want
+        assert list(path.vertices[1:-1, 2]) == heights
+
     def test_rooftop_included_by_trace_when_blocked(self):
         scene = Scene(buildings=[self.box])
         tx = np.array([-60.0, 0.0, 10.0])
@@ -522,3 +539,280 @@ class TestStagedOcclusion:
             assert 1 <= len(calls) - n_before <= 3
         assert min(calls) > 0
         assert sum(calls) <= single // 2
+
+
+# ----------------------------------------------------------------------
+# the transmitter tables against the untabled generators
+# ----------------------------------------------------------------------
+class UntabledTracer(SpecularTracer):
+    """The tracer without its transmitter tables, as the test oracle: every
+    wedge and every (wedge, facade) pair forms candidates at each solve, the
+    diffraction test checks the source side each time, and every first
+    segment goes to occlusion round 0."""
+
+    def _edge_candidates(self, src, dst, widx):
+        sc = self.scene
+        w_xy = sc.wedge_xy[widx]
+        p_src = src[..., :2] - w_xy
+        p_dst = dst[..., :2] - w_xy
+        d1 = np.linalg.norm(p_src, axis=-1)
+        d2 = np.linalg.norm(p_dst, axis=-1)
+        ok = (d1 > EPS_GEOM) & (d2 > EPS_GEOM)
+        denom = np.where(ok, d1 + d2, 1.0)
+        src_z = np.broadcast_to(np.asarray(src)[..., 2], d1.shape)
+        dst_z = np.broadcast_to(np.asarray(dst)[..., 2], d1.shape)
+        z = src_z + (dst_z - src_z) * d1 / denom
+        ok &= (z >= -EPS_GEOM) & (z <= sc.wedge_height[widx] + EPS_GEOM)
+        ok &= sc.wedge_azimuths(widx, p_src)[1] & sc.wedge_azimuths(widx, p_dst)[1]
+        z = np.clip(z, 0.0, sc.wedge_height[widx])
+        points = np.concatenate([np.broadcast_to(w_xy, d1.shape + (2,)), z[..., None]], axis=-1)
+        return points, ok
+
+    def _single_diffractions(self, tx, rx):
+        widx = np.arange(self.scene.n_wedges)
+        pts, ok = self._edge_candidates(tx, rx, widx)
+        return specular._polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]]), np.zeros(int(ok.sum()), bool)
+
+    def _reflection_then_diffraction(self, tx, rx):
+        fsel = np.nonzero(self._tx_front)[0]
+        wi, fk = np.nonzero(self._w_front_of[:, fsel])
+        fidx = fsel[fk]
+        src = self._img1[fidx]
+        e_pts, ok = self._edge_candidates(src, rx, wi)
+        x1, ok_x = specular._facade_crossing(self.scene, src, e_pts, fidx)
+        ok &= ok_x
+        return (
+            specular._polylines(tx, [x1[ok], e_pts[ok]], rx),
+            ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]),
+            np.zeros(int(ok.sum()), bool),
+        )
+
+    def _diffraction_then_reflection(self, tx, rx, rx_front):
+        sc = self.scene
+        fsel = np.nonzero(rx_front)[0]
+        wi, fk = np.nonzero(self._w_front_of[:, fsel])
+        fidx = fsel[fk]
+        d = sc.fac_normal[fidx] @ rx - sc.fac_offset[fidx]
+        rx_img = rx[None, :] - 2.0 * d[:, None] * sc.fac_normal[fidx]
+        e_pts, ok = self._edge_candidates(tx, rx_img, wi)
+        x2, ok_x = specular._facade_crossing(sc, e_pts, rx_img, fidx)
+        ok &= ok_x
+        return (
+            specular._polylines(tx, [e_pts[ok], x2[ok]], rx),
+            ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]),
+            np.zeros(int(ok.sum()), bool),
+        )
+
+
+def box(bid, x0, y0, x1, y1, height):
+    return Building(id=bid, footprint=np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float), height=height)
+
+
+# a small street grid: a shared wall (buildings 2 and 3), an L-shaped block
+# with a reflex corner and a non-convex roof, and a range of heights
+CITY = [
+    box(1, -40.0, 10.0, -10.0, 30.0, 18.0),
+    box(2, 0.0, 10.0, 20.0, 25.0, 15.0),
+    box(3, 20.0, 10.0, 35.0, 25.0, 10.0),
+    box(4, -30.0, -30.0, 0.0, -12.0, 22.0),
+    Building(
+        id=5,
+        footprint=np.array([[10.0, -40.0], [45.0, -40.0], [45.0, -12.0], [30.0, -12.0], [30.0, -25.0], [10.0, -25.0]]),
+        height=12.0,
+    ),
+]
+
+
+def random_transmitters(scene, rng, n):
+    """Transmitters outside ``scene``'s buildings: uniform ones, ones at
+    roofline heights and ones near wedge corners, each offset by a few
+    EPS_GEOM or less."""
+    out = []
+    heights = sorted({b.height for b in scene.buildings})
+    while len(out) < n:
+        kind = len(out) % 3
+        if kind == 0:
+            p = np.array([rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(0.5, 30.0)])
+        elif kind == 1:
+            p = np.array([rng.uniform(-60, 60), rng.uniform(-60, 60), rng.choice(heights) + rng.integers(-3, 4) * EPS_GEOM])
+        else:
+            w = rng.integers(scene.n_wedges)
+            off = rng.choice([-3, -1, 0, 1, 3], size=2) * EPS_GEOM + rng.uniform(-2.0, 2.0, size=2) * rng.integers(0, 2)
+            p = np.array([*(scene.wedge_xy[w] + off), scene.wedge_height[w] + rng.integers(-2, 3) * EPS_GEOM])
+        if p[2] >= 0.0 and not scene.contains_point(p):
+            out.append(p)
+    return out
+
+
+def table_targets(scene):
+    """Every wedge (heights 0 to its top) and points on every facade, among
+    them its ends and points a few EPS_GEOM from them (heights -EPS_GEOM to
+    its top + EPS_GEOM): the ends of the first segments the tables judge."""
+    xy = [scene.wedge_xy]
+    zlo = [np.zeros(scene.n_wedges)]
+    zhi = [scene.wedge_height]
+    for s_frac in (0.0, 0.37, 0.5, 1.0):
+        for shift in (-2.0, -0.5, 0.0, 0.5, 2.0) if s_frac in (0.0, 1.0) else (0.0,):
+            s = s_frac * scene.fac_len + shift * EPS_GEOM
+            xy.append(scene.fac_origin[:, :2] + s[:, None] * scene.fac_dir[:, :2])
+            zlo.append(np.full(scene.n_facades, -EPS_GEOM))
+            zhi.append(scene.fac_height + EPS_GEOM)
+    return np.concatenate(xy), np.concatenate(zlo), np.concatenate(zhi)
+
+
+def sweep_heights(scene, tx, xy, lo, hi, brk):
+    """Heights through [lo, hi] for the segment tx -> (xy, z): a grid, every
+    breakpoint of the table, 0 and every roof height, and the heights where
+    a crossed facade's crossing meets its top or the ground, each with
+    offsets of up to 4 EPS_GEOM."""
+    n = scene.n_facades
+    seg = np.zeros((n, 3))
+    seg[:, :2] = xy - tx[:2]
+    t, _, _ = scene.facade_crossings(np.broadcast_to(tx, (n, 3)), seg, np.arange(n))
+    t = t[(t > 0.0) & (t < 1.0)]
+    crit = [0.0, *scene.fac_height, *brk[np.isfinite(brk)]]
+    for h in {0.0, *scene.fac_height}:
+        crit += list(tx[2] + (h - tx[2]) / t)
+    # where a crossing's distance from either end, t L or (1 - t) L, meets
+    # EPS_GEOM; L = hypot(horiz, z - tz)
+    horiz = np.hypot(*(xy - tx[:2]))
+    for c in (EPS_GEOM / t, EPS_GEOM / (1.0 - t)):
+        w = np.sqrt(c[c > horiz] ** 2 - horiz**2)
+        crit += list(tx[2] + w) + list(tx[2] - w)
+    offsets = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]) * EPS_GEOM
+    z = np.concatenate([np.linspace(lo, hi, 21), *(np.asarray(crit)[:, None] + np.concatenate([-offsets, offsets])[None, :])])
+    z = np.unique(z)
+    return z[(z >= lo) & (z <= hi)]
+
+
+def check_table_verdicts(scene, tx, every=1):
+    """Every verdict the first-segment table settles, over the height sweeps
+    of :func:`sweep_heights`, equals ``segments_blocked``'s.  Returns the
+    number of verdicts settled and of heights left open."""
+    xy, zlo, zhi = table_targets(scene)
+    xy, zlo, zhi = xy[::every], zlo[::every], zhi[::every]
+    keep = np.hypot(*(xy - tx[:2]).T) > EPS_GEOM
+    xy, zlo, zhi = xy[keep], zlo[keep], zhi[keep]
+    table, blocked = visibility.first_segment_table(scene, tx, xy, zlo, zhi)
+    brk, code = table.brk, table.code
+    rows, zs = [], []
+    for k in range(len(xy)):
+        z = sweep_heights(scene, tx, xy[k], zlo[k], zhi[k], brk[k])
+        rows.append(np.full(len(z), k))
+        zs.append(z)
+    rows, z = np.concatenate(rows), np.concatenate(zs)
+    verdict = code[rows, (brk[rows] < z[:, None]).sum(axis=1)]
+    q = np.column_stack([xy[rows], z])
+    truth = scene.segments_blocked(np.broadcast_to(tx, q.shape), q)
+    settled = verdict != visibility.OPEN
+    np.testing.assert_array_equal(verdict[settled] == visibility.BLOCKED, truth[settled])
+    # a target the table drops is blocked at every height of its range
+    assert truth[blocked[rows]].all()
+    return int(settled.sum()), int((~settled).sum())
+
+
+class TestTransmitterTables:
+    def check_trace(self, scene, tx, rx, limits):
+        tracer, oracle = SpecularTracer(scene, F19), UntabledTracer(scene, F19)
+        got = tracer.trace(tx, rx, limits)
+        assert_same_paths(got, oracle.trace(tx, rx, limits))
+        self.check_first_segments(tracer, oracle, tx, rx, limits)
+        return got
+
+    def check_first_segments(self, tracer, oracle, tx, rx, limits):
+        """Every first segment of an untabled D, RD or DR candidate: the
+        tables drop it only when ``segments_blocked`` finds it blocked, and
+        mark it settled clear only when the kernel finds it clear."""
+        tabled, first = tracer._candidates(tx, rx, limits)
+        untabled, _ = oracle._candidates(tx, rx, limits)
+        for (verts, (kinds, hosts)), settled, (all_verts, (_, all_hosts)) in zip(tabled, first, untabled):
+            if EDGE_DIFFRACTION not in kinds:
+                continue
+            blocked = tracer.scene.segments_blocked(all_verts[:, 0], all_verts[:, 1])
+            kept = {key: ok for key, ok in zip(zip(*hosts), settled)}
+            for key, b in zip(zip(*all_hosts), blocked):
+                if key not in kept:
+                    assert b, key
+                elif kept[key]:
+                    assert not b, key
+
+    def test_trace_equals_untabled_on_preset_t0_to_2s(self):
+        cfg = load_preset()
+        traj = cfg.trajectory()
+        scene = cfg.load_scene()
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
+        oracle = UntabledTracer(scene, CarrierConfig(cfg.carrier_hz))
+        kinds = set()
+        for i in range(201):
+            rx = traj.position(0.01 * i)
+            got = tracer.trace(cfg.tx_position, rx, cfg.limits)
+            assert_same_paths(got, oracle.trace(cfg.tx_position, rx, cfg.limits))
+            self.check_first_segments(tracer, oracle, cfg.tx_position, rx, cfg.limits)
+            kinds.update(tuple(r.kind for r in p.interactions) for p in got)
+        assert {("D",), ("R", "D"), ("D", "R")} <= kinds
+        # the tables hold fewer candidates, and the same paths come out of them
+        fam, ora = tracer.counters["families"], oracle.counters["families"]
+        for name in ("D", "RD", "DR"):
+            assert fam[name]["generated"] < ora[name]["generated"]
+        assert fam == {n: {**ora[n], "generated": fam[n]["generated"]} for n in ora}
+        assert sum(tracer.counters["occlusion_segments"]) < sum(oracle.counters["occlusion_segments"])
+
+    @pytest.mark.parametrize("name", SMALL_SCENES)
+    def test_trace_equals_untabled_on_small_scenes(self, name):
+        for scene, tx, rx in small_solves(name):
+            for limits in (TraceLimits(), TraceLimits(max_reflections=1)):
+                self.check_trace(scene, tx, rx, limits)
+
+    def test_trace_equals_untabled_for_random_transmitters(self):
+        rng = np.random.default_rng(1701)
+        scene = Scene(buildings=CITY)
+        receivers = random_transmitters(scene, rng, 6)
+        for tx in random_transmitters(scene, rng, 24):
+            for rx in receivers:
+                if np.linalg.norm(rx - tx) > EPS_GEOM:
+                    self.check_trace(scene, tx, rx, TraceLimits())
+
+    def test_settled_verdicts_equal_kernel_on_preset(self):
+        cfg = load_preset()
+        settled, _ = check_table_verdicts(cfg.load_scene(), np.asarray(cfg.tx_position, float), every=7)
+        assert settled > 0
+
+    @pytest.mark.parametrize("name", SMALL_SCENES)
+    def test_settled_verdicts_equal_kernel_on_small_scenes(self, name):
+        for scene, tx, _ in small_solves(name):
+            check_table_verdicts(scene, tx)
+
+    def test_settled_verdicts_equal_kernel_for_random_transmitters(self):
+        rng = np.random.default_rng(1702)
+        scene = Scene(buildings=CITY)
+        settled = sum(check_table_verdicts(scene, tx)[0] for tx in random_transmitters(scene, rng, 30))
+        assert settled > 0
+
+    def test_settled_first_segments_leave_the_masks_unchanged(self, preset_solves):
+        tracer, tx, rx_list, limits = preset_solves
+        for rx in rx_list:
+            families, first = tracer._candidates(tx, rx, limits)
+            query = specular._CountedQuery(tracer.scene)
+            got = specular._clear_masks_given(query, families, first)
+            for g, w in zip(got, _clear_masks(tracer.scene, families)):
+                np.testing.assert_array_equal(g, w)
+            # round 0 tests no first segment the table settled
+            n_open = sum(len(v) - int(f.sum()) for (v, _), f in zip(families, first))
+            n_settled = sum(int(f.sum()) for f in first)
+            assert n_settled > 0
+            assert query.calls[0] == n_open + n_settled  # one segment per candidate
+
+    def test_one_tracer_alternating_transmitters_equals_fresh_tracers(self):
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        carrier = CarrierConfig(cfg.carrier_hz)
+        traj = cfg.trajectory()
+        tx_a = np.asarray(cfg.tx_position, float)
+        tx_b = tx_a + np.array([-600.0, 5.0, -10.0])  # below the rooftops, nearer the track
+        tracer = SpecularTracer(scene, carrier)
+        for i in range(8):
+            tx = (tx_a, tx_b)[i % 2]
+            rx = traj.position(0.25 * i)
+            got = tracer.trace(tx, rx, cfg.limits)
+            assert_same_paths(got, SpecularTracer(scene, carrier).trace(tx, rx, cfg.limits))
+            assert_same_paths(got, UntabledTracer(scene, carrier).trace(tx, rx, cfg.limits))
