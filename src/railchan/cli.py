@@ -51,7 +51,7 @@ from .metrics import (
 from .rays import SCATTERING, TAG_SCATTER
 from .scatter import ScatterEngine, _inside_bounding_cylinder
 from .scene import EPS_GEOM, SceneError, load_scene_file
-from .specular import SpecularTracer, _clear_masks_given, _unique_clear
+from .specular import SpecularTracer, _clear_masks, _unique_clear
 from .traceio import (
     file_sha256,
     write_bench_csv,
@@ -538,14 +538,10 @@ def cmd_bench(args) -> int:
     tracer = SpecularTracer(scene, carrier)
     tracer.trace(tx, rx_list[0], cfg.limits)  # warm the tables
     timed("specular_trace", len(rx_list), lambda: [tracer.trace(tx, r, cfg.limits) for r in rx_list])
-    solves = timed("candidate_solve", len(rx_list), lambda: [tracer._candidates(tx, r, cfg.limits) for r in rx_list])
-    # the occlusion rounds as the trace runs them, the first segments the
-    # transmitter table settled left out
-    clear = timed(
-        "occlusion_solve", len(solves), lambda: [_clear_masks_given(scene, f, first) for f, first in solves]
-    )
+    solves = timed("candidate_solve", len(rx_list), lambda: [tracer.candidates(tx, r, cfg.limits) for r in rx_list])
+    clear = timed("occlusion_solve", len(solves), lambda: [_clear_masks(scene, f) for f in solves])
     # the clear, distinct candidates of every family of the five solves
-    kept = [family for (f, _), c in zip(solves, clear) for family in _unique_clear(f, c)]
+    kept = [family for f, c in zip(solves, clear) for family in _unique_clear(f, c)]
     timed(
         "compose_solve",
         len(solves),

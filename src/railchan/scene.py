@@ -544,6 +544,9 @@ def load_scene(text: str) -> Scene:
     if unknown:
         raise SceneError(f"unknown top-level scene keys {sorted(unknown)}")
 
+    for key, kind in (("materials", dict), ("buildings", list), ("scatterers", list)):
+        if not isinstance(data.get(key, kind()), kind):
+            raise SceneError(f"{key} must be {'an object' if kind is dict else 'a list'}")
     materials = {name: _parse_material(m, f"materials[{name!r}]") for name, m in data.get("materials", {}).items()}
 
     buildings = []
@@ -612,4 +615,8 @@ def load_scene(text: str) -> Scene:
 
 def load_scene_file(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_scene(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SceneError(f"scene file {path} is not UTF-8 text: {exc}") from exc
+    return load_scene(text)

@@ -29,20 +29,11 @@ moves, everything the transmitter alone decides:
   material, for D and DR, and the (wedge, facade) pairs whose facade image
   sees the edge and whose image-to-edge line crosses the facade, for RD.
   Both are subsequences of the full pair order, so candidate order and
-  path order do not change;
-* a first-segment verdict table per wedge and per RD pair.  The first
-  segment of a D or DR candidate ends on its wedge, that of an RD candidate
-  on the pair's facade crossing: a fixed (x, y), with only the height
-  moving with the receiver.
-  :func:`~railchan.visibility.first_segment_table` settles the occlusion
-  verdict of that segment at every height outside narrow bands around its
-  critical heights.  A candidate whose first segment is settled
-  blocked is dropped, one settled clear enters the occlusion rounds at its
-  second vertex, and one in a band is tested in round 0; a target blocked
-  at every height leaves its table.
-
-The rounds test every other segment: those of LoS, R and RR, and every
-segment after the first.
+  path order do not change.  The first segment of a D or DR candidate ends
+  on its wedge, that of an RD candidate on the pair's facade crossing: a
+  fixed (x, y), with only the height moving with the receiver.  A wedge or
+  pair leaves its table when one facade blocks that segment at every
+  height (:func:`_facade_covers`).
 
 ``SpecularTracer.trace`` is the one entry point: it checks the endpoints
 once and adds the rooftop path of :func:`trace_rooftop` when the direct ray
@@ -127,6 +118,43 @@ def _sees_wedge(scene: Scene, src_xy: np.ndarray, widx: np.ndarray) -> np.ndarra
     return (np.linalg.norm(p_src, axis=-1) > EPS_GEOM) & scene.wedge_azimuths(widx, p_src)[1]
 
 
+def _facade_covers(scene: Scene, tx, xy, zlo, zhi):
+    """The (target, facade) pairs whose facade blocks the segment
+    ``tx -> (xy[k], z)`` at every height ``z`` in ``[zlo[k], zhi[k]]``.
+
+    Facades are vertical, so the crossing's ``t`` and ``s`` follow from the
+    ground track alone, and its height ``tz + t (z - tz)`` rises with ``z``.
+    A pair counts when the bounding boxes meet as the kernel tests them, the
+    crossing lies more than 2 EPS_GEOM along the track from both ends, its
+    ``s`` passes the kernel's span test, and its height is at least 0 at
+    ``zlo`` and at most the facade's top at ``zhi``.  Then every test of the
+    facade stage of ``Scene.segments_blocked`` passes at every height: the
+    bounding-box pair, since the box's x and y are the track's and its
+    height range holds the crossing's, which lies in ``[0, top]``; the end
+    bands, since the segment is no shorter than its track, which leaves
+    EPS_GEOM for rounding; the span, on the same ``s``; and the height band,
+    with EPS_GEOM to spare.
+    """
+    lo = np.minimum(tx[:2], xy) - EPS_GEOM
+    hi = np.maximum(tx[:2], xy) + EPS_GEOM
+    k, b = np.nonzero(
+        (lo[:, None, 0] <= scene._bldg_hi[None, :, 0])
+        & (hi[:, None, 0] >= scene._bldg_lo[None, :, 0])
+        & (lo[:, None, 1] <= scene._bldg_hi[None, :, 1])
+        & (hi[:, None, 1] >= scene._bldg_lo[None, :, 1])
+    )
+    rows, fi = scene._building_facades(b)
+    k = k[rows]
+    seg = np.zeros((len(k), 3))
+    seg[:, :2] = xy[k] - tx[:2]
+    t, s, _ = scene.facade_crossings(np.broadcast_to(tx, seg.shape), seg, fi)
+    horiz = np.hypot(seg[:, 0], seg[:, 1])
+    ok = (t * horiz > 2 * EPS_GEOM) & ((1.0 - t) * horiz > 2 * EPS_GEOM)
+    ok &= (s >= -EPS_GEOM) & (s <= scene.fac_len[fi] + EPS_GEOM)
+    ok &= (tx[2] + t * (zlo[k] - tx[2]) >= 0.0) & (tx[2] + t * (zhi[k] - tx[2]) <= scene.fac_height[fi])
+    return k[ok], fi[ok]
+
+
 class SpecularTracer:
     """Reusable tracer holding per-scene and per-transmitter tables.
 
@@ -179,8 +207,9 @@ class SpecularTracer:
     def _prepare_tx_tables(self, tx: np.ndarray):
         """Everything the transmitter alone decides, built at the first solve
         from ``tx`` and kept until the transmitter moves: the facade images,
-        the D/DR wedge table, the RD pair table and the first-segment verdict
-        tables of both (see :func:`~railchan.visibility.first_segment_table`)."""
+        the D/DR wedge table and the RD pair table, each without the targets
+        whose first segment one facade blocks at every height (see
+        :func:`_facade_covers`)."""
         key = tx.tobytes()
         if self._tx_key == key:
             return
@@ -221,40 +250,32 @@ class SpecularTracer:
         # the first segments of D and DR end on a wedge, at a height the
         # edge test clips to [0, top]; those of RD on the pair's facade
         # crossing, at a height _facade_crossing keeps within
-        # [-EPS_GEOM, top + EPS_GEOM].  A target blocked at every height
-        # leaves its table
-        # the table builder is imported on first use, so start-up does not
-        # pay for loading it
-        from .visibility import first_segment_table
-
+        # [-EPS_GEOM, top + EPS_GEOM].  A target one facade blocks at every
+        # height leaves its table
         nw = len(wedges)
-        table, blocked = first_segment_table(
+        target, _ = _facade_covers(
             sc,
             tx,
             np.concatenate([sc.wedge_xy[wedges], crossing_xy]),
             np.concatenate([np.zeros(nw), np.full(len(rd_f), -EPS_GEOM)]),
             np.concatenate([sc.wedge_height[wedges], sc.fac_height[rd_f] + EPS_GEOM]),
         )
-        w_keep = np.nonzero(~blocked[:nw])[0]
-        self._wedges = wedges[w_keep]
+        covered = np.isin(np.arange(nw + len(rd_f)), target)
+        self._wedges = wedges[~covered[:nw]]
         self._wedge_front_of = self._w_front_of[self._wedges]
-        self._wedge_first = table.rows(w_keep)
-        rd_keep = np.nonzero(~blocked[nw:])[0]
+        rd_keep = ~covered[nw:]
         self._rd_w, self._rd_f, self._rd_src = rd_w[rd_keep], rd_f[rd_keep], src[rd_keep]
-        self._rd_first = table.rows(nw + rd_keep)
         self._tx_key = key
 
     # ------------------------------------------------------------------
-    # families: each returns (vertices (K, n, 3), (kinds, hosts), first),
-    # where kinds names the interaction at each interior vertex, hosts holds
-    # one index array per interior vertex into the facade or wedge table and
-    # first marks the candidates whose first segment a transmitter table has
-    # settled clear
+    # families: each returns (vertices (K, n, 3), (kinds, hosts)), where
+    # kinds names the interaction at each interior vertex and hosts holds one
+    # index array per interior vertex into the facade or wedge table
     # ------------------------------------------------------------------
     def _single_reflections(self, tx, rx, rx_front):
         idx = np.nonzero(self._tx_front & rx_front)[0]
         pts, ok = _facade_crossing(self.scene, self._img1[idx], rx, idx)
-        return _polylines(tx, [pts[ok]], rx), ((REFLECTION,), [idx[ok]]), np.zeros(int(ok.sum()), dtype=bool)
+        return _polylines(tx, [pts[ok]], rx), ((REFLECTION,), [idx[ok]])
 
     def _double_reflections(self, tx, rx, rx_front):
         sc = self.scene
@@ -268,11 +289,7 @@ class SpecularTracer:
         # front side
         d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
-        return (
-            _polylines(tx, [x1[ok], x2[ok]], rx),
-            ((REFLECTION, REFLECTION), [fi[ok], fj[ok]]),
-            np.zeros(int(ok.sum()), dtype=bool),
-        )
+        return _polylines(tx, [x1[ok], x2[ok]], rx), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]])
 
     def _edge_candidates(self, src, dst, widx):
         """Diffraction points on wedges widx for the unfolded src->dst rays.
@@ -300,20 +317,14 @@ class SpecularTracer:
     def _single_diffractions(self, tx, rx):
         widx = self._wedges
         pts, ok = self._edge_candidates(tx, rx, widx)
-        k, first = self._wedge_first.settle(np.arange(len(widx)), pts[:, 2], ok)
-        return _polylines(tx, [pts[k]], rx), ((EDGE_DIFFRACTION,), [widx[k]]), first
+        return _polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]])
 
     def _reflection_then_diffraction(self, tx, rx):
         fidx, wi, src = self._rd_f, self._rd_w, self._rd_src
         e_pts, ok = self._edge_candidates(src, rx, wi)
         x1, ok_x = _facade_crossing(self.scene, src, e_pts, fidx)
         ok &= ok_x
-        k, first = self._rd_first.settle(np.arange(len(wi)), x1[:, 2], ok)
-        return (
-            _polylines(tx, [x1[k], e_pts[k]], rx),
-            ((REFLECTION, EDGE_DIFFRACTION), [fidx[k], wi[k]]),
-            first,
-        )
+        return _polylines(tx, [x1[ok], e_pts[ok]], rx), ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]])
 
     def _diffraction_then_reflection(self, tx, rx, rx_front):
         sc = self.scene
@@ -326,24 +337,21 @@ class SpecularTracer:
         e_pts, ok = self._edge_candidates(tx, rx_img, wi)
         x2, ok_x = _facade_crossing(sc, e_pts, rx_img, fidx)
         ok &= ok_x
-        k, first = self._wedge_first.settle(tk, e_pts[:, 2], ok)
-        return (
-            _polylines(tx, [e_pts[k], x2[k]], rx),
-            ((EDGE_DIFFRACTION, REFLECTION), [wi[k], fidx[k]]),
-            first,
-        )
+        return _polylines(tx, [e_pts[ok], x2[ok]], rx), ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]])
 
     # ------------------------------------------------------------------
     # the trace
     # ------------------------------------------------------------------
-    def _candidates(self, tx, rx, limits: TraceLimits) -> tuple[list, list]:
-        """The candidate families of one solve, LoS first, and per family the
-        mask of the candidates whose first segment is settled clear."""
+    def candidates(self, tx, rx, limits: TraceLimits) -> list:
+        """The candidate families of one solve, LoS first: one (vertices
+        (K, n, 3), (kinds, hosts)) pair per family, without the candidates
+        that have a degenerate segment.  ``tx`` and ``rx`` are checked float
+        arrays."""
         self._prepare_tx_tables(tx)
         sc = self.scene
         rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
 
-        families = [(_polylines(tx, [], rx), ((), []), np.zeros(1, dtype=bool))]
+        families = [(_polylines(tx, [], rx), ((), []))]
         if limits.max_reflections >= 1:
             families.append(self._single_reflections(tx, rx, rx_front))
         if limits.max_reflections >= 2:
@@ -353,19 +361,7 @@ class SpecularTracer:
             if limits.max_reflections >= 1:
                 families.append(self._reflection_then_diffraction(tx, rx))
                 families.append(self._diffraction_then_reflection(tx, rx, rx_front))
-        live = [_nondegenerate(verts) for verts, _, _ in families]
-        return (
-            [(verts[m], (kinds, [i[m] for i in idx])) for (verts, (kinds, idx), _), m in zip(families, live)],
-            [first[m] for (_, _, first), m in zip(families, live)],
-        )
-
-    def candidates(self, tx, rx, limits: TraceLimits) -> list:
-        """The candidate families of one solve, LoS first: one (vertices
-        (K, n, 3), (kinds, hosts)) pair per family, without the candidates
-        that have a degenerate segment or whose first segment the
-        transmitter's verdict table finds blocked.  ``tx`` and ``rx`` are
-        checked float arrays."""
-        return self._candidates(tx, rx, limits)[0]
+        return [_drop_degenerate(verts, hosts) for verts, hosts in families]
 
     def trace(self, tx, rx, limits: TraceLimits | None = None) -> list[RayPath]:
         limits = limits or TraceLimits()
@@ -379,9 +375,9 @@ class SpecularTracer:
             if self.scene.contains_point(p):
                 raise ValueError(f"{name} lies inside a building")
         sc = self.scene
-        families, first = self._candidates(tx, rx, limits)
+        families = self.candidates(tx, rx, limits)
         query = _CountedQuery(sc)
-        clear = _clear_masks_given(query, families, first)
+        clear = _clear_masks(query, families)
 
         counts = self.counters["families"]
         for (verts, (kinds, _)), ok in zip(families, clear):
@@ -433,11 +429,12 @@ def _polylines(tx: np.ndarray, interior: list[np.ndarray], rx: np.ndarray) -> np
     )
 
 
-def _nondegenerate(verts: np.ndarray) -> np.ndarray:
-    """Mask of the candidates of one family whose segments are all longer
-    than EPS_GEOM."""
+def _drop_degenerate(verts: np.ndarray, hosts: tuple):
+    """The candidates of one family whose segments are all longer than EPS_GEOM."""
     seg = verts[:, 1:] - verts[:, :-1]
-    return np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
+    live = np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
+    kinds, idx = hosts
+    return verts[live], (kinds, [i[live] for i in idx])
 
 
 def _family_name(kinds: tuple) -> str:
@@ -484,22 +481,6 @@ class _CountedQuery:
     def segments_blocked(self, p, q):
         self.calls.append(len(p))
         return self.scene.segments_blocked(p, q)
-
-
-def _clear_masks_given(scene, families: list, first: list) -> list[np.ndarray]:
-    """:func:`_clear_masks` for families some of whose candidates, marked in
-    ``first``, have a first segment the transmitter's verdict table settled
-    clear: those enter the rounds at their second vertex, so round 0 tests
-    only the first segments the table left open."""
-    parts, rows = [], []
-    for (verts, hosts), settled in zip(families, first):
-        for start, k in ((0, np.nonzero(~settled)[0]), (1, np.nonzero(settled)[0])):
-            parts.append((verts[k, start:], hosts))
-            rows.append(k)
-    clear = [np.empty(len(verts), dtype=bool) for verts, _ in families]
-    for i, (k, mask) in enumerate(zip(rows, _clear_masks(scene, parts))):
-        clear[i // 2][k] = mask
-    return clear
 
 
 def _unique_clear(families: list, clear: list) -> list:

@@ -508,6 +508,27 @@ def test_ground_material_key_exits_2(tmp_path, capsys):
     assert "unknown top-level scene keys ['ground_material']" in capsys.readouterr().err
 
 
+def test_scene_section_of_the_wrong_type_exits_2(tmp_path, capsys):
+    (tmp_path / "bad.scene.json").write_text(json.dumps({"version": 1, "buildings": 5}))
+    assert main(["validate-scene", str(tmp_path / "bad.scene.json")]) == 2
+    assert "buildings must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate-scene"])
+def test_file_that_is_not_utf8_exits_2_before_output(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--config", str(bad), "--duration", "0.05", "--output-dir", str(out)]
+    else:
+        argv = ["validate-scene", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad} is not UTF-8 text" in err
+    assert not out.exists()
+
+
 def test_validate_scene_preset_ok(capsys):
     assert main(["validate-scene", "urban_canyon"]) == 0
     out = capsys.readouterr().out

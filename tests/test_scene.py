@@ -253,6 +253,18 @@ class TestSceneLoading:
         with pytest.raises(SceneError, match="JSON"):
             load_scene("{nope")
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("buildings", 5, "buildings must be a list"),
+            ("materials", [1], "materials must be an object"),
+            ("scatterers", "x", "scatterers must be a list"),
+        ],
+    )
+    def test_section_of_the_wrong_type_rejected(self, section, value, message):
+        with pytest.raises(SceneError, match=f"^{message}$"):
+            load_scene(json.dumps({"version": 1, section: value}))
+
 
 class TestElementIds:
     def test_square_building_element_layout(self):

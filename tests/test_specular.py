@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from railchan import specular, visibility
+from railchan import specular
 from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
 from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
@@ -528,9 +528,16 @@ class TestStagedOcclusion:
             calls.append(len(p))
             return original(scene, p, q)
 
-        single = 0
+        oracle = UntabledTracer(tracer.scene, tracer.carrier)
+        expected = untabled = 0
         for rx in rx_list:
-            single += sum(v.shape[0] * (v.shape[1] - 1) for v, _ in tracer.candidates(tx, rx, limits))
+            for v, _ in tracer.candidates(tx, rx, limits):
+                if len(v):
+                    b = tracer.scene.segments_blocked(v[:, :-1].reshape(-1, 3), v[:, 1:].reshape(-1, 3))
+                    b = b.reshape(len(v), -1)
+                    # its segments up to and including the first blocked one
+                    expected += int(np.where(b.any(axis=1), b.argmax(axis=1) + 1, b.shape[1]).sum())
+            untabled += sum(v.shape[0] * (v.shape[1] - 1) for v, _ in oracle.candidates(tx, rx, limits))
             monkeypatch.setattr(Scene, "segments_blocked", spy)
             n_before = len(calls)
             tracer.trace(tx, rx, limits)
@@ -538,7 +545,9 @@ class TestStagedOcclusion:
             # one call per segment position, and none without a segment
             assert 1 <= len(calls) - n_before <= 3
         assert min(calls) > 0
-        assert sum(calls) <= single // 2
+        assert sum(calls) == expected
+        # against one query over every segment of the untabled candidates
+        assert sum(calls) <= untabled // 2
 
 
 # ----------------------------------------------------------------------
@@ -547,8 +556,8 @@ class TestStagedOcclusion:
 class UntabledTracer(SpecularTracer):
     """The tracer without its transmitter tables, as the test oracle: every
     wedge and every (wedge, facade) pair forms candidates at each solve, the
-    diffraction test checks the source side each time, and every first
-    segment goes to occlusion round 0."""
+    diffraction test checks the source side each time, and no target leaves
+    for a facade that blocks its first segment."""
 
     def _edge_candidates(self, src, dst, widx):
         sc = self.scene
@@ -571,7 +580,7 @@ class UntabledTracer(SpecularTracer):
     def _single_diffractions(self, tx, rx):
         widx = np.arange(self.scene.n_wedges)
         pts, ok = self._edge_candidates(tx, rx, widx)
-        return specular._polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]]), np.zeros(int(ok.sum()), bool)
+        return specular._polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]])
 
     def _reflection_then_diffraction(self, tx, rx):
         fsel = np.nonzero(self._tx_front)[0]
@@ -584,7 +593,6 @@ class UntabledTracer(SpecularTracer):
         return (
             specular._polylines(tx, [x1[ok], e_pts[ok]], rx),
             ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]),
-            np.zeros(int(ok.sum()), bool),
         )
 
     def _diffraction_then_reflection(self, tx, rx, rx_front):
@@ -600,7 +608,6 @@ class UntabledTracer(SpecularTracer):
         return (
             specular._polylines(tx, [e_pts[ok], x2[ok]], rx),
             ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]),
-            np.zeros(int(ok.sum()), bool),
         )
 
 
@@ -660,17 +667,17 @@ def table_targets(scene):
     return np.concatenate(xy), np.concatenate(zlo), np.concatenate(zhi)
 
 
-def sweep_heights(scene, tx, xy, lo, hi, brk):
-    """Heights through [lo, hi] for the segment tx -> (xy, z): a grid, every
-    breakpoint of the table, 0 and every roof height, and the heights where
-    a crossed facade's crossing meets its top or the ground, each with
-    offsets of up to 4 EPS_GEOM."""
+def sweep_heights(scene, tx, xy, lo, hi, ends):
+    """Heights through [lo, hi] for the segment tx -> (xy, z): a grid, the
+    heights ``ends``, 0 and every roof height, and the heights where a
+    crossed facade's crossing meets its top or the ground, each with offsets
+    of up to 4 EPS_GEOM."""
     n = scene.n_facades
     seg = np.zeros((n, 3))
     seg[:, :2] = xy - tx[:2]
     t, _, _ = scene.facade_crossings(np.broadcast_to(tx, (n, 3)), seg, np.arange(n))
     t = t[(t > 0.0) & (t < 1.0)]
-    crit = [0.0, *scene.fac_height, *brk[np.isfinite(brk)]]
+    crit = [0.0, *scene.fac_height, *ends]
     for h in {0.0, *scene.fac_height}:
         crit += list(tx[2] + (h - tx[2]) / t)
     # where a crossing's distance from either end, t L or (1 - t) L, meets
@@ -685,30 +692,29 @@ def sweep_heights(scene, tx, xy, lo, hi, brk):
     return z[(z >= lo) & (z <= hi)]
 
 
-def check_table_verdicts(scene, tx, every=1):
-    """Every verdict the first-segment table settles, over the height sweeps
-    of :func:`sweep_heights`, equals ``segments_blocked``'s.  Returns the
-    number of verdicts settled and of heights left open."""
+def check_covers(scene, tx, every=1):
+    """Every target of :func:`table_targets` that a facade cover drops is
+    blocked by ``segments_blocked`` at every height of :func:`sweep_heights`,
+    which include the heights where each of its covers' crossings meets the
+    ground and the facade's top.  Returns the number of targets dropped."""
     xy, zlo, zhi = table_targets(scene)
     xy, zlo, zhi = xy[::every], zlo[::every], zhi[::every]
     keep = np.hypot(*(xy - tx[:2]).T) > EPS_GEOM
     xy, zlo, zhi = xy[keep], zlo[keep], zhi[keep]
-    table, blocked = visibility.first_segment_table(scene, tx, xy, zlo, zhi)
-    brk, code = table.brk, table.code
-    rows, zs = [], []
-    for k in range(len(xy)):
-        z = sweep_heights(scene, tx, xy[k], zlo[k], zhi[k], brk[k])
-        rows.append(np.full(len(z), k))
-        zs.append(z)
-    rows, z = np.concatenate(rows), np.concatenate(zs)
-    verdict = code[rows, (brk[rows] < z[:, None]).sum(axis=1)]
-    q = np.column_stack([xy[rows], z])
-    truth = scene.segments_blocked(np.broadcast_to(tx, q.shape), q)
-    settled = verdict != visibility.OPEN
-    np.testing.assert_array_equal(verdict[settled] == visibility.BLOCKED, truth[settled])
-    # a target the table drops is blocked at every height of its range
-    assert truth[blocked[rows]].all()
-    return int(settled.sum()), int((~settled).sum())
+    ck, cf = specular._facade_covers(scene, tx, xy, zlo, zhi)
+    seg = np.zeros((len(ck), 3))
+    seg[:, :2] = xy[ck] - tx[:2]
+    t, _, _ = scene.facade_crossings(np.broadcast_to(tx, seg.shape), seg, cf)
+    ends = np.concatenate([tx[2] - tx[2] / t, tx[2] + (scene.fac_height[cf] - tx[2]) / t])
+    owner = np.concatenate([ck, ck])
+    dropped = np.unique(ck)
+    q = [np.zeros((0, 3))]
+    for k in dropped:
+        z = sweep_heights(scene, tx, xy[k], zlo[k], zhi[k], ends[owner == k])
+        q.append(np.column_stack([np.broadcast_to(xy[k], (len(z), 2)), z]))
+    q = np.concatenate(q)
+    assert scene.segments_blocked(np.broadcast_to(tx, q.shape), q).all()
+    return len(dropped)
 
 
 class TestTransmitterTables:
@@ -721,20 +727,16 @@ class TestTransmitterTables:
 
     def check_first_segments(self, tracer, oracle, tx, rx, limits):
         """Every first segment of an untabled D, RD or DR candidate: the
-        tables drop it only when ``segments_blocked`` finds it blocked, and
-        mark it settled clear only when the kernel finds it clear."""
-        tabled, first = tracer._candidates(tx, rx, limits)
-        untabled, _ = oracle._candidates(tx, rx, limits)
-        for (verts, (kinds, hosts)), settled, (all_verts, (_, all_hosts)) in zip(tabled, first, untabled):
+        tables drop it only when ``segments_blocked`` finds it blocked."""
+        tabled = tracer.candidates(tx, rx, limits)
+        for (verts, (kinds, hosts)), (all_verts, (_, all_hosts)) in zip(tabled, oracle.candidates(tx, rx, limits)):
             if EDGE_DIFFRACTION not in kinds:
                 continue
             blocked = tracer.scene.segments_blocked(all_verts[:, 0], all_verts[:, 1])
-            kept = {key: ok for key, ok in zip(zip(*hosts), settled)}
+            kept = set(zip(*hosts))
             for key, b in zip(zip(*all_hosts), blocked):
                 if key not in kept:
                     assert b, key
-                elif kept[key]:
-                    assert not b, key
 
     def test_trace_equals_untabled_on_preset_t0_to_2s(self):
         cfg = load_preset()
@@ -772,35 +774,25 @@ class TestTransmitterTables:
                 if np.linalg.norm(rx - tx) > EPS_GEOM:
                     self.check_trace(scene, tx, rx, TraceLimits())
 
-    def test_settled_verdicts_equal_kernel_on_preset(self):
+    def test_dropped_targets_are_blocked_on_preset(self):
         cfg = load_preset()
-        settled, _ = check_table_verdicts(cfg.load_scene(), np.asarray(cfg.tx_position, float), every=7)
-        assert settled > 0
+        assert check_covers(cfg.load_scene(), np.asarray(cfg.tx_position, float), every=7) > 0
 
     @pytest.mark.parametrize("name", SMALL_SCENES)
-    def test_settled_verdicts_equal_kernel_on_small_scenes(self, name):
+    def test_dropped_targets_are_blocked_on_small_scenes(self, name):
         for scene, tx, _ in small_solves(name):
-            check_table_verdicts(scene, tx)
+            check_covers(scene, tx)
 
-    def test_settled_verdicts_equal_kernel_for_random_transmitters(self):
+    def test_dropped_targets_are_blocked_for_random_transmitters(self):
         rng = np.random.default_rng(1702)
         scene = Scene(buildings=CITY)
-        settled = sum(check_table_verdicts(scene, tx)[0] for tx in random_transmitters(scene, rng, 30))
-        assert settled > 0
+        assert sum(check_covers(scene, tx) for tx in random_transmitters(scene, rng, 30)) > 0
 
-    def test_settled_first_segments_leave_the_masks_unchanged(self, preset_solves):
-        tracer, tx, rx_list, limits = preset_solves
-        for rx in rx_list:
-            families, first = tracer._candidates(tx, rx, limits)
-            query = specular._CountedQuery(tracer.scene)
-            got = specular._clear_masks_given(query, families, first)
-            for g, w in zip(got, _clear_masks(tracer.scene, families)):
-                np.testing.assert_array_equal(g, w)
-            # round 0 tests no first segment the table settled
-            n_open = sum(len(v) - int(f.sum()) for (v, _), f in zip(families, first))
-            n_settled = sum(int(f.sum()) for f in first)
-            assert n_settled > 0
-            assert query.calls[0] == n_open + n_settled  # one segment per candidate
+    def test_preset_tables_keep_34_wedges_and_291_rd_pairs(self):
+        cfg = load_preset()
+        tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz))
+        tracer._prepare_tx_tables(np.asarray(cfg.tx_position, float))
+        assert (len(tracer._wedges), len(tracer._rd_w)) == (34, 291)
 
     def test_one_tracer_alternating_transmitters_equals_fresh_tracers(self):
         cfg = load_preset()
