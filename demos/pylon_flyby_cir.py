@@ -34,7 +34,6 @@ snaps = stream_snapshots(
     cfg.kf_interval_s,
     limits=cfg.limits,
     scatter_mode="exact",
-    leg_policy=cfg.leg_policy,
     seed=cfg.seed,
     start_step=whole_steps(w0, cfg.update_step_s),
 ).snapshots

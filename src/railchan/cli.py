@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration/scene errors, 3 unexpected failures.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -226,6 +227,32 @@ def _digests(out: Path, names) -> dict:
     return {name: file_sha256(out / name) for name in names}
 
 
+def _stream_manifest(command: str, cfg: ScenarioConfig, result, wall: float, out: Path, names, **fields) -> dict:
+    """:func:`_base_manifest` plus what a stream command reports: the
+    command's own ``fields``, the stream's deterministic ``counters`` apart
+    from the ``timings_s`` of its layers and of the whole stream (``wall``
+    seconds), the process's peak RSS, and the digests of the output files
+    ``names``."""
+    manifest = _base_manifest(command, cfg)
+    manifest.update(
+        {
+            "n_snapshots": len(result.snapshots),
+            "rt_invocations": result.rt_invocations,
+            **fields,
+            "counters": result.counters,
+            "timings_s": {
+                "keyframe": result.keyframe_seconds,
+                "interpolation": result.interpolation_seconds,
+                "scatter": result.scatter_seconds,
+                "total": wall,
+            },
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+            "outputs": _digests(out, names),
+        }
+    )
+    return manifest
+
+
 def _run_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: float, start_step: int = 0):
     return stream_snapshots(
         scene,
@@ -236,7 +263,6 @@ def _run_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: float
         kf_interval,
         limits=cfg.limits,
         scatter_mode=cfg.scatter_mode,
-        leg_policy=cfg.leg_policy,
         seed=cfg.seed,
         start_step=start_step,
     )
@@ -261,22 +287,8 @@ def cmd_run(args) -> int:
     write_metrics_csv(out / "metrics.csv", timestamps, series)
 
     n_rows = sum(len(s.paths) for s in result.snapshots)
-    manifest = _base_manifest("run", cfg)
-    manifest.update(
-        {
-            "n_snapshots": len(result.snapshots),
-            "n_path_rows": n_rows,
-            "n_distinct_paths": len(ids),
-            "rt_invocations": result.rt_invocations,
-            "counters": result.counters,
-            "timings_s": {
-                "keyframe": result.keyframe_seconds,
-                "interpolation": result.interpolation_seconds,
-                "scatter": result.scatter_seconds,
-                "total": wall,
-            },
-            "outputs": _digests(out, ["trace.csv", "metrics.csv"]),
-        }
+    manifest = _stream_manifest(
+        "run", cfg, result, wall, out, ["trace.csv", "metrics.csv"], n_path_rows=n_rows, n_distinct_paths=len(ids)
     )
     write_manifest(out / "manifest.json", manifest)
     print(
@@ -376,41 +388,27 @@ def cmd_scatter_study(args) -> int:
     result = _run_stream(cfg, scene, traj, cfg.kf_interval_s, start_step)
     wall = time.perf_counter() - t0
 
-    cir_total = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff, "vv")
-    scatter_snaps = [
-        replace(s, paths=[p for p in s.paths if p.tag == TAG_SCATTER]) for s in result.snapshots
-    ]
-    cir_scatter = synthesize_tv_cir(
-        scatter_snaps, cfg.bandwidth_hz, cfg.rolloff, "vv", delay_grid=cir_total.delays
-    )
+    cir = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff, "vv")
     decomp = power_decomposition(result.snapshots, "vv", cfg.tx_power_dbm)
 
     summary = _scatter_summary(scene, result.snapshots, cfg.tx_power_dbm)
 
-    write_tvcir_csv(out / "tvcir_total.csv", cir_total)
-    write_tvcir_csv(out / "tvcir_scatter.csv", cir_scatter)
+    write_tvcir_csv(out / "tvcir_total.csv", cir)
+    write_tvcir_csv(out / "tvcir_scatter.csv", replace(cir, amplitude=cir.scattered))
     write_power_split_csv(out / "power_split.csv", decomp)
     write_scatter_summary_csv(out / "scatter_summary.csv", summary)
 
-    manifest = _base_manifest("scatter-study", cfg)
-    manifest.update(
-        {
-            "window_s": [w0, w1],
-            "n_snapshots": len(result.snapshots),
-            "rt_invocations": result.rt_invocations,
-            "specular_fraction": decomp.specular_fraction,
-            "scattered_fraction": decomp.scattered_fraction,
-            "wall_seconds": wall,
-            "outputs": _digests(
-                out,
-                [
-                    "tvcir_total.csv",
-                    "tvcir_scatter.csv",
-                    "power_split.csv",
-                    "scatter_summary.csv",
-                ],
-            ),
-        }
+    names = ["tvcir_total.csv", "tvcir_scatter.csv", "power_split.csv", "scatter_summary.csv"]
+    manifest = _stream_manifest(
+        "scatter-study",
+        cfg,
+        result,
+        wall,
+        out,
+        names,
+        window_s=[w0, w1],
+        specular_fraction=decomp.specular_fraction,
+        scattered_fraction=decomp.scattered_fraction,
     )
     write_manifest(out / "manifest.json", manifest)
     print(
@@ -549,7 +547,7 @@ def cmd_bench(args) -> int:
     )
 
     if scene.scatterers:
-        engine = ScatterEngine(scene, carrier, leg_policy=cfg.leg_policy)
+        engine = ScatterEngine(scene, carrier)
         engine.paths(cfg.tx_position, rx_list[0])  # warm the incident cache
         timed("scatter_snapshot", len(rx_list), lambda: [engine.paths(cfg.tx_position, r) for r in rx_list])
 

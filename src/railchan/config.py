@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SCATTER_MODES, Trajectory, whole_steps
-from .scatter import LEG_POLICIES
 from .scene import Scene, _is_number, _is_point, load_scene_file
 from .specular import TraceLimits
 
@@ -36,7 +35,6 @@ _TOP_KEYS = {
     "kf_interval_s",
     "limits",
     "scatter_mode",
-    "leg_policy",
     "seed",
     "bandwidth_hz",
     "rolloff",
@@ -105,7 +103,6 @@ class ScenarioConfig:
     kf_interval_s: float
     limits: TraceLimits
     scatter_mode: str
-    leg_policy: str
     seed: int
     bandwidth_hz: float
     rolloff: float
@@ -152,7 +149,6 @@ class ScenarioConfig:
                 "power_floor_db": self.limits.power_floor_db,
             },
             "scatter_mode": self.scatter_mode,
-            "leg_policy": self.leg_policy,
             "seed": self.seed,
             "bandwidth_hz": self.bandwidth_hz,
             "rolloff": self.rolloff,
@@ -284,9 +280,6 @@ def parse_config(
     scatter_mode = raw.get("scatter_mode", "off")
     if scatter_mode not in SCATTER_MODES:
         raise ConfigError(f"'scatter_mode' must be one of {SCATTER_MODES}, got {scatter_mode!r}")
-    leg_policy = raw.get("leg_policy", "direct-only")
-    if leg_policy not in LEG_POLICIES:
-        raise ConfigError(f"'leg_policy' must be one of {LEG_POLICIES}, got {leg_policy!r}")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -334,7 +327,6 @@ def parse_config(
         kf_interval_s=kf_interval_s,
         limits=limits,
         scatter_mode=scatter_mode,
-        leg_policy=leg_policy,
         seed=seed,
         bandwidth_hz=bandwidth_hz,
         rolloff=rolloff,

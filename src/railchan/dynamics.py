@@ -43,7 +43,7 @@ import numpy as np
 
 from .em import C0, CarrierConfig
 from .rays import TAG_SPECULAR, RayPath
-from .scatter import LEG_POLICIES, ScatterEngine
+from .scatter import ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
 
@@ -451,7 +451,6 @@ def stream_snapshots(
     limits: TraceLimits | None = None,
     *,
     scatter_mode: str = "exact",
-    leg_policy: str = "direct-only",
     seed: int = 0,
     start_step: int = 0,
 ) -> StreamResult:
@@ -468,8 +467,6 @@ def stream_snapshots(
     """
     if scatter_mode not in SCATTER_MODES:
         raise ValueError(f"unknown scatter_mode {scatter_mode!r}; expected one of {SCATTER_MODES}")
-    if leg_policy not in LEG_POLICIES:
-        raise ValueError(f"unknown leg policy {leg_policy!r}; expected one of {LEG_POLICIES}")
     schedule = StepSchedule(update_step, kf_interval, start_step, traj.duration)
 
     tx = np.asarray(tx_position, dtype=float)
@@ -478,7 +475,7 @@ def stream_snapshots(
     tracer = SpecularTracer(scene, carrier)
     engine = None
     if scatter_mode != "off" and scene.scatterers:
-        engine = ScatterEngine(scene, carrier, leg_policy)
+        engine = ScatterEngine(scene, carrier)
     kf_engine = engine if scatter_mode == "interpolated" else None
     exact_engine = engine if scatter_mode == "exact" else None
 

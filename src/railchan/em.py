@@ -14,15 +14,15 @@ Conventions used throughout:
   side).  With that receive convention, a pure line-of-sight path has the
   transfer matrix g * diag(1, -1), and reversing a path transposes the
   matrix.
-* One walker, :func:`leg_polarization_operator`, follows the polarization
-  basis through every interaction of a family of K paths that share one
+* One walker, :func:`compose_path_matrix`, follows the polarization basis
+  through every interaction of a family of K paths that share one
   interaction sequence: ``vertices`` is (K, n, 3), ``kinds`` names the
   interaction at each interior vertex and ``hosts`` holds one index array
   per interior vertex into the scene's facade table (reflections, rooftop
-  edges) or wedge table (vertical-edge diffractions).  Every coefficient is
-  evaluated on arrays, so a family costs a fixed number of numpy calls and
-  a single path is the K = 1 case.  :func:`compose_path_matrix` adds the
-  spreading, the phase and the knife-edge losses to its result.
+  edges) or wedge table (vertical-edge diffractions), and scales the result
+  by the spreading, the phase and the knife-edge losses.  Every coefficient
+  is evaluated on arrays, so a family costs a fixed number of numpy calls
+  and a single path is the K = 1 case.
 """
 
 from __future__ import annotations
@@ -331,8 +331,9 @@ def _knife_edge_factor(verts, i, carrier: CarrierConfig):
     return knife_edge_diffraction(knife_edge_v(h, d1, d2, carrier.wavelength))
 
 
-def leg_polarization_operator(vertices, kinds, hosts, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
-    """Polarization transforms of a family of validated ray paths, (K, 2, 2).
+def compose_path_matrix(vertices, kinds, hosts, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
+    """2x2 polarimetric transfer matrices of a family of validated ray
+    paths, (K, 2, 2).
 
     ``vertices`` holds K Tx...Rx polylines, (K, n, 3); ``kinds`` the
     interaction kind of each of the n - 2 interior vertices and ``hosts``
@@ -341,9 +342,9 @@ def leg_polarization_operator(vertices, kinds, hosts, scene: Scene, carrier: Car
     diffractions.  Each result maps (V, H) components launched along the
     first segment to (V, H) components in the arrival basis of the last
     segment (pointing back toward the previous vertex).  It holds the
-    Fresnel and UTD wedge coefficients and the basis rotations, but no
-    free-space spreading, propagation phase or knife-edge losses.  A
-    straight two-point path therefore returns diag(1, -1).
+    Fresnel and UTD wedge coefficients and the basis rotations, times the
+    spreading and phase over the path's total unfolded length and the
+    knife-edge coefficient of every rooftop vertex.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 3 or verts.shape[1] != len(kinds) + 2 or len(hosts) != len(kinds):
@@ -357,6 +358,7 @@ def leg_polarization_operator(vertices, kinds, hosts, scene: Scene, carrier: Car
     total = reached[:, -1]
 
     basis = np.stack(spherical_basis(dirs[:, 0]), axis=2).astype(complex)  # (K, 3, 2)
+    amp = np.ones(len(verts), dtype=complex)
     for i, (kind, host) in enumerate(zip(kinds, hosts)):
         k_in, k_out = dirs[:, i], dirs[:, i + 1]
         if kind == REFLECTION:
@@ -365,26 +367,12 @@ def leg_polarization_operator(vertices, kinds, hosts, scene: Scene, carrier: Car
             basis = _diffract(basis, k_in, k_out, reached[:, i], total - reached[:, i], scene, host, carrier)
         elif kind == ROOFTOP_DIFFRACTION:
             basis = _rotate(basis, k_in, k_out)
+            amp = amp * _knife_edge_factor(verts, i + 1, carrier)
         else:
             raise ValueError(f"unsupported interaction kind {kind!r}")
 
     theta_hat, phi_hat = spherical_basis(-dirs[:, -1])
-    return np.stack([_project(theta_hat, basis), _project(phi_hat, basis)], axis=1)
-
-
-def compose_path_matrix(vertices, kinds, hosts, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
-    """2x2 polarimetric transfer matrices of a family of validated ray
-    paths, (K, 2, 2); the arguments are those of
-    :func:`leg_polarization_operator`.
-
-    The :func:`leg_polarization_operator` of each path, times the spreading
-    and phase over its total unfolded length and the knife-edge coefficient
-    of every rooftop vertex.
-    """
-    verts = np.asarray(vertices, dtype=float)
-    t_mat = leg_polarization_operator(verts, kinds, hosts, scene, carrier)
-    amp = np.ones(len(verts), dtype=complex)
-    for i, kind in enumerate(kinds):
-        if kind == ROOFTOP_DIFFRACTION:
-            amp = amp * _knife_edge_factor(verts, i + 1, carrier)
+    t_mat = np.stack([_project(theta_hat, basis), _project(phi_hat, basis)], axis=1)
+    # the spreading length is polyline_lengths', not the cumsum total above:
+    # the two sums round differently
     return t_mat * (free_space_transport(polyline_lengths(verts), carrier) * amp)[:, None, None]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import TAG_SPECULAR
+from .rays import TAG_SCATTER, TAG_SPECULAR
 
 _POL_INDEX = {"v": 0, "h": 1}
 
@@ -155,29 +155,24 @@ class TVCir:
     times: np.ndarray
     delays: np.ndarray
     amplitude: np.ndarray  # (n_delays, n_times) complex
+    scattered: np.ndarray  # the scatter-tag rows' share of ``amplitude``
     pol_pair: str
     bandwidth: float
     rolloff: float
 
 
-def synthesize_tv_cir(
-    snapshots,
-    bandwidth: float,
-    rolloff: float,
-    pol_pair: str = "vv",
-    delay_grid: np.ndarray | None = None,
-) -> TVCir:
+def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str = "vv") -> TVCir:
     """Band-limited TV-CIR: each path contributes its transfer entry times a
     raised-cosine pulse centered on its delay.
 
-    The delay grid must resolve the bandwidth (spacing <= 1/(2*bandwidth));
-    a grid from 0 to the maximum path delay plus ``PULSE_SUPPORT_SYMBOLS``
-    symbols is built when none is given.
+    The delay grid runs from 0 to the maximum path delay plus
+    ``PULSE_SUPPORT_SYMBOLS`` symbols at spacing 1/(2*bandwidth).
 
     Each snapshot's pulses are one (paths x delay grid) evaluation; paths
     with a zero entry are masked out, and the kept paths are added into the
     snapshot's column one by one in path order, so every bin is the same
-    sequential sum a per-path loop gives.
+    sequential sum a per-path loop gives.  ``scattered`` holds the same
+    sums over the scatter-tag rows alone, from the same pulses.
     """
     r, c = _pol_entry(pol_pair)
     times, per_snapshot = [], []
@@ -185,41 +180,41 @@ def synthesize_tv_cir(
         times.append(s.timestamp)
         delays = np.array([p.delay_s for p in s.paths], dtype=float)
         entries = np.array([p.transfer[r, c] for p in s.paths], dtype=complex)
-        per_snapshot.append((delays, entries))
+        scatter = np.array([p.tag == TAG_SCATTER for p in s.paths], dtype=bool)
+        per_snapshot.append((delays, entries, scatter))
     max_spacing = 1.0 / (2.0 * bandwidth)
-    if delay_grid is not None:
-        grid = np.asarray(delay_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("delay_grid must be a 1D array with >= 2 points")
-        steps = np.diff(grid)
-        if np.any(steps <= 0.0):
-            raise ValueError("delay_grid must be strictly increasing")
-        if np.max(steps) > max_spacing * (1.0 + 1e-9):
-            raise ValueError(
-                f"delay grid spacing {np.max(steps):.3e} s is coarser than "
-                f"1/(2*bandwidth) = {max_spacing:.3e} s"
-            )
-    else:
-        max_delay = max([0.0] + [float(d.max()) for d, _ in per_snapshot if d.size])
-        span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
-        n = int(math.ceil(span / max_spacing)) + 1
-        grid = np.arange(n) * max_spacing
+    max_delay = max([0.0] + [float(d.max()) for d, _, _ in per_snapshot if d.size])
+    span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
+    n = int(math.ceil(span / max_spacing)) + 1
+    grid = np.arange(n) * max_spacing
 
     amp = np.zeros((grid.size, len(times)), dtype=complex)
+    scattered = np.zeros_like(amp)
     column = np.empty(grid.size, dtype=complex)
-    for j, (delays, entries) in enumerate(per_snapshot):
+    part = np.empty_like(column)
+    for j, (delays, entries, scatter) in enumerate(per_snapshot):
         keep = entries != 0.0
         if not keep.any():
             continue
         pulses = raised_cosine_pulse(grid - delays[keep, None], bandwidth, rolloff)
         column[:] = 0.0
-        for entry, pulse in zip(entries[keep], pulses):
-            column += entry * pulse
+        part[:] = 0.0
+        for entry, pulse, is_scatter in zip(entries[keep], pulses, scatter[keep]):
+            term = entry * pulse
+            column += term
+            if is_scatter:
+                part += term
         amp[:, j] = column
+        scattered[:, j] = part
+        # free this snapshot's pulses (``pulse`` is a view of them) before
+        # the next snapshot's are evaluated: with ``scattered`` beside
+        # ``amp``, holding both would raise the peak memory
+        del pulses, pulse
     return TVCir(
         times=np.array(times, dtype=float),
         delays=grid,
         amplitude=amp,
+        scattered=scattered,
         pol_pair=pol_pair,
         bandwidth=bandwidth,
         rolloff=rolloff,

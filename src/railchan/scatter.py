@@ -4,36 +4,27 @@ Cylindrical scatterers are meshed into half-wavelength tangent-plane facets.
 Each illuminated-and-visible facet contributes a coherent term built from the
 analytic bistatic radar cross-section of a PEC rectangular plate, with
 per-facet spherical spreading and phase so that no far-field assumption is
-made at the whole-body level.  Incident and scattered legs may include one
-specular facade reflection each; the reflected leg is handled with the exact
-mirror image of the antenna for per-facet distances plus a constant
-polarization/Fresnel operator evaluated on the reference geometry, which one
-call of the array walker ``em.leg_polarization_operator`` gives for every
-reflected leg of an antenna, outbound and reversed.  The facet sum's
-polarization bases come from ``em.spherical_basis``, the walker's own.
+made at the whole-body level.  A scatterer's echo is one facet sum straight
+from the transmitter to the receiver, computed when the direct legs from both
+antennas to its reference point are clear; the path's delay follows the
+polyline through that point.  The facet sum's polarization bases come from
+``em.spherical_basis``, the path composer's own.
 
-:class:`ScatterEngine` alone decides which legs exist: it tests the direct
-legs of a snapshot side in one occlusion query and builds the clear ones with
-:func:`direct_leg`, and :func:`reflected_legs` returns only clear legs, so
-every leg that reaches the facet sum is unobstructed.  The closed-form RCS
-oracles call :func:`direct_leg` and :func:`po_scattered_matrix` directly.
+:class:`ScatterEngine` tests the direct legs of an antenna in one occlusion
+query and keeps the transmitter's incident facet terms while it stays put.
+The closed-form RCS oracles call :func:`po_scattered_matrix` directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .em import CarrierConfig, leg_polarization_operator, spherical_basis
-from .rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, RayPath
+from .em import CarrierConfig, spherical_basis
+from .rays import SCATTERING, TAG_SCATTER, Interaction, RayPath
 from .scene import EPS_GEOM, CylinderScatterer, Scene
-from .specular import _facade_crossing, _polylines
-
-_J_FLIP = np.diag([1.0, -1.0]).astype(complex)
-
-LEG_POLICIES = ("direct-only", "direct+1-reflection")
 
 
 # ----------------------------------------------------------------------
@@ -132,81 +123,6 @@ def mesh_plate(
         reference_point=center,
         scatterer=None,
     )
-
-
-# ----------------------------------------------------------------------
-# legs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScatterLeg:
-    """Antenna-to-reference-point polyline with precomputed operators.
-
-    ``outbound_operator`` is the polarization transform for traversal from
-    the antenna toward the reference point, ``inbound_operator`` for the
-    reverse traversal; ``effective_point`` is the antenna position, mirrored
-    across the facade plane when the leg contains a reflection, so that
-    per-facet distances along the reflected leg are exact.
-    """
-
-    vertices: np.ndarray
-    interactions: tuple
-    effective_point: np.ndarray
-    outbound_operator: np.ndarray = field(default_factory=lambda: _J_FLIP.copy())
-    inbound_operator: np.ndarray = field(default_factory=lambda: _J_FLIP.copy())
-
-    @property
-    def antenna(self) -> np.ndarray:
-        return self.vertices[0]
-
-
-def direct_leg(point, reference_point) -> ScatterLeg:
-    """Straight antenna-to-reference leg; whether it is clear is the caller's
-    occlusion test."""
-    p = np.asarray(point, dtype=float)
-    return ScatterLeg(vertices=np.array([p, reference_point]), interactions=(), effective_point=p)
-
-
-def reflected_legs(
-    scene: Scene, point, reference_points, carrier: CarrierConfig
-) -> list[list[ScatterLeg]]:
-    """All single-facade-reflection legs from an antenna to each reference.
-
-    ``reference_points`` is (M, 3); the result holds one list of legs per
-    reference point, in facade order.  Each leg carries the antenna's mirror
-    image and constant polarization operators evaluated on the reference
-    geometry.  Occluded candidates are dropped; one facade scan, one
-    occlusion query and one walker call, over every leg outbound and
-    reversed, cover the candidates of every reference point.
-    """
-    p = np.asarray(point, dtype=float)
-    refs = np.asarray(reference_points, dtype=float)
-    n = scene.fac_normal
-    d_p = n @ p - scene.fac_offset
-    d_ref = refs @ n.T - scene.fac_offset[None, :]
-    m, f = np.nonzero((d_p > EPS_GEOM)[None, :] & (d_ref > EPS_GEOM))
-    images = p[None, :] - 2.0 * d_p[f, None] * n[f]
-    pts, ok = _facade_crossing(scene, images, refs[m], f)
-    verts = _polylines(p, [pts[ok]], refs[m[ok]])
-    blocked = scene.segments_blocked(verts[:, :-1].reshape(-1, 3), verts[:, 1:].reshape(-1, 3))
-    clear = ~blocked.reshape(-1, 2).any(axis=1)
-    m, f, images, verts = m[ok][clear], f[ok][clear], images[ok][clear], verts[clear]
-    operators = leg_polarization_operator(
-        np.concatenate([verts, verts[:, ::-1]]), (REFLECTION,), [np.concatenate([f, f])], scene, carrier
-    )
-    outbound, inbound = operators[: len(f)], operators[len(f) :]
-    legs: list[list[ScatterLeg]] = [[] for _ in refs]
-    for i, fi, image, v, t_out, t_in in zip(m, f, images, verts, outbound, inbound):
-        rec = Interaction(REFLECTION, int(scene.fac_object[fi]), int(scene.fac_element[fi]))
-        legs[i].append(
-            ScatterLeg(
-                vertices=v,
-                interactions=(rec,),
-                effective_point=image,
-                outbound_operator=t_out,
-                inbound_operator=t_in,
-            )
-        )
-    return legs
 
 
 # ----------------------------------------------------------------------
@@ -313,34 +229,20 @@ def _inside_bounding_cylinder(cyl: CylinderScatterer, p: np.ndarray) -> bool:
 
 def po_scattered_matrix(
     mesh: FacetMesh,
-    incident_leg: ScatterLeg,
-    scattered_leg: ScatterLeg,
+    src: np.ndarray,
+    obs: np.ndarray,
     carrier: CarrierConfig,
     incident: _IncidentTerms | None = None,
 ) -> np.ndarray:
-    """Scattered 2x2 transfer for one pair of clear legs.
+    """Scattered 2x2 transfer from the antenna at ``src`` to the one at ``obs``.
 
-    The matrix chains the incident leg's polarization operator, the coherent
-    facet sum evaluated between the legs' effective (possibly mirrored)
-    endpoints, and the scattered leg's reverse-traversal operator.  The
-    path's delay follows the reference-point polyline (see
-    ``RayPath.from_polyline``); per-facet differences are absorbed into the
-    facet phases.  ``incident`` optionally injects precomputed source-side
-    facet terms for the incident leg's effective point.
+    The coherent facet sum between the two antennas; ``incident`` optionally
+    injects precomputed source-side facet terms for ``src``.
     """
-    for leg in (incident_leg, scattered_leg):
-        if np.linalg.norm(leg.vertices[-1] - mesh.reference_point) > 1e-9:
-            raise ValueError("leg does not terminate at the mesh reference point")
-        if mesh.scatterer is not None and _inside_bounding_cylinder(mesh.scatterer, leg.antenna):
+    for p in (src, obs):
+        if mesh.scatterer is not None and _inside_bounding_cylinder(mesh.scatterer, p):
             raise ValueError("antenna endpoint lies inside the scatterer body")
-    t_po = _facet_sum(
-        mesh,
-        incident_leg.effective_point,
-        scattered_leg.effective_point,
-        carrier,
-        incident=incident,
-    )
-    return scattered_leg.inbound_operator @ _J_FLIP @ t_po @ _J_FLIP @ incident_leg.outbound_operator
+    return _facet_sum(mesh, src, obs, carrier, incident=incident)
 
 
 # ----------------------------------------------------------------------
@@ -349,41 +251,28 @@ def po_scattered_matrix(
 class ScatterEngine:
     """Per-scene scattering helper with cached facet meshes."""
 
-    def __init__(
-        self,
-        scene: Scene,
-        carrier: CarrierConfig,
-        leg_policy: str = "direct-only",
-    ):
-        if leg_policy not in LEG_POLICIES:
-            raise ValueError(f"unknown leg policy {leg_policy!r}; expected one of {LEG_POLICIES}")
+    def __init__(self, scene: Scene, carrier: CarrierConfig):
         self.scene = scene
         self.carrier = carrier
-        self.leg_policy = leg_policy
         self.meshes = [mesh_cylinder(s, carrier) for s in scene.scatterers]
+        self._refs = np.array([m.reference_point for m in self.meshes])
         self._tx_key: bytes | None = None
-        self._tx_side: list[list[tuple[ScatterLeg, _IncidentTerms]]] = []
+        self._incident: list[_IncidentTerms | None] = []
 
-    def _legs(self, point: np.ndarray) -> list[list[ScatterLeg]]:
-        """Unobstructed legs from ``point`` to each mesh's reference point."""
-        refs = np.array([m.reference_point for m in self.meshes])
-        # one batched occlusion query covers the direct legs to every mesh
-        blocked = self.scene.segments_blocked(np.broadcast_to(point, refs.shape), refs)
-        sides = [[] if b else [direct_leg(point, ref)] for ref, b in zip(refs, blocked)]
-        if self.leg_policy == "direct+1-reflection":
-            for legs, reflected in zip(sides, reflected_legs(self.scene, point, refs, self.carrier)):
-                legs.extend(reflected)
-        return sides
+    def _clear(self, point: np.ndarray) -> np.ndarray:
+        """Whether the straight leg from ``point`` to each mesh's reference
+        point is unobstructed, from one batched occlusion query."""
+        return ~self.scene.segments_blocked(np.broadcast_to(point, self._refs.shape), self._refs)
 
-    def _prepare_tx_side(self, tx: np.ndarray):
-        """Transmitter legs and their incident facet terms, once per transmitter."""
+    def _prepare_tx(self, tx: np.ndarray):
+        """Incident facet terms of every mesh the transmitter sees (None for
+        the others), once per transmitter."""
         key = tx.tobytes()
         if self._tx_key == key:
             return
         k = self.carrier.wavenumber
-        self._tx_side = [
-            [(leg, _incident_terms(mesh, leg.effective_point, k)) for leg in legs]
-            for mesh, legs in zip(self.meshes, self._legs(tx.copy()))
+        self._incident = [
+            _incident_terms(mesh, tx, k) if clear else None for mesh, clear in zip(self.meshes, self._clear(tx))
         ]
         self._tx_key = key
 
@@ -393,13 +282,12 @@ class ScatterEngine:
         out: list[RayPath] = []
         if not self.meshes:
             return out
-        self._prepare_tx_side(tx)
-        for mesh, tx_legs, rx_legs in zip(self.meshes, self._tx_side, self._legs(rx)):
+        self._prepare_tx(tx)
+        for mesh, incident, clear in zip(self.meshes, self._incident, self._clear(rx)):
+            if incident is None or not clear:
+                continue
+            t = po_scattered_matrix(mesh, tx, rx, self.carrier, incident=incident)
             s_rec = Interaction(kind=SCATTERING, object_id=mesh.scatterer.id, element_id=0)
-            for leg_in, incident in tx_legs:
-                for leg_out in rx_legs:
-                    t = po_scattered_matrix(mesh, leg_in, leg_out, self.carrier, incident=incident)
-                    inters = leg_in.interactions + (s_rec,) + tuple(reversed(leg_out.interactions))
-                    verts = np.vstack([leg_in.vertices, leg_out.vertices[::-1][1:]])
-                    out.append(RayPath.from_polyline(inters, verts, t, TAG_SCATTER))
+            verts = np.array([tx, mesh.reference_point, rx])
+            out.append(RayPath.from_polyline((s_rec,), verts, t, TAG_SCATTER))
         return out

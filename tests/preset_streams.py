@@ -22,7 +22,6 @@ def preset_stream(*, duration_s: float, kf_interval_s: float, start_s: float = 0
         cfg.kf_interval_s,
         limits=cfg.limits,
         scatter_mode=cfg.scatter_mode,
-        leg_policy=cfg.leg_policy,
         seed=cfg.seed,
         start_step=int(round(start_s / cfg.update_step_s)),
     )

@@ -30,7 +30,7 @@ from railchan.metrics import (
 from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, RayPath, polyline_lengths
 from railchan.scene import Building, Scene
 from railchan.specular import SpecularTracer, TraceLimits
-from railchan.scatter import direct_leg, mesh_cylinder, mesh_plate, po_scattered_matrix
+from railchan.scatter import mesh_cylinder, mesh_plate, po_scattered_matrix
 from railchan.scene import CylinderScatterer
 from railchan.traceio import write_trace_csv
 from trace_replay import read_trace_csv
@@ -60,8 +60,8 @@ def plate_rcs(side: float, max_edge: float, distance: float) -> float:
         height=side,
         max_edge=max_edge,
     )
-    leg = direct_leg(np.array([distance, 0.0, 0.0]), mesh.reference_point)
-    t = po_scattered_matrix(mesh, leg, leg, F19)
+    p = np.array([distance, 0.0, 0.0])
+    t = po_scattered_matrix(mesh, p, p, F19)
     return rcs_from_transfer(t[0, 0], distance, distance)
 
 
@@ -124,8 +124,7 @@ def test_02_cylinder_rcs_matches_broadside_formula():
     t0 = time.perf_counter()
     mesh = mesh_cylinder(cyl, F19)
     obs = np.array([1000.0, 0.0, 0.5 * cyl.height])
-    leg = direct_leg(obs, mesh.reference_point)
-    t = po_scattered_matrix(mesh, leg, leg, F19)
+    t = po_scattered_matrix(mesh, obs, obs, F19)
     elapsed = time.perf_counter() - t0
     sigma = rcs_from_transfer(t[0, 0], 1000.0, 1000.0)
     sigma_ref = 2.0 * math.pi * cyl.radius * cyl.height**2 / LAM

@@ -115,28 +115,39 @@ def test_run_rerun_is_byte_identical(tmp_path):
 
 
 def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
-    manifests = []
-    for name in ("a", "b"):
-        assert main(_run_args(tmp_path / name)) == 0
-        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
-    a, b = manifests
-    # the counters are deterministic and kept apart from the timings; the
-    # digested outputs repeat although the timings of the two runs differ
-    assert a["counters"] == b["counters"]
-    assert a["outputs"] == b["outputs"]
-    assert set(a["timings_s"]) == {"keyframe", "interpolation", "scatter", "total"}
-    counters = a["counters"]
-    assert counters["exact_solves"] == a["rt_invocations"] == 5
-    families = counters["families"]
-    assert list(families) == sorted(["LoS", "R", "RR", "D", "RD", "DR", "K"])
-    for name, c in families.items():
-        assert all(isinstance(v, int) for v in c.values()), name
-        assert c["generated"] >= c["clear"] >= c["kept"] >= 0, name
-    assert families["LoS"]["generated"] == 5
-    # at most three occlusion rounds, each testing fewer segments
-    rounds = counters["occlusion_segments"]
-    assert 1 <= len(rounds) <= 3 and all(isinstance(n, int) for n in rounds)
-    assert rounds == sorted(rounds, reverse=True)
+    # run and scatter-study report their streams alike; each command runs
+    # twice
+    window = ["scatter-study", "--kf-interval", "0.5", "--window", "20.5:21.0"]
+    commands = {
+        "run": (_run_args, 5),
+        "scatter-study": (lambda out: window + ["--output-dir", str(out)], 2),
+    }
+    for command, (argv, solves) in commands.items():
+        manifests = []
+        for name in ("a", "b"):
+            assert main(argv(tmp_path / command / name)) == 0
+            manifests.append(json.loads((tmp_path / command / name / "manifest.json").read_text()))
+        a, b = manifests
+        assert a["command"] == command
+        # the counters are deterministic and kept apart from the timings and
+        # the peak RSS; the digested outputs repeat although the timings of
+        # the two runs differ
+        assert a["counters"] == b["counters"], command
+        assert a["outputs"] == b["outputs"], command
+        assert set(a["timings_s"]) == {"keyframe", "interpolation", "scatter", "total"}, command
+        assert a["peak_rss_mb"] > 0.0, command
+        counters = a["counters"]
+        assert counters["exact_solves"] == a["rt_invocations"] == solves, command
+        families = counters["families"]
+        assert list(families) == sorted(["LoS", "R", "RR", "D", "RD", "DR", "K"])
+        for name, c in families.items():
+            assert all(isinstance(v, int) for v in c.values()), name
+            assert c["generated"] >= c["clear"] >= c["kept"] >= 0, name
+        assert families["LoS"]["generated"] == solves, command
+        # at most three occlusion rounds, each testing fewer segments
+        rounds = counters["occlusion_segments"]
+        assert 1 <= len(rounds) <= 3 and all(isinstance(n, int) for n in rounds)
+        assert rounds == sorted(rounds, reverse=True)
 
 
 def test_intervals_within_the_step_rule_run_at_their_whole_stride(tmp_path):
@@ -506,6 +517,19 @@ def test_ground_material_key_exits_2(tmp_path, capsys):
     (tmp_path / "ground.scene.json").write_text(json.dumps(raw))
     assert main(["validate-scene", str(tmp_path / "ground.scene.json")]) == 2
     assert "unknown top-level scene keys ['ground_material']" in capsys.readouterr().err
+
+
+def test_leg_policy_key_exits_2(tmp_path, capsys):
+    # a scatterer echo runs straight between the antennas: the legs to it
+    # cannot reflect, so a scenario cannot choose a leg policy
+    raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
+    raw["leg_policy"] = "direct-only"
+    (tmp_path / "legs.config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(tmp_path / "legs.config.json"), "--duration", "0.05", "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert "unknown key 'leg_policy'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scene_section_of_the_wrong_type_exits_2(tmp_path, capsys):

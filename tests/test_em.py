@@ -11,8 +11,7 @@ Oracles:
   reciprocity (transpose) property,
 * the array walker against the scalar chain it replaced
   (``oracle_compose_path_matrix``, one path at a time): on every solve of
-  the preset at t = 0-2 s, on the small scenes of ``test_specular.py`` and
-  on the reflected scatter legs.
+  the preset at t = 0-2 s and on the small scenes of ``test_specular.py``.
 """
 
 import cmath
@@ -42,7 +41,6 @@ from railchan.rays import (
     RayPath,
     polyline_lengths,
 )
-from railchan.scatter import ScatterEngine
 from railchan.scene import Building, Material, PEC, Scene
 from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 from test_specular import SMALL_SCENES, small_solves
@@ -648,7 +646,7 @@ def _rooftop_factor(vertices, i, carrier):
     return complex(knife_edge_diffraction(v))
 
 
-def oracle_leg_polarization_operator(vertices, interactions, scene, carrier):
+def oracle_polarization_operator(vertices, interactions, scene, carrier):
     """The scalar walker: one validated path, its interaction records looked
     up one at a time."""
     verts = np.asarray(vertices, dtype=float)
@@ -678,7 +676,7 @@ def oracle_leg_polarization_operator(vertices, interactions, scene, carrier):
 
 def oracle_compose_path_matrix(vertices, interactions, scene, carrier):
     verts = np.asarray(vertices, dtype=float)
-    t_mat = oracle_leg_polarization_operator(verts, interactions, scene, carrier)
+    t_mat = oracle_polarization_operator(verts, interactions, scene, carrier)
     amp = 1.0 + 0.0j
     for i, rec in enumerate(interactions):
         if rec.kind == ROOFTOP_DIFFRACTION:
@@ -781,26 +779,6 @@ class TestWalkerAgainstScalarOracle:
                 got = tracer.trace(tx, rx, limits)
                 assert got
                 assert_matches_oracle(got, oracle_trace(tracer, tx, rx, limits))
-
-    def test_reflected_scatter_legs(self, preset):
-        cfg, scene, carrier = preset
-        engine = ScatterEngine(scene, carrier, leg_policy="direct+1-reflection")
-        traj = cfg.trajectory()
-        points = [cfg.tx_position] + [traj.position(t) for t in np.arange(18.5, 24.0, 0.5)]
-        n_reflected = 0
-        for point in points:
-            for legs in engine._legs(np.asarray(point, dtype=float)):
-                for leg in legs:
-                    if not leg.interactions:
-                        continue
-                    n_reflected += 1
-                    for got, verts in (
-                        (leg.outbound_operator, leg.vertices),
-                        (leg.inbound_operator, leg.vertices[::-1]),
-                    ):
-                        want = oracle_leg_polarization_operator(verts, leg.interactions, scene, carrier)
-                        assert relative_error(got, want) <= WALKER_RTOL
-        assert n_reflected > 0
 
     def test_o_face_wrap(self):
         # a transmitter 1 nm inside the o-face plane of edge D(1:6) is outside

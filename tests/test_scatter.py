@@ -12,21 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig
 from railchan.rays import TAG_SCATTER, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.scatter import (
-    LEG_POLICIES,
     ScatterEngine,
-    ScatterLeg,
     _incident_terms,
     _observer_terms,
-    direct_leg,
     mesh_cylinder,
     mesh_plate,
     po_scattered_matrix,
-    reflected_legs,
 )
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
@@ -52,8 +47,7 @@ def plate_monostatic_rcs(side: float, max_edge: float, distance: float) -> float
         max_edge=max_edge,
     )
     p = np.array([distance, 0.0, 0.0])
-    leg = direct_leg(p, mesh.reference_point)
-    t = po_scattered_matrix(mesh, leg, leg, F19)
+    t = po_scattered_matrix(mesh, p, p, F19)
     return estimated_rcs(t[0, 0], distance, distance)
 
 
@@ -124,8 +118,7 @@ class TestPlateOracle:
             max_edge=LAM / 2.0,
         )
         p = np.array([100.0, 0.0, 0.0])
-        leg = direct_leg(p, mesh.reference_point)
-        t = po_scattered_matrix(mesh, leg, leg, F19)
+        t = po_scattered_matrix(mesh, p, p, F19)
         scale = np.max(np.abs(t))
         assert abs(t[0, 1]) < 1e-10 * scale
         assert abs(t[1, 0]) < 1e-10 * scale
@@ -141,8 +134,7 @@ class TestPlateOracle:
             max_edge=LAM / 2.0,
         )
         p = np.array([-50.0, 3.0, 1.0])
-        leg = direct_leg(p, mesh.reference_point)
-        t = po_scattered_matrix(mesh, leg, leg, F19)
+        t = po_scattered_matrix(mesh, p, p, F19)
         assert np.all(t == 0)
 
 
@@ -152,8 +144,7 @@ class TestCylinderOracle:
         mesh = mesh_cylinder(cyl, F19)
         sigma_ref = 2.0 * math.pi * 0.375 * 8.2**2 / LAM
         p = np.array([1000.0, 0.0, 4.1])
-        leg = direct_leg(p, mesh.reference_point)
-        t = po_scattered_matrix(mesh, leg, leg, F19)
+        t = po_scattered_matrix(mesh, p, p, F19)
         sigma = estimated_rcs(t[0, 0], 1000.0, 1000.0)
         assert abs(db(sigma) - db(sigma_ref)) < 1.0
 
@@ -168,8 +159,8 @@ class TestCylinderOracle:
         obs1 = ref + 2000.0 * np.array([math.cos(ang), math.sin(ang), 0.0])
         src2 = ref + 2.0 * (src1 - ref)
         obs2 = ref + 2.0 * (obs1 - ref)
-        t1 = po_scattered_matrix(mesh, direct_leg(src1, ref), direct_leg(obs1, ref), F19)
-        t2 = po_scattered_matrix(mesh, direct_leg(src2, ref), direct_leg(obs2, ref), F19)
+        t1 = po_scattered_matrix(mesh, src1, obs1, F19)
+        t2 = po_scattered_matrix(mesh, src2, obs2, F19)
         p1 = float(np.sum(np.abs(t1) ** 2))
         p2 = float(np.sum(np.abs(t2) ** 2))
         assert db(p1) - db(p2) == pytest.approx(12.0, abs=0.1)
@@ -177,11 +168,10 @@ class TestCylinderOracle:
     def test_reciprocity_direct_legs(self):
         cyl = CylinderScatterer(id=1, base_center=np.zeros(3), radius=0.375, height=8.2)
         mesh = mesh_cylinder(cyl, F19)
-        ref = mesh.reference_point
         src = np.array([300.0, -40.0, 12.0])
         obs = np.array([-120.0, 250.0, 2.0])
-        t_fwd = po_scattered_matrix(mesh, direct_leg(src, ref), direct_leg(obs, ref), F19)
-        t_rev = po_scattered_matrix(mesh, direct_leg(obs, ref), direct_leg(src, ref), F19)
+        t_fwd = po_scattered_matrix(mesh, src, obs, F19)
+        t_rev = po_scattered_matrix(mesh, obs, src, F19)
         scale = np.max(np.abs(t_fwd))
         np.testing.assert_allclose(t_rev, t_fwd.T, rtol=1e-8, atol=1e-8 * scale)
         scene = Scene(buildings=[], scatterers=[cyl])
@@ -207,70 +197,12 @@ class TestCylinderOracle:
     def test_observer_inside_body_rejected(self):
         cyl = CylinderScatterer(id=1, base_center=np.zeros(3), radius=0.375, height=8.2)
         mesh = mesh_cylinder(cyl, F19)
-        ref = mesh.reference_point
         outside = np.array([100.0, 0.0, 4.0])
         inside = np.array([0.1, 0.0, 4.0])
         with pytest.raises(ValueError):
-            po_scattered_matrix(mesh, direct_leg(outside, ref), direct_leg(inside, ref), F19)
+            po_scattered_matrix(mesh, outside, inside, F19)
         with pytest.raises(ValueError):
-            po_scattered_matrix(mesh, direct_leg(inside, ref), direct_leg(outside, ref), F19)
-
-
-class TestLegs:
-    def test_direct_leg_geometry(self):
-        ref = np.array([0.0, 0.0, 4.1])
-        p = np.array([30.0, 0.0, 2.0])
-        leg = direct_leg(p, ref)
-        assert leg.interactions == ()
-        np.testing.assert_array_equal(leg.vertices, [p, ref])
-        np.testing.assert_array_equal(leg.effective_point, p)
-
-    def test_reflected_leg_image_geometry(self):
-        wall = Building(
-            id=1,
-            footprint=np.array([[-50.0, 10.0], [50.0, 10.0], [50.0, 12.0], [-50.0, 12.0]]),
-            height=30.0,
-        )
-        scene = Scene(buildings=[wall])
-        ref = np.array([20.0, 0.0, 4.1])
-        p = np.array([-20.0, 2.0, 6.0])
-        (legs,) = reflected_legs(scene, p, ref[None, :], F19)
-        assert len(legs) == 1
-        leg = legs[0]
-        assert len(leg.interactions) == 1
-        assert leg.interactions[0].kind == "R"
-        image = p.copy()
-        image[1] = 20.0 - image[1]
-        np.testing.assert_allclose(leg.effective_point, image, atol=1e-12)
-        # the unfolded leg is as long as the straight image-to-reference line
-        leg_len = float(np.sum(np.linalg.norm(np.diff(leg.vertices, axis=0), axis=1)))
-        assert leg_len == pytest.approx(float(np.linalg.norm(ref - image)), abs=1e-9)
-        # bounce point on the wall face
-        assert leg.vertices[1][1] == pytest.approx(10.0, abs=1e-9)
-
-    def test_batched_references_match_single_calls(self):
-        # one call for every scatterer of the preset gives, per reference
-        # point, the legs of a call with that reference alone, bit for bit
-        cfg = load_preset()
-        scene = cfg.load_scene()
-        refs = np.array([s.reference_point for s in scene.scatterers])
-        assert len(refs) > 1
-        traj = cfg.trajectory()
-        points = [cfg.tx_position] + [traj.position(t) for t in (5.0, 19.0, 21.0, 23.0, 40.0)]
-        n_legs = 0
-        for p in points:
-            batched = reflected_legs(scene, p, refs, F19)
-            assert len(batched) == len(refs)
-            for ref, got in zip(refs, batched):
-                (want,) = reflected_legs(scene, p, ref[None, :], F19)
-                assert [leg.interactions for leg in got] == [leg.interactions for leg in want]
-                for a, b in zip(got, want):
-                    np.testing.assert_array_equal(a.vertices, b.vertices)
-                    np.testing.assert_array_equal(a.effective_point, b.effective_point)
-                    np.testing.assert_array_equal(a.outbound_operator, b.outbound_operator)
-                    np.testing.assert_array_equal(a.inbound_operator, b.inbound_operator)
-                n_legs += len(got)
-        assert n_legs > 0
+            po_scattered_matrix(mesh, inside, outside, F19)
 
 
 class TestEnumerate:
@@ -305,14 +237,10 @@ class TestEnumerate:
         )
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        paths = ScatterEngine(scene, F19, "direct+1-reflection").paths(tx, rx)
-        sigs = {p.signature for p in paths}
-        assert sigs == {
-            "S(9:0)",
-            "R(1:0)|S(9:0)",
-            "S(9:0)|R(1:0)",
-            "R(1:0)|S(9:0)|R(1:0)",
-        }
+        # an echo runs straight between the antennas; the wall reflects
+        # none of its legs
+        paths = ScatterEngine(scene, F19).paths(tx, rx)
+        assert {p.signature for p in paths} == {"S(9:0)"}
 
     def test_blocked_direct_legs_dropped(self):
         blocker = Building(
@@ -336,27 +264,6 @@ class TestEnumerate:
         paths = ScatterEngine(scene, F19).paths(tx, rx)
         assert len(paths) == 1
 
-    def test_enumerate_reciprocity_with_reflections(self):
-        wall = Building(
-            id=1,
-            footprint=np.array([[-80.0, 40.0], [180.0, 40.0], [180.0, 42.0], [-80.0, 42.0]]),
-            height=30.0,
-        )
-        scene = Scene(
-            buildings=[wall],
-            scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 10.0, 0.0]), radius=0.375, height=8.2)],
-        )
-        tx = np.array([0.0, 0.0, 20.0])
-        rx = np.array([100.0, 0.0, 4.5])
-        fwd = {p.signature: p for p in ScatterEngine(scene, F19, "direct+1-reflection").paths(tx, rx)}
-        rev = {p.signature: p for p in ScatterEngine(scene, F19, "direct+1-reflection").paths(rx, tx)}
-        for sig, p in fwd.items():
-            toks = sig.split("|")
-            mirror_sig = "|".join(reversed(toks))
-            q = rev[mirror_sig]
-            scale = np.max(np.abs(p.transfer))
-            np.testing.assert_allclose(q.transfer, p.transfer.T, rtol=1e-8, atol=1e-8 * scale)
-
     def test_determinism(self):
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 30.0, 0.0]), radius=0.375, height=8.2), CylinderScatterer(id=10, base_center=np.array([70.0, 30.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 20.0])
@@ -367,9 +274,8 @@ class TestEnumerate:
         for p, q in zip(a, b):
             np.testing.assert_array_equal(p.transfer, q.transfer)
 
-    @pytest.mark.parametrize("policy", LEG_POLICIES)
-    def test_transmitter_change_matches_fresh_engine(self, policy):
-        # the engine keeps one transmitter's legs; switching tx and back must
+    def test_transmitter_change_matches_fresh_engine(self):
+        # the engine keeps one transmitter's facet terms; switching tx and back must
         # give the paths of an engine that never saw the other transmitter
         wall = Building(
             id=1,
@@ -386,10 +292,10 @@ class TestEnumerate:
         tx1 = np.array([0.0, 0.0, 20.0])
         tx2 = np.array([30.0, -5.0, 15.0])
         rx = np.array([100.0, 0.0, 4.5])
-        engine = ScatterEngine(scene, F19, leg_policy=policy)
+        engine = ScatterEngine(scene, F19)
         for tx in (tx1, tx2, tx1):
             got = engine.paths(tx, rx)
-            want = ScatterEngine(scene, F19, leg_policy=policy).paths(tx, rx)
+            want = ScatterEngine(scene, F19).paths(tx, rx)
             assert len(got) == len(want) > 0
             for p, q in zip(got, want):
                 assert p.signature == q.signature

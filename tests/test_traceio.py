@@ -328,11 +328,9 @@ def test_metrics_csv_matches_oracle_on_crafted_values(tmp_path):
 # ----------------------------------------------------------------------
 def test_scatter_study_csvs_match_oracle_on_pylon_stream(tmp_path, pylon_stream):
     cfg, snaps = pylon_stream
-    total = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
-    scatter_snaps = [replace(s, paths=[p for p in s.paths if p.tag == TAG_SCATTER]) for s in snaps]
-    scatter = synthesize_tv_cir(scatter_snaps, cfg.bandwidth_hz, cfg.rolloff, "vv", delay_grid=total.delays)
-    for cir in (total, scatter):
-        assert_same_bytes(tmp_path, write_tvcir_csv, oracle_write_tvcir_csv, cir)
+    cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
+    for written in (cir, replace(cir, amplitude=cir.scattered)):
+        assert_same_bytes(tmp_path, write_tvcir_csv, oracle_write_tvcir_csv, written)
     decomp = power_decomposition(snaps, "vv", cfg.tx_power_dbm)
     assert_same_bytes(tmp_path, write_power_split_csv, oracle_write_power_split_csv, decomp)
     summary = _scatter_summary(cfg.load_scene(), snaps, cfg.tx_power_dbm)
@@ -347,6 +345,7 @@ def test_tvcir_csv_matches_oracle_on_crafted_values(tmp_path):
         times=np.array([0.0, -0.0, 20.505]),
         delays=np.roll(vals, 1),
         amplitude=amp,
+        scattered=np.zeros_like(amp),
         pol_pair="vv",
         bandwidth=1e8,
         rolloff=0.95,
