@@ -52,7 +52,7 @@ from .metrics import (
 from .rays import SCATTERING, TAG_SCATTER
 from .scatter import ScatterEngine, _inside_bounding_cylinder
 from .scene import EPS_GEOM, SceneError, load_scene_file
-from .specular import SpecularTracer, _clear_masks, _unique_clear
+from .specular import SpecularTracer, _clear_masks, _unique_clear, trace_rooftop
 from .traceio import (
     file_sha256,
     write_bench_csv,
@@ -545,6 +545,8 @@ def cmd_bench(args) -> int:
         len(solves),
         lambda: [compose_path_matrix(verts, kinds, hosts, scene, carrier) for verts, (kinds, hosts) in kept],
     )
+    # the over-the-rooftops knife-edge path at the same five receivers
+    timed("rooftop_solve", len(rx_list), lambda: [trace_rooftop(scene, tx, r, carrier) for r in rx_list])
 
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier)

@@ -28,6 +28,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,34 +135,109 @@ def knife_edge_v(h, d1, d2, wavelength: float):
     return h * np.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2))
 
 
-def knife_edge_diffraction(v):
-    """Complex knife-edge coefficient F(v); F(-inf) = 1, |F(0)| = 1/2."""
-    # scipy.special is imported on first use: it costs about 0.3 s of startup
-    from scipy.special import fresnel
+# E(z) = e^{z^2} erfc(z) on the ray z = r e^{j pi/4}, r >= 0, where both
+# Fresnel functions below live.  Up to _TAYLOR_MAX it is a Taylor expansion
+# about the nearest node of a grid in r, beyond that a Laplace continued
+# fraction of fixed depth; both are accurate to a few ulps.
+_SQRT_PI = math.sqrt(math.pi)
+_EXP_J_PI_4 = cmath.exp(1j * math.pi / 4)
+_TAYLOR_STEP = 0.1
+_TAYLOR_NODES = 81
+_TAYLOR_MAX = _TAYLOR_STEP * (_TAYLOR_NODES - 1)
+_TAYLOR_DEGREE = 17
+_CF_DEPTH = 16
 
-    s, c = fresnel(v)
-    return (1.0 + 1.0j) / 2.0 * ((0.5 - c) - 1j * (0.5 - s))
+
+def _erfc_fraction(z, depth: int):
+    """E(z) from the Laplace continued fraction
+    1 / sqrt(pi) / (z + (1/2) / (z + 1 / (z + (3/2) / (z + ...)))), evaluated
+    from the ``depth``-th level back."""
+    f = z
+    for k in range(depth, 0, -1):
+        f = z + (0.5 * k) / f
+    return 1.0 / (_SQRT_PI * f)
+
+
+@functools.cache
+def _taylor_table() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes r0 and, per node, the coefficients b_n with
+    E((r0 + rho) e^{j pi/4}) = sum_n b_n rho^n; built on first use.
+
+    The node values come from the power series sum_n (-z)^n / Gamma(n/2 + 1)
+    up to r0 = 1 and from a deep continued fraction above; from
+    E' = 2 z E - 2 / sqrt(pi), the coefficients a_n of the expansion in
+    z - z0 follow a_{n+1} = (2 z0 a_n + 2 a_{n-1}) / (n + 1), and
+    b_n = a_n e^{j n pi/4} turns that into b_{n+1} = 2j (r0 b_n + b_{n-1}) / (n + 1).
+    """
+    r0 = np.arange(_TAYLOR_NODES) * _TAYLOR_STEP
+    z0 = r0 * _EXP_J_PI_4
+    series = r0 <= 1.0
+    b = np.empty((_TAYLOR_NODES, _TAYLOR_DEGREE + 1), dtype=complex)
+    b[series, 0] = sum((-z0[series]) ** n / math.gamma(n / 2 + 1) for n in range(40))
+    b[~series, 0] = _erfc_fraction(z0[~series], 1000)
+    b[:, 1] = 2j * r0 * b[:, 0] - 2.0 / _SQRT_PI * _EXP_J_PI_4
+    for n in range(1, _TAYLOR_DEGREE):
+        b[:, n + 1] = 2j * (r0 * b[:, n] + b[:, n - 1]) / (n + 1)
+    r0.setflags(write=False)  # every caller shares the cached arrays
+    b.setflags(write=False)
+    return r0, b
+
+
+def _erfc_taylor(r: np.ndarray) -> np.ndarray:
+    """E(r e^{j pi/4}) for finite 0 <= r <= _TAYLOR_MAX, from the nearest node."""
+    r0, b = _taylor_table()
+    node = np.rint(r * (1.0 / _TAYLOR_STEP)).astype(np.intp)
+    powers = np.empty(r.shape + (_TAYLOR_DEGREE + 1,))
+    powers[..., 0] = 1.0
+    powers[..., 1:] = (r - r0[node])[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
+    return np.einsum("...k,...k->...", b[node], powers)
+
+
+def _erfc_ray(r: np.ndarray) -> np.ndarray:
+    """E(r e^{j pi/4}) for a float array ``r`` of finite values >= 0."""
+    near = r <= _TAYLOR_MAX
+    if near.all():
+        return _erfc_taylor(r)
+    out = np.empty(r.shape, dtype=complex)
+    out[near] = _erfc_taylor(r[near])
+    far = ~near
+    out[far] = _erfc_fraction(r[far] * _EXP_J_PI_4, _CF_DEPTH)
+    return out
+
+
+def knife_edge_diffraction(v):
+    """Complex knife-edge coefficient F(v); F(-inf) = 1, |F(0)| = 1/2.
+
+    F(v) = (1 + j)/2 * integral_v^inf e^{-j pi t^2/2} dt, which is
+    e^{-j pi v^2/2} E(sqrt(pi/2) v e^{j pi/4}) / 2 for v >= 0 and 1 minus
+    that at |v| for v < 0.  Accepts scalars or arrays.
+    """
+    # 0-d input is evaluated as a 1-element array: numpy's scalar arithmetic
+    # rounds complex products differently from its array loops
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    infinite = np.isinf(arr)
+    a = np.where(infinite, 0.0, np.abs(arr))
+    shadow = 0.5 * np.exp(-0.5j * math.pi * (a * a)) * _erfc_ray(math.sqrt(math.pi / 2) * a)
+    shadow = np.where(infinite, 0.0, shadow)  # E vanishes at infinity
+    out = np.where(arr < 0, 1.0 - shadow, shadow)
+    return complex(out[0]) if np.ndim(v) == 0 else out
 
 
 def transition_function(x):
     """Transition function F(x) = 2j sqrt(x) e^{jx} * integral_{sqrt(x)}^inf e^{-j tau^2} d tau.
 
     Smoothly bridges the diffraction coefficient through shadow boundaries;
-    F -> 1 for large arguments.  Accepts scalars or arrays.
+    F -> 1 for large arguments.  Evaluated as
+    j sqrt(pi x) e^{-j pi/4} E(sqrt(x) e^{j pi/4}), which carries no e^{jx}
+    factor.  Accepts scalars or arrays of finite x >= 0.
     """
-    from scipy.special import modfresnelm
-
-    arr = np.asarray(x, dtype=float)
-    sqrt_x = np.sqrt(arr)
-    fm = modfresnelm(sqrt_x)[0]
-    out = 2j * sqrt_x * np.exp(1j * arr) * fm
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
+    root = np.sqrt(np.atleast_1d(np.asarray(x, dtype=float)))
+    out = (_EXP_J_PI_4 * _SQRT_PI) * root * _erfc_ray(root)
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 _UTD_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-_EXP_J_PI_4 = cmath.exp(1j * math.pi / 4)
 
 
 def utd_coefficients(n_index, wavenumber: float, beta0, phi_inc, phi_out, distance_param, r_soft, r_hard):
@@ -300,8 +376,8 @@ def _diffract(basis, k_in, k_out, s_before, s_after, scene: Scene, wedges, carri
     return out * spread[:, None, None]
 
 
-def _rotate(basis, k_in, k_out):
-    """The minimal rotation taking k_in to k_out, applied to the basis."""
+def _rotations(k_in, k_out):
+    """The minimal rotations taking (N, 3) directions k_in to k_out, (N, 3, 3)."""
     c = _dot(k_in, k_out)
     axis = _cross(k_in, k_out)
     s = np.sqrt(_dot(axis, axis))
@@ -313,13 +389,14 @@ def _rotate(basis, k_in, k_out):
     kmat = np.cross(axis[:, None, :], np.eye(3)).transpose(0, 2, 1)
     rot = np.eye(3) + s[:, None, None] * kmat + (1 - c)[:, None, None] * (kmat @ kmat)
     rot[straight] = np.eye(3)
-    return rot @ basis
+    return rot
 
 
-def _knife_edge_factor(verts, i, carrier: CarrierConfig):
-    """Knife-edge coefficients of interior vertex ``i`` of (K, n, 3) polylines,
-    from its neighbors."""
-    prev_v, apex, next_v = verts[:, i - 1], verts[:, i], verts[:, i + 1]
+def _knife_edge_factors(verts, at, carrier: CarrierConfig):
+    """Knife-edge coefficients of the interior vertices ``at`` of (K, n, 3)
+    polylines, from their neighbors, (len(at), K)."""
+    at = np.asarray(at)
+    prev_v, apex, next_v = (verts[:, i].swapaxes(0, 1).reshape(-1, 3) for i in (at - 1, at, at + 1))
     chord = next_v - prev_v
     u = chord / np.linalg.norm(chord, axis=1)[:, None]
     rel = apex - prev_v
@@ -328,7 +405,7 @@ def _knife_edge_factor(verts, i, carrier: CarrierConfig):
     h = np.where((h > 0) & (offset[:, 2] < 0), -h, h)
     d1 = np.linalg.norm(apex - prev_v, axis=1)
     d2 = np.linalg.norm(next_v - apex, axis=1)
-    return knife_edge_diffraction(knife_edge_v(h, d1, d2, carrier.wavelength))
+    return knife_edge_diffraction(knife_edge_v(h, d1, d2, carrier.wavelength)).reshape(len(at), -1)
 
 
 def compose_path_matrix(vertices, kinds, hosts, scene: Scene, carrier: CarrierConfig) -> np.ndarray:
@@ -357,6 +434,15 @@ def compose_path_matrix(vertices, kinds, hosts, scene: Scene, carrier: CarrierCo
     reached = np.cumsum(seg_len, axis=1)  # path length up to vertex i + 1
     total = reached[:, -1]
 
+    # every rooftop vertex's rotation and knife-edge factor in one pass each,
+    # vertex-major, applied below in vertex order
+    roof = [i for i, kind in enumerate(kinds) if kind == ROOFTOP_DIFFRACTION]
+    if roof:
+        apexes = [i + 1 for i in roof]  # interaction i sits at vertex i + 1, between dirs i and i + 1
+        k_in, k_out = (dirs[:, at].swapaxes(0, 1).reshape(-1, 3) for at in (roof, apexes))
+        rotations = iter(_rotations(k_in, k_out).reshape(len(roof), -1, 3, 3))
+        factors = iter(_knife_edge_factors(verts, apexes, carrier))
+
     basis = np.stack(spherical_basis(dirs[:, 0]), axis=2).astype(complex)  # (K, 3, 2)
     amp = np.ones(len(verts), dtype=complex)
     for i, (kind, host) in enumerate(zip(kinds, hosts)):
@@ -366,8 +452,8 @@ def compose_path_matrix(vertices, kinds, hosts, scene: Scene, carrier: CarrierCo
         elif kind == EDGE_DIFFRACTION:
             basis = _diffract(basis, k_in, k_out, reached[:, i], total - reached[:, i], scene, host, carrier)
         elif kind == ROOFTOP_DIFFRACTION:
-            basis = _rotate(basis, k_in, k_out)
-            amp = amp * _knife_edge_factor(verts, i + 1, carrier)
+            basis = next(rotations) @ basis
+            amp = amp * next(factors)
         else:
             raise ValueError(f"unsupported interaction kind {kind!r}")
 

@@ -129,23 +129,40 @@ def raised_cosine_pulse(t, bandwidth: float, rolloff: float):
     ``T = 1/bandwidth``; the removable singularity at ``|t| = T/(2*beta)``
     is filled with its limit ``(pi/4) * sinc(1/(2*beta))``.
     """
+    _check_pulse(bandwidth, rolloff)
+    vals = _pulse_of(np.array(t, dtype=float, ndmin=1) * bandwidth, rolloff)
+    if np.isscalar(t):
+        return float(vals[0])
+    return vals.reshape(np.shape(t))
+
+
+def _check_pulse(bandwidth: float, rolloff: float) -> None:
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError("rolloff must lie in [0, 1]")
-    x = np.array(t, dtype=float, ndmin=1) * bandwidth
-    den = 1.0 - (2.0 * rolloff * x) ** 2
-    singular = np.abs(den) < 1e-12
+
+
+def _pulse_of(x, rolloff: float):
+    """The raised-cosine pulse at times ``x`` in symbols (a float array, left
+    unchanged), evaluated with one work array beside the result by the
+    operations of ``np.sinc(x) * cos(pi*beta*x) / den``, in that order."""
+    # np.sinc: y = pi * x, 0 replaced by eps, then sin(y) / y
+    work = np.multiply(math.pi, x)
+    work[work == 0] = np.finfo(float).eps
+    vals = np.sin(work)
+    vals /= work
+    np.multiply(math.pi * rolloff, x, out=work)
+    vals *= np.cos(work, out=work)
+    den = np.multiply(2.0 * rolloff, x, out=work)
+    np.square(den, out=den)
+    np.subtract(1.0, den, out=den)
+    singular = (den < 1e-12) & (den > -1e-12)  # |den| < 1e-12, without an |den| array
     den[singular] = 1.0
-    # in place, in the order sinc * cos / den
-    vals = np.sinc(x)
-    vals *= np.cos(math.pi * rolloff * x)
     vals /= den
     if rolloff > 0.0:
         vals[singular] = (math.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-    if np.isscalar(t):
-        return float(vals[0])
-    return vals.reshape(np.shape(t))
+    return vals
 
 
 @dataclass
@@ -175,6 +192,7 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str
     sums over the scatter-tag rows alone, from the same pulses.
     """
     r, c = _pol_entry(pol_pair)
+    _check_pulse(bandwidth, rolloff)
     times, per_snapshot = [], []
     for s in snapshots:
         times.append(s.timestamp)
@@ -196,7 +214,7 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str
         keep = entries != 0.0
         if not keep.any():
             continue
-        pulses = raised_cosine_pulse(grid - delays[keep, None], bandwidth, rolloff)
+        pulses = _pulse_of((grid - delays[keep, None]) * bandwidth, rolloff)
         column[:] = 0.0
         part[:] = 0.0
         for entry, pulse, is_scatter in zip(entries[keep], pulses, scatter[keep]):

@@ -698,6 +698,7 @@ def test_bench_outputs(tmp_path):
         "candidate_solve",
         "occlusion_solve",
         "compose_solve",
+        "rooftop_solve",
         "scatter_snapshot",
         "interpolate_snapshot",
         "metric_snapshot",
@@ -710,6 +711,7 @@ def test_bench_outputs(tmp_path):
         "candidate_solve",
         "occlusion_solve",
         "compose_solve",
+        "rooftop_solve",
         "metric_snapshot",
         "tvcir_snapshot",
         "trace_csv_row",
@@ -719,9 +721,10 @@ def test_bench_outputs(tmp_path):
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
     # the candidate, occlusion and composition stages time the candidates,
-    # the rounds and the kept candidates of the trace stage's five solves;
-    # the transmitter tables are built once
-    for stage in ("specular_trace", "candidate_solve", "occlusion_solve", "compose_solve"):
+    # the rounds and the kept candidates of the trace stage's five solves,
+    # the rooftop stage the rooftop path at its five receivers; the
+    # transmitter tables are built once
+    for stage in ("specular_trace", "candidate_solve", "occlusion_solve", "compose_solve", "rooftop_solve"):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}
     assert {r["units"] for r in rows if r["stage"] == "tx_tables"} == {"1"}
     # the metrics and the TV-CIR cover the bracket's 11 snapshots; the writer
@@ -767,3 +770,23 @@ def test_python_m_entry_point():
     )
     assert proc.returncode == 0
     assert "scene OK" in proc.stdout
+
+
+def test_run_imports_no_scipy(tmp_path):
+    # the Fresnel integrals are em.py's own: a fresh process runs a stream,
+    # whose solves need both, without importing scipy, and importing the CLI
+    # does not build the Taylor table of the Fresnel kernel
+    src = str(Path(railchan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"""
+import sys
+import railchan.cli
+import railchan.em
+assert railchan.em._taylor_table.cache_info().currsize == 0
+rc = railchan.cli.main(["run", "--duration", "0.05", "--output-dir", {str(tmp_path / "run")!r}])
+assert rc == 0, rc
+assert railchan.em._taylor_table.cache_info().currsize == 1
+assert "scipy" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

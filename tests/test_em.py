@@ -5,6 +5,8 @@ Oracles:
 * Fresnel reflection against the closed-form normal-incidence formula,
 * knife-edge coefficient against direct numerical evaluation of the
   Fresnel integral,
+* the Fresnel kernel (knife edge and UTD transition function) against
+  mpmath at 30 digits and against scipy.special, each within its error,
 * UTD wedge coefficients against the total-field continuity requirement
   across shadow boundaries of a PEC half-plane,
 * path-matrix composition against hand image constructions, plus the
@@ -20,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from railchan import em
 from railchan.config import load_preset
 from railchan.em import (
     C0,
@@ -814,3 +817,188 @@ class TestWalkerAgainstScalarOracle:
         for row, args in zip(got, zip(n, beta0, phi_inc, phi_out, L, r_soft, r_hard)):
             want = np.array(oracle_utd_coefficients(args[0], k, *args[1:]))
             assert relative_error(row, want) <= WALKER_RTOL
+
+
+# ----------------------------------------------------------------------
+# the Fresnel kernel against mpmath and scipy
+# ----------------------------------------------------------------------
+KERNEL_RTOL = 1e-13
+
+
+def mp_transition(x):
+    """j sqrt(pi x) e^{-j pi/4} e^{z^2} erfc(z), z = sqrt(x) e^{j pi/4}, at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        x = mpmath.mpf(float(x))
+        z = mpmath.sqrt(x) * mpmath.expjpi(mpmath.mpf(1) / 4)
+        return complex(1j * mpmath.sqrt(mpmath.pi * x) * mpmath.expjpi(-mpmath.mpf(1) / 4) * mpmath.exp(z * z) * mpmath.erfc(z))
+
+
+def mp_knife(v):
+    """erfc(sqrt(pi/2) v e^{j pi/4}) / 2 at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        z = mpmath.sqrt(mpmath.pi / 2) * mpmath.mpf(float(v)) * mpmath.expjpi(mpmath.mpf(1) / 4)
+        return complex(mpmath.erfc(z) / 2)
+
+
+def worst_relative(got, want):
+    want = np.asarray(want)
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@pytest.fixture(scope="module")
+def preset_fresnel_arguments(preset):
+    """Every transition-function and knife-edge argument of the preset's
+    solves at t = 0-0.2 s."""
+    cfg, scene, carrier = preset
+    logged = {"transition": [], "knife": []}
+    real_transition, real_knife = em.transition_function, em.knife_edge_diffraction
+
+    def transition(x):
+        logged["transition"].append(np.ravel(x))
+        return real_transition(x)
+
+    def knife(v):
+        logged["knife"].append(np.ravel(v))
+        return real_knife(v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(em, "transition_function", transition)
+        mp.setattr(em, "knife_edge_diffraction", knife)
+        tracer = SpecularTracer(scene, carrier)
+        traj = cfg.trajectory()
+        for i in range(21):
+            tracer.trace(cfg.tx_position, traj.position(i * cfg.update_step_s), cfg.limits)
+    return {k: np.unique(np.concatenate(v)) for k, v in logged.items()}
+
+
+class TestFresnelKernel:
+    def test_transition_function_on_log_grid(self):
+        # plus squares of a grid in sqrt(x) at 1/4 the Taylor node spacing,
+        # through the switch to the continued fraction at sqrt(x) = 8
+        xs = np.concatenate([np.logspace(-10, 10, 401), np.arange(0.0125, 10.0, 0.025) ** 2])
+        got = transition_function(xs)
+        assert worst_relative(got, [mp_transition(x) for x in xs]) <= KERNEL_RTOL
+
+    def test_transition_function_at_preset_arguments(self, preset_fresnel_arguments):
+        xs = preset_fresnel_arguments["transition"]
+        xs = xs[xs > 0]  # F(0) = 0 exactly, checked below
+        assert len(xs) > 1000
+        assert worst_relative(transition_function(xs), [mp_transition(x) for x in xs]) <= KERNEL_RTOL
+        assert transition_function(0.0) == 0.0
+
+    def test_knife_edge_up_to_ten(self, preset_fresnel_arguments):
+        preset_v = preset_fresnel_arguments["knife"]
+        assert 8.0 < np.abs(preset_v).max() <= 10.0
+        vs = np.concatenate([np.linspace(-10.0, 10.0, 801), preset_v])
+        assert worst_relative(knife_edge_diffraction(vs), [mp_knife(v) for v in vs]) <= KERNEL_RTOL
+
+    def test_knife_edge_beyond_ten_within_phase_conditioning(self):
+        # e^{-j pi v^2 / 2} turns an ulp of v^2 into a phase error of pi v^2 2^-53
+        vs = np.concatenate([np.linspace(10.0, 50.0, 401), -np.linspace(10.0, 50.0, 401)])
+        want = np.array([mp_knife(v) for v in vs])
+        err = np.abs(knife_edge_diffraction(vs) - want) / np.abs(want)
+        assert np.all(err <= 4.0 * math.pi * vs**2 * 2.0**-53)
+
+    def test_limits_hold_exactly(self):
+        assert knife_edge_diffraction(-math.inf) == 1.0
+        assert knife_edge_diffraction(math.inf) == 0.0
+        assert abs(knife_edge_diffraction(0.0)) == 0.5
+        assert knife_edge_diffraction(np.array([-math.inf, 0.0])).tolist() == [1.0, 0.5]
+
+    def test_scalars_and_arrays_agree(self):
+        vs = np.array([-3.0, -0.5, 0.0, 0.25, 7.9, 9.0, 40.0])
+        got = knife_edge_diffraction(vs)
+        assert got.shape == vs.shape
+        assert all(got[i] == knife_edge_diffraction(float(v)) for i, v in enumerate(vs))
+        xs = np.array([0.0, 1e-6, 0.3, 50.0, 63.9, 64.1, 1e8])
+        got = transition_function(xs)
+        assert all(got[i] == transition_function(float(x)) for i, x in enumerate(xs))
+        assert isinstance(knife_edge_diffraction(1.0), complex)
+        assert isinstance(transition_function(1.0), complex)
+
+    def test_each_value_independent_of_the_array(self):
+        # the rooftop chain evaluates every vertex's knife edge in one call:
+        # an element's bits must not depend on its neighbors or the length
+        r = np.concatenate([np.random.default_rng(7).random(60) * 12.0, [0.0, 0.05, 7.95, 8.0, np.nextafter(8.0, 9.0)]])
+        alone = np.concatenate([em._erfc_ray(r[i : i + 1]) for i in range(len(r))])
+        assert em._erfc_ray(r).tobytes() == alone.tobytes()
+        assert em._erfc_ray(r.reshape(5, 13)).tobytes() == alone.tobytes()
+        assert np.array([em._erfc_ray(np.float64(x)) for x in r]).tobytes() == alone.tobytes()
+
+    def test_agrees_with_scipy_within_its_error(self):
+        special = pytest.importorskip("scipy.special")
+        # scipy's 2j sqrt(x) e^{jx} fm(sqrt(x)) is itself off by up to
+        # 1.2e-10 relative near x = 7e5 (against mpmath at 30 digits)
+        xs = np.logspace(-10, 6, 321)
+        root = np.sqrt(xs)
+        theirs = 2j * root * np.exp(1j * xs) * special.modfresnelm(root)[0]
+        err = np.abs(transition_function(xs) - theirs) / np.abs(theirs)
+        assert err[xs <= 1e3].max() <= 2e-13
+        assert err.max() <= 2e-10
+        vs = np.linspace(-10.0, 10.0, 801)
+        s, c = special.fresnel(vs)
+        theirs = (1.0 + 1.0j) / 2.0 * ((0.5 - c) - 1j * (0.5 - s))
+        assert worst_relative(knife_edge_diffraction(vs), theirs) <= KERNEL_RTOL
+
+
+# ----------------------------------------------------------------------
+# the rooftop chain along its vertex axis against the per-vertex walk
+# ----------------------------------------------------------------------
+def per_vertex_rooftop_walk(vertices, carrier):
+    """The rooftop composition as it was walked before: at each vertex in
+    turn its own rotation and its own knife-edge call, for a (K, n, 3)
+    family of rooftop paths."""
+    verts = np.asarray(vertices, dtype=float)
+    seg = np.diff(verts, axis=1)
+    dirs = seg / np.linalg.norm(seg, axis=2)[:, :, None]
+    basis = np.stack(spherical_basis(dirs[:, 0]), axis=2).astype(complex)
+    amp = np.ones(len(verts), dtype=complex)
+    for i in range(verts.shape[1] - 2):
+        k_in, k_out = dirs[:, i], dirs[:, i + 1]
+        c = em._dot(k_in, k_out)
+        axis = em._cross(k_in, k_out)
+        s = np.sqrt(em._dot(axis, axis))
+        straight = s < 1e-12
+        axis = axis / np.where(straight, 1.0, s)[:, None]
+        kmat = np.cross(axis[:, None, :], np.eye(3)).transpose(0, 2, 1)
+        rot = np.eye(3) + s[:, None, None] * kmat + (1 - c)[:, None, None] * (kmat @ kmat)
+        rot[straight] = np.eye(3)
+        basis = rot @ basis
+
+        prev_v, apex, next_v = verts[:, i], verts[:, i + 1], verts[:, i + 2]
+        chord = next_v - prev_v
+        u = chord / np.linalg.norm(chord, axis=1)[:, None]
+        rel = apex - prev_v
+        offset = rel - em._dot(rel, u)[:, None] * u
+        h = np.linalg.norm(offset, axis=1)
+        h = np.where((h > 0) & (offset[:, 2] < 0), -h, h)
+        d1 = np.linalg.norm(apex - prev_v, axis=1)
+        d2 = np.linalg.norm(next_v - apex, axis=1)
+        amp = amp * knife_edge_diffraction(knife_edge_v(h, d1, d2, carrier.wavelength))
+    theta_hat, phi_hat = spherical_basis(-dirs[:, -1])
+    t_mat = np.stack([em._project(theta_hat, basis), em._project(phi_hat, basis)], axis=1)
+    return t_mat * (free_space_transport(polyline_lengths(verts), carrier) * amp)[:, None, None]
+
+
+class TestRooftopVertexAxis:
+    def test_preset_solves_t0_to_2s_bit_for_bit(self, preset):
+        cfg, scene, carrier = preset
+        traj = cfg.trajectory()
+        tx = np.asarray(cfg.tx_position, dtype=float)
+        paths = [trace_rooftop(scene, tx, traj.position(i * cfg.update_step_s), carrier) for i in range(201)]
+        assert all(p is not None for p in paths)
+        for p in paths:
+            assert p.transfer.tobytes() == per_vertex_rooftop_walk(p.vertices[None], carrier)[0].tobytes()
+        # the same paths as families of K > 1, one per vertex count
+        by_count = {}
+        for p in paths:
+            by_count.setdefault(len(p.vertices), []).append(p)
+        for n, group in by_count.items():
+            verts = np.stack([p.vertices for p in group])
+            kinds = (ROOFTOP_DIFFRACTION,) * (n - 2)
+            hosts = [np.zeros(len(group), dtype=int)] * (n - 2)  # not read for rooftop edges
+            got = compose_path_matrix(verts, kinds, hosts, scene, carrier)
+            assert got.tobytes() == np.stack([p.transfer for p in group]).tobytes()
+            assert got.tobytes() == per_vertex_rooftop_walk(verts, carrier).tobytes()
