@@ -52,7 +52,7 @@ from .metrics import (
 from .rays import SCATTERING, TAG_SCATTER
 from .scatter import ScatterEngine, _inside_bounding_cylinder
 from .scene import EPS_GEOM, SceneError, load_scene_file
-from .specular import SpecularTracer, _clear_masks, _unique_clear, trace_rooftop
+from .specular import SpecularTracer, _clear_masks, _unique_clear, _with_rooftop, trace_rooftop
 from .traceio import (
     file_sha256,
     write_bench_csv,
@@ -538,15 +538,16 @@ def cmd_bench(args) -> int:
     timed("specular_trace", len(rx_list), lambda: [tracer.trace(tx, r, cfg.limits) for r in rx_list])
     solves = timed("candidate_solve", len(rx_list), lambda: [tracer.candidates(tx, r, cfg.limits) for r in rx_list])
     clear = timed("occlusion_solve", len(solves), lambda: [_clear_masks(scene, f) for f in solves])
-    # the clear, distinct candidates of every family of the five solves
-    kept = [family for f, c in zip(solves, clear) for family in _unique_clear(f, c)]
+    # the clear, distinct candidates of every family of the five solves, K included
+    full = [_with_rooftop(scene, tx, r, cfg.limits, f, c) for r, f, c in zip(rx_list, solves, clear)]
+    kept = [family for f, c in full for family in _unique_clear(f, c)]
     timed(
         "compose_solve",
         len(solves),
         lambda: [compose_path_matrix(verts, kinds, hosts, scene, carrier) for verts, (kinds, hosts) in kept],
     )
-    # the over-the-rooftops knife-edge path at the same five receivers
-    timed("rooftop_solve", len(rx_list), lambda: [trace_rooftop(scene, tx, r, carrier) for r in rx_list])
+    # the rooftop family's generator alone at the same five receivers
+    timed("rooftop_solve", len(rx_list), lambda: [trace_rooftop(scene, tx, r) for r in rx_list])
 
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier)

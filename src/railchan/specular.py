@@ -3,20 +3,19 @@
 Finds every propagation path between two antennas built from the allowed
 interaction sequences: line of sight, one or two facade reflections, one
 vertical-edge diffraction optionally combined with a single reflection on
-either side, and the over-the-rooftops knife-edge polyline used when the
-direct ray is blocked.
-
-Reflections use exact mirror images and diffraction points follow from the
-unfolded ray, so each path family (LoS, R, RR, D, RD, DR) is generated as one
-array of candidate polylines, shape (K, n, 3), together with its interaction
-kinds and the host of each interior vertex as an index into the scene's
-facade or wedge table.  The trace masks out candidates with a degenerate
-segment and tests the rest for occlusion in rounds, in path order: round
-``j`` sends segment ``j`` of every candidate still clear, across all
-families, to one occlusion query, so a blocked candidate's later segments
-are never tested and a solve makes at most three queries.  The clear
-candidates of each family, less any whose geometry an earlier candidate
-already has, get their transfer matrices from one
+either side, and the over-the-rooftops knife-edge polyline of a blocked
+direct ray.  Each path family (LoS, R, RR, D, RD, DR and the rooftop path
+K) is one array of candidate polylines, shape (K, n, 3), with its
+interaction kinds and the host of each interior vertex as an index into the
+scene's facade or wedge table.  Reflections use exact mirror images and
+diffraction points follow from the unfolded ray.  The trace drops lateral
+candidates with a degenerate segment and tests the rest for occlusion in
+rounds, in path order: round ``j`` sends segment ``j`` of every candidate
+still clear, across all families, to one occlusion query, so a blocked
+candidate's later segments are never tested.  When round 0 finds the direct
+ray blocked, :func:`trace_rooftop` adds K, clear on that verdict alone.
+Then every family's clear candidates, less any whose geometry an earlier
+candidate already has, get their transfer matrices from one
 :func:`~railchan.em.compose_path_matrix` call; the power floor is an array
 mask over them, and interaction records are built only for the paths kept.
 A :class:`SpecularTracer` caches the per-scene tables (second-order
@@ -36,10 +35,8 @@ moves, everything the transmitter alone decides:
   height (:func:`_facade_covers`).
 
 ``SpecularTracer.trace`` is the one entry point: it checks the endpoints
-once and adds the rooftop path of :func:`trace_rooftop` when the direct ray
-is blocked.  The scene's one
-occlusion query, ``Scene.segments_blocked``, decides every segment; the
-rooftop path reuses the line-of-sight verdict of the first round.
+once, and the scene's one occlusion query, ``Scene.segments_blocked``,
+decides every segment.
 """
 
 from __future__ import annotations
@@ -161,8 +158,9 @@ class SpecularTracer:
     ``counters`` accumulates over every :meth:`trace` call: per family (LoS,
     R, RR, D, RD, DR and the rooftop path K) the candidates generated, the
     candidates left clear and the paths kept, and per occlusion round the
-    segments tested.  A K candidate is a rooftop path attempted; it is clear
-    when :func:`trace_rooftop` finds one.
+    segments tested.  K's ``generated`` counts the rooftop polylines built,
+    not the solves that looked for one, and each is clear, so its
+    ``generated`` equals its ``clear``.
     """
 
     def __init__(self, scene: Scene, carrier: CarrierConfig):
@@ -192,14 +190,11 @@ class SpecularTracer:
         np.fill_diagonal(feasible, False)
         self._pair_i, self._pair_j = np.nonzero(feasible)
         # the interaction record of each facade and wedge table row, by kind
+        facades = list(zip(sc.fac_object.tolist(), sc.fac_element.tolist()))
+        wedges = list(zip(sc.wedge_object.tolist(), sc.wedge_element.tolist()))
         self._records = {
-            REFLECTION: [
-                Interaction(REFLECTION, int(o), int(e)) for o, e in zip(sc.fac_object, sc.fac_element)
-            ],
-            EDGE_DIFFRACTION: [
-                Interaction(EDGE_DIFFRACTION, int(o), int(e))
-                for o, e in zip(sc.wedge_object, sc.wedge_element)
-            ],
+            kind: [Interaction(kind, o, e) for o, e in rows]
+            for kind, rows in ((REFLECTION, facades), (ROOFTOP_DIFFRACTION, facades), (EDGE_DIFFRACTION, wedges))
         }
         d = sc.wedge_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
         self._w_front_of = d > EPS_GEOM  # [w, f]
@@ -343,10 +338,10 @@ class SpecularTracer:
     # the trace
     # ------------------------------------------------------------------
     def candidates(self, tx, rx, limits: TraceLimits) -> list:
-        """The candidate families of one solve, LoS first: one (vertices
-        (K, n, 3), (kinds, hosts)) pair per family, without the candidates
-        that have a degenerate segment.  ``tx`` and ``rx`` are checked float
-        arrays."""
+        """The lateral candidate families of one solve, LoS first: one
+        (vertices (K, n, 3), (kinds, hosts)) pair per family, without the
+        candidates that have a degenerate segment.  ``tx`` and ``rx`` are
+        checked float arrays."""
         self._prepare_tx_tables(tx)
         sc = self.scene
         rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
@@ -377,7 +372,7 @@ class SpecularTracer:
         sc = self.scene
         families = self.candidates(tx, rx, limits)
         query = _CountedQuery(sc)
-        clear = _clear_masks(query, families)
+        families, clear = _with_rooftop(sc, tx, rx, limits, families, _clear_masks(query, families))
 
         counts = self.counters["families"]
         for (verts, (kinds, _)), ok in zip(families, clear):
@@ -406,17 +401,6 @@ class SpecularTracer:
                 [0.0] * n,
             )
 
-        los_clear = bool(clear[0].any())
-        if limits.rooftop and not los_clear:
-            count = counts[ROOFTOP_DIFFRACTION]
-            count["generated"] += 1
-            roof = trace_rooftop(sc, tx, rx, self.carrier)
-            if roof is not None:
-                count["clear"] += 1
-                if _above_floor(roof.transfer[None], limits.power_floor_db)[0]:
-                    count["kept"] += 1
-                    paths.append(roof)
-
         paths.sort(key=lambda p: (len(p.interactions), p.signature))
         return paths
 
@@ -438,10 +422,11 @@ def _drop_degenerate(verts: np.ndarray, hosts: tuple):
 
 
 def _family_name(kinds: tuple) -> str:
-    return "".join(kinds) or "LoS"
+    """A family's counter name; a rooftop path is K whatever its edge count."""
+    return ROOFTOP_DIFFRACTION if ROOFTOP_DIFFRACTION in kinds else "".join(kinds) or "LoS"
 
 
-#: the path families a solve counts, in candidate order, then the rooftop path
+#: the path families a solve counts, in family order
 FAMILIES = ("LoS", "R", "RR", "D", "RD", "DR", ROOFTOP_DIFFRACTION)
 
 
@@ -510,15 +495,27 @@ def _above_floor(transfers: np.ndarray, floor_db: float) -> np.ndarray:
         return (power > 0.0) & (10.0 * np.log10(power) >= -floor_db)
 
 
-def trace_rooftop(
-    scene: Scene, tx: np.ndarray, rx: np.ndarray, carrier: CarrierConfig
-) -> RayPath | None:
-    """Over-the-rooftops knife-edge path for a blocked direct ray, or None.
+def _with_rooftop(scene: Scene, tx, rx, limits: TraceLimits, families: list, clear: list):
+    """``families`` and their clear masks, and the rooftop family as clear
+    when ``limits.rooftop`` is set and round 0 found the direct ray blocked,
+    the rooftop path's one occlusion test (see :func:`trace_rooftop`)."""
+    if not limits.rooftop or clear[0].any():
+        return families, clear
+    roof = trace_rooftop(scene, tx, rx)
+    return families + [roof], clear + [np.ones(len(roof[0]), dtype=bool)]
+
+
+#: the rooftop family without a candidate
+_NO_ROOFTOP = (np.zeros((0, 3, 3)), ((ROOFTOP_DIFFRACTION,), [np.zeros(0, dtype=np.intp)]))
+
+
+def trace_rooftop(scene: Scene, tx: np.ndarray, rx: np.ndarray) -> tuple:
+    """The over-the-rooftops knife-edge family of a blocked direct ray,
+    (vertices (k, n, 3), (kinds, hosts)) with k = 1, or k = 0 without one.
 
     Every roofline the vertical plane of propagation crosses contributes one
-    knife edge at the station where the ground track enters or leaves the
-    footprint; the path follows the apex polyline and composes the per-edge
-    losses with neighbor-vertex geometry.  The caller,
+    knife edge, hosted by its facade, where the ground track enters or
+    leaves the footprint: the Epstein-Peterson apex chain.  The caller,
     :meth:`SpecularTracer.trace`, has found the direct ray ``tx -> rx``
     blocked and has checked ``tx`` and ``rx``: distinct float arrays, outside
     every building, at or above the ground.  With both endpoints at or above
@@ -527,7 +524,7 @@ def trace_rooftop(
     seg = rx - tx
     horiz = float(np.linalg.norm(seg[:2]))
     if horiz < EPS_GEOM:
-        return None  # vertical link: no ground track to cross rooflines
+        return _NO_ROOFTOP  # vertical link: no ground track to cross rooflines
 
     # facades are vertical, so t along tx -> rx is also t along the ground track
     n = scene.n_facades
@@ -536,32 +533,30 @@ def trace_rooftop(
     ok = (t > tmin) & (t < 1.0 - tmin)
     # half-open span so a crossing at a shared footprint corner counts once
     ok &= (s >= -1e-12) & (s < scene.fac_len - 1e-12)
-    idx = np.nonzero(ok)[0]
-    if not len(idx):
-        return None
+    f = np.nonzero(ok)[0]
     # at a wall two buildings share, the track leaves one footprint where it
     # enters the next, at the same t: the exit (outward normal along the
     # track) comes first, so the apex chain steps from one roof to the next
-    leaving = scene.fac_normal @ seg > 0.0
-    order = sorted(
-        idx, key=lambda f: (t[f], not leaving[f], int(scene.fac_object[f]), int(scene.fac_element[f]))
+    leaving = (scene.fac_normal @ seg > 0.0)[f]
+    f = f[np.lexsort((scene.fac_element[f], scene.fac_object[f], ~leaving, t[f]))]
+    verts = np.concatenate(
+        [tx[None], np.column_stack([tx[0] + t[f] * seg[0], tx[1] + t[f] * seg[1], scene.fac_height[f]])]
     )
 
-    verts = [tx]
-    hosts = []
-    for f in order:
-        apex = np.array([tx[0] + t[f] * seg[0], tx[1] + t[f] * seg[1], scene.fac_height[f]])
-        if np.linalg.norm(apex - verts[-1]) < EPS_GEOM:
-            continue
-        verts.append(apex)
-        hosts.append(f)
-    if not hosts or np.linalg.norm(rx - verts[-1]) < EPS_GEOM:
-        return None
-    verts.append(rx)
-    vert_arr = np.array(verts)
-    kinds = (ROOFTOP_DIFFRACTION,) * len(hosts)
-    transfer = compose_path_matrix(vert_arr[None], kinds, [np.array([f]) for f in hosts], scene, carrier)
-    inters = tuple(
-        Interaction(ROOFTOP_DIFFRACTION, int(scene.fac_object[f]), int(scene.fac_element[f])) for f in hosts
-    )
-    return RayPath.from_polyline(inters, vert_arr, transfer[0])
+    # an apex within EPS_GEOM of the last vertex kept before it is dropped;
+    # as that vertex depends on the mask, the mask is iterated from keeping
+    # all: pass p settles the first p apexes, and a pass that changes nothing
+    # ends it (the first, when no two consecutive apexes coincide).  vecdot
+    # gives each row the bits np.linalg.norm gives a single vector
+    index = np.arange(len(verts))
+    keep = np.ones(len(verts), dtype=bool)
+    while True:
+        gap = verts[1:] - verts[np.maximum.accumulate(np.where(keep, index, 0))[:-1]]
+        again = np.concatenate([[True], np.sqrt(np.vecdot(gap, gap)) >= EPS_GEOM])
+        if (again == keep).all():
+            break
+        keep = again
+    verts, f = verts[keep], f[keep[1:]]
+    if not len(f) or np.linalg.norm(rx - verts[-1]) < EPS_GEOM:
+        return _NO_ROOFTOP
+    return np.concatenate([verts, rx[None]])[None], ((ROOFTOP_DIFFRACTION,) * len(f), list(f[:, None]))

@@ -144,6 +144,8 @@ def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
             assert all(isinstance(v, int) for v in c.values()), name
             assert c["generated"] >= c["clear"] >= c["kept"] >= 0, name
         assert families["LoS"]["generated"] == solves, command
+        # K counts the rooftop polylines built, and each is clear
+        assert families["K"]["generated"] == families["K"]["clear"], command
         # at most three occlusion rounds, each testing fewer segments
         rounds = counters["occlusion_segments"]
         assert 1 <= len(rounds) <= 3 and all(isinstance(n, int) for n in rounds)
@@ -721,9 +723,9 @@ def test_bench_outputs(tmp_path):
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
     # the candidate, occlusion and composition stages time the candidates,
-    # the rounds and the kept candidates of the trace stage's five solves,
-    # the rooftop stage the rooftop path at its five receivers; the
-    # transmitter tables are built once
+    # the rounds and the kept candidates (the rooftop family's included) of
+    # the trace stage's five solves, the rooftop stage the rooftop family's
+    # generator at its five receivers; the transmitter tables are built once
     for stage in ("specular_trace", "candidate_solve", "occlusion_solve", "compose_solve", "rooftop_solve"):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}
     assert {r["units"] for r in rows if r["stage"] == "tx_tables"} == {"1"}

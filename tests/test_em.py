@@ -45,7 +45,8 @@ from railchan.rays import (
     polyline_lengths,
 )
 from railchan.scene import Building, Material, PEC, Scene
-from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
+from railchan.specular import SpecularTracer, TraceLimits, _clear_masks
+from rooftop_oracle import oracle_rooftop_path
 from test_specular import SMALL_SCENES, small_solves
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
@@ -716,7 +717,7 @@ def oracle_trace(tracer, tx, rx, limits):
             if _oracle_above_floor(transfer, limits.power_floor_db):
                 paths.append(RayPath.from_polyline(inters, verts[k].copy(), transfer))
     if limits.rooftop and not clear[0].any():
-        roof = trace_rooftop(scene, tx, rx, carrier)
+        roof = oracle_rooftop_path(scene, tx, rx, carrier)
         if roof is not None:
             transfer = oracle_compose_path_matrix(roof.vertices, roof.interactions, scene, carrier)
             if _oracle_above_floor(transfer, limits.power_floor_db):
@@ -987,7 +988,7 @@ class TestRooftopVertexAxis:
         cfg, scene, carrier = preset
         traj = cfg.trajectory()
         tx = np.asarray(cfg.tx_position, dtype=float)
-        paths = [trace_rooftop(scene, tx, traj.position(i * cfg.update_step_s), carrier) for i in range(201)]
+        paths = [oracle_rooftop_path(scene, tx, traj.position(i * cfg.update_step_s), carrier) for i in range(201)]
         assert all(p is not None for p in paths)
         for p in paths:
             assert p.transfer.tobytes() == per_vertex_rooftop_walk(p.vertices[None], carrier)[0].tobytes()

@@ -30,7 +30,9 @@ from railchan.scene import (
     SceneError,
     load_scene,
 )
-from railchan.specular import SpecularTracer, _facade_crossing, trace_rooftop
+from railchan.specular import SpecularTracer, _facade_crossing
+from rooftop_oracle import oracle_rooftop_path, traced_rooftop_path
+from test_specular import assert_same_paths
 
 #: The object id under which ``oracle_crossings`` reports the ground.
 GROUND = -1
@@ -676,7 +678,8 @@ class TestPlacementRules:
         scene = Scene(buildings=ROTATED_SCENES["box"])
         fp = scene.buildings[0].footprint
         tx, rx = np.array([-20.0, -3.0, 4.0]), np.array([18.0, 5.0, 2.0])
-        path = trace_rooftop(scene, tx, rx, CarrierConfig(1.9e9))
+        path = traced_rooftop_path(scene, tx, rx, CarrierConfig(1.9e9))
+        assert_same_paths([path], [oracle_rooftop_path(scene, tx, rx, CarrierConfig(1.9e9))])
         # the roofline crossings of the ground track, solved edge by edge
         want = []
         for i in range(len(fp)):

@@ -18,6 +18,7 @@ from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diff
 from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
 from railchan.scene import EPS_GEOM, Building, Material, Scene
 from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
+from rooftop_oracle import oracle_rooftop_path, rooftop_paths, traced_rooftop_path
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
 NO_DIFFRACTION = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
@@ -296,6 +297,15 @@ class TestMixedOrders:
             assert n_r + n_d <= 2
 
 
+def box(bid, x0, y0, x1, y1, height):
+    return Building(id=bid, footprint=np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float), height=height)
+
+
+#: two boxes sharing the wall x = 0: building 1 (10 m) east, building 2 west
+SHARED_WALL = [box(1, 0.0, -10.0, 10.0, 10.0, 10.0), box(2, -10.0, -10.0, 0.0, 10.0, 15.0)]
+SHARED_WALL_LEVEL = [box(1, 0.0, -10.0, 10.0, 10.0, 10.0), box(2, -10.0, -10.0, 0.0, 10.0, 10.0)]
+
+
 class TestRooftop:
     def setup_method(self):
         self.box = Building(id=7, footprint=np.array([[-5.0, -10.0], [5.0, -10.0], [5.0, 10.0], [-5.0, 10.0]]), height=15.0)
@@ -304,7 +314,7 @@ class TestRooftop:
         scene = Scene(buildings=[self.box])
         tx = np.array([-60.0, 0.0, 10.0])
         rx = np.array([50.0, 0.0, 5.0])
-        path = trace_rooftop(scene, tx, rx, F19)
+        path = traced_rooftop_path(scene, tx, rx, F19)
         assert path is not None
         recs = path.interactions
         assert len(recs) == 2
@@ -330,7 +340,7 @@ class TestRooftop:
         scene = Scene(buildings=[self.box, box2])
         tx = np.array([-60.0, 0.0, 10.0])
         rx = np.array([70.0, 0.0, 5.0])
-        path = trace_rooftop(scene, tx, rx, F19)
+        path = traced_rooftop_path(scene, tx, rx, F19)
         assert path is not None
         assert len(path.interactions) == 4
         # hand-computed per-edge loss: product of knife-edge factors with
@@ -351,21 +361,49 @@ class TestRooftop:
         assert abs(path.transfer[0, 0]) == pytest.approx(want_vv, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "x0, x1, heights, want",
+        "buildings, x0, x1, want, apexes",
         [
-            (-30.0, 30.0, [15.0, 15.0, 10.0, 10.0], "K(2:3)|K(2:1)|K(1:3)|K(1:1)"),
-            (30.0, -30.0, [10.0, 10.0, 15.0, 15.0], "K(1:1)|K(1:3)|K(2:1)|K(2:3)"),
+            # buildings 2 (15 m) and 1 (10 m) share the wall x = 0, where the
+            # track's exit from one footprint and entry into the other tie in
+            # t; the exit comes first, so the chain never zig-zags between roofs
+            (SHARED_WALL, [-30.0, 0.0, 5.0], [30.0, 0.0, 5.0], "K(2:3)|K(2:1)|K(1:3)|K(1:1)",
+             [[-10.0, 0.0, 15.0], [0.0, 0.0, 15.0], [0.0, 0.0, 10.0], [10.0, 0.0, 10.0]]),
+            (SHARED_WALL, [30.0, 0.0, 5.0], [-30.0, 0.0, 5.0], "K(1:1)|K(1:3)|K(2:1)|K(2:3)",
+             [[10.0, 0.0, 10.0], [0.0, 0.0, 10.0], [0.0, 0.0, 15.0], [-10.0, 0.0, 15.0]]),
+            # at equal heights the entry apex on the shared wall coincides
+            # with the exit apex before it and is dropped
+            (SHARED_WALL_LEVEL, [-30.0, 0.0, 5.0], [30.0, 0.0, 5.0], "K(2:3)|K(2:1)|K(1:1)",
+             [[-10.0, 0.0, 10.0], [0.0, 0.0, 10.0], [10.0, 0.0, 10.0]]),
+            # a drop is decided against the last apex kept, not the apex
+            # before it: behind the shared wall x = 0 the track enters a
+            # 0.6 um wall (dropped) and leaves it 1.2 um from the wall (kept)
+            ([box(1, -5.0, -10.0, 0.0, 10.0, 10.0), box(2, 6e-7, -10.0, 1.2e-6, 10.0, 10.0)],
+             [-20.0, 0.0, 5.0], [20.0, 0.0, 5.0], "K(1:3)|K(1:1)|K(2:1)",
+             [[-5.0, 0.0, 10.0], [0.0, 0.0, 10.0], [1.2e-6, 0.0, 10.0]]),
+            # a track through two footprint corners crosses each once, on the
+            # facade whose half-open span starts there
+            ([box(1, 0.0, 0.0, 10.0, 10.0, 10.0)], [-10.0, -10.0, 5.0], [20.0, 20.0, 5.0], "K(1:0)|K(1:2)",
+             [[0.0, 0.0, 10.0], [10.0, 10.0, 10.0]]),
+            # a vertical link has no ground track to cross a roofline
+            (SHARED_WALL, [-30.0, 0.0, 5.0], [-30.0, 0.0, 25.0], None, None),
         ],
-        ids=["tall_to_low", "low_to_tall"],
+        ids=["tall_to_low", "low_to_tall", "level_roofs", "micron_wall", "through_corners", "vertical_link"],
     )
-    def test_shared_wall_steps_from_roof_to_roof(self, x0, x1, heights, want):
-        # buildings 2 (15 m) and 1 (10 m) share the wall x = 0, where the
-        # track's exit from one footprint and entry into the other tie in t;
-        # the exit comes first, so the chain never zig-zags between roofs
-        scene = Scene(buildings=[box(1, 0.0, -10.0, 10.0, 10.0, 10.0), box(2, -10.0, -10.0, 0.0, 10.0, 15.0)])
-        path = trace_rooftop(scene, np.array([x0, 0.0, 5.0]), np.array([x1, 0.0, 5.0]), F19)
+    def test_shared_wall_steps_from_roof_to_roof(self, buildings, x0, x1, want, apexes):
+        scene = Scene(buildings=buildings)
+        tx, rx = np.array(x0), np.array(x1)
+        verts, (kinds, hosts) = trace_rooftop(scene, tx, rx)
+        assert len(verts) == (want is not None)
+        assert all(len(h) == len(verts) for h in hosts)
+        if want is None:
+            assert oracle_rooftop_path(scene, tx, rx, F19) is None
+            assert not rooftop_paths(trace(scene, tx, rx, TraceLimits()))
+            return
+        assert kinds == (ROOFTOP_DIFFRACTION,) * len(apexes)
+        np.testing.assert_allclose(verts[0, 1:-1], apexes, rtol=0, atol=1e-12)
+        path = traced_rooftop_path(scene, tx, rx, F19)
         assert path.signature == want
-        assert list(path.vertices[1:-1, 2]) == heights
+        assert_same_paths([path], [oracle_rooftop_path(scene, tx, rx, F19)])
 
     def test_rooftop_included_by_trace_when_blocked(self):
         scene = Scene(buildings=[self.box])
@@ -377,6 +415,21 @@ class TestRooftop:
         assert any(s.startswith("K(") for s in sigs)
         off = trace(scene, tx, rx, TraceLimits(max_reflections=0, max_vertical_diffractions=0, rooftop=False))
         assert not any(p.signature.startswith("K(") for p in off)
+
+    def test_trace_equals_oracle_on_preset_t0_to_2s(self):
+        # every solve of the preset at t = 0-2 s has its direct ray blocked
+        # and keeps one rooftop path, equal to the one-path oracle's
+        cfg = load_preset()
+        scene, carrier = cfg.load_scene(), CarrierConfig(cfg.carrier_hz)
+        tracer = SpecularTracer(scene, carrier)
+        traj = cfg.trajectory()
+        tx = np.asarray(cfg.tx_position, dtype=float)
+        for i in range(201):
+            rx = traj.position(i * cfg.update_step_s)
+            path = traced_rooftop_path(scene, tx, rx, carrier, tracer, cfg.limits)
+            assert_same_paths([path], [oracle_rooftop_path(scene, tx, rx, carrier)])
+        counts = tracer.counters["families"][ROOFTOP_DIFFRACTION]
+        assert counts == {"generated": 201, "clear": 201, "kept": 201}
 
 
 class TestDuplicateGeometry:
@@ -609,10 +662,6 @@ class UntabledTracer(SpecularTracer):
             specular._polylines(tx, [e_pts[ok], x2[ok]], rx),
             ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]),
         )
-
-
-def box(bid, x0, y0, x1, y1, height):
-    return Building(id=bid, footprint=np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float), height=height)
 
 
 # a small street grid: a shared wall (buildings 2 and 3), an L-shaped block
