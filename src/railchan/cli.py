@@ -42,7 +42,7 @@ from .dynamics import (
     stream_snapshots,
     whole_steps,
 )
-from .em import CarrierConfig, compose_path_matrix
+from .em import CarrierConfig
 from .metrics import (
     compare_streams,
     metric_series,
@@ -52,7 +52,7 @@ from .metrics import (
 from .rays import SCATTERING, TAG_SCATTER
 from .scatter import ScatterEngine, _inside_bounding_cylinder
 from .scene import EPS_GEOM, SceneError, load_scene_file
-from .specular import SpecularTracer, _clear_masks, _unique_clear, _with_rooftop, trace_rooftop
+from .specular import SOLVE_STAGES, SpecularTracer
 from .traceio import (
     file_sha256,
     write_bench_csv,
@@ -213,44 +213,31 @@ def _check_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: flo
     _check_antennas(cfg, scene, traj, sched.seconds(sched.keyframes), sched.seconds(scattered))
 
 
-def _base_manifest(command: str, cfg: ScenarioConfig) -> dict:
+def _stream_manifest(command: str, cfg: ScenarioConfig, result, wall: float, out: Path, names, **fields) -> dict:
+    """What a stream command reports: the command, the package version, the
+    scenario echo, the scene's digest and the seed; the command's own
+    ``fields``; the stream's deterministic ``counters`` apart from the
+    ``timings_s`` of its layers and of the whole stream (``wall`` seconds);
+    the process's peak RSS; and the digests of the output files ``names``."""
     return {
         "command": command,
         "package_version": __version__,
         "config": cfg.echo(),
         "scene_sha256": file_sha256(cfg.scene_path),
         "seed": cfg.seed,
+        "n_snapshots": len(result.snapshots),
+        "rt_invocations": result.rt_invocations,
+        **fields,
+        "counters": result.counters,
+        "timings_s": {
+            "keyframe": result.keyframe_seconds,
+            "interpolation": result.interpolation_seconds,
+            "scatter": result.scatter_seconds,
+            "total": wall,
+        },
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        "outputs": {name: file_sha256(out / name) for name in names},
     }
-
-
-def _digests(out: Path, names) -> dict:
-    return {name: file_sha256(out / name) for name in names}
-
-
-def _stream_manifest(command: str, cfg: ScenarioConfig, result, wall: float, out: Path, names, **fields) -> dict:
-    """:func:`_base_manifest` plus what a stream command reports: the
-    command's own ``fields``, the stream's deterministic ``counters`` apart
-    from the ``timings_s`` of its layers and of the whole stream (``wall``
-    seconds), the process's peak RSS, and the digests of the output files
-    ``names``."""
-    manifest = _base_manifest(command, cfg)
-    manifest.update(
-        {
-            "n_snapshots": len(result.snapshots),
-            "rt_invocations": result.rt_invocations,
-            **fields,
-            "counters": result.counters,
-            "timings_s": {
-                "keyframe": result.keyframe_seconds,
-                "interpolation": result.interpolation_seconds,
-                "scatter": result.scatter_seconds,
-                "total": wall,
-            },
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
-            "outputs": _digests(out, names),
-        }
-    )
-    return manifest
 
 
 def _run_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: float, start_step: int = 0):
@@ -340,17 +327,16 @@ def cmd_sweep(args) -> int:
     write_nrmse_csv(out / "nrmse.csv", rows)
     write_timing_csv(out / "timing.csv", timing)
     write_error_cdf_csv(out / "error_cdf.csv", rows)
-    manifest = _base_manifest("sweep", cfg)
-    manifest.update(
-        {
-            "intervals_s": list(cfg.sweep_intervals_s),
-            "reference_rt_invocations": reference.rt_invocations,
-            "reference_seconds": ref_wall,
-            "nrmse_vv_by_interval": {
-                "%g" % interval: report.metrics["power_vv"].nrmse for interval, report in rows
-            },
-            "outputs": _digests(out, ["nrmse.csv", "timing.csv", "error_cdf.csv"]),
-        }
+    # the stream blocks report the reference stream
+    manifest = _stream_manifest(
+        "sweep",
+        cfg,
+        reference,
+        ref_wall,
+        out,
+        ["nrmse.csv", "timing.csv", "error_cdf.csv"],
+        intervals_s=list(cfg.sweep_intervals_s),
+        nrmse_vv_by_interval={"%g" % interval: report.metrics["power_vv"].nrmse for interval, report in rows},
     )
     write_manifest(out / "manifest.json", manifest)
     print(f"outputs in {out}")
@@ -517,37 +503,30 @@ def cmd_bench(args) -> int:
             }
         )
 
-    def timed(stage: str, units: int, work):
-        """One ``stage`` row per repeat, timing ``work()``; its last result."""
+    def timed(stage: str, units: int, work) -> None:
+        """One ``stage`` row per repeat, timing ``work()``."""
         for rep in range(args.repeats):
             t0 = time.perf_counter()
-            result = work()
+            work()
             add_row(stage, rep, units, time.perf_counter() - t0)
-        return result
 
     add_row("scene_load", 0, 1, el)
 
     rx_list = [traj.position(t) for t in rx_times]
-    tx = np.asarray(cfg.tx_position, dtype=float)
-    # what the transmitter alone decides, built once per stream at its first
-    # solve, timed on fresh tracers
-    fresh = iter([SpecularTracer(scene, carrier) for _ in range(args.repeats)])
-    timed("tx_tables", 1, lambda: next(fresh)._prepare_tx_tables(tx))
-    tracer = SpecularTracer(scene, carrier)
-    tracer.trace(tx, rx_list[0], cfg.limits)  # warm the tables
-    timed("specular_trace", len(rx_list), lambda: [tracer.trace(tx, r, cfg.limits) for r in rx_list])
-    solves = timed("candidate_solve", len(rx_list), lambda: [tracer.candidates(tx, r, cfg.limits) for r in rx_list])
-    clear = timed("occlusion_solve", len(solves), lambda: [_clear_masks(scene, f) for f in solves])
-    # the clear, distinct candidates of every family of the five solves, K included
-    full = [_with_rooftop(scene, tx, r, cfg.limits, f, c) for r, f, c in zip(rx_list, solves, clear)]
-    kept = [family for f, c in full for family in _unique_clear(f, c)]
-    timed(
-        "compose_solve",
-        len(solves),
-        lambda: [compose_path_matrix(verts, kinds, hosts, scene, carrier) for verts, (kinds, hosts) in kept],
-    )
-    # the rooftop family's generator alone at the same five receivers
-    timed("rooftop_solve", len(rx_list), lambda: [trace_rooftop(scene, tx, r) for r in rx_list])
+    for rep in range(args.repeats):
+        # a fresh tracer builds what the transmitter alone decides at its
+        # first solve, once per stream; the solve's stages are the tracer's
+        # own timers over the five timed solves
+        tracer = SpecularTracer(scene, carrier)
+        tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)
+        add_row("tx_tables", rep, 1, tracer.timings["tx_tables"])
+        before = dict(tracer.timings)
+        t0 = time.perf_counter()
+        for r in rx_list:
+            tracer.trace(cfg.tx_position, r, cfg.limits)
+        add_row("specular_trace", rep, len(rx_list), time.perf_counter() - t0)
+        for stage in SOLVE_STAGES:
+            add_row(f"{stage}_solve", rep, len(rx_list), tracer.timings[stage] - before[stage])
 
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier)

@@ -41,6 +41,7 @@ decides every segment.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,10 @@ class SpecularTracer:
     segments tested.  K's ``generated`` counts the rooftop polylines built,
     not the solves that looked for one, and each is clear, so its
     ``generated`` equals its ``clear``.
+
+    ``timings`` accumulates the seconds, not deterministic, that the solves
+    spent in each stage of :data:`SOLVE_STAGES`, and under ``tx_tables`` in
+    building the transmitter tables, a part of ``candidate``.
     """
 
     def __init__(self, scene: Scene, carrier: CarrierConfig):
@@ -172,6 +177,7 @@ class SpecularTracer:
             "families": {name: {"generated": 0, "clear": 0, "kept": 0} for name in FAMILIES},
             "occlusion_segments": [],
         }
+        self.timings = dict.fromkeys(("tx_tables", *SOLVE_STAGES), 0.0)
 
     # ------------------------------------------------------------------
     # static tables
@@ -208,6 +214,7 @@ class SpecularTracer:
         key = tx.tobytes()
         if self._tx_key == key:
             return
+        t0 = time.perf_counter()
         sc = self.scene
         d = sc.fac_normal @ tx - sc.fac_offset
         self._tx_front = d > EPS_GEOM
@@ -261,6 +268,7 @@ class SpecularTracer:
         rd_keep = ~covered[nw:]
         self._rd_w, self._rd_f, self._rd_src = rd_w[rd_keep], rd_f[rd_keep], src[rd_keep]
         self._tx_key = key
+        self.timings["tx_tables"] += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # families: each returns (vertices (K, n, 3), (kinds, hosts)), where
@@ -370,9 +378,18 @@ class SpecularTracer:
             if self.scene.contains_point(p):
                 raise ValueError(f"{name} lies inside a building")
         sc = self.scene
+        marks = [time.perf_counter()]
         families = self.candidates(tx, rx, limits)
+        marks.append(time.perf_counter())
         query = _CountedQuery(sc)
-        families, clear = _with_rooftop(sc, tx, rx, limits, families, _clear_masks(query, families))
+        clear = _clear_masks(query, families)
+        marks.append(time.perf_counter())
+        # the rooftop family, clear on round 0's blocked direct ray alone
+        if limits.rooftop and not clear[0].any():
+            roof = trace_rooftop(sc, tx, rx)
+            families.append(roof)
+            clear.append(np.ones(len(roof[0]), dtype=bool))
+        marks.append(time.perf_counter())
 
         counts = self.counters["families"]
         for (verts, (kinds, _)), ok in zip(families, clear):
@@ -402,6 +419,9 @@ class SpecularTracer:
             )
 
         paths.sort(key=lambda p: (len(p.interactions), p.signature))
+        marks.append(time.perf_counter())
+        for stage, start, stop in zip(SOLVE_STAGES, marks, marks[1:]):
+            self.timings[stage] += stop - start
         return paths
 
 
@@ -428,6 +448,10 @@ def _family_name(kinds: tuple) -> str:
 
 #: the path families a solve counts, in family order
 FAMILIES = ("LoS", "R", "RR", "D", "RD", "DR", ROOFTOP_DIFFRACTION)
+
+#: the stages of a solve, in order, that ``SpecularTracer.timings`` times;
+#: ``compose`` runs from the distinct clear candidates to the sorted paths
+SOLVE_STAGES = ("candidate", "occlusion", "rooftop", "compose")
 
 
 def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
@@ -493,16 +517,6 @@ def _above_floor(transfers: np.ndarray, floor_db: float) -> np.ndarray:
     power = np.sum(np.abs(transfers) ** 2, axis=(1, 2))
     with np.errstate(divide="ignore"):
         return (power > 0.0) & (10.0 * np.log10(power) >= -floor_db)
-
-
-def _with_rooftop(scene: Scene, tx, rx, limits: TraceLimits, families: list, clear: list):
-    """``families`` and their clear masks, and the rooftop family as clear
-    when ``limits.rooftop`` is set and round 0 found the direct ray blocked,
-    the rooftop path's one occlusion test (see :func:`trace_rooftop`)."""
-    if not limits.rooftop or clear[0].any():
-        return families, clear
-    roof = trace_rooftop(scene, tx, rx)
-    return families + [roof], clear + [np.ones(len(roof[0]), dtype=bool)]
 
 
 #: the rooftop family without a candidate

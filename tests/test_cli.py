@@ -21,6 +21,7 @@ import pytest
 import railchan
 import railchan.cli
 import railchan.metrics
+import railchan.specular
 from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, load_preset, preset_path
 from railchan.dynamics import ChannelSnapshot
@@ -115,12 +116,14 @@ def test_run_rerun_is_byte_identical(tmp_path):
 
 
 def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
-    # run and scatter-study report their streams alike; each command runs
-    # twice
+    # run, scatter-study and sweep report their streams alike, sweep its
+    # reference stream, which solves all 41 steps; each command runs twice
     window = ["scatter-study", "--kf-interval", "0.5", "--window", "20.5:21.0"]
+    sweep = ["sweep", "--duration", "0.4", "--intervals", "0.2", "--scatter", "off"]
     commands = {
         "run": (_run_args, 5),
         "scatter-study": (lambda out: window + ["--output-dir", str(out)], 2),
+        "sweep": (lambda out: sweep + ["--output-dir", str(out)], 41),
     }
     for command, (argv, solves) in commands.items():
         manifests = []
@@ -131,9 +134,10 @@ def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
         assert a["command"] == command
         # the counters are deterministic and kept apart from the timings and
         # the peak RSS; the digested outputs repeat although the timings of
-        # the two runs differ
+        # the two runs differ, all but sweep's timing.csv, which holds them
         assert a["counters"] == b["counters"], command
-        assert a["outputs"] == b["outputs"], command
+        repeated = set(a["outputs"]) - {"timing.csv"}
+        assert {k: a["outputs"][k] for k in repeated} == {k: b["outputs"][k] for k in repeated}, command
         assert set(a["timings_s"]) == {"keyframe", "interpolation", "scatter", "total"}, command
         assert a["peak_rss_mb"] > 0.0, command
         counters = a["counters"]
@@ -722,12 +726,19 @@ def test_bench_outputs(tmp_path):
         assert len(timed) == 2
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
-    # the candidate, occlusion and composition stages time the candidates,
-    # the rounds and the kept candidates (the rooftop family's included) of
-    # the trace stage's five solves, the rooftop stage the rooftop family's
-    # generator at its five receivers; the transmitter tables are built once
-    for stage in ("specular_trace", "candidate_solve", "occlusion_solve", "compose_solve", "rooftop_solve"):
+    # the candidate, occlusion, rooftop and composition stages are the
+    # tracer's own timers over the trace stage's five solves: the lateral
+    # candidates, the occlusion rounds, the rooftop family where round 0
+    # finds the direct ray blocked, and the rest of each solve, from
+    # de-duplication through composition, the power floor and the path build
+    # to the sorted path list; they lie within the trace stage's time.  The
+    # transmitter tables are built once per repeat
+    solve_stages = ("candidate_solve", "occlusion_solve", "rooftop_solve", "compose_solve")
+    for stage in ("specular_trace", *solve_stages):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}
+    for rep in ("0", "1"):
+        seconds = {r["stage"]: float(r["seconds"]) for r in rows if r["repeat"] == rep}
+        assert sum(seconds[stage] for stage in solve_stages) <= seconds["specular_trace"]
     assert {r["units"] for r in rows if r["stage"] == "tx_tables"} == {"1"}
     # the metrics and the TV-CIR cover the bracket's 11 snapshots; the writer
     # stage times one row per path row of trace.csv
@@ -735,6 +746,17 @@ def test_bench_outputs(tmp_path):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"11"}
     n_trace_rows = len(_read_csv(out / "trace.csv"))
     assert {r["units"] for r in rows if r["stage"] == "trace_csv_row"} == {str(n_trace_rows)}
+
+
+def test_cli_holds_no_copy_of_the_solve():
+    # bench times the solve by the tracer's own timers: the CLI binds the
+    # tracer and its stage names from railchan.specular, and none of the
+    # solve's parts (its private helpers, trace_rooftop, compose_path_matrix)
+    shared = {"__builtins__", "annotations", "np", "time", "CarrierConfig", "EPS_GEOM"}
+    solve = vars(railchan.specular)
+    bound = {name for name, obj in vars(railchan.cli).items() if solve.get(name) is obj}
+    assert bound - shared == {"SpecularTracer", "SOLVE_STAGES"}
+    assert railchan.specular not in vars(railchan.cli).values()
 
 
 def test_bench_short_run(tmp_path, capsys):

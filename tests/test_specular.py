@@ -8,6 +8,7 @@ segment of every candidate, as the tracer tested them before the rounds.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
 from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
 from railchan.scene import EPS_GEOM, Building, Material, Scene
-from railchan.specular import SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
+from railchan.specular import SOLVE_STAGES, SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 from rooftop_oracle import oracle_rooftop_path, rooftop_paths, traced_rooftop_path
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
@@ -463,6 +464,30 @@ class TestDeterminism:
             assert p.signature == q.signature
             np.testing.assert_array_equal(p.vertices, q.vertices)
             np.testing.assert_array_equal(p.transfer, q.transfer)
+
+
+class TestStageTimers:
+    def test_stages_lie_within_the_solves_and_leave_the_counters_alone(self):
+        # the bench's five receivers of the 60 s preset; three see the
+        # direct ray blocked, so the rooftop stage runs its generator
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        rx_list = [cfg.trajectory().position(f * cfg.duration_s) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
+        tracer, twin = (SpecularTracer(scene, CarrierConfig(cfg.carrier_hz)) for _ in range(2))
+        t0 = time.perf_counter()
+        for rx in rx_list:
+            tracer.trace(cfg.tx_position, rx, cfg.limits)
+        wall = time.perf_counter() - t0
+        assert list(tracer.timings) == ["tx_tables", *SOLVE_STAGES]
+        assert all(v >= 0.0 for v in tracer.timings.values())
+        assert sum(tracer.timings[stage] for stage in SOLVE_STAGES) <= wall
+        # the tables were built once, inside the first solve's candidates
+        assert 0.0 < tracer.timings["tx_tables"] <= tracer.timings["candidate"]
+        assert tracer.counters["families"]["K"]["generated"] == 3
+        # the counters hold no timing: a second tracer's repeat them
+        for rx in rx_list:
+            twin.trace(cfg.tx_position, rx, cfg.limits)
+        assert tracer.counters == twin.counters
 
 
 # ----------------------------------------------------------------------
