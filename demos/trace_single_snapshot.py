@@ -30,7 +30,7 @@ rx = traj.position(T_SECONDS)
 
 tracer = SpecularTracer(scene, carrier)
 paths = tracer.trace(cfg.tx_position, rx, cfg.limits)
-paths += ScatterEngine(scene, carrier).paths(cfg.tx_position, rx)
+paths += ScatterEngine(scene, carrier).paths(cfg.tx_position, rx[None])[0]
 
 print(f"t = {T_SECONDS:.2f} s, receiver at ({rx[0]:.1f}, {rx[1]:.1f}, {rx[2]:.1f}) m")
 print(f"{len(paths)} paths\n")

@@ -30,7 +30,9 @@ zero Doppler and its transfer scaled by the ramp factor.
 :func:`stream_snapshots` walks the schedule once, bracket by bracket: it
 solves each keyframe when the walk reaches it, emits the keyframe snapshot,
 then the interior snapshots of the bracket it opens.  At most two solved
-keyframes are held at a time.
+keyframes are held at a time.  Exact scatter goes ahead of the walk in runs
+of ``SCATTER_CHUNK`` consecutive snapshot steps, whatever the brackets, so
+at most one run of echoes is held.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .em import C0, CarrierConfig
 from .rays import TAG_SPECULAR, RayPath
-from .scatter import ScatterEngine
+from .scatter import SCATTER_COUNTERS, ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
 
@@ -53,6 +55,10 @@ _T_EPS = 1e-9
 RAMP_FRACTION = 0.5
 
 SCATTER_MODES = ("off", "exact", "interpolated")
+
+#: consecutive snapshot steps whose exact echoes one scatter engine call
+#: evaluates
+SCATTER_CHUNK = 32
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +427,9 @@ class StreamResult:
     ``counters`` holds the stream's deterministic work counts, apart from
     the ``*_seconds`` timings: the specular tracer's per-family candidates
     generated, left clear and kept, the segments of each occlusion round
-    (see :class:`~railchan.specular.SpecularTracer`) and the exact solves.
+    (see :class:`~railchan.specular.SpecularTracer`), the exact solves,
+    and under ``scatter`` the scatter engine's counters (see
+    :class:`~railchan.scatter.ScatterEngine`; all 0 when no engine ran).
     """
 
     snapshots: list
@@ -458,8 +466,9 @@ def stream_snapshots(
     ``kf_interval`` resolution.
 
     ``scatter_mode``: ``"exact"`` recomputes scatterer contributions at every
-    snapshot (default), ``"interpolated"`` tracks them through keyframes like
-    specular paths, ``"off"`` drops them.
+    snapshot (default), one engine call per ``SCATTER_CHUNK`` consecutive
+    steps; ``"interpolated"`` tracks them through keyframes like specular
+    paths; ``"off"`` drops them.
 
     ``start_step`` starts the stream at snapshot index ``start_step`` (time
     ``start_step * update_step``) instead of 0, keeping the same absolute
@@ -483,12 +492,18 @@ def stream_snapshots(
     interpolation_seconds = 0.0
     scatter_seconds = 0.0
     snapshots: list[ChannelSnapshot] = []
+    # exact echoes of the chunk of steps the walk is in, by step
+    echoes: dict[int, list] = {}
 
     def emit(i, rx, v, paths, at_kf):
         nonlocal scatter_seconds
         if exact_engine is not None:
             t0 = time.perf_counter()
-            paths = paths + _with_doppler(exact_engine.paths(tx, rx), v, carrier)
+            if i not in echoes:
+                chunk = range(i, min(i + SCATTER_CHUNK, schedule.snapshots.stop))
+                rows = exact_engine.paths(tx, np.array([traj.position(j * update_step) for j in chunk]))
+                echoes.update(zip(chunk, rows))
+            paths = paths + _with_doppler(echoes.pop(i), v, carrier)
             scatter_seconds += time.perf_counter() - t0
         paths.sort(key=_path_sort_key)
         snapshots.append(
@@ -506,7 +521,7 @@ def stream_snapshots(
         rx = traj.position(t)
         paths = tracer.trace(tx, rx, limits)
         if kf_engine is not None:
-            paths = paths + kf_engine.paths(tx, rx)
+            paths = paths + kf_engine.paths(tx, rx[None])[0]
         kf_b = ChannelSnapshot(index=step, timestamp=t, rx_position=rx, paths=paths, at_keyframe=True)
         keyframe_seconds += time.perf_counter() - t0
         if kf_a is not None and schedule.stride > 1:
@@ -526,7 +541,11 @@ def stream_snapshots(
     return StreamResult(
         snapshots=snapshots,
         rt_invocations=len(schedule.keyframes),
-        counters={**tracer.counters, "exact_solves": len(schedule.keyframes)},
+        counters={
+            **tracer.counters,
+            "exact_solves": len(schedule.keyframes),
+            "scatter": dict(engine.counters) if engine is not None else dict.fromkeys(SCATTER_COUNTERS, 0),
+        },
         keyframe_seconds=keyframe_seconds,
         interpolation_seconds=interpolation_seconds,
         scatter_seconds=scatter_seconds,

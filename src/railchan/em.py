@@ -77,18 +77,28 @@ def spherical_basis(directions) -> tuple[np.ndarray, np.ndarray]:
     equals the direction.  At the poles the azimuth is taken as 0.
     """
     d = np.asarray(directions, dtype=float)
-    rho = np.hypot(d[..., 0], d[..., 1])
-    safe = rho > 1e-12
-    inv = np.where(safe, rho, 1.0)
-    cos_phi = np.where(safe, d[..., 0] / inv, 1.0)
-    sin_phi = np.where(safe, d[..., 1] / inv, 0.0)
-    cos_theta = d[..., 2]
-    theta_hat = np.stack([cos_theta * cos_phi, cos_theta * sin_phi, -rho], axis=-1)
-    phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(rho)], axis=-1)
-    pole = ~safe
-    if np.any(pole):
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    rho = np.hypot(x, y)
+    pole = ~(rho > 1e-12)
+    theta_hat = np.empty(d.shape)
+    phi_hat = np.empty(d.shape)
+    cos_phi, sin_phi = phi_hat[..., 1], phi_hat[..., 0]
+    any_pole = np.any(pole)
+    if any_pole:
+        inv = np.where(pole, 1.0, rho)
+        cos_phi[...] = np.where(pole, 1.0, x / inv)
+        sin_phi[...] = np.where(pole, 0.0, y / inv)
+    else:
+        np.divide(x, rho, out=cos_phi)
+        np.divide(y, rho, out=sin_phi)
+    np.multiply(z, cos_phi, out=theta_hat[..., 0])
+    np.multiply(z, sin_phi, out=theta_hat[..., 1])
+    np.negative(rho, out=theta_hat[..., 2])
+    np.negative(sin_phi, out=sin_phi)
+    phi_hat[..., 2] = 0.0
+    if any_pole:
         theta_hat[pole] = 0.0
-        theta_hat[pole, 0] = np.sign(d[pole, 2])
+        theta_hat[pole, 0] = np.sign(z[pole])
         phi_hat[pole] = (0.0, 1.0, 0.0)
     return theta_hat, phi_hat
 

@@ -10,9 +10,11 @@ antennas to its reference point are clear; the path's delay follows the
 polyline through that point.  The facet sum's polarization bases come from
 ``em.spherical_basis``, the path composer's own.
 
-:class:`ScatterEngine` tests the direct legs of an antenna in one occlusion
-query and keeps the transmitter's incident facet terms while it stays put.
-The closed-form RCS oracles call :func:`po_scattered_matrix` directly.
+:class:`ScatterEngine` cuts each mesh to the facets its transmitter lights,
+once per transmitter, and takes many receivers per call: one occlusion query
+for all their direct legs, then one facet pass per mesh over the receivers,
+split under ``FACET_ROW_BUDGET``.  The closed-form RCS oracles call
+:func:`po_scattered_matrix`, the one-receiver case of the same pass.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import CarrierConfig, spherical_basis
-from .rays import SCATTERING, TAG_SCATTER, Interaction, RayPath
+from .rays import SCATTERING, TAG_SCATTER, Interaction, RayPath, polyline_lengths
 from .scene import EPS_GEOM, CylinderScatterer, Scene
 
 
@@ -128,14 +130,30 @@ def mesh_plate(
 # ----------------------------------------------------------------------
 # the facet sum
 # ----------------------------------------------------------------------
-@dataclass
-class _IncidentTerms:
-    """Source-side facet quantities, reusable while the source stays put.
+#: receiver-by-facet rows one pass of the facet sum handles at most, so that
+#: each (rows, 3) temporary of a pass stays near 150 kB
+FACET_ROW_BUDGET = 6144
 
-    ``phase_over_r`` is exp(-jk r_i)/r_i; ``mv``/``mh`` are the incident
-    (V, H) basis vectors after the PEC mirror rule E -> 2 (n.E) n - E.
+
+@dataclass
+class _LitFacets:
+    """The facets of one mesh that a source lights (``cos_i > 0``), cut from
+    the mesh in facet order, with everything of them the facet sum needs
+    that does not depend on the observer.
+
+    ``half_kw``/``half_kh`` are 0.5 k width and 0.5 k height, ``sigma0`` is
+    4 pi (area / lambda)^2; ``phase_over_r`` is exp(-jk r_i)/r_i, and
+    ``mv``/``mh`` are the incident (V, H) basis vectors after the PEC mirror
+    rule E -> 2 (n.E) n - E.
     """
 
+    centers: np.ndarray
+    normals: np.ndarray
+    tan_u: np.ndarray
+    tan_v: np.ndarray
+    half_kw: np.ndarray
+    half_kh: np.ndarray
+    sigma0: np.ndarray
     ki: np.ndarray
     cos_i: np.ndarray
     phase_over_r: np.ndarray
@@ -143,80 +161,104 @@ class _IncidentTerms:
     mh: np.ndarray
 
 
-def _incident_terms(mesh: FacetMesh, src: np.ndarray, wavenumber: float) -> _IncidentTerms:
+def _lit_facets(mesh: FacetMesh, src: np.ndarray, carrier: CarrierConfig) -> _LitFacets:
+    k = carrier.wavenumber
     vi = mesh.centers - src[None, :]
     r_i = np.linalg.norm(vi, axis=1)
     ki = vi / r_i[:, None]
     cos_i = -np.einsum("ij,ij->i", ki, mesh.normals)
-    phase_over_r = np.exp(-1j * wavenumber * r_i) / r_i
+    lit = cos_i > 0.0
+    ki, r_i, nrm = ki[lit], r_i[lit], mesh.normals[lit]
     ev_i, eh_i = spherical_basis(ki)
-    nrm = mesh.normals
-    mv = 2.0 * np.einsum("ij,ij->i", nrm, ev_i)[:, None] * nrm - ev_i
-    mh = 2.0 * np.einsum("ij,ij->i", nrm, eh_i)[:, None] * nrm - eh_i
-    return _IncidentTerms(ki=ki, cos_i=cos_i, phase_over_r=phase_over_r, mv=mv, mh=mh)
+    return _LitFacets(
+        centers=mesh.centers[lit],
+        normals=nrm,
+        tan_u=mesh.tan_u[lit],
+        tan_v=mesh.tan_v[lit],
+        half_kw=0.5 * k * mesh.width[lit],
+        half_kh=0.5 * k * mesh.height[lit],
+        sigma0=4.0 * math.pi * (mesh.area[lit] / carrier.wavelength) ** 2,
+        ki=ki,
+        cos_i=cos_i[lit],
+        phase_over_r=np.exp(-1j * k * r_i) / r_i,
+        mv=2.0 * np.einsum("ij,ij->i", nrm, ev_i)[:, None] * nrm - ev_i,
+        mh=2.0 * np.einsum("ij,ij->i", nrm, eh_i)[:, None] * nrm - eh_i,
+    )
 
 
-def _observer_terms(mesh: FacetMesh, obs: np.ndarray, cos_i: np.ndarray):
-    """(ks, r_s, cos_s, live): unit directions, distances and cosines from
-    the facets to the observer, and the mask of the facets that are lit by
-    the source (``cos_i > 0``) and visible from the observer."""
-    vs = obs[None, :] - mesh.centers
-    r_s = np.linalg.norm(vs, axis=1)
-    ks = vs / r_s[:, None]
-    cos_s = np.einsum("ij,ij->i", ks, mesh.normals)
-    return ks, r_s, cos_s, (cos_i > 0.0) & (cos_s > 0.0)
+def _live_observer_terms(lit: _LitFacets, obs: np.ndarray):
+    """(f, counts, ks, r_s, cos_s) of the live (receiver, facet) entries of
+    the (s, 3) ``obs``, those with ``cos_s > 0``, receiver by receiver in
+    facet order: their lit-facet rows ``f``, the (s,) live counts, and the
+    unit directions, distances and cosines from the facet to the receiver."""
+    n_lit = len(lit.cos_i)
+    ks = obs[:, None, :] - lit.centers[None, :, :]
+    # np.linalg.norm's sum of squares in its order, without its reduction
+    # over an axis of 3
+    r_s = np.sqrt((ks[..., 0] * ks[..., 0] + ks[..., 1] * ks[..., 1]) + ks[..., 2] * ks[..., 2])
+    ks /= r_s[..., None]
+    cos_s = np.einsum("slj,lj->sl", ks, lit.normals)
+    at = np.flatnonzero(cos_s > 0.0)
+    counts = np.bincount(at // n_lit, minlength=len(obs))
+    # (rows, 3) gathers by take, several times faster than fancy indexing
+    return at % n_lit, counts, ks.reshape(-1, 3).take(at, axis=0), r_s.ravel()[at], cos_s.ravel()[at]
 
 
-def _facet_sum(
-    mesh: FacetMesh,
-    src: np.ndarray,
-    obs: np.ndarray,
-    carrier: CarrierConfig,
-    incident: _IncidentTerms | None = None,
-) -> np.ndarray:
-    """Coherent facet sum: 2x2 transfer with per-facet spreading and phase.
-
-    Input basis: (V, H) of the per-facet incident direction; output basis:
-    (V, H) of the direction pointing from the observer back toward each
-    facet.  Polarization per facet follows the PEC mirror rule
-    E -> 2 (n.E) n - E, which is symmetric and therefore reciprocal.
-    """
+def _amplitudes(lit: _LitFacets, f, ks, r_s, cos_s, carrier: CarrierConfig) -> np.ndarray:
+    """Scalar facet amplitudes of the live entries: plate RCS pattern,
+    spreading and phase on both legs."""
     lam = carrier.wavelength
     k = carrier.wavenumber
-    if incident is None:
-        incident = _incident_terms(mesh, src, k)
-    ks, r_s, cos_s, live = _observer_terms(mesh, obs, incident.cos_i)
-    t = np.zeros((2, 2), dtype=complex)
-    if not np.any(live):
-        return t
-    ki = incident.ki[live]
-    cos_i = incident.cos_i[live]
-    pref_i = incident.phase_over_r[live]
-    mv, mh = incident.mv[live], incident.mh[live]
-    ks, r_s, cos_s = ks[live], r_s[live], cos_s[live]
-    tu, tv = mesh.tan_u[live], mesh.tan_v[live]
-    w, h, area = mesh.width[live], mesh.height[live], mesh.area[live]
-
-    diff = ki - ks
-    x_arg = 0.5 * k * w * np.einsum("ij,ij->i", diff, tu)
-    y_arg = 0.5 * k * h * np.einsum("ij,ij->i", diff, tv)
+    diff = lit.ki.take(f, axis=0)
+    diff -= ks
+    x_arg = lit.half_kw[f] * np.einsum("ij,ij->i", diff, lit.tan_u.take(f, axis=0))
+    y_arg = lit.half_kh[f] * np.einsum("ij,ij->i", diff, lit.tan_v.take(f, axis=0))
     pattern = np.sinc(x_arg / math.pi) ** 2 * np.sinc(y_arg / math.pi) ** 2
-    sigma = 4.0 * math.pi * (area / lam) ** 2 * (0.5 * (cos_i + cos_s)) ** 2 * pattern
-
-    amp = (
+    sigma = lit.sigma0[f] * (0.5 * (lit.cos_i[f] + cos_s)) ** 2 * pattern
+    return (
         (lam / (4.0 * math.pi))
         * np.sqrt(sigma / (4.0 * math.pi))
         / r_s
         * np.exp(-1j * k * r_s)
-        * pref_i
+        * lit.phase_over_r[f]
     )
 
-    bv, bh = spherical_basis(-ks)
-    t[0, 0] = np.sum(amp * np.einsum("ij,ij->i", bv, mv))
-    t[0, 1] = np.sum(amp * np.einsum("ij,ij->i", bv, mh))
-    t[1, 0] = np.sum(amp * np.einsum("ij,ij->i", bh, mv))
-    t[1, 1] = np.sum(amp * np.einsum("ij,ij->i", bh, mh))
-    return t
+
+def _facet_sums(lit: _LitFacets, receivers: np.ndarray, carrier: CarrierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Coherent facet sums at the (S, 3) ``receivers``: the (S, 2, 2)
+    transfers and the (S,) counts of live facets, those lit by the source
+    and visible from the receiver (``cos_s > 0``).
+
+    Input basis: (V, H) of the per-facet incident direction; output basis:
+    (V, H) of the direction pointing from the receiver back toward each
+    facet.  Polarization per facet follows the PEC mirror rule, which is
+    symmetric and therefore reciprocal.  Each pass takes as many receivers
+    as ``FACET_ROW_BUDGET`` allows, forms their observer terms against every
+    lit facet, gathers the live entries, and sums each receiver's own
+    contiguous run of terms, in facet order.
+    """
+    n_rx = len(receivers)
+    transfers = np.zeros((n_rx, 2, 2), dtype=complex)
+    live = np.zeros(n_rx, dtype=np.int64)
+    n_lit = len(lit.cos_i)
+    if not n_lit:
+        return transfers, live
+    per_pass = max(1, FACET_ROW_BUDGET // n_lit)
+    for s0 in range(0, n_rx, per_pass):
+        f, counts, ks, r_s, cos_s = _live_observer_terms(lit, receivers[s0 : s0 + per_pass])
+        amp = _amplitudes(lit, f, ks, r_s, cos_s, carrier)
+        bv, bh = spherical_basis(np.negative(ks, out=ks))
+        mv, mh = lit.mv.take(f, axis=0), lit.mh.take(f, axis=0)
+        terms = np.empty((4, len(f)), dtype=complex)
+        for row, (b, m) in enumerate(((bv, mv), (bv, mh), (bh, mv), (bh, mh))):
+            np.multiply(amp, np.einsum("ij,ij->i", b, m), out=terms[row])
+
+        live[s0 : s0 + len(counts)] = counts
+        stop = np.cumsum(counts).tolist()
+        for s, (a, b) in enumerate(zip([0] + stop[:-1], stop), start=s0):
+            if b > a:
+                transfers[s] = np.sum(terms[:, a:b], axis=1).reshape(2, 2)
+    return transfers, live
 
 
 def _inside_bounding_cylinder(cyl: CylinderScatterer, p: np.ndarray) -> bool:
@@ -227,67 +269,109 @@ def _inside_bounding_cylinder(cyl: CylinderScatterer, p: np.ndarray) -> bool:
     return math.hypot(rel[0], rel[1]) < cyl.radius + EPS_GEOM
 
 
-def po_scattered_matrix(
-    mesh: FacetMesh,
-    src: np.ndarray,
-    obs: np.ndarray,
-    carrier: CarrierConfig,
-    incident: _IncidentTerms | None = None,
-) -> np.ndarray:
-    """Scattered 2x2 transfer from the antenna at ``src`` to the one at ``obs``.
-
-    The coherent facet sum between the two antennas; ``incident`` optionally
-    injects precomputed source-side facet terms for ``src``.
-    """
+def po_scattered_matrix(mesh: FacetMesh, src: np.ndarray, obs: np.ndarray, carrier: CarrierConfig) -> np.ndarray:
+    """Scattered 2x2 transfer from the antenna at ``src`` to the one at
+    ``obs``: the one-receiver case of the engine's facet sum."""
+    src = np.asarray(src, dtype=float)
+    obs = np.asarray(obs, dtype=float)
     for p in (src, obs):
         if mesh.scatterer is not None and _inside_bounding_cylinder(mesh.scatterer, p):
             raise ValueError("antenna endpoint lies inside the scatterer body")
-    return _facet_sum(mesh, src, obs, carrier, incident=incident)
+    return _facet_sums(_lit_facets(mesh, src, carrier), obs[None], carrier)[0][0]
 
 
 # ----------------------------------------------------------------------
 # path enumeration
 # ----------------------------------------------------------------------
+#: the keys of :attr:`ScatterEngine.counters`
+SCATTER_COUNTERS = ("snapshots", "legs_tested", "echoes", "facet_terms")
+
+
 class ScatterEngine:
-    """Per-scene scattering helper with cached facet meshes."""
+    """Per-scene scattering helper that keeps, per scatterer, the facets its
+    transmitter lights.
+
+    ``counters`` holds its deterministic work counts: the receivers it
+    evaluated (``snapshots``), the antenna-to-reference legs it gave the
+    occlusion query (``legs_tested``), the ``echoes`` it returned and the
+    live facet terms it summed (``facet_terms``).
+    """
 
     def __init__(self, scene: Scene, carrier: CarrierConfig):
         self.scene = scene
         self.carrier = carrier
-        self.meshes = [mesh_cylinder(s, carrier) for s in scene.scatterers]
-        self._refs = np.array([m.reference_point for m in self.meshes])
+        self._refs = np.array([s.reference_point for s in scene.scatterers], dtype=float)
+        self._records = [(Interaction(kind=SCATTERING, object_id=s.id, element_id=0),) for s in scene.scatterers]
         self._tx_key: bytes | None = None
-        self._incident: list[_IncidentTerms | None] = []
+        self._lit: list[_LitFacets | None] = []
+        self.counters = dict.fromkeys(SCATTER_COUNTERS, 0)
 
-    def _clear(self, point: np.ndarray) -> np.ndarray:
-        """Whether the straight leg from ``point`` to each mesh's reference
-        point is unobstructed, from one batched occlusion query."""
-        return ~self.scene.segments_blocked(np.broadcast_to(point, self._refs.shape), self._refs)
+    def _clear(self, points: np.ndarray) -> np.ndarray:
+        """(P, scatterers) mask of the straight legs from each of the (P, 3)
+        ``points`` to each scatterer's reference point that are
+        unobstructed, from one batched occlusion query."""
+        n_pts, n_refs = len(points), len(self._refs)
+        starts = np.repeat(points, n_refs, axis=0)
+        ends = np.tile(self._refs, (n_pts, 1))
+        self.counters["legs_tested"] += len(starts)
+        return ~self.scene.segments_blocked(starts, ends).reshape(n_pts, n_refs)
 
     def _prepare_tx(self, tx: np.ndarray):
-        """Incident facet terms of every mesh the transmitter sees (None for
-        the others), once per transmitter."""
+        """The lit facets of every scatterer the transmitter sees (None for
+        the others), once per transmitter; the full meshes are not kept."""
         key = tx.tobytes()
         if self._tx_key == key:
             return
-        k = self.carrier.wavenumber
-        self._incident = [
-            _incident_terms(mesh, tx, k) if clear else None for mesh, clear in zip(self.meshes, self._clear(tx))
+        self._lit = [
+            _lit_facets(mesh_cylinder(cyl, self.carrier), tx, self.carrier) if clear else None
+            for cyl, clear in zip(self.scene.scatterers, self._clear(tx[None])[0])
         ]
         self._tx_key = key
 
-    def paths(self, tx, rx) -> list[RayPath]:
+    def paths(self, tx, receivers) -> list[list[RayPath]]:
+        """The echoes at each of the (S, 3) ``receivers``, one list per
+        receiver in scatterer order: one echo per scatterer whose direct legs
+        from the transmitter and from that receiver are both clear."""
         tx = np.asarray(tx, dtype=float)
-        rx = np.asarray(rx, dtype=float)
-        out: list[RayPath] = []
-        if not self.meshes:
+        receivers = np.asarray(receivers, dtype=float)
+        if receivers.ndim != 2 or receivers.shape[1] != 3:
+            raise ValueError(f"receivers must be an (S, 3) array, got shape {receivers.shape}")
+        n_rx = len(receivers)
+        out: list[list[RayPath]] = [[] for _ in range(n_rx)]
+        if not self.scene.scatterers or not n_rx:
             return out
+        self.counters["snapshots"] += n_rx
         self._prepare_tx(tx)
-        for mesh, incident, clear in zip(self.meshes, self._incident, self._clear(rx)):
-            if incident is None or not clear:
+        clear = self._clear(receivers)
+        transfers = np.zeros((n_rx, len(self._refs), 2, 2), dtype=complex)
+        for m, (cyl, lit) in enumerate(zip(self.scene.scatterers, self._lit)):
+            if lit is None:
+                clear[:, m] = False
                 continue
-            t = po_scattered_matrix(mesh, tx, rx, self.carrier, incident=incident)
-            s_rec = Interaction(kind=SCATTERING, object_id=mesh.scatterer.id, element_id=0)
-            verts = np.array([tx, mesh.reference_point, rx])
-            out.append(RayPath.from_polyline((s_rec,), verts, t, TAG_SCATTER))
+            rows = np.flatnonzero(clear[:, m])
+            if len(rows):
+                for p in (tx, *receivers[rows]):
+                    if _inside_bounding_cylinder(cyl, p):
+                        raise ValueError("antenna endpoint lies inside the scatterer body")
+                transfers[rows, m], live = _facet_sums(lit, receivers[rows], self.carrier)
+                self.counters["facet_terms"] += int(live.sum())
+
+        rx_of, ref_of = np.nonzero(clear)
+        self.counters["echoes"] += len(rx_of)
+        if not len(rx_of):
+            return out
+        verts = np.empty((len(rx_of), 3, 3))
+        verts[:, 0] = tx
+        verts[:, 1] = self._refs[ref_of]
+        verts[:, 2] = receivers[rx_of]
+        echoes = RayPath.batch(
+            [self._records[m] for m in ref_of.tolist()],
+            verts,
+            polyline_lengths(verts),
+            transfers[rx_of, ref_of],
+            [TAG_SCATTER] * len(rx_of),
+            [0.0] * len(rx_of),
+        )
+        for s, path in zip(rx_of.tolist(), echoes):
+            out[s].append(path)
         return out

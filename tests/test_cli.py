@@ -125,12 +125,14 @@ def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
         "scatter-study": (lambda out: window + ["--output-dir", str(out)], 2),
         "sweep": (lambda out: sweep + ["--output-dir", str(out)], 41),
     }
+    manifests_by_command = {}
     for command, (argv, solves) in commands.items():
         manifests = []
         for name in ("a", "b"):
             assert main(argv(tmp_path / command / name)) == 0
             manifests.append(json.loads((tmp_path / command / name / "manifest.json").read_text()))
         a, b = manifests
+        manifests_by_command[command] = a
         assert a["command"] == command
         # the counters are deterministic and kept apart from the timings and
         # the peak RSS; the digested outputs repeat although the timings of
@@ -154,6 +156,23 @@ def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
         rounds = counters["occlusion_segments"]
         assert 1 <= len(rounds) <= 3 and all(isinstance(n, int) for n in rounds)
         assert rounds == sorted(rounds, reverse=True)
+        # the scatter engine's counters: exact scatter at every snapshot of
+        # run and scatter-study, one leg per pylon for the transmitter and
+        # per pylon and snapshot; sweep here runs with scatter off
+        scatter = counters["scatter"]
+        assert set(scatter) == {"snapshots", "legs_tested", "echoes", "facet_terms"}, command
+        assert all(isinstance(v, int) for v in scatter.values()), command
+        if command == "sweep":
+            assert set(scatter.values()) == {0}
+            continue
+        assert scatter["snapshots"] == a["n_snapshots"], command
+        pylons = len(load_preset().load_scene().scatterers)
+        assert scatter["legs_tested"] == pylons * (1 + a["n_snapshots"]), command
+        assert 0 < scatter["echoes"] <= pylons * a["n_snapshots"] < scatter["facet_terms"], command
+    # every echo is one scatter row of the study's summary
+    summary = _read_csv(tmp_path / "scatter-study" / "a" / "scatter_summary.csv")
+    scatter_rows = sum(int(r["n_path_rows"]) for r in summary)
+    assert scatter_rows == manifests_by_command["scatter-study"]["counters"]["scatter"]["echoes"]
 
 
 def test_intervals_within_the_step_rule_run_at_their_whole_stride(tmp_path):
@@ -185,7 +204,8 @@ def test_intervals_within_the_step_rule_run_at_their_whole_stride(tmp_path):
 def test_streams_evaluate_exactly_where_the_antenna_check_looked(tmp_path, monkeypatch, argv):
     # the receiver positions the tracer and the scatter engine are given are
     # those of the times the pre-check validated, in order: the keyframes,
-    # and every snapshot (exact) or the keyframes (interpolated)
+    # and every snapshot (exact) or the keyframes (interpolated); the engine
+    # takes its receivers in batches, and every row of each batch counts
     checked, traced, scattered = [], [], []
     check = railchan.cli._check_antennas
 
@@ -195,7 +215,8 @@ def test_streams_evaluate_exactly_where_the_antenna_check_looked(tmp_path, monke
 
     def spy(method, seen):
         def wrapper(self, tx, rx, *rest):
-            seen.append(np.array(rx))
+            rows = np.array(rx)
+            seen.extend(rows if rows.ndim == 2 else [rows])
             return method(self, tx, rx, *rest)
 
         return wrapper

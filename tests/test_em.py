@@ -325,6 +325,43 @@ class TestSphericalBasis:
         np.testing.assert_allclose(v_hat, [1, 0, 0], atol=1e-15)
         np.testing.assert_allclose(h_hat, [0, 1, 0], atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (100_000, 3), (4, 25, 3)])
+    @pytest.mark.parametrize("poles", [False, True], ids=["no_pole", "poles"])
+    def test_equals_the_stacked_form_bit_for_bit(self, shape, poles):
+        rng = np.random.default_rng(sum(shape) + poles)
+        d = rng.normal(size=shape)
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        if poles:
+            flat = d.reshape(-1, 3)
+            flat[:: max(1, len(flat) // 5)] = (0.0, 0.0, 1.0)
+            flat[1 :: max(2, len(flat) // 3)] = (0.0, 0.0, -1.0)
+            flat[-1] = (1e-13, -1e-13, 1.0)
+        got = spherical_basis(d)
+        want = stacked_spherical_basis(d)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == shape
+            assert g.tobytes() == w.tobytes()
+
+
+def stacked_spherical_basis(directions):
+    """The basis built with ``np.where`` and two ``np.stack`` calls, the form
+    :func:`spherical_basis` had before it wrote into its output buffers."""
+    d = np.asarray(directions, dtype=float)
+    rho = np.hypot(d[..., 0], d[..., 1])
+    safe = rho > 1e-12
+    inv = np.where(safe, rho, 1.0)
+    cos_phi = np.where(safe, d[..., 0] / inv, 1.0)
+    sin_phi = np.where(safe, d[..., 1] / inv, 0.0)
+    cos_theta = d[..., 2]
+    theta_hat = np.stack([cos_theta * cos_phi, cos_theta * sin_phi, -rho], axis=-1)
+    phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(rho)], axis=-1)
+    pole = ~safe
+    if np.any(pole):
+        theta_hat[pole] = 0.0
+        theta_hat[pole, 0] = np.sign(d[pole, 2])
+        phi_hat[pole] = (0.0, 1.0, 0.0)
+    return theta_hat, phi_hat
+
 
 def host_index(scene, rec):
     """Facade-table row of a reflection or rooftop record, wedge-table row

@@ -5,20 +5,29 @@ rectangular plate (4 pi A^2 / lambda^2 at normal incidence) and the broadside
 PEC cylinder (2 pi r h^2 / lambda).  The estimated RCS is recovered from the
 transfer matrix by inverting the radar equation,
 sigma = |T|^2 (4 pi)^3 r_i^2 r_s^2 / lambda^2.
+
+The engine's chunked facet pass is checked bit for bit against
+:func:`oracle_facet_sum`, the scalar facet sum over the whole mesh at one
+receiver, and :func:`oracle_echoes`, the echoes built from it one receiver
+and one mesh at a time.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from railchan.em import C0, CarrierConfig
-from railchan.rays import TAG_SCATTER, polyline_lengths
+import railchan.scatter as scatter
+from railchan.config import load_preset
+from railchan.dynamics import SCATTER_CHUNK, Trajectory, stream_snapshots
+from railchan.em import C0, CarrierConfig, spherical_basis
+from railchan.rays import SCATTERING, TAG_SCATTER, Interaction, RayPath, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.scatter import (
     ScatterEngine,
-    _incident_terms,
-    _observer_terms,
+    _facet_sums,
+    _lit_facets,
     mesh_cylinder,
     mesh_plate,
     po_scattered_matrix,
@@ -27,6 +36,95 @@ from railchan.scatter import (
 F19 = CarrierConfig(frequency_hz=1.9e9)
 LAM = F19.wavelength
 EMPTY = Scene(buildings=[])
+
+
+# ----------------------------------------------------------------------
+# the scalar oracle: one receiver, the whole mesh, masked sums
+# ----------------------------------------------------------------------
+@dataclass
+class OracleIncidentTerms:
+    ki: np.ndarray
+    cos_i: np.ndarray
+    phase_over_r: np.ndarray
+    mv: np.ndarray
+    mh: np.ndarray
+
+
+def oracle_incident_terms(mesh, src, wavenumber):
+    vi = mesh.centers - src[None, :]
+    r_i = np.linalg.norm(vi, axis=1)
+    ki = vi / r_i[:, None]
+    cos_i = -np.einsum("ij,ij->i", ki, mesh.normals)
+    phase_over_r = np.exp(-1j * wavenumber * r_i) / r_i
+    ev_i, eh_i = spherical_basis(ki)
+    nrm = mesh.normals
+    mv = 2.0 * np.einsum("ij,ij->i", nrm, ev_i)[:, None] * nrm - ev_i
+    mh = 2.0 * np.einsum("ij,ij->i", nrm, eh_i)[:, None] * nrm - eh_i
+    return OracleIncidentTerms(ki=ki, cos_i=cos_i, phase_over_r=phase_over_r, mv=mv, mh=mh)
+
+
+def oracle_facet_sum(mesh, src, obs, carrier, incident=None):
+    """(2x2 transfer, live facet count) of one source and one observer;
+    ``incident`` optionally gives the source's :func:`oracle_incident_terms`."""
+    lam = carrier.wavelength
+    k = carrier.wavenumber
+    if incident is None:
+        incident = oracle_incident_terms(mesh, src, k)
+    vs = obs[None, :] - mesh.centers
+    r_s = np.linalg.norm(vs, axis=1)
+    ks = vs / r_s[:, None]
+    cos_s = np.einsum("ij,ij->i", ks, mesh.normals)
+    live = (incident.cos_i > 0.0) & (cos_s > 0.0)
+    t = np.zeros((2, 2), dtype=complex)
+    if not np.any(live):
+        return t, 0
+    ki = incident.ki[live]
+    cos_i = incident.cos_i[live]
+    pref_i = incident.phase_over_r[live]
+    mv, mh = incident.mv[live], incident.mh[live]
+    ks, r_s, cos_s = ks[live], r_s[live], cos_s[live]
+    tu, tv = mesh.tan_u[live], mesh.tan_v[live]
+    w, h, area = mesh.width[live], mesh.height[live], mesh.area[live]
+
+    diff = ki - ks
+    x_arg = 0.5 * k * w * np.einsum("ij,ij->i", diff, tu)
+    y_arg = 0.5 * k * h * np.einsum("ij,ij->i", diff, tv)
+    pattern = np.sinc(x_arg / math.pi) ** 2 * np.sinc(y_arg / math.pi) ** 2
+    sigma = 4.0 * math.pi * (area / lam) ** 2 * (0.5 * (cos_i + cos_s)) ** 2 * pattern
+    amp = (lam / (4.0 * math.pi)) * np.sqrt(sigma / (4.0 * math.pi)) / r_s * np.exp(-1j * k * r_s) * pref_i
+
+    bv, bh = spherical_basis(-ks)
+    t[0, 0] = np.sum(amp * np.einsum("ij,ij->i", bv, mv))
+    t[0, 1] = np.sum(amp * np.einsum("ij,ij->i", bv, mh))
+    t[1, 0] = np.sum(amp * np.einsum("ij,ij->i", bh, mv))
+    t[1, 1] = np.sum(amp * np.einsum("ij,ij->i", bh, mh))
+    return t, int(np.count_nonzero(live))
+
+
+def oracle_echoes(scene, meshes, tx, rx, carrier, incident=None):
+    """(echoes, live facet terms) at one receiver: each mesh in turn, with
+    one occlusion query per antenna for its legs; ``incident`` optionally
+    gives each mesh's incident terms of ``tx``."""
+    incident = incident or [None] * len(meshes)
+    refs = np.array([m.reference_point for m in meshes])
+    tx_clear = ~scene.segments_blocked(np.broadcast_to(tx, refs.shape), refs)
+    rx_clear = ~scene.segments_blocked(np.broadcast_to(rx, refs.shape), refs)
+    out, terms = [], 0
+    for mesh, inc, a, b in zip(meshes, incident, tx_clear, rx_clear):
+        if a and b:
+            t, live = oracle_facet_sum(mesh, tx, rx, carrier, inc)
+            rec = Interaction(kind=SCATTERING, object_id=mesh.scatterer.id, element_id=0)
+            out.append(RayPath.from_polyline((rec,), np.array([tx, mesh.reference_point, rx]), t, TAG_SCATTER))
+            terms += live
+    return out, terms
+
+
+def assert_same_paths(got, want):
+    assert [p.signature for p in got] == [p.signature for p in want]
+    for p, q in zip(got, want):
+        assert p.transfer.tobytes() == q.transfer.tobytes()
+        assert p.vertices.tobytes() == q.vertices.tobytes()
+        assert (p.delay_s, p.aod, p.aoa, p.tag, p.doppler_hz) == (q.delay_s, q.aod, q.aoa, q.tag, q.doppler_hz)
 
 
 def estimated_rcs(t_entry: complex, r_i: float, r_s: float) -> float:
@@ -175,22 +273,19 @@ class TestCylinderOracle:
         scale = np.max(np.abs(t_fwd))
         np.testing.assert_allclose(t_rev, t_fwd.T, rtol=1e-8, atol=1e-8 * scale)
         scene = Scene(buildings=[], scatterers=[cyl])
-        (p_fwd,) = ScatterEngine(scene, F19).paths(src, obs)
-        (p_rev,) = ScatterEngine(scene, F19).paths(obs, src)
+        ((p_fwd,),) = ScatterEngine(scene, F19).paths(src, obs[None])
+        ((p_rev,),) = ScatterEngine(scene, F19).paths(obs, src[None])
         assert p_fwd.delay_s == pytest.approx(p_rev.delay_s, abs=1e-15)
 
     def test_shadow_sweep_monotone_facet_count(self):
         cyl = CylinderScatterer(id=1, base_center=np.zeros(3), radius=0.375, height=8.2)
         mesh = mesh_cylinder(cyl, F19)
         src = np.array([500.0, 0.0, 4.1])
-        incident = _incident_terms(mesh, src, F19.wavenumber)
-        counts = []
-        for deg in range(10, 171, 10):
-            a = math.radians(deg)
-            obs = np.array([300.0 * math.cos(a), 300.0 * math.sin(a), 4.1])
-            # the facets lit by the source and visible from the observer
-            *_, live = _observer_terms(mesh, obs, incident.cos_i)
-            counts.append(int(np.count_nonzero(live)))
+        a = np.radians(np.arange(10, 171, 10))
+        observers = np.stack([300.0 * np.cos(a), 300.0 * np.sin(a), np.full(len(a), 4.1)], axis=1)
+        # the facets lit by the source and visible from each observer
+        _, counts = _facet_sums(_lit_facets(mesh, src, F19), observers, F19)
+        counts = counts.tolist()
         assert all(c1 >= c2 for c1, c2 in zip(counts[:-1], counts[1:]))
         assert counts[0] > counts[-1]
 
@@ -207,13 +302,13 @@ class TestCylinderOracle:
 
 class TestEnumerate:
     def test_no_scatterers_empty(self):
-        assert ScatterEngine(EMPTY, F19).paths(np.array([0.0, 0.0, 5.0]), np.array([100.0, 0.0, 5.0])) == []
+        assert ScatterEngine(EMPTY, F19).paths(np.array([0.0, 0.0, 5.0]), np.array([[100.0, 0.0, 5.0]])) == [[]]
 
     def test_single_pylon_direct_only(self):
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 30.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        paths = ScatterEngine(scene, F19).paths(tx, rx)
+        (paths,) = ScatterEngine(scene, F19).paths(tx, rx[None])
         assert len(paths) == 1
         p = paths[0]
         assert p.signature == "S(9:0)"
@@ -239,7 +334,7 @@ class TestEnumerate:
         rx = np.array([100.0, 0.0, 4.5])
         # an echo runs straight between the antennas; the wall reflects
         # none of its legs
-        paths = ScatterEngine(scene, F19).paths(tx, rx)
+        (paths,) = ScatterEngine(scene, F19).paths(tx, rx[None])
         assert {p.signature for p in paths} == {"S(9:0)"}
 
     def test_blocked_direct_legs_dropped(self):
@@ -254,22 +349,22 @@ class TestEnumerate:
         )
         tx = np.array([0.0, 0.0, 5.0])
         rx = np.array([100.0, 0.0, 5.0])
-        assert ScatterEngine(scene, F19).paths(tx, rx) == []
+        assert ScatterEngine(scene, F19).paths(tx, rx[None]) == [[]]
 
     def test_own_body_does_not_occlude(self):
         # forward-scatter geometry: pylon directly between the antennas
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 0.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 4.1])
         rx = np.array([100.0, 0.0, 4.1])
-        paths = ScatterEngine(scene, F19).paths(tx, rx)
+        (paths,) = ScatterEngine(scene, F19).paths(tx, rx[None])
         assert len(paths) == 1
 
     def test_determinism(self):
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 30.0, 0.0]), radius=0.375, height=8.2), CylinderScatterer(id=10, base_center=np.array([70.0, 30.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        a = ScatterEngine(scene, F19).paths(tx, rx)
-        b = ScatterEngine(scene, F19).paths(tx, rx)
+        (a,) = ScatterEngine(scene, F19).paths(tx, rx[None])
+        (b,) = ScatterEngine(scene, F19).paths(tx, rx[None])
         assert [p.signature for p in a] == [p.signature for p in b]
         for p, q in zip(a, b):
             np.testing.assert_array_equal(p.transfer, q.transfer)
@@ -294,11 +389,143 @@ class TestEnumerate:
         rx = np.array([100.0, 0.0, 4.5])
         engine = ScatterEngine(scene, F19)
         for tx in (tx1, tx2, tx1):
-            got = engine.paths(tx, rx)
-            want = ScatterEngine(scene, F19).paths(tx, rx)
+            (got,) = engine.paths(tx, rx[None])
+            (want,) = ScatterEngine(scene, F19).paths(tx, rx[None])
             assert len(got) == len(want) > 0
             for p, q in zip(got, want):
                 assert p.signature == q.signature
                 np.testing.assert_array_equal(p.transfer, q.transfer)
                 assert p.delay_s == q.delay_s
                 np.testing.assert_array_equal(p.vertices, q.vertices)
+
+
+# ----------------------------------------------------------------------
+# the chunked engine against the scalar oracle, bit for bit
+# ----------------------------------------------------------------------
+def _pylon(sid, x, y):
+    return CylinderScatterer(id=sid, base_center=np.array([x, y, 0.0]), radius=0.375, height=8.2)
+
+
+def _check_engine(engine, tx, receivers):
+    """Echoes and counters of one engine call against the oracle, receiver
+    by receiver; returns the echo counts per receiver."""
+    before = dict(engine.counters)
+    got = engine.paths(tx, receivers)
+    assert len(got) == len(receivers)
+    meshes = [mesh_cylinder(s, engine.carrier) for s in engine.scene.scatterers]
+    incident = [oracle_incident_terms(m, tx, engine.carrier.wavenumber) for m in meshes]
+    echoes = terms = 0
+    for rx, paths in zip(receivers, got):
+        want, live = oracle_echoes(engine.scene, meshes, tx, rx, engine.carrier, incident)
+        assert_same_paths(paths, want)
+        echoes += len(want)
+        terms += live
+    assert engine.counters["snapshots"] - before["snapshots"] == len(receivers)
+    assert engine.counters["echoes"] - before["echoes"] == echoes
+    assert engine.counters["facet_terms"] - before["facet_terms"] == terms
+    return [len(p) for p in got]
+
+
+class TestChunkedAgainstOracle:
+    @pytest.mark.parametrize("window", [(20.5, 21.0), None], ids=["window_20.5_21.0", "full_window"])
+    def test_preset_receivers_in_chunks(self, window):
+        cfg = load_preset()
+        w0, w1 = window or cfg.scatter_window_s
+        steps = np.arange(round(w0 / cfg.update_step_s), round(w1 / cfg.update_step_s) + 1)
+        traj = cfg.trajectory()
+        receivers = np.array([traj.position(i * cfg.update_step_s) for i in steps])
+        engine = ScatterEngine(cfg.load_scene(), CarrierConfig(cfg.carrier_hz))
+        for s0 in range(0, len(receivers), SCATTER_CHUNK):
+            counts = _check_engine(engine, cfg.tx_position, receivers[s0 : s0 + SCATTER_CHUNK])
+            assert max(counts) > 0
+        # one leg per mesh for the transmitter, then one per mesh and receiver
+        assert engine.counters["legs_tested"] == len(engine.scene.scatterers) * (1 + len(receivers))
+
+    def test_stream_rows_are_the_oracle_at_each_snapshot(self):
+        # the exact stream hands each snapshot the echoes of its own step,
+        # chunk boundaries and keyframes alike
+        cfg = load_preset()
+        carrier = CarrierConfig(cfg.carrier_hz)
+        scene = cfg.load_scene()
+        traj = Trajectory(waypoints=cfg.waypoints.copy(), speed=cfg.speed_mps, duration=21.0)
+        result = stream_snapshots(
+            scene, traj, cfg.tx_position, carrier, cfg.update_step_s, 0.5, cfg.limits, start_step=2050
+        )
+        assert len(result.snapshots) == 51 > SCATTER_CHUNK
+        meshes = [mesh_cylinder(s, carrier) for s in scene.scatterers]
+        echoes = 0
+        for snap in result.snapshots:
+            want, _ = oracle_echoes(scene, meshes, cfg.tx_position, snap.rx_position, carrier)
+            v = traj.velocity(snap.timestamp)
+            u = [w.vertices[-1] - w.vertices[-2] for w in want]
+            dopplers = [-carrier.frequency_hz * float(np.dot(d, v)) / (float(np.linalg.norm(d)) * C0) for d in u]
+            want = [RayPath.from_polyline(w.interactions, w.vertices, w.transfer, TAG_SCATTER, f) for w, f in zip(want, dopplers)]
+            got = [p for p in snap.paths if p.tag == TAG_SCATTER]
+            assert_same_paths(got, want)
+            echoes += len(want)
+        assert result.counters["scatter"]["echoes"] == echoes
+        assert result.counters["scatter"]["snapshots"] == 51
+
+    def test_lit_and_visible_split_varies_across_one_chunk(self):
+        # receivers circling one pylon: the live facets change from receiver
+        # to receiver, and fall to none behind a plate
+        engine = ScatterEngine(Scene(buildings=[], scatterers=[_pylon(9, 0.0, 0.0)]), F19)
+        tx = np.array([120.0, 10.0, 6.0])
+        a = np.radians(np.arange(0.0, 360.0, 11.0))
+        ring = np.stack([60.0 * np.cos(a), 60.0 * np.sin(a), 2.0 + 10.0 * np.abs(np.sin(a))], axis=1)
+        _check_engine(engine, tx, ring)
+        _, live = _facet_sums(engine._lit[0], ring, F19)
+        assert len(set(live.tolist())) > 5
+
+        plate = mesh_plate(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 3.0, 2.0, LAM / 2.0)
+        src = np.array([40.0, 5.0, 3.0])
+        obs = np.array([[30.0, -4.0, 1.0], [-30.0, 2.0, 0.0], [5.0, 20.0, -3.0], [-1.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
+        transfers, live = _facet_sums(_lit_facets(plate, src, F19), obs, F19)
+        assert live.tolist()[1] == live.tolist()[3] == 0 < min(live[[0, 2, 4]])
+        for o, t, n in zip(obs, transfers, live):
+            want, n_want = oracle_facet_sum(plate, src, o, F19)
+            assert t.tobytes() == want.tobytes() and n == n_want
+
+    def test_blocked_legs(self):
+        # a block shadows pylon 2 from the transmitter, and the legs of the
+        # receivers on the near row to pylons 1 and 3 for part of their run;
+        # two receivers far behind see both
+        block = Building(id=1, footprint=np.array([[40.0, 8.0], [60.0, 8.0], [60.0, 14.0], [40.0, 14.0]]), height=25.0)
+        scene = Scene(buildings=[block], scatterers=[_pylon(1, 30.0, 20.0), _pylon(2, 50.0, 30.0), _pylon(3, 70.0, 20.0)])
+        engine = ScatterEngine(scene, F19)
+        tx = np.array([50.0, -20.0, 6.0])
+        receivers = np.stack([np.linspace(0.0, 100.0, 40), np.full(40, 0.0), np.full(40, 3.0)], axis=1)
+        receivers = np.insert(receivers, 20, [[50.0, -60.0, 3.0], [40.0, -60.0, 3.0]], axis=0)
+        counts = _check_engine(engine, tx, receivers)
+        assert engine._lit[1] is None and engine._lit[0] is not None and engine._lit[2] is not None
+        assert 0 in counts and 2 in counts and 1 in counts
+
+    def test_chunk_longer_than_the_row_budget(self, monkeypatch):
+        scene = Scene(buildings=[], scatterers=[_pylon(1, 30.0, 20.0), _pylon(2, 70.0, 25.0)])
+        tx = np.array([0.0, -30.0, 10.0])
+        n_lit = len(_lit_facets(mesh_cylinder(scene.scatterers[0], F19), tx, F19).cos_i)
+        n_rx = 3 * (scatter.FACET_ROW_BUDGET // n_lit) + 1
+        receivers = np.stack([np.linspace(-20.0, 120.0, n_rx), np.full(n_rx, 2.0), np.full(n_rx, 2.5)], axis=1)
+        reference = ScatterEngine(scene, F19).paths(tx, receivers)
+        _check_engine(ScatterEngine(scene, F19), tx, receivers)
+        # the pass split leaves every receiver's bits where they are
+        for budget in (1, n_lit + 1, 10**6):
+            monkeypatch.setattr(scatter, "FACET_ROW_BUDGET", budget)
+            for got, want in zip(ScatterEngine(scene, F19).paths(tx, receivers), reference):
+                assert_same_paths(got, want)
+
+    def test_transmitter_switch(self):
+        wall = Building(id=1, footprint=np.array([[-80.0, 40.0], [180.0, 40.0], [180.0, 42.0], [-80.0, 42.0]]), height=30.0)
+        scene = Scene(buildings=[wall], scatterers=[_pylon(9, 50.0, 10.0), _pylon(10, 70.0, 20.0)])
+        engine = ScatterEngine(scene, F19)
+        receivers = np.stack([np.linspace(80.0, 120.0, 9), np.linspace(-5.0, 5.0, 9), np.full(9, 4.5)], axis=1)
+        for tx in ([0.0, 0.0, 20.0], [30.0, -5.0, 15.0], [0.0, 0.0, 20.0]):
+            assert min(_check_engine(engine, np.array(tx), receivers)) > 0
+        assert engine.counters["legs_tested"] == 2 * (3 + 3 * 9)
+
+    def test_receivers_must_be_rows(self):
+        engine = ScatterEngine(Scene(buildings=[], scatterers=[_pylon(9, 0.0, 0.0)]), F19)
+        with pytest.raises(ValueError, match=r"\(S, 3\)"):
+            engine.paths(np.array([50.0, 0.0, 5.0]), np.array([-50.0, 0.0, 5.0]))
+        with pytest.raises(ValueError, match="inside the scatterer"):
+            engine.paths(np.array([50.0, 0.0, 5.0]), np.array([[-50.0, 0.0, 5.0], [0.1, 0.0, 4.0]]))
