@@ -29,7 +29,7 @@ traj = cfg.trajectory()
 rx = traj.position(T_SECONDS)
 
 tracer = SpecularTracer(scene, carrier)
-paths = tracer.trace(cfg.tx_position, rx, cfg.limits)
+paths = tracer.trace(cfg.tx_position, rx[None], cfg.limits)[0]
 paths += ScatterEngine(scene, carrier).paths(cfg.tx_position, rx[None])[0]
 
 print(f"t = {T_SECONDS:.2f} s, receiver at ({rx[0]:.1f}, {rx[1]:.1f}, {rx[2]:.1f}) m")

@@ -512,18 +512,17 @@ def cmd_bench(args) -> int:
 
     add_row("scene_load", 0, 1, el)
 
-    rx_list = [traj.position(t) for t in rx_times]
+    rx_list = np.array([traj.position(t) for t in rx_times])
     for rep in range(args.repeats):
         # a fresh tracer builds what the transmitter alone decides at its
         # first solve, once per stream; the solve's stages are the tracer's
-        # own timers over the five timed solves
+        # own timers over the one chunked solve of the five receivers
         tracer = SpecularTracer(scene, carrier)
-        tracer.trace(cfg.tx_position, rx_list[0], cfg.limits)
+        tracer.trace(cfg.tx_position, rx_list[:1], cfg.limits)
         add_row("tx_tables", rep, 1, tracer.timings["tx_tables"])
         before = dict(tracer.timings)
         t0 = time.perf_counter()
-        for r in rx_list:
-            tracer.trace(cfg.tx_position, r, cfg.limits)
+        tracer.trace(cfg.tx_position, rx_list, cfg.limits)
         add_row("specular_trace", rep, len(rx_list), time.perf_counter() - t0)
         for stage in SOLVE_STAGES:
             add_row(f"{stage}_solve", rep, len(rx_list), tracer.timings[stage] - before[stage])
@@ -531,7 +530,7 @@ def cmd_bench(args) -> int:
     if scene.scatterers:
         engine = ScatterEngine(scene, carrier)
         engine.paths(cfg.tx_position, rx_list[:1])  # cut the lit facets once
-        timed("scatter_snapshot", len(rx_list), lambda: engine.paths(cfg.tx_position, np.array(rx_list)))
+        timed("scatter_snapshot", len(rx_list), lambda: engine.paths(cfg.tx_position, rx_list))
 
     # the stream's own interpolation time over the bracket's 9 interior snapshots
     for rep in range(args.repeats):

@@ -28,11 +28,13 @@ birth or death keeps the geometry of the keyframe where it exists, with
 zero Doppler and its transfer scaled by the ramp factor.
 
 :func:`stream_snapshots` walks the schedule once, bracket by bracket: it
-solves each keyframe when the walk reaches it, emits the keyframe snapshot,
-then the interior snapshots of the bracket it opens.  At most two solved
-keyframes are held at a time.  Exact scatter goes ahead of the walk in runs
-of ``SCATTER_CHUNK`` consecutive snapshot steps, whatever the brackets, so
-at most one run of echoes is held.
+emits the interior snapshots of the bracket a keyframe closes, then the
+keyframe snapshot, whose paths take their Doppler in place.  The keyframes
+are solved ahead of the walk in runs of ``KEYFRAME_CHUNK``, one tracer call
+per run, so at most one run of solved keyframes and the last keyframe
+walked are held.  Exact scatter goes ahead of the walk in runs of
+``SCATTER_CHUNK`` consecutive snapshot steps, whatever the brackets, so at
+most one run of echoes is held.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em import C0, CarrierConfig
-from .rays import TAG_SPECULAR, RayPath
+from .rays import TAG_SPECULAR, RayPath, norms
 from .scatter import SCATTER_COUNTERS, ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
@@ -59,6 +61,10 @@ SCATTER_MODES = ("off", "exact", "interpolated")
 #: consecutive snapshot steps whose exact echoes one scatter engine call
 #: evaluates
 SCATTER_CHUNK = 32
+
+#: consecutive keyframes of a stream that one specular tracer call solves
+#: (and, under interpolated scatter, one scatter engine call evaluates)
+KEYFRAME_CHUNK = 32
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +311,7 @@ def _interpolate_matched(
     verts = va + alpha * (vb - va)  # (M, S, n, 3)
     verts[:, :, -1] = rx_positions
     seg = np.diff(verts, axis=-2)
-    seg_len = np.linalg.norm(seg, axis=-1)
+    seg_len = norms(seg)
     lengths = np.sum(seg_len, axis=-1)  # (M, S)
 
     # analytic Doppler: per-vertex velocities are zero at the transmitter,
@@ -403,20 +409,6 @@ def interpolate_bracket(
     return rows
 
 
-def _radial_doppler(path: RayPath, rx_velocity: np.ndarray, carrier: CarrierConfig) -> float:
-    """Doppler of an exactly traced path from the last-segment radial rate.
-
-    Specular reflection and edge-diffraction vertices sit at stationary
-    points of the path length, so the length derivative reduces to the
-    radial rate of the receiver segment alone.
-    """
-    u = path.vertices[-1] - path.vertices[-2]
-    n = float(np.linalg.norm(u))
-    if n <= 0.0:
-        return 0.0
-    return -carrier.frequency_hz * float(np.dot(u, rx_velocity)) / (n * C0)
-
-
 # ----------------------------------------------------------------------
 # streaming
 # ----------------------------------------------------------------------
@@ -440,9 +432,25 @@ class StreamResult:
     scatter_seconds: float = 0.0
 
 
-def _with_doppler(paths: list, rx_velocity: np.ndarray, carrier: CarrierConfig) -> list:
-    """Copies of exactly traced paths with their radial Doppler filled in."""
-    return [replace(p, doppler_hz=_radial_doppler(p, rx_velocity, carrier)) for p in paths]
+def _fill_doppler(paths: list, rx_velocity: np.ndarray, carrier: CarrierConfig) -> list:
+    """Fill in, in place, the Doppler of exactly traced paths from the radial
+    rate of their last segment, and return them.
+
+    Specular reflection and edge-diffraction vertices sit at stationary
+    points of the path length, so the length derivative reduces to the
+    radial rate of the receiver segment alone.  One array pass: ``vecdot``
+    calls the dot kernel of a one-vector ``np.linalg.norm`` and ``np.dot``,
+    so each path gets the bits a path-by-path evaluation gives.
+    """
+    if not paths:
+        return paths
+    u = np.array([p.vertices[-1] for p in paths]) - np.array([p.vertices[-2] for p in paths])
+    n = np.sqrt(np.vecdot(u, u))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        doppler = np.where(n > 0.0, -carrier.frequency_hz * np.vecdot(u, rx_velocity) / (n * C0), 0.0)
+    for p, d in zip(paths, doppler.tolist()):
+        p.doppler_hz = d
+    return paths
 
 
 def _path_sort_key(p: RayPath):
@@ -468,7 +476,8 @@ def stream_snapshots(
     ``scatter_mode``: ``"exact"`` recomputes scatterer contributions at every
     snapshot (default), one engine call per ``SCATTER_CHUNK`` consecutive
     steps; ``"interpolated"`` tracks them through keyframes like specular
-    paths; ``"off"`` drops them.
+    paths, one engine call per run of ``KEYFRAME_CHUNK`` keyframes;
+    ``"off"`` drops them.
 
     ``start_step`` starts the stream at snapshot index ``start_step`` (time
     ``start_step * update_step``) instead of 0, keeping the same absolute
@@ -503,30 +512,38 @@ def stream_snapshots(
                 chunk = range(i, min(i + SCATTER_CHUNK, schedule.snapshots.stop))
                 rows = exact_engine.paths(tx, np.array([traj.position(j * update_step) for j in chunk]))
                 echoes.update(zip(chunk, rows))
-            paths = paths + _with_doppler(echoes.pop(i), v, carrier)
+            paths = paths + _fill_doppler(echoes.pop(i), v, carrier)
             scatter_seconds += time.perf_counter() - t0
         paths.sort(key=_path_sort_key)
         snapshots.append(
             ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=paths, at_keyframe=at_kf)
         )
 
-    # each keyframe is solved when the walk reaches it; the snapshots
-    # strictly inside the bracket it closes (only when the stride leaves
-    # room for them) come before it
+    def keyframes():
+        """The keyframe snapshots in schedule order, solved
+        ``KEYFRAME_CHUNK`` at a time."""
+        nonlocal keyframe_seconds
+        for first in range(0, len(schedule.keyframes), KEYFRAME_CHUNK):
+            t0 = time.perf_counter()
+            steps = schedule.keyframes[first : first + KEYFRAME_CHUNK]
+            times = schedule.seconds(steps)
+            rx = np.array([traj.position(t) for t in times])
+            solved = tracer.trace(tx, rx, limits)
+            if kf_engine is not None:
+                for paths, echoes in zip(solved, kf_engine.paths(tx, rx)):
+                    paths += echoes
+            keyframe_seconds += time.perf_counter() - t0
+            for i, t, r, paths in zip(steps, times, rx, solved):
+                yield ChannelSnapshot(index=i, timestamp=t, rx_position=r, paths=paths, at_keyframe=True)
+
+    # the snapshots strictly inside the bracket a keyframe closes (only when
+    # the stride leaves room for them) come before it
     rng = np.random.default_rng(seed)
     kf_a = None
-    for step in schedule.keyframes:
-        t0 = time.perf_counter()
-        t = step * update_step
-        rx = traj.position(t)
-        paths = tracer.trace(tx, rx, limits)
-        if kf_engine is not None:
-            paths = paths + kf_engine.paths(tx, rx[None])[0]
-        kf_b = ChannelSnapshot(index=step, timestamp=t, rx_position=rx, paths=paths, at_keyframe=True)
-        keyframe_seconds += time.perf_counter() - t0
+    for kf_b in keyframes():
         if kf_a is not None and schedule.stride > 1:
             t0 = time.perf_counter()
-            steps = range(kf_a.index + 1, step)
+            steps = range(kf_a.index + 1, kf_b.index)
             times = schedule.seconds(steps)
             rx = [traj.position(t) for t in times]
             v = [traj.velocity(t) for t in times]
@@ -534,8 +551,10 @@ def stream_snapshots(
             interpolation_seconds += time.perf_counter() - t0
             for i, r, vel, paths in zip(steps, rx, v, rows):
                 emit(i, r, vel, paths, False)
+        # the keyframe's own paths take their Doppler: tracking reads them in
+        # solve order, never their Doppler, and emit sorts its list
         v = traj.velocity(kf_b.timestamp)
-        emit(step, kf_b.rx_position, v, _with_doppler(kf_b.paths, v, carrier), True)
+        emit(kf_b.index, kf_b.rx_position, v, _fill_doppler(list(kf_b.paths), v, carrier), True)
         kf_a = kf_b
 
     return StreamResult(

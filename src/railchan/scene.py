@@ -49,6 +49,10 @@ import numpy as np
 #: few km across, which leaves ~9 significant digits of double headroom.
 EPS_GEOM = 1e-6
 
+#: segments that one pass of ``Scene.segments_blocked`` tests; bounds the
+#: (segment, facade) rows its facade stage holds
+SEGMENT_BLOCK = 128
+
 #: Default building material (concrete-class dielectric).
 DEFAULT_EPS_R = 5.0
 DEFAULT_SIGMA = 0.1
@@ -385,10 +389,19 @@ class Scene:
         its stages and does not depend on the other segments of the call, so
         the specular tracer tests its candidates in rounds, one segment
         position per call, and the scatter engine tests each batch of legs in
-        one call.
+        one call; and the stages run on ``SEGMENT_BLOCK`` segments at a time,
+        which bounds the rows the facade stage holds.
         """
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
+        blocks = [
+            self._segments_blocked(p[a : a + SEGMENT_BLOCK], q[a : a + SEGMENT_BLOCK])
+            for a in range(0, len(p), SEGMENT_BLOCK)
+        ]
+        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
+
+    def _segments_blocked(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """:meth:`segments_blocked` for one block of segments."""
         seg = q - p
         seg_len = np.linalg.norm(seg, axis=1)
 

@@ -1,24 +1,28 @@
 """Image-method path enumeration.
 
-Finds every propagation path between two antennas built from the allowed
-interaction sequences: line of sight, one or two facade reflections, one
-vertical-edge diffraction optionally combined with a single reflection on
-either side, and the over-the-rooftops knife-edge polyline of a blocked
-direct ray.  Each path family (LoS, R, RR, D, RD, DR and the rooftop path
-K) is one array of candidate polylines, shape (K, n, 3), with its
-interaction kinds and the host of each interior vertex as an index into the
-scene's facade or wedge table.  Reflections use exact mirror images and
+Finds every propagation path between a transmitter and a chunk of receivers
+built from the allowed interaction sequences: line of sight, one or two
+facade reflections, one vertical-edge diffraction optionally combined with a
+single reflection on either side, and the over-the-rooftops knife-edge
+polyline of a blocked direct ray.  Each path family (LoS, R, RR, D, RD, DR
+and the rooftop path K) is one array of candidate polylines for the whole
+chunk, shape (K, n, 3), with its interaction kinds, the host of each
+interior vertex as an index into the scene's facade or wedge table, and the
+receiver each candidate belongs to; each receiver's rows keep the order a
+one-receiver solve gives them.  Reflections use exact mirror images and
 diffraction points follow from the unfolded ray.  The trace drops lateral
 candidates with a degenerate segment and tests the rest for occlusion in
 rounds, in path order: round ``j`` sends segment ``j`` of every candidate
-still clear, across all families, to one occlusion query, so a blocked
-candidate's later segments are never tested.  When round 0 finds the direct
-ray blocked, :func:`trace_rooftop` adds K, clear on that verdict alone.
-Then every family's clear candidates, less any whose geometry an earlier
-candidate already has, get their transfer matrices from one
-:func:`~railchan.em.compose_path_matrix` call; the power floor is an array
-mask over them, and interaction records are built only for the paths kept.
-A :class:`SpecularTracer` caches the per-scene tables (second-order
+still clear, across all families and receivers, to one occlusion query, so
+a blocked candidate's later segments are never tested.  For each receiver
+whose direct ray round 0 finds blocked, :func:`trace_rooftop` adds its K
+path, clear on that verdict alone; K paths with one edge count form one
+family.  Then every family's clear candidates, less any whose geometry an
+earlier candidate of the same receiver already has, get their transfer
+matrices from one :func:`~railchan.em.compose_path_matrix` call per family;
+the power floor is an array mask over them, interaction records are built
+only for the paths kept, and each receiver's paths are sorted.  A
+:class:`SpecularTracer` caches the per-scene tables (second-order
 image-pair feasibility, wedge fronts and interaction records; zero-length
 when the scene has none) and, from the first solve until the transmitter
 moves, everything the transmitter alone decides:
@@ -36,7 +40,10 @@ moves, everything the transmitter alone decides:
 
 ``SpecularTracer.trace`` is the one entry point: it checks the endpoints
 once, and the scene's one occlusion query, ``Scene.segments_blocked``,
-decides every segment.
+decides every segment.  Every receiver of a chunk gets, bit for bit, the
+paths of a chunk of one: the arithmetic of each candidate is elementwise,
+and the matrix-vector products, whose bits depend on the rows of their call,
+run per receiver over that receiver's rows.
 """
 
 from __future__ import annotations
@@ -271,28 +278,32 @@ class SpecularTracer:
         self.timings["tx_tables"] += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
-    # families: each returns (vertices (K, n, 3), (kinds, hosts)), where
-    # kinds names the interaction at each interior vertex and hosts holds one
-    # index array per interior vertex into the facade or wedge table
+    # families: each returns (vertices (K, n, 3), (kinds, hosts), owner) for
+    # the (S, 3) receivers ``rx``, where kinds names the interaction at each
+    # interior vertex, hosts holds one index array per interior vertex into
+    # the facade or wedge table, and owner the receiver of each candidate.
+    # The rows are receiver-major, each receiver's in its own candidate order
     # ------------------------------------------------------------------
     def _single_reflections(self, tx, rx, rx_front):
-        idx = np.nonzero(self._tx_front & rx_front)[0]
-        pts, ok = _facade_crossing(self.scene, self._img1[idx], rx, idx)
-        return _polylines(tx, [pts[ok]], rx), ((REFLECTION,), [idx[ok]])
+        s, idx = np.nonzero(self._tx_front & rx_front)
+        pts, ok = _facade_crossing(self.scene, self._img1[idx], rx[s], idx)
+        s = s[ok]
+        return _polylines(tx, [pts[ok]], rx[s]), ((REFLECTION,), [idx[ok]]), s
 
     def _double_reflections(self, tx, rx, rx_front):
         sc = self.scene
-        sel = np.nonzero(rx_front[self._live_j])[0]
+        s, sel = np.nonzero(rx_front[:, self._live_j])
         fi = self._live_i[sel]
         fj = self._live_j[sel]
-        x2, ok2 = _facade_crossing(sc, self._img2[sel], rx, fj)
-        x1, ok1 = _facade_crossing(sc, self._img1[fi], x2, fi)
-        ok = ok2 & ok1
+        x2, ok = _facade_crossing(sc, self._img2[sel], rx[s], fj)
+        s, fi, fj, x2 = s[ok], fi[ok], fj[ok], x2[ok]
+        x1, ok = _facade_crossing(sc, self._img1[fi], x2, fi)
         # the intermediate segment must approach the second facade from its
         # front side
         d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
-        return _polylines(tx, [x1[ok], x2[ok]], rx), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]])
+        s = s[ok]
+        return _polylines(tx, [x1[ok], x2[ok]], rx[s]), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]]), s
 
     def _edge_candidates(self, src, dst, widx):
         """Diffraction points on wedges widx for the unfolded src->dst rays.
@@ -318,43 +329,65 @@ class SpecularTracer:
         return points, ok
 
     def _single_diffractions(self, tx, rx):
-        widx = self._wedges
-        pts, ok = self._edge_candidates(tx, rx, widx)
-        return _polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]])
+        s, j = np.divmod(np.arange(len(rx) * len(self._wedges)), len(self._wedges))
+        widx = self._wedges[j]
+        pts, ok = self._edge_candidates(tx, rx[s], widx)
+        s = s[ok]
+        return _polylines(tx, [pts[ok]], rx[s]), ((EDGE_DIFFRACTION,), [widx[ok]]), s
 
     def _reflection_then_diffraction(self, tx, rx):
-        fidx, wi, src = self._rd_f, self._rd_w, self._rd_src
-        e_pts, ok = self._edge_candidates(src, rx, wi)
-        x1, ok_x = _facade_crossing(self.scene, src, e_pts, fidx)
-        ok &= ok_x
-        return _polylines(tx, [x1[ok], e_pts[ok]], rx), ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]])
+        s, j = np.divmod(np.arange(len(rx) * len(self._rd_w)), len(self._rd_w))
+        fidx, wi, src = self._rd_f[j], self._rd_w[j], self._rd_src[j]
+        e_pts, ok = self._edge_candidates(src, rx[s], wi)
+        s, fidx, wi, src, e_pts = s[ok], fidx[ok], wi[ok], src[ok], e_pts[ok]
+        x1, ok = _facade_crossing(self.scene, src, e_pts, fidx)
+        s = s[ok]
+        return _polylines(tx, [x1[ok], e_pts[ok]], rx[s]), ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]), s
 
     def _diffraction_then_reflection(self, tx, rx, rx_front):
         sc = self.scene
-        fsel = np.nonzero(rx_front)[0]
-        tk, fk = np.nonzero(self._wedge_front_of[:, fsel])
+        s, tk, fidx = np.nonzero(self._wedge_front_of[None] & rx_front[:, None])
         wi = self._wedges[tk]
-        fidx = fsel[fk]
-        d = sc.fac_normal[fidx] @ rx - sc.fac_offset[fidx]
-        rx_img = rx[None, :] - 2.0 * d[:, None] * sc.fac_normal[fidx]
+        # one matrix-vector product per receiver, over that receiver's rows:
+        # the product's bits depend on the rows of its call
+        ends = np.searchsorted(s, np.arange(len(rx) + 1))
+        d = np.concatenate([sc.fac_normal[fidx[a:b]] @ r for r, a, b in zip(rx, ends, ends[1:])])
+        d -= sc.fac_offset[fidx]
+        rx_img = rx[s] - 2.0 * d[:, None] * sc.fac_normal[fidx]
         e_pts, ok = self._edge_candidates(tx, rx_img, wi)
-        x2, ok_x = _facade_crossing(sc, e_pts, rx_img, fidx)
-        ok &= ok_x
-        return _polylines(tx, [e_pts[ok], x2[ok]], rx), ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]])
+        s, wi, fidx, rx_img, e_pts = s[ok], wi[ok], fidx[ok], rx_img[ok], e_pts[ok]
+        x2, ok = _facade_crossing(sc, e_pts, rx_img, fidx)
+        s = s[ok]
+        return _polylines(tx, [e_pts[ok], x2[ok]], rx[s]), ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]), s
 
     # ------------------------------------------------------------------
     # the trace
     # ------------------------------------------------------------------
     def candidates(self, tx, rx, limits: TraceLimits) -> list:
-        """The lateral candidate families of one solve, LoS first: one
-        (vertices (K, n, 3), (kinds, hosts)) pair per family, without the
-        candidates that have a degenerate segment.  ``tx`` and ``rx`` are
-        checked float arrays."""
-        self._prepare_tx_tables(tx)
-        sc = self.scene
-        rx_front = sc.fac_normal @ rx - sc.fac_offset > EPS_GEOM
+        """The lateral candidate families of the solves at the (S, 3)
+        receivers ``rx``, LoS first: one (vertices (K, n, 3), (kinds, hosts),
+        owner) triple per family, without the candidates that have a
+        degenerate segment.  ``tx`` and ``rx`` are checked float arrays.
 
-        families = [(_polylines(tx, [], rx), ((), []))]
+        The generators run on ``CANDIDATE_BLOCK`` receivers at a time and
+        each family joins the rows of its blocks, which bounds the rows the
+        RR and DR generators hold before their crossing tests (about 1,700
+        per receiver on the preset)."""
+        self._prepare_tx_tables(tx)
+        blocks = []
+        for first in range(0, len(rx), CANDIDATE_BLOCK):
+            block = self._lateral_families(tx, rx[first : first + CANDIDATE_BLOCK], limits)
+            blocks.append([(verts, hosts, owner + first) for verts, hosts, owner in block])
+        return [_joined(parts) for parts in zip(*blocks)]
+
+    def _lateral_families(self, tx, rx, limits: TraceLimits) -> list:
+        """:meth:`candidates` for one block of receivers."""
+        sc = self.scene
+        # receiver by receiver: one matrix product over every receiver rounds
+        # differently
+        rx_front = np.array([sc.fac_normal @ r for r in rx]) - sc.fac_offset > EPS_GEOM
+
+        families = [(_polylines(tx, [], rx), ((), []), np.arange(len(rx)))]
         if limits.max_reflections >= 1:
             families.append(self._single_reflections(tx, rx, rx_front))
         if limits.max_reflections >= 2:
@@ -364,19 +397,37 @@ class SpecularTracer:
             if limits.max_reflections >= 1:
                 families.append(self._reflection_then_diffraction(tx, rx))
                 families.append(self._diffraction_then_reflection(tx, rx, rx_front))
-        return [_drop_degenerate(verts, hosts) for verts, hosts in families]
+        return [_drop_degenerate(*family) for family in families]
 
-    def trace(self, tx, rx, limits: TraceLimits | None = None) -> list[RayPath]:
+    def trace(self, tx, receivers, limits: TraceLimits | None = None) -> list[list[RayPath]]:
+        """The paths from ``tx`` to each of the (S, 3) ``receivers``, one list
+        per receiver, sorted by interaction count and signature; a single
+        receiver is ``rx[None]``.
+
+        The receivers share each family's arrays, each occlusion round, one
+        :func:`~railchan.em.compose_path_matrix` call and one
+        :meth:`RayPath.batch` per interaction sequence; de-duplication, the
+        power floor and the sort stay per receiver, so each receiver gets the
+        paths, bit for bit, and the counts of a one-receiver call.  The
+        endpoints are checked before any work, the transmitter, then the
+        receivers in order, so a bad receiver raises the ValueError of its
+        one-receiver call.
+        """
         limits = limits or TraceLimits()
         tx = np.asarray(tx, dtype=float)
-        rx = np.asarray(rx, dtype=float)
-        if np.linalg.norm(rx - tx) < EPS_GEOM:
-            raise ValueError("tx and rx must be distinct points")
-        for name, p in (("tx", tx), ("rx", rx)):
+        rx = np.asarray(receivers, dtype=float)
+        if rx.ndim != 2 or rx.shape[1] != 3:
+            raise ValueError(f"receivers must be an (S, 3) array, got shape {rx.shape}")
+        for name, p in (("tx", tx), *(("rx", r) for r in rx)):
+            if name == "rx" and np.linalg.norm(p - tx) < EPS_GEOM:
+                raise ValueError("tx and rx must be distinct points")
             if p[2] < 0.0:
                 raise ValueError(f"{name} lies below the ground")
             if self.scene.contains_point(p):
                 raise ValueError(f"{name} lies inside a building")
+        out: list[list[RayPath]] = [[] for _ in rx]
+        if not len(rx):
+            return out
         sc = self.scene
         marks = [time.perf_counter()]
         families = self.candidates(tx, rx, limits)
@@ -384,15 +435,23 @@ class SpecularTracer:
         query = _CountedQuery(sc)
         clear = _clear_masks(query, families)
         marks.append(time.perf_counter())
-        # the rooftop family, clear on round 0's blocked direct ray alone
-        if limits.rooftop and not clear[0].any():
-            roof = trace_rooftop(sc, tx, rx)
-            families.append(roof)
-            clear.append(np.ones(len(roof[0]), dtype=bool))
+        # the rooftop family, clear on round 0's blocked direct ray alone, as
+        # one family per edge count
+        if limits.rooftop:
+            blocked = np.ones(len(rx), dtype=bool)
+            blocked[families[0][2][clear[0]]] = False
+            roofs: dict[int, list] = {}
+            for s in np.flatnonzero(blocked).tolist():
+                verts, hosts = trace_rooftop(sc, tx, rx[s])
+                if len(verts):
+                    roofs.setdefault(verts.shape[1], []).append((verts, hosts, np.array([s])))
+            for parts in roofs.values():
+                families.append(_joined(parts))
+                clear.append(np.ones(len(parts), dtype=bool))
         marks.append(time.perf_counter())
 
         counts = self.counters["families"]
-        for (verts, (kinds, _)), ok in zip(families, clear):
+        for (verts, (kinds, _), _), ok in zip(families, clear):
             count = counts[_family_name(kinds)]
             count["generated"] += len(verts)
             count["clear"] += int(ok.sum())
@@ -401,15 +460,14 @@ class SpecularTracer:
         for j, n in enumerate(query.calls):
             rounds[j] += n
 
-        paths: list[RayPath] = []
-        for verts, (kinds, hosts) in _unique_clear(families, clear):
+        for verts, (kinds, hosts), owner in _unique_clear(families, clear):
             transfer = compose_path_matrix(verts, kinds, hosts, sc, self.carrier)
             kept = _above_floor(transfer, limits.power_floor_db)
             verts = verts[kept]
             records = [[self._records[kind][j] for j in idx[kept]] for kind, idx in zip(kinds, hosts)]
             n = len(verts)
             counts[_family_name(kinds)]["kept"] += n
-            paths += RayPath.batch(
+            paths = RayPath.batch(
                 list(zip(*records)) if records else [()] * n,
                 verts,
                 polyline_lengths(verts),
@@ -417,28 +475,39 @@ class SpecularTracer:
                 [TAG_SPECULAR] * n,
                 [0.0] * n,
             )
+            for s, path in zip(owner[kept].tolist(), paths):
+                out[s].append(path)
 
-        paths.sort(key=lambda p: (len(p.interactions), p.signature))
+        for paths in out:
+            paths.sort(key=lambda p: (len(p.interactions), p.signature))
         marks.append(time.perf_counter())
         for stage, start, stop in zip(SOLVE_STAGES, marks, marks[1:]):
             self.timings[stage] += stop - start
-        return paths
+        return out
 
 
 def _polylines(tx: np.ndarray, interior: list[np.ndarray], rx: np.ndarray) -> np.ndarray:
-    """(K, len(interior) + 2, 3) candidate polylines tx -> interior -> rx."""
-    k_count = len(interior[0]) if interior else 1
-    return np.stack(
-        [np.broadcast_to(tx, (k_count, 3)), *interior, np.broadcast_to(rx, (k_count, 3))], axis=1
-    )
+    """(K, len(interior) + 2, 3) candidate polylines tx -> interior -> rx,
+    for the (K, 3) receiver rows ``rx``."""
+    return np.stack([np.broadcast_to(tx, rx.shape), *interior, rx], axis=1)
 
 
-def _drop_degenerate(verts: np.ndarray, hosts: tuple):
+def _drop_degenerate(verts: np.ndarray, hosts: tuple, owner: np.ndarray):
     """The candidates of one family whose segments are all longer than EPS_GEOM."""
     seg = verts[:, 1:] - verts[:, :-1]
     live = np.einsum("knj,knj->kn", seg, seg).min(axis=1) >= EPS_GEOM * EPS_GEOM
     kinds, idx = hosts
-    return verts[live], (kinds, [i[live] for i in idx])
+    return verts[live], (kinds, [i[live] for i in idx]), owner[live]
+
+
+def _joined(parts: list) -> tuple:
+    """One family, (vertices, (kinds, hosts), owner), from parts that share
+    its interaction sequence, their rows in part order."""
+    return (
+        np.concatenate([verts for verts, _, _ in parts]),
+        (parts[0][1][0], [np.concatenate(h) for h in zip(*(hosts for _, (_, hosts), _ in parts))]),
+        np.concatenate([owner for _, _, owner in parts]),
+    )
 
 
 def _family_name(kinds: tuple) -> str:
@@ -448,6 +517,10 @@ def _family_name(kinds: tuple) -> str:
 
 #: the path families a solve counts, in family order
 FAMILIES = ("LoS", "R", "RR", "D", "RD", "DR", ROOFTOP_DIFFRACTION)
+
+#: receivers whose lateral candidates one pass of each family generator
+#: forms, see :meth:`SpecularTracer.candidates`
+CANDIDATE_BLOCK = 4
 
 #: the stages of a solve, in order, that ``SpecularTracer.timings`` times;
 #: ``compose`` runs from the distinct clear candidates to the sorted paths
@@ -464,7 +537,7 @@ def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
     segment's verdict does not depend on the other segments of its call, so
     the masks equal those of one call over every segment.
     """
-    verts = [v for v, _ in families]
+    verts = [family[0] for family in families]
     clear = [np.ones(len(v), dtype=bool) for v in verts]
     for j in range(max(v.shape[1] for v in verts) - 1):
         rows = [(f, np.nonzero(clear[f])[0]) for f, v in enumerate(verts) if v.shape[1] > j + 1]
@@ -494,21 +567,21 @@ class _CountedQuery:
 
 def _unique_clear(families: list, clear: list) -> list:
     """Per family, its clear candidates less those whose vertices, rounded to
-    1 um, an earlier candidate of the solve already has: (vertices,
-    (kinds, hosts)), in candidate order.  Families left with no candidate
-    are dropped."""
-    seen: set[bytes] = set()
+    1 um, an earlier candidate of the same receiver already has: (vertices,
+    (kinds, hosts), owner), in candidate order.  Families left with no
+    candidate are dropped."""
+    seen: set[tuple[int, bytes]] = set()
     out = []
-    for (verts, (kinds, hosts)), ok in zip(families, clear):
+    for (verts, (kinds, hosts), owner), ok in zip(families, clear):
         cand = np.nonzero(ok)[0]
         keep = []
-        for k, rounded in zip(cand, np.round(verts[cand], 6)):
-            key = rounded.tobytes()
+        for k, s, rounded in zip(cand.tolist(), owner[cand].tolist(), np.round(verts[cand], 6)):
+            key = (s, rounded.tobytes())
             if key not in seen:
                 seen.add(key)
                 keep.append(k)
         if keep:
-            out.append((verts[keep], (kinds, [i[keep] for i in hosts])))
+            out.append((verts[keep], (kinds, [i[keep] for i in hosts]), owner[keep]))
     return out
 
 

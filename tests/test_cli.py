@@ -711,10 +711,22 @@ def test_scatter_study_requires_scatter_mode(tmp_path, monkeypatch, capsys):
 # ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------
-def test_bench_outputs(tmp_path):
+def test_bench_outputs(tmp_path, monkeypatch):
+    solves = []
+    original = railchan.specular.SpecularTracer.trace
+
+    def spy(self, tx, receivers, *rest):
+        solves.append(len(receivers))
+        return original(self, tx, receivers, *rest)
+
+    monkeypatch.setattr(railchan.specular.SpecularTracer, "trace", spy)
     out = tmp_path / "bench"
     rc = main(["bench", "--repeats", "2", "--output-dir", str(out)])
     assert rc == 0
+    # per repeat, the transmitter tables' one-receiver solve and the trace
+    # stage's one chunked solve of five receivers; then per repeat the
+    # bracket stream solves its two keyframes in one chunk
+    assert solves == [1, 5, 1, 5, 2, 2]
     rows = _read_csv(out / "bench.csv")
     assert list(rows[0]) == ["stage", "repeat", "units", "seconds", "per_unit_ms"]
     stages = {r["stage"] for r in rows}
@@ -748,12 +760,12 @@ def test_bench_outputs(tmp_path):
         for r in timed:
             assert float(r["per_unit_ms"]) > 0
     # the candidate, occlusion, rooftop and composition stages are the
-    # tracer's own timers over the trace stage's five solves: the lateral
-    # candidates, the occlusion rounds, the rooftop family where round 0
-    # finds the direct ray blocked, and the rest of each solve, from
-    # de-duplication through composition, the power floor and the path build
-    # to the sorted path list; they lie within the trace stage's time.  The
-    # transmitter tables are built once per repeat
+    # tracer's own timers over the trace stage's chunked solve of the five
+    # receivers: the lateral candidates, the occlusion rounds, the rooftop
+    # family where round 0 finds the direct ray blocked, and the rest of the
+    # solve, from de-duplication through composition, the power floor and
+    # the path build to the sorted path lists; they lie within the trace
+    # stage's time.  The transmitter tables are built once per repeat
     solve_stages = ("candidate_solve", "occlusion_solve", "rooftop_solve", "compose_solve")
     for stage in ("specular_trace", *solve_stages):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}

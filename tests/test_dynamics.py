@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from railchan import dynamics
 from railchan.config import load_preset
 from railchan.dynamics import (
     RAMP_FRACTION,
@@ -27,9 +28,10 @@ from railchan.dynamics import (
     track_interval,
 )
 from railchan.em import C0, CarrierConfig
-from railchan.rays import RayPath, polyline_lengths
+from railchan.rays import RayPath, norms, polyline_lengths
+from railchan.scatter import ScatterEngine
 from railchan.scene import Building, CylinderScatterer, Scene
-from railchan.specular import TraceLimits
+from railchan.specular import SpecularTracer, TraceLimits
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
 V100 = 100.0 / 3.6
@@ -588,3 +590,134 @@ class TestScatterModes:
         assert res.keyframe_seconds > 0.0
         assert res.scatter_seconds > 0.0
         assert res.interpolation_seconds >= 0.0
+
+
+# ----------------------------------------------------------------------
+# keyframe Doppler against the path-by-path rule
+# ----------------------------------------------------------------------
+def oracle_radial_doppler(path, rx_velocity, carrier):
+    """Doppler of an exactly traced path from the last-segment radial rate,
+    one path at a time: the rule the stream applied path by path."""
+    u = path.vertices[-1] - path.vertices[-2]
+    n = float(np.linalg.norm(u))
+    if n <= 0.0:
+        return 0.0
+    return -carrier.frequency_hz * float(np.dot(u, rx_velocity)) / (n * C0)
+
+
+def snapshot_bits(snap):
+    """Everything a snapshot carries, as comparable bytes and records."""
+    head = (snap.index, snap.at_keyframe, np.array([snap.timestamp, *snap.rx_position]).tobytes())
+    return head, [
+        (
+            p.interactions,
+            p.tag,
+            p.vertices.tobytes(),
+            p.transfer.tobytes(),
+            np.array([p.delay_s, *p.aod, *p.aoa, p.doppler_hz]).tobytes(),
+        )
+        for p in snap.paths
+    ]
+
+
+class TestKeyframeDoppler:
+    def test_every_keyframe_path_of_the_preset_t0_to_2s(self):
+        # kf = update step: every snapshot is a keyframe, its specular paths
+        # and its exact scatter echoes filled in by the array pass
+        cfg = load_preset(overrides={"duration_s": 2.0})
+        traj = cfg.trajectory()
+        carrier = CarrierConfig(cfg.carrier_hz)
+        res = stream_snapshots(
+            cfg.load_scene(), traj, cfg.tx_position, carrier, cfg.update_step_s, cfg.update_step_s, cfg.limits
+        )
+        assert len(res.snapshots) == 201
+        tags = set()
+        for snap in res.snapshots:
+            v = traj.velocity(snap.timestamp)
+            got = np.array([p.doppler_hz for p in snap.paths])
+            want = np.array([oracle_radial_doppler(p, v, carrier) for p in snap.paths])
+            assert got.tobytes() == want.tobytes(), snap.index
+            tags.update(p.tag for p in snap.paths)
+        assert tags == {"specular", "scatter"}
+
+    def test_zero_length_last_segment_has_no_doppler(self):
+        p = RayPath.from_polyline((), np.array([[0.0, 0.0, 1.0], [5.0, 0.0, 1.0]]), np.eye(2, dtype=complex))
+        q = replace(p, vertices=np.array([[0.0, 0.0, 1.0], [5.0, 0.0, 1.0], [5.0, 0.0, 1.0]]))
+        paths = dynamics._fill_doppler([p, q], np.array([3.0, 4.0, 0.0]), F19)
+        assert paths[0] is p and paths[1] is q
+        assert p.doppler_hz == oracle_radial_doppler(p, np.array([3.0, 4.0, 0.0]), F19) != 0.0
+        assert q.doppler_hz == 0.0
+
+
+# ----------------------------------------------------------------------
+# keyframes solved in chunks against keyframes solved one at a time
+# ----------------------------------------------------------------------
+class TestKeyframeChunks:
+    @pytest.mark.parametrize(
+        "duration, kf_interval",
+        [(0.4, 0.01), (2.0, 0.1), (3.0, 0.5), (2.0, 0.07)],
+        ids=["kf0.01", "kf0.1", "kf0.5", "kf0.07_final_step_appended"],
+    )
+    @pytest.mark.parametrize("scatter_mode", ["exact", "interpolated"])
+    def test_streams_equal_one_keyframe_per_solve(self, monkeypatch, duration, kf_interval, scatter_mode):
+        # chunks of 3 and of the default size put chunk boundaries inside
+        # the stream, so brackets span two chunks, and chunks of the default
+        # size leave a short last chunk
+        cfg = load_preset(overrides={"duration_s": duration})
+        args = (cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz), cfg.update_step_s, kf_interval)
+        kwargs = dict(limits=cfg.limits, scatter_mode=scatter_mode, seed=cfg.seed)
+        runs = {}
+        for chunk in (1, 3, dynamics.KEYFRAME_CHUNK):
+            monkeypatch.setattr(dynamics, "KEYFRAME_CHUNK", chunk)
+            runs[chunk] = stream_snapshots(*args, **kwargs)
+        want = runs.pop(1)
+        assert want.rt_invocations > 3
+        for got in runs.values():
+            assert got.rt_invocations == want.rt_invocations
+            assert got.counters == want.counters
+            assert [snapshot_bits(s) for s in got.snapshots] == [snapshot_bits(s) for s in want.snapshots]
+
+    def test_one_tracer_and_one_engine_call_per_chunk(self, monkeypatch):
+        # interpolated scatter: the keyframe engine evaluates each chunk's
+        # receivers in one call, beside the tracer's one call
+        cfg = load_preset(overrides={"duration_s": 2.0})
+        calls = {"trace": [], "scatter": []}
+        for name, owner, method in (("trace", SpecularTracer, "trace"), ("scatter", ScatterEngine, "paths")):
+            original = getattr(owner, method)
+
+            def spy(self, tx, receivers, *rest, _log=calls[name], _original=original):
+                _log.append(len(receivers))
+                return _original(self, tx, receivers, *rest)
+
+            monkeypatch.setattr(owner, method, spy)
+        monkeypatch.setattr(dynamics, "KEYFRAME_CHUNK", 8)
+        stream_snapshots(
+            cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz), cfg.update_step_s,
+            0.1, cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
+        )
+        assert calls == {"trace": [8, 8, 5], "scatter": [8, 8, 5]}
+
+
+class TestNorms:
+    def test_bits_of_linalg_norm_on_random_rows(self):
+        rng = np.random.default_rng(2402)
+        rows = rng.normal(size=(400_000, 3)) * np.exp(rng.uniform(-20.0, 20.0, size=(400_000, 1)))
+        assert norms(rows).tobytes() == np.linalg.norm(rows, axis=-1).tobytes()
+        stacked = rows.reshape(1000, 100, 4, 3)
+        assert norms(stacked).tobytes() == np.linalg.norm(stacked, axis=-1).tobytes()
+
+    def test_polyline_lengths_of_the_preset_paths(self):
+        cfg = load_preset(overrides={"duration_s": 2.0})
+        res = stream_snapshots(
+            cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz),
+            cfg.update_step_s, 0.1, cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
+        )
+        n = 0
+        for snap in res.snapshots:
+            for p in snap.paths:
+                old = np.sum(np.linalg.norm(np.diff(p.vertices, axis=-2), axis=-1), axis=-1)
+                assert polyline_lengths(p.vertices).tobytes() == old.tobytes()
+                # every row's delay, interpolated or held, is its length's
+                assert p.delay_s == float(old) / C0
+                n += 1
+        assert n > 10_000

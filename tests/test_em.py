@@ -740,10 +740,10 @@ def oracle_trace(tracer, tx, rx, limits):
     scene, carrier = tracer.scene, tracer.carrier
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float)
-    families = tracer.candidates(tx, rx, limits)
+    families = tracer.candidates(tx, rx[None], limits)
     clear = _clear_masks(scene, families)
     paths, seen = [], set()
-    for (verts, (kinds, hosts)), ok in zip(families, clear):
+    for (verts, (kinds, hosts), _), ok in zip(families, clear):
         for k in np.nonzero(ok)[0]:
             geo_key = np.round(verts[k], 6).tobytes()
             if geo_key in seen:
@@ -805,7 +805,7 @@ class TestWalkerAgainstScalarOracle:
         kinds = set()
         for i in range(201):
             rx = traj.position(i * cfg.update_step_s)
-            got = tracer.trace(cfg.tx_position, rx, cfg.limits)
+            (got,) = tracer.trace(cfg.tx_position, rx[None], cfg.limits)
             assert_matches_oracle(got, oracle_trace(tracer, cfg.tx_position, rx, cfg.limits))
             kinds.update(tuple(r.kind for r in p.interactions) for p in got)
         # every family the preset keeps, the rooftop path included
@@ -817,7 +817,7 @@ class TestWalkerAgainstScalarOracle:
         for scene, tx, rx in small_solves(name):
             tracer = SpecularTracer(scene, F19)
             for limits in (TraceLimits(), TraceLimits(max_reflections=1)):
-                got = tracer.trace(tx, rx, limits)
+                (got,) = tracer.trace(tx, rx[None], limits)
                 assert got
                 assert_matches_oracle(got, oracle_trace(tracer, tx, rx, limits))
 
@@ -832,7 +832,7 @@ class TestWalkerAgainstScalarOracle:
         found = {}
         for y in (0.0, 1e-9):
             tx = np.array([5.0, y, 5.0])
-            paths = tracer.trace(tx, rx)
+            (paths,) = tracer.trace(tx, rx[None])
             assert_matches_oracle(paths, oracle_trace(tracer, tx, rx, TraceLimits()))
             found[y] = next(p for p in paths if p.signature == "D(1:6)")
         assert relative_error(found[1e-9].transfer, found[0.0].transfer) <= WALKER_RTOL
@@ -907,7 +907,7 @@ def preset_fresnel_arguments(preset):
         tracer = SpecularTracer(scene, carrier)
         traj = cfg.trajectory()
         for i in range(21):
-            tracer.trace(cfg.tx_position, traj.position(i * cfg.update_step_s), cfg.limits)
+            tracer.trace(cfg.tx_position, traj.position(i * cfg.update_step_s)[None], cfg.limits)
     return {k: np.unique(np.concatenate(v)) for k, v in logged.items()}
 
 

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from railchan import scene as scene_module
 from railchan.config import load_preset
 from railchan.em import CarrierConfig
 from railchan.scene import (
@@ -515,6 +516,26 @@ class TestSegmentsBlocked:
         assert_agrees_with_oracle(block, p, q)
         assert_agrees_with_oracle(block, q, p)
 
+    @pytest.mark.parametrize("size", [1, 7, 100, 10**6])
+    def test_blocks_of_segments_give_the_flags_of_one_pass(self, monkeypatch, size):
+        # the round-0 segments of eight preset receivers, mixed with random
+        # ones: the flags do not depend on how the call is cut into blocks
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        traj = cfg.trajectory()
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
+        rx = np.array([traj.position(t) for t in np.linspace(0.0, 50.0, 8)])
+        families = tracer.candidates(np.asarray(cfg.tx_position, dtype=float), rx, cfg.limits)
+        rng = np.random.default_rng(2403)
+        lo, hi = [-400.0, -400.0, 0.5], [400.0, 400.0, 60.0]
+        p = np.concatenate([f[0][:, 0] for f in families] + [rng.uniform(lo, hi, size=(300, 3))])
+        q = np.concatenate([f[0][:, 1] for f in families] + [rng.uniform(lo, hi, size=(300, 3))])
+        want = scene._segments_blocked(p, q)
+        assert 0 < want.sum() < len(want)
+        monkeypatch.setattr(scene_module, "SEGMENT_BLOCK", size)
+        np.testing.assert_array_equal(scene.segments_blocked(p, q), want)
+        assert scene.segments_blocked(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+
 
 class TestGridOracle:
     """Queries on the 6 x 4 town grid and the tracer's queries on the preset
@@ -550,7 +571,7 @@ class TestGridOracle:
 
         monkeypatch.setattr(Scene, "segments_blocked", spy)
         for t in (0.0, 8.0, 21.0, 34.0, 55.0):
-            tracer.trace(cfg.tx_position, traj.position(t), cfg.limits)
+            tracer.trace(cfg.tx_position, traj.position(t)[None], cfg.limits)
         monkeypatch.undo()
         assert 5 <= len(rounds) <= 15
         p = np.concatenate([p for p, _ in rounds])

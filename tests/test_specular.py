@@ -16,7 +16,7 @@ import pytest
 from railchan import specular
 from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
-from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
+from railchan.rays import EDGE_DIFFRACTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
 from railchan.scene import EPS_GEOM, Building, Material, Scene
 from railchan.specular import SOLVE_STAGES, SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 from rooftop_oracle import oracle_rooftop_path, rooftop_paths, traced_rooftop_path
@@ -25,8 +25,13 @@ F19 = CarrierConfig(frequency_hz=1.9e9)
 NO_DIFFRACTION = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
 
 
+def solve(tracer, tx, rx, limits=None):
+    """The paths of ``tracer``'s one-receiver solve at ``rx``."""
+    return tracer.trace(tx, np.asarray(rx, dtype=float)[None], limits)[0]
+
+
 def trace(scene, tx, rx, limits):
-    return SpecularTracer(scene, F19).trace(tx, rx, limits)
+    return solve(SpecularTracer(scene, F19), tx, rx, limits)
 
 
 def wall(bid, y0, y1, x0=-200.0, x1=200.0, height=30.0, material=None):
@@ -90,7 +95,7 @@ class TestInputChecks:
     def test_trace_rejects_bad_endpoints(self, tx, rx, message):
         tracer = SpecularTracer(Scene(buildings=[self.BOX]), F19)
         with pytest.raises(ValueError, match=message):
-            tracer.trace(np.array(tx), np.array(rx), TraceLimits())
+            solve(tracer, np.array(tx), np.array(rx), TraceLimits())
 
 
 class TestSingleWall:
@@ -468,25 +473,26 @@ class TestDeterminism:
 
 class TestStageTimers:
     def test_stages_lie_within_the_solves_and_leave_the_counters_alone(self):
-        # the bench's five receivers of the 60 s preset; three see the
-        # direct ray blocked, so the rooftop stage runs its generator
+        # the bench's five receivers of the 60 s preset in one chunked solve;
+        # three see the direct ray blocked, so the rooftop stage runs its
+        # generator
         cfg = load_preset()
         scene = cfg.load_scene()
-        rx_list = [cfg.trajectory().position(f * cfg.duration_s) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
+        rx = np.array([cfg.trajectory().position(f * cfg.duration_s) for f in (0.2, 0.35, 0.5, 0.65, 0.8)])
         tracer, twin = (SpecularTracer(scene, CarrierConfig(cfg.carrier_hz)) for _ in range(2))
         t0 = time.perf_counter()
-        for rx in rx_list:
-            tracer.trace(cfg.tx_position, rx, cfg.limits)
+        tracer.trace(cfg.tx_position, rx, cfg.limits)
         wall = time.perf_counter() - t0
         assert list(tracer.timings) == ["tx_tables", *SOLVE_STAGES]
         assert all(v >= 0.0 for v in tracer.timings.values())
         assert sum(tracer.timings[stage] for stage in SOLVE_STAGES) <= wall
-        # the tables were built once, inside the first solve's candidates
+        # the tables were built once, inside the chunk's candidates
         assert 0.0 < tracer.timings["tx_tables"] <= tracer.timings["candidate"]
         assert tracer.counters["families"]["K"]["generated"] == 3
-        # the counters hold no timing: a second tracer's repeat them
-        for rx in rx_list:
-            twin.trace(cfg.tx_position, rx, cfg.limits)
+        # the counters hold no timing and do not depend on the chunking: a
+        # second tracer's one-receiver solves repeat them
+        for r in rx:
+            solve(twin, cfg.tx_position, r, cfg.limits)
         assert tracer.counters == twin.counters
 
 
@@ -497,13 +503,13 @@ def oracle_single_call_masks(scene, families):
     """Per family, the candidates whose every segment is clear, from one
     ``segments_blocked`` call over every segment of every candidate."""
     blocked = scene.segments_blocked(
-        np.concatenate([v[:, :-1].reshape(-1, 3) for v, _ in families]),
-        np.concatenate([v[:, 1:].reshape(-1, 3) for v, _ in families]),
+        np.concatenate([v[:, :-1].reshape(-1, 3) for v, *_ in families]),
+        np.concatenate([v[:, 1:].reshape(-1, 3) for v, *_ in families]),
     )
-    ends = np.cumsum([v.shape[0] * (v.shape[1] - 1) for v, _ in families])
+    ends = np.cumsum([v.shape[0] * (v.shape[1] - 1) for v, *_ in families])
     return [
         ~b.reshape(v.shape[0], v.shape[1] - 1).any(axis=1)
-        for (v, _), b in zip(families, np.split(blocked, ends[:-1]))
+        for (v, *_), b in zip(families, np.split(blocked, ends[:-1]))
     ]
 
 
@@ -551,7 +557,7 @@ def assert_same_paths(got, want):
 
 class TestStagedOcclusion:
     def check_masks(self, tracer, tx, rx, limits):
-        families = tracer.candidates(tx, rx, limits)
+        families = tracer.candidates(tx, rx[None], limits)
         got = _clear_masks(tracer.scene, families)
         want = oracle_single_call_masks(tracer.scene, families)
         assert len(got) == len(want)
@@ -560,10 +566,10 @@ class TestStagedOcclusion:
         return families, want
 
     def check_trace(self, monkeypatch, tracer, tx, rx, limits):
-        got = tracer.trace(tx, rx, limits)
+        got = solve(tracer, tx, rx, limits)
         with monkeypatch.context() as m:
             m.setattr(specular, "_clear_masks", oracle_single_call_masks)
-            want = tracer.trace(tx, rx, limits)
+            want = solve(tracer, tx, rx, limits)
         assert_same_paths(got, want)
         return got
 
@@ -609,16 +615,16 @@ class TestStagedOcclusion:
         oracle = UntabledTracer(tracer.scene, tracer.carrier)
         expected = untabled = 0
         for rx in rx_list:
-            for v, _ in tracer.candidates(tx, rx, limits):
+            for v, *_ in tracer.candidates(tx, rx[None], limits):
                 if len(v):
                     b = tracer.scene.segments_blocked(v[:, :-1].reshape(-1, 3), v[:, 1:].reshape(-1, 3))
                     b = b.reshape(len(v), -1)
                     # its segments up to and including the first blocked one
                     expected += int(np.where(b.any(axis=1), b.argmax(axis=1) + 1, b.shape[1]).sum())
-            untabled += sum(v.shape[0] * (v.shape[1] - 1) for v, _ in oracle.candidates(tx, rx, limits))
+            untabled += sum(v.shape[0] * (v.shape[1] - 1) for v, *_ in oracle.candidates(tx, rx[None], limits))
             monkeypatch.setattr(Scene, "segments_blocked", spy)
             n_before = len(calls)
-            tracer.trace(tx, rx, limits)
+            solve(tracer, tx, rx, limits)
             monkeypatch.undo()
             # one call per segment position, and none without a segment
             assert 1 <= len(calls) - n_before <= 3
@@ -637,6 +643,15 @@ class UntabledTracer(SpecularTracer):
     diffraction test checks the source side each time, and no target leaves
     for a facade that blocks its first segment."""
 
+    def _prepare_tx_tables(self, tx):
+        super()._prepare_tx_tables(tx)
+        fsel = np.nonzero(self._tx_front)[0]
+        self._wedges = np.arange(self.scene.n_wedges)
+        self._wedge_front_of = self._w_front_of
+        self._rd_w, fk = np.nonzero(self._w_front_of[:, fsel])
+        self._rd_f = fsel[fk]
+        self._rd_src = self._img1[self._rd_f]
+
     def _edge_candidates(self, src, dst, widx):
         sc = self.scene
         w_xy = sc.wedge_xy[widx]
@@ -654,39 +669,6 @@ class UntabledTracer(SpecularTracer):
         z = np.clip(z, 0.0, sc.wedge_height[widx])
         points = np.concatenate([np.broadcast_to(w_xy, d1.shape + (2,)), z[..., None]], axis=-1)
         return points, ok
-
-    def _single_diffractions(self, tx, rx):
-        widx = np.arange(self.scene.n_wedges)
-        pts, ok = self._edge_candidates(tx, rx, widx)
-        return specular._polylines(tx, [pts[ok]], rx), ((EDGE_DIFFRACTION,), [widx[ok]])
-
-    def _reflection_then_diffraction(self, tx, rx):
-        fsel = np.nonzero(self._tx_front)[0]
-        wi, fk = np.nonzero(self._w_front_of[:, fsel])
-        fidx = fsel[fk]
-        src = self._img1[fidx]
-        e_pts, ok = self._edge_candidates(src, rx, wi)
-        x1, ok_x = specular._facade_crossing(self.scene, src, e_pts, fidx)
-        ok &= ok_x
-        return (
-            specular._polylines(tx, [x1[ok], e_pts[ok]], rx),
-            ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]),
-        )
-
-    def _diffraction_then_reflection(self, tx, rx, rx_front):
-        sc = self.scene
-        fsel = np.nonzero(rx_front)[0]
-        wi, fk = np.nonzero(self._w_front_of[:, fsel])
-        fidx = fsel[fk]
-        d = sc.fac_normal[fidx] @ rx - sc.fac_offset[fidx]
-        rx_img = rx[None, :] - 2.0 * d[:, None] * sc.fac_normal[fidx]
-        e_pts, ok = self._edge_candidates(tx, rx_img, wi)
-        x2, ok_x = specular._facade_crossing(sc, e_pts, rx_img, fidx)
-        ok &= ok_x
-        return (
-            specular._polylines(tx, [e_pts[ok], x2[ok]], rx),
-            ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]),
-        )
 
 
 # a small street grid: a shared wall (buildings 2 and 3), an L-shaped block
@@ -794,16 +776,16 @@ def check_covers(scene, tx, every=1):
 class TestTransmitterTables:
     def check_trace(self, scene, tx, rx, limits):
         tracer, oracle = SpecularTracer(scene, F19), UntabledTracer(scene, F19)
-        got = tracer.trace(tx, rx, limits)
-        assert_same_paths(got, oracle.trace(tx, rx, limits))
+        got = solve(tracer, tx, rx, limits)
+        assert_same_paths(got, solve(oracle, tx, rx, limits))
         self.check_first_segments(tracer, oracle, tx, rx, limits)
         return got
 
     def check_first_segments(self, tracer, oracle, tx, rx, limits):
         """Every first segment of an untabled D, RD or DR candidate: the
         tables drop it only when ``segments_blocked`` finds it blocked."""
-        tabled = tracer.candidates(tx, rx, limits)
-        for (verts, (kinds, hosts)), (all_verts, (_, all_hosts)) in zip(tabled, oracle.candidates(tx, rx, limits)):
+        tabled = tracer.candidates(tx, rx[None], limits)
+        for (verts, (kinds, hosts), _), (all_verts, (_, all_hosts), _) in zip(tabled, oracle.candidates(tx, rx[None], limits)):
             if EDGE_DIFFRACTION not in kinds:
                 continue
             blocked = tracer.scene.segments_blocked(all_verts[:, 0], all_verts[:, 1])
@@ -821,8 +803,8 @@ class TestTransmitterTables:
         kinds = set()
         for i in range(201):
             rx = traj.position(0.01 * i)
-            got = tracer.trace(cfg.tx_position, rx, cfg.limits)
-            assert_same_paths(got, oracle.trace(cfg.tx_position, rx, cfg.limits))
+            got = solve(tracer, cfg.tx_position, rx, cfg.limits)
+            assert_same_paths(got, solve(oracle, cfg.tx_position, rx, cfg.limits))
             self.check_first_segments(tracer, oracle, cfg.tx_position, rx, cfg.limits)
             kinds.update(tuple(r.kind for r in p.interactions) for p in got)
         assert {("D",), ("R", "D"), ("D", "R")} <= kinds
@@ -879,6 +861,97 @@ class TestTransmitterTables:
         for i in range(8):
             tx = (tx_a, tx_b)[i % 2]
             rx = traj.position(0.25 * i)
-            got = tracer.trace(tx, rx, cfg.limits)
-            assert_same_paths(got, SpecularTracer(scene, carrier).trace(tx, rx, cfg.limits))
-            assert_same_paths(got, UntabledTracer(scene, carrier).trace(tx, rx, cfg.limits))
+            got = solve(tracer, tx, rx, cfg.limits)
+            assert_same_paths(got, solve(SpecularTracer(scene, carrier), tx, rx, cfg.limits))
+            assert_same_paths(got, solve(UntabledTracer(scene, carrier), tx, rx, cfg.limits))
+
+
+# ----------------------------------------------------------------------
+# chunked solves against one-receiver solves
+# ----------------------------------------------------------------------
+def check_chunked(scene, carrier, tx, receivers, limits, chunk):
+    """Solves ``receivers`` ``chunk`` at a time and one at a time with two
+    fresh tracers; the path lists and the counters must be equal bit for
+    bit.  Returns the chunked path lists, in receiver order."""
+    chunked, single = SpecularTracer(scene, carrier), SpecularTracer(scene, carrier)
+    receivers = np.asarray(receivers, dtype=float)
+    got = []
+    for first in range(0, len(receivers), chunk):
+        got += chunked.trace(tx, receivers[first : first + chunk], limits)
+    assert len(got) == len(receivers)
+    for paths, rx in zip(got, receivers):
+        assert_same_paths(paths, solve(single, tx, rx, limits))
+    assert chunked.counters == single.counters
+    return got
+
+
+def rooftop_edges(paths):
+    return [len(p.interactions) for p in rooftop_paths(paths)]
+
+
+class TestChunkedTrace:
+    @pytest.mark.parametrize("chunk", [1, 7, 32])
+    def test_preset_t0_to_2s(self, chunk):
+        cfg = load_preset()
+        traj = cfg.trajectory()
+        receivers = [traj.position(0.01 * i) for i in range(201)]
+        got = check_chunked(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position, receivers, cfg.limits, chunk)
+        # every family and a rooftop path at every receiver
+        kinds = {tuple(r.kind for r in p.interactions) for paths in got for p in paths}
+        assert {("R", "R"), ("D",), ("R", "D"), ("D", "R")} <= kinds
+        assert all(len(rooftop_edges(paths)) == 1 for paths in got)
+
+    @pytest.mark.parametrize("name", SMALL_SCENES)
+    def test_small_scenes(self, name):
+        # each scene's receiver and points around it, each way round
+        for scene, tx, rx in small_solves(name):
+            receivers = [
+                r
+                for r in rx + np.array([[0.0, 0.0, 0.0], [3.0, -2.0, 1.0], [-5.0, 4.0, 0.5], [0.0, 0.0, 12.0]])
+                if not scene.contains_point(r) and np.linalg.norm(r - tx) > EPS_GEOM
+            ]
+            assert len(receivers) >= 3
+            for limits in (TraceLimits(), TraceLimits(max_reflections=1), NO_DIFFRACTION):
+                check_chunked(scene, F19, tx, receivers, limits, len(receivers))
+
+    def test_random_transmitters_mix_blocked_and_clear_receivers(self):
+        # receivers with their direct ray clear and blocked in one chunk, so
+        # that the rooftop paths of a chunk have different edge counts
+        rng = np.random.default_rng(2401)
+        scene = Scene(buildings=CITY)
+        receivers = np.array(random_transmitters(scene, rng, 12))
+        mixed = 0
+        for tx in random_transmitters(scene, rng, 8):
+            rx = receivers[np.linalg.norm(receivers - tx, axis=1) > EPS_GEOM]
+            got = check_chunked(scene, F19, tx, rx, TraceLimits(), len(rx))
+            edges = {n for paths in got for n in rooftop_edges(paths)}
+            clear = sum(any(p.signature == LOS_SIGNATURE for p in paths) for paths in got)
+            mixed += len(edges) > 1 and 0 < clear < len(rx)
+        assert mixed > 0
+
+    def test_receiver_inside_a_building_mid_chunk(self):
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        traj = cfg.trajectory()
+        inside = np.array([*scene.buildings[3].footprint.mean(axis=0), 1.0])
+        assert scene.contains_point(inside)
+        receivers = np.array([traj.position(0.1 * i) for i in range(6)])
+        receivers[3] = inside
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
+        with pytest.raises(ValueError, match="rx lies inside a building") as chunked:
+            tracer.trace(cfg.tx_position, receivers, cfg.limits)
+        with pytest.raises(ValueError) as single:
+            solve(tracer, cfg.tx_position, inside, cfg.limits)
+        assert str(chunked.value) == str(single.value)
+        # the endpoints are checked before any work
+        assert tracer.counters == SpecularTracer(scene, tracer.carrier).counters
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 3)])
+    def test_receivers_must_be_rows_of_three(self, shape):
+        tracer = SpecularTracer(Scene(buildings=[]), F19)
+        with pytest.raises(ValueError, match="receivers must be an"):
+            tracer.trace(np.array([0.0, 0.0, 10.0]), np.ones(shape), TraceLimits())
+
+    def test_no_receivers(self):
+        tracer = SpecularTracer(Scene(buildings=[]), F19)
+        assert tracer.trace(np.array([0.0, 0.0, 10.0]), np.zeros((0, 3))) == []
