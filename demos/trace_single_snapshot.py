@@ -13,8 +13,6 @@ Usage: python3 demos/trace_single_snapshot.py [seconds-into-run]
 import math
 import sys
 
-import numpy as np
-
 from railchan.config import load_preset
 from railchan.em import CarrierConfig
 from railchan.specular import SpecularTracer
@@ -28,9 +26,8 @@ carrier = CarrierConfig(cfg.carrier_hz)
 traj = cfg.trajectory()
 rx = traj.position(T_SECONDS)
 
-tracer = SpecularTracer(scene, carrier)
-paths = tracer.trace(cfg.tx_position, rx[None], cfg.limits)[0]
-paths += ScatterEngine(scene, carrier).paths(cfg.tx_position, rx[None])[0]
+paths = SpecularTracer(scene, carrier, cfg.tx_position).trace(rx[None], cfg.limits)[0]
+paths += ScatterEngine(scene, carrier, cfg.tx_position).paths(rx[None])[0]
 
 print(f"t = {T_SECONDS:.2f} s, receiver at ({rx[0]:.1f}, {rx[1]:.1f}, {rx[2]:.1f}) m")
 print(f"{len(paths)} paths\n")

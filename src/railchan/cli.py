@@ -50,7 +50,7 @@ from .metrics import (
     synthesize_tv_cir,
 )
 from .rays import SCATTERING, TAG_SCATTER
-from .scatter import ScatterEngine, _inside_bounding_cylinder
+from .scatter import ScatterEngine, inside_scatterers
 from .scene import EPS_GEOM, SceneError, load_scene_file
 from .specular import SOLVE_STAGES, SpecularTracer
 from .traceio import (
@@ -197,10 +197,10 @@ def _check_antennas(cfg: ScenarioConfig, scene, traj: Trajectory, solved, scatte
         return
     antennas = [("'tx_position_m'", tx)]
     antennas += [(f"the receiver track at t = {t:g} s", traj.position(t)) for t in scattered]
-    for name, p in antennas:
-        for cyl in scene.scatterers:
-            if _inside_bounding_cylinder(cyl, p):
-                raise ConfigError(f"{name}, {p.tolist()}, lies inside scatterer {cyl.id} of the scene")
+    inside = np.argwhere(inside_scatterers(scene.scatterers, [p for _, p in antennas]))
+    if len(inside):
+        (name, p), cyl = antennas[inside[0, 0]], scene.scatterers[inside[0, 1]]
+        raise ConfigError(f"{name}, {p.tolist()}, lies inside scatterer {cyl.id} of the scene")
 
 
 def _check_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: float, start_step: int = 0) -> None:
@@ -514,23 +514,21 @@ def cmd_bench(args) -> int:
 
     rx_list = np.array([traj.position(t) for t in rx_times])
     for rep in range(args.repeats):
-        # a fresh tracer builds what the transmitter alone decides at its
-        # first solve, once per stream; the solve's stages are the tracer's
-        # own timers over the one chunked solve of the five receivers
-        tracer = SpecularTracer(scene, carrier)
-        tracer.trace(cfg.tx_position, rx_list[:1], cfg.limits)
-        add_row("tx_tables", rep, 1, tracer.timings["tx_tables"])
-        before = dict(tracer.timings)
+        # a fresh tracer builds its scene's and its transmitter's tables, once
+        # per stream; the solve's stages are the tracer's own timers over the
+        # one chunked solve of the five receivers
         t0 = time.perf_counter()
-        tracer.trace(cfg.tx_position, rx_list, cfg.limits)
+        tracer = SpecularTracer(scene, carrier, cfg.tx_position)
+        add_row("tx_tables", rep, 1, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        tracer.trace(rx_list, cfg.limits)
         add_row("specular_trace", rep, len(rx_list), time.perf_counter() - t0)
         for stage in SOLVE_STAGES:
-            add_row(f"{stage}_solve", rep, len(rx_list), tracer.timings[stage] - before[stage])
+            add_row(f"{stage}_solve", rep, len(rx_list), tracer.timings[stage])
 
     if scene.scatterers:
-        engine = ScatterEngine(scene, carrier)
-        engine.paths(cfg.tx_position, rx_list[:1])  # cut the lit facets once
-        timed("scatter_snapshot", len(rx_list), lambda: engine.paths(cfg.tx_position, rx_list))
+        engine = ScatterEngine(scene, carrier, cfg.tx_position)
+        timed("scatter_snapshot", len(rx_list), lambda: engine.paths(rx_list))
 
     # the stream's own interpolation time over the bracket's 9 interior snapshots
     for rep in range(args.repeats):

@@ -487,19 +487,22 @@ def stream_snapshots(
         raise ValueError(f"unknown scatter_mode {scatter_mode!r}; expected one of {SCATTER_MODES}")
     schedule = StepSchedule(update_step, kf_interval, start_step, traj.duration)
 
-    tx = np.asarray(tx_position, dtype=float)
-    limits = limits if limits is not None else TraceLimits()
-
-    tracer = SpecularTracer(scene, carrier)
+    # each build counts to the stage whose solves read its tables
+    t0 = time.perf_counter()
+    tracer = SpecularTracer(scene, carrier, tx_position)
+    keyframe_seconds = time.perf_counter() - t0
+    interpolation_seconds = scatter_seconds = 0.0
     engine = None
     if scatter_mode != "off" and scene.scatterers:
-        engine = ScatterEngine(scene, carrier)
+        t0 = time.perf_counter()
+        engine = ScatterEngine(scene, carrier, tx_position)
+        if scatter_mode == "exact":
+            scatter_seconds = time.perf_counter() - t0
+        else:
+            keyframe_seconds += time.perf_counter() - t0
     kf_engine = engine if scatter_mode == "interpolated" else None
     exact_engine = engine if scatter_mode == "exact" else None
 
-    keyframe_seconds = 0.0
-    interpolation_seconds = 0.0
-    scatter_seconds = 0.0
     snapshots: list[ChannelSnapshot] = []
     # exact echoes of the chunk of steps the walk is in, by step
     echoes: dict[int, list] = {}
@@ -510,7 +513,7 @@ def stream_snapshots(
             t0 = time.perf_counter()
             if i not in echoes:
                 chunk = range(i, min(i + SCATTER_CHUNK, schedule.snapshots.stop))
-                rows = exact_engine.paths(tx, np.array([traj.position(j * update_step) for j in chunk]))
+                rows = exact_engine.paths(np.array([traj.position(j * update_step) for j in chunk]))
                 echoes.update(zip(chunk, rows))
             paths = paths + _fill_doppler(echoes.pop(i), v, carrier)
             scatter_seconds += time.perf_counter() - t0
@@ -528,9 +531,9 @@ def stream_snapshots(
             steps = schedule.keyframes[first : first + KEYFRAME_CHUNK]
             times = schedule.seconds(steps)
             rx = np.array([traj.position(t) for t in times])
-            solved = tracer.trace(tx, rx, limits)
+            solved = tracer.trace(rx, limits)
             if kf_engine is not None:
-                for paths, echoes in zip(solved, kf_engine.paths(tx, rx)):
+                for paths, echoes in zip(solved, kf_engine.paths(rx)):
                     paths += echoes
             keyframe_seconds += time.perf_counter() - t0
             for i, t, r, paths in zip(steps, times, rx, solved):

@@ -10,11 +10,12 @@ antennas to its reference point are clear; the path's delay follows the
 polyline through that point.  The facet sum's polarization bases come from
 ``em.spherical_basis``, the path composer's own.
 
-:class:`ScatterEngine` cuts each mesh to the facets its transmitter lights,
-once per transmitter, and takes many receivers per call: one occlusion query
-for all their direct legs, then one facet pass per mesh over the receivers,
-split under ``FACET_ROW_BUDGET``.  The closed-form RCS oracles call
-:func:`po_scattered_matrix`, the one-receiver case of the same pass.
+:class:`ScatterEngine` belongs to one transmitter and cuts each mesh to
+the facets it lights at construction; it takes many receivers per call: one
+occlusion query for all their direct legs, then one facet pass per mesh over
+the receivers, split under ``FACET_ROW_BUDGET``.  The closed-form RCS
+oracles call :func:`po_scattered_matrix`, the one-receiver case of the same
+pass.
 """
 
 from __future__ import annotations
@@ -261,12 +262,13 @@ def _facet_sums(lit: _LitFacets, receivers: np.ndarray, carrier: CarrierConfig) 
     return transfers, live
 
 
-def _inside_bounding_cylinder(cyl: CylinderScatterer, p: np.ndarray) -> bool:
-    """True when ``p`` lies within ``EPS_GEOM`` of the body of ``cyl``."""
-    rel = p - np.asarray(cyl.base_center, dtype=float)
-    if not (-EPS_GEOM < rel[2] < cyl.height + EPS_GEOM):
-        return False
-    return math.hypot(rel[0], rel[1]) < cyl.radius + EPS_GEOM
+def inside_scatterers(scatterers: list, points) -> np.ndarray:
+    """(P, M) mask of the (P, 3) ``points`` that lie within ``EPS_GEOM`` of
+    the body of each of the M cylinders ``scatterers``."""
+    rel = np.reshape(points, (-1, 1, 3)) - np.reshape([c.base_center for c in scatterers], (1, -1, 3))
+    height, radius = np.array([(c.height, c.radius) for c in scatterers]).reshape(-1, 2).T
+    z = rel[..., 2]
+    return (z > -EPS_GEOM) & (z < height + EPS_GEOM) & (np.hypot(rel[..., 0], rel[..., 1]) < radius + EPS_GEOM)
 
 
 def po_scattered_matrix(mesh: FacetMesh, src: np.ndarray, obs: np.ndarray, carrier: CarrierConfig) -> np.ndarray:
@@ -274,9 +276,8 @@ def po_scattered_matrix(mesh: FacetMesh, src: np.ndarray, obs: np.ndarray, carri
     ``obs``: the one-receiver case of the engine's facet sum."""
     src = np.asarray(src, dtype=float)
     obs = np.asarray(obs, dtype=float)
-    for p in (src, obs):
-        if mesh.scatterer is not None and _inside_bounding_cylinder(mesh.scatterer, p):
-            raise ValueError("antenna endpoint lies inside the scatterer body")
+    if mesh.scatterer is not None and inside_scatterers([mesh.scatterer], [src, obs]).any():
+        raise ValueError("antenna endpoint lies inside the scatterer body")
     return _facet_sums(_lit_facets(mesh, src, carrier), obs[None], carrier)[0][0]
 
 
@@ -288,23 +289,34 @@ SCATTER_COUNTERS = ("snapshots", "legs_tested", "echoes", "facet_terms")
 
 
 class ScatterEngine:
-    """Per-scene scattering helper that keeps, per scatterer, the facets its
-    transmitter lights.
+    """The scattering of one transmitter, ``tx``: at construction, the lit
+    facets of each scatterer that ``tx`` sees, and per call the echoes at
+    any receivers.  No antenna may lie inside a scatterer body.
 
     ``counters`` holds its deterministic work counts: the receivers it
     evaluated (``snapshots``), the antenna-to-reference legs it gave the
-    occlusion query (``legs_tested``), the ``echoes`` it returned and the
-    live facet terms it summed (``facet_terms``).
+    occlusion query (``legs_tested``), the transmitter's at construction
+    included, the ``echoes`` it returned and the live facet terms it summed
+    (``facet_terms``).
     """
 
-    def __init__(self, scene: Scene, carrier: CarrierConfig):
+    def __init__(self, scene: Scene, carrier: CarrierConfig, tx):
+        tx = np.asarray(tx, dtype=float)
+        if inside_scatterers(scene.scatterers, tx).any():
+            raise ValueError("antenna endpoint lies inside the scatterer body")
         self.scene = scene
         self.carrier = carrier
+        self.tx = tx
         self._refs = np.array([s.reference_point for s in scene.scatterers], dtype=float)
         self._records = [(Interaction(kind=SCATTERING, object_id=s.id, element_id=0),) for s in scene.scatterers]
-        self._tx_key: bytes | None = None
-        self._lit: list[_LitFacets | None] = []
         self.counters = dict.fromkeys(SCATTER_COUNTERS, 0)
+        # the lit facets of every scatterer the transmitter sees (None for
+        # the others); the full meshes are not kept
+        sees = self._clear(tx[None])[0] if scene.scatterers else []
+        self._lit = [
+            _lit_facets(mesh_cylinder(cyl, carrier), tx, carrier) if clear else None
+            for cyl, clear in zip(scene.scatterers, sees)
+        ]
 
     def _clear(self, points: np.ndarray) -> np.ndarray:
         """(P, scatterers) mask of the straight legs from each of the (P, 3)
@@ -316,43 +328,28 @@ class ScatterEngine:
         self.counters["legs_tested"] += len(starts)
         return ~self.scene.segments_blocked(starts, ends).reshape(n_pts, n_refs)
 
-    def _prepare_tx(self, tx: np.ndarray):
-        """The lit facets of every scatterer the transmitter sees (None for
-        the others), once per transmitter; the full meshes are not kept."""
-        key = tx.tobytes()
-        if self._tx_key == key:
-            return
-        self._lit = [
-            _lit_facets(mesh_cylinder(cyl, self.carrier), tx, self.carrier) if clear else None
-            for cyl, clear in zip(self.scene.scatterers, self._clear(tx[None])[0])
-        ]
-        self._tx_key = key
-
-    def paths(self, tx, receivers) -> list[list[RayPath]]:
+    def paths(self, receivers) -> list[list[RayPath]]:
         """The echoes at each of the (S, 3) ``receivers``, one list per
         receiver in scatterer order: one echo per scatterer whose direct legs
         from the transmitter and from that receiver are both clear."""
-        tx = np.asarray(tx, dtype=float)
         receivers = np.asarray(receivers, dtype=float)
         if receivers.ndim != 2 or receivers.shape[1] != 3:
             raise ValueError(f"receivers must be an (S, 3) array, got shape {receivers.shape}")
+        if inside_scatterers(self.scene.scatterers, receivers).any():
+            raise ValueError("antenna endpoint lies inside the scatterer body")
         n_rx = len(receivers)
         out: list[list[RayPath]] = [[] for _ in range(n_rx)]
         if not self.scene.scatterers or not n_rx:
             return out
         self.counters["snapshots"] += n_rx
-        self._prepare_tx(tx)
         clear = self._clear(receivers)
         transfers = np.zeros((n_rx, len(self._refs), 2, 2), dtype=complex)
-        for m, (cyl, lit) in enumerate(zip(self.scene.scatterers, self._lit)):
+        for m, lit in enumerate(self._lit):
             if lit is None:
                 clear[:, m] = False
                 continue
             rows = np.flatnonzero(clear[:, m])
             if len(rows):
-                for p in (tx, *receivers[rows]):
-                    if _inside_bounding_cylinder(cyl, p):
-                        raise ValueError("antenna endpoint lies inside the scatterer body")
                 transfers[rows, m], live = _facet_sums(lit, receivers[rows], self.carrier)
                 self.counters["facet_terms"] += int(live.sum())
 
@@ -361,7 +358,7 @@ class ScatterEngine:
         if not len(rx_of):
             return out
         verts = np.empty((len(rx_of), 3, 3))
-        verts[:, 0] = tx
+        verts[:, 0] = self.tx
         verts[:, 1] = self._refs[ref_of]
         verts[:, 2] = receivers[rx_of]
         echoes = RayPath.batch(

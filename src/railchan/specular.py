@@ -22,10 +22,10 @@ earlier candidate of the same receiver already has, get their transfer
 matrices from one :func:`~railchan.em.compose_path_matrix` call per family;
 the power floor is an array mask over them, interaction records are built
 only for the paths kept, and each receiver's paths are sorted.  A
-:class:`SpecularTracer` caches the per-scene tables (second-order
-image-pair feasibility, wedge fronts and interaction records; zero-length
-when the scene has none) and, from the first solve until the transmitter
-moves, everything the transmitter alone decides:
+:class:`SpecularTracer` belongs to one transmitter and builds, at
+construction, the per-scene tables (second-order image-pair feasibility,
+wedge fronts and interaction records; zero-length when the scene has none)
+and everything the transmitter decides:
 
 * the facade images;
 * the wedges whose edge the transmitter sees from outside the wedge
@@ -38,12 +38,12 @@ moves, everything the transmitter alone decides:
   pair leaves its table when one facade blocks that segment at every
   height (:func:`_facade_covers`).
 
-``SpecularTracer.trace`` is the one entry point: it checks the endpoints
-once, and the scene's one occlusion query, ``Scene.segments_blocked``,
-decides every segment.  Every receiver of a chunk gets, bit for bit, the
-paths of a chunk of one: the arithmetic of each candidate is elementwise,
-and the matrix-vector products, whose bits depend on the rows of their call,
-run per receiver over that receiver's rows.
+The constructor checks the transmitter and ``SpecularTracer.trace``, the
+one entry point, its receivers; the scene's one occlusion query,
+``Scene.segments_blocked``, decides every segment.  Every receiver of a
+chunk gets, bit for bit, the paths of a chunk of one: the arithmetic of each
+candidate is elementwise, and the matrix-vector products, whose bits depend
+on the rows of their call, run per receiver over that receiver's rows.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _facade_covers(scene: Scene, tx, xy, zlo, zhi):
 
 
 class SpecularTracer:
-    """Reusable tracer holding per-scene and per-transmitter tables.
+    """One transmitter's tracer, its tables built at construction.
 
     ``counters`` accumulates over every :meth:`trace` call: per family (LoS,
     R, RR, D, RD, DR and the rooftop path K) the candidates generated, the
@@ -171,26 +171,38 @@ class SpecularTracer:
     ``generated`` equals its ``clear``.
 
     ``timings`` accumulates the seconds, not deterministic, that the solves
-    spent in each stage of :data:`SOLVE_STAGES`, and under ``tx_tables`` in
-    building the transmitter tables, a part of ``candidate``.
+    spent in each stage of :data:`SOLVE_STAGES`.
     """
 
-    def __init__(self, scene: Scene, carrier: CarrierConfig):
+    def __init__(self, scene: Scene, carrier: CarrierConfig, tx):
+        tx = np.asarray(tx, dtype=float)
+        if tx[2] < 0.0:
+            raise ValueError("tx lies below the ground")
+        if scene.contains_point(tx):
+            raise ValueError("tx lies inside a building")
         self.scene = scene
         self.carrier = carrier
-        self._prepare_scene_tables()
-        self._tx_key: bytes | None = None
+        self.tx = tx
         self.counters = {
             "families": {name: {"generated": 0, "clear": 0, "kept": 0} for name in FAMILIES},
             "occlusion_segments": [],
         }
-        self.timings = dict.fromkeys(("tx_tables", *SOLVE_STAGES), 0.0)
+        self.timings = dict.fromkeys(SOLVE_STAGES, 0.0)
+        self._prepare_tables()
 
-    # ------------------------------------------------------------------
-    # static tables
-    # ------------------------------------------------------------------
-    def _prepare_scene_tables(self):
-        sc = self.scene
+    def _prepare_tables(self):
+        """The scene's interaction records and wedge fronts, and the tables
+        of the transmitter the module docstring lists."""
+        sc, tx = self.scene, self.tx
+        facades = list(zip(sc.fac_object.tolist(), sc.fac_element.tolist()))
+        wedges = list(zip(sc.wedge_object.tolist(), sc.wedge_element.tolist()))
+        self._records = {
+            kind: [Interaction(kind, o, e) for o, e in rows]
+            for kind, rows in ((REFLECTION, facades), (ROOFTOP_DIFFRACTION, facades), (EDGE_DIFFRACTION, wedges))
+        }
+        d = sc.wedge_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
+        self._w_front_of = d > EPS_GEOM  # [w, f]
+
         # a facade pair (i, j) can only host a double reflection when each
         # facade has at least one point strictly in front of the other's plane
         p0 = sc.fac_origin[:, :2]
@@ -201,34 +213,12 @@ class SpecularTracer:
         partly_front = (np.maximum(d0, d1) > EPS_GEOM).T  # [i, f]
         feasible = partly_front & partly_front.T
         np.fill_diagonal(feasible, False)
-        self._pair_i, self._pair_j = np.nonzero(feasible)
-        # the interaction record of each facade and wedge table row, by kind
-        facades = list(zip(sc.fac_object.tolist(), sc.fac_element.tolist()))
-        wedges = list(zip(sc.wedge_object.tolist(), sc.wedge_element.tolist()))
-        self._records = {
-            kind: [Interaction(kind, o, e) for o, e in rows]
-            for kind, rows in ((REFLECTION, facades), (ROOFTOP_DIFFRACTION, facades), (EDGE_DIFFRACTION, wedges))
-        }
-        d = sc.wedge_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
-        self._w_front_of = d > EPS_GEOM  # [w, f]
-
-    def _prepare_tx_tables(self, tx: np.ndarray):
-        """Everything the transmitter alone decides, built at the first solve
-        from ``tx`` and kept until the transmitter moves: the facade images,
-        the D/DR wedge table and the RD pair table, each without the targets
-        whose first segment one facade blocks at every height (see
-        :func:`_facade_covers`)."""
-        key = tx.tobytes()
-        if self._tx_key == key:
-            return
-        t0 = time.perf_counter()
-        sc = self.scene
+        pair_i, pair_j = np.nonzero(feasible)
         d = sc.fac_normal @ tx - sc.fac_offset
         self._tx_front = d > EPS_GEOM
         self._img1 = tx[None, :] - 2.0 * d[:, None] * sc.fac_normal
-        live = self._tx_front[self._pair_i]
-        pi = self._pair_i[live]
-        pj = self._pair_j[live]
+        live = self._tx_front[pair_i]
+        pi, pj = pair_i[live], pair_j[live]
         m1 = self._img1[pi]
         n2 = sc.fac_normal[pj]
         d2 = np.einsum("kj,kj->k", m1, n2) - sc.fac_offset[pj]
@@ -274,8 +264,6 @@ class SpecularTracer:
         self._wedge_front_of = self._w_front_of[self._wedges]
         rd_keep = ~covered[nw:]
         self._rd_w, self._rd_f, self._rd_src = rd_w[rd_keep], rd_f[rd_keep], src[rd_keep]
-        self._tx_key = key
-        self.timings["tx_tables"] += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # families: each returns (vertices (K, n, 3), (kinds, hosts), owner) for
@@ -284,13 +272,13 @@ class SpecularTracer:
     # the facade or wedge table, and owner the receiver of each candidate.
     # The rows are receiver-major, each receiver's in its own candidate order
     # ------------------------------------------------------------------
-    def _single_reflections(self, tx, rx, rx_front):
+    def _single_reflections(self, rx, rx_front):
         s, idx = np.nonzero(self._tx_front & rx_front)
         pts, ok = _facade_crossing(self.scene, self._img1[idx], rx[s], idx)
         s = s[ok]
-        return _polylines(tx, [pts[ok]], rx[s]), ((REFLECTION,), [idx[ok]]), s
+        return _polylines(self.tx, [pts[ok]], rx[s]), ((REFLECTION,), [idx[ok]]), s
 
-    def _double_reflections(self, tx, rx, rx_front):
+    def _double_reflections(self, rx, rx_front):
         sc = self.scene
         s, sel = np.nonzero(rx_front[:, self._live_j])
         fi = self._live_i[sel]
@@ -303,7 +291,7 @@ class SpecularTracer:
         d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
         s = s[ok]
-        return _polylines(tx, [x1[ok], x2[ok]], rx[s]), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]]), s
+        return _polylines(self.tx, [x1[ok], x2[ok]], rx[s]), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]]), s
 
     def _edge_candidates(self, src, dst, widx):
         """Diffraction points on wedges widx for the unfolded src->dst rays.
@@ -328,23 +316,23 @@ class SpecularTracer:
         points = np.concatenate([np.broadcast_to(w_xy, d1.shape + (2,)), z[..., None]], axis=-1)
         return points, ok
 
-    def _single_diffractions(self, tx, rx):
+    def _single_diffractions(self, rx):
         s, j = np.divmod(np.arange(len(rx) * len(self._wedges)), len(self._wedges))
         widx = self._wedges[j]
-        pts, ok = self._edge_candidates(tx, rx[s], widx)
+        pts, ok = self._edge_candidates(self.tx, rx[s], widx)
         s = s[ok]
-        return _polylines(tx, [pts[ok]], rx[s]), ((EDGE_DIFFRACTION,), [widx[ok]]), s
+        return _polylines(self.tx, [pts[ok]], rx[s]), ((EDGE_DIFFRACTION,), [widx[ok]]), s
 
-    def _reflection_then_diffraction(self, tx, rx):
+    def _reflection_then_diffraction(self, rx):
         s, j = np.divmod(np.arange(len(rx) * len(self._rd_w)), len(self._rd_w))
         fidx, wi, src = self._rd_f[j], self._rd_w[j], self._rd_src[j]
         e_pts, ok = self._edge_candidates(src, rx[s], wi)
         s, fidx, wi, src, e_pts = s[ok], fidx[ok], wi[ok], src[ok], e_pts[ok]
         x1, ok = _facade_crossing(self.scene, src, e_pts, fidx)
         s = s[ok]
-        return _polylines(tx, [x1[ok], e_pts[ok]], rx[s]), ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]), s
+        return _polylines(self.tx, [x1[ok], e_pts[ok]], rx[s]), ((REFLECTION, EDGE_DIFFRACTION), [fidx[ok], wi[ok]]), s
 
-    def _diffraction_then_reflection(self, tx, rx, rx_front):
+    def _diffraction_then_reflection(self, rx, rx_front):
         sc = self.scene
         s, tk, fidx = np.nonzero(self._wedge_front_of[None] & rx_front[:, None])
         wi = self._wedges[tk]
@@ -354,83 +342,80 @@ class SpecularTracer:
         d = np.concatenate([sc.fac_normal[fidx[a:b]] @ r for r, a, b in zip(rx, ends, ends[1:])])
         d -= sc.fac_offset[fidx]
         rx_img = rx[s] - 2.0 * d[:, None] * sc.fac_normal[fidx]
-        e_pts, ok = self._edge_candidates(tx, rx_img, wi)
+        e_pts, ok = self._edge_candidates(self.tx, rx_img, wi)
         s, wi, fidx, rx_img, e_pts = s[ok], wi[ok], fidx[ok], rx_img[ok], e_pts[ok]
         x2, ok = _facade_crossing(sc, e_pts, rx_img, fidx)
         s = s[ok]
-        return _polylines(tx, [e_pts[ok], x2[ok]], rx[s]), ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]), s
+        return _polylines(self.tx, [e_pts[ok], x2[ok]], rx[s]), ((EDGE_DIFFRACTION, REFLECTION), [wi[ok], fidx[ok]]), s
 
     # ------------------------------------------------------------------
     # the trace
     # ------------------------------------------------------------------
-    def candidates(self, tx, rx, limits: TraceLimits) -> list:
+    def candidates(self, rx, limits: TraceLimits) -> list:
         """The lateral candidate families of the solves at the (S, 3)
         receivers ``rx``, LoS first: one (vertices (K, n, 3), (kinds, hosts),
         owner) triple per family, without the candidates that have a
-        degenerate segment.  ``tx`` and ``rx`` are checked float arrays.
+        degenerate segment.  ``rx`` is a checked float array.
 
         The generators run on ``CANDIDATE_BLOCK`` receivers at a time and
         each family joins the rows of its blocks, which bounds the rows the
         RR and DR generators hold before their crossing tests (about 1,700
         per receiver on the preset)."""
-        self._prepare_tx_tables(tx)
         blocks = []
         for first in range(0, len(rx), CANDIDATE_BLOCK):
-            block = self._lateral_families(tx, rx[first : first + CANDIDATE_BLOCK], limits)
+            block = self._lateral_families(rx[first : first + CANDIDATE_BLOCK], limits)
             blocks.append([(verts, hosts, owner + first) for verts, hosts, owner in block])
         return [_joined(parts) for parts in zip(*blocks)]
 
-    def _lateral_families(self, tx, rx, limits: TraceLimits) -> list:
+    def _lateral_families(self, rx, limits: TraceLimits) -> list:
         """:meth:`candidates` for one block of receivers."""
         sc = self.scene
         # receiver by receiver: one matrix product over every receiver rounds
         # differently
         rx_front = np.array([sc.fac_normal @ r for r in rx]) - sc.fac_offset > EPS_GEOM
 
-        families = [(_polylines(tx, [], rx), ((), []), np.arange(len(rx)))]
+        families = [(_polylines(self.tx, [], rx), ((), []), np.arange(len(rx)))]
         if limits.max_reflections >= 1:
-            families.append(self._single_reflections(tx, rx, rx_front))
+            families.append(self._single_reflections(rx, rx_front))
         if limits.max_reflections >= 2:
-            families.append(self._double_reflections(tx, rx, rx_front))
+            families.append(self._double_reflections(rx, rx_front))
         if limits.max_vertical_diffractions >= 1:
-            families.append(self._single_diffractions(tx, rx))
+            families.append(self._single_diffractions(rx))
             if limits.max_reflections >= 1:
-                families.append(self._reflection_then_diffraction(tx, rx))
-                families.append(self._diffraction_then_reflection(tx, rx, rx_front))
+                families.append(self._reflection_then_diffraction(rx))
+                families.append(self._diffraction_then_reflection(rx, rx_front))
         return [_drop_degenerate(*family) for family in families]
 
-    def trace(self, tx, receivers, limits: TraceLimits | None = None) -> list[list[RayPath]]:
-        """The paths from ``tx`` to each of the (S, 3) ``receivers``, one list
-        per receiver, sorted by interaction count and signature; a single
-        receiver is ``rx[None]``.
+    def trace(self, receivers, limits: TraceLimits | None = None) -> list[list[RayPath]]:
+        """The paths from the transmitter to each of the (S, 3)
+        ``receivers``, one list per receiver, sorted by interaction count and
+        signature; a single receiver is ``rx[None]``.
 
         The receivers share each family's arrays, each occlusion round, one
         :func:`~railchan.em.compose_path_matrix` call and one
         :meth:`RayPath.batch` per interaction sequence; de-duplication, the
         power floor and the sort stay per receiver, so each receiver gets the
         paths, bit for bit, and the counts of a one-receiver call.  The
-        endpoints are checked before any work, the transmitter, then the
-        receivers in order, so a bad receiver raises the ValueError of its
-        one-receiver call.
+        receivers are checked in order before any work, so a bad receiver
+        raises the ValueError of its one-receiver call.
         """
         limits = limits or TraceLimits()
-        tx = np.asarray(tx, dtype=float)
         rx = np.asarray(receivers, dtype=float)
         if rx.ndim != 2 or rx.shape[1] != 3:
             raise ValueError(f"receivers must be an (S, 3) array, got shape {rx.shape}")
-        for name, p in (("tx", tx), *(("rx", r) for r in rx)):
-            if name == "rx" and np.linalg.norm(p - tx) < EPS_GEOM:
+        for r in rx:
+            if np.linalg.norm(r - self.tx) < EPS_GEOM:
                 raise ValueError("tx and rx must be distinct points")
-            if p[2] < 0.0:
-                raise ValueError(f"{name} lies below the ground")
-            if self.scene.contains_point(p):
-                raise ValueError(f"{name} lies inside a building")
+            if r[2] < 0.0:
+                raise ValueError("rx lies below the ground")
+            if self.scene.contains_point(r):
+                raise ValueError("rx lies inside a building")
         out: list[list[RayPath]] = [[] for _ in rx]
         if not len(rx):
             return out
         sc = self.scene
         marks = [time.perf_counter()]
-        families = self.candidates(tx, rx, limits)
+        families = self.candidates(rx, limits)
         marks.append(time.perf_counter())
         query = _CountedQuery(sc)
         clear = _clear_masks(query, families)
@@ -442,7 +427,7 @@ class SpecularTracer:
             blocked[families[0][2][clear[0]]] = False
             roofs: dict[int, list] = {}
             for s in np.flatnonzero(blocked).tolist():
-                verts, hosts = trace_rooftop(sc, tx, rx[s])
+                verts, hosts = trace_rooftop(sc, self.tx, rx[s])
                 if len(verts):
                     roofs.setdefault(verts.shape[1], []).append((verts, hosts, np.array([s])))
             for parts in roofs.values():

@@ -63,9 +63,10 @@ def rooftop_paths(paths):
 
 
 def traced_rooftop_path(scene, tx, rx, carrier, tracer=None, limits=ROOF_ONLY):
-    """The K path of ``SpecularTracer.trace``, or None when it keeps none."""
-    tracer = tracer or SpecularTracer(scene, carrier)
-    found = rooftop_paths(tracer.trace(tx, np.asarray(rx, dtype=float)[None], limits)[0])
+    """The K path of ``SpecularTracer.trace``, or None when it keeps none;
+    a given ``tracer`` is one built at ``tx``."""
+    tracer = tracer or SpecularTracer(scene, carrier, tx)
+    found = rooftop_paths(tracer.trace(np.asarray(rx, dtype=float)[None], limits)[0])
     assert len(found) <= 1
     return found[0] if found else None
 

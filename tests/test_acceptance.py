@@ -158,7 +158,7 @@ def test_04_two_wall_street_returns_five_paths_with_exact_lengths():
     tx = np.array([-50.0, 2.0, 5.0])
     rx = np.array([60.0, -3.0, 5.0])
     limits = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
-    (paths,) = SpecularTracer(scene, F19).trace(tx, rx[None], limits)
+    (paths,) = SpecularTracer(scene, F19, tx).trace(rx[None], limits)
 
     # mirror the receiver across the inner faces y = +10 / y = -10 by hand
     dx = rx[0] - tx[0]

@@ -214,10 +214,10 @@ def test_streams_evaluate_exactly_where_the_antenna_check_looked(tmp_path, monke
         return check(*args)
 
     def spy(method, seen):
-        def wrapper(self, tx, rx, *rest):
+        def wrapper(self, rx, *rest):
             rows = np.array(rx)
             seen.extend(rows if rows.ndim == 2 else [rows])
-            return method(self, tx, rx, *rest)
+            return method(self, rx, *rest)
 
         return wrapper
 
@@ -715,18 +715,18 @@ def test_bench_outputs(tmp_path, monkeypatch):
     solves = []
     original = railchan.specular.SpecularTracer.trace
 
-    def spy(self, tx, receivers, *rest):
+    def spy(self, receivers, *rest):
         solves.append(len(receivers))
-        return original(self, tx, receivers, *rest)
+        return original(self, receivers, *rest)
 
     monkeypatch.setattr(railchan.specular.SpecularTracer, "trace", spy)
     out = tmp_path / "bench"
     rc = main(["bench", "--repeats", "2", "--output-dir", str(out)])
     assert rc == 0
-    # per repeat, the transmitter tables' one-receiver solve and the trace
-    # stage's one chunked solve of five receivers; then per repeat the
-    # bracket stream solves its two keyframes in one chunk
-    assert solves == [1, 5, 1, 5, 2, 2]
+    # per repeat, the trace stage's one chunked solve of five receivers;
+    # then per repeat the bracket stream solves its two keyframes in one
+    # chunk
+    assert solves == [5, 5, 2, 2]
     rows = _read_csv(out / "bench.csv")
     assert list(rows[0]) == ["stage", "repeat", "units", "seconds", "per_unit_ms"]
     stages = {r["stage"] for r in rows}
@@ -765,7 +765,8 @@ def test_bench_outputs(tmp_path, monkeypatch):
     # family where round 0 finds the direct ray blocked, and the rest of the
     # solve, from de-duplication through composition, the power floor and
     # the path build to the sorted path lists; they lie within the trace
-    # stage's time.  The transmitter tables are built once per repeat
+    # stage's time.  The tracer's tables are built once per repeat, by its
+    # construction, the tx_tables stage
     solve_stages = ("candidate_solve", "occlusion_solve", "rooftop_solve", "compose_solve")
     for stage in ("specular_trace", *solve_stages):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"5"}

@@ -10,6 +10,7 @@ angles of each row computed one vector at a time.  The batch must reproduce
 it bit for bit.
 """
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -685,9 +686,9 @@ class TestKeyframeChunks:
         for name, owner, method in (("trace", SpecularTracer, "trace"), ("scatter", ScatterEngine, "paths")):
             original = getattr(owner, method)
 
-            def spy(self, tx, receivers, *rest, _log=calls[name], _original=original):
+            def spy(self, receivers, *rest, _log=calls[name], _original=original):
                 _log.append(len(receivers))
-                return _original(self, tx, receivers, *rest)
+                return _original(self, receivers, *rest)
 
             monkeypatch.setattr(owner, method, spy)
         monkeypatch.setattr(dynamics, "KEYFRAME_CHUNK", 8)
@@ -696,6 +697,20 @@ class TestKeyframeChunks:
             0.1, cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
         )
         assert calls == {"trace": [8, 8, 5], "scatter": [8, 8, 5]}
+
+    def test_tracer_and_engine_hold_one_transmitter(self):
+        # the transmitter is fixed at construction: no solve takes one, and
+        # no table is keyed by one
+        cfg = load_preset()
+        scene, carrier = cfg.load_scene(), CarrierConfig(cfg.carrier_hz)
+        for obj, method in (
+            (SpecularTracer(scene, carrier, cfg.tx_position), "trace"),
+            (ScatterEngine(scene, carrier, cfg.tx_position), "paths"),
+        ):
+            assert "tx" not in inspect.signature(getattr(obj, method)).parameters
+            assert list(inspect.signature(getattr(obj, method)).parameters)[0] == "receivers"
+            assert not hasattr(obj, "_tx_key")
+            assert obj.tx.tobytes() == np.asarray(cfg.tx_position, dtype=float).tobytes()
 
 
 class TestNorms:

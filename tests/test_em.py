@@ -733,14 +733,13 @@ def _oracle_above_floor(transfer, floor_db):
     return power > 0.0 and 10.0 * math.log10(power) >= -floor_db
 
 
-def oracle_trace(tracer, tx, rx, limits):
+def oracle_trace(tracer, rx, limits):
     """``SpecularTracer.trace`` with the scalar chain: candidates and
     occlusion from the tracer, then one record lookup and one
     :func:`oracle_compose_path_matrix` call per kept candidate."""
-    scene, carrier = tracer.scene, tracer.carrier
-    tx = np.asarray(tx, dtype=float)
+    scene, carrier, tx = tracer.scene, tracer.carrier, tracer.tx
     rx = np.asarray(rx, dtype=float)
-    families = tracer.candidates(tx, rx[None], limits)
+    families = tracer.candidates(rx[None], limits)
     clear = _clear_masks(scene, families)
     paths, seen = [], set()
     for (verts, (kinds, hosts), _), ok in zip(families, clear):
@@ -800,13 +799,13 @@ def preset():
 class TestWalkerAgainstScalarOracle:
     def test_every_preset_solve_t0_to_2s(self, preset):
         cfg, scene, carrier = preset
-        tracer = SpecularTracer(scene, carrier)
+        tracer = SpecularTracer(scene, carrier, cfg.tx_position)
         traj = cfg.trajectory()
         kinds = set()
         for i in range(201):
             rx = traj.position(i * cfg.update_step_s)
-            (got,) = tracer.trace(cfg.tx_position, rx[None], cfg.limits)
-            assert_matches_oracle(got, oracle_trace(tracer, cfg.tx_position, rx, cfg.limits))
+            (got,) = tracer.trace(rx[None], cfg.limits)
+            assert_matches_oracle(got, oracle_trace(tracer, rx, cfg.limits))
             kinds.update(tuple(r.kind for r in p.interactions) for p in got)
         # every family the preset keeps, the rooftop path included
         assert {("D",), ("R", "R"), ("R", "D"), ("D", "R")} <= kinds
@@ -815,11 +814,11 @@ class TestWalkerAgainstScalarOracle:
     @pytest.mark.parametrize("name", SMALL_SCENES)
     def test_small_scenes(self, name):
         for scene, tx, rx in small_solves(name):
-            tracer = SpecularTracer(scene, F19)
+            tracer = SpecularTracer(scene, F19, tx)
             for limits in (TraceLimits(), TraceLimits(max_reflections=1)):
-                (got,) = tracer.trace(tx, rx[None], limits)
+                (got,) = tracer.trace(rx[None], limits)
                 assert got
-                assert_matches_oracle(got, oracle_trace(tracer, tx, rx, limits))
+                assert_matches_oracle(got, oracle_trace(tracer, rx, limits))
 
     def test_o_face_wrap(self):
         # a transmitter 1 nm inside the o-face plane of edge D(1:6) is outside
@@ -827,13 +826,12 @@ class TestWalkerAgainstScalarOracle:
         # the walker both read its azimuth as 0, so the path keeps the
         # transfer it has with the transmitter on the plane
         box = Building(1, np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float), 10.0)
-        tracer = SpecularTracer(Scene(buildings=[box]), F19)
         rx = np.array([20.0, 20.0, 3.0])
         found = {}
         for y in (0.0, 1e-9):
-            tx = np.array([5.0, y, 5.0])
-            (paths,) = tracer.trace(tx, rx[None])
-            assert_matches_oracle(paths, oracle_trace(tracer, tx, rx, TraceLimits()))
+            tracer = SpecularTracer(Scene(buildings=[box]), F19, np.array([5.0, y, 5.0]))
+            (paths,) = tracer.trace(rx[None])
+            assert_matches_oracle(paths, oracle_trace(tracer, rx, TraceLimits()))
             found[y] = next(p for p in paths if p.signature == "D(1:6)")
         assert relative_error(found[1e-9].transfer, found[0.0].transfer) <= WALKER_RTOL
 
@@ -904,10 +902,10 @@ def preset_fresnel_arguments(preset):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(em, "transition_function", transition)
         mp.setattr(em, "knife_edge_diffraction", knife)
-        tracer = SpecularTracer(scene, carrier)
+        tracer = SpecularTracer(scene, carrier, cfg.tx_position)
         traj = cfg.trajectory()
         for i in range(21):
-            tracer.trace(cfg.tx_position, traj.position(i * cfg.update_step_s)[None], cfg.limits)
+            tracer.trace(traj.position(i * cfg.update_step_s)[None], cfg.limits)
     return {k: np.unique(np.concatenate(v)) for k, v in logged.items()}
 
 

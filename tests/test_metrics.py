@@ -68,8 +68,7 @@ def metric_row(paths, tx_power_dbm=0.0) -> dict:
 class TestNarrowbandPower:
     def test_free_space_100m_43dbm(self):
         scene = Scene(buildings=[])
-        (paths,) = SpecularTracer(scene, F19).trace(
-            np.array([0.0, 0.0, 10.0]),
+        (paths,) = SpecularTracer(scene, F19, np.array([0.0, 0.0, 10.0])).trace(
             np.array([[100.0, 0.0, 10.0]]),
             TraceLimits(0, 0, rooftop=False),
         )

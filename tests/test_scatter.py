@@ -273,8 +273,8 @@ class TestCylinderOracle:
         scale = np.max(np.abs(t_fwd))
         np.testing.assert_allclose(t_rev, t_fwd.T, rtol=1e-8, atol=1e-8 * scale)
         scene = Scene(buildings=[], scatterers=[cyl])
-        ((p_fwd,),) = ScatterEngine(scene, F19).paths(src, obs[None])
-        ((p_rev,),) = ScatterEngine(scene, F19).paths(obs, src[None])
+        ((p_fwd,),) = ScatterEngine(scene, F19, src).paths(obs[None])
+        ((p_rev,),) = ScatterEngine(scene, F19, obs).paths(src[None])
         assert p_fwd.delay_s == pytest.approx(p_rev.delay_s, abs=1e-15)
 
     def test_shadow_sweep_monotone_facet_count(self):
@@ -302,13 +302,16 @@ class TestCylinderOracle:
 
 class TestEnumerate:
     def test_no_scatterers_empty(self):
-        assert ScatterEngine(EMPTY, F19).paths(np.array([0.0, 0.0, 5.0]), np.array([[100.0, 0.0, 5.0]])) == [[]]
+        engine = ScatterEngine(EMPTY, F19, np.array([0.0, 0.0, 5.0]))
+        assert engine.paths(np.array([[100.0, 0.0, 5.0]])) == [[]]
+        # no scatterer: nothing built, no leg tested
+        assert engine.counters == dict.fromkeys(scatter.SCATTER_COUNTERS, 0)
 
     def test_single_pylon_direct_only(self):
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 30.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        (paths,) = ScatterEngine(scene, F19).paths(tx, rx[None])
+        (paths,) = ScatterEngine(scene, F19, tx).paths(rx[None])
         assert len(paths) == 1
         p = paths[0]
         assert p.signature == "S(9:0)"
@@ -334,7 +337,7 @@ class TestEnumerate:
         rx = np.array([100.0, 0.0, 4.5])
         # an echo runs straight between the antennas; the wall reflects
         # none of its legs
-        (paths,) = ScatterEngine(scene, F19).paths(tx, rx[None])
+        (paths,) = ScatterEngine(scene, F19, tx).paths(rx[None])
         assert {p.signature for p in paths} == {"S(9:0)"}
 
     def test_blocked_direct_legs_dropped(self):
@@ -349,29 +352,30 @@ class TestEnumerate:
         )
         tx = np.array([0.0, 0.0, 5.0])
         rx = np.array([100.0, 0.0, 5.0])
-        assert ScatterEngine(scene, F19).paths(tx, rx[None]) == [[]]
+        assert ScatterEngine(scene, F19, tx).paths(rx[None]) == [[]]
 
     def test_own_body_does_not_occlude(self):
         # forward-scatter geometry: pylon directly between the antennas
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 0.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 4.1])
         rx = np.array([100.0, 0.0, 4.1])
-        (paths,) = ScatterEngine(scene, F19).paths(tx, rx[None])
+        (paths,) = ScatterEngine(scene, F19, tx).paths(rx[None])
         assert len(paths) == 1
 
     def test_determinism(self):
         scene = Scene(buildings=[], scatterers=[CylinderScatterer(id=9, base_center=np.array([50.0, 30.0, 0.0]), radius=0.375, height=8.2), CylinderScatterer(id=10, base_center=np.array([70.0, 30.0, 0.0]), radius=0.375, height=8.2)])
         tx = np.array([0.0, 0.0, 20.0])
         rx = np.array([100.0, 0.0, 4.5])
-        (a,) = ScatterEngine(scene, F19).paths(tx, rx[None])
-        (b,) = ScatterEngine(scene, F19).paths(tx, rx[None])
+        (a,) = ScatterEngine(scene, F19, tx).paths(rx[None])
+        (b,) = ScatterEngine(scene, F19, tx).paths(rx[None])
         assert [p.signature for p in a] == [p.signature for p in b]
         for p, q in zip(a, b):
             np.testing.assert_array_equal(p.transfer, q.transfer)
 
     def test_transmitter_change_matches_fresh_engine(self):
-        # the engine keeps one transmitter's facet terms; switching tx and back must
-        # give the paths of an engine that never saw the other transmitter
+        # each engine keeps its own transmitter's facet terms; engines at two
+        # transmitters on one scene, called in turn, give the paths of an
+        # engine built just before the call
         wall = Building(
             id=1,
             footprint=np.array([[-80.0, 40.0], [180.0, 40.0], [180.0, 42.0], [-80.0, 42.0]]),
@@ -387,10 +391,10 @@ class TestEnumerate:
         tx1 = np.array([0.0, 0.0, 20.0])
         tx2 = np.array([30.0, -5.0, 15.0])
         rx = np.array([100.0, 0.0, 4.5])
-        engine = ScatterEngine(scene, F19)
-        for tx in (tx1, tx2, tx1):
-            (got,) = engine.paths(tx, rx[None])
-            (want,) = ScatterEngine(scene, F19).paths(tx, rx[None])
+        engines = {0: ScatterEngine(scene, F19, tx1), 1: ScatterEngine(scene, F19, tx2)}
+        for k, tx in ((0, tx1), (1, tx2), (0, tx1)):
+            (got,) = engines[k].paths(rx[None])
+            (want,) = ScatterEngine(scene, F19, tx).paths(rx[None])
             assert len(got) == len(want) > 0
             for p, q in zip(got, want):
                 assert p.signature == q.signature
@@ -406,11 +410,12 @@ def _pylon(sid, x, y):
     return CylinderScatterer(id=sid, base_center=np.array([x, y, 0.0]), radius=0.375, height=8.2)
 
 
-def _check_engine(engine, tx, receivers):
+def _check_engine(engine, receivers):
     """Echoes and counters of one engine call against the oracle, receiver
     by receiver; returns the echo counts per receiver."""
+    tx = engine.tx
     before = dict(engine.counters)
-    got = engine.paths(tx, receivers)
+    got = engine.paths(receivers)
     assert len(got) == len(receivers)
     meshes = [mesh_cylinder(s, engine.carrier) for s in engine.scene.scatterers]
     incident = [oracle_incident_terms(m, tx, engine.carrier.wavenumber) for m in meshes]
@@ -434,9 +439,9 @@ class TestChunkedAgainstOracle:
         steps = np.arange(round(w0 / cfg.update_step_s), round(w1 / cfg.update_step_s) + 1)
         traj = cfg.trajectory()
         receivers = np.array([traj.position(i * cfg.update_step_s) for i in steps])
-        engine = ScatterEngine(cfg.load_scene(), CarrierConfig(cfg.carrier_hz))
+        engine = ScatterEngine(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position)
         for s0 in range(0, len(receivers), SCATTER_CHUNK):
-            counts = _check_engine(engine, cfg.tx_position, receivers[s0 : s0 + SCATTER_CHUNK])
+            counts = _check_engine(engine, receivers[s0 : s0 + SCATTER_CHUNK])
             assert max(counts) > 0
         # one leg per mesh for the transmitter, then one per mesh and receiver
         assert engine.counters["legs_tested"] == len(engine.scene.scatterers) * (1 + len(receivers))
@@ -469,11 +474,10 @@ class TestChunkedAgainstOracle:
     def test_lit_and_visible_split_varies_across_one_chunk(self):
         # receivers circling one pylon: the live facets change from receiver
         # to receiver, and fall to none behind a plate
-        engine = ScatterEngine(Scene(buildings=[], scatterers=[_pylon(9, 0.0, 0.0)]), F19)
-        tx = np.array([120.0, 10.0, 6.0])
+        engine = ScatterEngine(Scene(buildings=[], scatterers=[_pylon(9, 0.0, 0.0)]), F19, np.array([120.0, 10.0, 6.0]))
         a = np.radians(np.arange(0.0, 360.0, 11.0))
         ring = np.stack([60.0 * np.cos(a), 60.0 * np.sin(a), 2.0 + 10.0 * np.abs(np.sin(a))], axis=1)
-        _check_engine(engine, tx, ring)
+        _check_engine(engine, ring)
         _, live = _facet_sums(engine._lit[0], ring, F19)
         assert len(set(live.tolist())) > 5
 
@@ -492,11 +496,10 @@ class TestChunkedAgainstOracle:
         # two receivers far behind see both
         block = Building(id=1, footprint=np.array([[40.0, 8.0], [60.0, 8.0], [60.0, 14.0], [40.0, 14.0]]), height=25.0)
         scene = Scene(buildings=[block], scatterers=[_pylon(1, 30.0, 20.0), _pylon(2, 50.0, 30.0), _pylon(3, 70.0, 20.0)])
-        engine = ScatterEngine(scene, F19)
-        tx = np.array([50.0, -20.0, 6.0])
+        engine = ScatterEngine(scene, F19, np.array([50.0, -20.0, 6.0]))
         receivers = np.stack([np.linspace(0.0, 100.0, 40), np.full(40, 0.0), np.full(40, 3.0)], axis=1)
         receivers = np.insert(receivers, 20, [[50.0, -60.0, 3.0], [40.0, -60.0, 3.0]], axis=0)
-        counts = _check_engine(engine, tx, receivers)
+        counts = _check_engine(engine, receivers)
         assert engine._lit[1] is None and engine._lit[0] is not None and engine._lit[2] is not None
         assert 0 in counts and 2 in counts and 1 in counts
 
@@ -506,26 +509,58 @@ class TestChunkedAgainstOracle:
         n_lit = len(_lit_facets(mesh_cylinder(scene.scatterers[0], F19), tx, F19).cos_i)
         n_rx = 3 * (scatter.FACET_ROW_BUDGET // n_lit) + 1
         receivers = np.stack([np.linspace(-20.0, 120.0, n_rx), np.full(n_rx, 2.0), np.full(n_rx, 2.5)], axis=1)
-        reference = ScatterEngine(scene, F19).paths(tx, receivers)
-        _check_engine(ScatterEngine(scene, F19), tx, receivers)
+        reference = ScatterEngine(scene, F19, tx).paths(receivers)
+        _check_engine(ScatterEngine(scene, F19, tx), receivers)
         # the pass split leaves every receiver's bits where they are
         for budget in (1, n_lit + 1, 10**6):
             monkeypatch.setattr(scatter, "FACET_ROW_BUDGET", budget)
-            for got, want in zip(ScatterEngine(scene, F19).paths(tx, receivers), reference):
+            for got, want in zip(ScatterEngine(scene, F19, tx).paths(receivers), reference):
                 assert_same_paths(got, want)
 
     def test_transmitter_switch(self):
+        # one engine per transmitter on one scene, switched between call by
+        # call: each stays the oracle at its own transmitter
         wall = Building(id=1, footprint=np.array([[-80.0, 40.0], [180.0, 40.0], [180.0, 42.0], [-80.0, 42.0]]), height=30.0)
         scene = Scene(buildings=[wall], scatterers=[_pylon(9, 50.0, 10.0), _pylon(10, 70.0, 20.0)])
-        engine = ScatterEngine(scene, F19)
         receivers = np.stack([np.linspace(80.0, 120.0, 9), np.linspace(-5.0, 5.0, 9), np.full(9, 4.5)], axis=1)
-        for tx in ([0.0, 0.0, 20.0], [30.0, -5.0, 15.0], [0.0, 0.0, 20.0]):
-            assert min(_check_engine(engine, np.array(tx), receivers)) > 0
-        assert engine.counters["legs_tested"] == 2 * (3 + 3 * 9)
+        engines = [ScatterEngine(scene, F19, np.array(tx)) for tx in ([0.0, 0.0, 20.0], [30.0, -5.0, 15.0], [-20.0, 10.0, 8.0])]
+        for k in (0, 1, 2, 0):
+            assert min(_check_engine(engines[k], receivers)) > 0
+        # the transmitter's legs at construction, then each receiver's per call
+        assert [e.counters["legs_tested"] for e in engines] == [2 * (1 + 2 * 9), 2 * (1 + 9), 2 * (1 + 9)]
 
     def test_receivers_must_be_rows(self):
-        engine = ScatterEngine(Scene(buildings=[], scatterers=[_pylon(9, 0.0, 0.0)]), F19)
+        engine = ScatterEngine(Scene(buildings=[], scatterers=[_pylon(9, 0.0, 0.0)]), F19, np.array([50.0, 0.0, 5.0]))
         with pytest.raises(ValueError, match=r"\(S, 3\)"):
-            engine.paths(np.array([50.0, 0.0, 5.0]), np.array([-50.0, 0.0, 5.0]))
+            engine.paths(np.array([-50.0, 0.0, 5.0]))
         with pytest.raises(ValueError, match="inside the scatterer"):
-            engine.paths(np.array([50.0, 0.0, 5.0]), np.array([[-50.0, 0.0, 5.0], [0.1, 0.0, 4.0]]))
+            engine.paths(np.array([[-50.0, 0.0, 5.0], [0.1, 0.0, 4.0]]))
+
+
+class TestContainment:
+    """The engine refuses an antenna inside any scatterer body, whatever its
+    legs: the transmitter at construction, the receivers at each call."""
+
+    def test_transmitter_inside_a_pylon_behind_a_wall(self):
+        # the wall blocks the receiver's legs to the pylon
+        wall = Building(id=1, footprint=np.array([[20.0, -50.0], [22.0, -50.0], [22.0, 50.0], [20.0, 50.0]]), height=30.0)
+        scene = Scene(buildings=[wall], scatterers=[_pylon(9, 0.0, 0.0)])
+        assert scene.segments_blocked(np.array([[50.0, 0.0, 4.0]]), np.array([scene.scatterers[0].reference_point])).all()
+        with pytest.raises(ValueError, match="inside the scatterer"):
+            ScatterEngine(scene, F19, np.array([0.1, 0.0, 4.0]))
+
+    def test_receiver_inside_a_pylon_the_transmitter_cannot_see(self):
+        wall = Building(id=1, footprint=np.array([[-10.0, -50.0], [-8.0, -50.0], [-8.0, 50.0], [-10.0, 50.0]]), height=30.0)
+        scene = Scene(buildings=[wall], scatterers=[_pylon(9, 0.0, 0.0)])
+        engine = ScatterEngine(scene, F19, np.array([-50.0, 0.0, 5.0]))
+        assert engine._lit == [None]
+        with pytest.raises(ValueError, match="inside the scatterer"):
+            engine.paths(np.array([[0.1, 0.0, 4.0]]))
+        assert engine.paths(np.array([[30.0, 0.0, 4.0]])) == [[]]
+
+    def test_mask_over_points_and_pylons(self):
+        pylons = [_pylon(1, 0.0, 0.0), _pylon(2, 10.0, 0.0)]
+        points = np.array([[0.1, 0.0, 4.0], [10.0, 0.3, 8.0], [5.0, 0.0, 4.0], [0.0, 0.0, 8.3], [10.0, 0.0, -0.1]])
+        want = [[True, False], [False, True], [False, False], [False, False], [False, False]]
+        assert scatter.inside_scatterers(pylons, points).tolist() == want
+        assert scatter.inside_scatterers([], points).shape == (5, 0)

@@ -523,9 +523,9 @@ class TestSegmentsBlocked:
         cfg = load_preset()
         scene = cfg.load_scene()
         traj = cfg.trajectory()
-        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position)
         rx = np.array([traj.position(t) for t in np.linspace(0.0, 50.0, 8)])
-        families = tracer.candidates(np.asarray(cfg.tx_position, dtype=float), rx, cfg.limits)
+        families = tracer.candidates(rx, cfg.limits)
         rng = np.random.default_rng(2403)
         lo, hi = [-400.0, -400.0, 0.5], [400.0, 400.0, 60.0]
         p = np.concatenate([f[0][:, 0] for f in families] + [rng.uniform(lo, hi, size=(300, 3))])
@@ -561,7 +561,7 @@ class TestGridOracle:
         cfg = load_preset()
         scene = cfg.load_scene()
         traj = cfg.trajectory()
-        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position)
         rounds = []
         original = Scene.segments_blocked
 
@@ -571,7 +571,7 @@ class TestGridOracle:
 
         monkeypatch.setattr(Scene, "segments_blocked", spy)
         for t in (0.0, 8.0, 21.0, 34.0, 55.0):
-            tracer.trace(cfg.tx_position, traj.position(t)[None], cfg.limits)
+            tracer.trace(traj.position(t)[None], cfg.limits)
         monkeypatch.undo()
         assert 5 <= len(rounds) <= 15
         p = np.concatenate([p for p, _ in rounds])

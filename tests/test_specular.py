@@ -25,13 +25,13 @@ F19 = CarrierConfig(frequency_hz=1.9e9)
 NO_DIFFRACTION = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
 
 
-def solve(tracer, tx, rx, limits=None):
+def solve(tracer, rx, limits=None):
     """The paths of ``tracer``'s one-receiver solve at ``rx``."""
-    return tracer.trace(tx, np.asarray(rx, dtype=float)[None], limits)[0]
+    return tracer.trace(np.asarray(rx, dtype=float)[None], limits)[0]
 
 
 def trace(scene, tx, rx, limits):
-    return solve(SpecularTracer(scene, F19), tx, rx, limits)
+    return solve(SpecularTracer(scene, F19, tx), rx, limits)
 
 
 def wall(bid, y0, y1, x0=-200.0, x1=200.0, height=30.0, material=None):
@@ -75,8 +75,9 @@ class TestEmptyScene:
 
 
 class TestInputChecks:
-    # the tracer checks its endpoints once, before any family or the rooftop
-    # path is built; a box between the antennas would otherwise give a K path.
+    # the tracer checks its transmitter at construction and its receivers
+    # before any family or the rooftop path is built; a box between the
+    # antennas would otherwise give a K path.
     # With both endpoints at or above z = 0 the ground never blocks the direct
     # ray, so a blocked direct ray means a building blocks it.
     BOX = Building(id=7, footprint=np.array([[-5.0, -10.0], [5.0, -10.0], [5.0, 10.0], [-5.0, 10.0]]), height=15.0)
@@ -93,9 +94,14 @@ class TestInputChecks:
         ids=["coincident", "tx_inside", "rx_inside", "tx_below_ground", "rx_below_ground"],
     )
     def test_trace_rejects_bad_endpoints(self, tx, rx, message):
-        tracer = SpecularTracer(Scene(buildings=[self.BOX]), F19)
+        scene = Scene(buildings=[self.BOX])
+        if message.startswith("tx lies"):
+            with pytest.raises(ValueError, match=message):
+                SpecularTracer(scene, F19, np.array(tx))
+            return
+        tracer = SpecularTracer(scene, F19, np.array(tx))
         with pytest.raises(ValueError, match=message):
-            solve(tracer, np.array(tx), np.array(rx), TraceLimits())
+            solve(tracer, np.array(rx), TraceLimits())
 
 
 class TestSingleWall:
@@ -427,9 +433,9 @@ class TestRooftop:
         # and keeps one rooftop path, equal to the one-path oracle's
         cfg = load_preset()
         scene, carrier = cfg.load_scene(), CarrierConfig(cfg.carrier_hz)
-        tracer = SpecularTracer(scene, carrier)
-        traj = cfg.trajectory()
         tx = np.asarray(cfg.tx_position, dtype=float)
+        tracer = SpecularTracer(scene, carrier, tx)
+        traj = cfg.trajectory()
         for i in range(201):
             rx = traj.position(i * cfg.update_step_s)
             path = traced_rooftop_path(scene, tx, rx, carrier, tracer, cfg.limits)
@@ -479,20 +485,18 @@ class TestStageTimers:
         cfg = load_preset()
         scene = cfg.load_scene()
         rx = np.array([cfg.trajectory().position(f * cfg.duration_s) for f in (0.2, 0.35, 0.5, 0.65, 0.8)])
-        tracer, twin = (SpecularTracer(scene, CarrierConfig(cfg.carrier_hz)) for _ in range(2))
+        tracer, twin = (SpecularTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position) for _ in range(2))
         t0 = time.perf_counter()
-        tracer.trace(cfg.tx_position, rx, cfg.limits)
+        tracer.trace(rx, cfg.limits)
         wall = time.perf_counter() - t0
-        assert list(tracer.timings) == ["tx_tables", *SOLVE_STAGES]
+        assert list(tracer.timings) == list(SOLVE_STAGES)
         assert all(v >= 0.0 for v in tracer.timings.values())
-        assert sum(tracer.timings[stage] for stage in SOLVE_STAGES) <= wall
-        # the tables were built once, inside the chunk's candidates
-        assert 0.0 < tracer.timings["tx_tables"] <= tracer.timings["candidate"]
+        assert sum(tracer.timings.values()) <= wall
         assert tracer.counters["families"]["K"]["generated"] == 3
         # the counters hold no timing and do not depend on the chunking: a
         # second tracer's one-receiver solves repeat them
         for r in rx:
-            solve(twin, cfg.tx_position, r, cfg.limits)
+            solve(twin, r, cfg.limits)
         assert tracer.counters == twin.counters
 
 
@@ -540,8 +544,8 @@ def preset_solves():
     every 0.1 s."""
     cfg = load_preset()
     traj = cfg.trajectory()
-    tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz))
-    return tracer, cfg.tx_position, [traj.position(0.1 * i) for i in range(21)], cfg.limits
+    tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position)
+    return tracer, [traj.position(0.1 * i) for i in range(21)], cfg.limits
 
 
 def assert_same_paths(got, want):
@@ -556,8 +560,8 @@ def assert_same_paths(got, want):
 
 
 class TestStagedOcclusion:
-    def check_masks(self, tracer, tx, rx, limits):
-        families = tracer.candidates(tx, rx[None], limits)
+    def check_masks(self, tracer, rx, limits):
+        families = tracer.candidates(rx[None], limits)
         got = _clear_masks(tracer.scene, families)
         want = oracle_single_call_masks(tracer.scene, families)
         assert len(got) == len(want)
@@ -565,33 +569,33 @@ class TestStagedOcclusion:
             np.testing.assert_array_equal(g, w)
         return families, want
 
-    def check_trace(self, monkeypatch, tracer, tx, rx, limits):
-        got = solve(tracer, tx, rx, limits)
+    def check_trace(self, monkeypatch, tracer, rx, limits):
+        got = solve(tracer, rx, limits)
         with monkeypatch.context() as m:
             m.setattr(specular, "_clear_masks", oracle_single_call_masks)
-            want = solve(tracer, tx, rx, limits)
+            want = solve(tracer, rx, limits)
         assert_same_paths(got, want)
         return got
 
     def test_masks_equal_single_call_on_preset(self, preset_solves):
-        tracer, tx, rx_list, limits = preset_solves
+        tracer, rx_list, limits = preset_solves
         n_clear = 0
         for rx in rx_list:
-            _, want = self.check_masks(tracer, tx, rx, limits)
+            _, want = self.check_masks(tracer, rx, limits)
             n_clear += sum(int(w.sum()) for w in want)
         assert n_clear > 0
 
     @pytest.mark.parametrize("name", SMALL_SCENES)
     def test_masks_equal_single_call_on_small_scenes(self, name):
         for scene, tx, rx in small_solves(name):
-            families, want = self.check_masks(SpecularTracer(scene, F19), tx, rx, TraceLimits())
+            families, want = self.check_masks(SpecularTracer(scene, F19, tx), rx, TraceLimits())
             assert len(families) == 6
 
     def test_trace_equals_single_pass_oracle_on_preset(self, preset_solves, monkeypatch):
-        tracer, tx, rx_list, limits = preset_solves
+        tracer, rx_list, limits = preset_solves
         kinds = set()
         for rx in rx_list:
-            paths = self.check_trace(monkeypatch, tracer, tx, rx, limits)
+            paths = self.check_trace(monkeypatch, tracer, rx, limits)
             kinds.update(tuple(r.kind for r in p.interactions) for p in paths)
         # the preset's solves keep D, RD and DR paths and the rooftop path
         assert {("D",), ("R", "D"), ("D", "R")} <= kinds
@@ -601,10 +605,10 @@ class TestStagedOcclusion:
     def test_trace_equals_single_pass_oracle_on_small_scenes(self, monkeypatch, name):
         for scene, tx, rx in small_solves(name):
             for limits in (TraceLimits(), TraceLimits(max_reflections=1), NO_DIFFRACTION):
-                self.check_trace(monkeypatch, SpecularTracer(scene, F19), tx, rx, limits)
+                self.check_trace(monkeypatch, SpecularTracer(scene, F19, tx), rx, limits)
 
     def test_rounds_halve_the_segments_tested_on_preset(self, preset_solves, monkeypatch):
-        tracer, tx, rx_list, limits = preset_solves
+        tracer, rx_list, limits = preset_solves
         calls = []
         original = Scene.segments_blocked
 
@@ -612,19 +616,19 @@ class TestStagedOcclusion:
             calls.append(len(p))
             return original(scene, p, q)
 
-        oracle = UntabledTracer(tracer.scene, tracer.carrier)
+        oracle = UntabledTracer(tracer.scene, tracer.carrier, tracer.tx)
         expected = untabled = 0
         for rx in rx_list:
-            for v, *_ in tracer.candidates(tx, rx[None], limits):
+            for v, *_ in tracer.candidates(rx[None], limits):
                 if len(v):
                     b = tracer.scene.segments_blocked(v[:, :-1].reshape(-1, 3), v[:, 1:].reshape(-1, 3))
                     b = b.reshape(len(v), -1)
                     # its segments up to and including the first blocked one
                     expected += int(np.where(b.any(axis=1), b.argmax(axis=1) + 1, b.shape[1]).sum())
-            untabled += sum(v.shape[0] * (v.shape[1] - 1) for v, *_ in oracle.candidates(tx, rx[None], limits))
+            untabled += sum(v.shape[0] * (v.shape[1] - 1) for v, *_ in oracle.candidates(rx[None], limits))
             monkeypatch.setattr(Scene, "segments_blocked", spy)
             n_before = len(calls)
-            solve(tracer, tx, rx, limits)
+            solve(tracer, rx, limits)
             monkeypatch.undo()
             # one call per segment position, and none without a segment
             assert 1 <= len(calls) - n_before <= 3
@@ -643,8 +647,8 @@ class UntabledTracer(SpecularTracer):
     diffraction test checks the source side each time, and no target leaves
     for a facade that blocks its first segment."""
 
-    def _prepare_tx_tables(self, tx):
-        super()._prepare_tx_tables(tx)
+    def _prepare_tables(self):
+        super()._prepare_tables()
         fsel = np.nonzero(self._tx_front)[0]
         self._wedges = np.arange(self.scene.n_wedges)
         self._wedge_front_of = self._w_front_of
@@ -775,17 +779,17 @@ def check_covers(scene, tx, every=1):
 
 class TestTransmitterTables:
     def check_trace(self, scene, tx, rx, limits):
-        tracer, oracle = SpecularTracer(scene, F19), UntabledTracer(scene, F19)
-        got = solve(tracer, tx, rx, limits)
-        assert_same_paths(got, solve(oracle, tx, rx, limits))
-        self.check_first_segments(tracer, oracle, tx, rx, limits)
+        tracer, oracle = SpecularTracer(scene, F19, tx), UntabledTracer(scene, F19, tx)
+        got = solve(tracer, rx, limits)
+        assert_same_paths(got, solve(oracle, rx, limits))
+        self.check_first_segments(tracer, oracle, rx, limits)
         return got
 
-    def check_first_segments(self, tracer, oracle, tx, rx, limits):
+    def check_first_segments(self, tracer, oracle, rx, limits):
         """Every first segment of an untabled D, RD or DR candidate: the
         tables drop it only when ``segments_blocked`` finds it blocked."""
-        tabled = tracer.candidates(tx, rx[None], limits)
-        for (verts, (kinds, hosts), _), (all_verts, (_, all_hosts), _) in zip(tabled, oracle.candidates(tx, rx[None], limits)):
+        tabled = tracer.candidates(rx[None], limits)
+        for (verts, (kinds, hosts), _), (all_verts, (_, all_hosts), _) in zip(tabled, oracle.candidates(rx[None], limits)):
             if EDGE_DIFFRACTION not in kinds:
                 continue
             blocked = tracer.scene.segments_blocked(all_verts[:, 0], all_verts[:, 1])
@@ -798,14 +802,14 @@ class TestTransmitterTables:
         cfg = load_preset()
         traj = cfg.trajectory()
         scene = cfg.load_scene()
-        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
-        oracle = UntabledTracer(scene, CarrierConfig(cfg.carrier_hz))
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position)
+        oracle = UntabledTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position)
         kinds = set()
         for i in range(201):
             rx = traj.position(0.01 * i)
-            got = solve(tracer, cfg.tx_position, rx, cfg.limits)
-            assert_same_paths(got, solve(oracle, cfg.tx_position, rx, cfg.limits))
-            self.check_first_segments(tracer, oracle, cfg.tx_position, rx, cfg.limits)
+            got = solve(tracer, rx, cfg.limits)
+            assert_same_paths(got, solve(oracle, rx, cfg.limits))
+            self.check_first_segments(tracer, oracle, rx, cfg.limits)
             kinds.update(tuple(r.kind for r in p.interactions) for p in got)
         assert {("D",), ("R", "D"), ("D", "R")} <= kinds
         # the tables hold fewer candidates, and the same paths come out of them
@@ -846,24 +850,19 @@ class TestTransmitterTables:
 
     def test_preset_tables_keep_34_wedges_and_291_rd_pairs(self):
         cfg = load_preset()
-        tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz))
-        tracer._prepare_tx_tables(np.asarray(cfg.tx_position, float))
+        tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position)
         assert (len(tracer._wedges), len(tracer._rd_w)) == (34, 291)
 
-    def test_one_tracer_alternating_transmitters_equals_fresh_tracers(self):
+    def test_trace_equals_untabled_at_a_second_preset_transmitter(self):
         cfg = load_preset()
         scene = cfg.load_scene()
         carrier = CarrierConfig(cfg.carrier_hz)
         traj = cfg.trajectory()
-        tx_a = np.asarray(cfg.tx_position, float)
-        tx_b = tx_a + np.array([-600.0, 5.0, -10.0])  # below the rooftops, nearer the track
-        tracer = SpecularTracer(scene, carrier)
+        tx_b = np.asarray(cfg.tx_position, float) + np.array([-600.0, 5.0, -10.0])  # below the rooftops, nearer the track
+        tracer, oracle = SpecularTracer(scene, carrier, tx_b), UntabledTracer(scene, carrier, tx_b)
         for i in range(8):
-            tx = (tx_a, tx_b)[i % 2]
             rx = traj.position(0.25 * i)
-            got = solve(tracer, tx, rx, cfg.limits)
-            assert_same_paths(got, solve(SpecularTracer(scene, carrier), tx, rx, cfg.limits))
-            assert_same_paths(got, solve(UntabledTracer(scene, carrier), tx, rx, cfg.limits))
+            assert_same_paths(solve(tracer, rx, cfg.limits), solve(oracle, rx, cfg.limits))
 
 
 # ----------------------------------------------------------------------
@@ -873,14 +872,14 @@ def check_chunked(scene, carrier, tx, receivers, limits, chunk):
     """Solves ``receivers`` ``chunk`` at a time and one at a time with two
     fresh tracers; the path lists and the counters must be equal bit for
     bit.  Returns the chunked path lists, in receiver order."""
-    chunked, single = SpecularTracer(scene, carrier), SpecularTracer(scene, carrier)
+    chunked, single = SpecularTracer(scene, carrier, tx), SpecularTracer(scene, carrier, tx)
     receivers = np.asarray(receivers, dtype=float)
     got = []
     for first in range(0, len(receivers), chunk):
-        got += chunked.trace(tx, receivers[first : first + chunk], limits)
+        got += chunked.trace(receivers[first : first + chunk], limits)
     assert len(got) == len(receivers)
     for paths, rx in zip(got, receivers):
-        assert_same_paths(paths, solve(single, tx, rx, limits))
+        assert_same_paths(paths, solve(single, rx, limits))
     assert chunked.counters == single.counters
     return got
 
@@ -937,21 +936,21 @@ class TestChunkedTrace:
         assert scene.contains_point(inside)
         receivers = np.array([traj.position(0.1 * i) for i in range(6)])
         receivers[3] = inside
-        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz))
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position)
         with pytest.raises(ValueError, match="rx lies inside a building") as chunked:
-            tracer.trace(cfg.tx_position, receivers, cfg.limits)
+            tracer.trace(receivers, cfg.limits)
         with pytest.raises(ValueError) as single:
-            solve(tracer, cfg.tx_position, inside, cfg.limits)
+            solve(tracer, inside, cfg.limits)
         assert str(chunked.value) == str(single.value)
-        # the endpoints are checked before any work
-        assert tracer.counters == SpecularTracer(scene, tracer.carrier).counters
+        # the receivers are checked before any work
+        assert tracer.counters == SpecularTracer(scene, tracer.carrier, tracer.tx).counters
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 3)])
     def test_receivers_must_be_rows_of_three(self, shape):
-        tracer = SpecularTracer(Scene(buildings=[]), F19)
+        tracer = SpecularTracer(Scene(buildings=[]), F19, np.array([0.0, 0.0, 10.0]))
         with pytest.raises(ValueError, match="receivers must be an"):
-            tracer.trace(np.array([0.0, 0.0, 10.0]), np.ones(shape), TraceLimits())
+            tracer.trace(np.ones(shape), TraceLimits())
 
     def test_no_receivers(self):
-        tracer = SpecularTracer(Scene(buildings=[]), F19)
-        assert tracer.trace(np.array([0.0, 0.0, 10.0]), np.zeros((0, 3))) == []
+        tracer = SpecularTracer(Scene(buildings=[]), F19, np.array([0.0, 0.0, 10.0]))
+        assert tracer.trace(np.zeros((0, 3))) == []
