@@ -44,7 +44,7 @@ mag = np.abs(cir.amplitude)  # (n_delays, n_times)
 peak = mag.max()
 
 # ASCII delay/time map: rows = delay bins around the direct tap, cols = time
-direct = np.array([min(p.delay_s for p in s.paths) for s in snaps])
+direct = np.array([s.paths.delay_s.min() for s in snaps])
 lo = np.searchsorted(cir.delays, direct.min() - 20e-9)
 hi = np.searchsorted(cir.delays, direct.max() + 280e-9)
 shades = " .:-=+*#@"

@@ -17,7 +17,7 @@ from railchan.metrics import (
     snapshot_metrics,
     synthesize_tv_cir,
 )
-from railchan.rays import RayPath
+from railchan.rays import PathRows, RayPath
 from railchan.scatter import ScatterEngine
 from railchan.scene import (
     Building,
@@ -41,6 +41,7 @@ __all__ = [
     "CylinderScatterer",
     "ErrorReport",
     "Material",
+    "PathRows",
     "RayPath",
     "ScatterEngine",
     "ScenarioConfig",

@@ -273,7 +273,7 @@ def cmd_run(args) -> int:
     series = metric_series(result.snapshots, cfg.tx_power_dbm)
     write_metrics_csv(out / "metrics.csv", timestamps, series)
 
-    n_rows = sum(len(s.paths) for s in result.snapshots)
+    n_rows = result.counters["rows"]
     manifest = _stream_manifest(
         "run", cfg, result, wall, out, ["trace.csv", "metrics.csv"], n_path_rows=n_rows, n_distinct_paths=len(ids)
     )
@@ -414,23 +414,26 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
         for s in scene.scatterers
     }
     for snap in snapshots:
-        spec_delays = [p.delay_s for p in snap.paths if p.tag != TAG_SCATTER]
-        base = min(spec_delays) if spec_delays else None
+        rows = snap.paths
+        scatter = rows.tag == TAG_SCATTER
+        spec_delays = rows.delay_s[~scatter]
+        base = float(spec_delays.min()) if len(spec_delays) else None
+        # each row's power, as RayPath.power sums it
+        powers = np.sum(np.abs(rows.transfer[scatter]) ** 2, axis=(1, 2))
         seen: set[int] = set()
-        for p in snap.paths:
-            if p.tag != TAG_SCATTER:
-                continue
+        delays = rows.delay_s[scatter].tolist()
+        for inters, power, delay in zip(rows.interactions[scatter], powers.tolist(), delays):
             sid = next(
-                (rec.object_id for rec in p.interactions if rec.kind == SCATTERING), None
+                (rec.object_id for rec in inters if rec.kind == SCATTERING), None
             )
             if sid is None or sid not in by_id:
                 continue
             acc = by_id[sid]
             acc["rows"] += 1
-            acc["power_acc"] += p.power
+            acc["power_acc"] += power
             if base is not None:
                 acc["excess_rows"] += 1
-                acc["excess_acc"] += (p.delay_s - base) * 1e9
+                acc["excess_acc"] += (delay - base) * 1e9
             seen.add(sid)
         for sid in seen:
             by_id[sid]["snaps"] += 1
@@ -537,7 +540,7 @@ def cmd_bench(args) -> int:
 
     # metrics, TV-CIR synthesis and the trace writer over the bracket's snapshots
     snaps = stream.snapshots
-    n_rows = max(1, sum(len(s.paths) for s in snaps))
+    n_rows = max(1, stream.counters["rows"])
     timed("metric_snapshot", len(snaps), lambda: metric_series(snaps, cfg.tx_power_dbm))
     timed("tvcir_snapshot", len(snaps), lambda: synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv"))
     timed("trace_csv_row", n_rows, lambda: write_trace_csv(out / "trace.csv", snaps))

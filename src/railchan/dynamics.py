@@ -25,11 +25,15 @@ linearly, and the phase advances from the left keyframe by
 ``-2*pi*f*(tau(t) - tau_left)``.  Doppler is the analytic derivative of the
 interpolated polyline length, never a finite difference of outputs.  A
 birth or death keeps the geometry of the keyframe where it exists, with
-zero Doppler and its transfer scaled by the ramp factor.
+zero Doppler and its transfer scaled by the ramp factor.  Each snapshot
+gets one :class:`~railchan.rays.PathRows` block, filled straight from the
+bracket's arrays in one row order per bracket, so no per-row object is
+built and no snapshot is sorted on its own.
 
 :func:`stream_snapshots` walks the schedule once, bracket by bracket: it
 emits the interior snapshots of the bracket a keyframe closes, then the
-keyframe snapshot, whose paths take their Doppler in place.  The keyframes
+keyframe snapshot, whose paths take their Doppler in place.  Exact echoes
+join each snapshot as a sorted tail.  The keyframes
 are solved ahead of the walk in runs of ``KEYFRAME_CHUNK``, one tracer call
 per run, so at most one run of solved keyframes and the last keyframe
 walked are held.  Exact scatter goes ahead of the walk in runs of
@@ -41,12 +45,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .em import C0, CarrierConfig
-from .rays import TAG_SPECULAR, RayPath, norms
+from .rays import TAG_SPECULAR, PathRows, RayPath, norms, path_angles
 from .scatter import SCATTER_COUNTERS, ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
@@ -136,14 +140,17 @@ class Trajectory:
 class ChannelSnapshot:
     """Full path set at one update instant.
 
-    A keyframe is the snapshot of an exact solve (``at_keyframe``); the
-    stream reuses its path set with the Doppler shifts filled in.
+    ``paths`` is the snapshot's :class:`~railchan.rays.PathRows` block.  A
+    keyframe is the snapshot of an exact solve (``at_keyframe``); while the
+    stream tracks it, ``paths`` is the solver's :class:`RayPath` list, which
+    :func:`match_paths` pairs and :func:`interpolate_bracket` reads, and the
+    stream emits its rows with the Doppler shifts filled in.
     """
 
     index: int
     timestamp: float
     rx_position: np.ndarray
-    paths: list
+    paths: PathRows | list
     at_keyframe: bool
 
 
@@ -300,9 +307,10 @@ def _interpolate_matched(
     rx_positions: np.ndarray,
     rx_velocities: np.ndarray,
     carrier: CarrierConfig,
-) -> list[RayPath]:
-    """Rows of M matched pairs with one vertex count at S times, pair-major
-    (row ``m * S + s`` is pair m at time s)."""
+) -> tuple:
+    """``(delay, aod, aoa, doppler, transfer)`` of M matched pairs with one
+    vertex count at S times, shaped (M, S), (M, S, 2), (M, S, 2), (M, S)
+    and (M, S, 2, 2)."""
     pa, pb = zip(*pairs)
     span = t_b - t_a
     alpha = ((times - t_a) / span)[None, :, None, None]
@@ -333,16 +341,15 @@ def _interpolate_matched(
     phase = np.angle(ta) - 2.0 * math.pi * carrier.frequency_hz * dtau
     transfer = mag * np.exp(1j * phase)
 
-    n_times = len(times)
-    n_verts = verts.shape[-2]
-    return RayPath.batch(
-        [p.interactions for p in pa for _ in range(n_times)],
-        verts.reshape(-1, n_verts, 3),
-        lengths.reshape(-1),
-        transfer.reshape(-1, 2, 2),
-        [p.tag for p in pa for _ in range(n_times)],
-        doppler.reshape(-1).tolist(),
-    )
+    # (M, S, departure/arrival, azimuth/elevation)
+    angles = np.stack(path_angles(verts), axis=-1)
+    return lengths / C0, angles[:, :, 0], angles[:, :, 1], doppler, transfer
+
+
+def _path_sort_key(p: RayPath):
+    """A snapshot's row order: specular rows first, then by interaction
+    count, then by signature."""
+    return (p.tag != TAG_SPECULAR, len(p.interactions), p.signature)
 
 
 def interpolate_bracket(
@@ -351,16 +358,20 @@ def interpolate_bracket(
     rx_positions,
     rx_velocities,
     carrier: CarrierConfig,
-) -> list[list[RayPath]]:
-    """Path sets at every one of ``times`` inside ``bracket``.
+) -> list[PathRows]:
+    """Path rows at every one of ``times`` inside ``bracket``.
 
     ``rx_positions`` and ``rx_velocities`` are the trajectory at the S
-    ``times``.  Entry s of the result holds the paths alive at ``times[s]``:
-    the matched pairs, then the births, then the deaths, each in bracket
-    order.  Matched pairs with equal vertex counts are evaluated as one array
-    batch over all times.  A birth or death keeps its keyframe geometry with
-    zero Doppler and its transfer scaled by the ramp factor; births are left
-    out until their activation and deaths after their ramp.
+    ``times``.  Entry s of the result holds the rows alive at ``times[s]``
+    in one order for the whole bracket: the bracket's paths (the matched
+    pairs, then the births, then the deaths) sorted stably by
+    :func:`_path_sort_key`, which is the order a stable sort of each
+    snapshot's own rows gives.  Matched pairs with equal vertex counts are
+    evaluated as one array batch over all times, and a row carries its
+    left path's interactions, signature and tag.  A birth or death keeps its
+    keyframe delay and angles with zero Doppler and its transfer scaled by
+    the ramp factor; births are left out until their activation and deaths
+    after their ramp.  No row keeps vertices.
     """
     t_a, t_b = bracket.t_a, bracket.t_b
     times = np.asarray(times, dtype=float)
@@ -372,7 +383,16 @@ def interpolate_bracket(
     n_times = len(times)
     if not n_times:
         return []
-    rows: list[list] = [[None] * len(bracket.matched) for _ in range(n_times)]
+    held = bracket.births + bracket.deaths
+    sources = [pa for pa, _ in bracket.matched] + [path for path, _ in held]
+    n_rows = len(sources)
+    # time-major columns of every row of the bracket, alive or not
+    delay = np.empty((n_times, n_rows))
+    aod = np.empty((n_times, n_rows, 2))
+    aoa = np.empty((n_times, n_rows, 2))
+    doppler = np.zeros((n_times, n_rows))
+    transfer = np.empty((n_times, n_rows, 2, 2), dtype=complex)
+    alive = np.ones((n_times, n_rows), dtype=bool)
 
     groups: dict[int, list[int]] = {}
     for k, (pa, pb) in enumerate(bracket.matched):
@@ -386,27 +406,34 @@ def interpolate_bracket(
     rx_positions = np.asarray(rx_positions, dtype=float)
     rx_velocities = np.asarray(rx_velocities, dtype=float)
     for ks in groups.values():
-        paths = _interpolate_matched(
+        columns = _interpolate_matched(
             [bracket.matched[k] for k in ks], t_a, t_b, times, rx_positions, rx_velocities, carrier
         )
-        for m, k in enumerate(ks):
-            for s in range(n_times):
-                rows[s][k] = paths[m * n_times + s]
+        for out, col in zip((delay, aod, aoa, doppler, transfer), columns):
+            out[:, ks] = col.swapaxes(0, 1)
 
     # births and deaths: (alive, ramp factor) over all times
     ramp = _ramp_length(t_a, t_b)
-    held = []
-    for path, act in bracket.births:
-        factor = np.where(times < act + ramp, (times - act) / ramp, 1.0)
-        held.append((path, times > act, factor))
-    for path, act in bracket.deaths:
-        factor = np.where(times < act, 1.0, 1.0 - (times - act) / ramp)
-        held.append((path, times < act + ramp, factor))
-    for path, alive, factor in held:
-        for row, ok, f in zip(rows, alive.tolist(), factor.tolist()):
-            if ok:
-                row.append(replace(path, transfer=path.transfer * f, doppler_hz=0.0))
-    return rows
+    ramps = [
+        (times > act, np.where(times < act + ramp, (times - act) / ramp, 1.0)) for _, act in bracket.births
+    ] + [
+        (times < act + ramp, np.where(times < act, 1.0, 1.0 - (times - act) / ramp)) for _, act in bracket.deaths
+    ]
+    for k, ((path, _), (on, factor)) in enumerate(zip(held, ramps), start=len(bracket.matched)):
+        alive[:, k] = on
+        delay[:, k] = path.delay_s
+        aod[:, k] = path.aod
+        aoa[:, k] = path.aoa
+        transfer[:, k] = path.transfer * factor[:, None, None]
+
+    order = sorted(range(n_rows), key=lambda k: _path_sort_key(sources[k]))
+    ordered = PathRows.from_paths([sources[k] for k in order])
+    records = (ordered.interactions, ordered.signature, ordered.tag)
+    columns = [x[:, order] for x in (delay, aod, aoa, doppler, transfer)]
+    return [
+        PathRows(*(r[keep] for r in records), *(x[s, keep] for x in columns))
+        for s, keep in enumerate(alive[:, order])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +447,10 @@ class StreamResult:
     the ``*_seconds`` timings: the specular tracer's per-family candidates
     generated, left clear and kept, the segments of each occlusion round
     (see :class:`~railchan.specular.SpecularTracer`), the exact solves,
-    and under ``scatter`` the scatter engine's counters (see
-    :class:`~railchan.scatter.ScatterEngine`; all 0 when no engine ran).
+    the ``matched`` pairs, ``births`` and ``deaths`` of all its brackets,
+    its path ``rows`` over all snapshots, and under ``scatter`` the scatter
+    engine's counters (see :class:`~railchan.scatter.ScatterEngine`; all 0
+    when no engine ran).
     """
 
     snapshots: list
@@ -451,10 +480,6 @@ def _fill_doppler(paths: list, rx_velocity: np.ndarray, carrier: CarrierConfig) 
     for p, d in zip(paths, doppler.tolist()):
         p.doppler_hz = d
     return paths
-
-
-def _path_sort_key(p: RayPath):
-    return (p.tag != TAG_SPECULAR, len(p.interactions), p.signature)
 
 
 def stream_snapshots(
@@ -504,22 +529,27 @@ def stream_snapshots(
     exact_engine = engine if scatter_mode == "exact" else None
 
     snapshots: list[ChannelSnapshot] = []
+    counts = dict.fromkeys(("matched", "births", "deaths", "rows"), 0)
     # exact echoes of the chunk of steps the walk is in, by step
     echoes: dict[int, list] = {}
 
-    def emit(i, rx, v, paths, at_kf):
+    def emit(i, rx, v, rows, at_kf):
+        """Append the snapshot of step ``i`` from its sorted ``rows``; its
+        exact echoes, all scatter-tagged, sort after every specular row, so
+        they join as a sorted tail."""
         nonlocal scatter_seconds
         if exact_engine is not None:
             t0 = time.perf_counter()
             if i not in echoes:
                 chunk = range(i, min(i + SCATTER_CHUNK, schedule.snapshots.stop))
-                rows = exact_engine.paths(np.array([traj.position(j * update_step) for j in chunk]))
-                echoes.update(zip(chunk, rows))
-            paths = paths + _fill_doppler(echoes.pop(i), v, carrier)
+                found = exact_engine.paths(np.array([traj.position(j * update_step) for j in chunk]))
+                echoes.update(zip(chunk, found))
+            tail = sorted(_fill_doppler(echoes.pop(i), v, carrier), key=_path_sort_key)
+            rows = rows.concat(PathRows.from_paths(tail))
             scatter_seconds += time.perf_counter() - t0
-        paths.sort(key=_path_sort_key)
+        counts["rows"] += len(rows)
         snapshots.append(
-            ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=paths, at_keyframe=at_kf)
+            ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=rows, at_keyframe=at_kf)
         )
 
     def keyframes():
@@ -550,14 +580,18 @@ def stream_snapshots(
             times = schedule.seconds(steps)
             rx = [traj.position(t) for t in times]
             v = [traj.velocity(t) for t in times]
-            rows = interpolate_bracket(track_interval(kf_a, kf_b, rng), times, rx, v, carrier)
+            bracket = track_interval(kf_a, kf_b, rng)
+            rows = interpolate_bracket(bracket, times, rx, v, carrier)
             interpolation_seconds += time.perf_counter() - t0
-            for i, r, vel, paths in zip(steps, rx, v, rows):
-                emit(i, r, vel, paths, False)
+            for key in ("matched", "births", "deaths"):
+                counts[key] += len(getattr(bracket, key))
+            for i, r, vel, block in zip(steps, rx, v, rows):
+                emit(i, r, vel, block, False)
         # the keyframe's own paths take their Doppler: tracking reads them in
-        # solve order, never their Doppler, and emit sorts its list
+        # solve order, never their Doppler
         v = traj.velocity(kf_b.timestamp)
-        emit(kf_b.index, kf_b.rx_position, v, _fill_doppler(list(kf_b.paths), v, carrier), True)
+        paths = sorted(_fill_doppler(kf_b.paths, v, carrier), key=_path_sort_key)
+        emit(kf_b.index, kf_b.rx_position, v, PathRows.from_paths(paths), True)
         kf_a = kf_b
 
     return StreamResult(
@@ -566,6 +600,7 @@ def stream_snapshots(
         counters={
             **tracer.counters,
             "exact_solves": len(schedule.keyframes),
+            **counts,
             "scatter": dict(engine.counters) if engine is not None else dict.fromkeys(SCATTER_COUNTERS, 0),
         },
         keyframe_seconds=keyframe_seconds,

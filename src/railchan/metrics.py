@@ -2,9 +2,10 @@
 reference-vs-interpolated error harness (RMSE, quantile-normalized RMSE,
 error CDFs).
 
-One kernel, :func:`snapshot_metrics`, reads a snapshot's paths once as
-arrays and returns its row of the twelve :data:`METRIC_NAMES`; coherent sums
-add the paths in path order, as a per-path loop does.
+One kernel, :func:`snapshot_metrics`, reads the columns of a snapshot's
+:class:`~railchan.rays.PathRows` block and returns its row of the twelve
+:data:`METRIC_NAMES`; coherent sums add the paths in path order, as a
+per-path loop does.
 
 Conventions: per-path weights are the Frobenius-squared transfer power, so
 delay/angle/Doppler statistics are polarization-agnostic.  Horizontal
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import TAG_SCATTER, TAG_SPECULAR
+from .rays import TAG_SCATTER, TAG_SPECULAR, PathRows
 
 _POL_INDEX = {"v": 0, "h": 1}
 
@@ -83,8 +84,8 @@ def _weighted_mean_rms(values: np.ndarray, weights: np.ndarray) -> tuple[float, 
     return mean, math.sqrt(max(var, 0.0))
 
 
-def snapshot_metrics(paths, tx_power_dbm: float = 0.0) -> tuple:
-    """The :data:`METRIC_NAMES` values of one snapshot's paths, in order.
+def snapshot_metrics(paths: PathRows, tx_power_dbm: float = 0.0) -> tuple:
+    """The :data:`METRIC_NAMES` values of one snapshot's path rows, in order.
 
     Powers are ``tx_power_dbm + 20*log10(|coherent sum of T[pol]|)`` in dBm,
     minus infinity for no paths or perfect cancellation.  Delay, vertical
@@ -95,8 +96,8 @@ def snapshot_metrics(paths, tx_power_dbm: float = 0.0) -> tuple:
     """
     if not paths:
         return (-math.inf,) * 4 + (math.nan,) * 8
-    transfers = np.array([p.transfer for p in paths])
-    delay, az, el, doppler = np.array([(p.delay_s, *p.aoa, p.doppler_hz) for p in paths], dtype=float).T
+    transfers = paths.transfer
+    az, el = paths.aoa.T
     # scalar abs is libm hypot; the array np.abs may differ in the last bit
     powers = [
         -math.inf if abs(z) == 0.0 else tx_power_dbm + 20.0 * math.log10(abs(z))
@@ -111,11 +112,11 @@ def snapshot_metrics(paths, tx_power_dbm: float = 0.0) -> tuple:
         spread_h = math.sqrt(2.0 * (1.0 - min(abs(resultant), 1.0)))
     return (
         *powers,
-        *_weighted_mean_rms(delay, weights),
+        *_weighted_mean_rms(paths.delay_s, weights),
         mean_h,
         spread_h,
         *_weighted_mean_rms(el, weights),
-        *_weighted_mean_rms(doppler, weights),
+        *_weighted_mean_rms(paths.doppler_hz, weights),
     )
 
 
@@ -196,10 +197,8 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str
     times, per_snapshot = [], []
     for s in snapshots:
         times.append(s.timestamp)
-        delays = np.array([p.delay_s for p in s.paths], dtype=float)
-        entries = np.array([p.transfer[r, c] for p in s.paths], dtype=complex)
-        scatter = np.array([p.tag == TAG_SCATTER for p in s.paths], dtype=bool)
-        per_snapshot.append((delays, entries, scatter))
+        rows = s.paths
+        per_snapshot.append((rows.delay_s, rows.transfer[:, r, c], rows.tag == TAG_SCATTER))
     max_spacing = 1.0 / (2.0 * bandwidth)
     max_delay = max([0.0] + [float(d.max()) for d, _, _ in per_snapshot if d.size])
     span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
@@ -386,8 +385,8 @@ def power_decomposition(
     lin = np.zeros((3, n))
     times = np.array([s.timestamp for s in snapshots], dtype=float)
     for i, s in enumerate(snapshots):
-        entries = np.array([p.transfer[r, c] for p in s.paths], dtype=complex)
-        specular = np.array([p.tag == TAG_SPECULAR for p in s.paths], dtype=bool)
+        entries = s.paths.transfer[:, r, c]
+        specular = s.paths.tag == TAG_SPECULAR
         for k, part in enumerate((entries[specular], entries[~specular], entries)):
             mag = abs(_path_order_sum(part))
             lin[k, i] = scale * mag**2

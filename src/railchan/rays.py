@@ -4,12 +4,17 @@ A path is identified by its *signature*: the ordered list of interaction
 kinds and the scene elements hosting them.  Two paths at different receiver
 positions with equal signatures are the same physical path class, which is
 the matching rule used when tracking paths across keyframes.
+
+The tracers return :class:`RayPath` lists; a stream snapshot holds its paths
+as one :class:`PathRows` block, the columns the writers and the metric
+kernels read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,6 +141,85 @@ class RayPath:
     def power(self) -> float:
         """Frobenius-squared transfer power (polarization-agnostic weight)."""
         return float(np.sum(np.abs(self.transfer) ** 2))
+
+
+class PathRow(NamedTuple):
+    """One row of a :class:`PathRows` block as plain values: a path without
+    its vertices."""
+
+    interactions: tuple
+    signature: str
+    tag: str
+    delay_s: float
+    aod: tuple[float, float]
+    aoa: tuple[float, float]
+    doppler_hz: float
+    transfer: np.ndarray
+
+
+def _objects(values: list) -> np.ndarray:
+    """``values`` as a 1-D object array, each entry kept whole (a tuple is
+    not unpacked into a second axis)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+@dataclass(eq=False)
+class PathRows:
+    """The K paths of one snapshot as one struct-of-arrays block.
+
+    interactions, signature, tag : (K,) object arrays holding each row's
+        path records themselves (the tracked path's, never rebuilt)
+    delay_s, doppler_hz : (K,) floats
+    aod, aoa : (K, 2) (azimuth, elevation), as on :class:`RayPath`
+    transfer : (K, 2, 2) complex, C-contiguous
+
+    ``len`` is K; ``rows[k]`` reads row k back as a :class:`PathRow`.
+    """
+
+    interactions: np.ndarray
+    signature: np.ndarray
+    tag: np.ndarray
+    delay_s: np.ndarray
+    aod: np.ndarray
+    aoa: np.ndarray
+    doppler_hz: np.ndarray
+    transfer: np.ndarray
+
+    @classmethod
+    def from_paths(cls, paths) -> PathRows:
+        """The rows of ``paths`` (records with the fields of a
+        :class:`PathRow`, such as :class:`RayPath`), in order."""
+        n = len(paths)
+        return cls(
+            interactions=_objects([p.interactions for p in paths]),
+            signature=_objects([p.signature for p in paths]),
+            tag=_objects([p.tag for p in paths]),
+            delay_s=np.array([p.delay_s for p in paths], dtype=float),
+            aod=np.array([p.aod for p in paths], dtype=float).reshape(n, 2),
+            aoa=np.array([p.aoa for p in paths], dtype=float).reshape(n, 2),
+            doppler_hz=np.array([p.doppler_hz for p in paths], dtype=float),
+            transfer=np.array([p.transfer for p in paths], dtype=complex).reshape(n, 2, 2),
+        )
+
+    def __len__(self) -> int:
+        return len(self.delay_s)
+
+    def __getitem__(self, k: int) -> PathRow:
+        return PathRow(
+            self.interactions[k],
+            self.signature[k],
+            self.tag[k],
+            float(self.delay_s[k]),
+            tuple(self.aod[k].tolist()),
+            tuple(self.aoa[k].tolist()),
+            float(self.doppler_hz[k]),
+            self.transfer[k],
+        )
+
+    def concat(self, tail: PathRows) -> PathRows:
+        """These rows followed by the rows of ``tail``."""
+        # vars() lists the fields in their declared order
+        return PathRows(*(np.concatenate(pair) for pair in zip(vars(self).values(), vars(tail).values())))
 
 
 def norms(vectors: np.ndarray) -> np.ndarray:

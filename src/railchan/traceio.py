@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,28 +63,27 @@ def write_trace_csv(path, snapshots) -> dict[str, int]:
     Path ids number each distinct signature in order of first appearance, so
     a physical path keeps one id for its whole life.  Transfer entries are
     [out, in] with V=row/column 0: vv = T[0,0], vh = T[0,1] (H in, V out).
+    Each snapshot's rows come from the columns of its path block, zipped
+    into one tuple per row.
     """
     ids: dict[str, int] = {}
     # delay, aod (2), aoa (2), doppler, then re/im of T00, T01, T10, T11
     template = "%s,%d,%s," + _floats(14) + ",%s" + _EOL
 
-    def rows():
+    def blocks():
         for snap in snapshots:
-            paths = snap.paths
-            if not paths:
-                continue
-            ts = "%.17g" % snap.timestamp
-            block = np.empty((len(paths), 14))
-            block[:, 0] = [p.delay_s for p in paths]
-            block[:, 1:3] = [p.aod for p in paths]
-            block[:, 3:5] = [p.aoa for p in paths]
-            block[:, 5] = [p.doppler_hz for p in paths]
-            block[:, 6:] = np.array([p.transfer for p in paths], dtype=complex).reshape(-1, 4).view(float)
-            for p, values in zip(paths, block.tolist()):
-                sig = p.signature
-                yield (ts, ids.setdefault(sig, len(ids)), sig, *values, p.tag)
+            rows = snap.paths
+            block = np.empty((14, len(rows)))
+            block[0] = rows.delay_s
+            block[1:3] = rows.aod.T
+            block[3:5] = rows.aoa.T
+            block[5] = rows.doppler_hz
+            block[6:] = rows.transfer.reshape(-1, 4).view(float).T
+            sigs = rows.signature.tolist()
+            pids = [ids.setdefault(sig, len(ids)) for sig in sigs]
+            yield zip(repeat("%.17g" % snap.timestamp), pids, sigs, *block.tolist(), rows.tag.tolist())
 
-    _write_table(path, TRACE_COLUMNS, template, rows())
+    _write_table(path, TRACE_COLUMNS, template, chain.from_iterable(blocks()))
     return ids
 
 

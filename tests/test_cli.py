@@ -25,7 +25,7 @@ import railchan.specular
 from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, load_preset, preset_path
 from railchan.dynamics import ChannelSnapshot
-from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction, RayPath
+from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction, PathRows, RayPath
 from railchan.scatter import ScatterEngine
 from railchan.scene import CylinderScatterer, Scene
 from railchan.specular import SpecularTracer
@@ -156,6 +156,13 @@ def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
         rounds = counters["occlusion_segments"]
         assert 1 <= len(rounds) <= 3 and all(isinstance(n, int) for n in rounds)
         assert rounds == sorted(rounds, reverse=True)
+        # the stream's brackets and rows: run and scatter-study track paths
+        # across brackets, sweep's reference solves every step
+        assert all(isinstance(counters[k], int) for k in ("matched", "births", "deaths", "rows")), command
+        assert (counters["matched"] > 0) == (command != "sweep"), command
+        assert counters["rows"] >= counters["matched"], command
+        if command == "run":
+            assert counters["rows"] == a["n_path_rows"]
         # the scatter engine's counters: exact scatter at every snapshot of
         # run and scatter-study, one leg per pylon for the transmitter and
         # per pylon and snapshot; sweep here runs with scatter off
@@ -691,8 +698,8 @@ def test_scatter_summary_excess_delay_over_rows_with_a_specular_path():
 
     spec = path(100e-9, TAG_SPECULAR)
     echo = path(150e-9, TAG_SCATTER, (Interaction(SCATTERING, 7, 0),))
-    one = [ChannelSnapshot(0, 0.0, np.zeros(3), [spec, echo], False)]
-    two = one + [ChannelSnapshot(1, 0.01, np.zeros(3), [echo], False)]
+    one = [ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.from_paths([spec, echo]), False)]
+    two = one + [ChannelSnapshot(1, 0.01, np.zeros(3), PathRows.from_paths([echo]), False)]
     for snaps in (one, two):
         (row,) = _scatter_summary(scene, snaps, 0.0)
         assert row["mean_excess_delay_ns"] == pytest.approx(50.0, rel=1e-12)

@@ -16,13 +16,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from interp_oracle import oracle_interior
 
 from railchan import dynamics
 from railchan.config import load_preset
 from railchan.dynamics import (
     RAMP_FRACTION,
     Bracket,
+    ChannelSnapshot,
+    StepSchedule,
     Trajectory,
+    _path_sort_key,
     interpolate_bracket,
     match_paths,
     stream_snapshots,
@@ -186,6 +190,16 @@ def keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
     return [s for s in res.snapshots if s.at_keyframe]
 
 
+def tracked_keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
+    """The keyframes of a stream as tracking reads them: snapshots holding
+    the solver's path lists."""
+    schedule = StepSchedule(update_step or kf_interval, kf_interval, 0, traj.duration)
+    times = schedule.seconds(schedule.keyframes)
+    rx = np.array([traj.position(t) for t in times])
+    solved = SpecularTracer(scene, F19, tx).trace(rx, limits)
+    return [ChannelSnapshot(i, t, r, paths, True) for i, t, r, paths in zip(schedule.keyframes, times, rx, solved)]
+
+
 class TestKeyframes:
     def test_count_601(self):
         scene = Scene(buildings=[])
@@ -220,7 +234,7 @@ class TestMatch:
         scene = Scene(buildings=[wall])
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-30, 0, 2], [30, 0, 2], 20.0, duration=3.0)
-        kfs = keyframes(scene, traj, tx, 1.5)
+        kfs = tracked_keyframes(scene, traj, tx, 1.5)
         # t=0: rx at, x=-30 -> LoS clear; t=1.5: rx at x=0 -> blocked
         matched, births, deaths = match_paths(kfs[0], kfs[1])
         assert matched == []
@@ -234,14 +248,14 @@ class TestMatch:
         scene = Scene(buildings=[])
         tx = np.array([0.0, 20.0, 20.0])
         traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
-        kfs = keyframes(scene, traj, tx, 1.0)
+        kfs = tracked_keyframes(scene, traj, tx, 1.0)
         matched, births, deaths = match_paths(kfs[0], kfs[1])
         assert len(matched) == 1 and births == [] and deaths == []
 
     def test_duplicate_signatures_pair_in_order(self):
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
-        kf_a, kf_b = keyframes(scene, traj, np.array([0.0, 20.0, 20.0]), 2.0)
+        kf_a, kf_b = tracked_keyframes(scene, traj, np.array([0.0, 20.0, 20.0]), 2.0)
         first, second = kf_b.paths[0], replace(kf_b.paths[0])
         kf_b.paths = [first, second]
         matched, births, deaths = match_paths(kf_a, kf_b)
@@ -256,7 +270,7 @@ class TestInterpolateLoS:
         scene = Scene(buildings=[])
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=2.0)
-        kfs = keyframes(scene, traj, tx, 1.0)
+        kfs = tracked_keyframes(scene, traj, tx, 1.0)
         matched, _, _ = match_paths(kfs[0], kfs[1])
         return scene, tx, traj, matched_bracket(kfs[0].timestamp, kfs[1].timestamp, matched[0])
 
@@ -264,7 +278,7 @@ class TestInterpolateLoS:
         scene, tx, traj, br = self.make()
         (pa, pb), = br.matched
         p = interpolate_one(br, br.t_a, traj)
-        np.testing.assert_array_equal(p.vertices, pa.vertices)
+        assert (p.aod, p.aoa) == (pa.aod, pa.aoa)
         assert p.delay_s == pa.delay_s
         np.testing.assert_allclose(p.transfer, pa.transfer, rtol=1e-12)
 
@@ -313,7 +327,7 @@ class TestInterpolateLoS:
         v = [traj.velocity(t) for t in times]
         with pytest.raises(ValueError, match="outside tracked interval"):
             interpolate_bracket(empty, times, rx, v, F19)
-        assert interpolate_bracket(empty, times[:1], rx[:1], v[:1], F19) == [[]]
+        assert [len(rows) for rows in interpolate_bracket(empty, times[:1], rx[:1], v[:1], F19)] == [0]
 
     def test_vertex_count_mismatch_rejected(self):
         scene, tx, traj, br = self.make()
@@ -333,14 +347,15 @@ def preset_brackets(request):
     cfg = load_preset(overrides={"duration_s": 2.0})
     carrier = CarrierConfig(frequency_hz=cfg.carrier_hz)
     traj = cfg.trajectory()
-    res = stream_snapshots(
-        cfg.load_scene(), traj, cfg.tx_position, carrier, update_step=kf, kf_interval=kf,
-        limits=cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
-    )
+    scene = cfg.load_scene()
+    kfs = tracked_keyframes(scene, traj, cfg.tx_position, kf, limits=cfg.limits)
+    echoes = ScatterEngine(scene, carrier, cfg.tx_position).paths(np.array([k.rx_position for k in kfs]))
+    for k, found in zip(kfs, echoes):
+        k.paths += found
     rng = np.random.default_rng(cfg.seed)
     step = cfg.update_step_s
     brackets = []
-    for a, b in zip(res.snapshots[:-1], res.snapshots[1:]):
+    for a, b in zip(kfs[:-1], kfs[1:]):
         steps = range(round(a.timestamp / step), round(b.timestamp / step) + 1)
         brackets.append((track_interval(a, b, rng), [i * step for i in steps]))
     return carrier, traj, brackets
@@ -366,12 +381,13 @@ class TestBracketAgainstOracle:
                     (kind, entry, oracle_row(bracket, kind, entry, t, r, vel, carrier))
                     for kind, entry in bracket_entries(bracket)
                 ]
-                want = [w for w in want if w[2] is not None]
+                # the rows come in the bracket's one row order
+                want = sorted((w for w in want if w[2] is not None), key=lambda w: _path_sort_key(w[2]))
                 assert len(got) == len(want)
                 for p, (kind, entry, q) in zip(got, want):
                     assert p.interactions is q.interactions
                     assert p.tag == q.tag
-                    for field in ("vertices", "delay_s", "aod", "aoa", "doppler_hz", "transfer"):
+                    for field in ("delay_s", "aod", "aoa", "doppler_hz", "transfer"):
                         assert _bits(getattr(p, field)) == _bits(getattr(q, field)), (field, q.signature, t)
                     rows_by_kind[kind] += 1
                     if kind != "matched" and entry[1] < t < entry[1] + ramp:
@@ -471,14 +487,14 @@ class TestStream:
             assert [p.signature for p in se.paths] == [p.signature for p in si.paths]
             for pe, pi in zip(se.paths, si.paths):
                 assert pe.delay_s == pi.delay_s
-                np.testing.assert_array_equal(pe.vertices, pi.vertices)
+                assert (pe.aod, pe.aoa) == (pi.aod, pi.aoa)
                 np.testing.assert_allclose(np.abs(pi.transfer), np.abs(pe.transfer), rtol=1e-10)
 
     def test_interpolated_paths_share_keyframe_records(self):
         scene = self.wall_scene()
         traj = straight_traj([-30, 0, 2], [30, 0, 2], 20.0, duration=1.0)
         tx = np.array([0.0, 30.0, 10.0])
-        kf_a, kf_b = keyframes(scene, traj, tx, 0.5, update_step=0.05, limits=FULL)[:2]
+        kf_a, kf_b = tracked_keyframes(scene, traj, tx, 0.5, update_step=0.05, limits=FULL)[:2]
         bracket = track_interval(kf_a, kf_b, np.random.default_rng(0))
         assert any(pa.interactions for pa, _ in bracket.matched)
         for pair in bracket.matched:
@@ -487,13 +503,11 @@ class TestStream:
             for t in (0.1, 0.25, 0.4):
                 p = interpolate_one(one, t, traj)
                 assert p.interactions is pa.interactions
-                assert len(p.vertices) == len(pa.vertices)
+                assert p.signature is pa.signature
             p = interpolate_one(one, one.t_a, traj)
             assert p.interactions is pa.interactions
-            assert p.signature == pa.signature and p.tag == pa.tag
-            np.testing.assert_array_equal(p.vertices, pa.vertices)
+            assert p.signature is pa.signature and p.tag == pa.tag
             assert p.delay_s == pa.delay_s
-            assert polyline_lengths(p.vertices) == polyline_lengths(pa.vertices)
             assert (p.aod, p.aoa) == (pa.aod, pa.aoa)
             np.testing.assert_allclose(p.transfer, pa.transfer, rtol=1e-12)
 
@@ -612,8 +626,8 @@ def snapshot_bits(snap):
     return head, [
         (
             p.interactions,
+            p.signature,
             p.tag,
-            p.vertices.tobytes(),
             p.transfer.tobytes(),
             np.array([p.delay_s, *p.aod, *p.aoa, p.doppler_hz]).tobytes(),
         )
@@ -625,20 +639,24 @@ class TestKeyframeDoppler:
     def test_every_keyframe_path_of_the_preset_t0_to_2s(self):
         # kf = update step: every snapshot is a keyframe, its specular paths
         # and its exact scatter echoes filled in by the array pass
+        # and emitted as the sorted solve followed by its sorted echoes
         cfg = load_preset(overrides={"duration_s": 2.0})
         traj = cfg.trajectory()
         carrier = CarrierConfig(cfg.carrier_hz)
-        res = stream_snapshots(
-            cfg.load_scene(), traj, cfg.tx_position, carrier, cfg.update_step_s, cfg.update_step_s, cfg.limits
-        )
+        scene = cfg.load_scene()
+        res = stream_snapshots(scene, traj, cfg.tx_position, carrier, cfg.update_step_s, cfg.update_step_s, cfg.limits)
         assert len(res.snapshots) == 201
+        rx = np.array([s.rx_position for s in res.snapshots])
+        solved = SpecularTracer(scene, carrier, cfg.tx_position).trace(rx, cfg.limits)
+        echoes = ScatterEngine(scene, carrier, cfg.tx_position).paths(rx)
         tags = set()
-        for snap in res.snapshots:
+        for snap, paths, found in zip(res.snapshots, solved, echoes):
             v = traj.velocity(snap.timestamp)
-            got = np.array([p.doppler_hz for p in snap.paths])
-            want = np.array([oracle_radial_doppler(p, v, carrier) for p in snap.paths])
-            assert got.tobytes() == want.tobytes(), snap.index
-            tags.update(p.tag for p in snap.paths)
+            paths = sorted(paths, key=_path_sort_key) + sorted(found, key=_path_sort_key)
+            assert snap.paths.signature.tolist() == [p.signature for p in paths]
+            want = np.array([oracle_radial_doppler(p, v, carrier) for p in paths])
+            assert snap.paths.doppler_hz.tobytes() == want.tobytes(), snap.index
+            tags.update(snap.paths.tag)
         assert tags == {"specular", "scatter"}
 
     def test_zero_length_last_segment_has_no_doppler(self):
@@ -721,18 +739,28 @@ class TestNorms:
         stacked = rows.reshape(1000, 100, 4, 3)
         assert norms(stacked).tobytes() == np.linalg.norm(stacked, axis=-1).tobytes()
 
-    def test_polyline_lengths_of_the_preset_paths(self):
+    def test_polyline_lengths_of_the_preset_paths(self, monkeypatch):
+        # the stream's rows keep no vertices: its keyframe paths, and the
+        # per-path interior of its brackets, whose rows the stream's rows
+        # equal bit for bit (test_path_rows), carry them
         cfg = load_preset(overrides={"duration_s": 2.0})
-        res = stream_snapshots(
+        brackets = []
+        original = dynamics.interpolate_bracket
+
+        def spy(bracket, *args):
+            brackets.append((bracket, args))
+            return original(bracket, *args)
+
+        monkeypatch.setattr(dynamics, "interpolate_bracket", spy)
+        stream_snapshots(
             cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz),
             cfg.update_step_s, 0.1, cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
         )
-        n = 0
-        for snap in res.snapshots:
-            for p in snap.paths:
-                old = np.sum(np.linalg.norm(np.diff(p.vertices, axis=-2), axis=-1), axis=-1)
-                assert polyline_lengths(p.vertices).tobytes() == old.tobytes()
-                # every row's delay, interpolated or held, is its length's
-                assert p.delay_s == float(old) / C0
-                n += 1
-        assert n > 10_000
+        paths = [pb for bracket, _ in brackets for _, pb in bracket.matched]
+        paths += [p for bracket, args in brackets for rows in oracle_interior(bracket, *args) for p in rows]
+        for p in paths:
+            old = np.sum(np.linalg.norm(np.diff(p.vertices, axis=-2), axis=-1), axis=-1)
+            assert polyline_lengths(p.vertices).tobytes() == old.tobytes()
+            # every row's delay, interpolated or held, is its length's
+            assert p.delay_s == float(old) / C0
+        assert len(paths) > 10_000
