@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rays import norms
+
 #: Endpoint-exclusion / coincidence tolerance in meters.  Scenes are at most a
 #: few km across, which leaves ~9 significant digits of double headroom.
 EPS_GEOM = 1e-6
@@ -255,6 +257,10 @@ class Scene:
         self.fac_element = np.array(fac_element, dtype=np.intp)
         self.n_facades = len(self.fac_len)
         self.fac_od = np.einsum("ij,ij->i", self.fac_origin, self.fac_dir)
+        # facades are vertical: the z of every normal and direction is +0.0,
+        # so the placement rules read their x and y as contiguous columns
+        self.fac_nx, self.fac_ny = self.fac_normal[:, :2].T.copy()
+        self.fac_ux, self.fac_uy = self.fac_dir[:, :2].T.copy()
         # facade f is also footprint edge f, from fac_origin[f] to _fac_end[f]
         self._fac_end = np.array(ends, dtype=float).reshape(-1, 2)
         # each facade carries its building's material
@@ -349,14 +355,22 @@ class Scene:
         facade from its origin and the height.  All three are NaN where a
         segment is parallel to the plane, so every band a caller tests on them
         is false there; each caller keeps its own bands for the segment ends
-        and the facade edges."""
-        n = self.fac_normal[fi]
-        denom = np.einsum("ij,ij->i", n, seg)
+        and the facade edges.
+
+        Facades are vertical: the z components of ``fac_normal`` and
+        ``fac_dir`` are +0.0.  So each dot of a facade vector is the two-term
+        sum of its x and y products, read from the columns ``fac_nx``,
+        ``fac_ny``, ``fac_ux`` and ``fac_uy``.  Two terms sum to the same bits
+        in either order, so the result equals the three-term dot's up to the
+        sign of an exact zero, which no band tests."""
+        nx, ny = self.fac_nx.take(fi), self.fac_ny.take(fi)
+        px, py, sx, sy = p[:, 0], p[:, 1], seg[:, 0], seg[:, 1]
+        denom = nx * sx + ny * sy
         safe = np.abs(denom) > 1e-15
-        off = self.fac_offset[fi] - np.einsum("ij,ij->i", n, p)
-        t = np.where(safe, off / np.where(safe, denom, 1.0), np.nan)
-        u = self.fac_dir[fi]
-        s = np.einsum("ij,ij->i", p, u) - self.fac_od[fi] + t * np.einsum("ij,ij->i", seg, u)
+        off = self.fac_offset.take(fi) - (nx * px + ny * py)
+        t = np.divide(off, denom, out=np.full(len(off), np.nan), where=safe)
+        ux, uy = self.fac_ux.take(fi), self.fac_uy.take(fi)
+        s = (px * ux + py * uy) - self.fac_od.take(fi) + t * (sx * ux + sy * uy)
         return t, s, p[:, 2] + t * seg[:, 2]
 
     def wedge_azimuths(self, wi, xy) -> tuple[np.ndarray, np.ndarray]:
@@ -365,11 +379,14 @@ class Scene:
         tangent through the region outside the building, and the mask of
         those outside the wedge material (at most ``n_index * pi``).  An
         angle within 1e-9 rad below 2 pi reads as 0, on the o-face, so a point
-        on the o-face plane gets one angle whichever side rounding puts it."""
-        phi = np.arctan2(
-            np.einsum("kj,kj->k", xy, self.wedge_o_normal[wi]),
-            np.einsum("kj,kj->k", xy, self.wedge_o_tangent[wi]),
-        )
+        on the o-face plane gets one angle whichever side rounding puts it.
+
+        Each dot is the two-term sum of the x and y products.  The zero
+        vector has no azimuth: it reads 0 or pi by the signs of its zeros,
+        and every caller rules it out by its own distance test."""
+        x, y = xy[:, 0], xy[:, 1]
+        normal, tangent = self.wedge_o_normal[wi], self.wedge_o_tangent[wi]
+        phi = np.arctan2(x * normal[:, 0] + y * normal[:, 1], x * tangent[:, 0] + y * tangent[:, 1])
         phi = np.mod(phi, 2.0 * math.pi)
         phi = np.where(phi >= 2.0 * math.pi - 1e-9, 0.0, phi)
         return phi, phi <= self.wedge_n_index[wi] * math.pi + 1e-9
@@ -403,7 +420,7 @@ class Scene:
     def _segments_blocked(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """:meth:`segments_blocked` for one block of segments."""
         seg = q - p
-        seg_len = np.linalg.norm(seg, axis=1)
+        seg_len = norms(seg)
 
         # ground plane z = 0
         dz = seg[:, 2]
@@ -430,12 +447,14 @@ class Scene:
         # facade planes, one row per (segment, facade of an overlapping building)
         rows, fi = self._building_facades(bi)
         kk = ki[rows]
-        t, s, z = self.facade_crossings(p[kk], seg[kk], fi)
-        sl = seg_len[kk]
+        # gathered component-major, so that each component is one contiguous
+        # column for facade_crossings
+        t, s, z = self.facade_crossings(p.T.take(kk, axis=1).T, seg.T.take(kk, axis=1).T, fi)
+        sl = seg_len.take(kk)
         dist = t * sl
         ok = (dist > EPS_GEOM) & (dist < sl - EPS_GEOM)
-        ok &= (s >= -EPS_GEOM) & (s <= self.fac_len[fi] + EPS_GEOM)
-        ok &= (z >= -EPS_GEOM) & (z <= self.fac_height[fi] + EPS_GEOM)
+        ok &= (s >= -EPS_GEOM) & (s <= self.fac_len.take(fi) + EPS_GEOM)
+        ok &= (z >= -EPS_GEOM) & (z <= self.fac_height.take(fi) + EPS_GEOM)
         blocked[kk[ok]] = True
 
         # rooftop planes, for the overlapping pairs whose segment is still clear

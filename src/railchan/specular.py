@@ -221,7 +221,7 @@ class SpecularTracer:
         pi, pj = pair_i[live], pair_j[live]
         m1 = self._img1[pi]
         n2 = sc.fac_normal[pj]
-        d2 = np.einsum("kj,kj->k", m1, n2) - sc.fac_offset[pj]
+        d2 = (m1[:, 0] * sc.fac_nx[pj] + m1[:, 1] * sc.fac_ny[pj]) - sc.fac_offset[pj]
         # the first-order image must sit in front of the second plane,
         # otherwise no point of that plane can be reached outbound
         keep = d2 > EPS_GEOM
@@ -288,7 +288,7 @@ class SpecularTracer:
         x1, ok = _facade_crossing(sc, self._img1[fi], x2, fi)
         # the intermediate segment must approach the second facade from its
         # front side
-        d_x1_j = np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj]
+        d_x1_j = (x1[:, 0] * sc.fac_nx[fj] + x1[:, 1] * sc.fac_ny[fj]) - sc.fac_offset[fj]
         ok &= d_x1_j > EPS_GEOM
         s = s[ok]
         return _polylines(self.tx, [x1[ok], x2[ok]], rx[s]), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]]), s

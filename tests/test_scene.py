@@ -10,7 +10,11 @@ edges, footprint corners and a wall shared by two touching buildings, where
 footprints, rays grazing facade edges, corners and roof lines must get one
 answer from the reflection generator's ``_facade_crossing`` and from
 ``segments_blocked``: both place a ray against a facade with
-``Scene.facade_crossings``.
+``Scene.facade_crossings``.  That rule and ``Scene.wedge_azimuths`` read
+facade and wedge vectors by columns, as two-term dots, and are checked bit
+for bit against the three-term ``einsum`` forms they replace
+(``placement_oracle``), the kernel's verdicts against a copy of the kernel
+that gathered (rows, 3) arrays.
 """
 
 import json
@@ -22,6 +26,7 @@ import pytest
 from railchan import scene as scene_module
 from railchan.config import load_preset
 from railchan.em import CarrierConfig
+from railchan.rays import norms
 from railchan.scene import (
     EPS_GEOM,
     Building,
@@ -32,6 +37,7 @@ from railchan.scene import (
     load_scene,
 )
 from railchan.specular import SpecularTracer, _facade_crossing
+from placement_oracle import oracle_facade_crossings, oracle_segments_blocked, oracle_wedge_azimuths
 from rooftop_oracle import oracle_rooftop_path, traced_rooftop_path
 from test_specular import assert_same_paths
 
@@ -713,6 +719,152 @@ class TestPlacementRules:
         apexes = path.vertices[1:-1]
         np.testing.assert_allclose(apexes[:, :2], [x for _, _, x in want], rtol=0, atol=1e-9)
         assert (apexes[:, 2] == 12.0).all()
+
+
+def assert_same_placement(got, want):
+    """Each of ``t``, ``s`` and ``z`` has the oracle's bits, or both are zero
+    (of either sign), or both are NaN."""
+    for g, w in zip(got, want):
+        same = (g.view(np.int64) == w.view(np.int64)) | ((g == 0.0) & (w == 0.0)) | (np.isnan(g) & np.isnan(w))
+        bad = np.nonzero(~same)[0]
+        assert not len(bad), (bad[:5], g[bad[:5]], w[bad[:5]])
+
+
+def edge_case_segments(scene, seed):
+    """Segments against every facade of ``scene``: parallel to its plane,
+    vertical, horizontal, through points within a few EPS_GEOM of its ends
+    and its top, and with exact-zero components of either sign."""
+    rng = np.random.default_rng(seed)
+    k = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0])
+    p, seg = [], []
+    for f in range(scene.n_facades):
+        u, n, o = scene.fac_dir[f], scene.fac_normal[f], scene.fac_origin[f]
+        for s in (0.0, 0.5 * scene.fac_len[f], scene.fac_len[f]):
+            for z in (0.0, scene.fac_height[f]):
+                x = o + s * u + [0.0, 0.0, z] + EPS_GEOM * (rng.choice(k) * u + rng.choice(k) * n)
+                x[2] += EPS_GEOM * rng.choice(k)
+                a, b = rng.uniform(1, 20, size=2)
+                # parallel to the plane: along the facade, up it, or both
+                for d in (u, np.array([0.0, 0.0, 1.0]), u + [0.0, 0.0, 1.0]):
+                    p.append(x + rng.choice(k) * n)
+                    seg.append((a + b) * d)
+                d = rng.normal(size=3)
+                for zero in ((), (0,), (1,), (2,), (0, 1)):
+                    e = d.copy()
+                    e[list(zero)] = rng.choice([0.0, -0.0], size=len(zero))
+                    if np.any(e):
+                        e /= np.linalg.norm(e)
+                        p.append(x - a * e)
+                        seg.append((a + b) * e)
+    p, seg = np.array(p), np.array(seg)
+    # some starts on the axes and the ground, with zeros of either sign
+    pick = rng.random(p.shape) < 0.1
+    p[pick] = rng.choice([0.0, -0.0], size=pick.sum())
+    return p, seg
+
+
+#: two boxes with their facades along the axes, beside the rotated scenes:
+#: their normals hold -0.0
+AXIS_SCENE = [Building(1, np.array(square(0, 0, 5)), 10.0), Building(2, np.array(square(15, 5, 5)), 14.0)]
+
+
+class TestColumnRule:
+    """``Scene.facade_crossings`` and ``Scene.wedge_azimuths`` sum two terms
+    read from columns; every facade and wedge is vertical, so they equal the
+    three-term ``einsum`` forms of ``placement_oracle``."""
+
+    def test_preset_t0_to_2s_rows_and_verdicts(self, monkeypatch):
+        # every placement and every occlusion query of the preset tracer's
+        # construction and of its 201 solves at t = 0-2 s, 32 at a time
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        rows, segments = [], []
+        placed, kernel = scene.facade_crossings, scene.segments_blocked
+
+        def placements(p, seg, fi):
+            got = placed(p, seg, fi)
+            assert_same_placement(got, oracle_facade_crossings(scene, p, seg, fi))
+            rows.append(len(fi))
+            return got
+
+        def verdicts(p, q):
+            got = kernel(p, q)
+            np.testing.assert_array_equal(got, oracle_segments_blocked(scene, p, q))
+            assert norms(q - p).tobytes() == np.linalg.norm(q - p, axis=1).tobytes()
+            segments.append(len(p))
+            return got
+
+        monkeypatch.setattr(scene, "facade_crossings", placements)
+        monkeypatch.setattr(scene, "segments_blocked", verdicts)
+        tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position)
+        traj = cfg.trajectory()
+        receivers = np.array([traj.position(0.01 * i) for i in range(201)])
+        for a in range(0, len(receivers), 32):
+            tracer.trace(receivers[a : a + 32], cfg.limits)
+        assert sum(segments) > 70_000 and sum(rows) > 1_800_000
+
+    @pytest.mark.parametrize("name", [*ROTATED_SCENES, "axis"])
+    def test_edge_cases(self, name):
+        scene = Scene(buildings=AXIS_SCENE if name == "axis" else ROTATED_SCENES[name])
+        p, seg = edge_case_segments(scene, 11)
+        rows, fi = np.divmod(np.arange(len(p) * scene.n_facades), scene.n_facades)
+        got = scene.facade_crossings(p[rows], seg[rows], fi)
+        assert_same_placement(got, oracle_facade_crossings(scene, p[rows], seg[rows], fi))
+        t = got[0]
+        assert np.isnan(t).any() and (t == 0.0).any() and ((t > 0.0) & (t < 1.0)).any()
+        blocked = scene.segments_blocked(p, p + seg)
+        np.testing.assert_array_equal(blocked, oracle_segments_blocked(scene, p, p + seg))
+        assert 0 < blocked.sum() < len(p)
+
+    def test_facades_are_vertical(self):
+        # the two-term rule rests on this: +0.0, never -0.0, even where an
+        # edge along y makes a normal's -u[0] a -0.0
+        rng = np.random.default_rng(5)
+        scenes = [load_preset().load_scene(), Scene(buildings=AXIS_SCENE)]
+        for _ in range(20):
+            m = int(rng.integers(3, 9))
+            angle = np.sort(rng.uniform(0.0, 2 * math.pi, size=m))
+            fp = rng.uniform(-50, 50, size=2) + rng.uniform(2, 10, size=(m, 1)) * np.column_stack([np.cos(angle), np.sin(angle)])
+            # a rectangle beside it, its edges along the axes
+            lo = rng.integers(60, 90, size=2).astype(float)
+            rect = np.array([lo, lo + [4.0, 0.0], lo + [4.0, 3.0], lo + [0.0, 3.0]])
+            scenes.append(Scene(buildings=[Building(1, fp, 10.0), Building(2, rect, 12.0)]))
+        for scene in scenes:
+            for z in (scene.fac_normal[:, 2], scene.fac_dir[:, 2]):
+                assert (z == 0.0).all() and not np.signbit(z).any()
+            for col, vec in ((scene.fac_nx, scene.fac_normal[:, 0]), (scene.fac_ny, scene.fac_normal[:, 1])):
+                assert col.flags.c_contiguous and col.tobytes() == vec.tobytes()
+            for col, vec in ((scene.fac_ux, scene.fac_dir[:, 0]), (scene.fac_uy, scene.fac_dir[:, 1])):
+                assert col.flags.c_contiguous and col.tobytes() == vec.tobytes()
+        assert np.signbit(scenes[1].fac_normal[:, :2]).any()
+
+    @pytest.mark.parametrize("name", ["preset", "box", "axis"])
+    def test_wedge_azimuths(self, name):
+        scene = {
+            "preset": lambda: load_preset().load_scene(),
+            "box": lambda: Scene(buildings=ROTATED_SCENES["box"]),
+            "axis": lambda: Scene(buildings=AXIS_SCENE),
+        }[name]()
+        rng = np.random.default_rng(8)
+        n = 20_000
+        wi = rng.integers(0, scene.n_wedges, size=n)
+        xy = rng.normal(size=(n, 2)) * rng.choice([1e-6, 1.0, 100.0], size=(n, 1))
+        # along either face of the wedge, on its o-face tangent and normal,
+        # and with zeros of either sign
+        on_face = rng.random(n) < 0.3
+        xy[on_face] = rng.uniform(-5, 5, size=(on_face.sum(), 1)) * scene.wedge_o_tangent[wi[on_face]]
+        on_normal = rng.random(n) < 0.1
+        xy[on_normal] = rng.uniform(-5, 5, size=(on_normal.sum(), 1)) * scene.wedge_o_normal[wi[on_normal]]
+        pick = rng.random(xy.shape) < 0.1
+        xy[pick] = rng.choice([0.0, -0.0], size=pick.sum())
+        phi, exterior = scene.wedge_azimuths(wi, xy)
+        want_phi, want_exterior = oracle_wedge_azimuths(scene, wi, xy)
+        # the zero vector has no azimuth (0 or pi by the signs of its zeros),
+        # and every caller rules it out by its own distance test
+        some = xy.any(axis=1)
+        assert 0 < some.sum() < n
+        assert phi[some].tobytes() == want_phi[some].tobytes()
+        np.testing.assert_array_equal(exterior, want_exterior)
 
 
 class TestContainment:

@@ -16,7 +16,7 @@ import pytest
 from railchan import specular
 from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
-from railchan.rays import EDGE_DIFFRACTION, ROOFTOP_DIFFRACTION, LOS_SIGNATURE, polyline_lengths
+from railchan.rays import EDGE_DIFFRACTION, LOS_SIGNATURE, REFLECTION, ROOFTOP_DIFFRACTION, polyline_lengths
 from railchan.scene import EPS_GEOM, Building, Material, Scene
 from railchan.specular import SOLVE_STAGES, SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 from rooftop_oracle import oracle_rooftop_path, rooftop_paths, traced_rooftop_path
@@ -863,6 +863,78 @@ class TestTransmitterTables:
         for i in range(8):
             rx = traj.position(0.25 * i)
             assert_same_paths(solve(tracer, rx, cfg.limits), solve(oracle, rx, cfg.limits))
+
+
+class EinsumDotsTracer(SpecularTracer):
+    """The tracer whose double-reflection pair table and generator take their
+    facade-normal dots as three-term ``einsum``s over (K, 3) rows, as before
+    the dots read the facade columns: the test oracle of the two-term rule."""
+
+    def _prepare_tables(self):
+        super()._prepare_tables()
+        sc = self.scene
+        p0 = sc.fac_origin[:, :2]
+        p1 = p0 + sc.fac_dir[:, :2] * sc.fac_len[:, None]
+        n2 = sc.fac_normal[:, :2]
+        d0 = p0 @ n2.T - sc.fac_offset[None, :]
+        d1 = p1 @ n2.T - sc.fac_offset[None, :]
+        partly_front = (np.maximum(d0, d1) > EPS_GEOM).T
+        feasible = partly_front & partly_front.T
+        np.fill_diagonal(feasible, False)
+        pair_i, pair_j = np.nonzero(feasible)
+        live = self._tx_front[pair_i]
+        pi, pj = pair_i[live], pair_j[live]
+        m1 = self._img1[pi]
+        n2 = sc.fac_normal[pj]
+        d2 = np.einsum("kj,kj->k", m1, n2) - sc.fac_offset[pj]
+        keep = d2 > EPS_GEOM
+        self._live_i, self._live_j = pi[keep], pj[keep]
+        self._img2 = m1[keep] - 2.0 * d2[keep, None] * n2[keep]
+
+    def _double_reflections(self, rx, rx_front):
+        sc = self.scene
+        s, sel = np.nonzero(rx_front[:, self._live_j])
+        fi, fj = self._live_i[sel], self._live_j[sel]
+        x2, ok = specular._facade_crossing(sc, self._img2[sel], rx[s], fj)
+        s, fi, fj, x2 = s[ok], fi[ok], fj[ok], x2[ok]
+        x1, ok = specular._facade_crossing(sc, self._img1[fi], x2, fi)
+        ok &= np.einsum("kj,kj->k", x1, sc.fac_normal[fj]) - sc.fac_offset[fj] > EPS_GEOM
+        s = s[ok]
+        return specular._polylines(self.tx, [x1[ok], x2[ok]], rx[s]), ((REFLECTION, REFLECTION), [fi[ok], fj[ok]]), s
+
+
+class TestVerticalDots:
+    """The double-reflection table's and generator's facade-normal dots sum
+    two terms from the facade columns; they keep the einsum's tables and
+    candidates bit for bit."""
+
+    def check(self, scene, tx, receivers, limits):
+        tracer, oracle = SpecularTracer(scene, F19, tx), EinsumDotsTracer(scene, F19, tx)
+        for name in ("_live_i", "_live_j", "_img2"):
+            assert getattr(tracer, name).tobytes() == getattr(oracle, name).tobytes()
+        receivers = np.asarray(receivers, dtype=float)
+        n_rr = 0
+        for got, want in zip(tracer.candidates(receivers, limits), oracle.candidates(receivers, limits)):
+            (verts, (kinds, hosts), owner), (want_verts, (want_kinds, want_hosts), want_owner) = got, want
+            assert kinds == want_kinds and verts.tobytes() == want_verts.tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(hosts, want_hosts)) and np.array_equal(owner, want_owner)
+            n_rr += len(verts) if kinds == (REFLECTION, REFLECTION) else 0
+        return n_rr
+
+    def test_preset_t0_to_2s(self):
+        cfg = load_preset()
+        traj = cfg.trajectory()
+        receivers = [traj.position(0.01 * i) for i in range(201)]
+        assert self.check(cfg.load_scene(), cfg.tx_position, receivers, cfg.limits) > 0
+
+    def test_random_transmitters(self):
+        rng = np.random.default_rng(2707)
+        scene = Scene(buildings=CITY)
+        receivers = np.array(random_transmitters(scene, rng, 12))
+        n_rr = 0
+        for tx in random_transmitters(scene, rng, 8):
+            n_rr += self.check(scene, tx, receivers[np.linalg.norm(receivers - tx, axis=1) > EPS_GEOM], TraceLimits())
+        assert n_rr > 0
 
 
 # ----------------------------------------------------------------------
