@@ -538,19 +538,23 @@ def cmd_bench(args) -> int:
         stream = _run_stream(cfg, scene, bracket_traj, kf_interval, step_a)
         add_row("interpolate_snapshot", rep, 9, stream.interpolation_seconds)
 
-    # metrics, TV-CIR synthesis and the trace writer over the bracket's snapshots
+    # metrics, TV-CIR synthesis and the two large writers over the bracket's
+    # snapshots: trace.csv per row, the TV-CIR per cell
     snaps = stream.snapshots
     n_rows = max(1, stream.counters["rows"])
     timed("metric_snapshot", len(snaps), lambda: metric_series(snaps, cfg.tx_power_dbm))
     timed("tvcir_snapshot", len(snaps), lambda: synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv"))
     timed("trace_csv_row", n_rows, lambda: write_trace_csv(out / "trace.csv", snaps))
+    cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
+    n_cells = len(cir.delays) * (1 + 2 * len(cir.times))
+    timed("tvcir_csv_cell", n_cells, lambda: write_tvcir_csv(out / "tvcir.csv", cir))
 
     write_bench_csv(out / "bench.csv", rows)
     stages = {}
     for r in rows:
         stages.setdefault(r["stage"], []).append(r["per_unit_ms"])
     for stage, vals in stages.items():
-        print(f"{stage}: {min(vals):.2f} ms best of {len(vals)}")
+        print(f"{stage}: {min(vals):.3g} ms best of {len(vals)}")
     print(f"outputs in {out}")
     return 0
 

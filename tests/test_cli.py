@@ -750,6 +750,7 @@ def test_bench_outputs(tmp_path, monkeypatch):
         "metric_snapshot",
         "tvcir_snapshot",
         "trace_csv_row",
+        "tvcir_csv_cell",
     } <= stages
     for stage in (
         "tx_tables",
@@ -761,6 +762,7 @@ def test_bench_outputs(tmp_path, monkeypatch):
         "metric_snapshot",
         "tvcir_snapshot",
         "trace_csv_row",
+        "tvcir_csv_cell",
     ):
         timed = [r for r in rows if r["stage"] == stage]
         assert len(timed) == 2
@@ -787,6 +789,10 @@ def test_bench_outputs(tmp_path, monkeypatch):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"11"}
     n_trace_rows = len(_read_csv(out / "trace.csv"))
     assert {r["units"] for r in rows if r["stage"] == "trace_csv_row"} == {str(n_trace_rows)}
+    # the TV-CIR writer stage times one unit per cell of tvcir.csv
+    with open(out / "tvcir.csv", newline="") as fh:
+        n_cells = sum(len(row) for row in list(csv.reader(fh))[1:])
+    assert {r["units"] for r in rows if r["stage"] == "tvcir_csv_cell"} == {str(n_cells)}
 
 
 def test_cli_holds_no_copy_of_the_solve():

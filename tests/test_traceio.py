@@ -4,8 +4,9 @@ The ``oracle_*`` writers below format every cell on its own with ``%.17g``
 and join the cells with a ``csv`` writer, as the writers did before they
 formatted whole rows.  Each writer must give the same bytes on real streams
 (a ``run`` stream and the pylon window of ``scatter-study``) and on crafted
-values: signed zeros, subnormals, huge values, NaN, infinities and
-snapshots without paths.
+values: signed zeros, subnormals, huge values, NaN, infinities, a 17-digit
+tie, a neighbour of a power of ten, a value whose digits carry to the next
+power of ten, and snapshots without paths.
 """
 
 from __future__ import annotations
@@ -53,7 +54,27 @@ from railchan.traceio import (
     write_tvcir_csv,
 )
 
-ODD_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, 0.1, -1.0)
+ODD_VALUES = (
+    -0.0,
+    0.0,
+    5e-324,
+    -5e-324,
+    1e308,
+    -1e308,
+    math.nan,
+    math.inf,
+    -math.inf,
+    0.1,
+    -1.0,
+    # an exact 17-digit tie (n + 1/4 below 2**51), which the block formatter
+    # leaves to ``%``
+    1234567890123456.25,
+    # the double above 1e23
+    math.nextafter(1e23, math.inf),
+    # the double nearest 10**98 lies below it, and its 17 digits round up
+    # to 10**17: a carry to the next power of ten
+    1e98,
+)
 #: characters a csv writer would quote a field for
 SPECIAL = (",", '"', "\r", "\n")
 #: every interaction kind a path record can carry
