@@ -46,7 +46,6 @@ _LIMIT_KEYS = {"max_reflections", "max_vertical_diffractions", "rooftop", "power
 
 # keys a caller (the command line) may override on top of the file
 OVERRIDABLE_KEYS = {
-    "scene",
     "duration_s",
     "update_step_s",
     "kf_interval_s",

@@ -27,18 +27,20 @@ interpolated polyline length, never a finite difference of outputs.  A
 birth or death keeps the geometry of the keyframe where it exists, with
 zero Doppler and its transfer scaled by the ramp factor.  Each snapshot
 gets one :class:`~railchan.rays.PathRows` block, filled straight from the
-bracket's arrays in one row order per bracket, so no per-row object is
-built and no snapshot is sorted on its own.
+bracket's arrays in :func:`~railchan.rays.path_order`, sorted once per
+bracket, so no per-row object is built and no snapshot is sorted on its
+own.
 
 :func:`stream_snapshots` walks the schedule once, bracket by bracket: it
 emits the interior snapshots of the bracket a keyframe closes, then the
-keyframe snapshot, whose paths take their Doppler in place.  Exact echoes
-join each snapshot as a sorted tail.  The keyframes
-are solved ahead of the walk in runs of ``KEYFRAME_CHUNK``, one tracer call
-per run, so at most one run of solved keyframes and the last keyframe
-walked are held.  Exact scatter goes ahead of the walk in runs of
-``SCATTER_CHUNK`` consecutive snapshot steps, whatever the brackets, so at
-most one run of echoes is held.
+keyframe snapshot.  One look-ahead solves ``SOLVE_CHUNK`` receivers per call
+ahead of the walk: the keyframes (with their echoes under interpolated
+scatter) and, under exact scatter, the echoes of every snapshot step, so at
+most one chunk of each and the last keyframe walked are held.  A keyframe is
+held as its step, receiver and solver list, which tracking reads; its
+snapshot is that list's rows with the Doppler filled in.  Echoes follow
+every specular row, so the stream sorts only each receiver's echoes, as
+they join.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import C0, CarrierConfig
-from .rays import TAG_SPECULAR, PathRows, RayPath, norms, path_angles
+from .rays import PathRows, _objects, norms, path_angles, path_order
 from .scatter import SCATTER_COUNTERS, ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
@@ -62,13 +64,9 @@ RAMP_FRACTION = 0.5
 
 SCATTER_MODES = ("off", "exact", "interpolated")
 
-#: consecutive snapshot steps whose exact echoes one scatter engine call
-#: evaluates
-SCATTER_CHUNK = 32
-
-#: consecutive keyframes of a stream that one specular tracer call solves
-#: (and, under interpolated scatter, one scatter engine call evaluates)
-KEYFRAME_CHUNK = 32
+#: receivers per solve-ahead call of a stream: consecutive keyframes, or for
+#: the exact scatter engine consecutive snapshot steps
+SOLVE_CHUNK = 32
 
 
 # ----------------------------------------------------------------------
@@ -140,17 +138,15 @@ class Trajectory:
 class ChannelSnapshot:
     """Full path set at one update instant.
 
-    ``paths`` is the snapshot's :class:`~railchan.rays.PathRows` block.  A
-    keyframe is the snapshot of an exact solve (``at_keyframe``); while the
-    stream tracks it, ``paths`` is the solver's :class:`RayPath` list, which
-    :func:`match_paths` pairs and :func:`interpolate_bracket` reads, and the
-    stream emits its rows with the Doppler shifts filled in.
+    ``paths`` is the snapshot's :class:`~railchan.rays.PathRows` block, in
+    :func:`~railchan.rays.path_order`; ``at_keyframe`` marks the snapshot of
+    an exact solve.
     """
 
     index: int
     timestamp: float
     rx_position: np.ndarray
-    paths: PathRows | list
+    paths: PathRows
     at_keyframe: bool
 
 
@@ -211,27 +207,28 @@ class StepSchedule:
 # ----------------------------------------------------------------------
 # tracking
 # ----------------------------------------------------------------------
-def match_paths(kf_a: ChannelSnapshot, kf_b: ChannelSnapshot):
-    """Pair paths of two keyframes by signature.
+def match_paths(paths_a: list, paths_b: list):
+    """Pair the solved paths of two keyframes by signature.
 
     Returns ``(matched, births, deaths)``: matched is a list of ``(path_a,
-    path_b)`` pairs in the order of ``kf_a``; births are paths present only
-    in ``kf_b``, in its order; deaths only in ``kf_a``.  Paths that share a
-    signature pair up in order, so a surplus on the right side is born.
+    path_b)`` pairs in the order of ``paths_a``; births are paths present
+    only in ``paths_b``, in its order; deaths only in ``paths_a``.  Paths
+    that share a signature pair up in order, so a surplus on the right side
+    is born.
     """
     by_sig: dict[str, list] = {}
-    for p in kf_b.paths:
+    for p in paths_b:
         by_sig.setdefault(p.signature, []).append(p)
     matched = []
     deaths = []
-    for p in kf_a.paths:
+    for p in paths_a:
         bucket = by_sig.get(p.signature)
         if bucket:
             matched.append((p, bucket.pop(0)))
         else:
             deaths.append(p)
     unmatched = {id(p) for bucket in by_sig.values() for p in bucket}
-    births = [p for p in kf_b.paths if id(p) in unmatched]
+    births = [p for p in paths_b if id(p) in unmatched]
     return matched, births, deaths
 
 
@@ -285,15 +282,18 @@ def apply_birth_death(
 
 
 def track_interval(
-    kf_a: ChannelSnapshot,
-    kf_b: ChannelSnapshot,
+    t_a: float,
+    paths_a: list,
+    t_b: float,
+    paths_b: list,
     rng: np.random.Generator,
 ) -> Bracket:
-    """The bracket from ``kf_a`` to ``kf_b``: :func:`match_paths` pairs,
-    with the births and deaths scheduled by :func:`apply_birth_death`."""
-    matched, births, deaths = match_paths(kf_a, kf_b)
-    births, deaths = apply_birth_death(births, deaths, kf_a.timestamp, kf_b.timestamp, rng)
-    return Bracket(kf_a.timestamp, kf_b.timestamp, matched, births, deaths)
+    """The bracket from the keyframe solved as ``paths_a`` at ``t_a`` to the
+    one solved as ``paths_b`` at ``t_b``: :func:`match_paths` pairs, with the
+    births and deaths scheduled by :func:`apply_birth_death`."""
+    matched, births, deaths = match_paths(paths_a, paths_b)
+    births, deaths = apply_birth_death(births, deaths, t_a, t_b, rng)
+    return Bracket(t_a, t_b, matched, births, deaths)
 
 
 # ----------------------------------------------------------------------
@@ -346,12 +346,6 @@ def _interpolate_matched(
     return lengths / C0, angles[:, :, 0], angles[:, :, 1], doppler, transfer
 
 
-def _path_sort_key(p: RayPath):
-    """A snapshot's row order: specular rows first, then by interaction
-    count, then by signature."""
-    return (p.tag != TAG_SPECULAR, len(p.interactions), p.signature)
-
-
 def interpolate_bracket(
     bracket: Bracket,
     times,
@@ -365,7 +359,7 @@ def interpolate_bracket(
     ``times``.  Entry s of the result holds the rows alive at ``times[s]``
     in one order for the whole bracket: the bracket's paths (the matched
     pairs, then the births, then the deaths) sorted stably by
-    :func:`_path_sort_key`, which is the order a stable sort of each
+    :func:`~railchan.rays.path_order`, which is the order a stable sort of each
     snapshot's own rows gives.  Matched pairs with equal vertex counts are
     evaluated as one array batch over all times, and a row carries its
     left path's interactions, signature and tag.  A birth or death keeps its
@@ -426,9 +420,9 @@ def interpolate_bracket(
         aoa[:, k] = path.aoa
         transfer[:, k] = path.transfer * factor[:, None, None]
 
-    order = sorted(range(n_rows), key=lambda k: _path_sort_key(sources[k]))
-    ordered = PathRows.from_paths([sources[k] for k in order])
-    records = (ordered.interactions, ordered.signature, ordered.tag)
+    order = sorted(range(n_rows), key=lambda k: path_order(sources[k]))
+    ordered = [sources[k] for k in order]
+    records = [_objects([getattr(p, name) for p in ordered]) for name in ("interactions", "signature", "tag")]
     columns = [x[:, order] for x in (delay, aod, aoa, doppler, transfer)]
     return [
         PathRows(*(r[keep] for r in records), *(x[s, keep] for x in columns))
@@ -499,10 +493,10 @@ def stream_snapshots(
     ``kf_interval`` resolution.
 
     ``scatter_mode``: ``"exact"`` recomputes scatterer contributions at every
-    snapshot (default), one engine call per ``SCATTER_CHUNK`` consecutive
+    snapshot (default), one engine call per ``SOLVE_CHUNK`` consecutive
     steps; ``"interpolated"`` tracks them through keyframes like specular
-    paths, one engine call per run of ``KEYFRAME_CHUNK`` keyframes;
-    ``"off"`` drops them.
+    paths, one engine call per ``SOLVE_CHUNK`` keyframes; ``"off"`` drops
+    them.
 
     ``start_step`` starts the stream at snapshot index ``start_step`` (time
     ``start_step * update_step``) instead of 0, keeping the same absolute
@@ -511,88 +505,84 @@ def stream_snapshots(
     if scatter_mode not in SCATTER_MODES:
         raise ValueError(f"unknown scatter_mode {scatter_mode!r}; expected one of {SCATTER_MODES}")
     schedule = StepSchedule(update_step, kf_interval, start_step, traj.duration)
+    seconds = dict.fromkeys(("keyframe", "interpolation", "scatter"), 0.0)
 
     # each build counts to the stage whose solves read its tables
     t0 = time.perf_counter()
     tracer = SpecularTracer(scene, carrier, tx_position)
-    keyframe_seconds = time.perf_counter() - t0
-    interpolation_seconds = scatter_seconds = 0.0
+    seconds["keyframe"] += time.perf_counter() - t0
     engine = None
     if scatter_mode != "off" and scene.scatterers:
         t0 = time.perf_counter()
         engine = ScatterEngine(scene, carrier, tx_position)
-        if scatter_mode == "exact":
-            scatter_seconds = time.perf_counter() - t0
-        else:
-            keyframe_seconds += time.perf_counter() - t0
-    kf_engine = engine if scatter_mode == "interpolated" else None
-    exact_engine = engine if scatter_mode == "exact" else None
+        seconds["scatter" if scatter_mode == "exact" else "keyframe"] += time.perf_counter() - t0
 
+    def solved(steps, solve, stage):
+        """``(step, receiver, result)`` for each of ``steps`` in order, with
+        ``solve`` called on the receivers of ``SOLVE_CHUNK`` steps at a time
+        and timed to ``stage``."""
+        for first in range(0, len(steps), SOLVE_CHUNK):
+            t0 = time.perf_counter()
+            chunk = steps[first : first + SOLVE_CHUNK]
+            rx = np.array([traj.position(t) for t in schedule.seconds(chunk)])
+            found = solve(rx)
+            seconds[stage] += time.perf_counter() - t0
+            yield from zip(chunk, rx, found)
+
+    def solve_keyframes(rx):
+        """The tracer's lists, each followed by its sorted echoes under interpolated scatter."""
+        lists = tracer.trace(rx, limits)
+        if scatter_mode == "interpolated" and engine is not None:
+            for paths, found in zip(lists, engine.paths(rx)):
+                paths += sorted(found, key=path_order)
+        return lists
+
+    echoes = None
+    if scatter_mode == "exact" and engine is not None:
+        echoes = solved(schedule.snapshots, engine.paths, "scatter")
     snapshots: list[ChannelSnapshot] = []
     counts = dict.fromkeys(("matched", "births", "deaths", "rows"), 0)
-    # exact echoes of the chunk of steps the walk is in, by step
-    echoes: dict[int, list] = {}
 
     def emit(i, rx, v, rows, at_kf):
-        """Append the snapshot of step ``i`` from its sorted ``rows``; its
-        exact echoes, all scatter-tagged, sort after every specular row, so
-        they join as a sorted tail."""
-        nonlocal scatter_seconds
-        if exact_engine is not None:
+        """Append the snapshot of step ``i`` from its ``rows``; under exact
+        scatter its echoes, all scatter-tagged, follow every specular row,
+        so they join sorted as a tail."""
+        if echoes is not None:
+            step, _, found = next(echoes)
+            assert step == i, f"echoes of step {step} reached step {i}"
             t0 = time.perf_counter()
-            if i not in echoes:
-                chunk = range(i, min(i + SCATTER_CHUNK, schedule.snapshots.stop))
-                found = exact_engine.paths(np.array([traj.position(j * update_step) for j in chunk]))
-                echoes.update(zip(chunk, found))
-            tail = sorted(_fill_doppler(echoes.pop(i), v, carrier), key=_path_sort_key)
+            tail = sorted(_fill_doppler(found, v, carrier), key=path_order)
             rows = rows.concat(PathRows.from_paths(tail))
-            scatter_seconds += time.perf_counter() - t0
+            seconds["scatter"] += time.perf_counter() - t0
         counts["rows"] += len(rows)
         snapshots.append(
             ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=rows, at_keyframe=at_kf)
         )
 
-    def keyframes():
-        """The keyframe snapshots in schedule order, solved
-        ``KEYFRAME_CHUNK`` at a time."""
-        nonlocal keyframe_seconds
-        for first in range(0, len(schedule.keyframes), KEYFRAME_CHUNK):
-            t0 = time.perf_counter()
-            steps = schedule.keyframes[first : first + KEYFRAME_CHUNK]
-            times = schedule.seconds(steps)
-            rx = np.array([traj.position(t) for t in times])
-            solved = tracer.trace(rx, limits)
-            if kf_engine is not None:
-                for paths, echoes in zip(solved, kf_engine.paths(rx)):
-                    paths += echoes
-            keyframe_seconds += time.perf_counter() - t0
-            for i, t, r, paths in zip(steps, times, rx, solved):
-                yield ChannelSnapshot(index=i, timestamp=t, rx_position=r, paths=paths, at_keyframe=True)
-
-    # the snapshots strictly inside the bracket a keyframe closes (only when
-    # the stride leaves room for them) come before it
+    # the look-ahead yields each keyframe as (step, receiver, solver list);
+    # the snapshots strictly inside the bracket it closes (only when the
+    # stride leaves room for them) come before it
     rng = np.random.default_rng(seed)
-    kf_a = None
-    for kf_b in keyframes():
-        if kf_a is not None and schedule.stride > 1:
+    i_a = paths_a = None
+    for i_b, rx_b, paths_b in solved(schedule.keyframes, solve_keyframes, "keyframe"):
+        if paths_a is not None and schedule.stride > 1:
             t0 = time.perf_counter()
-            steps = range(kf_a.index + 1, kf_b.index)
+            steps = range(i_a + 1, i_b)
             times = schedule.seconds(steps)
             rx = [traj.position(t) for t in times]
             v = [traj.velocity(t) for t in times]
-            bracket = track_interval(kf_a, kf_b, rng)
+            bracket = track_interval(i_a * update_step, paths_a, i_b * update_step, paths_b, rng)
             rows = interpolate_bracket(bracket, times, rx, v, carrier)
-            interpolation_seconds += time.perf_counter() - t0
+            seconds["interpolation"] += time.perf_counter() - t0
             for key in ("matched", "births", "deaths"):
                 counts[key] += len(getattr(bracket, key))
             for i, r, vel, block in zip(steps, rx, v, rows):
                 emit(i, r, vel, block, False)
         # the keyframe's own paths take their Doppler: tracking reads them in
         # solve order, never their Doppler
-        v = traj.velocity(kf_b.timestamp)
-        paths = sorted(_fill_doppler(kf_b.paths, v, carrier), key=_path_sort_key)
-        emit(kf_b.index, kf_b.rx_position, v, PathRows.from_paths(paths), True)
-        kf_a = kf_b
+        v = traj.velocity(i_b * update_step)
+        emit(i_b, rx_b, v, PathRows.from_paths(_fill_doppler(paths_b, v, carrier)), True)
+        i_a, paths_a = i_b, paths_b
 
     return StreamResult(
         snapshots=snapshots,
@@ -603,7 +593,7 @@ def stream_snapshots(
             **counts,
             "scatter": dict(engine.counters) if engine is not None else dict.fromkeys(SCATTER_COUNTERS, 0),
         },
-        keyframe_seconds=keyframe_seconds,
-        interpolation_seconds=interpolation_seconds,
-        scatter_seconds=scatter_seconds,
+        keyframe_seconds=seconds["keyframe"],
+        interpolation_seconds=seconds["interpolation"],
+        scatter_seconds=seconds["scatter"],
     )

@@ -7,7 +7,7 @@ the matching rule used when tracking paths across keyframes.
 
 The tracers return :class:`RayPath` lists; a stream snapshot holds its paths
 as one :class:`PathRows` block, the columns the writers and the metric
-kernels read.
+kernels read.  :func:`path_order` is the one row order of both.
 """
 
 from __future__ import annotations
@@ -141,6 +141,12 @@ class RayPath:
     def power(self) -> float:
         """Frobenius-squared transfer power (polarization-agnostic weight)."""
         return float(np.sum(np.abs(self.transfer) ** 2))
+
+
+def path_order(p) -> tuple:
+    """Sort key of the one row order: specular rows first, then by
+    interaction count, then by signature."""
+    return (p.tag != TAG_SPECULAR, len(p.interactions), p.signature)
 
 
 class PathRow(NamedTuple):

@@ -61,6 +61,7 @@ from .rays import (
     ROOFTOP_DIFFRACTION,
     TAG_SPECULAR,
     RayPath,
+    path_order,
     polyline_lengths,
 )
 from .scene import EPS_GEOM, Scene
@@ -388,8 +389,8 @@ class SpecularTracer:
 
     def trace(self, receivers, limits: TraceLimits | None = None) -> list[list[RayPath]]:
         """The paths from the transmitter to each of the (S, 3)
-        ``receivers``, one list per receiver, sorted by interaction count and
-        signature; a single receiver is ``rx[None]``.
+        ``receivers``, one list per receiver, sorted by
+        :func:`~railchan.rays.path_order`; a single receiver is ``rx[None]``.
 
         The receivers share each family's arrays, each occlusion round, one
         :func:`~railchan.em.compose_path_matrix` call and one
@@ -464,7 +465,7 @@ class SpecularTracer:
                 out[s].append(path)
 
         for paths in out:
-            paths.sort(key=lambda p: (len(p.interactions), p.signature))
+            paths.sort(key=path_order)
         marks.append(time.perf_counter())
         for stage, start, stop in zip(SOLVE_STAGES, marks, marks[1:]):
             self.timings[stage] += stop - start

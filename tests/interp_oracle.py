@@ -5,7 +5,7 @@ became one row block: the matched pairs of each vertex count evaluated as
 one array batch and turned into ``RayPath`` rows by ``RayPath.batch``, then
 a ``replace`` copy of every held birth or death, each snapshot's list in
 bracket order (matched, births, deaths).  ``oracle_snapshot`` sorts such a
-list, with any exact echoes appended, by ``_path_sort_key``, as the stream
+list, with any exact echoes appended, by ``rays.path_order``, as the stream
 sorted each snapshot.  The stream's rows are checked against it bit for
 bit.
 """
@@ -15,9 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from railchan.dynamics import RAMP_FRACTION, _path_sort_key
+from railchan.dynamics import RAMP_FRACTION
 from railchan.em import C0
-from railchan.rays import RayPath, norms
+from railchan.rays import RayPath, norms, path_order
 
 
 def _oracle_matched(pairs, t_a, t_b, times, rx_positions, rx_velocities, carrier):
@@ -98,4 +98,4 @@ def oracle_interior(bracket, times, rx_positions, rx_velocities, carrier):
 
 def oracle_snapshot(paths, echoes=()):
     """A snapshot's paths and its exact echoes in the stream's row order."""
-    return sorted(list(paths) + list(echoes), key=_path_sort_key)
+    return sorted(list(paths) + list(echoes), key=path_order)

@@ -23,7 +23,7 @@ import railchan.cli
 import railchan.metrics
 import railchan.specular
 from railchan.cli import _scatter_summary, main
-from railchan.config import DEFAULT_PRESET, load_preset, preset_path
+from railchan.config import DEFAULT_PRESET, ConfigError, load_preset, preset_path
 from railchan.dynamics import ChannelSnapshot
 from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction, PathRows, RayPath
 from railchan.scatter import ScatterEngine
@@ -266,6 +266,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     bad.write_text('{"version": 1, "bogus_key": 3}')
     assert main(["run", "--config", str(bad)]) == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("scene", "urban_canyon"), ("carrier_hz", 2.4e9)])
+def test_fixed_key_cannot_be_overridden(key, value):
+    # only the keys a command-line option sets may be overridden; the scene
+    # and the carrier come from the scenario file alone
+    with pytest.raises(ConfigError, match=f"key '{key}' cannot be overridden"):
+        load_preset(overrides={key: value})
 
 
 def test_missing_scene_file_exits_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ it bit for bit.
 import inspect
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,18 +23,17 @@ from railchan import dynamics
 from railchan.config import load_preset
 from railchan.dynamics import (
     RAMP_FRACTION,
+    SCATTER_MODES,
     Bracket,
-    ChannelSnapshot,
     StepSchedule,
     Trajectory,
-    _path_sort_key,
     interpolate_bracket,
     match_paths,
     stream_snapshots,
     track_interval,
 )
 from railchan.em import C0, CarrierConfig
-from railchan.rays import RayPath, norms, polyline_lengths
+from railchan.rays import RayPath, norms, path_order, polyline_lengths
 from railchan.scatter import ScatterEngine
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.specular import SpecularTracer, TraceLimits
@@ -190,14 +190,20 @@ def keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
     return [s for s in res.snapshots if s.at_keyframe]
 
 
+class Keyframe(NamedTuple):
+    timestamp: float
+    rx_position: np.ndarray
+    paths: list
+
+
 def tracked_keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
-    """The keyframes of a stream as tracking reads them: snapshots holding
-    the solver's path lists."""
+    """The keyframes of a stream as tracking reads them: the solver's path
+    lists, each with its time and receiver."""
     schedule = StepSchedule(update_step or kf_interval, kf_interval, 0, traj.duration)
     times = schedule.seconds(schedule.keyframes)
     rx = np.array([traj.position(t) for t in times])
     solved = SpecularTracer(scene, F19, tx).trace(rx, limits)
-    return [ChannelSnapshot(i, t, r, paths, True) for i, t, r, paths in zip(schedule.keyframes, times, rx, solved)]
+    return [Keyframe(t, r, paths) for t, r, paths in zip(times, rx, solved)]
 
 
 class TestKeyframes:
@@ -236,12 +242,12 @@ class TestMatch:
         traj = straight_traj([-30, 0, 2], [30, 0, 2], 20.0, duration=3.0)
         kfs = tracked_keyframes(scene, traj, tx, 1.5)
         # t=0: rx at, x=-30 -> LoS clear; t=1.5: rx at x=0 -> blocked
-        matched, births, deaths = match_paths(kfs[0], kfs[1])
+        matched, births, deaths = match_paths(kfs[0].paths, kfs[1].paths)
         assert matched == []
         assert births == []
         assert len(deaths) == 1
         assert deaths[0].signature == "LOS"
-        matched2, births2, deaths2 = match_paths(kfs[1], kfs[2])
+        matched2, births2, deaths2 = match_paths(kfs[1].paths, kfs[2].paths)
         assert [p.signature for p in births2] == ["LOS"]
 
     def test_all_matched_identical(self):
@@ -249,7 +255,7 @@ class TestMatch:
         tx = np.array([0.0, 20.0, 20.0])
         traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
         kfs = tracked_keyframes(scene, traj, tx, 1.0)
-        matched, births, deaths = match_paths(kfs[0], kfs[1])
+        matched, births, deaths = match_paths(kfs[0].paths, kfs[1].paths)
         assert len(matched) == 1 and births == [] and deaths == []
 
     def test_duplicate_signatures_pair_in_order(self):
@@ -257,8 +263,7 @@ class TestMatch:
         traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
         kf_a, kf_b = tracked_keyframes(scene, traj, np.array([0.0, 20.0, 20.0]), 2.0)
         first, second = kf_b.paths[0], replace(kf_b.paths[0])
-        kf_b.paths = [first, second]
-        matched, births, deaths = match_paths(kf_a, kf_b)
+        matched, births, deaths = match_paths(kf_a.paths, [first, second])
         assert len(matched) == 1
         assert matched[0][0] is kf_a.paths[0] and matched[0][1] is first
         assert len(births) == 1 and births[0] is second
@@ -271,7 +276,7 @@ class TestInterpolateLoS:
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=2.0)
         kfs = tracked_keyframes(scene, traj, tx, 1.0)
-        matched, _, _ = match_paths(kfs[0], kfs[1])
+        matched, _, _ = match_paths(kfs[0].paths, kfs[1].paths)
         return scene, tx, traj, matched_bracket(kfs[0].timestamp, kfs[1].timestamp, matched[0])
 
     def test_left_keyframe_identity(self):
@@ -351,13 +356,13 @@ def preset_brackets(request):
     kfs = tracked_keyframes(scene, traj, cfg.tx_position, kf, limits=cfg.limits)
     echoes = ScatterEngine(scene, carrier, cfg.tx_position).paths(np.array([k.rx_position for k in kfs]))
     for k, found in zip(kfs, echoes):
-        k.paths += found
+        k.paths.extend(found)
     rng = np.random.default_rng(cfg.seed)
     step = cfg.update_step_s
     brackets = []
     for a, b in zip(kfs[:-1], kfs[1:]):
         steps = range(round(a.timestamp / step), round(b.timestamp / step) + 1)
-        brackets.append((track_interval(a, b, rng), [i * step for i in steps]))
+        brackets.append((track_interval(a.timestamp, a.paths, b.timestamp, b.paths, rng), [i * step for i in steps]))
     return carrier, traj, brackets
 
 
@@ -382,7 +387,7 @@ class TestBracketAgainstOracle:
                     for kind, entry in bracket_entries(bracket)
                 ]
                 # the rows come in the bracket's one row order
-                want = sorted((w for w in want if w[2] is not None), key=lambda w: _path_sort_key(w[2]))
+                want = sorted((w for w in want if w[2] is not None), key=lambda w: path_order(w[2]))
                 assert len(got) == len(want)
                 for p, (kind, entry, q) in zip(got, want):
                     assert p.interactions is q.interactions
@@ -495,7 +500,7 @@ class TestStream:
         traj = straight_traj([-30, 0, 2], [30, 0, 2], 20.0, duration=1.0)
         tx = np.array([0.0, 30.0, 10.0])
         kf_a, kf_b = tracked_keyframes(scene, traj, tx, 0.5, update_step=0.05, limits=FULL)[:2]
-        bracket = track_interval(kf_a, kf_b, np.random.default_rng(0))
+        bracket = track_interval(kf_a.timestamp, kf_a.paths, kf_b.timestamp, kf_b.paths, np.random.default_rng(0))
         assert any(pa.interactions for pa, _ in bracket.matched)
         for pair in bracket.matched:
             pa = pair[0]
@@ -604,7 +609,54 @@ class TestScatterModes:
         res = stream_snapshots(scene, traj, tx, F19, update_step=0.05, kf_interval=0.25, limits=LOS_ONLY, scatter_mode="exact")
         assert res.keyframe_seconds > 0.0
         assert res.scatter_seconds > 0.0
-        assert res.interpolation_seconds >= 0.0
+        assert res.interpolation_seconds > 0.0
+
+    def test_each_timer_keeps_its_scope(self):
+        # the scatter timer holds exact scatter alone: the engine an
+        # interpolated stream builds and calls counts to its keyframes; and
+        # a stream with a keyframe at every step interpolates nothing
+        tx = np.array([0.0, 30.0, 10.0])
+        traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=0.5)
+
+        def stream(scene, kf_interval, mode):
+            return stream_snapshots(scene, traj, tx, F19, 0.05, kf_interval, LOS_ONLY, scatter_mode=mode)
+
+        for scene, mode in ((self.pylon_scene(), "off"), (self.pylon_scene(), "interpolated"), (Scene(buildings=[]), "exact")):
+            res = stream(scene, 0.25, mode)
+            assert res.scatter_seconds == 0.0, mode
+            assert res.keyframe_seconds > 0.0 and res.interpolation_seconds > 0.0, mode
+        for mode in SCATTER_MODES:
+            res = stream(self.pylon_scene(), 0.05, mode)
+            assert res.interpolation_seconds == 0.0, mode
+            assert res.keyframe_seconds > 0.0 and (res.scatter_seconds > 0.0) == (mode == "exact"), mode
+
+    def test_rows_in_path_order_with_echoes_after_every_specular_row(self):
+        # the engine returns the echoes of pylons 9 and 10 in scatterer
+        # order, but as text "S(10:0)" sorts before "S(9:0)": the stream
+        # sorts each receiver's echoes as they join, in both modes, and
+        # relies on the tracer's order for the specular rows
+        wall = Building(id=1, footprint=np.array([[-30.0, 40.0], [30.0, 40.0], [30.0, 42.0], [-30.0, 42.0]]), height=30.0)
+        pylons = [
+            CylinderScatterer(id=sid, base_center=np.array([x, 10.0, 0.0]), radius=0.375, height=8.2)
+            for sid, x in ((9, -5.0), (10, 5.0))
+        ]
+        scene = Scene(buildings=[wall], scatterers=pylons)
+        tx = np.array([0.0, 30.0, 10.0])
+        traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=1.0)
+        found = ScatterEngine(scene, F19, tx).paths(np.array([traj.position(0.5)]))
+        assert [p.signature for p in found[0]] == ["S(9:0)", "S(10:0)"]
+        for mode in ("exact", "interpolated"):
+            res = stream_snapshots(scene, traj, tx, F19, 0.05, 0.25, FULL, scatter_mode=mode)
+            n_both = 0
+            for snap in res.snapshots:
+                keys = [path_order(p) for p in snap.paths]
+                assert keys == sorted(keys), (mode, snap.index)
+                tags = snap.paths.tag.tolist()
+                n_echoes = tags.count("scatter")
+                assert tags[len(tags) - n_echoes :] == ["scatter"] * n_echoes, (mode, snap.index)
+                n_both += snap.paths.signature.tolist()[-2:] == ["S(10:0)", "S(9:0)"]
+                assert len(set(snap.paths.signature[: len(tags) - n_echoes])) > 1
+            assert n_both == len(res.snapshots), mode
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +704,7 @@ class TestKeyframeDoppler:
         tags = set()
         for snap, paths, found in zip(res.snapshots, solved, echoes):
             v = traj.velocity(snap.timestamp)
-            paths = sorted(paths, key=_path_sort_key) + sorted(found, key=_path_sort_key)
+            paths = sorted(paths, key=path_order) + sorted(found, key=path_order)
             assert snap.paths.signature.tolist() == [p.signature for p in paths]
             want = np.array([oracle_radial_doppler(p, v, carrier) for p in paths])
             assert snap.paths.doppler_hz.tobytes() == want.tobytes(), snap.index
@@ -686,8 +738,8 @@ class TestKeyframeChunks:
         args = (cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz), cfg.update_step_s, kf_interval)
         kwargs = dict(limits=cfg.limits, scatter_mode=scatter_mode, seed=cfg.seed)
         runs = {}
-        for chunk in (1, 3, dynamics.KEYFRAME_CHUNK):
-            monkeypatch.setattr(dynamics, "KEYFRAME_CHUNK", chunk)
+        for chunk in (1, 3, dynamics.SOLVE_CHUNK):
+            monkeypatch.setattr(dynamics, "SOLVE_CHUNK", chunk)
             runs[chunk] = stream_snapshots(*args, **kwargs)
         want = runs.pop(1)
         assert want.rt_invocations > 3
@@ -709,7 +761,7 @@ class TestKeyframeChunks:
                 return _original(self, receivers, *rest)
 
             monkeypatch.setattr(owner, method, spy)
-        monkeypatch.setattr(dynamics, "KEYFRAME_CHUNK", 8)
+        monkeypatch.setattr(dynamics, "SOLVE_CHUNK", 8)
         stream_snapshots(
             cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz), cfg.update_step_s,
             0.1, cfg.limits, scatter_mode="interpolated", seed=cfg.seed,

@@ -15,9 +15,9 @@ from interp_oracle import oracle_interior, oracle_snapshot
 from preset_streams import preset_stream
 
 from railchan import dynamics
-from railchan.dynamics import Bracket, _fill_doppler, _path_sort_key, interpolate_bracket
+from railchan.dynamics import Bracket, _fill_doppler, interpolate_bracket
 from railchan.em import CarrierConfig
-from railchan.rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, PathRows, RayPath
+from railchan.rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, PathRows, RayPath, path_order
 from railchan.scatter import ScatterEngine
 
 FLOAT_COLUMNS = ("delay_s", "aod", "aoa", "doppler_hz", "transfer")
@@ -98,7 +98,7 @@ def test_every_snapshot_in_the_stream_order_with_echo_tails(recorded_stream):
             echoes[s.index] = _fill_doppler(paths, traj.velocity(s.timestamp), carrier)
     n_tails = 0
     for snap in result.snapshots:
-        keys = [_path_sort_key(p) for p in snap.paths]
+        keys = [path_order(p) for p in snap.paths]
         assert keys == sorted(keys), snap.index
         if snap.at_keyframe:
             continue

@@ -20,7 +20,7 @@ import pytest
 
 import railchan.scatter as scatter
 from railchan.config import load_preset
-from railchan.dynamics import SCATTER_CHUNK, Trajectory, stream_snapshots
+from railchan.dynamics import SOLVE_CHUNK, Trajectory, stream_snapshots
 from railchan.em import C0, CarrierConfig, spherical_basis
 from railchan.rays import SCATTERING, TAG_SCATTER, Interaction, RayPath, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
@@ -445,8 +445,8 @@ class TestChunkedAgainstOracle:
         traj = cfg.trajectory()
         receivers = np.array([traj.position(i * cfg.update_step_s) for i in steps])
         engine = ScatterEngine(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position)
-        for s0 in range(0, len(receivers), SCATTER_CHUNK):
-            counts = _check_engine(engine, receivers[s0 : s0 + SCATTER_CHUNK])
+        for s0 in range(0, len(receivers), SOLVE_CHUNK):
+            counts = _check_engine(engine, receivers[s0 : s0 + SOLVE_CHUNK])
             assert max(counts) > 0
         # one leg per mesh for the transmitter, then one per mesh and receiver
         assert engine.counters["legs_tested"] == len(engine.scene.scatterers) * (1 + len(receivers))
@@ -461,7 +461,7 @@ class TestChunkedAgainstOracle:
         result = stream_snapshots(
             scene, traj, cfg.tx_position, carrier, cfg.update_step_s, 0.5, cfg.limits, start_step=2050
         )
-        assert len(result.snapshots) == 51 > SCATTER_CHUNK
+        assert len(result.snapshots) == 51 > SOLVE_CHUNK
         meshes = [mesh_cylinder(s, carrier) for s in scene.scatterers]
         echoes = 0
         for snap in result.snapshots:

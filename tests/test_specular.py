@@ -16,7 +16,7 @@ import pytest
 from railchan import specular
 from railchan.config import load_preset
 from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diffraction, knife_edge_v
-from railchan.rays import EDGE_DIFFRACTION, LOS_SIGNATURE, REFLECTION, ROOFTOP_DIFFRACTION, polyline_lengths
+from railchan.rays import EDGE_DIFFRACTION, LOS_SIGNATURE, REFLECTION, ROOFTOP_DIFFRACTION, path_order, polyline_lengths
 from railchan.scene import EPS_GEOM, Building, Material, Scene
 from railchan.specular import SOLVE_STAGES, SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
 from rooftop_oracle import oracle_rooftop_path, rooftop_paths, traced_rooftop_path
@@ -971,6 +971,24 @@ class TestChunkedTrace:
         kinds = {tuple(r.kind for r in p.interactions) for paths in got for p in paths}
         assert {("R", "R"), ("D",), ("R", "D"), ("D", "R")} <= kinds
         assert all(len(rooftop_edges(paths)) == 1 for paths in got)
+
+    def test_preset_lists_in_path_order_with_unique_signatures(self):
+        # the stream emits a keyframe's specular rows in solve order and
+        # tracks them by signature: each list must already be in the one
+        # row order, all specular, with no signature twice
+        cfg = load_preset()
+        traj = cfg.trajectory()
+        receivers = np.array([traj.position(0.01 * i) for i in range(201)])
+        tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position)
+        n_paths = 0
+        for first in range(0, len(receivers), 32):
+            for paths in tracer.trace(receivers[first : first + 32], cfg.limits):
+                keys = [path_order(p) for p in paths]
+                assert keys == sorted(keys)
+                assert {p.tag for p in paths} == {"specular"}
+                assert len({p.signature for p in paths}) == len(paths)
+                n_paths += len(paths)
+        assert n_paths > 201
 
     @pytest.mark.parametrize("name", SMALL_SCENES)
     def test_small_scenes(self, name):
