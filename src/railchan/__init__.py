@@ -17,7 +17,7 @@ from railchan.metrics import (
     snapshot_metrics,
     synthesize_tv_cir,
 )
-from railchan.rays import PathRows, RayPath
+from railchan.rays import PathRows
 from railchan.scatter import ScatterEngine
 from railchan.scene import (
     Building,
@@ -42,7 +42,6 @@ __all__ = [
     "ErrorReport",
     "Material",
     "PathRows",
-    "RayPath",
     "ScatterEngine",
     "ScenarioConfig",
     "Scene",

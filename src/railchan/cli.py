@@ -418,7 +418,7 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
         scatter = rows.tag == TAG_SCATTER
         spec_delays = rows.delay_s[~scatter]
         base = float(spec_delays.min()) if len(spec_delays) else None
-        # each row's power, as RayPath.power sums it
+        # each row's Frobenius-squared transfer power
         powers = np.sum(np.abs(rows.transfer[scatter]) ** 2, axis=(1, 2))
         seen: set[int] = set()
         delays = rows.delay_s[scatter].tolist()

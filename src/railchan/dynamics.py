@@ -11,10 +11,12 @@ directly, so keyframe timestamps are reproduced bit-for-bit by construction
 rather than through an interpolation that happens to hit the endpoints.
 
 The unit of tracking is the :class:`Bracket`, the interval between two
-keyframes.  :func:`track_interval` builds it: paths matched by signature
-at both ends, and paths present on only one side (births and deaths), each
-with a seeded random activation time chosen so its linear ramp, half the
-interval long (``RAMP_FRACTION``), finishes inside the interval.
+keyframes.  :func:`track_interval` builds it from the two keyframes' solved
+:class:`~railchan.rays.PathRows` blocks: the row indices matched by
+signature at both ends, and those present on only one side (births and
+deaths), each with a seeded random activation time chosen so its linear
+ramp, half the interval long (``RAMP_FRACTION``), finishes inside the
+interval.
 
 :func:`interpolate_bracket` evaluates one bracket at all of its snapshot
 times at once.  Matched paths of each vertex count are stacked into one
@@ -25,11 +27,11 @@ linearly, and the phase advances from the left keyframe by
 ``-2*pi*f*(tau(t) - tau_left)``.  Doppler is the analytic derivative of the
 interpolated polyline length, never a finite difference of outputs.  A
 birth or death keeps the geometry of the keyframe where it exists, with
-zero Doppler and its transfer scaled by the ramp factor.  Each snapshot
-gets one :class:`~railchan.rays.PathRows` block, filled straight from the
-bracket's arrays in :func:`~railchan.rays.path_order`, sorted once per
-bracket, so no per-row object is built and no snapshot is sorted on its
-own.
+zero Doppler and its transfer scaled by the ramp factor.  The bracket's
+rows are gathered by index from the keyframe blocks and ordered once by
+:func:`~railchan.rays.path_order`, and each snapshot gets one block filled
+straight from the bracket's arrays, so no per-row object is built and no
+snapshot is sorted on its own.
 
 :func:`stream_snapshots` walks the schedule once, bracket by bracket: it
 emits the interior snapshots of the bracket a keyframe closes, then the
@@ -37,22 +39,23 @@ keyframe snapshot.  One look-ahead solves ``SOLVE_CHUNK`` receivers per call
 ahead of the walk: the keyframes (with their echoes under interpolated
 scatter) and, under exact scatter, the echoes of every snapshot step, so at
 most one chunk of each and the last keyframe walked are held.  A keyframe is
-held as its step, receiver and solver list, which tracking reads; its
-snapshot is that list's rows with the Doppler filled in.  Echoes follow
-every specular row, so the stream sorts only each receiver's echoes, as
-they join.
+held as its step, receiver and solved block, which tracking reads; its
+snapshot is that block's rows with the Doppler filled in and the polylines
+dropped.  The tracer and the engine return their blocks in row order, and
+echoes follow every specular row, so a keyframe's echoes and each exact
+echo set join as a tail and nothing is sorted.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .em import C0, CarrierConfig
-from .rays import PathRows, _objects, norms, path_angles, path_order
+from .rays import PathRows, norms, path_angles, path_order
 from .scatter import SCATTER_COUNTERS, ScatterEngine
 from .scene import Scene
 from .specular import SpecularTracer, TraceLimits
@@ -207,46 +210,54 @@ class StepSchedule:
 # ----------------------------------------------------------------------
 # tracking
 # ----------------------------------------------------------------------
-def match_paths(paths_a: list, paths_b: list):
-    """Pair the solved paths of two keyframes by signature.
+def match_paths(rows_a: PathRows, rows_b: PathRows):
+    """Pair the solved rows of two keyframes by signature.
 
-    Returns ``(matched, births, deaths)``: matched is a list of ``(path_a,
-    path_b)`` pairs in the order of ``paths_a``; births are paths present
-    only in ``paths_b``, in its order; deaths only in ``paths_a``.  Paths
-    that share a signature pair up in order, so a surplus on the right side
-    is born.
+    Returns ``(matched, births, deaths)``: matched is an (M, 2) array of
+    ``(row of rows_a, row of rows_b)`` pairs in the order of ``rows_a``;
+    births are the rows present only in ``rows_b``, in its order; deaths
+    those only in ``rows_a``.  Rows that share a signature pair up in order,
+    so a surplus on the right side is born.
     """
     by_sig: dict[str, list] = {}
-    for p in paths_b:
-        by_sig.setdefault(p.signature, []).append(p)
+    for j, sig in enumerate(rows_b.signature.tolist()):
+        by_sig.setdefault(sig, []).append(j)
     matched = []
     deaths = []
-    for p in paths_a:
-        bucket = by_sig.get(p.signature)
+    for i, sig in enumerate(rows_a.signature.tolist()):
+        bucket = by_sig.get(sig)
         if bucket:
-            matched.append((p, bucket.pop(0)))
+            matched.append((i, bucket.pop(0)))
         else:
-            deaths.append(p)
-    unmatched = {id(p) for bucket in by_sig.values() for p in bucket}
-    births = [p for p in paths_b if id(p) in unmatched]
-    return matched, births, deaths
+            deaths.append(i)
+    births = sorted(j for bucket in by_sig.values() for j in bucket)
+    return (
+        np.array(matched, dtype=np.intp).reshape(-1, 2),
+        np.array(births, dtype=np.intp),
+        np.array(deaths, dtype=np.intp),
+    )
 
 
 @dataclass
 class Bracket:
-    """Paths tracked across one keyframe interval ``[t_a, t_b]``.
+    """Rows tracked across one keyframe interval ``[t_a, t_b]``.
 
-    ``matched`` holds ``(path_a, path_b)`` pairs present at both ends, in the
-    order of the left keyframe.  ``births`` (right end only) and ``deaths``
-    (left end only) hold ``(path, activation)`` pairs scheduled by
-    :func:`apply_birth_death`, each sorted by signature.
+    ``rows_a`` and ``rows_b`` are the solved blocks of its keyframes, and
+    the rest index them: ``matched`` holds the :func:`match_paths` pairs
+    present at both ends, ``births`` the rows of ``rows_b`` only and
+    ``deaths`` those of ``rows_a`` only, with the activation times
+    ``birth_at`` and ``death_at`` that :func:`apply_birth_death` drew.
     """
 
     t_a: float
     t_b: float
-    matched: list
-    births: list
-    deaths: list
+    rows_a: PathRows
+    rows_b: PathRows
+    matched: np.ndarray
+    births: np.ndarray
+    deaths: np.ndarray
+    birth_at: np.ndarray
+    death_at: np.ndarray
 
 
 def _ramp_length(t_a: float, t_b: float) -> float:
@@ -254,53 +265,55 @@ def _ramp_length(t_a: float, t_b: float) -> float:
 
 
 def apply_birth_death(
-    births: list,
-    deaths: list,
+    births,
+    deaths,
     t_a: float,
     t_b: float,
     rng: np.random.Generator,
-) -> tuple[list, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Schedule ramps for paths that appear or disappear in ``[t_a, t_b]``.
 
-    Each ramp takes ``RAMP_FRACTION`` of the interval.  Activation times are
-    drawn uniformly from the sub-interval that lets the linear ramp finish
-    before the right keyframe, so snapshots that land on keyframes never see
-    a partially ramped path.  Births ramp 0 -> 1 starting at the activation;
+    ``births`` and ``deaths`` are the signatures of those paths.  Each ramp
+    takes ``RAMP_FRACTION`` of the interval.  Activation times are drawn
+    uniformly from the sub-interval that lets the linear ramp finish before
+    the right keyframe, so snapshots that land on keyframes never see a
+    partially ramped path.  Births ramp 0 -> 1 starting at the activation;
     deaths hold full amplitude and ramp 1 -> 0 from it.  Returns the
-    ``(path, activation)`` lists of births and deaths.  Draw order is
-    deterministic: births sorted by signature, then deaths.
+    activation of each birth and of each death, in the order given.  Draw
+    order is deterministic: births sorted by signature, then deaths.
     """
     window = (t_b - t_a) - _ramp_length(t_a, t_b)
 
-    def schedule(paths):
-        return [
-            (p, t_a + float(rng.random()) * window)
-            for p in sorted(paths, key=lambda q: q.signature)
-        ]
+    def schedule(signatures):
+        n = len(signatures)
+        at = np.empty(n)
+        at[sorted(range(n), key=signatures.__getitem__)] = t_a + rng.random(n) * window
+        return at
 
-    return schedule(births), schedule(deaths)
+    return schedule(list(births)), schedule(list(deaths))
 
 
 def track_interval(
     t_a: float,
-    paths_a: list,
+    rows_a: PathRows,
     t_b: float,
-    paths_b: list,
+    rows_b: PathRows,
     rng: np.random.Generator,
 ) -> Bracket:
-    """The bracket from the keyframe solved as ``paths_a`` at ``t_a`` to the
-    one solved as ``paths_b`` at ``t_b``: :func:`match_paths` pairs, with the
+    """The bracket from the keyframe solved as ``rows_a`` at ``t_a`` to the
+    one solved as ``rows_b`` at ``t_b``: :func:`match_paths` pairs, with the
     births and deaths scheduled by :func:`apply_birth_death`."""
-    matched, births, deaths = match_paths(paths_a, paths_b)
-    births, deaths = apply_birth_death(births, deaths, t_a, t_b, rng)
-    return Bracket(t_a, t_b, matched, births, deaths)
+    matched, births, deaths = match_paths(rows_a, rows_b)
+    birth_at, death_at = apply_birth_death(rows_b.signature[births], rows_a.signature[deaths], t_a, t_b, rng)
+    return Bracket(t_a, t_b, rows_a, rows_b, matched, births, deaths, birth_at, death_at)
 
 
 # ----------------------------------------------------------------------
 # interpolation
 # ----------------------------------------------------------------------
 def _interpolate_matched(
-    pairs: list,
+    rows_a: PathRows,
+    rows_b: PathRows,
     t_a: float,
     t_b: float,
     times: np.ndarray,
@@ -308,14 +321,13 @@ def _interpolate_matched(
     rx_velocities: np.ndarray,
     carrier: CarrierConfig,
 ) -> tuple:
-    """``(delay, aod, aoa, doppler, transfer)`` of M matched pairs with one
-    vertex count at S times, shaped (M, S), (M, S, 2), (M, S, 2), (M, S)
-    and (M, S, 2, 2)."""
-    pa, pb = zip(*pairs)
+    """``(delay, aod, aoa, doppler, transfer)`` of the M matched rows
+    ``rows_a`` and ``rows_b``, row for row, with one vertex count at S
+    times, shaped (M, S), (M, S, 2), (M, S, 2), (M, S) and (M, S, 2, 2)."""
     span = t_b - t_a
     alpha = ((times - t_a) / span)[None, :, None, None]
-    va = np.stack([p.vertices for p in pa])[:, None]  # (M, 1, n, 3)
-    vb = np.stack([p.vertices for p in pb])[:, None]
+    va = np.stack(rows_a.vertices)[:, None]  # (M, 1, n, 3)
+    vb = np.stack(rows_b.vertices)[:, None]
     verts = va + alpha * (vb - va)  # (M, S, n, 3)
     verts[:, :, -1] = rx_positions
     seg = np.diff(verts, axis=-2)
@@ -333,11 +345,10 @@ def _interpolate_matched(
     rate = np.sum(np.einsum("...ij,...ij->...i", units, np.diff(vel, axis=-2)), axis=-1)
     doppler = -carrier.frequency_hz * rate / C0
 
-    ta = np.stack([p.transfer for p in pa])[:, None]  # (M, 1, 2, 2)
-    tb = np.stack([p.transfer for p in pb])[:, None]
-    delay_a = np.array([p.delay_s for p in pa])[:, None]
+    ta = rows_a.transfer[:, None]  # (M, 1, 2, 2)
+    tb = rows_b.transfer[:, None]
     mag = (1.0 - alpha) * np.abs(ta) + alpha * np.abs(tb)
-    dtau = (lengths / C0 - delay_a)[..., None, None]
+    dtau = (lengths / C0 - rows_a.delay_s[:, None])[..., None, None]
     phase = np.angle(ta) - 2.0 * math.pi * carrier.frequency_hz * dtau
     transfer = mag * np.exp(1j * phase)
 
@@ -357,15 +368,16 @@ def interpolate_bracket(
 
     ``rx_positions`` and ``rx_velocities`` are the trajectory at the S
     ``times``.  Entry s of the result holds the rows alive at ``times[s]``
-    in one order for the whole bracket: the bracket's paths (the matched
-    pairs, then the births, then the deaths) sorted stably by
-    :func:`~railchan.rays.path_order`, which is the order a stable sort of each
-    snapshot's own rows gives.  Matched pairs with equal vertex counts are
-    evaluated as one array batch over all times, and a row carries its
-    left path's interactions, signature and tag.  A birth or death keeps its
-    keyframe delay and angles with zero Doppler and its transfer scaled by
-    the ramp factor; births are left out until their activation and deaths
-    after their ramp.  No row keeps vertices.
+    in one order for the whole bracket: the bracket's rows (the matched
+    pairs, then the births, then the deaths) gathered by index from its
+    keyframe blocks and put in :func:`~railchan.rays.path_order`, which is
+    the order a stable sort of each snapshot's own rows gives.  Matched
+    pairs with equal vertex counts are evaluated as one array batch over
+    all times, and a row carries its left row's interactions, signature and
+    tag.  A birth or death keeps its keyframe delay and angles with zero
+    Doppler and its transfer scaled by the ramp factor; births are left out
+    until their activation and deaths after their ramp.  No row keeps
+    vertices.
     """
     t_a, t_b = bracket.t_a, bracket.t_b
     times = np.asarray(times, dtype=float)
@@ -377,9 +389,12 @@ def interpolate_bracket(
     n_times = len(times)
     if not n_times:
         return []
-    held = bracket.births + bracket.deaths
-    sources = [pa for pa, _ in bracket.matched] + [path for path, _ in held]
-    n_rows = len(sources)
+    rows_a, rows_b = bracket.rows_a, bracket.rows_b
+    ia, ib = bracket.matched.T
+    # every row of the bracket as its source row: matched rows from the
+    # left keyframe, then the births, then the deaths
+    sources = rows_a.take(ia).concat(rows_b.take(bracket.births), rows_a.take(bracket.deaths))
+    n_matched, n_rows = len(ia), len(sources)
     # time-major columns of every row of the bracket, alive or not
     delay = np.empty((n_times, n_rows))
     aod = np.empty((n_times, n_rows, 2))
@@ -389,19 +404,18 @@ def interpolate_bracket(
     alive = np.ones((n_times, n_rows), dtype=bool)
 
     groups: dict[int, list[int]] = {}
-    for k, (pa, pb) in enumerate(bracket.matched):
-        n_a, n_b = len(pa.vertices), len(pb.vertices)
-        if n_a != n_b:
+    for k, (va, vb) in enumerate(zip(rows_a.vertices[ia], rows_b.vertices[ib])):
+        if len(va) != len(vb):
             raise ValueError(
-                f"matched paths {pa.signature!r} have {n_a} and {n_b} vertices; "
+                f"matched paths {sources.signature[k]!r} have {len(va)} and {len(vb)} vertices; "
                 "cannot interpolate"
             )
-        groups.setdefault(n_a, []).append(k)
+        groups.setdefault(len(va), []).append(k)
     rx_positions = np.asarray(rx_positions, dtype=float)
     rx_velocities = np.asarray(rx_velocities, dtype=float)
     for ks in groups.values():
         columns = _interpolate_matched(
-            [bracket.matched[k] for k in ks], t_a, t_b, times, rx_positions, rx_velocities, carrier
+            rows_a.take(ia[ks]), rows_b.take(ib[ks]), t_a, t_b, times, rx_positions, rx_velocities, carrier
         )
         for out, col in zip((delay, aod, aoa, doppler, transfer), columns):
             out[:, ks] = col.swapaxes(0, 1)
@@ -409,23 +423,25 @@ def interpolate_bracket(
     # births and deaths: (alive, ramp factor) over all times
     ramp = _ramp_length(t_a, t_b)
     ramps = [
-        (times > act, np.where(times < act + ramp, (times - act) / ramp, 1.0)) for _, act in bracket.births
+        (times > act, np.where(times < act + ramp, (times - act) / ramp, 1.0))
+        for act in bracket.birth_at.tolist()
     ] + [
-        (times < act + ramp, np.where(times < act, 1.0, 1.0 - (times - act) / ramp)) for _, act in bracket.deaths
+        (times < act + ramp, np.where(times < act, 1.0, 1.0 - (times - act) / ramp))
+        for act in bracket.death_at.tolist()
     ]
-    for k, ((path, _), (on, factor)) in enumerate(zip(held, ramps), start=len(bracket.matched)):
+    held = slice(n_matched, n_rows)
+    delay[:, held] = sources.delay_s[held]
+    aod[:, held] = sources.aod[held]
+    aoa[:, held] = sources.aoa[held]
+    for k, (on, factor) in enumerate(ramps, start=n_matched):
         alive[:, k] = on
-        delay[:, k] = path.delay_s
-        aod[:, k] = path.aod
-        aoa[:, k] = path.aoa
-        transfer[:, k] = path.transfer * factor[:, None, None]
+        transfer[:, k] = sources.transfer[k] * factor[:, None, None]
 
-    order = sorted(range(n_rows), key=lambda k: path_order(sources[k]))
-    ordered = [sources[k] for k in order]
-    records = [_objects([getattr(p, name) for p in ordered]) for name in ("interactions", "signature", "tag")]
+    order = path_order(sources)
+    records = [x[order] for x in (sources.interactions, sources.signature, sources.tag)]
     columns = [x[:, order] for x in (delay, aod, aoa, doppler, transfer)]
     return [
-        PathRows(*(r[keep] for r in records), *(x[s, keep] for x in columns))
+        PathRows(*(r[keep] for r in records), *(x[s, keep] for x in columns), np.empty(keep.sum(), dtype=object))
         for s, keep in enumerate(alive[:, order])
     ]
 
@@ -455,25 +471,23 @@ class StreamResult:
     scatter_seconds: float = 0.0
 
 
-def _fill_doppler(paths: list, rx_velocity: np.ndarray, carrier: CarrierConfig) -> list:
-    """Fill in, in place, the Doppler of exactly traced paths from the radial
-    rate of their last segment, and return them.
+def _fill_doppler(rows: PathRows, rx_velocity: np.ndarray, carrier: CarrierConfig) -> PathRows:
+    """The snapshot rows of the exactly traced ``rows``: their columns, the
+    Doppler filled in from the radial rate of each polyline's last segment,
+    and no vertices.
 
     Specular reflection and edge-diffraction vertices sit at stationary
     points of the path length, so the length derivative reduces to the
     radial rate of the receiver segment alone.  One array pass: ``vecdot``
     calls the dot kernel of a one-vector ``np.linalg.norm`` and ``np.dot``,
-    so each path gets the bits a path-by-path evaluation gives.
+    so each row gets the bits a row-by-row evaluation gives.
     """
-    if not paths:
-        return paths
-    u = np.array([p.vertices[-1] for p in paths]) - np.array([p.vertices[-2] for p in paths])
+    ends = np.array([v[-2:] for v in rows.vertices]).reshape(-1, 2, 3)
+    u = ends[:, 1] - ends[:, 0]
     n = np.sqrt(np.vecdot(u, u))
     with np.errstate(divide="ignore", invalid="ignore"):
         doppler = np.where(n > 0.0, -carrier.frequency_hz * np.vecdot(u, rx_velocity) / (n * C0), 0.0)
-    for p, d in zip(paths, doppler.tolist()):
-        p.doppler_hz = d
-    return paths
+    return replace(rows, doppler_hz=doppler, vertices=np.empty(len(rows), dtype=object))
 
 
 def stream_snapshots(
@@ -530,12 +544,11 @@ def stream_snapshots(
             yield from zip(chunk, rx, found)
 
     def solve_keyframes(rx):
-        """The tracer's lists, each followed by its sorted echoes under interpolated scatter."""
-        lists = tracer.trace(rx, limits)
+        """The tracer's blocks, each followed by its echoes under interpolated scatter."""
+        blocks = tracer.trace(rx, limits)
         if scatter_mode == "interpolated" and engine is not None:
-            for paths, found in zip(lists, engine.paths(rx)):
-                paths += sorted(found, key=path_order)
-        return lists
+            blocks = [rows.concat(found) for rows, found in zip(blocks, engine.paths(rx))]
+        return blocks
 
     echoes = None
     if scatter_mode == "exact" and engine is not None:
@@ -546,43 +559,42 @@ def stream_snapshots(
     def emit(i, rx, v, rows, at_kf):
         """Append the snapshot of step ``i`` from its ``rows``; under exact
         scatter its echoes, all scatter-tagged, follow every specular row,
-        so they join sorted as a tail."""
+        so they join in their own order as a tail."""
         if echoes is not None:
             step, _, found = next(echoes)
             assert step == i, f"echoes of step {step} reached step {i}"
             t0 = time.perf_counter()
-            tail = sorted(_fill_doppler(found, v, carrier), key=path_order)
-            rows = rows.concat(PathRows.from_paths(tail))
+            rows = rows.concat(_fill_doppler(found, v, carrier))
             seconds["scatter"] += time.perf_counter() - t0
         counts["rows"] += len(rows)
         snapshots.append(
             ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=rows, at_keyframe=at_kf)
         )
 
-    # the look-ahead yields each keyframe as (step, receiver, solver list);
+    # the look-ahead yields each keyframe as (step, receiver, solved block);
     # the snapshots strictly inside the bracket it closes (only when the
     # stride leaves room for them) come before it
     rng = np.random.default_rng(seed)
-    i_a = paths_a = None
-    for i_b, rx_b, paths_b in solved(schedule.keyframes, solve_keyframes, "keyframe"):
-        if paths_a is not None and schedule.stride > 1:
+    i_a = rows_a = None
+    for i_b, rx_b, rows_b in solved(schedule.keyframes, solve_keyframes, "keyframe"):
+        if rows_a is not None and schedule.stride > 1:
             t0 = time.perf_counter()
             steps = range(i_a + 1, i_b)
             times = schedule.seconds(steps)
             rx = [traj.position(t) for t in times]
             v = [traj.velocity(t) for t in times]
-            bracket = track_interval(i_a * update_step, paths_a, i_b * update_step, paths_b, rng)
-            rows = interpolate_bracket(bracket, times, rx, v, carrier)
+            bracket = track_interval(i_a * update_step, rows_a, i_b * update_step, rows_b, rng)
+            interior = interpolate_bracket(bracket, times, rx, v, carrier)
             seconds["interpolation"] += time.perf_counter() - t0
             for key in ("matched", "births", "deaths"):
                 counts[key] += len(getattr(bracket, key))
-            for i, r, vel, block in zip(steps, rx, v, rows):
+            for i, r, vel, block in zip(steps, rx, v, interior):
                 emit(i, r, vel, block, False)
-        # the keyframe's own paths take their Doppler: tracking reads them in
-        # solve order, never their Doppler
+        # the keyframe's snapshot is its solved block with the Doppler filled
+        # in; tracking reads the block itself, never its Doppler
         v = traj.velocity(i_b * update_step)
-        emit(i_b, rx_b, v, PathRows.from_paths(_fill_doppler(paths_b, v, carrier)), True)
-        i_a, paths_a = i_b, paths_b
+        emit(i_b, rx_b, v, _fill_doppler(rows_b, v, carrier), True)
+        i_a, rows_a = i_b, rows_b
 
     return StreamResult(
         snapshots=snapshots,

@@ -1,19 +1,21 @@
-"""Ray-path records shared by the tracers, the interpolator, and the writers.
+"""Path rows shared by the tracers, the interpolator, and the writers.
 
 A path is identified by its *signature*: the ordered list of interaction
 kinds and the scene elements hosting them.  Two paths at different receiver
 positions with equal signatures are the same physical path class, which is
 the matching rule used when tracking paths across keyframes.
 
-The tracers return :class:`RayPath` lists; a stream snapshot holds its paths
-as one :class:`PathRows` block, the columns the writers and the metric
-kernels read.  :func:`path_order` is the one row order of both.
+Every path set is one :class:`PathRows` block, a struct of arrays: the
+specular tracer and the scatter engine return one per receiver, tracking
+reads two keyframes' blocks by row index, and each stream snapshot holds
+one, the columns the writers and the metric kernels read.  A solved row
+carries its polyline; an interpolated row, and every row of a snapshot,
+carries none.  :func:`path_order` is the one row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +39,8 @@ LOS_SIGNATURE = "LOS"
 @dataclass(frozen=True)
 class Interaction:
     """One interaction along a path: its kind and the scene element hosting
-    it.  Its location is the matching interior vertex of the path
-    (``RayPath.vertices[1:-1]``)."""
+    it.  Its location is the matching interior vertex of the path's
+    polyline."""
 
     kind: str
     object_id: int
@@ -55,103 +57,16 @@ def signature_of(interactions) -> str:
     return "|".join(rec.token() for rec in interactions)
 
 
-@dataclass
-class RayPath:
-    """One propagation path at a single (tx, rx) instant.
-
-    interactions : tuple of :class:`Interaction`, one per interior vertex
-    vertices : (N, 3) array, tx first, rx last
-    transfer : 2x2 complex matrix, (V, H) in to (V, H) out
-    aod / aoa : (azimuth, elevation) of the departure direction and of the
-        arrival direction pointing from the receiver back toward the last
-        path vertex
-
-    Tracers and the interpolator build paths with :meth:`batch` (a single
-    path with :meth:`from_polyline`, its one-row case), so the delay and the
-    angles always follow from the vertices.
-    """
-
-    interactions: tuple
-    vertices: np.ndarray
-    delay_s: float
-    aod: tuple[float, float]
-    aoa: tuple[float, float]
-    transfer: np.ndarray
-    tag: str = TAG_SPECULAR
-    doppler_hz: float = 0.0
-
-    @classmethod
-    def batch(
-        cls,
-        interactions,
-        vertices: np.ndarray,
-        lengths: np.ndarray,
-        transfers: np.ndarray,
-        tags,
-        dopplers,
-    ) -> list[RayPath]:
-        """One path per row of the (K, N, 3) ``vertices``.
-
-        ``lengths`` are the K polyline lengths (:func:`polyline_lengths` of
-        ``vertices``), taken as given so that a caller that needs them before
-        the paths exist computes them once; delays are lengths over C0 and
-        the angles come from :func:`path_angles`.  ``interactions``,
-        ``transfers`` (K, 2, 2), ``tags`` and ``dopplers`` give one entry per
-        row.
-        """
-        az, el = path_angles(vertices)
-        delays = (np.asarray(lengths) / C0).tolist()
-        return [
-            cls(
-                interactions=inters,
-                vertices=verts,
-                delay_s=delay,
-                aod=(d_az, d_el),
-                aoa=(a_az, a_el),
-                transfer=transfer,
-                tag=tag,
-                doppler_hz=doppler,
-            )
-            for inters, verts, delay, (d_az, a_az), (d_el, a_el), transfer, tag, doppler in zip(
-                interactions, vertices, delays, az.tolist(), el.tolist(), transfers, tags, dopplers
-            )
-        ]
-
-    @classmethod
-    def from_polyline(
-        cls,
-        interactions: tuple,
-        vertices: np.ndarray,
-        transfer: np.ndarray,
-        tag: str = TAG_SPECULAR,
-        doppler_hz: float = 0.0,
-    ) -> RayPath:
-        """Path along the (N, 3) ``vertices``: the one-row :meth:`batch`."""
-        rows = vertices[None]
-        return cls.batch(
-            (interactions,), rows, polyline_lengths(rows), transfer[None], (tag,), (doppler_hz,)
-        )[0]
-
-    @cached_property
-    def signature(self) -> str:
-        """:func:`signature_of` the interactions, built on first access."""
-        return signature_of(self.interactions)
-
-    @property
-    def power(self) -> float:
-        """Frobenius-squared transfer power (polarization-agnostic weight)."""
-        return float(np.sum(np.abs(self.transfer) ** 2))
-
-
-def path_order(p) -> tuple:
-    """Sort key of the one row order: specular rows first, then by
-    interaction count, then by signature."""
-    return (p.tag != TAG_SPECULAR, len(p.interactions), p.signature)
+def path_order(rows: PathRows) -> np.ndarray:
+    """The one row order: the stable permutation of ``rows`` that puts
+    specular rows first, then sorts by interaction count, then by
+    signature."""
+    keys = list(zip((rows.tag != TAG_SPECULAR).tolist(), map(len, rows.interactions), rows.signature.tolist()))
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
 
 
 class PathRow(NamedTuple):
-    """One row of a :class:`PathRows` block as plain values: a path without
-    its vertices."""
+    """One row of a :class:`PathRows` block as plain values."""
 
     interactions: tuple
     signature: str
@@ -161,6 +76,7 @@ class PathRow(NamedTuple):
     aoa: tuple[float, float]
     doppler_hz: float
     transfer: np.ndarray
+    vertices: np.ndarray | None
 
 
 def _objects(values: list) -> np.ndarray:
@@ -171,15 +87,21 @@ def _objects(values: list) -> np.ndarray:
 
 @dataclass(eq=False)
 class PathRows:
-    """The K paths of one snapshot as one struct-of-arrays block.
+    """K paths as one struct-of-arrays block: a solve's paths at one
+    receiver, or a snapshot's.
 
     interactions, signature, tag : (K,) object arrays holding each row's
-        path records themselves (the tracked path's, never rebuilt)
+        records (a tracked row's are its keyframe row's own, never rebuilt)
     delay_s, doppler_hz : (K,) floats
-    aod, aoa : (K, 2) (azimuth, elevation), as on :class:`RayPath`
-    transfer : (K, 2, 2) complex, C-contiguous
+    aod, aoa : (K, 2) (azimuth, elevation) of the departure direction and of
+        the arrival direction pointing from the receiver back toward the last
+        path vertex
+    transfer : (K, 2, 2) complex, (V, H) in to (V, H) out
+    vertices : (K,) object array of each solved row's (n, 3) polyline, tx
+        first, rx last; None on a row without one
 
-    ``len`` is K; ``rows[k]`` reads row k back as a :class:`PathRow`.
+    ``len`` is K; ``rows[k]`` reads row k back as a :class:`PathRow`, and
+    iterating a block reads its rows in order.
     """
 
     interactions: np.ndarray
@@ -190,22 +112,34 @@ class PathRows:
     aoa: np.ndarray
     doppler_hz: np.ndarray
     transfer: np.ndarray
+    vertices: np.ndarray
 
     @classmethod
-    def from_paths(cls, paths) -> PathRows:
-        """The rows of ``paths`` (records with the fields of a
-        :class:`PathRow`, such as :class:`RayPath`), in order."""
-        n = len(paths)
+    def from_polylines(
+        cls, interactions: list, signature: list, tag: str, vertices: np.ndarray, transfer: np.ndarray
+    ) -> PathRows:
+        """The K paths along the (K, n, 3) ``vertices`` with the (K, 2, 2)
+        ``transfer``, all tagged ``tag``: each delay is its polyline's length
+        over C0, the angles come from :func:`path_angles`, and the Doppler is
+        0.  ``interactions`` and ``signature`` give one entry per row."""
+        n = len(vertices)
+        az, el = path_angles(vertices)
         return cls(
-            interactions=_objects([p.interactions for p in paths]),
-            signature=_objects([p.signature for p in paths]),
-            tag=_objects([p.tag for p in paths]),
-            delay_s=np.array([p.delay_s for p in paths], dtype=float),
-            aod=np.array([p.aod for p in paths], dtype=float).reshape(n, 2),
-            aoa=np.array([p.aoa for p in paths], dtype=float).reshape(n, 2),
-            doppler_hz=np.array([p.doppler_hz for p in paths], dtype=float),
-            transfer=np.array([p.transfer for p in paths], dtype=complex).reshape(n, 2, 2),
+            interactions=_objects(interactions),
+            signature=_objects(signature),
+            tag=np.full(n, tag, dtype=object),
+            delay_s=polyline_lengths(vertices) / C0,
+            aod=np.column_stack([az[:, 0], el[:, 0]]),
+            aoa=np.column_stack([az[:, 1], el[:, 1]]),
+            doppler_hz=np.zeros(n),
+            transfer=np.ascontiguousarray(transfer, dtype=complex),
+            vertices=_objects(list(vertices)),
         )
+
+    @classmethod
+    def empty(cls) -> PathRows:
+        """A block of no rows."""
+        return cls.from_polylines([], [], TAG_SPECULAR, np.zeros((0, 2, 3)), np.zeros((0, 2, 2)))
 
     def __len__(self) -> int:
         return len(self.delay_s)
@@ -220,12 +154,24 @@ class PathRows:
             tuple(self.aoa[k].tolist()),
             float(self.doppler_hz[k]),
             self.transfer[k],
+            self.vertices[k],
         )
 
-    def concat(self, tail: PathRows) -> PathRows:
-        """These rows followed by the rows of ``tail``."""
+    def take(self, index) -> PathRows:
+        """The rows ``index`` (a slice, mask or index array) selects, in its
+        order."""
         # vars() lists the fields in their declared order
-        return PathRows(*(np.concatenate(pair) for pair in zip(vars(self).values(), vars(tail).values())))
+        return PathRows(*(column[index] for column in vars(self).values()))
+
+    def concat(self, *tails: PathRows) -> PathRows:
+        """These rows followed by the rows of each of ``tails``."""
+        return PathRows(*map(np.concatenate, zip(*(vars(rows).values() for rows in (self, *tails)))))
+
+    def split(self, owner: np.ndarray, n: int) -> list[PathRows]:
+        """The rows of each of ``n`` owners in turn, given the owner of each
+        row, in non-decreasing order."""
+        bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
+        return [self.take(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def norms(vectors: np.ndarray) -> np.ndarray:

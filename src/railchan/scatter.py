@@ -11,11 +11,12 @@ polyline through that point.  The facet sum's polarization bases come from
 ``em.spherical_basis``, the path composer's own.
 
 :class:`ScatterEngine` belongs to one transmitter and cuts each mesh to
-the facets it lights at construction; it takes many receivers per call: one
-occlusion query for all their direct legs, then one facet pass per mesh over
-the receivers, split under ``FACET_ROW_BUDGET``.  The closed-form RCS
-oracles call :func:`po_scattered_matrix`, the one-receiver case of the same
-pass.
+the facets it lights at construction, and keeps its scatterers in the row
+order of their echoes; it takes many receivers per call: one occlusion
+query for all their direct legs, then one facet pass per mesh over the
+receivers, split under ``FACET_ROW_BUDGET``, and one row block per
+receiver.  The closed-form RCS oracles call :func:`po_scattered_matrix`,
+the one-receiver case of the same pass.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import CarrierConfig, spherical_basis
-from .rays import SCATTERING, TAG_SCATTER, Interaction, RayPath, polyline_lengths
+from .rays import SCATTERING, TAG_SCATTER, Interaction, PathRows, signature_of
 from .scene import EPS_GEOM, CylinderScatterer, Scene
 
 
@@ -307,15 +308,23 @@ class ScatterEngine:
         self.scene = scene
         self.carrier = carrier
         self.tx = tx
-        self._refs = np.array([s.reference_point for s in scene.scatterers], dtype=float)
-        self._records = [(Interaction(kind=SCATTERING, object_id=s.id, element_id=0),) for s in scene.scatterers]
+        # the scatterers in the row order of their echoes, which all carry
+        # the scatter tag and one interaction: by signature, so S(10:0)
+        # comes before S(9:0)
+        records = [(Interaction(kind=SCATTERING, object_id=s.id, element_id=0),) for s in scene.scatterers]
+        signatures = [signature_of(r) for r in records]
+        order = sorted(range(len(records)), key=signatures.__getitem__)
+        scatterers = [scene.scatterers[m] for m in order]
+        self._records = [records[m] for m in order]
+        self._signatures = [signatures[m] for m in order]
+        self._refs = np.array([s.reference_point for s in scatterers], dtype=float)
         self.counters = dict.fromkeys(SCATTER_COUNTERS, 0)
         # the lit facets of every scatterer the transmitter sees (None for
         # the others); the full meshes are not kept
-        sees = self._clear(tx[None])[0] if scene.scatterers else []
+        sees = self._clear(tx[None])[0] if scatterers else []
         self._lit = [
             _lit_facets(mesh_cylinder(cyl, carrier), tx, carrier) if clear else None
-            for cyl, clear in zip(scene.scatterers, sees)
+            for cyl, clear in zip(scatterers, sees)
         ]
 
     def _clear(self, points: np.ndarray) -> np.ndarray:
@@ -328,19 +337,20 @@ class ScatterEngine:
         self.counters["legs_tested"] += len(starts)
         return ~self.scene.segments_blocked(starts, ends).reshape(n_pts, n_refs)
 
-    def paths(self, receivers) -> list[list[RayPath]]:
-        """The echoes at each of the (S, 3) ``receivers``, one list per
-        receiver in scatterer order: one echo per scatterer whose direct legs
-        from the transmitter and from that receiver are both clear."""
+    def paths(self, receivers) -> list[PathRows]:
+        """The echoes at each of the (S, 3) ``receivers``, one
+        :class:`~railchan.rays.PathRows` block per receiver in
+        :func:`~railchan.rays.path_order`, each row with its polyline: one
+        echo per scatterer whose direct legs from the transmitter and from
+        that receiver are both clear."""
         receivers = np.asarray(receivers, dtype=float)
         if receivers.ndim != 2 or receivers.shape[1] != 3:
             raise ValueError(f"receivers must be an (S, 3) array, got shape {receivers.shape}")
         if inside_scatterers(self.scene.scatterers, receivers).any():
             raise ValueError("antenna endpoint lies inside the scatterer body")
         n_rx = len(receivers)
-        out: list[list[RayPath]] = [[] for _ in range(n_rx)]
         if not self.scene.scatterers or not n_rx:
-            return out
+            return [PathRows.empty() for _ in range(n_rx)]
         self.counters["snapshots"] += n_rx
         clear = self._clear(receivers)
         transfers = np.zeros((n_rx, len(self._refs), 2, 2), dtype=complex)
@@ -355,20 +365,16 @@ class ScatterEngine:
 
         rx_of, ref_of = np.nonzero(clear)
         self.counters["echoes"] += len(rx_of)
-        if not len(rx_of):
-            return out
         verts = np.empty((len(rx_of), 3, 3))
         verts[:, 0] = self.tx
         verts[:, 1] = self._refs[ref_of]
         verts[:, 2] = receivers[rx_of]
-        echoes = RayPath.batch(
-            [self._records[m] for m in ref_of.tolist()],
+        m = ref_of.tolist()
+        echoes = PathRows.from_polylines(
+            [self._records[k] for k in m],
+            [self._signatures[k] for k in m],
+            TAG_SCATTER,
             verts,
-            polyline_lengths(verts),
             transfers[rx_of, ref_of],
-            [TAG_SCATTER] * len(rx_of),
-            [0.0] * len(rx_of),
         )
-        for s, path in zip(rx_of.tolist(), echoes):
-            out[s].append(path)
-        return out
+        return echoes.split(rx_of, n_rx)

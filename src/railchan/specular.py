@@ -20,8 +20,11 @@ path, clear on that verdict alone; K paths with one edge count form one
 family.  Then every family's clear candidates, less any whose geometry an
 earlier candidate of the same receiver already has, get their transfer
 matrices from one :func:`~railchan.em.compose_path_matrix` call per family;
-the power floor is an array mask over them, interaction records are built
-only for the paths kept, and each receiver's paths are sorted.  A
+the power floor is an array mask over them, and each family's kept rows
+become one :class:`~railchan.rays.PathRows` block, interaction records and
+signatures built for them alone.  One stable row permutation puts every
+receiver's rows in :func:`~railchan.rays.path_order`, and each receiver
+gets its own block of them.  A
 :class:`SpecularTracer` belongs to one transmitter and builds, at
 construction, the per-scene tables (second-order image-pair feasibility,
 wedge fronts and interaction records; zero-length when the scene has none)
@@ -57,12 +60,12 @@ from .em import CarrierConfig, compose_path_matrix
 from .rays import (
     EDGE_DIFFRACTION,
     Interaction,
+    PathRows,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
     TAG_SPECULAR,
-    RayPath,
     path_order,
-    polyline_lengths,
+    signature_of,
 )
 from .scene import EPS_GEOM, Scene
 
@@ -387,18 +390,20 @@ class SpecularTracer:
                 families.append(self._diffraction_then_reflection(rx, rx_front))
         return [_drop_degenerate(*family) for family in families]
 
-    def trace(self, receivers, limits: TraceLimits | None = None) -> list[list[RayPath]]:
+    def trace(self, receivers, limits: TraceLimits | None = None) -> list[PathRows]:
         """The paths from the transmitter to each of the (S, 3)
-        ``receivers``, one list per receiver, sorted by
-        :func:`~railchan.rays.path_order`; a single receiver is ``rx[None]``.
+        ``receivers``, one :class:`~railchan.rays.PathRows` block per
+        receiver in :func:`~railchan.rays.path_order`, each row with its
+        polyline; a single receiver is ``rx[None]``.
 
         The receivers share each family's arrays, each occlusion round, one
-        :func:`~railchan.em.compose_path_matrix` call and one
-        :meth:`RayPath.batch` per interaction sequence; de-duplication, the
-        power floor and the sort stay per receiver, so each receiver gets the
-        paths, bit for bit, and the counts of a one-receiver call.  The
-        receivers are checked in order before any work, so a bad receiver
-        raises the ValueError of its one-receiver call.
+        :func:`~railchan.em.compose_path_matrix` call and one block per
+        interaction sequence; de-duplication, the power floor and the row
+        order stay per receiver, so each receiver gets the rows, bit for
+        bit, and the counts of a one-receiver call.  Records and signatures
+        are built for the kept rows only.  The receivers are checked in
+        order before any work, so a bad receiver raises the ValueError of
+        its one-receiver call.
         """
         limits = limits or TraceLimits()
         rx = np.asarray(receivers, dtype=float)
@@ -411,9 +416,8 @@ class SpecularTracer:
                 raise ValueError("rx lies below the ground")
             if self.scene.contains_point(r):
                 raise ValueError("rx lies inside a building")
-        out: list[list[RayPath]] = [[] for _ in rx]
         if not len(rx):
-            return out
+            return []
         sc = self.scene
         marks = [time.perf_counter()]
         families = self.candidates(rx, limits)
@@ -446,26 +450,25 @@ class SpecularTracer:
         for j, n in enumerate(query.calls):
             rounds[j] += n
 
+        blocks = [PathRows.empty()]
+        owners = [np.zeros(0, dtype=np.intp)]
         for verts, (kinds, hosts), owner in _unique_clear(families, clear):
             transfer = compose_path_matrix(verts, kinds, hosts, sc, self.carrier)
             kept = _above_floor(transfer, limits.power_floor_db)
-            verts = verts[kept]
             records = [[self._records[kind][j] for j in idx[kept]] for kind, idx in zip(kinds, hosts)]
-            n = len(verts)
-            counts[_family_name(kinds)]["kept"] += n
-            paths = RayPath.batch(
-                list(zip(*records)) if records else [()] * n,
-                verts,
-                polyline_lengths(verts),
-                transfer[kept],
-                [TAG_SPECULAR] * n,
-                [0.0] * n,
-            )
-            for s, path in zip(owner[kept].tolist(), paths):
-                out[s].append(path)
-
-        for paths in out:
-            paths.sort(key=path_order)
+            inters = list(zip(*records)) if records else [()] * int(kept.sum())
+            counts[_family_name(kinds)]["kept"] += len(inters)
+            signatures = list(map(signature_of, inters))
+            blocks.append(PathRows.from_polylines(inters, signatures, TAG_SPECULAR, verts[kept], transfer[kept]))
+            owners.append(owner[kept])
+        rows = blocks[0].concat(*blocks[1:])
+        owner = np.concatenate(owners)
+        # the row order within each receiver, then the receivers in turn;
+        # each receiver's rows reach the sort in family order, as its own
+        # solve lists them
+        order = path_order(rows)
+        order = order[np.argsort(owner[order], kind="stable")]
+        out = rows.take(order).split(owner[order], len(rx))
         marks.append(time.perf_counter())
         for stage, start, stop in zip(SOLVE_STAGES, marks, marks[1:]):
             self.timings[stage] += stop - start
@@ -509,7 +512,7 @@ FAMILIES = ("LoS", "R", "RR", "D", "RD", "DR", ROOFTOP_DIFFRACTION)
 CANDIDATE_BLOCK = 4
 
 #: the stages of a solve, in order, that ``SpecularTracer.timings`` times;
-#: ``compose`` runs from the distinct clear candidates to the sorted paths
+#: ``compose`` runs from the distinct clear candidates to the ordered blocks
 SOLVE_STAGES = ("candidate", "occlusion", "rooftop", "compose")
 
 

@@ -9,8 +9,9 @@ name) contains a comma, a quote or a line break, so no field needs quoting.
 
 The large float tables (``trace.csv``, ``metrics.csv``, the TV-CIR and the
 power split) go through one block formatter, :func:`_float_rows`, a slab of
-at most ``SLAB_CELLS`` cells (whole rows, at least one) at a time, each slab
-written as it is made:
+at most ``SLAB_CELLS`` cells at a time, each slab written as it is made
+(``trace.csv`` cuts its slabs at whole rows, the other tables wherever
+their cells fall):
 
 - :func:`_decimal` finds each cell's 17 significant digits and decimal
   exponent as arrays: |x| times a cached double-double power of ten, with
@@ -282,22 +283,21 @@ def _digits(D: np.ndarray) -> np.ndarray:
     return _GROUPS.take(groups.reshape(-1, 6)).view(np.uint8)[:, _DIGIT_BYTES]
 
 
-def _float_rows(block) -> bytes:
-    """The CSV bytes of the rows of the 2-D float block ``block``.
+def _float_rows(cells, n_cols: int, first: int = 0) -> bytes:
+    """The CSV bytes of ``cells``, float cells of an ``n_cols``-wide table
+    read row by row, the first in column ``first``.
 
-    Every cell is exactly ``"%.17g" % x``; cells are joined by ``,`` and
-    each row ends in ``\\r\\n``.
+    Every cell is exactly ``"%.17g" % x``; a cell is followed by ``,``, or
+    in the table's last column by ``\\r\\n``.
     """
-    block = np.ascontiguousarray(block, dtype=float)
-    n_cols = block.shape[1]
-    x = block.ravel()
+    x = np.ascontiguousarray(cells, dtype=float).ravel()
     n = len(x)
     X, D, fallback = _decimal(x)
     digits = _digits(D)
     s = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
 
     eol = np.zeros(n, np.intp)
-    eol[n_cols - 1 :: n_cols] = 1
+    eol[n_cols - 1 - first :: n_cols] = 1
     neg_exp = X < 0
     wide_exp = np.abs(X) >= 100
     mode = np.where((X >= -4) & (X < 17), X + 4, 21 + 2 * neg_exp + wide_exp)
@@ -329,10 +329,15 @@ def _float_rows(block) -> bytes:
 
 def _write_floats(fh, n_rows: int, n_cols: int, rows) -> None:
     """Write an ``n_rows`` x ``n_cols`` float table through the block
-    formatter; ``rows(s)`` gives the block of the rows in slice ``s``."""
-    step = max(1, SLAB_CELLS // n_cols)
-    for start in range(0, n_rows, step):
-        fh.write(_float_rows(rows(slice(start, start + step))))
+    formatter, ``SLAB_CELLS`` cells at a time, a slab starting and ending
+    wherever its cells do, mid-row included; ``rows(s)`` gives the block of
+    the rows in slice ``s``."""
+    n = n_rows * n_cols
+    for start in range(0, n, SLAB_CELLS):
+        stop = min(start + SLAB_CELLS, n)
+        skip = start // n_cols * n_cols
+        block = rows(slice(start // n_cols, -(-stop // n_cols)))
+        fh.write(_float_rows(np.ravel(block)[start - skip : stop - skip], n_cols, start - skip))
 
 
 def _header(names) -> bytes:
@@ -375,7 +380,7 @@ def write_trace_csv(path, snapshots) -> dict[str, int]:
         block = np.concatenate(blocks)
         for start in range(0, n_rows, step):
             stop = min(start + step, n_rows)
-            segments = _float_rows(block[start:stop]).split(b"\r\n")
+            segments = _float_rows(block[start:stop], 14).split(b"\r\n")
             fh.write(b"".join(chain.from_iterable(zip(leads[start:stop], segments, ends[start:stop]))))
         blocks[:] = [block[n_rows:]]
         del leads[:n_rows], ends[:n_rows]

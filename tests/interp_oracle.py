@@ -5,19 +5,21 @@ became one row block: the matched pairs of each vertex count evaluated as
 one array batch and turned into ``RayPath`` rows by ``RayPath.batch``, then
 a ``replace`` copy of every held birth or death, each snapshot's list in
 bracket order (matched, births, deaths).  ``oracle_snapshot`` sorts such a
-list, with any exact echoes appended, by ``rays.path_order``, as the stream
-sorted each snapshot.  The stream's rows are checked against it bit for
-bit.
+list, with any exact echoes appended, by ``path_oracle.path_key``, as the
+stream sorted each snapshot.  The stream's rows are checked against it bit
+for bit.  ``bracket_paths`` reads a bracket's index arrays back as the
+records it tracks.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from path_oracle import RayPath, path_key
 
 from railchan.dynamics import RAMP_FRACTION
 from railchan.em import C0
-from railchan.rays import RayPath, norms, path_order
+from railchan.rays import norms
 
 
 def _oracle_matched(pairs, t_a, t_b, times, rx_positions, rx_velocities, carrier):
@@ -62,20 +64,37 @@ def _oracle_matched(pairs, t_a, t_b, times, rx_positions, rx_velocities, carrier
     )
 
 
+def bracket_paths(bracket):
+    """``(matched, births, deaths)`` of ``bracket`` as records: ``(row_a,
+    row_b)`` pairs and ``(row, activation)`` pairs, each row a
+    ``RayPath`` with its keyframe row's own records, in bracket order."""
+
+    def path(rows, k):
+        p = rows[k]
+        return RayPath(p.interactions, p.vertices, p.delay_s, p.aod, p.aoa, p.transfer, p.tag, p.doppler_hz)
+
+    a, b = bracket.rows_a, bracket.rows_b
+    matched = [(path(a, i), path(b, j)) for i, j in bracket.matched.tolist()]
+    births = [(path(b, k), act) for k, act in zip(bracket.births.tolist(), bracket.birth_at.tolist())]
+    deaths = [(path(a, k), act) for k, act in zip(bracket.deaths.tolist(), bracket.death_at.tolist())]
+    return matched, births, deaths
+
+
 def oracle_interior(bracket, times, rx_positions, rx_velocities, carrier):
     """``RayPath`` lists at every one of ``times``, in bracket order."""
     t_a, t_b = bracket.t_a, bracket.t_b
+    matched, births, deaths = bracket_paths(bracket)
     times = np.asarray(times, dtype=float)
     n_times = len(times)
-    rows = [[None] * len(bracket.matched) for _ in range(n_times)]
+    rows = [[None] * len(matched) for _ in range(n_times)]
     groups = {}
-    for k, (pa, _) in enumerate(bracket.matched):
+    for k, (pa, _) in enumerate(matched):
         groups.setdefault(len(pa.vertices), []).append(k)
     rx_positions = np.asarray(rx_positions, dtype=float)
     rx_velocities = np.asarray(rx_velocities, dtype=float)
     for ks in groups.values():
         paths = _oracle_matched(
-            [bracket.matched[k] for k in ks], t_a, t_b, times, rx_positions, rx_velocities, carrier
+            [matched[k] for k in ks], t_a, t_b, times, rx_positions, rx_velocities, carrier
         )
         for m, k in enumerate(ks):
             for s in range(n_times):
@@ -83,10 +102,10 @@ def oracle_interior(bracket, times, rx_positions, rx_velocities, carrier):
 
     ramp = RAMP_FRACTION * (t_b - t_a)
     held = []
-    for path, act in bracket.births:
+    for path, act in births:
         factor = np.where(times < act + ramp, (times - act) / ramp, 1.0)
         held.append((path, times > act, factor))
-    for path, act in bracket.deaths:
+    for path, act in deaths:
         factor = np.where(times < act, 1.0, 1.0 - (times - act) / ramp)
         held.append((path, times < act + ramp, factor))
     for path, alive, factor in held:
@@ -98,4 +117,4 @@ def oracle_interior(bracket, times, rx_positions, rx_velocities, carrier):
 
 def oracle_snapshot(paths, echoes=()):
     """A snapshot's paths and its exact echoes in the stream's row order."""
-    return sorted(list(paths) + list(echoes), key=path_order)
+    return sorted(list(paths) + list(echoes), key=path_key)

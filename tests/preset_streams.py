@@ -28,6 +28,7 @@ def preset_stream(*, duration_s: float, kf_interval_s: float, start_s: float = 0
     return cfg, result
 
 
-def pylon_window():
-    """The stream of ``scatter-study --kf-interval 0.5 --window 20.5:21.0``."""
-    return preset_stream(duration_s=21.0, kf_interval_s=0.5, start_s=20.5)
+def pylon_window(**overrides):
+    """The stream of ``scatter-study --kf-interval 0.5 --window 20.5:21.0``;
+    ``overrides`` are further config keys."""
+    return preset_stream(duration_s=21.0, kf_interval_s=0.5, start_s=20.5, **overrides)

@@ -3,14 +3,15 @@
 ``oracle_rooftop_path`` is the rooftop generator as it was before the path
 became the tracer's K family: a Python ``sorted`` over the crossed facades,
 an apex loop that skips an apex coincident with the last vertex kept, and
-one composition and ``RayPath`` per path.  The tracer's K path is checked
-against it bit for bit.
+one composition and ``path_oracle.RayPath`` per path.  The tracer's K path
+is checked against it bit for bit.
 """
 
 import numpy as np
+from path_oracle import RayPath
 
 from railchan.em import compose_path_matrix
-from railchan.rays import ROOFTOP_DIFFRACTION, Interaction, RayPath
+from railchan.rays import ROOFTOP_DIFFRACTION, Interaction
 from railchan.scene import EPS_GEOM
 from railchan.specular import SpecularTracer, TraceLimits
 

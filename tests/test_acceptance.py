@@ -27,12 +27,13 @@ from railchan.metrics import (
     raised_cosine_pulse,
     synthesize_tv_cir,
 )
-from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, PathRows, RayPath, polyline_lengths
+from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, polyline_lengths
 from railchan.scene import Building, Scene
 from railchan.specular import SpecularTracer, TraceLimits
 from railchan.scatter import mesh_cylinder, mesh_plate, po_scattered_matrix
 from railchan.scene import CylinderScatterer
 from railchan.traceio import write_trace_csv
+from path_oracle import RayPath, rows_of
 from trace_replay import read_trace_csv
 
 F19 = CarrierConfig(1.9e9)
@@ -391,7 +392,7 @@ def test_10_tv_cir_resolves_two_paths_50ns_apart():
             self.timestamp = timestamp
             self.paths = paths
 
-    snap = Snap(0.0, PathRows.from_paths([tap(100e-9, 1.0), tap(150e-9, 0.8)]))
+    snap = Snap(0.0, rows_of([tap(100e-9, 1.0), tap(150e-9, 0.8)]))
     cir = synthesize_tv_cir([snap], bandwidth=100e6, rolloff=0.95, pol_pair="vv")
     mag = np.abs(cir.amplitude[:, 0])
     i1 = int(np.argmin(np.abs(cir.delays - 100e-9)))

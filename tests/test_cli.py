@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from path_oracle import RayPath, rows_of
 
 import railchan
 import railchan.cli
@@ -25,7 +26,7 @@ import railchan.specular
 from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, ConfigError, load_preset, preset_path
 from railchan.dynamics import ChannelSnapshot
-from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction, PathRows, RayPath
+from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction
 from railchan.scatter import ScatterEngine
 from railchan.scene import CylinderScatterer, Scene
 from railchan.specular import SpecularTracer
@@ -706,8 +707,8 @@ def test_scatter_summary_excess_delay_over_rows_with_a_specular_path():
 
     spec = path(100e-9, TAG_SPECULAR)
     echo = path(150e-9, TAG_SCATTER, (Interaction(SCATTERING, 7, 0),))
-    one = [ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.from_paths([spec, echo]), False)]
-    two = one + [ChannelSnapshot(1, 0.01, np.zeros(3), PathRows.from_paths([echo]), False)]
+    one = [ChannelSnapshot(0, 0.0, np.zeros(3), rows_of([spec, echo]), False)]
+    two = one + [ChannelSnapshot(1, 0.01, np.zeros(3), rows_of([echo]), False)]
     for snaps in (one, two):
         (row,) = _scatter_summary(scene, snaps, 0.0)
         assert row["mean_excess_delay_ns"] == pytest.approx(50.0, rel=1e-12)

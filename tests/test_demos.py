@@ -32,7 +32,9 @@ def _run_demo(script, tmp_path, *args):
     return proc
 
 
-@pytest.mark.parametrize("script", ["rcs_oracles.py", "trace_single_snapshot.py"])
+@pytest.mark.parametrize(
+    "script", ["rcs_oracles.py", "trace_single_snapshot.py", "stream_and_metrics.py", "pylon_flyby_cir.py"]
+)
 def test_demo_exits_0(script, tmp_path):
     assert _run_demo(script, tmp_path).stdout
 

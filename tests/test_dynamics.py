@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from interp_oracle import oracle_interior
+from interp_oracle import bracket_paths, oracle_interior
+from path_oracle import RayPath, path_key, rows_of
 
 from railchan import dynamics
 from railchan.config import load_preset
@@ -33,7 +34,7 @@ from railchan.dynamics import (
     track_interval,
 )
 from railchan.em import C0, CarrierConfig
-from railchan.rays import RayPath, norms, path_order, polyline_lengths
+from railchan.rays import PathRows, norms, path_order, polyline_lengths
 from railchan.scatter import ScatterEngine
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.specular import SpecularTracer, TraceLimits
@@ -75,12 +76,9 @@ def _held_path(source, factor):
 
 
 def bracket_entries(bracket):
-    """``(kind, entry)`` for every entry of a bracket, in row order."""
-    return (
-        [("matched", e) for e in bracket.matched]
-        + [("birth", e) for e in bracket.births]
-        + [("death", e) for e in bracket.deaths]
-    )
+    """``(kind, entry)`` for every entry of a bracket, in bracket order."""
+    matched, births, deaths = bracket_paths(bracket)
+    return [("matched", e) for e in matched] + [("birth", e) for e in births] + [("death", e) for e in deaths]
 
 
 def oracle_row(bracket, kind, entry, t, rx_position, rx_velocity, carrier):
@@ -134,9 +132,17 @@ def oracle_row(bracket, kind, entry, t, rx_position, rx_velocity, carrier):
     return _scalar_path(pa.interactions, verts, transfer, pa.tag, doppler)
 
 
-def matched_bracket(t_a, t_b, pair):
-    """A bracket holding the one matched ``(path_a, path_b)`` pair."""
-    return Bracket(t_a, t_b, [pair], [], [])
+def matched_bracket(t_a, t_b, rows_a, rows_b, pair):
+    """A bracket of the keyframe blocks ``rows_a`` and ``rows_b`` holding
+    the one matched row pair ``(i, j)``."""
+    none = np.zeros(0, dtype=np.intp)
+    return Bracket(t_a, t_b, rows_a, rows_b, np.array([pair], dtype=np.intp), none, none, np.zeros(0), np.zeros(0))
+
+
+def matched_rows(bracket):
+    """The rows of the one matched pair of ``bracket``."""
+    ((i, j),) = bracket.matched.tolist()
+    return bracket.rows_a[i], bracket.rows_b[j]
 
 
 def interpolate_one(bracket, t, traj, carrier=F19):
@@ -193,12 +199,12 @@ def keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
 class Keyframe(NamedTuple):
     timestamp: float
     rx_position: np.ndarray
-    paths: list
+    paths: PathRows
 
 
 def tracked_keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
-    """The keyframes of a stream as tracking reads them: the solver's path
-    lists, each with its time and receiver."""
+    """The keyframes of a stream as tracking reads them: the solved blocks,
+    each with its time and receiver."""
     schedule = StepSchedule(update_step or kf_interval, kf_interval, 0, traj.duration)
     times = schedule.seconds(schedule.keyframes)
     rx = np.array([traj.position(t) for t in times])
@@ -243,12 +249,12 @@ class TestMatch:
         kfs = tracked_keyframes(scene, traj, tx, 1.5)
         # t=0: rx at, x=-30 -> LoS clear; t=1.5: rx at x=0 -> blocked
         matched, births, deaths = match_paths(kfs[0].paths, kfs[1].paths)
-        assert matched == []
-        assert births == []
+        assert len(matched) == 0
+        assert len(births) == 0
         assert len(deaths) == 1
-        assert deaths[0].signature == "LOS"
+        assert kfs[0].paths.signature[deaths[0]] == "LOS"
         matched2, births2, deaths2 = match_paths(kfs[1].paths, kfs[2].paths)
-        assert [p.signature for p in births2] == ["LOS"]
+        assert kfs[2].paths.signature[births2].tolist() == ["LOS"]
 
     def test_all_matched_identical(self):
         scene = Scene(buildings=[])
@@ -256,18 +262,18 @@ class TestMatch:
         traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
         kfs = tracked_keyframes(scene, traj, tx, 1.0)
         matched, births, deaths = match_paths(kfs[0].paths, kfs[1].paths)
-        assert len(matched) == 1 and births == [] and deaths == []
+        assert len(matched) == 1 and len(births) == 0 and len(deaths) == 0
 
     def test_duplicate_signatures_pair_in_order(self):
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 2], [30, 0, 2], 10.0, duration=2.0)
         kf_a, kf_b = tracked_keyframes(scene, traj, np.array([0.0, 20.0, 20.0]), 2.0)
-        first, second = kf_b.paths[0], replace(kf_b.paths[0])
-        matched, births, deaths = match_paths(kf_a.paths, [first, second])
-        assert len(matched) == 1
-        assert matched[0][0] is kf_a.paths[0] and matched[0][1] is first
-        assert len(births) == 1 and births[0] is second
-        assert deaths == []
+        # the right keyframe's one row twice: the first copy is matched,
+        # the second born
+        matched, births, deaths = match_paths(kf_a.paths, kf_b.paths.take([0, 0]))
+        assert matched.tolist() == [[0, 0]]
+        assert births.tolist() == [1]
+        assert len(deaths) == 0
 
 
 class TestInterpolateLoS:
@@ -277,11 +283,11 @@ class TestInterpolateLoS:
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=2.0)
         kfs = tracked_keyframes(scene, traj, tx, 1.0)
         matched, _, _ = match_paths(kfs[0].paths, kfs[1].paths)
-        return scene, tx, traj, matched_bracket(kfs[0].timestamp, kfs[1].timestamp, matched[0])
+        return scene, tx, traj, matched_bracket(kfs[0].timestamp, kfs[1].timestamp, kfs[0].paths, kfs[1].paths, matched[0])
 
     def test_left_keyframe_identity(self):
         scene, tx, traj, br = self.make()
-        (pa, pb), = br.matched
+        pa, pb = matched_rows(br)
         p = interpolate_one(br, br.t_a, traj)
         assert (p.aod, p.aoa) == (pa.aod, pa.aoa)
         assert p.delay_s == pa.delay_s
@@ -297,7 +303,7 @@ class TestInterpolateLoS:
 
     def test_phase_law(self):
         scene, tx, traj, br = self.make()
-        (pa, pb), = br.matched
+        pa, pb = matched_rows(br)
         t = 0.37
         p = interpolate_one(br, t, traj)
         dtau = p.delay_s - pa.delay_s
@@ -308,7 +314,7 @@ class TestInterpolateLoS:
 
     def test_magnitude_linear(self):
         scene, tx, traj, br = self.make()
-        (pa, pb), = br.matched
+        pa, pb = matched_rows(br)
         t = 0.25
         p = interpolate_one(br, t, traj)
         a = np.abs(pa.transfer)
@@ -326,7 +332,7 @@ class TestInterpolateLoS:
     def test_empty_bracket_rejects_outside_times(self):
         # a bracket with no paths still has an interval to check against
         scene, tx, traj, br = self.make()
-        empty = Bracket(br.t_a, br.t_b, [], [], [])
+        empty = replace(br, matched=np.zeros((0, 2), dtype=np.intp))
         times = [0.5, 1.5]
         rx = [traj.position(t) for t in times]
         v = [traj.velocity(t) for t in times]
@@ -336,9 +342,9 @@ class TestInterpolateLoS:
 
     def test_vertex_count_mismatch_rejected(self):
         scene, tx, traj, br = self.make()
-        (pa, pb), = br.matched
+        pa, pb = matched_rows(br)
         bent = RayPath.from_polyline(pb.interactions, np.insert(pb.vertices, 1, [0.0, 10.0, 5.0], axis=0), pb.transfer)
-        br = replace(br, matched=[(pa, bent)])
+        br = replace(br, rows_b=rows_of([bent]), matched=np.array([[br.matched[0, 0], 0]]))
         with pytest.raises(ValueError, match="cannot interpolate"):
             interpolate_bracket(br, [0.5], [traj.position(0.5)], [traj.velocity(0.5)], F19)
 
@@ -355,8 +361,7 @@ def preset_brackets(request):
     scene = cfg.load_scene()
     kfs = tracked_keyframes(scene, traj, cfg.tx_position, kf, limits=cfg.limits)
     echoes = ScatterEngine(scene, carrier, cfg.tx_position).paths(np.array([k.rx_position for k in kfs]))
-    for k, found in zip(kfs, echoes):
-        k.paths.extend(found)
+    kfs = [k._replace(paths=k.paths.concat(found)) for k, found in zip(kfs, echoes)]
     rng = np.random.default_rng(cfg.seed)
     step = cfg.update_step_s
     brackets = []
@@ -387,7 +392,7 @@ class TestBracketAgainstOracle:
                     for kind, entry in bracket_entries(bracket)
                 ]
                 # the rows come in the bracket's one row order
-                want = sorted((w for w in want if w[2] is not None), key=lambda w: path_order(w[2]))
+                want = sorted((w for w in want if w[2] is not None), key=lambda w: path_key(w[2]))
                 assert len(got) == len(want)
                 for p, (kind, entry, q) in zip(got, want):
                     assert p.interactions is q.interactions
@@ -501,10 +506,10 @@ class TestStream:
         tx = np.array([0.0, 30.0, 10.0])
         kf_a, kf_b = tracked_keyframes(scene, traj, tx, 0.5, update_step=0.05, limits=FULL)[:2]
         bracket = track_interval(kf_a.timestamp, kf_a.paths, kf_b.timestamp, kf_b.paths, np.random.default_rng(0))
-        assert any(pa.interactions for pa, _ in bracket.matched)
-        for pair in bracket.matched:
-            pa = pair[0]
-            one = matched_bracket(bracket.t_a, bracket.t_b, pair)
+        assert any(bracket.rows_a.interactions[bracket.matched[:, 0]])
+        for i, j in bracket.matched.tolist():
+            pa = bracket.rows_a[i]
+            one = matched_bracket(bracket.t_a, bracket.t_b, bracket.rows_a, bracket.rows_b, (i, j))
             for t in (0.1, 0.25, 0.4):
                 p = interpolate_one(one, t, traj)
                 assert p.interactions is pa.interactions
@@ -631,10 +636,10 @@ class TestScatterModes:
             assert res.keyframe_seconds > 0.0 and (res.scatter_seconds > 0.0) == (mode == "exact"), mode
 
     def test_rows_in_path_order_with_echoes_after_every_specular_row(self):
-        # the engine returns the echoes of pylons 9 and 10 in scatterer
-        # order, but as text "S(10:0)" sorts before "S(9:0)": the stream
-        # sorts each receiver's echoes as they join, in both modes, and
-        # relies on the tracer's order for the specular rows
+        # as text "S(10:0)" sorts before "S(9:0)": the engine keeps its
+        # pylons in that order, so each receiver's echoes join as a tail in
+        # both modes, and the stream relies on the tracer's order for the
+        # specular rows
         wall = Building(id=1, footprint=np.array([[-30.0, 40.0], [30.0, 40.0], [30.0, 42.0], [-30.0, 42.0]]), height=30.0)
         pylons = [
             CylinderScatterer(id=sid, base_center=np.array([x, 10.0, 0.0]), radius=0.375, height=8.2)
@@ -644,13 +649,12 @@ class TestScatterModes:
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=1.0)
         found = ScatterEngine(scene, F19, tx).paths(np.array([traj.position(0.5)]))
-        assert [p.signature for p in found[0]] == ["S(9:0)", "S(10:0)"]
+        assert [p.signature for p in found[0]] == ["S(10:0)", "S(9:0)"]
         for mode in ("exact", "interpolated"):
             res = stream_snapshots(scene, traj, tx, F19, 0.05, 0.25, FULL, scatter_mode=mode)
             n_both = 0
             for snap in res.snapshots:
-                keys = [path_order(p) for p in snap.paths]
-                assert keys == sorted(keys), (mode, snap.index)
+                assert path_order(snap.paths).tolist() == list(range(len(snap.paths))), (mode, snap.index)
                 tags = snap.paths.tag.tolist()
                 n_echoes = tags.count("scatter")
                 assert tags[len(tags) - n_echoes :] == ["scatter"] * n_echoes, (mode, snap.index)
@@ -704,7 +708,7 @@ class TestKeyframeDoppler:
         tags = set()
         for snap, paths, found in zip(res.snapshots, solved, echoes):
             v = traj.velocity(snap.timestamp)
-            paths = sorted(paths, key=path_order) + sorted(found, key=path_order)
+            paths = sorted(paths, key=path_key) + sorted(found, key=path_key)
             assert snap.paths.signature.tolist() == [p.signature for p in paths]
             want = np.array([oracle_radial_doppler(p, v, carrier) for p in paths])
             assert snap.paths.doppler_hz.tobytes() == want.tobytes(), snap.index
@@ -714,10 +718,14 @@ class TestKeyframeDoppler:
     def test_zero_length_last_segment_has_no_doppler(self):
         p = RayPath.from_polyline((), np.array([[0.0, 0.0, 1.0], [5.0, 0.0, 1.0]]), np.eye(2, dtype=complex))
         q = replace(p, vertices=np.array([[0.0, 0.0, 1.0], [5.0, 0.0, 1.0], [5.0, 0.0, 1.0]]))
-        paths = dynamics._fill_doppler([p, q], np.array([3.0, 4.0, 0.0]), F19)
-        assert paths[0] is p and paths[1] is q
-        assert p.doppler_hz == oracle_radial_doppler(p, np.array([3.0, 4.0, 0.0]), F19) != 0.0
-        assert q.doppler_hz == 0.0
+        rows = rows_of([p, q])
+        snap = dynamics._fill_doppler(rows, np.array([3.0, 4.0, 0.0]), F19)
+        assert snap.doppler_hz.tolist() == [oracle_radial_doppler(p, np.array([3.0, 4.0, 0.0]), F19), 0.0]
+        assert snap.doppler_hz[0] != 0.0
+        # the snapshot rows drop the polylines; the solved block keeps its own
+        # columns, Doppler included
+        assert snap.vertices.tolist() == [None, None] and snap.signature is rows.signature
+        assert rows.doppler_hz.tolist() == [0.0, 0.0] and rows.vertices[1] is q.vertices
 
 
 # ----------------------------------------------------------------------
@@ -808,7 +816,7 @@ class TestNorms:
             cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz),
             cfg.update_step_s, 0.1, cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
         )
-        paths = [pb for bracket, _ in brackets for _, pb in bracket.matched]
+        paths = [bracket.rows_b[j] for bracket, _ in brackets for j in bracket.matched[:, 1].tolist()]
         paths += [p for bracket, args in brackets for rows in oracle_interior(bracket, *args) for p in rows]
         for p in paths:
             old = np.sum(np.linalg.norm(np.diff(p.vertices, axis=-2), axis=-1), axis=-1)

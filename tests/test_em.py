@@ -41,11 +41,15 @@ from railchan.rays import (
     Interaction,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
-    RayPath,
+    TAG_SPECULAR,
+    PathRows,
+    path_angles,
     polyline_lengths,
+    signature_of,
 )
 from railchan.scene import Building, Material, PEC, Scene
 from railchan.specular import SpecularTracer, TraceLimits, _clear_masks
+from path_oracle import RayPath
 from rooftop_oracle import oracle_rooftop_path
 from test_specular import SMALL_SCENES, small_solves
 
@@ -499,24 +503,23 @@ class TestComposePathMatrix:
             assert smax <= free * (1 + 1e-9)
 
     def test_delay_is_polyline_length_over_c(self):
-        from railchan.rays import RayPath, path_angles
-
         vertices = np.array([[0, 0, 0], [10, 0, 0], [10, 5, 0], [10, 5, 7.0]])
         inters = (
             Interaction(kind=REFLECTION, object_id=1, element_id=0),
             Interaction(kind=REFLECTION, object_id=2, element_id=0),
         )
-        path = RayPath.from_polyline(inters, vertices, np.eye(2, dtype=complex))
+        rows = PathRows.from_polylines(
+            [inters], [signature_of(inters)], TAG_SPECULAR, vertices[None], np.eye(2, dtype=complex)[None]
+        )
+        path = rows[0]
         length = float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
         assert length == 22.0
         assert path.delay_s == length / C0  # bit-equal
         assert polyline_lengths(path.vertices) == length
         az, el = path_angles(vertices)
         assert path.aod == (az[0], el[0]) and path.aoa == (az[1], el[1])
-        assert path.interactions is inters
-        # the length follows the vertices, it is not stored
-        path.vertices = vertices[:2]
-        assert polyline_lengths(path.vertices) == 10.0
+        assert path.interactions is inters and path.signature == "R(1:0)|R(2:0)"
+        assert path.doppler_hz == 0.0 and path.vertices.tobytes() == vertices.tobytes()
 
     def test_zero_length_segment_rejected(self):
         scene = Scene(buildings=[])

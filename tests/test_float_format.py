@@ -10,6 +10,7 @@ exact rationals here, where ``fractions`` may be imported.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -45,10 +46,32 @@ def assert_formats(values, n_cols: int = 8) -> None:
     step = SLAB_CELLS // n_cols
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        got, want = _float_rows(block), oracle_rows(block)
+        got, want = _float_rows(block, n_cols), oracle_rows(block)
         if got != want:
             bad = [(g, w) for g, w in zip(got.split(b"\r\n"), want.split(b"\r\n")) if g != w]
             pytest.fail(f"first differing row: {bad[0]}")
+
+
+@pytest.mark.parametrize("n_cols, slab", [(SLAB_CELLS + SLAB_CELLS // 3 + 1, SLAB_CELLS), (5, 7)], ids=["wide", "narrow"])
+def test_slabs_that_start_and_end_mid_row(monkeypatch, n_cols, slab):
+    # a table wider than a slab, and a narrow one under a slab of a width
+    # no row count divides: slabs start and end inside rows, and a row's
+    # last cell may open a slab
+    monkeypatch.setattr(traceio, "SLAB_CELLS", slab)
+    rng = np.random.default_rng(30)
+    table = rng.integers(0, 2**64, size=(7, n_cols), dtype=np.uint64).view(float)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _float_rows(*args)
+
+    monkeypatch.setattr(traceio, "_float_rows", spy)
+    fh = io.BytesIO()
+    traceio._write_floats(fh, len(table), n_cols, lambda s: table[s])
+    assert fh.getvalue() == oracle_rows(table)
+    firsts = [first for _, _, first in calls]
+    assert len(calls) == -(-table.size // slab) and len(set(firsts)) > 2 and n_cols - 1 in firsts
 
 
 def test_random_bit_patterns():
@@ -218,9 +241,9 @@ def test_fallback_cells_per_writer_on_preset_streams(tmp_path, monkeypatch, stre
     }
     blocks = []
 
-    def spy(block):
-        blocks.append(np.array(block, dtype=float).ravel())
-        return _float_rows(block)
+    def spy(cells, *layout):
+        blocks.append(np.array(cells, dtype=float).ravel())
+        return _float_rows(cells, *layout)
 
     monkeypatch.setattr(traceio, "_float_rows", spy)
     report = {}

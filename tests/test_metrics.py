@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from path_oracle import RayPath, rows_of
 from preset_streams import preset_stream, pylon_window
 
 from railchan.dynamics import ChannelSnapshot
@@ -31,7 +32,7 @@ from railchan.metrics import (
     snapshot_metrics,
     synthesize_tv_cir,
 )
-from railchan.rays import TAG_SCATTER, TAG_SPECULAR, PathRows, RayPath
+from railchan.rays import TAG_SCATTER, TAG_SPECULAR
 from railchan.scene import Scene
 from railchan.specular import SpecularTracer, TraceLimits
 
@@ -56,13 +57,13 @@ def make_path(delay=1e-6, t00=1.0, transfer=None, aoa=(0.0, 0.0), doppler=0.0, t
 
 def snap(paths, t=0.0):
     """A snapshot holding the rows of ``paths``."""
-    rows = PathRows.from_paths(paths)
+    rows = rows_of(paths)
     return ChannelSnapshot(index=0, timestamp=t, rx_position=np.zeros(3), paths=rows, at_keyframe=True)
 
 
 def metric_row(paths, tx_power_dbm=0.0) -> dict:
     """The kernel's row for ``paths``, keyed by metric name."""
-    row = snapshot_metrics(PathRows.from_paths(paths), tx_power_dbm)
+    row = snapshot_metrics(rows_of(paths), tx_power_dbm)
     assert len(row) == len(METRIC_NAMES)
     return dict(zip(METRIC_NAMES, row))
 
@@ -322,7 +323,7 @@ class TestTVCirAgainstOracle:
         grid, amp = oracle_tv_cir(snaps, bandwidth, rolloff, pol_pair)
         assert_bits_equal(cir.delays, grid)
         assert_bits_equal(cir.amplitude, amp)
-        scatter = [replace(s, paths=PathRows.from_paths([p for p in s.paths if p.tag == TAG_SCATTER])) for s in snaps]
+        scatter = [replace(s, paths=s.paths.take(s.paths.tag == TAG_SCATTER)) for s in snaps]
         assert_bits_equal(cir.scattered, oracle_tv_cir(scatter, bandwidth, rolloff, pol_pair, grid)[1])
         return cir
 

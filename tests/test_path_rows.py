@@ -1,6 +1,13 @@
-"""Snapshot row blocks against the per-path interior they replaced.
+"""Row blocks against the per-path records they replaced.
 
-The stream fills each interior snapshot's ``PathRows`` straight from its
+The tracer and the scatter engine return one ``PathRows`` block per
+receiver, built from their family arrays; ``path_oracle`` keeps the lists
+they built one ``RayPath`` at a time, sorted.  On the preset's 201 solves
+at t = 0-2 s, and on the echoes of the pylon window in both scatter modes,
+every block must be the oracle's list row for row and bit for bit,
+polylines included.
+
+The stream fills each interior snapshot's block straight from its
 bracket's arrays, in one row order per bracket.  ``interp_oracle`` keeps the
 interior as it was built one ``RayPath`` at a time, each snapshot sorted on
 its own.  On the preset's 5 s stream at kf 0.5, in both scatter modes, every
@@ -12,28 +19,65 @@ repeat and add up.
 import numpy as np
 import pytest
 from interp_oracle import oracle_interior, oracle_snapshot
-from preset_streams import preset_stream
+from path_oracle import RayPath, assert_same_rows, oracle_trace_lists, rows_of
+from preset_streams import preset_stream, pylon_window
+from test_scatter import oracle_echoes
 
 from railchan import dynamics
-from railchan.dynamics import Bracket, _fill_doppler, interpolate_bracket
-from railchan.em import CarrierConfig
-from railchan.rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, PathRows, RayPath, path_order
-from railchan.scatter import ScatterEngine
+from railchan.config import load_preset
+from railchan.dynamics import SOLVE_CHUNK, Bracket, interpolate_bracket
+from railchan.em import C0, CarrierConfig
+from railchan.rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, path_order
+from railchan.scatter import ScatterEngine, mesh_cylinder
+from railchan.specular import SpecularTracer
 
-FLOAT_COLUMNS = ("delay_s", "aod", "aoa", "doppler_hz", "transfer")
-RECORD_COLUMNS = ("interactions", "signature", "tag")
+
+# ----------------------------------------------------------------------
+# the solvers' blocks against their per-path lists
+# ----------------------------------------------------------------------
+def test_tracer_blocks_are_the_oracle_lists_bit_for_bit():
+    cfg = load_preset()
+    traj = cfg.trajectory()
+    receivers = np.array([traj.position(i * cfg.update_step_s) for i in range(201)])
+    tracer = SpecularTracer(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position)
+    n_rows = 0
+    for first in range(0, len(receivers), SOLVE_CHUNK):
+        chunk = receivers[first : first + SOLVE_CHUNK]
+        got = tracer.trace(chunk, cfg.limits)
+        want = oracle_trace_lists(tracer, chunk, cfg.limits)
+        assert len(got) == len(want) == len(chunk)
+        for rows, paths in zip(got, want):
+            assert_same_rows(rows, paths, vertices=True)
+            n_rows += len(rows)
+    assert n_rows > 10 * len(receivers)
 
 
-def assert_same_rows(got: PathRows, want: list):
-    """``got`` holds the paths ``want`` in their order: every float column
-    bit for bit, the records equal, the transfers C-contiguous."""
-    ref = PathRows.from_paths(want)
-    assert len(got) == len(ref)
-    for name in FLOAT_COLUMNS:
-        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-    for name in RECORD_COLUMNS:
-        assert getattr(got, name).tolist() == getattr(ref, name).tolist(), name
-    assert got.transfer.flags.c_contiguous
+@pytest.mark.parametrize("scatter_mode", ["exact", "interpolated"])
+def test_engine_blocks_are_the_oracle_lists_bit_for_bit(monkeypatch, scatter_mode):
+    # every engine call of the pylon window's stream, each receiver's block
+    # against the oracle's echoes in the row order
+    calls = []
+    original = ScatterEngine.paths
+
+    def spy(self, receivers):
+        rows = original(self, receivers)
+        calls.append((self, receivers, rows))
+        return rows
+
+    monkeypatch.setattr(ScatterEngine, "paths", spy)
+    cfg, result = pylon_window(scatter_mode=scatter_mode)
+    (engine, _, _), *_ = calls
+    meshes = [mesh_cylinder(s, engine.carrier) for s in engine.scene.scatterers]
+    receivers = np.concatenate([rx for _, rx, _ in calls])
+    echoes = 0
+    for _, rx, blocks in calls:
+        for r, rows in zip(rx, blocks):
+            want, _ = oracle_echoes(engine.scene, meshes, engine.tx, r, engine.carrier)
+            assert_same_rows(rows, want, vertices=True)
+            echoes += len(rows)
+    # exact scatter: one receiver per snapshot; interpolated: per keyframe
+    n_rx = len(result.snapshots) if scatter_mode == "exact" else result.rt_invocations
+    assert len(receivers) == n_rx and echoes > n_rx
 
 
 @pytest.fixture(scope="module", params=["exact", "interpolated"])
@@ -61,19 +105,18 @@ def test_interior_rows_are_the_oracle_bit_for_bit(recorded_stream):
     n_rows = n_held = 0
     for bracket, times, rx, v, carrier, got in calls:
         want = oracle_interior(bracket, times, rx, v, carrier)
-        sources = [pa for pa, _ in bracket.matched] + [p for p, _ in bracket.births + bracket.deaths]
-        carried = {id(p.signature) for p in sources}
+        carried = {id(sig) for rows in (bracket.rows_a, bracket.rows_b) for sig in rows.signature}
         assert len(got) == len(want) == len(times)
         for t, rows, paths in zip(times, got, want):
             ordered = oracle_snapshot(paths)
             assert_same_rows(rows, ordered)
-            # the records are the tracked paths' own objects, none rebuilt
+            # the records are the keyframe rows' own objects, none rebuilt
             assert all(a is q.interactions for a, q in zip(rows.interactions, ordered))
             assert all(id(sig) in carried for sig in rows.signature)
             # the stream's snapshot starts with these rows
             snap = by_index[round(t / cfg.update_step_s)]
             assert not snap.at_keyframe
-            head = PathRows(*(x[: len(rows)] for x in vars(snap.paths).values()))
+            head = snap.paths.take(slice(len(rows)))
             assert_same_rows(head, ordered)
             n_rows += len(rows)
             n_held += len(paths) - len(bracket.matched)
@@ -94,18 +137,45 @@ def test_every_snapshot_in_the_stream_order_with_echo_tails(recorded_stream):
         traj = cfg.trajectory()
         engine = ScatterEngine(cfg.load_scene(), carrier, cfg.tx_position)
         found = engine.paths(np.array([s.rx_position for s in result.snapshots]))
-        for s, paths in zip(result.snapshots, found):
-            echoes[s.index] = _fill_doppler(paths, traj.velocity(s.timestamp), carrier)
+        for s, rows in zip(result.snapshots, found):
+            echoes[s.index] = [radial_doppler(p, traj.velocity(s.timestamp), carrier) for p in rows]
     n_tails = 0
     for snap in result.snapshots:
-        keys = [path_order(p) for p in snap.paths]
-        assert keys == sorted(keys), snap.index
+        assert path_order(snap.paths).tolist() == list(range(len(snap.paths))), snap.index
         if snap.at_keyframe:
             continue
         assert_same_rows(snap.paths, oracle_snapshot(interior[snap.index], echoes.get(snap.index, ())))
         n_tails += bool(echoes.get(snap.index))
     assert len(interior) == len(result.snapshots) - 11
     assert (n_tails > 0) == (mode == "exact")
+
+
+def radial_doppler(row, rx_velocity, carrier):
+    """The echo ``row`` as a ``RayPath`` with the Doppler of its last
+    segment's radial rate, worked out on its own."""
+    u = row.vertices[-1] - row.vertices[-2]
+    doppler = -carrier.frequency_hz * float(np.dot(u, rx_velocity)) / (float(np.linalg.norm(u)) * C0)
+    return RayPath(row.interactions, row.vertices, row.delay_s, row.aod, row.aoa, row.transfer, row.tag, doppler)
+
+
+def crafted_bracket(t_a, t_b, matched, births, deaths):
+    """The bracket of crafted ``(path_a, path_b)`` pairs and ``(path,
+    activation)`` births and deaths, in that order: keyframe blocks that
+    list the pairs first."""
+    rows_a = rows_of([pa for pa, _ in matched] + [p for p, _ in deaths])
+    rows_b = rows_of([pb for _, pb in matched] + [p for p, _ in births])
+    m = len(matched)
+    return Bracket(
+        t_a,
+        t_b,
+        rows_a,
+        rows_b,
+        np.repeat(np.arange(m), 2).reshape(m, 2),
+        m + np.arange(len(births)),
+        m + np.arange(len(deaths)),
+        np.array([act for _, act in births]),
+        np.array([act for _, act in deaths]),
+    )
 
 
 def test_crafted_bracket_keeps_equal_signatures_in_bracket_order():
@@ -126,7 +196,7 @@ def test_crafted_bracket_keeps_equal_signatures_in_bracket_order():
 
     los = [(path(rx_a, 1.0), path(rx_b, 0.9)), (path(rx_a, 0.5), path(rx_b, 0.4))]
     r13 = (path(rx_a, 0.3, 3), path(rx_b, 0.2, 3))
-    bracket = Bracket(
+    bracket = crafted_bracket(
         0.0,
         1.0,
         [los[0], r13, los[1]],

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from path_oracle import RayPath, path_key
 
 import railchan.scatter as scatter
 from railchan.config import load_preset
 from railchan.dynamics import SOLVE_CHUNK, Trajectory, stream_snapshots
 from railchan.em import C0, CarrierConfig, spherical_basis
-from railchan.rays import SCATTERING, TAG_SCATTER, Interaction, RayPath, polyline_lengths
+from railchan.rays import SCATTERING, TAG_SCATTER, Interaction, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.scatter import (
     ScatterEngine,
@@ -103,8 +104,9 @@ def oracle_facet_sum(mesh, src, obs, carrier, incident=None):
 
 def oracle_echoes(scene, meshes, tx, rx, carrier, incident=None):
     """(echoes, live facet terms) at one receiver: each mesh in turn, with
-    one occlusion query per antenna for its legs; ``incident`` optionally
-    gives each mesh's incident terms of ``tx``."""
+    one occlusion query per antenna for its legs, and the echoes sorted into
+    the row order; ``incident`` optionally gives each mesh's incident terms
+    of ``tx``."""
     incident = incident or [None] * len(meshes)
     refs = np.array([m.reference_point for m in meshes])
     tx_clear = ~scene.segments_blocked(np.broadcast_to(tx, refs.shape), refs)
@@ -116,7 +118,7 @@ def oracle_echoes(scene, meshes, tx, rx, carrier, incident=None):
             rec = Interaction(kind=SCATTERING, object_id=mesh.scatterer.id, element_id=0)
             out.append(RayPath.from_polyline((rec,), np.array([tx, mesh.reference_point, rx]), t, TAG_SCATTER))
             terms += live
-    return out, terms
+    return sorted(out, key=path_key), terms
 
 
 def assert_same_paths(got, want):
@@ -308,7 +310,7 @@ class TestCylinderOracle:
 class TestEnumerate:
     def test_no_scatterers_empty(self):
         engine = ScatterEngine(EMPTY, F19, np.array([0.0, 0.0, 5.0]))
-        assert engine.paths(np.array([[100.0, 0.0, 5.0]])) == [[]]
+        assert [len(rows) for rows in engine.paths(np.array([[100.0, 0.0, 5.0]]))] == [0]
         # no scatterer: nothing built, no leg tested
         assert engine.counters == dict.fromkeys(scatter.SCATTER_COUNTERS, 0)
 
@@ -357,7 +359,7 @@ class TestEnumerate:
         )
         tx = np.array([0.0, 0.0, 5.0])
         rx = np.array([100.0, 0.0, 5.0])
-        assert ScatterEngine(scene, F19, tx).paths(rx[None]) == [[]]
+        assert [len(rows) for rows in ScatterEngine(scene, F19, tx).paths(rx[None])] == [0]
 
     def test_own_body_does_not_occlude(self):
         # forward-scatter geometry: pylon directly between the antennas
@@ -562,7 +564,7 @@ class TestContainment:
         assert engine._lit == [None]
         with pytest.raises(ValueError, match="inside the scatterer"):
             engine.paths(np.array([[0.1, 0.0, 4.0]]))
-        assert engine.paths(np.array([[30.0, 0.0, 4.0]])) == [[]]
+        assert [len(rows) for rows in engine.paths(np.array([[30.0, 0.0, 4.0]]))] == [0]
 
     def test_mask_over_points_and_pylons(self):
         pylons = [_pylon(1, 0.0, 0.0), _pylon(2, 10.0, 0.0)]

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from path_oracle import RayPath, rows_of
 from preset_streams import preset_stream, pylon_window
 
 from railchan.cli import _scatter_summary
@@ -38,7 +39,6 @@ from railchan.rays import (
     TAG_SPECULAR,
     Interaction,
     PathRows,
-    RayPath,
     signature_of,
 )
 from railchan.traceio import (
@@ -293,10 +293,10 @@ def crafted_snapshots():
         tag = (TAG_SPECULAR, TAG_SCATTER)[k % 2]
         paths.append(_path(v[0], (v[1], v[2]), (v[3], v[4]), v[5], transfer, inter, tag))
     return [
-        ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.from_paths([]), True),
-        ChannelSnapshot(1, 0.01, np.zeros(3), PathRows.from_paths(paths), False),
-        ChannelSnapshot(2, -0.0, np.zeros(3), PathRows.from_paths(paths[::-1]), False),
-        ChannelSnapshot(3, 1e308, np.zeros(3), PathRows.from_paths([]), False),
+        ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.empty(), True),
+        ChannelSnapshot(1, 0.01, np.zeros(3), rows_of(paths), False),
+        ChannelSnapshot(2, -0.0, np.zeros(3), rows_of(paths[::-1]), False),
+        ChannelSnapshot(3, 1e308, np.zeros(3), PathRows.empty(), False),
     ]
 
 
@@ -319,7 +319,7 @@ def test_trace_csv_matches_oracle_on_crafted_values(tmp_path):
 
 
 def test_trace_csv_without_paths(tmp_path):
-    snaps = [ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.from_paths([]), True)]
+    snaps = [ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.empty(), True)]
     got = assert_same_bytes(tmp_path, write_trace_csv, oracle_write_trace_csv, snaps)
     assert got.read_bytes() == (",".join(TRACE_COLUMNS) + "\r\n").encode()
     assert_same_bytes(tmp_path, write_trace_csv, oracle_write_trace_csv, [])
@@ -410,7 +410,7 @@ def test_power_split_and_summary_match_oracle_on_crafted_values(tmp_path):
 def test_sweep_csvs_match_oracle(tmp_path, run_stream):
     cfg, snaps = run_stream
     # a test stream with one snapshot emptied: excluded samples, NaN errors
-    test = [replace(s, paths=PathRows.from_paths([])) if i == 3 else s for i, s in enumerate(snaps)]
+    test = [replace(s, paths=PathRows.empty()) if i == 3 else s for i, s in enumerate(snaps)]
     rows = [
         (0.1, compare_streams(snaps, test, cfg.tx_power_dbm)),
         (0.5, compare_streams(snaps, snaps, 0.0)),
@@ -444,9 +444,6 @@ def test_signature_is_built_once_and_equals_signature_of(run_stream, pylon_strea
         sig = p.signature
         assert sig == signature_of(p.interactions)
         assert p.signature is sig
-    # a path record builds its own signature from its interactions
-    q = _path(0.0, (0.0, 0.0), (0.0, 0.0), 0.0, np.eye(2, dtype=complex), (Interaction(KINDS[0], 3, 4),))
-    assert q.signature == "R(3:4)" and q.signature is q.signature
 
 
 # ----------------------------------------------------------------------
