@@ -44,11 +44,11 @@ print(f"{'kf/ms':>6} {'solves':>6} {'NRMSE vv':>9} {'NRMSE delay':>11} {'time/s'
 
 for kf in (0.02, 0.05, 0.1, 0.2, 0.5):
     test, wall = run(kf)
-    report = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm)
+    errors = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm)
     print(
         f"{kf * 1e3:>6.0f} {test.rt_invocations:>6} "
-        f"{report.metrics['power_vv'].nrmse:>9.4f} "
-        f"{report.metrics['mean_delay'].nrmse:>11.4f} "
+        f"{errors['power_vv'].nrmse:>9.4f} "
+        f"{errors['mean_delay'].nrmse:>11.4f} "
         f"{wall:>7.2f} {wall / ref_wall:>8.3f}"
     )
 

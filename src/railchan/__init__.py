@@ -11,7 +11,6 @@ from railchan.config import ConfigError, ScenarioConfig, load_config_file, load_
 from railchan.dynamics import ChannelSnapshot, StreamResult, Trajectory, stream_snapshots
 from railchan.em import C0, CarrierConfig
 from railchan.metrics import (
-    ErrorReport,
     compare_streams,
     metric_series,
     snapshot_metrics,
@@ -39,7 +38,6 @@ __all__ = [
     "ChannelSnapshot",
     "ConfigError",
     "CylinderScatterer",
-    "ErrorReport",
     "Material",
     "PathRows",
     "ScatterEngine",

@@ -49,7 +49,7 @@ from .metrics import (
     power_decomposition,
     synthesize_tv_cir,
 )
-from .rays import SCATTERING, TAG_SCATTER
+from .rays import SCATTERING, TAG_SCATTER, token
 from .scatter import ScatterEngine, inside_scatterers
 from .scene import EPS_GEOM, SceneError, load_scene_file
 from .specular import SOLVE_STAGES, SpecularTracer
@@ -311,13 +311,13 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         test = _run_stream(cfg, scene, traj, interval)
         test_wall = time.perf_counter() - t0
-        report = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm, ref_series)
-        rows.append((interval, report))
+        errors = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm, ref_series)
+        rows.append((interval, errors))
         normalized = test_wall / ref_wall
         timing.append(
             (interval, ref_wall, test_wall, normalized, reference.rt_invocations, test.rt_invocations)
         )
-        nrmse_vv = report.metrics["power_vv"].nrmse
+        nrmse_vv = errors["power_vv"].nrmse
         print(
             f"kf={interval:g}s: NRMSE(vv power)={nrmse_vv:.4f}, "
             f"time={test_wall:.2f}s ({normalized:.3f}x ref), "
@@ -336,7 +336,7 @@ def cmd_sweep(args) -> int:
         out,
         ["nrmse.csv", "timing.csv", "error_cdf.csv"],
         intervals_s=list(cfg.sweep_intervals_s),
-        nrmse_vv_by_interval={"%g" % interval: report.metrics["power_vv"].nrmse for interval, report in rows},
+        nrmse_vv_by_interval={"%g" % interval: errors["power_vv"].nrmse for interval, errors in rows},
     )
     write_manifest(out / "manifest.json", manifest)
     print(f"outputs in {out}")
@@ -408,7 +408,9 @@ def cmd_scatter_study(args) -> int:
 def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
     """One row per scatterer: its path rows, the snapshots that see it, its
     mean power, and its mean delay past the earliest specular path, over the
-    rows whose snapshot has a specular path."""
+    rows whose snapshot has a specular path.  Every scatter row is an
+    echo of one scatterer, whose token is its signature."""
+    scatterer_of = {token(SCATTERING, s.id, 0): s.id for s in scene.scatterers}
     by_id: dict[int, dict] = {
         s.id: {"rows": 0, "snaps": 0, "power_acc": 0.0, "excess_rows": 0, "excess_acc": 0.0}
         for s in scene.scatterers
@@ -422,12 +424,8 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
         powers = np.sum(np.abs(rows.transfer[scatter]) ** 2, axis=(1, 2))
         seen: set[int] = set()
         delays = rows.delay_s[scatter].tolist()
-        for inters, power, delay in zip(rows.interactions[scatter], powers.tolist(), delays):
-            sid = next(
-                (rec.object_id for rec in inters if rec.kind == SCATTERING), None
-            )
-            if sid is None or sid not in by_id:
-                continue
+        for sig, power, delay in zip(rows.signature[scatter].tolist(), powers.tolist(), delays):
+            sid = scatterer_of[sig]
             acc = by_id[sid]
             acc["rows"] += 1
             acc["power_acc"] += power

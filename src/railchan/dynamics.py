@@ -39,11 +39,11 @@ keyframe snapshot.  One look-ahead solves ``SOLVE_CHUNK`` receivers per call
 ahead of the walk: the keyframes (with their echoes under interpolated
 scatter) and, under exact scatter, the echoes of every snapshot step, so at
 most one chunk of each and the last keyframe walked are held.  A keyframe is
-held as its step, receiver and solved block, which tracking reads; its
-snapshot is that block's rows with the Doppler filled in and the polylines
-dropped.  The tracer and the engine return their blocks in row order, and
-echoes follow every specular row, so a keyframe's echoes and each exact
-echo set join as a tail and nothing is sorted.
+held as its step and solved block, which tracking reads; its snapshot is
+that block's rows with the Doppler filled in and the polylines dropped.
+The tracer and the engine return their blocks in row order, and echoes
+follow every specular row, so a keyframe's echoes and each exact echo set
+join as a tail and nothing is sorted.
 """
 
 from __future__ import annotations
@@ -139,18 +139,12 @@ class Trajectory:
 # ----------------------------------------------------------------------
 @dataclass
 class ChannelSnapshot:
-    """Full path set at one update instant.
+    """Full path set at one update instant: ``paths`` is the snapshot's
+    :class:`~railchan.rays.PathRows` block, in
+    :func:`~railchan.rays.path_order`."""
 
-    ``paths`` is the snapshot's :class:`~railchan.rays.PathRows` block, in
-    :func:`~railchan.rays.path_order`; ``at_keyframe`` marks the snapshot of
-    an exact solve.
-    """
-
-    index: int
     timestamp: float
-    rx_position: np.ndarray
     paths: PathRows
-    at_keyframe: bool
 
 
 def whole_steps(seconds: float, update_step: float) -> int | None:
@@ -373,11 +367,10 @@ def interpolate_bracket(
     keyframe blocks and put in :func:`~railchan.rays.path_order`, which is
     the order a stable sort of each snapshot's own rows gives.  Matched
     pairs with equal vertex counts are evaluated as one array batch over
-    all times, and a row carries its left row's interactions, signature and
-    tag.  A birth or death keeps its keyframe delay and angles with zero
-    Doppler and its transfer scaled by the ramp factor; births are left out
-    until their activation and deaths after their ramp.  No row keeps
-    vertices.
+    all times, and a row carries its left row's signature and tag.  A
+    birth or death keeps its keyframe delay and angles with zero Doppler
+    and its transfer scaled by the ramp factor; births are left out until
+    their activation and deaths after their ramp.  No row keeps vertices.
     """
     t_a, t_b = bracket.t_a, bracket.t_b
     times = np.asarray(times, dtype=float)
@@ -438,7 +431,7 @@ def interpolate_bracket(
         transfer[:, k] = sources.transfer[k] * factor[:, None, None]
 
     order = path_order(sources)
-    records = [x[order] for x in (sources.interactions, sources.signature, sources.tag)]
+    records = [x[order] for x in (sources.signature, sources.tag)]
     columns = [x[:, order] for x in (delay, aod, aoa, doppler, transfer)]
     return [
         PathRows(*(r[keep] for r in records), *(x[s, keep] for x in columns), np.empty(keep.sum(), dtype=object))
@@ -532,7 +525,7 @@ def stream_snapshots(
         seconds["scatter" if scatter_mode == "exact" else "keyframe"] += time.perf_counter() - t0
 
     def solved(steps, solve, stage):
-        """``(step, receiver, result)`` for each of ``steps`` in order, with
+        """``(step, result)`` for each of ``steps`` in order, with
         ``solve`` called on the receivers of ``SOLVE_CHUNK`` steps at a time
         and timed to ``stage``."""
         for first in range(0, len(steps), SOLVE_CHUNK):
@@ -541,7 +534,7 @@ def stream_snapshots(
             rx = np.array([traj.position(t) for t in schedule.seconds(chunk)])
             found = solve(rx)
             seconds[stage] += time.perf_counter() - t0
-            yield from zip(chunk, rx, found)
+            yield from zip(chunk, found)
 
     def solve_keyframes(rx):
         """The tracer's blocks, each followed by its echoes under interpolated scatter."""
@@ -556,27 +549,26 @@ def stream_snapshots(
     snapshots: list[ChannelSnapshot] = []
     counts = dict.fromkeys(("matched", "births", "deaths", "rows"), 0)
 
-    def emit(i, rx, v, rows, at_kf):
-        """Append the snapshot of step ``i`` from its ``rows``; under exact
-        scatter its echoes, all scatter-tagged, follow every specular row,
-        so they join in their own order as a tail."""
+    def emit(i, v, rows):
+        """Append the snapshot of step ``i`` from its ``rows``, the receiver
+        moving at ``v``; under exact scatter its echoes, all scatter-tagged,
+        follow every specular row, so they join in their own order as a
+        tail."""
         if echoes is not None:
-            step, _, found = next(echoes)
+            step, found = next(echoes)
             assert step == i, f"echoes of step {step} reached step {i}"
             t0 = time.perf_counter()
             rows = rows.concat(_fill_doppler(found, v, carrier))
             seconds["scatter"] += time.perf_counter() - t0
         counts["rows"] += len(rows)
-        snapshots.append(
-            ChannelSnapshot(index=i, timestamp=i * update_step, rx_position=rx, paths=rows, at_keyframe=at_kf)
-        )
+        snapshots.append(ChannelSnapshot(i * update_step, rows))
 
-    # the look-ahead yields each keyframe as (step, receiver, solved block);
+    # the look-ahead yields each keyframe as (step, solved block);
     # the snapshots strictly inside the bracket it closes (only when the
     # stride leaves room for them) come before it
     rng = np.random.default_rng(seed)
     i_a = rows_a = None
-    for i_b, rx_b, rows_b in solved(schedule.keyframes, solve_keyframes, "keyframe"):
+    for i_b, rows_b in solved(schedule.keyframes, solve_keyframes, "keyframe"):
         if rows_a is not None and schedule.stride > 1:
             t0 = time.perf_counter()
             steps = range(i_a + 1, i_b)
@@ -588,12 +580,12 @@ def stream_snapshots(
             seconds["interpolation"] += time.perf_counter() - t0
             for key in ("matched", "births", "deaths"):
                 counts[key] += len(getattr(bracket, key))
-            for i, r, vel, block in zip(steps, rx, v, interior):
-                emit(i, r, vel, block, False)
+            for i, vel, block in zip(steps, v, interior):
+                emit(i, vel, block)
         # the keyframe's snapshot is its solved block with the Doppler filled
         # in; tracking reads the block itself, never its Doppler
         v = traj.velocity(i_b * update_step)
-        emit(i_b, rx_b, v, _fill_doppler(rows_b, v, carrier), True)
+        emit(i_b, v, _fill_doppler(rows_b, v, carrier))
         i_a, rows_a = i_b, rows_b
 
     return StreamResult(

@@ -174,9 +174,6 @@ class TVCir:
     delays: np.ndarray
     amplitude: np.ndarray  # (n_delays, n_times) complex
     scattered: np.ndarray  # the scatter-tag rows' share of ``amplitude``
-    pol_pair: str
-    bandwidth: float
-    rolloff: float
 
 
 def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str = "vv") -> TVCir:
@@ -232,9 +229,6 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str
         delays=grid,
         amplitude=amp,
         scattered=scattered,
-        pol_pair=pol_pair,
-        bandwidth=bandwidth,
-        rolloff=rolloff,
     )
 
 
@@ -257,22 +251,6 @@ class MetricError:
     n_excluded: int
 
 
-@dataclass
-class ErrorReport:
-    """compare_streams output: per-metric errors on the reference timestamps."""
-
-    metrics: dict
-    timestamps: np.ndarray
-
-    def summary(self) -> dict:
-        """name -> NRMSE for every metric with a usable normalization."""
-        return {
-            name: m.nrmse
-            for name, m in self.metrics.items()
-            if not m.degenerate and m.n_samples > 0
-        }
-
-
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sin(x), np.cos(x))
 
@@ -289,16 +267,17 @@ def compare_streams(
     test,
     tx_power_dbm: float = 0.0,
     reference_series: dict | None = None,
-) -> ErrorReport:
+) -> dict[str, MetricError]:
     """Per-metric RMSE / NRMSE / error CDFs of a test stream against a
-    reference stream on identical timestamps.
+    reference stream on identical timestamps, as ``name -> MetricError``
+    in :data:`METRIC_NAMES` order.
 
     ``reference_series`` is ``metric_series(reference, tx_power_dbm)`` when
     the caller has it already, as a sweep does for its one reference.
 
     NRMSE divides the RMSE by the Q90-Q10 gap of the *reference* series; a
-    metric whose gap is below its degeneracy threshold is flagged and left
-    out of :meth:`ErrorReport.summary`.  The thresholds come from
+    metric whose gap is below its degeneracy threshold is flagged
+    ``degenerate`` and its NRMSE is NaN.  The thresholds come from
     :data:`DEGENERATE_GAPS`; a metric it does not name needs a gap of
     at least 1e-15.
     """
@@ -349,7 +328,7 @@ def compare_streams(
             n_samples=n,
             n_excluded=n_excluded,
         )
-    return ErrorReport(metrics=metrics, timestamps=t_ref)
+    return metrics
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Path rows shared by the tracers, the interpolator, and the writers.
 
 A path is identified by its *signature*: the ordered list of interaction
-kinds and the scene elements hosting them.  Two paths at different receiver
+kinds and the scene elements hosting them, one :func:`token` per interior
+vertex joined by ``|`` (``LOS`` for none).  Two paths at different receiver
 positions with equal signatures are the same physical path class, which is
-the matching rule used when tracking paths across keyframes.
+the matching rule used when tracking paths across keyframes, and the
+signature is the only record of a row's interactions.  This module owns
+that format: the tracers build their hosts' tokens once, and
+:func:`path_order` reads a row's interaction count back from it.
 
 Every path set is one :class:`PathRows` block, a struct of arrays: the
 specular tracer and the scatter engine return one per receiver, tracking
@@ -36,39 +40,30 @@ TAG_SCATTER = "scatter"
 LOS_SIGNATURE = "LOS"
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One interaction along a path: its kind and the scene element hosting
-    it.  Its location is the matching interior vertex of the path's
-    polyline."""
-
-    kind: str
-    object_id: int
-    element_id: int
-
-    def token(self) -> str:
-        return f"{self.kind}({self.object_id}:{self.element_id})"
+def token(kind: str, object_id: int, element_id: int) -> str:
+    """The signature token of one interaction: its kind and the scene
+    element hosting it."""
+    return f"{kind}({object_id}:{element_id})"
 
 
-def signature_of(interactions) -> str:
-    """Canonical signature string for an interaction sequence."""
-    if not interactions:
-        return LOS_SIGNATURE
-    return "|".join(rec.token() for rec in interactions)
+def signature_of(tokens) -> str:
+    """Canonical signature string for a sequence of interaction tokens."""
+    return "|".join(tokens) or LOS_SIGNATURE
 
 
 def path_order(rows: PathRows) -> np.ndarray:
     """The one row order: the stable permutation of ``rows`` that puts
     specular rows first, then sorts by interaction count, then by
     signature."""
-    keys = list(zip((rows.tag != TAG_SPECULAR).tolist(), map(len, rows.interactions), rows.signature.tolist()))
+    signatures = rows.signature.tolist()
+    counts = [0 if sig == LOS_SIGNATURE else sig.count("|") + 1 for sig in signatures]
+    keys = list(zip((rows.tag != TAG_SPECULAR).tolist(), counts, signatures))
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
 
 
 class PathRow(NamedTuple):
     """One row of a :class:`PathRows` block as plain values."""
 
-    interactions: tuple
     signature: str
     tag: str
     delay_s: float
@@ -90,8 +85,8 @@ class PathRows:
     """K paths as one struct-of-arrays block: a solve's paths at one
     receiver, or a snapshot's.
 
-    interactions, signature, tag : (K,) object arrays holding each row's
-        records (a tracked row's are its keyframe row's own, never rebuilt)
+    signature, tag : (K,) object arrays holding each row's records (a
+        tracked row's are its keyframe row's own, never rebuilt)
     delay_s, doppler_hz : (K,) floats
     aod, aoa : (K, 2) (azimuth, elevation) of the departure direction and of
         the arrival direction pointing from the receiver back toward the last
@@ -104,7 +99,6 @@ class PathRows:
     iterating a block reads its rows in order.
     """
 
-    interactions: np.ndarray
     signature: np.ndarray
     tag: np.ndarray
     delay_s: np.ndarray
@@ -116,16 +110,15 @@ class PathRows:
 
     @classmethod
     def from_polylines(
-        cls, interactions: list, signature: list, tag: str, vertices: np.ndarray, transfer: np.ndarray
+        cls, signature: list, tag: str, vertices: np.ndarray, transfer: np.ndarray
     ) -> PathRows:
         """The K paths along the (K, n, 3) ``vertices`` with the (K, 2, 2)
         ``transfer``, all tagged ``tag``: each delay is its polyline's length
         over C0, the angles come from :func:`path_angles`, and the Doppler is
-        0.  ``interactions`` and ``signature`` give one entry per row."""
+        0.  ``signature`` gives one entry per row."""
         n = len(vertices)
         az, el = path_angles(vertices)
         return cls(
-            interactions=_objects(interactions),
             signature=_objects(signature),
             tag=np.full(n, tag, dtype=object),
             delay_s=polyline_lengths(vertices) / C0,
@@ -139,14 +132,13 @@ class PathRows:
     @classmethod
     def empty(cls) -> PathRows:
         """A block of no rows."""
-        return cls.from_polylines([], [], TAG_SPECULAR, np.zeros((0, 2, 3)), np.zeros((0, 2, 2)))
+        return cls.from_polylines([], TAG_SPECULAR, np.zeros((0, 2, 3)), np.zeros((0, 2, 2)))
 
     def __len__(self) -> int:
         return len(self.delay_s)
 
     def __getitem__(self, k: int) -> PathRow:
         return PathRow(
-            self.interactions[k],
             self.signature[k],
             self.tag[k],
             float(self.delay_s[k]),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import CarrierConfig, spherical_basis
-from .rays import SCATTERING, TAG_SCATTER, Interaction, PathRows, signature_of
+from .rays import SCATTERING, TAG_SCATTER, PathRows, token
 from .scene import EPS_GEOM, CylinderScatterer, Scene
 
 
@@ -311,11 +311,9 @@ class ScatterEngine:
         # the scatterers in the row order of their echoes, which all carry
         # the scatter tag and one interaction: by signature, so S(10:0)
         # comes before S(9:0)
-        records = [(Interaction(kind=SCATTERING, object_id=s.id, element_id=0),) for s in scene.scatterers]
-        signatures = [signature_of(r) for r in records]
-        order = sorted(range(len(records)), key=signatures.__getitem__)
+        signatures = [token(SCATTERING, s.id, 0) for s in scene.scatterers]
+        order = sorted(range(len(signatures)), key=signatures.__getitem__)
         scatterers = [scene.scatterers[m] for m in order]
-        self._records = [records[m] for m in order]
         self._signatures = [signatures[m] for m in order]
         self._refs = np.array([s.reference_point for s in scatterers], dtype=float)
         self.counters = dict.fromkeys(SCATTER_COUNTERS, 0)
@@ -369,12 +367,6 @@ class ScatterEngine:
         verts[:, 0] = self.tx
         verts[:, 1] = self._refs[ref_of]
         verts[:, 2] = receivers[rx_of]
-        m = ref_of.tolist()
-        echoes = PathRows.from_polylines(
-            [self._records[k] for k in m],
-            [self._signatures[k] for k in m],
-            TAG_SCATTER,
-            verts,
-            transfers[rx_of, ref_of],
-        )
+        signatures = [self._signatures[k] for k in ref_of.tolist()]
+        echoes = PathRows.from_polylines(signatures, TAG_SCATTER, verts, transfers[rx_of, ref_of])
         return echoes.split(rx_of, n_rx)

@@ -21,14 +21,14 @@ family.  Then every family's clear candidates, less any whose geometry an
 earlier candidate of the same receiver already has, get their transfer
 matrices from one :func:`~railchan.em.compose_path_matrix` call per family;
 the power floor is an array mask over them, and each family's kept rows
-become one :class:`~railchan.rays.PathRows` block, interaction records and
-signatures built for them alone.  One stable row permutation puts every
+become one :class:`~railchan.rays.PathRows` block, each row's signature one
+join of its hosts' tokens.  One stable row permutation puts every
 receiver's rows in :func:`~railchan.rays.path_order`, and each receiver
-gets its own block of them.  A
-:class:`SpecularTracer` belongs to one transmitter and builds, at
-construction, the per-scene tables (second-order image-pair feasibility,
-wedge fronts and interaction records; zero-length when the scene has none)
-and everything the transmitter decides:
+gets its own block of them.  A :class:`SpecularTracer` belongs to one
+transmitter and builds, at construction, the per-scene tables
+(second-order image-pair feasibility, wedge fronts and the signature token
+of every facade and wedge host; zero-length when the scene has none) and
+everything the transmitter decides:
 
 * the facade images;
 * the wedges whose edge the transmitter sees from outside the wedge
@@ -59,13 +59,13 @@ import numpy as np
 from .em import CarrierConfig, compose_path_matrix
 from .rays import (
     EDGE_DIFFRACTION,
-    Interaction,
     PathRows,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
     TAG_SPECULAR,
     path_order,
     signature_of,
+    token,
 )
 from .scene import EPS_GEOM, Scene
 
@@ -195,13 +195,13 @@ class SpecularTracer:
         self._prepare_tables()
 
     def _prepare_tables(self):
-        """The scene's interaction records and wedge fronts, and the tables
-        of the transmitter the module docstring lists."""
+        """The scene's host tokens and wedge fronts, and the tables of the
+        transmitter the module docstring lists."""
         sc, tx = self.scene, self.tx
         facades = list(zip(sc.fac_object.tolist(), sc.fac_element.tolist()))
         wedges = list(zip(sc.wedge_object.tolist(), sc.wedge_element.tolist()))
-        self._records = {
-            kind: [Interaction(kind, o, e) for o, e in rows]
+        self._tokens = {
+            kind: [token(kind, o, e) for o, e in rows]
             for kind, rows in ((REFLECTION, facades), (ROOFTOP_DIFFRACTION, facades), (EDGE_DIFFRACTION, wedges))
         }
         d = sc.wedge_xy @ sc.fac_normal[:, :2].T - sc.fac_offset[None, :]
@@ -400,10 +400,10 @@ class SpecularTracer:
         :func:`~railchan.em.compose_path_matrix` call and one block per
         interaction sequence; de-duplication, the power floor and the row
         order stay per receiver, so each receiver gets the rows, bit for
-        bit, and the counts of a one-receiver call.  Records and signatures
-        are built for the kept rows only.  The receivers are checked in
-        order before any work, so a bad receiver raises the ValueError of
-        its one-receiver call.
+        bit, and the counts of a one-receiver call.  Signatures are joined
+        for the kept rows only.  The receivers are checked in order before
+        any work, so a bad receiver raises the ValueError of its
+        one-receiver call.
         """
         limits = limits or TraceLimits()
         rx = np.asarray(receivers, dtype=float)
@@ -455,11 +455,11 @@ class SpecularTracer:
         for verts, (kinds, hosts), owner in _unique_clear(families, clear):
             transfer = compose_path_matrix(verts, kinds, hosts, sc, self.carrier)
             kept = _above_floor(transfer, limits.power_floor_db)
-            records = [[self._records[kind][j] for j in idx[kept]] for kind, idx in zip(kinds, hosts)]
-            inters = list(zip(*records)) if records else [()] * int(kept.sum())
-            counts[_family_name(kinds)]["kept"] += len(inters)
-            signatures = list(map(signature_of, inters))
-            blocks.append(PathRows.from_polylines(inters, signatures, TAG_SPECULAR, verts[kept], transfer[kept]))
+            tokens = [[self._tokens[kind][j] for j in idx[kept].tolist()] for kind, idx in zip(kinds, hosts)]
+            n_kept = int(kept.sum())
+            counts[_family_name(kinds)]["kept"] += n_kept
+            signatures = list(map(signature_of, zip(*tokens))) if tokens else [signature_of(())] * n_kept
+            blocks.append(PathRows.from_polylines(signatures, TAG_SPECULAR, verts[kept], transfer[kept]))
             owners.append(owner[kept])
         rows = blocks[0].concat(*blocks[1:])
         owner = np.concatenate(owners)

@@ -459,9 +459,9 @@ def write_nrmse_csv(path, rows) -> None:
     )
 
     def cells():
-        for interval, report in rows:
+        for interval, errors in rows:
             for name in METRIC_NAMES:
-                m = report.metrics[name]
+                m = errors[name]
                 yield (interval, name, m.rmse, m.q10, m.q90, m.nrmse, m.degenerate, m.n_samples, m.n_excluded)
 
     _write_table(path, header, "%.17g,%s," + _floats(4) + ",%d,%d,%d" + _EOL, cells())
@@ -492,9 +492,9 @@ def write_error_cdf_csv(path, rows) -> None:
         "%.17g,%s,%d,%.17g" + _EOL,
         (
             (interval, name, level, value)
-            for interval, report in rows
+            for interval, errors in rows
             for name in METRIC_NAMES
-            for level, value in report.metrics[name].quantiles.items()
+            for level, value in errors[name].quantiles.items()
         ),
     )
 

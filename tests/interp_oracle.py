@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from path_oracle import RayPath, path_key
+from path_oracle import RayPath, interactions_of, path_key
 
 from railchan.dynamics import RAMP_FRACTION
 from railchan.em import C0
@@ -67,11 +67,12 @@ def _oracle_matched(pairs, t_a, t_b, times, rx_positions, rx_velocities, carrier
 def bracket_paths(bracket):
     """``(matched, births, deaths)`` of ``bracket`` as records: ``(row_a,
     row_b)`` pairs and ``(row, activation)`` pairs, each row a
-    ``RayPath`` with its keyframe row's own records, in bracket order."""
+    ``RayPath`` with the records its keyframe row's signature names, in
+    bracket order."""
 
     def path(rows, k):
         p = rows[k]
-        return RayPath(p.interactions, p.vertices, p.delay_s, p.aod, p.aoa, p.transfer, p.tag, p.doppler_hz)
+        return RayPath(interactions_of(p.signature), p.vertices, p.delay_s, p.aod, p.aoa, p.transfer, p.tag, p.doppler_hz)
 
     a, b = bracket.rows_a, bracket.rows_b
     matched = [(path(a, i), path(b, j)) for i, j in bracket.matched.tolist()]

@@ -1,38 +1,94 @@
 """The per-path record the solvers returned before their results became
 ``PathRows`` blocks, kept as the oracle of those blocks.
 
+``Interaction`` is the record of one interaction, its kind and the scene
+element hosting it, that a ``RayPath`` carries per interior vertex; its
+``token`` is the oracle of the tokens ``railchan.rays.token`` builds, and a
+path's ``signature`` joins them.
+
 ``RayPath`` is one path at one instant, built by ``RayPath.batch`` (a single
 path by ``RayPath.from_polyline``), so its delay and angles always follow
 from its vertices.  ``oracle_trace_lists`` is ``SpecularTracer.trace`` as it
 was with that record: the tracer's own families, occlusion rounds, rooftop
 family, de-duplication, composition and power floor, then one ``RayPath``
-per kept row and each receiver's list sorted by ``path_key``, the row order
-``rays.path_order`` gives a block.  ``rows_of`` turns such a list, or paths
-a test crafts, into a block; ``assert_same_rows`` checks a block against a
-list bit for bit.
+per kept row, its interactions read from the scene's host tables, and each
+receiver's list sorted by ``path_key``, the row order ``rays.path_order``
+gives a block.  ``rows_of`` turns such a list, or paths a test crafts, into
+a block; ``assert_same_rows`` checks a block against a list bit for bit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from railchan.em import compose_path_matrix
-from railchan.rays import C0, TAG_SPECULAR, PathRows, path_angles, polyline_lengths, signature_of
+from railchan.rays import (
+    C0,
+    EDGE_DIFFRACTION,
+    LOS_SIGNATURE,
+    TAG_SPECULAR,
+    PathRows,
+    path_angles,
+    polyline_lengths,
+)
 from railchan.specular import _above_floor, _clear_masks, _joined, _unique_clear, trace_rooftop
 
 FLOAT_COLUMNS = ("delay_s", "aod", "aoa", "doppler_hz", "transfer")
-RECORD_COLUMNS = ("interactions", "signature", "tag")
+RECORD_COLUMNS = ("signature", "tag")
+
+#: one token of a signature: kind, object id, element id
+_TOKEN = re.compile(r"([A-Z])\((-?\d+):(-?\d+)\)")
+
+
+@dataclass(frozen=True)
+class Interaction:
+    """One interaction along a path: its kind and the scene element hosting
+    it.  Its location is the matching interior vertex of the path's
+    polyline."""
+
+    kind: str
+    object_id: int
+    element_id: int
+
+    def token(self) -> str:
+        return f"{self.kind}({self.object_id}:{self.element_id})"
+
+
+def signature_of(interactions) -> str:
+    """Canonical signature string for an interaction sequence."""
+    if not interactions:
+        return LOS_SIGNATURE
+    return "|".join(rec.token() for rec in interactions)
+
+
+def interactions_of(signature: str) -> tuple[Interaction, ...]:
+    """The records ``signature`` names, in path order: the inverse of
+    :func:`signature_of`."""
+    if signature == LOS_SIGNATURE:
+        return ()
+    tokens = (_TOKEN.fullmatch(tok).groups() for tok in signature.split("|"))
+    return tuple(Interaction(kind, int(o), int(e)) for kind, o, e in tokens)
+
+
+def host_records(scene, kind: str) -> list[Interaction]:
+    """The record of every host of ``kind`` in the scene: each wedge for an
+    edge diffraction, each facade for a reflection or a rooftop edge."""
+    if kind == EDGE_DIFFRACTION:
+        hosts = zip(scene.wedge_object.tolist(), scene.wedge_element.tolist())
+    else:
+        hosts = zip(scene.fac_object.tolist(), scene.fac_element.tolist())
+    return [Interaction(kind, o, e) for o, e in hosts]
 
 
 @dataclass
 class RayPath:
     """One propagation path at a single (tx, rx) instant.
 
-    interactions : tuple of :class:`~railchan.rays.Interaction`, one per
-        interior vertex
+    interactions : tuple of :class:`Interaction`, one per interior vertex
     vertices : (N, 3) array, tx first, rx last
     transfer : 2x2 complex matrix, (V, H) in to (V, H) out
     aod / aoa : (azimuth, elevation) of the departure direction and of the
@@ -77,7 +133,7 @@ class RayPath:
 def path_key(p) -> tuple:
     """Sort key of the one row order: specular rows first, then by
     interaction count, then by signature."""
-    return (p.tag != TAG_SPECULAR, len(p.interactions), p.signature)
+    return (p.tag != TAG_SPECULAR, len(interactions_of(p.signature)), p.signature)
 
 
 def _objects(values: list) -> np.ndarray:
@@ -89,7 +145,6 @@ def rows_of(paths) -> PathRows:
     order, as one block, each row with its vertices."""
     n = len(paths)
     return PathRows(
-        interactions=_objects([p.interactions for p in paths]),
         signature=_objects([p.signature for p in paths]),
         tag=_objects([p.tag for p in paths]),
         delay_s=np.array([p.delay_s for p in paths], dtype=float),
@@ -141,7 +196,8 @@ def oracle_trace_lists(tracer, receivers, limits) -> list[list[RayPath]]:
         transfer = compose_path_matrix(verts, kinds, hosts, sc, tracer.carrier)
         kept = _above_floor(transfer, limits.power_floor_db)
         verts = verts[kept]
-        records = [[tracer._records[kind][j] for j in idx[kept]] for kind, idx in zip(kinds, hosts)]
+        tables = [host_records(sc, kind) for kind in kinds]
+        records = [[table[j] for j in idx[kept].tolist()] for table, idx in zip(tables, hosts)]
         n = len(verts)
         paths = RayPath.batch(
             list(zip(*records)) if records else [()] * n,

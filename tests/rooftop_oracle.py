@@ -8,10 +8,10 @@ is checked against it bit for bit.
 """
 
 import numpy as np
-from path_oracle import RayPath
+from path_oracle import Interaction, RayPath
 
 from railchan.em import compose_path_matrix
-from railchan.rays import ROOFTOP_DIFFRACTION, Interaction
+from railchan.rays import ROOFTOP_DIFFRACTION
 from railchan.scene import EPS_GEOM
 from railchan.specular import SpecularTracer, TraceLimits
 
@@ -60,7 +60,7 @@ def oracle_rooftop_path(scene, tx, rx, carrier):
 
 def rooftop_paths(paths):
     """The rooftop (K) paths among a solve's paths."""
-    return [p for p in paths if p.interactions and p.interactions[0].kind == ROOFTOP_DIFFRACTION]
+    return [p for p in paths if p.signature.startswith(ROOFTOP_DIFFRACTION + "(")]
 
 
 def traced_rooftop_path(scene, tx, rx, carrier, tracer=None, limits=ROOF_ONLY):

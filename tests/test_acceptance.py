@@ -19,7 +19,7 @@ import pytest
 
 from railchan.cli import main as cli_main
 from railchan.config import load_preset
-from railchan.dynamics import Trajectory, stream_snapshots
+from railchan.dynamics import StepSchedule, Trajectory, stream_snapshots
 from railchan.em import CarrierConfig
 from railchan.metrics import (
     compare_streams,
@@ -188,18 +188,19 @@ def test_04_two_wall_street_returns_five_paths_with_exact_lengths():
 # ----------------------------------------------------------------------
 # 5-7: keyframe interpolation on the bundled canyon
 # ----------------------------------------------------------------------
-def test_05_interpolated_snapshots_pin_to_exact_solves_at_keyframes(canyon_study):
+def test_05_interpolated_snapshots_pin_to_exact_solves_at_keyframes(canyon_study, canyon_cfg):
     reference = canyon_study["reference"]
     test = canyon_study["streams"][0.1][0]
-    ref_by_index = {s.index: s for s in reference.snapshots}
+    schedule = StepSchedule(canyon_cfg.update_step_s, 0.1, 0, canyon_cfg.duration_s)
+    assert len(test.snapshots) == len(reference.snapshots) == len(schedule.snapshots)
     n_paths = 0
     worst = 0.0
     n_kf = 0
-    for snap in test.snapshots:
-        if not snap.at_keyframe:
-            continue
+    for i in schedule.keyframes:
+        snap = test.snapshots[i]
         n_kf += 1
-        exact = ref_by_index[snap.index]
+        exact = reference.snapshots[i]
+        assert snap.timestamp == exact.timestamp
         by_sig_exact = {p.signature: p for p in exact.paths}
         by_sig_test = {p.signature: p for p in snap.paths}
         assert by_sig_exact.keys() == by_sig_test.keys(), (
@@ -228,8 +229,8 @@ def test_06_narrowband_power_error_grows_with_keyframe_interval(canyon_study, ca
     nrmse = {}
     for kf in SWEEP_INTERVALS:
         res = canyon_study["streams"][kf][0]
-        report = compare_streams(reference.snapshots, res.snapshots, canyon_cfg.tx_power_dbm)
-        nrmse[kf] = report.metrics["power_vv"].nrmse
+        errors = compare_streams(reference.snapshots, res.snapshots, canyon_cfg.tx_power_dbm)
+        nrmse[kf] = errors["power_vv"].nrmse
     values = [nrmse[kf] for kf in SWEEP_INTERVALS]
     pretty = ", ".join(f"{kf * 1e3:.0f} ms: {v:.4f}" for kf, v in nrmse.items())
     print(f"PASS 06 VV-power NRMSE by keyframe interval — {pretty}")
@@ -360,8 +361,8 @@ def test_09_metrics_match_brute_force_recomputation_from_csv(canyon_study, tmp_p
             worst = max(worst, rel)
             assert rel < 1e-9, f"{name} at snapshot {idx}: {have} vs brute {value}"
 
-    report = compare_streams(snapshots, snapshots, tx_power_dbm=0.0)
-    for name, metric in report.metrics.items():
+    errors = compare_streams(snapshots, snapshots, tx_power_dbm=0.0)
+    for name, metric in errors.items():
         if not metric.degenerate:
             assert metric.nrmse == 0.0, f"self-comparison NRMSE of {name} is {metric.nrmse}"
         assert metric.rmse == 0.0

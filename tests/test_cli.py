@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from path_oracle import RayPath, rows_of
+from path_oracle import Interaction, RayPath, rows_of
 
 import railchan
 import railchan.cli
@@ -26,7 +26,7 @@ import railchan.specular
 from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, ConfigError, load_preset, preset_path
 from railchan.dynamics import ChannelSnapshot
-from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR, Interaction
+from railchan.rays import SCATTERING, TAG_SCATTER, TAG_SPECULAR
 from railchan.scatter import ScatterEngine
 from railchan.scene import CylinderScatterer, Scene
 from railchan.specular import SpecularTracer
@@ -707,8 +707,8 @@ def test_scatter_summary_excess_delay_over_rows_with_a_specular_path():
 
     spec = path(100e-9, TAG_SPECULAR)
     echo = path(150e-9, TAG_SCATTER, (Interaction(SCATTERING, 7, 0),))
-    one = [ChannelSnapshot(0, 0.0, np.zeros(3), rows_of([spec, echo]), False)]
-    two = one + [ChannelSnapshot(1, 0.01, np.zeros(3), rows_of([echo]), False)]
+    one = [ChannelSnapshot(0.0, rows_of([spec, echo]))]
+    two = one + [ChannelSnapshot(0.01, rows_of([echo]))]
     for snaps in (one, two):
         (row,) = _scatter_summary(scene, snaps, 0.0)
         assert row["mean_excess_delay_ns"] == pytest.approx(50.0, rel=1e-12)
@@ -808,7 +808,7 @@ def test_cli_holds_no_copy_of_the_solve():
     # bench times the solve by the tracer's own timers: the CLI binds the
     # tracer and its stage names from railchan.specular, and none of the
     # solve's parts (its private helpers, trace_rooftop, compose_path_matrix)
-    shared = {"__builtins__", "annotations", "np", "time", "CarrierConfig", "EPS_GEOM"}
+    shared = {"__builtins__", "annotations", "np", "time", "CarrierConfig", "EPS_GEOM", "token"}
     solve = vars(railchan.specular)
     bound = {name for name, obj in vars(railchan.cli).items() if solve.get(name) is obj}
     assert bound - shared == {"SpecularTracer", "SOLVE_STAGES"}

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from interp_oracle import bracket_paths, oracle_interior
-from path_oracle import RayPath, path_key, rows_of
+from path_oracle import RayPath, interactions_of, path_key, rows_of
 
 from railchan import dynamics
 from railchan.config import load_preset
@@ -34,7 +34,7 @@ from railchan.dynamics import (
     track_interval,
 )
 from railchan.em import C0, CarrierConfig
-from railchan.rays import PathRows, norms, path_order, polyline_lengths
+from railchan.rays import LOS_SIGNATURE, PathRows, norms, path_order, polyline_lengths
 from railchan.scatter import ScatterEngine
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.specular import SpecularTracer, TraceLimits
@@ -189,11 +189,14 @@ class TestTrajectory:
 
 
 def keyframes(scene, traj, tx, kf_interval, update_step=None, limits=LOS_ONLY):
-    """The keyframe snapshots of a stream."""
-    res = stream_snapshots(
-        scene, traj, tx, F19, update_step=update_step or kf_interval, kf_interval=kf_interval, limits=limits
-    )
-    return [s for s in res.snapshots if s.at_keyframe]
+    """``(step, snapshot)`` of each keyframe of a stream, at the keyframe
+    steps of its :class:`StepSchedule`; the stream solves each of them
+    once."""
+    update_step = update_step or kf_interval
+    res = stream_snapshots(scene, traj, tx, F19, update_step=update_step, kf_interval=kf_interval, limits=limits)
+    steps = StepSchedule(update_step, kf_interval, 0, traj.duration).keyframes
+    assert res.counters["exact_solves"] == len(steps)
+    return [(i, res.snapshots[i]) for i in steps]
 
 
 class Keyframe(NamedTuple):
@@ -216,7 +219,7 @@ class TestKeyframes:
     def test_count_601(self):
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 4.5], [2000, 0, 4.5], V100, duration=60.0)
-        kfs = keyframes(scene, traj, np.array([0.0, 20.0, 20.5]), 0.1)
+        kfs = [snap for _, snap in keyframes(scene, traj, np.array([0.0, 20.0, 20.5]), 0.1)]
         assert len(kfs) == 601
         assert kfs[0].timestamp == 0.0
         assert kfs[-1].timestamp == 60.0
@@ -226,18 +229,19 @@ class TestKeyframes:
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 4.5], [100, 0, 4.5], 10.0, duration=1.05)
         kfs = keyframes(scene, traj, np.array([0.0, 20.0, 20.5]), 0.5, update_step=0.05)
-        assert [k.index for k in kfs] == [0, 10, 20, 21]
-        assert [k.timestamp for k in kfs] == pytest.approx([0.0, 0.5, 1.0, 1.05], abs=1e-12)
+        assert [i for i, _ in kfs] == [0, 10, 20, 21]
+        assert [k.timestamp for _, k in kfs] == pytest.approx([0.0, 0.5, 1.0, 1.05], abs=1e-12)
 
     def test_rx_positions_and_paths(self):
         scene = Scene(buildings=[])
         traj = straight_traj([10, 0, 4.5], [100, 0, 4.5], 10.0, duration=2.0)
         tx = np.array([0.0, 20.0, 20.5])
         kfs = keyframes(scene, traj, tx, 1.0)
-        for k in kfs:
-            np.testing.assert_array_equal(k.rx_position, traj.position(k.timestamp))
+        for _, k in kfs:
+            # the one path is the direct ray to the receiver at its time
             assert len(k.paths) == 1
             assert k.paths[0].signature == "LOS"
+            assert k.paths[0].delay_s == pytest.approx(np.linalg.norm(traj.position(k.timestamp) - tx) / C0, rel=1e-15)
 
 
 class TestMatch:
@@ -343,7 +347,7 @@ class TestInterpolateLoS:
     def test_vertex_count_mismatch_rejected(self):
         scene, tx, traj, br = self.make()
         pa, pb = matched_rows(br)
-        bent = RayPath.from_polyline(pb.interactions, np.insert(pb.vertices, 1, [0.0, 10.0, 5.0], axis=0), pb.transfer)
+        bent = RayPath.from_polyline(interactions_of(pb.signature), np.insert(pb.vertices, 1, [0.0, 10.0, 5.0], axis=0), pb.transfer)
         br = replace(br, rows_b=rows_of([bent]), matched=np.array([[br.matched[0, 0], 0]]))
         with pytest.raises(ValueError, match="cannot interpolate"):
             interpolate_bracket(br, [0.5], [traj.position(0.5)], [traj.velocity(0.5)], F19)
@@ -395,7 +399,7 @@ class TestBracketAgainstOracle:
                 want = sorted((w for w in want if w[2] is not None), key=lambda w: path_key(w[2]))
                 assert len(got) == len(want)
                 for p, (kind, entry, q) in zip(got, want):
-                    assert p.interactions is q.interactions
+                    assert p.signature == q.signature
                     assert p.tag == q.tag
                     for field in ("delay_s", "aod", "aoa", "doppler_hz", "transfer"):
                         assert _bits(getattr(p, field)) == _bits(getattr(q, field)), (field, q.signature, t)
@@ -430,11 +434,12 @@ class TestDoppler:
         traj = straight_traj([-40, 0, 2], [40, 0, 2], V100, duration=2.5)
         res = stream_snapshots(scene, traj, tx, F19, update_step=0.01, kf_interval=0.1, limits=LOS_ONLY)
         snaps = res.snapshots
+        keyframe_steps = StepSchedule(0.01, 0.1, 0, traj.duration).keyframes
         checked = 0
         for i in range(1, len(snaps) - 1):
             trio = [snaps[i - 1], snaps[i], snaps[i + 1]]
             # stay strictly inside one bracket
-            if any(s.at_keyframe for s in trio):
+            if any(j in keyframe_steps for j in (i - 1, i, i + 1)):
                 continue
             taus = [s.paths[0].delay_s for s in trio]
             numeric = -1.9e9 * (taus[2] - taus[0]) / 0.02
@@ -491,9 +496,10 @@ class TestStream:
         exact = stream_snapshots(scene, traj, tx, F19, update_step=0.02, kf_interval=0.02, limits=FULL)
         interp = stream_snapshots(scene, traj, tx, F19, update_step=0.02, kf_interval=0.1, limits=FULL)
         stride = 5
+        keyframe_steps = StepSchedule(0.02, 0.1, 0, traj.duration).keyframes
         for i in range(0, len(exact.snapshots), stride):
             se, si = exact.snapshots[i], interp.snapshots[i]
-            assert si.at_keyframe
+            assert i in keyframe_steps
             assert [p.signature for p in se.paths] == [p.signature for p in si.paths]
             for pe, pi in zip(se.paths, si.paths):
                 assert pe.delay_s == pi.delay_s
@@ -506,16 +512,14 @@ class TestStream:
         tx = np.array([0.0, 30.0, 10.0])
         kf_a, kf_b = tracked_keyframes(scene, traj, tx, 0.5, update_step=0.05, limits=FULL)[:2]
         bracket = track_interval(kf_a.timestamp, kf_a.paths, kf_b.timestamp, kf_b.paths, np.random.default_rng(0))
-        assert any(bracket.rows_a.interactions[bracket.matched[:, 0]])
+        assert any(sig != LOS_SIGNATURE for sig in bracket.rows_a.signature[bracket.matched[:, 0]])
         for i, j in bracket.matched.tolist():
             pa = bracket.rows_a[i]
             one = matched_bracket(bracket.t_a, bracket.t_b, bracket.rows_a, bracket.rows_b, (i, j))
             for t in (0.1, 0.25, 0.4):
                 p = interpolate_one(one, t, traj)
-                assert p.interactions is pa.interactions
                 assert p.signature is pa.signature
             p = interpolate_one(one, one.t_a, traj)
-            assert p.interactions is pa.interactions
             assert p.signature is pa.signature and p.tag == pa.tag
             assert p.delay_s == pa.delay_s
             assert (p.aod, p.aoa) == (pa.aod, pa.aoa)
@@ -654,10 +658,10 @@ class TestScatterModes:
             res = stream_snapshots(scene, traj, tx, F19, 0.05, 0.25, FULL, scatter_mode=mode)
             n_both = 0
             for snap in res.snapshots:
-                assert path_order(snap.paths).tolist() == list(range(len(snap.paths))), (mode, snap.index)
+                assert path_order(snap.paths).tolist() == list(range(len(snap.paths))), (mode, snap.timestamp)
                 tags = snap.paths.tag.tolist()
                 n_echoes = tags.count("scatter")
-                assert tags[len(tags) - n_echoes :] == ["scatter"] * n_echoes, (mode, snap.index)
+                assert tags[len(tags) - n_echoes :] == ["scatter"] * n_echoes, (mode, snap.timestamp)
                 n_both += snap.paths.signature.tolist()[-2:] == ["S(10:0)", "S(9:0)"]
                 assert len(set(snap.paths.signature[: len(tags) - n_echoes])) > 1
             assert n_both == len(res.snapshots), mode
@@ -678,10 +682,8 @@ def oracle_radial_doppler(path, rx_velocity, carrier):
 
 def snapshot_bits(snap):
     """Everything a snapshot carries, as comparable bytes and records."""
-    head = (snap.index, snap.at_keyframe, np.array([snap.timestamp, *snap.rx_position]).tobytes())
-    return head, [
+    return np.array([snap.timestamp]).tobytes(), [
         (
-            p.interactions,
             p.signature,
             p.tag,
             p.transfer.tobytes(),
@@ -702,7 +704,7 @@ class TestKeyframeDoppler:
         scene = cfg.load_scene()
         res = stream_snapshots(scene, traj, cfg.tx_position, carrier, cfg.update_step_s, cfg.update_step_s, cfg.limits)
         assert len(res.snapshots) == 201
-        rx = np.array([s.rx_position for s in res.snapshots])
+        rx = np.array([traj.position(s.timestamp) for s in res.snapshots])
         solved = SpecularTracer(scene, carrier, cfg.tx_position).trace(rx, cfg.limits)
         echoes = ScatterEngine(scene, carrier, cfg.tx_position).paths(rx)
         tags = set()
@@ -711,7 +713,7 @@ class TestKeyframeDoppler:
             paths = sorted(paths, key=path_key) + sorted(found, key=path_key)
             assert snap.paths.signature.tolist() == [p.signature for p in paths]
             want = np.array([oracle_radial_doppler(p, v, carrier) for p in paths])
-            assert snap.paths.doppler_hz.tobytes() == want.tobytes(), snap.index
+            assert snap.paths.doppler_hz.tobytes() == want.tobytes(), snap.timestamp
             tags.update(snap.paths.tag)
         assert tags == {"specular", "scatter"}
 

@@ -38,18 +38,16 @@ from railchan.em import (
 )
 from railchan.rays import (
     EDGE_DIFFRACTION,
-    Interaction,
     REFLECTION,
     ROOFTOP_DIFFRACTION,
     TAG_SPECULAR,
     PathRows,
     path_angles,
     polyline_lengths,
-    signature_of,
 )
 from railchan.scene import Building, Material, PEC, Scene
 from railchan.specular import SpecularTracer, TraceLimits, _clear_masks
-from path_oracle import RayPath
+from path_oracle import Interaction, RayPath, interactions_of, signature_of
 from rooftop_oracle import oracle_rooftop_path
 from test_specular import SMALL_SCENES, small_solves
 
@@ -509,7 +507,7 @@ class TestComposePathMatrix:
             Interaction(kind=REFLECTION, object_id=2, element_id=0),
         )
         rows = PathRows.from_polylines(
-            [inters], [signature_of(inters)], TAG_SPECULAR, vertices[None], np.eye(2, dtype=complex)[None]
+            [signature_of(inters)], TAG_SPECULAR, vertices[None], np.eye(2, dtype=complex)[None]
         )
         path = rows[0]
         length = float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
@@ -518,7 +516,7 @@ class TestComposePathMatrix:
         assert polyline_lengths(path.vertices) == length
         az, el = path_angles(vertices)
         assert path.aod == (az[0], el[0]) and path.aoa == (az[1], el[1])
-        assert path.interactions is inters and path.signature == "R(1:0)|R(2:0)"
+        assert path.signature == "R(1:0)|R(2:0)"
         assert path.doppler_hz == 0.0 and path.vertices.tobytes() == vertices.tobytes()
 
     def test_zero_length_segment_rejected(self):
@@ -780,7 +778,7 @@ def relative_error(got, want):
 def assert_matches_oracle(got, want):
     """Kept paths, their order, records and geometry bit for bit; transfers
     within WALKER_RTOL.  Returns the worst relative transfer difference."""
-    assert [p.interactions for p in got] == [p.interactions for p in want]
+    assert [interactions_of(p.signature) for p in got] == [p.interactions for p in want]
     worst = 0.0
     for p, q in zip(got, want):
         assert p.vertices.tobytes() == q.vertices.tobytes(), p.signature
@@ -809,7 +807,7 @@ class TestWalkerAgainstScalarOracle:
             rx = traj.position(i * cfg.update_step_s)
             (got,) = tracer.trace(rx[None], cfg.limits)
             assert_matches_oracle(got, oracle_trace(tracer, rx, cfg.limits))
-            kinds.update(tuple(r.kind for r in p.interactions) for p in got)
+            kinds.update(tuple(r.kind for r in interactions_of(p.signature)) for p in got)
         # every family the preset keeps, the rooftop path included
         assert {("D",), ("R", "R"), ("R", "D"), ("D", "R")} <= kinds
         assert any(k and k[0] == ROOFTOP_DIFFRACTION for k in kinds)

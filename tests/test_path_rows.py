@@ -19,15 +19,23 @@ repeat and add up.
 import numpy as np
 import pytest
 from interp_oracle import oracle_interior, oracle_snapshot
-from path_oracle import RayPath, assert_same_rows, oracle_trace_lists, rows_of
+from path_oracle import (
+    Interaction,
+    RayPath,
+    assert_same_rows,
+    host_records,
+    interactions_of,
+    oracle_trace_lists,
+    rows_of,
+)
 from preset_streams import preset_stream, pylon_window
 from test_scatter import oracle_echoes
 
 from railchan import dynamics
 from railchan.config import load_preset
-from railchan.dynamics import SOLVE_CHUNK, Bracket, interpolate_bracket
+from railchan.dynamics import SOLVE_CHUNK, Bracket, StepSchedule, interpolate_bracket
 from railchan.em import C0, CarrierConfig
-from railchan.rays import REFLECTION, SCATTERING, TAG_SCATTER, Interaction, path_order
+from railchan.rays import EDGE_DIFFRACTION, REFLECTION, ROOFTOP_DIFFRACTION, SCATTERING, TAG_SCATTER, path_order
 from railchan.scatter import ScatterEngine, mesh_cylinder
 from railchan.specular import SpecularTracer
 
@@ -50,6 +58,21 @@ def test_tracer_blocks_are_the_oracle_lists_bit_for_bit():
             assert_same_rows(rows, paths, vertices=True)
             n_rows += len(rows)
     assert n_rows > 10 * len(receivers)
+
+
+def test_every_host_token_is_the_oracle_token_on_the_preset():
+    # every facade and wedge of the tracer's tables and every pylon of the
+    # engine, hosts that no solved row reaches included
+    cfg = load_preset()
+    scene, carrier = cfg.load_scene(), CarrierConfig(cfg.carrier_hz)
+    tracer = SpecularTracer(scene, carrier, cfg.tx_position)
+    assert tracer._tokens.keys() == {REFLECTION, ROOFTOP_DIFFRACTION, EDGE_DIFFRACTION}
+    for kind, tokens in tracer._tokens.items():
+        want = [rec.token() for rec in host_records(scene, kind)]
+        assert tokens == want and len(want) == (scene.n_wedges if kind == EDGE_DIFFRACTION else scene.n_facades)
+    engine = ScatterEngine(scene, carrier, cfg.tx_position)
+    want = sorted(Interaction(SCATTERING, s.id, 0).token() for s in scene.scatterers)
+    assert engine._signatures == want and len(want) == len(scene.scatterers) > 1
 
 
 @pytest.mark.parametrize("scatter_mode", ["exact", "interpolated"])
@@ -98,10 +121,16 @@ def recorded_stream(request):
     return request.param, cfg, result, calls
 
 
+def stream_steps(cfg):
+    """The :class:`StepSchedule` of :func:`recorded_stream`'s stream."""
+    return StepSchedule(cfg.update_step_s, cfg.kf_interval_s, 0, 5.0)
+
+
 def test_interior_rows_are_the_oracle_bit_for_bit(recorded_stream):
     _, cfg, result, calls = recorded_stream
     assert len(calls) == 10
-    by_index = {s.index: s for s in result.snapshots}
+    schedule = stream_steps(cfg)
+    by_step = dict(zip(schedule.snapshots, result.snapshots))
     n_rows = n_held = 0
     for bracket, times, rx, v, carrier, got in calls:
         want = oracle_interior(bracket, times, rx, v, carrier)
@@ -110,12 +139,13 @@ def test_interior_rows_are_the_oracle_bit_for_bit(recorded_stream):
         for t, rows, paths in zip(times, got, want):
             ordered = oracle_snapshot(paths)
             assert_same_rows(rows, ordered)
-            # the records are the keyframe rows' own objects, none rebuilt
-            assert all(a is q.interactions for a, q in zip(rows.interactions, ordered))
+            # the signatures are the keyframe rows' own objects, none rebuilt
             assert all(id(sig) in carried for sig in rows.signature)
             # the stream's snapshot starts with these rows
-            snap = by_index[round(t / cfg.update_step_s)]
-            assert not snap.at_keyframe
+            step = round(t / cfg.update_step_s)
+            assert step not in schedule.keyframes
+            snap = by_step[step]
+            assert snap.timestamp == t
             head = snap.paths.take(slice(len(rows)))
             assert_same_rows(head, ordered)
             n_rows += len(rows)
@@ -127,6 +157,7 @@ def test_interior_rows_are_the_oracle_bit_for_bit(recorded_stream):
 def test_every_snapshot_in_the_stream_order_with_echo_tails(recorded_stream):
     mode, cfg, result, calls = recorded_stream
     step = cfg.update_step_s
+    schedule = stream_steps(cfg)
     interior = {}
     for bracket, times, rx, v, carrier, _ in calls:
         for t, paths in zip(times, oracle_interior(bracket, times, rx, v, carrier)):
@@ -136,16 +167,17 @@ def test_every_snapshot_in_the_stream_order_with_echo_tails(recorded_stream):
         carrier = CarrierConfig(cfg.carrier_hz)
         traj = cfg.trajectory()
         engine = ScatterEngine(cfg.load_scene(), carrier, cfg.tx_position)
-        found = engine.paths(np.array([s.rx_position for s in result.snapshots]))
-        for s, rows in zip(result.snapshots, found):
-            echoes[s.index] = [radial_doppler(p, traj.velocity(s.timestamp), carrier) for p in rows]
+        found = engine.paths(np.array([traj.position(s.timestamp) for s in result.snapshots]))
+        for i, s, rows in zip(schedule.snapshots, result.snapshots, found):
+            echoes[i] = [radial_doppler(p, traj.velocity(s.timestamp), carrier) for p in rows]
     n_tails = 0
-    for snap in result.snapshots:
-        assert path_order(snap.paths).tolist() == list(range(len(snap.paths))), snap.index
-        if snap.at_keyframe:
+    assert len(result.snapshots) == len(schedule.snapshots)
+    for i, snap in zip(schedule.snapshots, result.snapshots):
+        assert path_order(snap.paths).tolist() == list(range(len(snap.paths))), i
+        if i in schedule.keyframes:
             continue
-        assert_same_rows(snap.paths, oracle_snapshot(interior[snap.index], echoes.get(snap.index, ())))
-        n_tails += bool(echoes.get(snap.index))
+        assert_same_rows(snap.paths, oracle_snapshot(interior[i], echoes.get(i, ())))
+        n_tails += bool(echoes.get(i))
     assert len(interior) == len(result.snapshots) - 11
     assert (n_tails > 0) == (mode == "exact")
 
@@ -155,7 +187,7 @@ def radial_doppler(row, rx_velocity, carrier):
     segment's radial rate, worked out on its own."""
     u = row.vertices[-1] - row.vertices[-2]
     doppler = -carrier.frequency_hz * float(np.dot(u, rx_velocity)) / (float(np.linalg.norm(u)) * C0)
-    return RayPath(row.interactions, row.vertices, row.delay_s, row.aod, row.aoa, row.transfer, row.tag, doppler)
+    return RayPath(interactions_of(row.signature), row.vertices, row.delay_s, row.aod, row.aoa, row.transfer, row.tag, doppler)
 
 
 def crafted_bracket(t_a, t_b, matched, births, deaths):

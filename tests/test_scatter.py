@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from path_oracle import RayPath, path_key
+from path_oracle import Interaction, RayPath, path_key
 
 import railchan.scatter as scatter
 from railchan.config import load_preset
 from railchan.dynamics import SOLVE_CHUNK, Trajectory, stream_snapshots
 from railchan.em import C0, CarrierConfig, spherical_basis
-from railchan.rays import SCATTERING, TAG_SCATTER, Interaction, polyline_lengths
+from railchan.rays import SCATTERING, TAG_SCATTER, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.scatter import (
     ScatterEngine,
@@ -467,7 +467,7 @@ class TestChunkedAgainstOracle:
         meshes = [mesh_cylinder(s, carrier) for s in scene.scatterers]
         echoes = 0
         for snap in result.snapshots:
-            want, _ = oracle_echoes(scene, meshes, cfg.tx_position, snap.rx_position, carrier)
+            want, _ = oracle_echoes(scene, meshes, cfg.tx_position, traj.position(snap.timestamp), carrier)
             v = traj.velocity(snap.timestamp)
             u = [w.vertices[-1] - w.vertices[-2] for w in want]
             dopplers = [-carrier.frequency_hz * float(np.dot(d, v)) / (float(np.linalg.norm(d)) * C0) for d in u]

@@ -37,6 +37,7 @@ from railchan.scene import (
     load_scene,
 )
 from railchan.specular import SpecularTracer, _facade_crossing
+from path_oracle import interactions_of
 from placement_oracle import oracle_facade_crossings, oracle_segments_blocked, oracle_wedge_azimuths
 from rooftop_oracle import oracle_rooftop_path, traced_rooftop_path
 from test_specular import assert_same_paths
@@ -715,7 +716,7 @@ class TestPlacementRules:
             if 0 < t < 1 and 0 <= s < 1:
                 want.append((t, i, tx[:2] + t * (rx[:2] - tx[:2])))
         want.sort(key=lambda w: w[0])
-        assert [r.element_id for r in path.interactions] == [i for _, i, _ in want]
+        assert [r.element_id for r in interactions_of(path.signature)] == [i for _, i, _ in want]
         apexes = path.vertices[1:-1]
         np.testing.assert_allclose(apexes[:, :2], [x for _, _, x in want], rtol=0, atol=1e-9)
         assert (apexes[:, 2] == 12.0).all()

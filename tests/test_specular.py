@@ -19,6 +19,7 @@ from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diff
 from railchan.rays import EDGE_DIFFRACTION, LOS_SIGNATURE, REFLECTION, ROOFTOP_DIFFRACTION, path_order, polyline_lengths
 from railchan.scene import EPS_GEOM, Building, Material, Scene
 from railchan.specular import SOLVE_STAGES, SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
+from path_oracle import interactions_of
 from rooftop_oracle import oracle_rooftop_path, rooftop_paths, traced_rooftop_path
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
@@ -329,7 +330,7 @@ class TestRooftop:
         rx = np.array([50.0, 0.0, 5.0])
         path = traced_rooftop_path(scene, tx, rx, F19)
         assert path is not None
-        recs = path.interactions
+        recs = interactions_of(path.signature)
         assert len(recs) == 2
         assert all(r.kind == ROOFTOP_DIFFRACTION for r in recs)
         assert {r.element_id for r in recs} == {1, 3}  # near/far facade crossings
@@ -355,7 +356,7 @@ class TestRooftop:
         rx = np.array([70.0, 0.0, 5.0])
         path = traced_rooftop_path(scene, tx, rx, F19)
         assert path is not None
-        assert len(path.interactions) == 4
+        assert len(interactions_of(path.signature)) == 4
         # hand-computed per-edge loss: product of knife-edge factors with
         # neighbor-vertex geometry
         verts = path.vertices
@@ -550,7 +551,7 @@ def preset_solves():
 
 
 def assert_same_paths(got, want):
-    assert [p.interactions for p in got] == [p.interactions for p in want]
+    assert [p.signature for p in got] == [p.signature for p in want]
     for p, q in zip(got, want):
         assert p.vertices.tobytes() == q.vertices.tobytes(), p.signature
         assert p.transfer.tobytes() == q.transfer.tobytes(), p.signature
@@ -597,7 +598,7 @@ class TestStagedOcclusion:
         kinds = set()
         for rx in rx_list:
             paths = self.check_trace(monkeypatch, tracer, rx, limits)
-            kinds.update(tuple(r.kind for r in p.interactions) for p in paths)
+            kinds.update(tuple(r.kind for r in interactions_of(p.signature)) for p in paths)
         # the preset's solves keep D, RD and DR paths and the rooftop path
         assert {("D",), ("R", "D"), ("D", "R")} <= kinds
         assert any(k and k[0] == ROOFTOP_DIFFRACTION for k in kinds)
@@ -811,7 +812,7 @@ class TestTransmitterTables:
             got = solve(tracer, rx, cfg.limits)
             assert_same_paths(got, solve(oracle, rx, cfg.limits))
             self.check_first_segments(tracer, oracle, rx, cfg.limits)
-            kinds.update(tuple(r.kind for r in p.interactions) for p in got)
+            kinds.update(tuple(r.kind for r in interactions_of(p.signature)) for p in got)
         assert {("D",), ("R", "D"), ("D", "R")} <= kinds
         # the tables hold fewer candidates, and the same paths come out of them
         fam, ora = tracer.counters["families"], oracle.counters["families"]
@@ -958,7 +959,7 @@ def check_chunked(scene, carrier, tx, receivers, limits, chunk):
 
 
 def rooftop_edges(paths):
-    return [len(p.interactions) for p in rooftop_paths(paths)]
+    return [len(interactions_of(p.signature)) for p in rooftop_paths(paths)]
 
 
 class TestChunkedTrace:
@@ -969,7 +970,7 @@ class TestChunkedTrace:
         receivers = [traj.position(0.01 * i) for i in range(201)]
         got = check_chunked(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position, receivers, cfg.limits, chunk)
         # every family and a rooftop path at every receiver
-        kinds = {tuple(r.kind for r in p.interactions) for paths in got for p in paths}
+        kinds = {tuple(r.kind for r in interactions_of(p.signature)) for paths in got for p in paths}
         assert {("R", "R"), ("D",), ("R", "D"), ("D", "R")} <= kinds
         assert all(len(rooftop_edges(paths)) == 1 for paths in got)
 

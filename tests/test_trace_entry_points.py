@@ -11,7 +11,7 @@ from dataclasses import fields
 
 from test_benchmark_outputs import _perfbench_module
 
-from railchan.dynamics import StreamResult
+from railchan.dynamics import ChannelSnapshot, StreamResult
 
 tracing = _perfbench_module("tracing")
 
@@ -34,3 +34,9 @@ def test_every_entry_point_resolves_but_the_known_absent_one():
 def test_stream_result_keeps_the_fields_the_tracer_reads():
     names = {f.name for f in fields(StreamResult)}
     assert {"snapshots", "rt_invocations", "keyframe_seconds", "interpolation_seconds", "scatter_seconds"} <= names
+
+
+def test_channel_snapshot_keeps_the_fields_the_tracer_reads():
+    # the stream's observer counts the rows of each snapshot's ``paths``
+    names = {f.name for f in fields(ChannelSnapshot)}
+    assert {"timestamp", "paths"} <= names

@@ -17,7 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from path_oracle import RayPath, rows_of
+from path_oracle import Interaction, RayPath, interactions_of, rows_of
+from path_oracle import signature_of as oracle_signature_of
 from preset_streams import preset_stream, pylon_window
 
 from railchan.cli import _scatter_summary
@@ -37,9 +38,9 @@ from railchan.rays import (
     SCATTERING,
     TAG_SCATTER,
     TAG_SPECULAR,
-    Interaction,
     PathRows,
     signature_of,
+    token,
 )
 from railchan.traceio import (
     TRACE_COLUMNS,
@@ -156,9 +157,9 @@ def oracle_write_nrmse_csv(path, rows) -> None:
         w.writerow(
             ("kf_interval_s", "metric", "rmse", "q10", "q90", "nrmse", "degenerate", "n_samples", "n_excluded")
         )
-        for interval, report in rows:
+        for interval, errors in rows:
             for name in METRIC_NAMES:
-                m = report.metrics[name]
+                m = errors[name]
                 w.writerow(
                     (
                         _fmt(interval),
@@ -195,9 +196,9 @@ def oracle_write_error_cdf_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("kf_interval_s", "metric", "quantile_pct", "abs_error"))
-        for interval, report in rows:
+        for interval, errors in rows:
             for name in METRIC_NAMES:
-                for level, value in report.metrics[name].quantiles.items():
+                for level, value in errors[name].quantiles.items():
                     w.writerow((_fmt(interval), name, level, _fmt(value)))
 
 
@@ -293,10 +294,10 @@ def crafted_snapshots():
         tag = (TAG_SPECULAR, TAG_SCATTER)[k % 2]
         paths.append(_path(v[0], (v[1], v[2]), (v[3], v[4]), v[5], transfer, inter, tag))
     return [
-        ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.empty(), True),
-        ChannelSnapshot(1, 0.01, np.zeros(3), rows_of(paths), False),
-        ChannelSnapshot(2, -0.0, np.zeros(3), rows_of(paths[::-1]), False),
-        ChannelSnapshot(3, 1e308, np.zeros(3), PathRows.empty(), False),
+        ChannelSnapshot(0.0, PathRows.empty()),
+        ChannelSnapshot(0.01, rows_of(paths)),
+        ChannelSnapshot(-0.0, rows_of(paths[::-1])),
+        ChannelSnapshot(1e308, PathRows.empty()),
     ]
 
 
@@ -319,7 +320,7 @@ def test_trace_csv_matches_oracle_on_crafted_values(tmp_path):
 
 
 def test_trace_csv_without_paths(tmp_path):
-    snaps = [ChannelSnapshot(0, 0.0, np.zeros(3), PathRows.empty(), True)]
+    snaps = [ChannelSnapshot(0.0, PathRows.empty())]
     got = assert_same_bytes(tmp_path, write_trace_csv, oracle_write_trace_csv, snaps)
     assert got.read_bytes() == (",".join(TRACE_COLUMNS) + "\r\n").encode()
     assert_same_bytes(tmp_path, write_trace_csv, oracle_write_trace_csv, [])
@@ -368,9 +369,6 @@ def test_tvcir_csv_matches_oracle_on_crafted_values(tmp_path):
         delays=np.roll(vals, 1),
         amplitude=amp,
         scattered=np.zeros_like(amp),
-        pol_pair="vv",
-        bandwidth=1e8,
-        rolloff=0.95,
     )
     assert_same_bytes(tmp_path, write_tvcir_csv, oracle_write_tvcir_csv, cir)
     no_times = replace(cir, times=np.zeros(0), amplitude=np.zeros((len(vals), 0), dtype=complex))
@@ -415,7 +413,7 @@ def test_sweep_csvs_match_oracle(tmp_path, run_stream):
         (0.1, compare_streams(snaps, test, cfg.tx_power_dbm)),
         (0.5, compare_streams(snaps, snaps, 0.0)),
     ]
-    assert any(m.degenerate for _, r in rows for m in r.metrics.values())
+    assert any(m.degenerate for _, errors in rows for m in errors.values())
     assert_same_bytes(tmp_path, write_nrmse_csv, oracle_write_nrmse_csv, rows)
     assert_same_bytes(tmp_path, write_error_cdf_csv, oracle_write_error_cdf_csv, rows)
     timing = [
@@ -442,7 +440,8 @@ def test_signature_is_built_once_and_equals_signature_of(run_stream, pylon_strea
     paths += [p for s in crafted_snapshots() for p in s.paths]
     for p in paths:
         sig = p.signature
-        assert sig == signature_of(p.interactions)
+        # the records the signature names give it back in the oracle's format
+        assert oracle_signature_of(interactions_of(sig)) == sig
         assert p.signature is sig
 
 
@@ -460,6 +459,6 @@ def test_text_fields_need_no_quoting(run_stream, pylon_stream):
             for p in s.paths:
                 texts.update((p.signature, p.tag))
     # a signature is built from interaction kinds and integer ids only
-    texts.add(signature_of([Interaction(kind, -12, 345) for kind in KINDS]))
+    texts.add(signature_of([token(kind, -12, 345) for kind in KINDS]))
     bad = sorted(t for t in texts if not _plain(t))
     assert bad == []
