@@ -213,12 +213,21 @@ def _check_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: flo
     _check_antennas(cfg, scene, traj, sched.seconds(sched.keyframes), sched.seconds(scattered))
 
 
-def _stream_manifest(command: str, cfg: ScenarioConfig, result, wall: float, out: Path, names, **fields) -> dict:
+def _rss_mb() -> float:
+    """The process's peak RSS so far, its ``ru_maxrss`` high-water mark, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def _stream_manifest(
+    command: str, cfg: ScenarioConfig, result, wall: float, out: Path, names, rss_mb_after: dict, **fields
+) -> dict:
     """What a stream command reports: the command, the package version, the
     scenario echo, the scene's digest and the seed; the command's own
     ``fields``; the stream's deterministic ``counters`` apart from the
     ``timings_s`` of its layers and of the whole stream (``wall`` seconds);
-    the process's peak RSS; and the digests of the output files ``names``."""
+    the process's peak RSS, and ``rss_mb_after``, its high-water mark after
+    each stage of the command, by stage in stage order; and the digests of
+    the output files ``names``."""
     return {
         "command": command,
         "package_version": __version__,
@@ -235,7 +244,9 @@ def _stream_manifest(command: str, cfg: ScenarioConfig, result, wall: float, out
             "scatter": result.scatter_seconds,
             "total": wall,
         },
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        "peak_rss_mb": _rss_mb(),
+        # [stage, MB] pairs: the manifest's keys are sorted, the stages are not
+        "rss_mb_after": [[stage, mb] for stage, mb in rss_mb_after.items()],
         "outputs": {name: file_sha256(out / name) for name in names},
     }
 
@@ -267,15 +278,20 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     result = _run_stream(cfg, scene, traj, cfg.kf_interval_s)
     wall = time.perf_counter() - t0
+    rss = {"stream": _rss_mb()}
 
     ids = write_trace_csv(out / "trace.csv", result.snapshots)
+    rss["trace.csv"] = _rss_mb()
     timestamps = [s.timestamp for s in result.snapshots]
     series = metric_series(result.snapshots, cfg.tx_power_dbm)
+    rss["metrics"] = _rss_mb()
     write_metrics_csv(out / "metrics.csv", timestamps, series)
+    rss["metrics.csv"] = _rss_mb()
 
     n_rows = result.counters["rows"]
+    names = ["trace.csv", "metrics.csv"]
     manifest = _stream_manifest(
-        "run", cfg, result, wall, out, ["trace.csv", "metrics.csv"], n_path_rows=n_rows, n_distinct_paths=len(ids)
+        "run", cfg, result, wall, out, names, rss, n_path_rows=n_rows, n_distinct_paths=len(ids)
     )
     write_manifest(out / "manifest.json", manifest)
     print(
@@ -303,7 +319,9 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     reference = _run_stream(cfg, scene, traj, cfg.update_step_s)
     ref_wall = time.perf_counter() - t0
+    rss = {"stream": _rss_mb()}
     ref_series = metric_series(reference.snapshots, cfg.tx_power_dbm)
+    rss["metrics"] = _rss_mb()
 
     rows = []
     timing = []
@@ -324,9 +342,14 @@ def cmd_sweep(args) -> int:
             f"solves={test.rt_invocations}"
         )
 
+    # the swept streams and their comparisons with the reference
+    rss["sweep"] = _rss_mb()
     write_nrmse_csv(out / "nrmse.csv", rows)
+    rss["nrmse.csv"] = _rss_mb()
     write_timing_csv(out / "timing.csv", timing)
+    rss["timing.csv"] = _rss_mb()
     write_error_cdf_csv(out / "error_cdf.csv", rows)
+    rss["error_cdf.csv"] = _rss_mb()
     # the stream blocks report the reference stream
     manifest = _stream_manifest(
         "sweep",
@@ -335,6 +358,7 @@ def cmd_sweep(args) -> int:
         ref_wall,
         out,
         ["nrmse.csv", "timing.csv", "error_cdf.csv"],
+        rss,
         intervals_s=list(cfg.sweep_intervals_s),
         nrmse_vv_by_interval={"%g" % interval: errors["power_vv"].nrmse for interval, errors in rows},
     )
@@ -373,18 +397,21 @@ def cmd_scatter_study(args) -> int:
     t0 = time.perf_counter()
     result = _run_stream(cfg, scene, traj, cfg.kf_interval_s, start_step)
     wall = time.perf_counter() - t0
+    rss = {"stream": _rss_mb()}
 
     cir = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff, "vv")
+    rss["tvcir"] = _rss_mb()
     decomp = power_decomposition(result.snapshots, "vv", cfg.tx_power_dbm)
-
     summary = _scatter_summary(scene, result.snapshots, cfg.tx_power_dbm)
-
-    write_tvcir_csv(out / "tvcir_total.csv", cir)
-    write_tvcir_csv(out / "tvcir_scatter.csv", replace(cir, amplitude=cir.scattered))
-    write_power_split_csv(out / "power_split.csv", decomp)
-    write_scatter_summary_csv(out / "scatter_summary.csv", summary)
+    rss["power_split"] = _rss_mb()
 
     names = ["tvcir_total.csv", "tvcir_scatter.csv", "power_split.csv", "scatter_summary.csv"]
+    tables = [cir, replace(cir, amplitude=cir.scattered), decomp, summary]
+    writers = [write_tvcir_csv, write_tvcir_csv, write_power_split_csv, write_scatter_summary_csv]
+    for name, table, write in zip(names, tables, writers):
+        write(out / name, table)
+        rss[name] = _rss_mb()
+
     manifest = _stream_manifest(
         "scatter-study",
         cfg,
@@ -392,6 +419,7 @@ def cmd_scatter_study(args) -> int:
         wall,
         out,
         names,
+        rss,
         window_s=[w0, w1],
         specular_fraction=decomp.specular_fraction,
         scattered_fraction=decomp.scattered_fraction,
@@ -528,8 +556,18 @@ def cmd_bench(args) -> int:
             add_row(f"{stage}_solve", rep, len(rx_list), tracer.timings[stage])
 
     if scene.scatterers:
+        # the engine call per receiver, and the same seconds per live facet
+        # term the call summed
         engine = ScatterEngine(scene, carrier, cfg.tx_position)
-        timed("scatter_snapshot", len(rx_list), lambda: engine.paths(rx_list))
+        for rep in range(args.repeats):
+            terms = engine.counters["facet_terms"]
+            t0 = time.perf_counter()
+            engine.paths(rx_list)
+            el = time.perf_counter() - t0
+            add_row("scatter_snapshot", rep, len(rx_list), el)
+            terms = engine.counters["facet_terms"] - terms
+            if terms:
+                add_row("facet_term", rep, terms, el)
 
     # the stream's own interpolation time over the bracket's 9 interior snapshots
     for rep in range(args.repeats):

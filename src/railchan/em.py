@@ -68,21 +68,25 @@ class CarrierConfig:
         return _TWO_PI / self.wavelength
 
 
-def spherical_basis(directions) -> tuple[np.ndarray, np.ndarray]:
+def spherical_basis(directions, columns: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(theta_hat, phi_hat) of the global spherical frame at (..., 3) unit
-    directions, each (..., 3).
+    directions, each (..., 3); with ``columns``, at (3, ...) component-major
+    directions, each (3, ...).
 
     theta_hat points toward increasing polar angle (downward for horizontal
     directions), phi_hat toward increasing azimuth; theta_hat x phi_hat
     equals the direction.  At the poles the azimuth is taken as 0.
     """
     d = np.asarray(directions, dtype=float)
-    x, y, z = d[..., 0], d[..., 1], d[..., 2]
-    rho = np.hypot(x, y)
-    pole = ~(rho > 1e-12)
     theta_hat = np.empty(d.shape)
     phi_hat = np.empty(d.shape)
-    cos_phi, sin_phi = phi_hat[..., 1], phi_hat[..., 0]
+    # both forms are written through component-major views; a component is
+    # indexed [i, ...] so that a single direction gives 0-d views
+    dirs, theta, phi = (d, theta_hat, phi_hat) if columns else (d.T, theta_hat.T, phi_hat.T)
+    x, y, z = dirs[0, ...], dirs[1, ...], dirs[2, ...]
+    rho = np.hypot(x, y)
+    pole = ~(rho > 1e-12)
+    cos_phi, sin_phi = phi[1, ...], phi[0, ...]
     any_pole = np.any(pole)
     if any_pole:
         inv = np.where(pole, 1.0, rho)
@@ -91,15 +95,17 @@ def spherical_basis(directions) -> tuple[np.ndarray, np.ndarray]:
     else:
         np.divide(x, rho, out=cos_phi)
         np.divide(y, rho, out=sin_phi)
-    np.multiply(z, cos_phi, out=theta_hat[..., 0])
-    np.multiply(z, sin_phi, out=theta_hat[..., 1])
-    np.negative(rho, out=theta_hat[..., 2])
+    np.multiply(z, cos_phi, out=theta[0, ...])
+    np.multiply(z, sin_phi, out=theta[1, ...])
+    np.negative(rho, out=theta[2, ...])
     np.negative(sin_phi, out=sin_phi)
-    phi_hat[..., 2] = 0.0
+    phi[2, ...] = 0.0
     if any_pole:
-        theta_hat[pole] = 0.0
-        theta_hat[pole, 0] = np.sign(z[pole])
-        phi_hat[pole] = (0.0, 1.0, 0.0)
+        theta[0, ...][pole] = np.sign(z[pole])
+        theta[1, ...][pole] = 0.0
+        theta[2, ...][pole] = 0.0
+        sin_phi[pole] = 0.0
+        cos_phi[pole] = 1.0
     return theta_hat, phi_hat
 
 

@@ -15,8 +15,13 @@ the facets it lights at construction, and keeps its scatterers in the row
 order of their echoes; it takes many receivers per call: one occlusion
 query for all their direct legs, then one facet pass per mesh over the
 receivers, split under ``FACET_ROW_BUDGET``, and one row block per
-receiver.  The closed-form RCS oracles call :func:`po_scattered_matrix`,
-the one-receiver case of the same pass.
+receiver.  The pass is component-major: a mesh's lit facets are one
+(fields, lit facets) table, each pass forms its observer grid as
+(receivers, lit facets) planes of x, y and z, cuts the live entries with one
+``flatnonzero`` and gathers their facet fields with one ``take``, and every
+three-term dot is :func:`_dot`, which has ``np.einsum``'s bits.  The
+closed-form RCS oracles call :func:`po_scattered_matrix`, the one-receiver
+case of the same pass, on plate meshes as well as cylinders.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import CarrierConfig, spherical_basis
-from .rays import SCATTERING, TAG_SCATTER, PathRows, token
+from .rays import SCATTERING, TAG_SCATTER, PathRows, norms, token
 from .scene import EPS_GEOM, CylinderScatterer, Scene
 
 
@@ -132,35 +137,31 @@ def mesh_plate(
 # ----------------------------------------------------------------------
 # the facet sum
 # ----------------------------------------------------------------------
-#: receiver-by-facet rows one pass of the facet sum handles at most, so that
-#: each (rows, 3) temporary of a pass stays near 150 kB
+#: receiver-by-facet entries one pass of the facet sum handles at most, so
+#: that each (receivers, lit facets) plane of its observer grid, and each
+#: field row of what it gathers for the live entries, stays within 50 kB
 FACET_ROW_BUDGET = 6144
 
 
 @dataclass
 class _LitFacets:
     """The facets of one mesh that a source lights (``cos_i > 0``), cut from
-    the mesh in facet order, with everything of them the facet sum needs
-    that does not depend on the observer.
+    the mesh in facet order: everything of them the facet sum needs that does
+    not depend on the observer, as one float ``table`` of one row per field
+    and one column per lit facet, beside the complex column ``phase_over_r``,
+    exp(-jk r_i)/r_i.
 
-    ``half_kw``/``half_kh`` are 0.5 k width and 0.5 k height, ``sigma0`` is
-    4 pi (area / lambda)^2; ``phase_over_r`` is exp(-jk r_i)/r_i, and
-    ``mv``/``mh`` are the incident (V, H) basis vectors after the PEC mirror
-    rule E -> 2 (n.E) n - E.
+    ``table`` rows 0-5 are the centre and the normal, which the pass reads
+    for every receiver.  Rows 6-24 are the fields it gathers for the live
+    entries: the incident unit direction ki (3 rows); tan_u and tan_v, x, y
+    and z in turn, so that rows 9-14 are a (3, 2) component stack; 0.5 k
+    width and 0.5 k height; sigma0 = 4 pi (area / lambda)^2; cos_i; and mv
+    and mh, the incident (V, H) basis vectors after the PEC mirror rule
+    E -> 2 (n.E) n - E, stacked the same way.
     """
 
-    centers: np.ndarray
-    normals: np.ndarray
-    tan_u: np.ndarray
-    tan_v: np.ndarray
-    half_kw: np.ndarray
-    half_kh: np.ndarray
-    sigma0: np.ndarray
-    ki: np.ndarray
-    cos_i: np.ndarray
+    table: np.ndarray
     phase_over_r: np.ndarray
-    mv: np.ndarray
-    mh: np.ndarray
 
 
 def _lit_facets(mesh: FacetMesh, src: np.ndarray, carrier: CarrierConfig) -> _LitFacets:
@@ -172,58 +173,88 @@ def _lit_facets(mesh: FacetMesh, src: np.ndarray, carrier: CarrierConfig) -> _Li
     lit = cos_i > 0.0
     ki, r_i, nrm = ki[lit], r_i[lit], mesh.normals[lit]
     ev_i, eh_i = spherical_basis(ki)
-    return _LitFacets(
-        centers=mesh.centers[lit],
-        normals=nrm,
-        tan_u=mesh.tan_u[lit],
-        tan_v=mesh.tan_v[lit],
-        half_kw=0.5 * k * mesh.width[lit],
-        half_kh=0.5 * k * mesh.height[lit],
-        sigma0=4.0 * math.pi * (mesh.area[lit] / carrier.wavelength) ** 2,
-        ki=ki,
-        cos_i=cos_i[lit],
-        phase_over_r=np.exp(-1j * k * r_i) / r_i,
-        mv=2.0 * np.einsum("ij,ij->i", nrm, ev_i)[:, None] * nrm - ev_i,
-        mh=2.0 * np.einsum("ij,ij->i", nrm, eh_i)[:, None] * nrm - eh_i,
+    mv = 2.0 * np.einsum("ij,ij->i", nrm, ev_i)[:, None] * nrm - ev_i
+    mh = 2.0 * np.einsum("ij,ij->i", nrm, eh_i)[:, None] * nrm - eh_i
+    n_lit = len(ki)
+    table = np.vstack(
+        [
+            mesh.centers[lit].T,
+            nrm.T,
+            ki.T,
+            np.stack([mesh.tan_u[lit], mesh.tan_v[lit]], axis=2).reshape(n_lit, 6).T,
+            0.5 * k * mesh.width[lit],
+            0.5 * k * mesh.height[lit],
+            4.0 * math.pi * (mesh.area[lit] / carrier.wavelength) ** 2,
+            cos_i[lit],
+            np.stack([mv, mh], axis=2).reshape(n_lit, 6).T,
+        ]
     )
+    return _LitFacets(table=table, phase_over_r=np.exp(-1j * k * r_i) / r_i)
+
+
+def _dot(a, b, out=None) -> np.ndarray:
+    """The dot products of the broadcast (3, ...) component stacks ``a`` and
+    ``b``, bit for bit those of ``np.einsum("ij,ij->i")`` over C-contiguous
+    rows: the sum (a0 b0 + a2 b2) + a1 b1 in its order, plus the 0.0 of its
+    zeroed output, which turns a -0.0 sum into +0.0."""
+    out = np.multiply(a[0], b[0], out=out)
+    tmp = a[2] * b[2]
+    out += tmp
+    np.multiply(a[1], b[1], out=tmp)
+    out += tmp
+    out += 0.0
+    return out
 
 
 def _live_observer_terms(lit: _LitFacets, obs: np.ndarray):
-    """(f, counts, ks, r_s, cos_s) of the live (receiver, facet) entries of
-    the (s, 3) ``obs``, those with ``cos_s > 0``, receiver by receiver in
-    facet order: their lit-facet rows ``f``, the (s,) live counts, and the
-    unit directions, distances and cosines from the facet to the receiver."""
-    n_lit = len(lit.cos_i)
-    ks = obs[:, None, :] - lit.centers[None, :, :]
-    # np.linalg.norm's sum of squares in its order, without its reduction
-    # over an axis of 3
-    r_s = np.sqrt((ks[..., 0] * ks[..., 0] + ks[..., 1] * ks[..., 1]) + ks[..., 2] * ks[..., 2])
-    ks /= r_s[..., None]
-    cos_s = np.einsum("slj,lj->sl", ks, lit.normals)
-    at = np.flatnonzero(cos_s > 0.0)
-    counts = np.bincount(at // n_lit, minlength=len(obs))
-    # (rows, 3) gathers by take, several times faster than fancy indexing
-    return at % n_lit, counts, ks.reshape(-1, 3).take(at, axis=0), r_s.ravel()[at], cos_s.ravel()[at]
+    """(f, counts, live) of the live (receiver, facet) entries of the (s, 3)
+    ``obs``, those with ``cos_s > 0``, receiver by receiver in facet order:
+    their lit-facet columns ``f``, the (s,) live counts, and the (5, entries)
+    block of the unit direction (3 rows), the distance and the cosine from
+    the facet to the receiver."""
+    n_rx, n_lit = len(obs), lit.table.shape[1]
+    grid = np.empty((5, n_rx, n_lit))
+    ks = grid[:3]
+    np.subtract(obs.T[:, :, None], lit.table[:3, None, :], out=ks)
+    ks /= norms(ks.T, out=grid[3].T).T
+    visible = _dot(ks, lit.table[3:6, None, :], out=grid[4]) > 0.0
+    at = np.flatnonzero(visible)
+    counts = np.count_nonzero(visible, axis=1)
+    f = at - np.repeat(np.arange(0, n_rx * n_lit, n_lit), counts)
+    return f, counts, grid.reshape(5, -1).take(at, axis=1)
 
 
-def _amplitudes(lit: _LitFacets, f, ks, r_s, cos_s, carrier: CarrierConfig) -> np.ndarray:
-    """Scalar facet amplitudes of the live entries: plate RCS pattern,
-    spreading and phase on both legs."""
+def _amplitudes(fields: np.ndarray, live: np.ndarray, phase_over_r: np.ndarray, carrier: CarrierConfig) -> np.ndarray:
+    """Scalar facet amplitudes of the live entries, from their gathered
+    ``fields`` (rows 6-24 of the lit-facet table), their ``live`` observer
+    block and their ``phase_over_r``: plate RCS pattern, spreading and phase
+    on both legs.  Overwrites the incident direction and cos_i rows of
+    ``fields``."""
     lam = carrier.wavelength
     k = carrier.wavenumber
-    diff = lit.ki.take(f, axis=0)
-    diff -= ks
-    x_arg = lit.half_kw[f] * np.einsum("ij,ij->i", diff, lit.tan_u.take(f, axis=0))
-    y_arg = lit.half_kh[f] * np.einsum("ij,ij->i", diff, lit.tan_v.take(f, axis=0))
-    pattern = np.sinc(x_arg / math.pi) ** 2 * np.sinc(y_arg / math.pi) ** 2
-    sigma = lit.sigma0[f] * (0.5 * (lit.cos_i[f] + cos_s)) ** 2 * pattern
-    return (
-        (lam / (4.0 * math.pi))
-        * np.sqrt(sigma / (4.0 * math.pi))
-        / r_s
-        * np.exp(-1j * k * r_s)
-        * lit.phase_over_r[f]
-    )
+    r_s = live[3]
+    diff = np.subtract(fields[0:3], live[0:3], out=fields[0:3])
+    # (diff . tan_u, diff . tan_v), then the x and y pattern arguments
+    arg = _dot(diff[:, None], fields[3:9].reshape(3, 2, -1))
+    arg *= fields[9:11]
+    # np.sinc(arg / pi) ** 2, np.sinc's operations in place
+    arg /= math.pi
+    arg *= np.pi
+    arg[arg == 0.0] = np.finfo(float).eps
+    sinc = np.sin(arg)
+    sinc /= arg
+    sinc *= sinc
+    pattern = np.multiply(sinc[0], sinc[1], out=sinc[0])
+    sigma = np.add(fields[12], live[4], out=fields[12])
+    sigma *= 0.5
+    sigma *= sigma
+    sigma *= fields[11]
+    sigma *= pattern
+    sigma /= 4.0 * math.pi
+    amp = np.sqrt(sigma, out=sigma)
+    amp *= lam / (4.0 * math.pi)
+    amp /= r_s
+    return amp * np.exp(-1j * k * r_s) * phase_over_r
 
 
 def _facet_sums(lit: _LitFacets, receivers: np.ndarray, carrier: CarrierConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -235,32 +266,44 @@ def _facet_sums(lit: _LitFacets, receivers: np.ndarray, carrier: CarrierConfig) 
     (V, H) of the direction pointing from the receiver back toward each
     facet.  Polarization per facet follows the PEC mirror rule, which is
     symmetric and therefore reciprocal.  Each pass takes as many receivers
-    as ``FACET_ROW_BUDGET`` allows, forms their observer terms against every
-    lit facet, gathers the live entries, and sums each receiver's own
+    as ``FACET_ROW_BUDGET`` allows, forms their observer grid against every
+    lit facet component by component, gathers the live entries and their
+    facets' fields with one ``take`` each, and sums each receiver's own
     contiguous run of terms, in facet order.
     """
     n_rx = len(receivers)
     transfers = np.zeros((n_rx, 2, 2), dtype=complex)
-    live = np.zeros(n_rx, dtype=np.int64)
-    n_lit = len(lit.cos_i)
+    live_counts = np.zeros(n_rx, dtype=np.int64)
+    n_lit = lit.table.shape[1]
     if not n_lit:
-        return transfers, live
+        return transfers, live_counts
     per_pass = max(1, FACET_ROW_BUDGET // n_lit)
+    # every pass gathers its live entries' fields into one block of this
+    # call, since a fresh block of up to 1 MB per pass costs page faults on
+    # every pass; mode="clip" lets take write there without a buffer of its
+    # own, and every f is in range
+    gathered = lit.table[6:]
+    n_fields = len(gathered)
+    block = np.empty(n_fields * min(per_pass, n_rx) * n_lit)
     for s0 in range(0, n_rx, per_pass):
-        f, counts, ks, r_s, cos_s = _live_observer_terms(lit, receivers[s0 : s0 + per_pass])
-        amp = _amplitudes(lit, f, ks, r_s, cos_s, carrier)
-        bv, bh = spherical_basis(np.negative(ks, out=ks))
-        mv, mh = lit.mv.take(f, axis=0), lit.mh.take(f, axis=0)
-        terms = np.empty((4, len(f)), dtype=complex)
-        for row, (b, m) in enumerate(((bv, mv), (bv, mh), (bh, mv), (bh, mh))):
-            np.multiply(amp, np.einsum("ij,ij->i", b, m), out=terms[row])
+        f, counts, live = _live_observer_terms(lit, receivers[s0 : s0 + per_pass])
+        fields = block[: n_fields * len(f)].reshape(n_fields, -1)
+        gathered.take(f, axis=1, out=fields, mode="clip")
+        amp = _amplitudes(fields, live, lit.phase_over_r.take(f), carrier)
+        bv, bh = spherical_basis(np.negative(live[0:3], out=live[0:3]), columns=True)
+        # the (V, H) output rows against the (V, H) input columns
+        mvh = fields[13:19].reshape(3, 2, -1)
+        dots = np.empty((2, 2, len(f)))
+        _dot(bv[:, None], mvh, out=dots[0])
+        _dot(bh[:, None], mvh, out=dots[1])
+        terms = np.multiply(amp, dots.reshape(4, -1))
 
-        live[s0 : s0 + len(counts)] = counts
+        live_counts[s0 : s0 + len(counts)] = counts
         stop = np.cumsum(counts).tolist()
         for s, (a, b) in enumerate(zip([0] + stop[:-1], stop), start=s0):
             if b > a:
-                transfers[s] = np.sum(terms[:, a:b], axis=1).reshape(2, 2)
-    return transfers, live
+                np.sum(terms[:, a:b], axis=1, out=transfers[s].reshape(4))
+    return transfers, live_counts
 
 
 def inside_scatterers(scatterers: list, points) -> np.ndarray:

@@ -126,6 +126,19 @@ def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
         "scatter-study": (lambda out: window + ["--output-dir", str(out)], 2),
         "sweep": (lambda out: sweep + ["--output-dir", str(out)], 41),
     }
+    rss_stages = {
+        "run": ["stream", "trace.csv", "metrics", "metrics.csv"],
+        "scatter-study": [
+            "stream",
+            "tvcir",
+            "power_split",
+            "tvcir_total.csv",
+            "tvcir_scatter.csv",
+            "power_split.csv",
+            "scatter_summary.csv",
+        ],
+        "sweep": ["stream", "metrics", "sweep", "nrmse.csv", "timing.csv", "error_cdf.csv"],
+    }
     manifests_by_command = {}
     for command, (argv, solves) in commands.items():
         manifests = []
@@ -167,6 +180,12 @@ def test_run_manifest_counters_repeat_and_outputs_carry_no_timing(tmp_path):
         # the scatter engine's counters: exact scatter at every snapshot of
         # run and scatter-study, one leg per pylon for the transmitter and
         # per pylon and snapshot; sweep here runs with scatter off
+        # the RSS high-water mark after each stage, apart from the counters:
+        # it never falls, and the manifest's peak is read last
+        stages, values = zip(*a["rss_mb_after"])
+        assert list(stages) == rss_stages[command], command
+        values = list(values)
+        assert 0.0 < values[0] and values == sorted(values) and values[-1] <= a["peak_rss_mb"], command
         scatter = counters["scatter"]
         assert set(scatter) == {"snapshots", "legs_tested", "echoes", "facet_terms"}, command
         assert all(isinstance(v, int) for v in scatter.values()), command
@@ -755,6 +774,7 @@ def test_bench_outputs(tmp_path, monkeypatch):
         "compose_solve",
         "rooftop_solve",
         "scatter_snapshot",
+        "facet_term",
         "interpolate_snapshot",
         "metric_snapshot",
         "tvcir_snapshot",
@@ -798,6 +818,12 @@ def test_bench_outputs(tmp_path, monkeypatch):
         assert {r["units"] for r in rows if r["stage"] == stage} == {"11"}
     n_trace_rows = len(_read_csv(out / "trace.csv"))
     assert {r["units"] for r in rows if r["stage"] == "trace_csv_row"} == {str(n_trace_rows)}
+    # the facet_term rows time the scatter_snapshot calls per live facet term
+    # summed: the same seconds, the same terms in each repeat
+    calls = [r for r in rows if r["stage"] == "scatter_snapshot"]
+    terms = [r for r in rows if r["stage"] == "facet_term"]
+    assert [r["seconds"] for r in terms] == [r["seconds"] for r in calls]
+    assert len({r["units"] for r in terms}) == 1 and int(terms[0]["units"]) > 0
     # the TV-CIR writer stage times one unit per cell of tvcir.csv
     with open(out / "tvcir.csv", newline="") as fh:
         n_cells = sum(len(row) for row in list(csv.reader(fh))[1:])

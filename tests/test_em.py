@@ -343,6 +343,11 @@ class TestSphericalBasis:
         for g, w in zip(got, want):
             assert g.shape == w.shape == shape
             assert g.tobytes() == w.tobytes()
+        # the column form: (3, ...) component-major in and out
+        columns = spherical_basis(np.ascontiguousarray(np.moveaxis(d, -1, 0)), columns=True)
+        for g, w in zip(columns, want):
+            assert g.shape == np.moveaxis(w, -1, 0).shape
+            assert g.tobytes() == np.ascontiguousarray(np.moveaxis(w, -1, 0)).tobytes()
 
 
 def stacked_spherical_basis(directions):

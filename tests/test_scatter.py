@@ -27,6 +27,7 @@ from railchan.rays import SCATTERING, TAG_SCATTER, polyline_lengths
 from railchan.scene import Building, CylinderScatterer, Scene
 from railchan.scatter import (
     ScatterEngine,
+    _dot,
     _facet_sums,
     _lit_facets,
     mesh_cylinder,
@@ -498,6 +499,36 @@ class TestChunkedAgainstOracle:
             want, n_want = oracle_facet_sum(plate, src, o, F19)
             assert t.tobytes() == want.tobytes() and n == n_want
 
+        # tilted plates, whose facets are not vertical: the normal and tan_u
+        # have a z component.  The last observer of each sits straight above
+        # a facet centre, so the basis toward it takes the pole rule, and every
+        # other plate's source sits straight above one, so its incident basis
+        # does too
+        rng = np.random.default_rng(32)
+        poles = 0
+        for i in range(30):
+            normal = rng.normal(size=3)
+            normal[2] = abs(normal[2]) + 0.3
+            normal /= np.linalg.norm(normal)
+            tan_u = np.cross(normal, rng.normal(size=3))
+            tan_u /= np.linalg.norm(tan_u)
+            assert abs(normal[2]) > 0.1 and abs(tan_u[2]) > 1e-3
+            width, height = rng.uniform(0.5, 3.0, 2)
+            plate = mesh_plate(rng.normal(size=3), normal, tan_u, width, height, LAM / 2.0)
+            centers = plate.centers
+            if i % 2:
+                src = centers[rng.integers(len(centers))] + np.array([0.0, 0.0, 25.0])
+            else:
+                src = plate.reference_point + 40.0 * normal + rng.normal(scale=5.0, size=3)
+            above = centers[rng.integers(len(centers))] + np.array([0.0, 0.0, rng.uniform(2.0, 30.0)])
+            obs = np.vstack([plate.reference_point + rng.normal(scale=30.0, size=(6, 3)), above])
+            transfers, live = _facet_sums(_lit_facets(plate, src, F19), obs, F19)
+            for o, t, n in zip(obs, transfers, live):
+                want, n_want = oracle_facet_sum(plate, src, o, F19)
+                assert t.tobytes() == want.tobytes() and n == n_want
+            poles += live[-1] > 0
+        assert poles == 30
+
     def test_blocked_legs(self):
         # a block shadows pylon 2 from the transmitter, and the legs of the
         # receivers on the near row to pylons 1 and 3 for part of their run;
@@ -514,7 +545,7 @@ class TestChunkedAgainstOracle:
     def test_chunk_longer_than_the_row_budget(self, monkeypatch):
         scene = Scene(buildings=[], scatterers=[_pylon(1, 30.0, 20.0), _pylon(2, 70.0, 25.0)])
         tx = np.array([0.0, -30.0, 10.0])
-        n_lit = len(_lit_facets(mesh_cylinder(scene.scatterers[0], F19), tx, F19).cos_i)
+        n_lit = _lit_facets(mesh_cylinder(scene.scatterers[0], F19), tx, F19).table.shape[1]
         n_rx = 3 * (scatter.FACET_ROW_BUDGET // n_lit) + 1
         receivers = np.stack([np.linspace(-20.0, 120.0, n_rx), np.full(n_rx, 2.0), np.full(n_rx, 2.5)], axis=1)
         reference = ScatterEngine(scene, F19, tx).paths(receivers)
@@ -543,6 +574,78 @@ class TestChunkedAgainstOracle:
             engine.paths(np.array([-50.0, 0.0, 5.0]))
         with pytest.raises(ValueError, match="inside the scatterer"):
             engine.paths(np.array([[-50.0, 0.0, 5.0], [0.1, 0.0, 4.0]]))
+
+
+class TestDot:
+    """The pass's three-term dot, ``_dot``, gives the bits of
+    ``np.einsum("ij,ij->i")`` over the same rows held C-contiguous, as the
+    facet sum held them when it called einsum, the sign of a zero sum
+    included, and of the grid form ``np.einsum("slj,lj->sl")``."""
+
+    @staticmethod
+    def assert_einsum_bits(a, b):
+        want = np.einsum("ij,ij->i", np.ascontiguousarray(a), np.ascontiguousarray(b))
+        got = _dot(a.T, b.T)
+        assert got.tobytes() == want.tobytes()
+        got = np.empty(len(a))
+        assert _dot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T), out=got) is got
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-300, 1e-8, 1.0, 1e150):
+            a, b = rng.normal(size=(2, 20_000, 3)) * scale
+            self.assert_einsum_bits(a, b)
+
+    def test_preset_lit_facet_rows(self):
+        # every pair of 3-vector fields of the preset's lit-facet tables, and
+        # the unit directions from each facet to a receiver on the track
+        cfg = load_preset()
+        carrier = CarrierConfig(cfg.carrier_hz)
+        engine = ScatterEngine(cfg.load_scene(), carrier, cfg.tx_position)
+        rx = cfg.trajectory().position(20.5)
+        tables = [lit.table for lit in engine._lit if lit is not None]
+        assert tables
+        for table in tables:
+            ks = rx[:, None] - table[0:3]
+            ks /= np.linalg.norm(ks, axis=0)
+            vectors = [ks, table[3:6], table[6:9], table[9:15:2], table[10:15:2], table[19:25:2], table[20:25:2]]
+            for a in vectors:
+                for b in vectors:
+                    self.assert_einsum_bits(a.T, b.T)
+
+    def test_signed_zero_rows(self):
+        # every row of components from a set whose products include +0.0,
+        # -0.0 and underflows of either sign
+        values = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300])
+        grid = np.stack(np.meshgrid(*[values] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
+        a, b = grid[:, :3], grid[:, 3:]
+        self.assert_einsum_bits(a, b)
+        # rows where the bare sum is -0.0 and einsum's is +0.0
+        bare = (a[:, 0] * b[:, 0] + a[:, 2] * b[:, 2]) + a[:, 1] * b[:, 1]
+        assert np.any((bare == 0.0) & np.signbit(bare))
+        assert not np.any(np.signbit(np.einsum("ij,ij->i", a, b)[bare == 0.0]))
+
+    def test_grazing_rows(self):
+        # unit rows against rows all but orthogonal to them, where the sum
+        # cancels to a few ulps or to zero
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(20_000, 3))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b = np.cross(a, rng.normal(size=(20_000, 3)))
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        for eps in (0.0, 1e-17, 1e-12, -1e-9):
+            self.assert_einsum_bits(a, b + eps * a)
+        axis = np.eye(3)[rng.integers(3, size=20_000)]
+        self.assert_einsum_bits(axis, b)
+
+    def test_grid_form(self):
+        rng = np.random.default_rng(3)
+        ks = rng.normal(size=(4, 300, 3))
+        normals = rng.normal(size=(300, 3))
+        want = np.einsum("slj,lj->sl", ks, normals)
+        got = _dot(np.moveaxis(ks, -1, 0), normals.T[:, None, :])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestContainment:
