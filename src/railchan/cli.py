@@ -183,24 +183,22 @@ def _check_antennas(cfg: ScenarioConfig, scene, traj: Trajectory, solved, scatte
     ``scattered`` times, neither antenna may lie inside a scatterer body.
     """
     tx = cfg.tx_position
-    for t in solved:
-        rx = traj.position(t)
-        if scene.contains_point(rx):
-            raise ConfigError(
-                f"the receiver track at t = {t:g} s, {rx.tolist()}, lies inside a building of the scene"
-            )
-        if np.linalg.norm(rx - tx) < EPS_GEOM:
-            raise ConfigError(
-                f"the receiver track at t = {t:g} s, {rx.tolist()}, meets 'tx_position_m'"
-            )
+    rx = traj.position(solved)
+    # vecdot gives each row the bits np.linalg.norm gives a single vector
+    d = rx - tx
+    faults = np.stack([scene.contains_points(rx), np.sqrt(np.vecdot(d, d)) < EPS_GEOM])
+    if faults.any():
+        k = np.argmax(faults.any(axis=0))
+        fault = "lies inside a building of the scene" if faults[0, k] else "meets 'tx_position_m'"
+        raise ConfigError(f"the receiver track at t = {solved[k]:g} s, {rx[k].tolist()}, {fault}")
     if not scattered:
         return
-    antennas = [("'tx_position_m'", tx)]
-    antennas += [(f"the receiver track at t = {t:g} s", traj.position(t)) for t in scattered]
-    inside = np.argwhere(inside_scatterers(scene.scatterers, [p for _, p in antennas]))
+    antennas = np.concatenate([tx[None], traj.position(scattered)])
+    inside = np.argwhere(inside_scatterers(scene.scatterers, antennas))
     if len(inside):
-        (name, p), cyl = antennas[inside[0, 0]], scene.scatterers[inside[0, 1]]
-        raise ConfigError(f"{name}, {p.tolist()}, lies inside scatterer {cyl.id} of the scene")
+        k, m = inside[0]
+        name = f"the receiver track at t = {scattered[k - 1]:g} s" if k else "'tx_position_m'"
+        raise ConfigError(f"{name}, {antennas[k].tolist()}, lies inside scatterer {scene.scatterers[m].id} of the scene")
 
 
 def _check_stream(cfg: ScenarioConfig, scene, traj: Trajectory, kf_interval: float, start_step: int = 0) -> None:
@@ -437,52 +435,43 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
     """One row per scatterer: its path rows, the snapshots that see it, its
     mean power, and its mean delay past the earliest specular path, over the
     rows whose snapshot has a specular path.  Every scatter row is an
-    echo of one scatterer, whose token is its signature."""
-    scatterer_of = {token(SCATTERING, s.id, 0): s.id for s in scene.scatterers}
-    by_id: dict[int, dict] = {
-        s.id: {"rows": 0, "snaps": 0, "power_acc": 0.0, "excess_rows": 0, "excess_acc": 0.0}
-        for s in scene.scatterers
-    }
-    for snap in snapshots:
-        rows = snap.paths
-        scatter = rows.tag == TAG_SCATTER
-        spec_delays = rows.delay_s[~scatter]
-        base = float(spec_delays.min()) if len(spec_delays) else None
-        # each row's Frobenius-squared transfer power
-        powers = np.sum(np.abs(rows.transfer[scatter]) ** 2, axis=(1, 2))
-        seen: set[int] = set()
-        delays = rows.delay_s[scatter].tolist()
-        for sig, power, delay in zip(rows.signature[scatter].tolist(), powers.tolist(), delays):
-            sid = scatterer_of[sig]
-            acc = by_id[sid]
-            acc["rows"] += 1
-            acc["power_acc"] += power
-            if base is not None:
-                acc["excess_rows"] += 1
-                acc["excess_acc"] += (delay - base) * 1e9
-            seen.add(sid)
-        for sid in seen:
-            by_id[sid]["snaps"] += 1
-    rows = []
-    for s in scene.scatterers:
-        acc = by_id[s.id]
-        n = acc["rows"]
-        if n and acc["power_acc"] > 0:
-            mean_dbm = tx_power_dbm + 10.0 * np.log10(acc["power_acc"] / n)
-        else:
-            mean_dbm = -np.inf
-        rows.append(
-            {
-                "scatterer_id": s.id,
-                "n_path_rows": n,
-                "n_snapshots_visible": acc["snaps"],
-                "mean_power_dbm": mean_dbm,
-                "mean_excess_delay_ns": (
-                    acc["excess_acc"] / acc["excess_rows"] if acc["excess_rows"] else np.nan
-                ),
-            }
+    echo of one scatterer, whose token is its signature.
+
+    The scatter rows of every snapshot, in snapshot order, are one array
+    pass; ``np.bincount`` adds its weights in input order, so each sum has
+    the bits of adding the rows one by one."""
+    n = len(scene.scatterers)
+    scatterer = {token(SCATTERING, s.id, 0): j for j, s in enumerate(scene.scatterers)}
+    blocks = [snap.paths for snap in snapshots]
+    scatter = [rows.tag == TAG_SCATTER for rows in blocks]
+    signature = np.concatenate([rows.signature[m] for rows, m in zip(blocks, scatter)])
+    transfer = np.concatenate([rows.transfer[m] for rows, m in zip(blocks, scatter)])
+    delay = np.concatenate([rows.delay_s[m] for rows, m in zip(blocks, scatter)])
+    snap = np.repeat(np.arange(len(blocks)), np.array([m.sum() for m in scatter], dtype=np.intp))
+    col = np.fromiter(map(scatterer.__getitem__, signature), dtype=np.intp, count=len(signature))
+    # each row's Frobenius-squared transfer power
+    power = np.bincount(col, weights=np.sum(np.abs(transfer) ** 2, axis=(1, 2)), minlength=n)
+    count = np.bincount(col, minlength=n)
+    # each row's snapshot's earliest specular delay, inf without a specular path
+    base = np.array([rows.delay_s[~m].min(initial=np.inf) for rows, m in zip(blocks, scatter)])[snap]
+    spec = base < np.inf
+    excess = (delay[spec] - base[spec]) * 1e9
+    excess_sum = np.bincount(col[spec], weights=excess, minlength=n)
+    excess_rows = np.bincount(col[spec], minlength=n)
+    seen = np.zeros((len(blocks), n), dtype=bool)
+    seen[snap, col] = True
+    return [
+        {
+            "scatterer_id": s.id,
+            "n_path_rows": n_rows,
+            "n_snapshots_visible": n_snaps,
+            "mean_power_dbm": tx_power_dbm + 10.0 * np.log10(acc / n_rows) if n_rows and acc > 0 else -np.inf,
+            "mean_excess_delay_ns": ex_acc / ex_rows if ex_rows else np.nan,
+        }
+        for s, n_rows, n_snaps, acc, ex_rows, ex_acc in zip(
+            scene.scatterers, *(a.tolist() for a in (count, seen.sum(axis=0), power, excess_rows, excess_sum))
         )
-    return rows
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -501,10 +490,7 @@ def cmd_bench(args) -> int:
             f"bench needs a run of at least 10 update steps, got {n_steps}; raise --duration"
         )
 
-    t0 = time.perf_counter()
     scene = cfg.load_scene()
-    el = time.perf_counter() - t0
-
     traj = cfg.trajectory()
     fractions = (0.2, 0.35, 0.5, 0.65, 0.8)
     rx_times = [f * cfg.duration_s for f in fractions]
@@ -539,9 +525,9 @@ def cmd_bench(args) -> int:
             work()
             add_row(stage, rep, units, time.perf_counter() - t0)
 
-    add_row("scene_load", 0, 1, el)
+    timed("scene_load", 1, cfg.load_scene)
 
-    rx_list = np.array([traj.position(t) for t in rx_times])
+    rx_list = traj.position(rx_times)
     for rep in range(args.repeats):
         # a fresh tracer builds its scene's and its transmitter's tables, once
         # per stream; the solve's stages are the tracer's own timers over the

@@ -119,7 +119,7 @@ class ScenarioConfig:
         """The scene file, checked to leave the transmitter outside every
         building."""
         scene = load_scene_file(self.scene_path)
-        if scene.contains_point(self.tx_position):
+        if scene.contains_points(self.tx_position[None])[0]:
             raise ConfigError(
                 f"'tx_position_m' {self.tx_position.tolist()} lies inside a building of the scene"
             )

@@ -117,20 +117,27 @@ class Trajectory:
         self._seg_unit = seg / seg_len[:, None]
         self._cum_time = cum_time
 
-    def _segment(self, t: float) -> int:
-        if t < -_T_EPS or t > self.duration + _T_EPS:
-            raise ValueError(f"time {t} outside [0, {self.duration}]")
-        idx = int(np.searchsorted(self._cum_time, t, side="right")) - 1
-        return min(max(idx, 0), len(self._seg_unit) - 1)
+    def _segment(self, t: np.ndarray) -> np.ndarray:
+        """The polyline segment of each time of ``t``; a ValueError naming
+        the first time outside the track."""
+        outside = (t < -_T_EPS) | (t > self.duration + _T_EPS)
+        if outside.any():
+            raise ValueError(f"time {t[outside].flat[0]} outside [0, {self.duration}]")
+        idx = np.searchsorted(self._cum_time, t, side="right") - 1
+        return np.clip(idx, 0, len(self._seg_unit) - 1)
 
-    def position(self, t: float) -> np.ndarray:
+    def position(self, t) -> np.ndarray:
+        """The position at time ``t``, (3,), or at each of an array of
+        times, (..., 3)."""
+        t = np.asarray(t, dtype=float)
         idx = self._segment(t)
         local = (t - self._cum_time[idx]) * self.speed
-        return self.waypoints[idx] + self._seg_unit[idx] * local
+        return self.waypoints[idx] + self._seg_unit[idx] * local[..., None]
 
-    def velocity(self, t: float) -> np.ndarray:
-        """Velocity vector; right-continuous at waypoint corners."""
-        idx = self._segment(t)
+    def velocity(self, t) -> np.ndarray:
+        """Velocity vector at time ``t`` or at each of an array of times, as
+        :meth:`position`; right-continuous at waypoint corners."""
+        idx = self._segment(np.asarray(t, dtype=float))
         return self._seg_unit[idx] * self.speed
 
 
@@ -531,7 +538,7 @@ def stream_snapshots(
         for first in range(0, len(steps), SOLVE_CHUNK):
             t0 = time.perf_counter()
             chunk = steps[first : first + SOLVE_CHUNK]
-            rx = np.array([traj.position(t) for t in schedule.seconds(chunk)])
+            rx = traj.position(schedule.seconds(chunk))
             found = solve(rx)
             seconds[stage] += time.perf_counter() - t0
             yield from zip(chunk, found)
@@ -573,8 +580,7 @@ def stream_snapshots(
             t0 = time.perf_counter()
             steps = range(i_a + 1, i_b)
             times = schedule.seconds(steps)
-            rx = [traj.position(t) for t in times]
-            v = [traj.velocity(t) for t in times]
+            rx, v = traj.position(times), traj.velocity(times)
             bracket = track_interval(i_a * update_step, rows_a, i_b * update_step, rows_b, rng)
             interior = interpolate_bracket(bracket, times, rx, v, carrier)
             seconds["interpolation"] += time.perf_counter() - t0

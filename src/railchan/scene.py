@@ -19,7 +19,11 @@ tracers and the polarization walker index directly: the facade table
 (``fac_*``: frame, extent, plane and material of every facade) and the
 wedge table (``wedge_*``: position, height, local frame, exterior angle and
 o-face of every diffracting vertical edge).  An interaction's host is a row
-of one of them.
+of one of them.  Both are built from one array of every footprint vertex,
+building by building, and each footprint is checked on load by array tests.
+
+Every point query takes an array of points: :meth:`Scene.contains_points`
+answers "inside a building" for each.
 
 The scene also owns the two placement rules that the tracers, the occlusion
 kernel and the polarization walker share, so a ray grazing a facade, a
@@ -124,84 +128,42 @@ class CylinderScatterer:
         return self.base_center + np.array([0.0, 0.0, 0.5 * self.height])
 
 
-def _polygon_signed_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    """True when open segments (p1,p2) and (q1,q2) cross."""
-    d1 = _cross2(q2 - q1, p1 - q1)
-    d2 = _cross2(q2 - q1, p2 - q1)
-    d3 = _cross2(p2 - p1, q1 - p1)
-    d4 = _cross2(p2 - p1, q2 - p1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _check_simple_polygon(poly: np.ndarray, where: str) -> None:
+def _check_simple_polygon(poly: np.ndarray, where: str) -> float:
+    """The signed area of footprint ``poly``, a SceneError at its first
+    fault: fewer than 3 vertices, zero area, a vertex repeated by its
+    successor (the first by index), or two edges that are not adjacent and
+    cross (the first pair ``(i, j)``, ``i < j``, in order of ``i``, then of
+    ``j``).  Edge ``i`` runs from vertex ``i`` to its successor."""
     n = len(poly)
     if n < 3:
         raise SceneError(f"{where}: footprint needs at least 3 vertices, got {n}")
-    if abs(_polygon_signed_area(poly)) < EPS_GEOM**2:
+    # vertex k's successor, and edge k from vertex k to it, as columns
+    succ = poly[(np.arange(n) + 1) % n]
+    edge = succ - poly
+    (x, y), (xs, ys), (ex, ey) = poly.T, succ.T, edge.T
+    area = 0.5 * float(np.sum(x * ys - xs * y))
+    if abs(area) < EPS_GEOM**2:
         raise SceneError(f"{where}: footprint is degenerate (zero area)")
-    for i in range(n):
-        if np.linalg.norm(poly[(i + 1) % n] - poly[i]) < EPS_GEOM:
-            raise SceneError(f"{where}: repeated vertex at index {i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            # skip adjacent edges (they share an endpoint by construction)
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_properly_intersect(
-                poly[i], poly[(i + 1) % n], poly[j], poly[(j + 1) % n]
-            ):
-                raise SceneError(f"{where}: footprint self-intersects (edges {i} and {j})")
-
-
-def _wedge_rows(b: Building, first_facade: int) -> list[tuple]:
-    """Wedge-table rows of building ``b``, whose facade ``i`` has scene
-    index ``first_facade + i``: one row per convex footprint vertex.
-
-    A row is (point_xy, height, o_tangent, o_normal, n_index, o-face index,
-    object id, element id).  The edge is vertical.  Angles around it are
-    measured from the horizontal unit ``o_tangent`` rotating through
-    ``o_normal``; the n-face tangent then sits at the exterior angle
-    ``n_index * pi``.  The o-face is the adjacent facade with the lower
-    element id; both faces carry the building's material.
-    """
-    poly = b.footprint
-    nv = len(poly)
-    rows = []
-    for i in range(nv):
-        prev_v = poly[(i - 1) % nv]
-        this_v = poly[i]
-        next_v = poly[(i + 1) % nv]
-        e_in = this_v - prev_v
-        e_out = next_v - this_v
-        turn = _cross2(e_in, e_out)
-        if turn <= EPS_GEOM:
-            continue  # reflex or straight vertex: not a diffracting edge
-        cosang = float(np.dot(-e_in, e_out) / (np.linalg.norm(e_in) * np.linalg.norm(e_out)))
-        interior = math.acos(min(1.0, max(-1.0, cosang)))
-        n_index = 2.0 - interior / math.pi
-        # adjacent facades: facade (i-1) ends here, facade i starts here;
-        # the o-face is facade (i-1) except at vertex 0
-        if i > 0:
-            o_t = -(e_in / np.linalg.norm(e_in))
-            o_n = np.array([e_in[1], -e_in[0]]) / np.linalg.norm(e_in)
-            o_face = i - 1
-        else:
-            o_t = e_out / np.linalg.norm(e_out)
-            o_n = np.array([e_out[1], -e_out[0]]) / np.linalg.norm(e_out)
-            o_face = 0
-        rows.append(
-            (this_v, b.height, o_t, o_n, n_index, first_facade + o_face, b.id, b.edge_element_id(i))
-        )
-    return rows
+    # vecdot gives each row the bits np.linalg.norm gives a single vector
+    short = np.sqrt(np.vecdot(edge, edge)) < EPS_GEOM
+    if short.any():
+        raise SceneError(f"{where}: repeated vertex at index {int(np.argmax(short))}")
+    # edge pairs as an (i, j) grid, a block of rows i at a time so that a
+    # long footprint holds about 2**16 pairs at once; edges i and j cross
+    # when each separates the other's ends
+    j = np.arange(n)
+    rows = max(1, 2**16 // n)
+    for first in range(0, n, rows):
+        block = slice(first, first + rows)
+        xi, yi, xsi, ysi, exi, eyi = (c[block, None] for c in (x, y, xs, ys, ex, ey))
+        i = j[block, None]
+        cross = (ex * (yi - y) - ey * (xi - x) > 0) != (ex * (ysi - y) - ey * (xsi - x) > 0)
+        cross &= (exi * (y - yi) - eyi * (x - xi) > 0) != (exi * (ys - yi) - eyi * (xs - xi) > 0)
+        cross &= (j >= i + 2) & ((i > 0) | (j < n - 1))
+        if cross.any():
+            bi, bj = np.unravel_index(np.argmax(cross), cross.shape)
+            raise SceneError(f"{where}: footprint self-intersects (edges {first + bi} and {bj})")
+    return area
 
 
 @dataclass
@@ -224,92 +186,105 @@ class Scene:
     # precomputed flat geometry arrays
     # ------------------------------------------------------------------
     def _build_arrays(self):
-        origins, ends, dirs, lengths, heights, normals, offsets = [], [], [], [], [], [], []
-        materials, fac_object, fac_element = [], [], []
-        wedges = []
-        for b in self.buildings:
-            poly = b.footprint
-            nv = len(poly)
-            wedges.extend(_wedge_rows(b, len(origins)))
-            for i in range(nv):
-                v0, v1 = poly[i], poly[(i + 1) % nv]
-                edge = v1 - v0
-                length = float(np.linalg.norm(edge))
-                u = edge / length
-                origins.append([v0[0], v0[1], 0.0])
-                ends.append(v1)
-                dirs.append([u[0], u[1], 0.0])
-                lengths.append(length)
-                heights.append(b.height)
-                n = np.array([u[1], -u[0], 0.0])  # outward for CCW footprints
-                normals.append(n)
-                offsets.append(n[0] * v0[0] + n[1] * v0[1])
-                materials.append(b.material)
-                fac_object.append(b.id)
-                fac_element.append(i)
-        self.fac_origin = np.array(origins, dtype=float).reshape(-1, 3)
-        self.fac_dir = np.array(dirs, dtype=float).reshape(-1, 3)
-        self.fac_len = np.array(lengths, dtype=float)
-        self.fac_height = np.array(heights, dtype=float)
-        self.fac_normal = np.array(normals, dtype=float).reshape(-1, 3)
-        self.fac_offset = np.array(offsets, dtype=float)
-        self.fac_object = np.array(fac_object, dtype=np.intp)
-        self.fac_element = np.array(fac_element, dtype=np.intp)
-        self.n_facades = len(self.fac_len)
+        bs = self.buildings
+        counts = np.array([len(b.footprint) for b in bs], dtype=np.intp)
+        # the vertices of every footprint in one array, building by building,
+        # so each building owns the contiguous range [start[b], start[b+1]);
+        # facade f runs from vertex f to its successor
+        self._bldg_fac_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        xy = np.concatenate([b.footprint for b in bs] or [np.zeros((0, 2))]).astype(float)
+        f = np.arange(len(xy))
+        first = np.repeat(self._bldg_fac_start[:-1], counts)
+        stop = np.repeat(self._bldg_fac_start[1:], counts)
+        succ = np.where(f + 1 < stop, f + 1, first)
+        pred = np.where(f > first, f - 1, stop - 1)
+
+        edge = xy[succ] - xy
+        # vecdot gives each row the bits np.linalg.norm gives a single vector
+        length = np.sqrt(np.vecdot(edge, edge))
+        ux, uy = (edge / length[:, None]).T
+        nx, ny = uy, -ux  # outward for CCW footprints
+        zero = np.zeros(len(xy))
+        self.fac_origin = np.column_stack([xy, zero])
+        self.fac_dir = np.column_stack([ux, uy, zero])
+        self.fac_len = length
+        self._bldg_height = np.array([b.height for b in bs], dtype=float)
+        self.fac_height = np.repeat(self._bldg_height, counts)
+        self.fac_normal = np.column_stack([nx, ny, zero])
+        self.fac_offset = nx * xy[:, 0] + ny * xy[:, 1]
+        self.fac_object = np.repeat(np.array([b.id for b in bs], dtype=np.intp), counts)
+        self.fac_element = f - first
+        self.n_facades = len(xy)
         self.fac_od = np.einsum("ij,ij->i", self.fac_origin, self.fac_dir)
         # facades are vertical: the z of every normal and direction is +0.0,
         # so the placement rules read their x and y as contiguous columns
-        self.fac_nx, self.fac_ny = self.fac_normal[:, :2].T.copy()
-        self.fac_ux, self.fac_uy = self.fac_dir[:, :2].T.copy()
+        self.fac_nx, self.fac_ny = nx.copy(), ny.copy()
+        self.fac_ux, self.fac_uy = ux.copy(), uy.copy()
         # facade f is also footprint edge f, from fac_origin[f] to _fac_end[f]
-        self._fac_end = np.array(ends, dtype=float).reshape(-1, 2)
+        self._fac_end = xy[succ]
         # each facade carries its building's material
-        self.fac_eps_r = np.array([m.eps_r for m in materials], dtype=float)
-        self.fac_sigma = np.array([m.sigma for m in materials], dtype=float)
-        self.fac_pec = np.array([m.pec for m in materials], dtype=bool)
-        # the wedge table, one row per diffracting vertical edge (see _wedge_rows)
-        xy, height, o_t, o_n, n_index, face, obj, el = list(zip(*wedges)) or [()] * 8
-        self.wedge_xy = np.array(xy, dtype=float).reshape(-1, 2)
-        self.wedge_height = np.array(height, dtype=float)
-        self.wedge_o_tangent = np.array(o_t, dtype=float).reshape(-1, 2)
-        self.wedge_o_normal = np.array(o_n, dtype=float).reshape(-1, 2)
-        self.wedge_n_index = np.array(n_index, dtype=float)
-        self.wedge_face = np.array(face, dtype=np.intp)
-        self.wedge_object = np.array(obj, dtype=np.intp)
-        self.wedge_element = np.array(el, dtype=np.intp)
-        self.n_wedges = len(self.wedge_height)
-        # per-building extents for the occlusion kernel
-        bs = self.buildings
-        self._bldg_height = np.array([b.height for b in bs], dtype=float)
-        self._bldg_lo = np.array([b.footprint.min(axis=0) for b in bs], dtype=float).reshape(-1, 2)
-        self._bldg_hi = np.array([b.footprint.max(axis=0) for b in bs], dtype=float).reshape(-1, 2)
-        # facades are appended building by building, so each building owns the
-        # contiguous facade range [start[b], start[b+1])
-        counts = [len(b.footprint) for b in bs]
-        self._bldg_fac_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        materials = [b.material for b in bs]
+        self.fac_eps_r = np.repeat(np.array([m.eps_r for m in materials], dtype=float), counts)
+        self.fac_sigma = np.repeat(np.array([m.sigma for m in materials], dtype=float), counts)
+        self.fac_pec = np.repeat(np.array([m.pec for m in materials], dtype=bool), counts)
 
-    def contains_point(self, p: np.ndarray) -> bool:
-        """True when p is strictly inside some building volume.
+        # the wedge table: one row per convex vertex (a reflex or straight
+        # vertex does not diffract), its edge vertical between facade
+        # pred[w], which ends there, and facade w, which starts there.  Angles
+        # around it are measured from the horizontal unit o_tangent rotating
+        # through o_normal; the n-face tangent then sits at the exterior angle
+        # n_index * pi.  The o-face is the adjacent facade with the lower
+        # element id (facade pred[w], except at vertex 0); both faces carry
+        # the building's material
+        e_in, e_out = edge[pred], edge
+        w = np.flatnonzero(e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0] > EPS_GEOM)
+        cosang = np.vecdot(-e_in[w], e_out[w]) / (length[pred[w]] * length[w])
+        # math.acos, not np.arccos, whose bits differ on some angles
+        interior = np.array([math.acos(c) for c in np.clip(cosang, -1.0, 1.0).tolist()])
+        at_first = w == first[w]
+        face = np.where(at_first, w, pred[w])
+        self.wedge_xy = xy[w]
+        self.wedge_height = self.fac_height[w]
+        self.wedge_o_tangent = np.where(at_first[:, None], 1.0, -1.0) * self.fac_dir[face, :2]
+        self.wedge_o_normal = self.fac_normal[face, :2]
+        self.wedge_n_index = 2.0 - interior / math.pi
+        self.wedge_face = face
+        self.wedge_object = self.fac_object[w]
+        self.wedge_element = (stop - first + 1 + self.fac_element)[w]
+        self.n_wedges = len(w)
+
+        # per-building footprint extents for the occlusion kernel
+        self._bldg_lo = np.minimum.reduceat(xy, self._bldg_fac_start[:-1])
+        self._bldg_hi = np.maximum.reduceat(xy, self._bldg_fac_start[:-1])
+
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """True where a point of the (K, 3) ``points`` lies strictly inside
+        some building volume.
 
         A point within ``EPS_GEOM`` of a footprint boundary is not inside.
+        The (point, building) pairs whose heights and bounding boxes admit
+        the point are placed by :meth:`_classify_footprint`, on
+        ``SEGMENT_BLOCK`` points at a time, which bounds the pairs held.
         """
-        x, y, z = (float(v) for v in p)
-        bi = np.nonzero(
-            (z > -EPS_GEOM)
-            & (z < self._bldg_height - EPS_GEOM)
-            & self._near_footprint_bbox(x, y, np.arange(len(self.buildings)))
-        )[0]
-        if not len(bi):
-            return False
-        inside, on_boundary = self._classify_footprint(np.full(len(bi), x), np.full(len(bi), y), bi)
-        return bool(np.any(inside & ~on_boundary))
+        points = np.asarray(points, dtype=float)
+        out = np.zeros(len(points), dtype=bool)
+        for a in range(0, len(points), SEGMENT_BLOCK):
+            x, y, z = points[a : a + SEGMENT_BLOCK].T[:, :, None]  # each (P, 1)
+            k, bi = np.nonzero(
+                (z > -EPS_GEOM)
+                & (z < self._bldg_height - EPS_GEOM)
+                & self._near_footprint_bbox(x, y, slice(None))
+            )
+            inside, on_boundary = self._classify_footprint(x[k, 0], y[k, 0], bi)
+            out[a + k[inside & ~on_boundary]] = True
+        return out
 
     # ------------------------------------------------------------------
     # footprint classification
     # ------------------------------------------------------------------
-    def _near_footprint_bbox(self, x, y, bi: np.ndarray) -> np.ndarray:
+    def _near_footprint_bbox(self, x, y, bi) -> np.ndarray:
         """True where ``(x, y)`` lies within ``EPS_GEOM`` of the bounding box
-        of the footprint of building ``bi``."""
+        of the footprint of building ``bi`` (an index array or a slice)."""
         lo = self._bldg_lo[bi] - EPS_GEOM
         hi = self._bldg_hi[bi] + EPS_GEOM
         return (x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1])
@@ -329,7 +304,7 @@ class Scene:
         ``on_boundary`` marks points within ``EPS_GEOM`` of a footprint edge on
         either side.  This is the scene's one boundary convention: rooftop
         crossings count ``inside | on_boundary`` as a hit, while
-        :meth:`contains_point` counts only ``inside & ~on_boundary``.
+        :meth:`contains_points` counts only ``inside & ~on_boundary``.
         """
         rows, e = self._building_facades(bi)
         px, py = x[rows], y[rows]
@@ -596,8 +571,7 @@ def load_scene(text: str) -> Scene:
         if not isinstance(footprint, list) or not all(_is_point(v, 2) for v in footprint):
             raise SceneError(f"{where}: footprint must be a list of [x, y] pairs of finite numbers")
         poly = np.asarray(footprint, dtype=float)
-        _check_simple_polygon(poly, where)
-        if _polygon_signed_area(poly) < 0:
+        if _check_simple_polygon(poly, where) < 0:
             poly = poly[::-1].copy()  # normalize clockwise input
         height = _number(bobj["height"], "height", where)
         if height <= 0:

@@ -182,7 +182,7 @@ class SpecularTracer:
         tx = np.asarray(tx, dtype=float)
         if tx[2] < 0.0:
             raise ValueError("tx lies below the ground")
-        if scene.contains_point(tx):
+        if scene.contains_points(tx[None])[0]:
             raise ValueError("tx lies inside a building")
         self.scene = scene
         self.carrier = carrier
@@ -409,21 +409,20 @@ class SpecularTracer:
         rx = np.asarray(receivers, dtype=float)
         if rx.ndim != 2 or rx.shape[1] != 3:
             raise ValueError(f"receivers must be an (S, 3) array, got shape {rx.shape}")
-        for r in rx:
-            if np.linalg.norm(r - self.tx) < EPS_GEOM:
-                raise ValueError("tx and rx must be distinct points")
-            if r[2] < 0.0:
-                raise ValueError("rx lies below the ground")
-            if self.scene.contains_point(r):
-                raise ValueError("rx lies inside a building")
+        # each receiver's checks in the order of a one-receiver call; vecdot
+        # gives each row the bits np.linalg.norm gives a single vector
+        d = rx - self.tx
+        faults = np.stack([np.sqrt(np.vecdot(d, d)) < EPS_GEOM, rx[:, 2] < 0.0, self.scene.contains_points(rx)])
+        if faults.any():
+            s = np.argmax(faults.any(axis=0))
+            raise ValueError(_RX_FAULTS[np.argmax(faults[:, s])])
         if not len(rx):
             return []
         sc = self.scene
         marks = [time.perf_counter()]
         families = self.candidates(rx, limits)
         marks.append(time.perf_counter())
-        query = _CountedQuery(sc)
-        clear = _clear_masks(query, families)
+        clear, tested = _clear_masks(sc, families)
         marks.append(time.perf_counter())
         # the rooftop family, clear on round 0's blocked direct ray alone, as
         # one family per edge count
@@ -446,8 +445,8 @@ class SpecularTracer:
             count["generated"] += len(verts)
             count["clear"] += int(ok.sum())
         rounds = self.counters["occlusion_segments"]
-        rounds += [0] * (len(query.calls) - len(rounds))
-        for j, n in enumerate(query.calls):
+        rounds += [0] * (len(tested) - len(rounds))
+        for j, n in enumerate(tested):
             rounds[j] += n
 
         blocks = [PathRows.empty()]
@@ -515,9 +514,13 @@ CANDIDATE_BLOCK = 4
 #: ``compose`` runs from the distinct clear candidates to the ordered blocks
 SOLVE_STAGES = ("candidate", "occlusion", "rooftop", "compose")
 
+#: the faults of a receiver, in the order :meth:`SpecularTracer.trace` tests them
+_RX_FAULTS = ("tx and rx must be distinct points", "rx lies below the ground", "rx lies inside a building")
 
-def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
-    """Per family, the mask of the candidates whose every segment is clear.
+
+def _clear_masks(scene: Scene, families: list) -> tuple[list[np.ndarray], list[int]]:
+    """Per family, the mask of the candidates whose every segment is clear,
+    and the segments each occlusion round tested.
 
     Occlusion is tested in rounds, in path order: round ``j`` sends segment
     ``j`` (from the transmitter end) of every candidate still clear, across
@@ -528,30 +531,20 @@ def _clear_masks(scene: Scene, families: list) -> list[np.ndarray]:
     """
     verts = [family[0] for family in families]
     clear = [np.ones(len(v), dtype=bool) for v in verts]
+    tested = []
     for j in range(max(v.shape[1] for v in verts) - 1):
         rows = [(f, np.nonzero(clear[f])[0]) for f, v in enumerate(verts) if v.shape[1] > j + 1]
         counts = [len(k) for _, k in rows]
         if not sum(counts):
             break
+        tested.append(sum(counts))
         blocked = scene.segments_blocked(
             np.concatenate([verts[f][k, j] for f, k in rows]),
             np.concatenate([verts[f][k, j + 1] for f, k in rows]),
         )
         for (f, k), b in zip(rows, np.split(blocked, np.cumsum(counts)[:-1])):
             clear[f][k[b]] = False
-    return clear
-
-
-class _CountedQuery:
-    """A scene's occlusion query that records the segments of each call."""
-
-    def __init__(self, scene: Scene):
-        self.scene = scene
-        self.calls: list[int] = []
-
-    def segments_blocked(self, p, q):
-        self.calls.append(len(p))
-        return self.scene.segments_blocked(p, q)
+    return clear, tested
 
 
 def _unique_clear(families: list, clear: list) -> list:

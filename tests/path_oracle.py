@@ -179,7 +179,7 @@ def oracle_trace_lists(tracer, receivers, limits) -> list[list[RayPath]]:
     rx = np.asarray(receivers, dtype=float)
     sc = tracer.scene
     families = tracer.candidates(rx, limits)
-    clear = _clear_masks(sc, families)
+    clear, _ = _clear_masks(sc, families)
     if limits.rooftop:
         blocked = np.ones(len(rx), dtype=bool)
         blocked[families[0][2][clear[0]]] = False

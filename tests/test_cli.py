@@ -346,25 +346,26 @@ def test_bad_inputs_exit_2_before_output(tmp_path, monkeypatch, capsys, argv, me
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, first",
     [
-        ["run", "--duration", "0.05"],
-        ["run", "--duration", "1.0", "--kf-interval", "0.5"],
-        ["sweep", "--duration", "0.05"],
-        ["scatter-study", "--kf-interval", "0.5", "--window", "0.0:0.5"],
-        ["bench", "--duration", "0.5"],
+        (["run", "--duration", "0.05"], "t = 0.01 s, [0.2777777777777778, 18.0, 5.0]"),
+        (["run", "--duration", "1.0", "--kf-interval", "0.5"], "t = 0.5 s, [13.88888888888889, 18.0, 5.0]"),
+        (["sweep", "--duration", "0.05"], "t = 0.01 s, [0.2777777777777778, 18.0, 5.0]"),
+        (["scatter-study", "--kf-interval", "0.5", "--window", "0.0:0.5"], "t = 0.5 s, [13.88888888888889, 18.0, 5.0]"),
+        (["bench", "--duration", "0.5"], "t = 0.1 s, [2.777777777777778, 18.0, 5.0]"),
     ],
     ids=["run", "run_kf_0.5", "sweep", "scatter_study", "bench"],
 )
-def test_receiver_inside_building_exits_2_before_output(tmp_path, monkeypatch, capsys, argv):
+def test_receiver_inside_building_exits_2_before_output(tmp_path, monkeypatch, capsys, argv, first):
     # the track runs along y = 18 m, through building 0 (x 0-60 m, y 8-28 m,
-    # 12 m high); at t = 0 the receiver is on its wall, not inside
+    # 12 m high); at t = 0 the receiver is on its wall, not inside, so the
+    # message names the first time the command solves after it
     monkeypatch.chdir(tmp_path)
     raw = json.loads(preset_path(DEFAULT_PRESET, "config").read_text())
     raw["trajectory"]["waypoints_m"] = [[0.0, 18.0, 5.0], [1666.7, 18.0, 5.0]]
     (tmp_path / "rx_inside.json").write_text(json.dumps(raw))
     assert main(argv + ["--config", "rx_inside.json", "--output-dir", "out"]) == 2
-    assert "receiver track" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: the receiver track at {first}, lies inside a building of the scene\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -782,6 +783,7 @@ def test_bench_outputs(tmp_path, monkeypatch):
         "tvcir_csv_cell",
     } <= stages
     for stage in (
+        "scene_load",
         "tx_tables",
         "specular_trace",
         "candidate_solve",

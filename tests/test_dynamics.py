@@ -50,6 +50,21 @@ def straight_traj(p0, p1, speed, duration=None):
     return Trajectory(waypoints=np.array([p0, p1], dtype=float), speed=speed, duration=duration)
 
 
+def _oracle_segment(traj, t: float) -> int:
+    idx = int(np.searchsorted(traj._cum_time, t, side="right")) - 1
+    return min(max(idx, 0), len(traj._seg_unit) - 1)
+
+
+def oracle_position(traj, t: float) -> np.ndarray:
+    """``traj``'s position at the one time ``t``, a Python float."""
+    idx = _oracle_segment(traj, t)
+    return traj.waypoints[idx] + traj._seg_unit[idx] * ((t - traj._cum_time[idx]) * traj.speed)
+
+
+def oracle_velocity(traj, t: float) -> np.ndarray:
+    return traj._seg_unit[_oracle_segment(traj, t)] * traj.speed
+
+
 # ----------------------------------------------------------------------
 # scalar oracle of interpolate_bracket
 # ----------------------------------------------------------------------
@@ -163,10 +178,31 @@ class TestTrajectory:
 
     def test_domain_errors(self):
         traj = straight_traj([0, 0, 0], [100, 0, 0], 10.0, duration=5.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^time -0\.01 outside \[0, 5\.0\]$"):
             traj.position(-0.01)
-        with pytest.raises(ValueError):
-            traj.position(5.01)
+        with pytest.raises(ValueError, match=r"^time 5\.01 outside \[0, 5\.0\]$"):
+            traj.velocity(5.01)
+        # an array names its first time outside the track
+        for call in (traj.position, traj.velocity):
+            with pytest.raises(ValueError, match=r"^time 5\.02 outside \[0, 5\.0\]$"):
+                call([0.0, 5.02, -0.5, 6.0])
+
+    def test_times_as_an_array_are_the_per_time_rule(self):
+        # the 601 keyframe times of the full preset at kf 0.1 s, and a track
+        # with a corner at 2 s
+        cfg = load_preset()
+        traj = cfg.trajectory()
+        sched = StepSchedule(cfg.update_step_s, 0.1, 0, traj.duration)
+        times = sched.seconds(sched.keyframes)
+        assert len(times) == 601
+        corner = Trajectory(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 10.0, 1.0]]), speed=5.0)
+        for track, ts in ((traj, times), (corner, np.linspace(0.0, corner.duration, 97).tolist() + [2.0])):
+            got_p, got_v = track.position(ts), track.velocity(ts)
+            want_p = np.array([oracle_position(track, t) for t in ts])
+            want_v = np.array([oracle_velocity(track, t) for t in ts])
+            assert got_p.tobytes() == want_p.tobytes() and got_v.tobytes() == want_v.tobytes()
+            for t, p, v in zip(ts, want_p, want_v):
+                assert track.position(t).tobytes() == p.tobytes() and track.velocity(t).tobytes() == v.tobytes()
 
     def test_duration_longer_than_polyline_rejected(self):
         with pytest.raises(ValueError):

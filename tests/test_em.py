@@ -746,7 +746,7 @@ def oracle_trace(tracer, rx, limits):
     scene, carrier, tx = tracer.scene, tracer.carrier, tracer.tx
     rx = np.asarray(rx, dtype=float)
     families = tracer.candidates(rx[None], limits)
-    clear = _clear_masks(scene, families)
+    clear, _ = _clear_masks(scene, families)
     paths, seen = [], set()
     for (verts, (kinds, hosts), _), ok in zip(families, clear):
         for k in np.nonzero(ok)[0]:

@@ -6,7 +6,7 @@ every object, ``oracle_crossings``: a segment is blocked exactly when the
 oracle finds a crossing.  They run on random segments, on the segments of the
 specular tracer's occlusion rounds on the preset, and on rays aimed at roof
 edges, footprint corners and a wall shared by two touching buildings, where
-``contains_point`` must agree with them as well.  On scenes with rotated
+``contains_points`` must agree with them as well.  On scenes with rotated
 footprints, rays grazing facade edges, corners and roof lines must get one
 answer from the reflection generator's ``_facade_crossing`` and from
 ``segments_blocked``: both place a ray against a facade with
@@ -14,7 +14,10 @@ answer from the reflection generator's ``_facade_crossing`` and from
 facade and wedge vectors by columns, as two-term dots, and are checked bit
 for bit against the three-term ``einsum`` forms they replace
 (``placement_oracle``), the kernel's verdicts against a copy of the kernel
-that gathered (rows, 3) arrays.
+that gathered (rows, 3) arrays.  The facade, wedge and building tables, the
+footprint checks and ``contains_points`` are checked against the per-vertex
+and per-point builders they replace (``scene_oracle``): the same bits, the
+same first error and the same verdicts.
 """
 
 import json
@@ -31,15 +34,19 @@ from railchan.scene import (
     EPS_GEOM,
     Building,
     CylinderScatterer,
+    PEC,
+    SEGMENT_BLOCK,
     Material,
     Scene,
     SceneError,
+    _check_simple_polygon,
     load_scene,
 )
 from railchan.specular import SpecularTracer, _facade_crossing
 from path_oracle import interactions_of
 from placement_oracle import oracle_facade_crossings, oracle_segments_blocked, oracle_wedge_azimuths
 from rooftop_oracle import oracle_rooftop_path, traced_rooftop_path
+from scene_oracle import TABLES, oracle_check_simple_polygon, oracle_contains_point, oracle_tables
 from test_specular import assert_same_paths
 
 #: The object id under which ``oracle_crossings`` reports the ground.
@@ -308,7 +315,7 @@ class TestElementIds:
             n_tangent = math.cos(angle) * o_tangent + math.sin(angle) * o_normal
             assert abs(np.dot(o_tangent, n_tangent)) < 1e-12
             inward = scene.wedge_xy[w] + 0.5 * (o_tangent + n_tangent)
-            assert scene.contains_point(np.array([inward[0], inward[1], 1.0]))
+            assert scene.contains_points(np.array([[inward[0], inward[1], 1.0]]))[0]
 
     def test_o_face_is_lower_element_id(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
@@ -487,9 +494,10 @@ class TestSegmentsBlocked:
         bottom = np.column_stack([xy, np.full(len(xy), 1.0)])
         assert_agrees_with_oracle(block, top, bottom)
         blocked = block.segments_blocked(top, bottom)
+        contained = block.contains_points(bottom)
         for k, pt in enumerate(bottom):
             near = min(_boundary_distance(pt[:2], b.footprint) for b in block.buildings) <= EPS_GEOM
-            inside = block.contains_point(pt)
+            inside = contained[k]
             # a roof edge stops a ray; a point on a footprint boundary is not inside
             assert blocked[k] == (inside or near), pt
             assert not (inside and near), pt
@@ -868,11 +876,176 @@ class TestColumnRule:
         np.testing.assert_array_equal(exterior, want_exterior)
 
 
+def assert_tables_are_the_oracle(scene):
+    """Every table of ``scene`` holds the bits, dtype and shape of the
+    per-vertex builder's."""
+    want = oracle_tables(scene.buildings)
+    for name in TABLES:
+        got = getattr(scene, name)
+        assert (got.dtype, got.shape) == (want[name].dtype, want[name].shape), name
+        assert got.tobytes() == want[name].tobytes(), name
+    assert (scene.n_facades, scene.n_wedges) == (len(want["fac_len"]), len(want["wedge_n_index"]))
+
+
+def star(rng, center, n):
+    """A random star polygon of ``n`` vertices around ``center``, simple and
+    counterclockwise; about one vertex in five lies on the straight line
+    between its neighbours."""
+    angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    radius = rng.uniform(2.0, 25.0, n)
+    poly = np.asarray(center) + np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    straight = np.flatnonzero(rng.random(n) < 0.2)
+    mids = 0.5 * (poly[straight] + poly[(straight + 1) % n])
+    return np.insert(poly, straight + 1, mids, axis=0)
+
+
+class TestArrayTables:
+    """The tables built from one vertex array are the per-vertex builder's,
+    bit for bit."""
+
+    def test_preset(self):
+        assert_tables_are_the_oracle(load_preset().load_scene())
+
+    def test_clockwise_json_input(self):
+        ell = [[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]]
+        buildings = [
+            {"id": 1, "footprint": list(reversed(square(0, 0, 5))), "height": 3},
+            {"id": 2, "footprint": ell[::-1], "height": 7.5, "material": {"pec": True}},
+            {"id": 9, "footprint": [[20, 0], [23, 1], [21.5, 4]][::-1], "height": 2, "material": {"eps_r": 3.0}},
+        ]
+        scene = load_scene(json.dumps({"version": 1, "buildings": buildings}))
+        assert_tables_are_the_oracle(scene)
+        assert scene.fac_pec.tolist() == [False] * 4 + [True] * 6 + [False] * 3
+
+    @pytest.mark.parametrize("shift", range(6))
+    def test_l_shapes_with_the_reflex_vertex_anywhere(self, shift):
+        # vertex 3 of the L is reflex; rolled, it becomes vertex 0, 1, ...
+        ell = np.roll(np.array([[0, 0], [4, 0], [4, 2], [2, 2], [2, 4], [0, 4]], dtype=float), -shift, axis=0)
+        scene = make_scene([Building(id=1, footprint=ell, height=6.0), box(2, 20, 0, 3, 9)])
+        assert_tables_are_the_oracle(scene)
+        assert scene.n_wedges == 5 + 4
+        assert (3 - shift) % 6 + 7 not in scene.wedge_element[:5].tolist()
+
+    def test_shared_walls(self, block, town):
+        assert_tables_are_the_oracle(block)
+        assert_tables_are_the_oracle(town)
+
+    def test_no_buildings(self):
+        assert_tables_are_the_oracle(make_scene([]))
+
+    def test_random_star_polygons(self):
+        rng = np.random.default_rng(3301)
+        n_polygons = 0
+        for _ in range(150):
+            buildings = []
+            for bid in range(int(rng.integers(1, 5))):
+                poly = star(rng, rng.uniform(-300.0, 300.0, 2), int(rng.integers(3, 14)))
+                material = [Material(), PEC, Material(eps_r=rng.uniform(1.0, 9.0), sigma=rng.uniform(0.0, 1.0))][bid % 3]
+                height = rng.uniform(2.0, 60.0)
+                buildings.append(Building(id=8 * int(rng.integers(10**6)) + bid, footprint=poly, height=height, material=material))
+            n_polygons += len(buildings)
+            assert_tables_are_the_oracle(make_scene(buildings))
+        assert n_polygons >= 300
+
+
+def footprint_error(footprint) -> str:
+    with pytest.raises(SceneError) as err:
+        load_scene(json.dumps({"version": 1, "buildings": [{"id": 1, "footprint": footprint, "height": 3}]}))
+    return str(err.value)
+
+
+class TestFootprintChecks:
+    @pytest.mark.parametrize(
+        "footprint, message",
+        [
+            ([], "footprint needs at least 3 vertices, got 0"),
+            ([[0, 0], [1, 0]], "footprint needs at least 3 vertices, got 2"),
+            ([[0, 0], [1, 0], [3, 0]], "footprint is degenerate (zero area)"),
+            ([[0, 0], [2, 2], [2, 0], [0, 2]], "footprint is degenerate (zero area)"),
+            ([[0, 0], [4, 0], [4, 0], [4, 4], [0, 4]], "repeated vertex at index 1"),
+            ([[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]], "repeated vertex at index 4"),
+            ([[0, 0], [4, 0], [4, 3], [2, -1], [0, 3]], "footprint self-intersects (edges 0 and 2)"),
+            ([[0, 0], [4, 0], [4, 4], [2, 4], [2, -2], [1, -2], [1, 4], [0, 4]], "footprint self-intersects (edges 0 and 3)"),
+            ([[0, 0], [6, 0], [6, 6], [3, 6], [3, 7], [4, 7], [4, 5], [0, 5]], "footprint self-intersects (edges 2 and 5)"),
+        ],
+        ids=["empty", "two_vertices", "collinear", "bowtie", "repeated", "repeated_wrap", "crossed", "two_crossings", "notch"],
+    )
+    def test_message(self, footprint, message):
+        assert footprint_error(footprint) == f"buildings[0]: {message}"
+        with pytest.raises(SceneError) as want:
+            oracle_check_simple_polygon(np.asarray(footprint, dtype=float), "buildings[0]")
+        assert str(want.value) == f"buildings[0]: {message}"
+
+    def test_random_polygons_give_the_oracle_error(self):
+        # vertices in random order, most footprints crossing themselves, a
+        # few with repeated vertices, and some longer than one block of pairs
+        rng = np.random.default_rng(3302)
+        errors = set()
+        for k in range(400):
+            if k < 380:
+                n = int(rng.integers(3, 12))
+                poly = rng.integers(-6, 7, size=(n, 2)).astype(float) if k % 2 else rng.uniform(-10.0, 10.0, (n, 2))
+            else:
+                # a star of more than 256 vertices, two of them swapped
+                poly = star(rng, (0.0, 0.0), int(rng.integers(2**8 + 1, 400)))
+                i, j = rng.choice(len(poly), 2, replace=False)
+                poly[[i, j]] = poly[[j, i]]
+            try:
+                oracle_check_simple_polygon(poly, "w")
+            except SceneError as err:
+                want = str(err)
+            else:
+                want = None
+            try:
+                area = _check_simple_polygon(poly, "w")
+            except SceneError as err:
+                assert str(err) == want
+            else:
+                assert want is None
+                x, y = poly[:, 0], poly[:, 1]
+                assert area == 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+            errors.add(want.split(":")[1].split("(")[0].split(" at ")[0].strip() if want else None)
+        assert errors == {None, "footprint self-intersects", "repeated vertex", "footprint is degenerate"}
+
+
 class TestContainment:
-    def test_contains_point(self):
+    """``contains_points`` gives each point the verdict of placing it alone."""
+
+    def test_inside_above_beside_and_on_the_boundary(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])
-        assert scene.contains_point(np.array([0.0, 0.0, 5.0]))
-        assert not scene.contains_point(np.array([0.0, 0.0, 15.0]))
-        assert not scene.contains_point(np.array([20.0, 0.0, 5.0]))
-        # boundary points do not count as interior
-        assert not scene.contains_point(np.array([5.0, 0.0, 5.0]))
+        # inside; above the roof; beside the box; on its boundary, which
+        # does not count as interior
+        points = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 15.0], [20.0, 0.0, 5.0], [5.0, 0.0, 5.0]])
+        np.testing.assert_array_equal(scene.contains_points(points), [True, False, False, False])
+        assert scene.contains_points(np.zeros((0, 3))).shape == (0,)
+
+    def check(self, scene, points):
+        got = scene.contains_points(points)
+        want = [oracle_contains_point(scene, p) for p in points]
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_grazing_points(self, block):
+        # footprint corners and edge midpoints, nudged by 0.5 and 2 EPS_GEOM,
+        # at the ground, the roof lines and EPS_GEOM either side of them
+        xy = _boundary_samples(block)
+        heights = sorted({b.height for b in block.buildings})
+        zs = [0.0, -EPS_GEOM, EPS_GEOM, 4.0] + [h + d * EPS_GEOM for h in heights for d in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        points = np.array([[x, y, z] for z in zs for x, y in xy])
+        assert len(points) > 3 * SEGMENT_BLOCK
+        got = self.check(block, points)
+        assert 0 < got.sum() < len(points)
+
+    def test_random_points_in_a_town(self, town):
+        rng = np.random.default_rng(3303)
+        points = rng.uniform([-20.0, -20.0, -1.0], [330.0, 200.0, 35.0], size=(1000, 3))
+        got = self.check(town, points)
+        assert 0 < got.sum() < len(points)
+
+    def test_preset_track(self):
+        cfg = load_preset()
+        scene = cfg.load_scene()
+        rx = cfg.trajectory().position(np.linspace(0.0, cfg.duration_s, 301))
+        assert not self.check(scene, rx).any()
+        # the same track 13 m across, through the buildings beside it
+        assert self.check(scene, rx + [0.0, 13.0, 0.0]).any()

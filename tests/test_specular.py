@@ -7,6 +7,7 @@ computable in closed form.  The staged occlusion rounds are checked against
 segment of every candidate, as the tracer tested them before the rounds.
 """
 
+import itertools
 import math
 import time
 
@@ -103,6 +104,21 @@ class TestInputChecks:
         tracer = SpecularTracer(scene, F19, np.array(tx))
         with pytest.raises(ValueError, match=message):
             solve(tracer, np.array(rx), TraceLimits())
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_first_bad_receiver_of_a_chunk_names_its_fault(self, order):
+        # one receiver on the transmitter, one inside the box, one below the
+        # ground, after a good one, in every order
+        tx = np.array([-60.0, 0.0, 10.0])
+        bad = [
+            (tx, "tx and rx must be distinct points"),
+            ([0.0, 0.0, 5.0], "rx lies inside a building"),
+            ([50.0, 0.0, -1e-9], "rx lies below the ground"),
+        ]
+        receivers = np.array([[50.0, 0.0, 5.0], *(bad[k][0] for k in order)])
+        with pytest.raises(ValueError) as err:
+            SpecularTracer(Scene(buildings=[self.BOX]), F19, tx).trace(receivers)
+        assert str(err.value) == bad[order[0]][1]
 
 
 class TestSingleWall:
@@ -507,16 +523,18 @@ class TestStageTimers:
 # ----------------------------------------------------------------------
 def oracle_single_call_masks(scene, families):
     """Per family, the candidates whose every segment is clear, from one
-    ``segments_blocked`` call over every segment of every candidate."""
+    ``segments_blocked`` call over every segment of every candidate, and
+    that call's segment count as the one round's."""
     blocked = scene.segments_blocked(
         np.concatenate([v[:, :-1].reshape(-1, 3) for v, *_ in families]),
         np.concatenate([v[:, 1:].reshape(-1, 3) for v, *_ in families]),
     )
     ends = np.cumsum([v.shape[0] * (v.shape[1] - 1) for v, *_ in families])
-    return [
+    masks = [
         ~b.reshape(v.shape[0], v.shape[1] - 1).any(axis=1)
         for (v, *_), b in zip(families, np.split(blocked, ends[:-1]))
     ]
+    return masks, [len(blocked)]
 
 
 CORNER = Building(id=1, footprint=np.array([[0.0, 0.0], [30.0, 0.0], [30.0, 20.0], [0.0, 20.0]]), height=25.0)
@@ -564,8 +582,8 @@ def assert_same_paths(got, want):
 class TestStagedOcclusion:
     def check_masks(self, tracer, rx, limits):
         families = tracer.candidates(rx[None], limits)
-        got = _clear_masks(tracer.scene, families)
-        want = oracle_single_call_masks(tracer.scene, families)
+        got, _ = _clear_masks(tracer.scene, families)
+        want, _ = oracle_single_call_masks(tracer.scene, families)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
@@ -708,7 +726,7 @@ def random_transmitters(scene, rng, n):
             w = rng.integers(scene.n_wedges)
             off = rng.choice([-3, -1, 0, 1, 3], size=2) * EPS_GEOM + rng.uniform(-2.0, 2.0, size=2) * rng.integers(0, 2)
             p = np.array([*(scene.wedge_xy[w] + off), scene.wedge_height[w] + rng.integers(-2, 3) * EPS_GEOM])
-        if p[2] >= 0.0 and not scene.contains_point(p):
+        if p[2] >= 0.0 and not scene.contains_points(p[None])[0]:
             out.append(p)
     return out
 
@@ -998,7 +1016,7 @@ class TestChunkedTrace:
             receivers = [
                 r
                 for r in rx + np.array([[0.0, 0.0, 0.0], [3.0, -2.0, 1.0], [-5.0, 4.0, 0.5], [0.0, 0.0, 12.0]])
-                if not scene.contains_point(r) and np.linalg.norm(r - tx) > EPS_GEOM
+                if not scene.contains_points(r[None])[0] and np.linalg.norm(r - tx) > EPS_GEOM
             ]
             assert len(receivers) >= 3
             for limits in (TraceLimits(), TraceLimits(max_reflections=1), NO_DIFFRACTION):
@@ -1024,7 +1042,7 @@ class TestChunkedTrace:
         scene = cfg.load_scene()
         traj = cfg.trajectory()
         inside = np.array([*scene.buildings[3].footprint.mean(axis=0), 1.0])
-        assert scene.contains_point(inside)
+        assert scene.contains_points(inside[None])[0]
         receivers = np.array([traj.position(0.1 * i) for i in range(6)])
         receivers[3] = inside
         tracer = SpecularTracer(scene, CarrierConfig(cfg.carrier_hz), cfg.tx_position)
