@@ -39,7 +39,7 @@ snaps = stream_snapshots(
 ).snapshots
 print(f"{len(snaps)} snapshots over [{w0}, {w1}] s")
 
-cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
+cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff)
 mag = np.abs(cir.amplitude)  # (n_delays, n_times)
 peak = mag.max()
 
@@ -58,7 +58,7 @@ for d in range(hi - 1, lo - 1, -4):
         row += shades[len(shades) - 1 - level]
     print(f"{cir.delays[d] * 1e9:>7.0f} ns |{row}|")
 
-split = power_decomposition(snaps, "vv", cfg.tx_power_dbm)
+split = power_decomposition(snaps, cfg.tx_power_dbm)
 print(
     f"\nwindow-average power split: specular {split.specular_fraction * 100:.1f}%, "
     f"scattered {split.scattered_fraction * 100:.2f}% of the total"

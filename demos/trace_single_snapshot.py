@@ -37,11 +37,11 @@ print(f"t = {T_SECONDS:.2f} s, receiver at ({rx[0]:.1f}, {rx[1]:.1f}, {rx[2]:.1f
 print(f"{len(rows)} paths\n")
 print(f"{'signature':<42} {'delay ns':>9} {'gain dB':>8} {'AoA az':>7} {'AoA el':>7}")
 for k in np.argsort(rows.delay_s, kind="stable").tolist():
-    p = rows[k]
     gain = 10.0 * math.log10(power[k]) if power[k] > 0 else -math.inf
+    az, el = rows.aoa[k].tolist()
     print(
-        f"{p.signature:<42} {p.delay_s * 1e9:>9.1f} {gain:>8.1f} "
-        f"{math.degrees(p.aoa[0]):>6.1f}° {math.degrees(p.aoa[1]):>6.1f}°"
+        f"{rows.signature[k]:<42} {rows.delay_s[k] * 1e9:>9.1f} {gain:>8.1f} "
+        f"{math.degrees(az):>6.1f}° {math.degrees(el):>6.1f}°"
     )
 
 total = abs(rows.transfer[:, 0, 0].sum())

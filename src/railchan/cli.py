@@ -397,9 +397,9 @@ def cmd_scatter_study(args) -> int:
     wall = time.perf_counter() - t0
     rss = {"stream": _rss_mb()}
 
-    cir = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff, "vv")
+    cir = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff)
     rss["tvcir"] = _rss_mb()
-    decomp = power_decomposition(result.snapshots, "vv", cfg.tx_power_dbm)
+    decomp = power_decomposition(result.snapshots, cfg.tx_power_dbm)
     summary = _scatter_summary(scene, result.snapshots, cfg.tx_power_dbm)
     rss["power_split"] = _rss_mb()
 
@@ -431,11 +431,12 @@ def cmd_scatter_study(args) -> int:
     return 0
 
 
-def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
-    """One row per scatterer: its path rows, the snapshots that see it, its
-    mean power, and its mean delay past the earliest specular path, over the
-    rows whose snapshot has a specular path.  Every scatter row is an
-    echo of one scatterer, whose token is its signature.
+def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[tuple]:
+    """One row per scatterer in ``scatter_summary.csv`` column order: its id,
+    its path rows, the snapshots that see it, its mean power, and its mean
+    delay past the earliest specular path, over the rows whose snapshot has
+    a specular path.  Every scatter row is an echo of one scatterer, whose
+    token is its signature.
 
     The scatter rows of every snapshot, in snapshot order, are one array
     pass; ``np.bincount`` adds its weights in input order, so each sum has
@@ -461,13 +462,13 @@ def _scatter_summary(scene, snapshots, tx_power_dbm: float) -> list[dict]:
     seen = np.zeros((len(blocks), n), dtype=bool)
     seen[snap, col] = True
     return [
-        {
-            "scatterer_id": s.id,
-            "n_path_rows": n_rows,
-            "n_snapshots_visible": n_snaps,
-            "mean_power_dbm": tx_power_dbm + 10.0 * np.log10(acc / n_rows) if n_rows and acc > 0 else -np.inf,
-            "mean_excess_delay_ns": ex_acc / ex_rows if ex_rows else np.nan,
-        }
+        (
+            s.id,
+            n_rows,
+            n_snaps,
+            tx_power_dbm + 10.0 * np.log10(acc / n_rows) if n_rows and acc > 0 else -np.inf,
+            ex_acc / ex_rows if ex_rows else np.nan,
+        )
         for s, n_rows, n_snaps, acc, ex_rows, ex_acc in zip(
             scene.scatterers, *(a.tolist() for a in (count, seen.sum(axis=0), power, excess_rows, excess_sum))
         )
@@ -508,15 +509,8 @@ def cmd_bench(args) -> int:
     rows = []
 
     def add_row(stage: str, repeat: int, units: int, seconds: float) -> None:
-        rows.append(
-            {
-                "stage": stage,
-                "repeat": repeat,
-                "units": units,
-                "seconds": seconds,
-                "per_unit_ms": seconds / units * 1e3,
-            }
-        )
+        """One ``bench.csv`` row, its columns in order."""
+        rows.append((stage, repeat, units, seconds, seconds / units * 1e3))
 
     def timed(stage: str, units: int, work) -> None:
         """One ``stage`` row per repeat, timing ``work()``."""
@@ -565,16 +559,16 @@ def cmd_bench(args) -> int:
     snaps = stream.snapshots
     n_rows = max(1, stream.counters["rows"])
     timed("metric_snapshot", len(snaps), lambda: metric_series(snaps, cfg.tx_power_dbm))
-    timed("tvcir_snapshot", len(snaps), lambda: synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv"))
+    timed("tvcir_snapshot", len(snaps), lambda: synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff))
     timed("trace_csv_row", n_rows, lambda: write_trace_csv(out / "trace.csv", snaps))
-    cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
+    cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff)
     n_cells = len(cir.delays) * (1 + 2 * len(cir.times))
     timed("tvcir_csv_cell", n_cells, lambda: write_tvcir_csv(out / "tvcir.csv", cir))
 
     write_bench_csv(out / "bench.csv", rows)
     stages = {}
-    for r in rows:
-        stages.setdefault(r["stage"], []).append(r["per_unit_ms"])
+    for stage, *_, per_unit_ms in rows:
+        stages.setdefault(stage, []).append(per_unit_ms)
     for stage, vals in stages.items():
         print(f"{stage}: {min(vals):.3g} ms best of {len(vals)}")
     print(f"outputs in {out}")

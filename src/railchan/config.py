@@ -9,7 +9,7 @@ Unknown keys anywhere in the document are rejected rather than ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -141,12 +141,7 @@ class ScenarioConfig:
             "duration_s": self.duration_s,
             "update_step_s": self.update_step_s,
             "kf_interval_s": self.kf_interval_s,
-            "limits": {
-                "max_reflections": self.limits.max_reflections,
-                "max_vertical_diffractions": self.limits.max_vertical_diffractions,
-                "rooftop": self.limits.rooftop,
-                "power_floor_db": self.limits.power_floor_db,
-            },
+            "limits": asdict(self.limits),
             "scatter_mode": self.scatter_mode,
             "seed": self.seed,
             "bandwidth_hz": self.bandwidth_hz,

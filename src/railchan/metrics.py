@@ -25,8 +25,6 @@ import numpy as np
 
 from .rays import TAG_SCATTER, TAG_SPECULAR, PathRows
 
-_POL_INDEX = {"v": 0, "h": 1}
-
 #: error-CDF quantile table (percent)
 QUANTILE_LEVELS = (1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95, 99)
 
@@ -56,13 +54,6 @@ METRIC_NAMES = (
     "mean_doppler",
     "doppler_spread",
 )
-
-
-def _pol_entry(pol_pair: str) -> tuple[int, int]:
-    pp = pol_pair.lower()
-    if len(pp) != 2 or pp[0] not in _POL_INDEX or pp[1] not in _POL_INDEX:
-        raise ValueError(f"pol_pair must be two of 'v'/'h', got {pol_pair!r}")
-    return _POL_INDEX[pp[0]], _POL_INDEX[pp[1]]
 
 
 def _path_order_sum(x: np.ndarray):
@@ -123,31 +114,16 @@ def snapshot_metrics(paths: PathRows, tx_power_dbm: float = 0.0) -> tuple:
 # ----------------------------------------------------------------------
 # TV-CIR synthesis
 # ----------------------------------------------------------------------
-def raised_cosine_pulse(t, bandwidth: float, rolloff: float):
-    """Unit-peak raised-cosine impulse response sampled at time(s) ``t``.
-
-    ``h(t) = sinc(t/T) * cos(pi*beta*t/T) / (1 - (2*beta*t/T)^2)`` with
-    ``T = 1/bandwidth``; the removable singularity at ``|t| = T/(2*beta)``
-    is filled with its limit ``(pi/4) * sinc(1/(2*beta))``.
-    """
-    _check_pulse(bandwidth, rolloff)
-    vals = _pulse_of(np.array(t, dtype=float, ndmin=1) * bandwidth, rolloff)
-    if np.isscalar(t):
-        return float(vals[0])
-    return vals.reshape(np.shape(t))
-
-
-def _check_pulse(bandwidth: float, rolloff: float) -> None:
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    if not 0.0 <= rolloff <= 1.0:
-        raise ValueError("rolloff must lie in [0, 1]")
-
-
 def _pulse_of(x, rolloff: float):
-    """The raised-cosine pulse at times ``x`` in symbols (a float array, left
-    unchanged), evaluated with one work array beside the result by the
-    operations of ``np.sinc(x) * cos(pi*beta*x) / den``, in that order."""
+    """The unit-peak raised-cosine pulse of rolloff beta at the times ``x``
+    in symbols of 1 / bandwidth (a float array, left unchanged):
+
+    ``h(x) = sinc(x) * cos(pi*beta*x) / (1 - (2*beta*x)^2)``, the removable
+    singularity at ``|x| = 1/(2*beta)`` filled with its limit
+    ``(pi/4) * sinc(1/(2*beta))``.
+
+    It is evaluated with one work array beside the result by the operations
+    of ``np.sinc(x) * cos(pi*beta*x) / den``, in that order."""
     # np.sinc: y = pi * x, 0 replaced by eps, then sin(y) / y
     work = np.multiply(math.pi, x)
     work[work == 0] = np.finfo(float).eps
@@ -176,9 +152,9 @@ class TVCir:
     scattered: np.ndarray  # the scatter-tag rows' share of ``amplitude``
 
 
-def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str = "vv") -> TVCir:
-    """Band-limited TV-CIR: each path contributes its transfer entry times a
-    raised-cosine pulse centered on its delay.
+def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float) -> TVCir:
+    """Band-limited TV-CIR: each path contributes its V->V transfer entry
+    times a raised-cosine pulse centered on its delay.
 
     The delay grid runs from 0 to the maximum path delay plus
     ``PULSE_SUPPORT_SYMBOLS`` symbols at spacing 1/(2*bandwidth).
@@ -189,13 +165,15 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str
     sequential sum a per-path loop gives.  ``scattered`` holds the same
     sums over the scatter-tag rows alone, from the same pulses.
     """
-    r, c = _pol_entry(pol_pair)
-    _check_pulse(bandwidth, rolloff)
+    if bandwidth <= 0.0:
+        raise ValueError("bandwidth must be positive")
+    if not 0.0 <= rolloff <= 1.0:
+        raise ValueError("rolloff must lie in [0, 1]")
     times, per_snapshot = [], []
     for s in snapshots:
         times.append(s.timestamp)
         rows = s.paths
-        per_snapshot.append((rows.delay_s, rows.transfer[:, r, c], rows.tag == TAG_SCATTER))
+        per_snapshot.append((rows.delay_s, rows.transfer[:, 0, 0], rows.tag == TAG_SCATTER))
     max_spacing = 1.0 / (2.0 * bandwidth)
     max_delay = max([0.0] + [float(d.max()) for d, _, _ in per_snapshot if d.size])
     span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
@@ -239,13 +217,11 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float, pol_pair: str
 class MetricError:
     """Error summary of one metric across the compared streams."""
 
-    name: str
     rmse: float
     q10: float
     q90: float
     nrmse: float
     degenerate: bool
-    abs_errors: np.ndarray
     quantiles: dict
     n_samples: int
     n_excluded: int
@@ -311,19 +287,17 @@ def compare_streams(
         min_gap = max(DEGENERATE_GAPS.get(name, 0.0), 1e-15)
         degenerate = (not np.isfinite(gap)) or gap < min_gap or n == 0
         nrmse = rmse / gap if not degenerate else math.nan
-        abs_errors = np.sort(np.abs(errors))
+        sorted_errors = np.sort(np.abs(errors))
         quantiles = {
-            level: (float(np.quantile(abs_errors, level / 100.0)) if n else math.nan)
+            level: (float(np.quantile(sorted_errors, level / 100.0)) if n else math.nan)
             for level in QUANTILE_LEVELS
         }
         metrics[name] = MetricError(
-            name=name,
             rmse=rmse,
             q10=q10,
             q90=q90,
             nrmse=nrmse,
             degenerate=degenerate,
-            abs_errors=abs_errors,
             quantiles=quantiles,
             n_samples=n,
             n_excluded=n_excluded,
@@ -347,16 +321,13 @@ class PowerDecomposition:
     scattered_fraction: float
 
 
-def power_decomposition(
-    snapshots, pol_pair: str = "vv", tx_power_dbm: float = 0.0
-) -> PowerDecomposition:
-    """Split each snapshot's coherent sum by path tag.
+def power_decomposition(snapshots, tx_power_dbm: float = 0.0) -> PowerDecomposition:
+    """Split each snapshot's coherent V->V sum by path tag.
 
     The fractions are ratios of interval-average linear powers
     (mean specular power / mean total power), i.e. energy fractions over
     the window; coherent cross-terms mean they need not sum to one.
     """
-    r, c = _pol_entry(pol_pair)
     scale = 10.0 ** (tx_power_dbm / 10.0)
     n = len(snapshots)
     # rows: specular, scattered, total
@@ -364,7 +335,7 @@ def power_decomposition(
     lin = np.zeros((3, n))
     times = np.array([s.timestamp for s in snapshots], dtype=float)
     for i, s in enumerate(snapshots):
-        entries = s.paths.transfer[:, r, c]
+        entries = s.paths.transfer[:, 0, 0]
         specular = s.paths.tag == TAG_SPECULAR
         for k, part in enumerate((entries[specular], entries[~specular], entries)):
             mag = abs(_path_order_sum(part))

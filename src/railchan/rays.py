@@ -20,7 +20,6 @@ carries none.  :func:`path_order` is the one row order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,19 +60,6 @@ def path_order(rows: PathRows) -> np.ndarray:
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
 
 
-class PathRow(NamedTuple):
-    """One row of a :class:`PathRows` block as plain values."""
-
-    signature: str
-    tag: str
-    delay_s: float
-    aod: tuple[float, float]
-    aoa: tuple[float, float]
-    doppler_hz: float
-    transfer: np.ndarray
-    vertices: np.ndarray | None
-
-
 def _objects(values: list) -> np.ndarray:
     """``values`` as a 1-D object array, each entry kept whole (a tuple is
     not unpacked into a second axis)."""
@@ -95,8 +81,7 @@ class PathRows:
     vertices : (K,) object array of each solved row's (n, 3) polyline, tx
         first, rx last; None on a row without one
 
-    ``len`` is K; ``rows[k]`` reads row k back as a :class:`PathRow`, and
-    iterating a block reads its rows in order.
+    ``len`` is K; a row is read column by column.
     """
 
     signature: np.ndarray
@@ -136,18 +121,6 @@ class PathRows:
 
     def __len__(self) -> int:
         return len(self.delay_s)
-
-    def __getitem__(self, k: int) -> PathRow:
-        return PathRow(
-            self.signature[k],
-            self.tag[k],
-            float(self.delay_s[k]),
-            tuple(self.aod[k].tolist()),
-            tuple(self.aoa[k].tolist()),
-            float(self.doppler_hz[k]),
-            self.transfer[k],
-            self.vertices[k],
-        )
 
     def take(self, index) -> PathRows:
         """The rows ``index`` (a slice, mask or index array) selects, in its

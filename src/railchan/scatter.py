@@ -50,7 +50,6 @@ class FacetMesh:
     width: np.ndarray  # (N,)
     height: np.ndarray  # (N,)
     area: np.ndarray  # (N,)
-    reference_point: np.ndarray
     scatterer: CylinderScatterer | None = None
 
 
@@ -93,7 +92,6 @@ def mesh_cylinder(cyl: CylinderScatterer, carrier: CarrierConfig) -> FacetMesh:
         width=width,
         height=height,
         area=width * height,
-        reference_point=np.asarray(cyl.reference_point, dtype=float),
         scatterer=cyl,
     )
 
@@ -129,7 +127,6 @@ def mesh_plate(
         width=np.full(count, du),
         height=np.full(count, dv),
         area=np.full(count, du * dv),
-        reference_point=center,
         scatterer=None,
     )
 

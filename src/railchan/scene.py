@@ -104,13 +104,6 @@ class Building:
     height: float
     material: Material = DEFAULT_MATERIAL
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.footprint)
-
-    def edge_element_id(self, vertex_index: int) -> int:
-        return self.n_vertices + 1 + vertex_index
-
 
 @dataclass
 class CylinderScatterer:

@@ -481,7 +481,7 @@ def write_timing_csv(path, rows) -> None:
         "rt_invocations_reference",
         "rt_invocations_test",
     )
-    _write_table(path, header, _floats(4) + ",%d,%d" + _EOL, (tuple(r) for r in rows))
+    _write_table(path, header, _floats(4) + ",%d,%d" + _EOL, rows)
 
 
 def write_error_cdf_csv(path, rows) -> None:
@@ -526,38 +526,18 @@ def write_power_split_csv(path, decomp) -> None:
 
 
 def write_scatter_summary_csv(path, rows) -> None:
-    """Per-scatterer aggregates over the studied window."""
-    header = (
-        "scatterer_id",
-        "n_path_rows",
-        "n_snapshots_visible",
-        "mean_power_dbm",
-        "mean_excess_delay_ns",
-    )
+    """Per-scatterer aggregates over the studied window, one tuple per row."""
     _write_table(
         path,
-        header,
+        ("scatterer_id", "n_path_rows", "n_snapshots_visible", "mean_power_dbm", "mean_excess_delay_ns"),
         "%d,%d,%d,%.17g,%.17g" + _EOL,
-        (
-            (
-                r["scatterer_id"],
-                r["n_path_rows"],
-                r["n_snapshots_visible"],
-                r["mean_power_dbm"],
-                r["mean_excess_delay_ns"],
-            )
-            for r in rows
-        ),
+        rows,
     )
 
 
 def write_bench_csv(path, rows) -> None:
-    _write_table(
-        path,
-        ("stage", "repeat", "units", "seconds", "per_unit_ms"),
-        "%s,%d,%d,%.17g,%.17g" + _EOL,
-        ((r["stage"], r["repeat"], r["units"], r["seconds"], r["per_unit_ms"]) for r in rows),
-    )
+    """Per-stage timings, one tuple per row."""
+    _write_table(path, ("stage", "repeat", "units", "seconds", "per_unit_ms"), "%s,%d,%d,%.17g,%.17g" + _EOL, rows)
 
 
 def file_sha256(path) -> str:

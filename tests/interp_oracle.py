@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from path_oracle import RayPath, interactions_of, path_key
+from path_oracle import RayPath, interactions_of, path_key, read_row
 
 from railchan.dynamics import RAMP_FRACTION
 from railchan.em import C0
@@ -71,7 +71,7 @@ def bracket_paths(bracket):
     bracket order."""
 
     def path(rows, k):
-        p = rows[k]
+        p = read_row(rows, k)
         return RayPath(interactions_of(p.signature), p.vertices, p.delay_s, p.aod, p.aoa, p.transfer, p.tag, p.doppler_hz)
 
     a, b = bracket.rows_a, bracket.rows_b

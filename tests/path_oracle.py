@@ -15,6 +15,10 @@ per kept row, its interactions read from the scene's host tables, and each
 receiver's list sorted by ``path_key``, the row order ``rays.path_order``
 gives a block.  ``rows_of`` turns such a list, or paths a test crafts, into
 a block; ``assert_same_rows`` checks a block against a list bit for bit.
+
+A block has no row record of its own: ``read_row`` reads one of its rows
+back as a ``Row`` of plain values, and ``read_rows`` reads them all, in
+order.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,6 +143,38 @@ def path_key(p) -> tuple:
 
 def _objects(values: list) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
+
+
+class Row(NamedTuple):
+    """One row of a ``PathRows`` block as plain values."""
+
+    signature: str
+    tag: str
+    delay_s: float
+    aod: tuple[float, float]
+    aoa: tuple[float, float]
+    doppler_hz: float
+    transfer: np.ndarray
+    vertices: np.ndarray | None
+
+
+def read_row(rows: PathRows, k: int) -> Row:
+    """Row ``k`` of ``rows``."""
+    return Row(
+        rows.signature[k],
+        rows.tag[k],
+        float(rows.delay_s[k]),
+        tuple(rows.aod[k].tolist()),
+        tuple(rows.aoa[k].tolist()),
+        float(rows.doppler_hz[k]),
+        rows.transfer[k],
+        rows.vertices[k],
+    )
+
+
+def read_rows(rows: PathRows) -> list[Row]:
+    """Every row of ``rows``, in order."""
+    return [read_row(rows, k) for k in range(len(rows))]
 
 
 def rows_of(paths) -> PathRows:

@@ -8,7 +8,7 @@ is checked against it bit for bit.
 """
 
 import numpy as np
-from path_oracle import Interaction, RayPath
+from path_oracle import Interaction, RayPath, read_rows
 
 from railchan.em import compose_path_matrix
 from railchan.rays import ROOFTOP_DIFFRACTION
@@ -59,7 +59,7 @@ def oracle_rooftop_path(scene, tx, rx, carrier):
 
 
 def rooftop_paths(paths):
-    """The rooftop (K) paths among a solve's paths."""
+    """The rooftop (K) paths among a solve's rows."""
     return [p for p in paths if p.signature.startswith(ROOFTOP_DIFFRACTION + "(")]
 
 
@@ -67,7 +67,7 @@ def traced_rooftop_path(scene, tx, rx, carrier, tracer=None, limits=ROOF_ONLY):
     """The K path of ``SpecularTracer.trace``, or None when it keeps none;
     a given ``tracer`` is one built at ``tx``."""
     tracer = tracer or SpecularTracer(scene, carrier, tx)
-    found = rooftop_paths(tracer.trace(np.asarray(rx, dtype=float)[None], limits)[0])
+    found = rooftop_paths(read_rows(tracer.trace(np.asarray(rx, dtype=float)[None], limits)[0]))
     assert len(found) <= 1
     return found[0] if found else None
 

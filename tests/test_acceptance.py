@@ -21,19 +21,14 @@ from railchan.cli import main as cli_main
 from railchan.config import load_preset
 from railchan.dynamics import StepSchedule, Trajectory, stream_snapshots
 from railchan.em import CarrierConfig
-from railchan.metrics import (
-    compare_streams,
-    metric_series,
-    raised_cosine_pulse,
-    synthesize_tv_cir,
-)
+from railchan.metrics import _pulse_of, compare_streams, metric_series, synthesize_tv_cir
 from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, polyline_lengths
 from railchan.scene import Building, Scene
 from railchan.specular import SpecularTracer, TraceLimits
 from railchan.scatter import mesh_cylinder, mesh_plate, po_scattered_matrix
 from railchan.scene import CylinderScatterer
 from railchan.traceio import write_trace_csv
-from path_oracle import RayPath, rows_of
+from path_oracle import RayPath, read_row, read_rows, rows_of
 from trace_replay import read_trace_csv
 
 F19 = CarrierConfig(1.9e9)
@@ -159,7 +154,7 @@ def test_04_two_wall_street_returns_five_paths_with_exact_lengths():
     tx = np.array([-50.0, 2.0, 5.0])
     rx = np.array([60.0, -3.0, 5.0])
     limits = TraceLimits(max_reflections=2, max_vertical_diffractions=0, rooftop=False)
-    (paths,) = SpecularTracer(scene, F19, tx).trace(rx[None], limits)
+    paths = read_rows(SpecularTracer(scene, F19, tx).trace(rx[None], limits)[0])
 
     # mirror the receiver across the inner faces y = +10 / y = -10 by hand
     dx = rx[0] - tx[0]
@@ -201,8 +196,8 @@ def test_05_interpolated_snapshots_pin_to_exact_solves_at_keyframes(canyon_study
         n_kf += 1
         exact = reference.snapshots[i]
         assert snap.timestamp == exact.timestamp
-        by_sig_exact = {p.signature: p for p in exact.paths}
-        by_sig_test = {p.signature: p for p in snap.paths}
+        by_sig_exact = {p.signature: p for p in read_rows(exact.paths)}
+        by_sig_test = {p.signature: p for p in read_rows(snap.paths)}
         assert by_sig_exact.keys() == by_sig_test.keys(), (
             f"path sets differ at t={snap.timestamp}"
         )
@@ -280,7 +275,7 @@ def test_08_doppler_matches_head_on_and_broadside_geometry():
         scatter_mode="off",
         seed=7,
     )
-    mean_head_on = float(np.mean([s.paths[0].doppler_hz for s in head_on.snapshots]))
+    mean_head_on = float(np.mean([read_row(s.paths, 0).doppler_hz for s in head_on.snapshots]))
 
     broadside = stream_snapshots(
         EMPTY,
@@ -293,7 +288,7 @@ def test_08_doppler_matches_head_on_and_broadside_geometry():
         scatter_mode="off",
         seed=7,
     )
-    mean_broadside = float(np.mean([s.paths[0].doppler_hz for s in broadside.snapshots]))
+    mean_broadside = float(np.mean([read_row(s.paths, 0).doppler_hz for s in broadside.snapshots]))
 
     print(
         f"PASS 08 mean Doppler head-on {mean_head_on:.3f} Hz, "
@@ -394,7 +389,7 @@ def test_10_tv_cir_resolves_two_paths_50ns_apart():
             self.paths = paths
 
     snap = Snap(0.0, rows_of([tap(100e-9, 1.0), tap(150e-9, 0.8)]))
-    cir = synthesize_tv_cir([snap], bandwidth=100e6, rolloff=0.95, pol_pair="vv")
+    cir = synthesize_tv_cir([snap], bandwidth=100e6, rolloff=0.95)
     mag = np.abs(cir.amplitude[:, 0])
     i1 = int(np.argmin(np.abs(cir.delays - 100e-9)))
     i2 = int(np.argmin(np.abs(cir.delays - 150e-9)))
@@ -403,7 +398,7 @@ def test_10_tv_cir_resolves_two_paths_50ns_apart():
     valley = float(mag[i1 + 1 : i2].min())
     smaller = min(mag[i1], mag[i2])
     depth_db = 20.0 * math.log10(smaller / valley)
-    peak0 = raised_cosine_pulse(0.0, 100e6, 0.95)
+    peak0 = float(_pulse_of(np.zeros(1), 0.95)[0])
     print(
         f"PASS 10 two taps resolved, valley {depth_db:.1f} dB below the smaller "
         f"peak; pulse peak h(0) = {peak0}"
@@ -463,8 +458,8 @@ def test_12_scatter_paths_arrive_late_and_disable_cleanly():
 
     n_scatter = 0
     for snap in with_scatter.snapshots:
-        los = [p for p in snap.paths if p.signature == LOS_SIGNATURE]
-        scat = [p for p in snap.paths if p.tag == TAG_SCATTER]
+        los = [p for p in read_rows(snap.paths) if p.signature == LOS_SIGNATURE]
+        scat = [p for p in read_rows(snap.paths) if p.tag == TAG_SCATTER]
         assert los, f"no direct path at t={snap.timestamp}"
         n_scatter += len(scat)
         for p in scat:
@@ -474,8 +469,8 @@ def test_12_scatter_paths_arrive_late_and_disable_cleanly():
     assert n_scatter > 0, "the study window produced no scatter paths"
 
     for a, b in zip(with_scatter.snapshots, without.snapshots):
-        sum_spec = sum(p.transfer[0, 0] for p in a.paths if p.tag != TAG_SCATTER)
-        sum_off = sum(p.transfer[0, 0] for p in b.paths)
+        sum_spec = sum(p.transfer[0, 0] for p in read_rows(a.paths) if p.tag != TAG_SCATTER)
+        sum_off = sum(p.transfer[0, 0] for p in read_rows(b.paths))
         assert sum_spec == sum_off, f"specular series differs at t={a.timestamp}"
     print(
         f"PASS 12 {n_scatter} scatter paths all arrive after the direct path; "

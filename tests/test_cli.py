@@ -730,10 +730,10 @@ def test_scatter_summary_excess_delay_over_rows_with_a_specular_path():
     one = [ChannelSnapshot(0.0, rows_of([spec, echo]))]
     two = one + [ChannelSnapshot(0.01, rows_of([echo]))]
     for snaps in (one, two):
-        (row,) = _scatter_summary(scene, snaps, 0.0)
-        assert row["mean_excess_delay_ns"] == pytest.approx(50.0, rel=1e-12)
-    (row,) = _scatter_summary(scene, two[1:], 0.0)
-    assert row["n_path_rows"] == 1 and math.isnan(row["mean_excess_delay_ns"])
+        ((_, _, _, _, excess),) = _scatter_summary(scene, snaps, 0.0)
+        assert excess == pytest.approx(50.0, rel=1e-12)
+    ((sid, n_rows, _, _, excess),) = _scatter_summary(scene, two[1:], 0.0)
+    assert sid == 7 and n_rows == 1 and math.isnan(excess)
 
 
 def test_scatter_study_requires_scatter_mode(tmp_path, monkeypatch, capsys):

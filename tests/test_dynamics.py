@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from interp_oracle import bracket_paths, oracle_interior
-from path_oracle import RayPath, interactions_of, path_key, rows_of
+from path_oracle import RayPath, interactions_of, path_key, read_row, read_rows, rows_of
 
 from railchan import dynamics
 from railchan.config import load_preset
@@ -157,14 +157,14 @@ def matched_bracket(t_a, t_b, rows_a, rows_b, pair):
 def matched_rows(bracket):
     """The rows of the one matched pair of ``bracket``."""
     ((i, j),) = bracket.matched.tolist()
-    return bracket.rows_a[i], bracket.rows_b[j]
+    return read_row(bracket.rows_a, i), read_row(bracket.rows_b, j)
 
 
 def interpolate_one(bracket, t, traj, carrier=F19):
     """The batched routine at a single time on a one-entry bracket: one path
     or ``None``."""
     (row,) = interpolate_bracket(bracket, [t], [traj.position(t)], [traj.velocity(t)], carrier)
-    return row[0] if row else None
+    return read_row(row, 0) if row else None
 
 
 class TestTrajectory:
@@ -276,8 +276,8 @@ class TestKeyframes:
         for _, k in kfs:
             # the one path is the direct ray to the receiver at its time
             assert len(k.paths) == 1
-            assert k.paths[0].signature == "LOS"
-            assert k.paths[0].delay_s == pytest.approx(np.linalg.norm(traj.position(k.timestamp) - tx) / C0, rel=1e-15)
+            assert read_row(k.paths, 0).signature == "LOS"
+            assert read_row(k.paths, 0).delay_s == pytest.approx(np.linalg.norm(traj.position(k.timestamp) - tx) / C0, rel=1e-15)
 
 
 class TestMatch:
@@ -434,7 +434,7 @@ class TestBracketAgainstOracle:
                 # the rows come in the bracket's one row order
                 want = sorted((w for w in want if w[2] is not None), key=lambda w: path_key(w[2]))
                 assert len(got) == len(want)
-                for p, (kind, entry, q) in zip(got, want):
+                for p, (kind, entry, q) in zip(read_rows(got), want):
                     assert p.signature == q.signature
                     assert p.tag == q.tag
                     for field in ("delay_s", "aod", "aoa", "doppler_hz", "transfer"):
@@ -454,7 +454,7 @@ class TestDoppler:
         traj = straight_traj([200, 0, 1.5], [100, 0, 1.5], V100, duration=3.0)
         res = stream_snapshots(scene, traj, tx, F19, update_step=0.01, kf_interval=0.01, limits=LOS_ONLY)
         for snap in res.snapshots[::50]:
-            assert snap.paths[0].doppler_hz == pytest.approx(DOPPLER_MAX, abs=0.05)
+            assert read_row(snap.paths, 0).doppler_hz == pytest.approx(DOPPLER_MAX, abs=0.05)
 
     def test_broadside_zero(self):
         scene = Scene(buildings=[])
@@ -462,7 +462,7 @@ class TestDoppler:
         traj = straight_traj([-10, 0, 1.5], [10, 0, 1.5], V100, duration=0.72)
         res = stream_snapshots(scene, traj, tx, F19, update_step=0.01, kf_interval=0.01, limits=LOS_ONLY)
         i_mid = int(round((10.0 / V100) / 0.01))
-        assert abs(res.snapshots[i_mid].paths[0].doppler_hz) < 0.5
+        assert abs(read_row(res.snapshots[i_mid].paths, 0).doppler_hz) < 0.5
 
     def test_interpolated_phase_consistency(self):
         scene = Scene(buildings=[])
@@ -477,9 +477,9 @@ class TestDoppler:
             # stay strictly inside one bracket
             if any(j in keyframe_steps for j in (i - 1, i, i + 1)):
                 continue
-            taus = [s.paths[0].delay_s for s in trio]
+            taus = [read_row(s.paths, 0).delay_s for s in trio]
             numeric = -1.9e9 * (taus[2] - taus[0]) / 0.02
-            assert snaps[i].paths[0].doppler_hz == pytest.approx(numeric, abs=1.0)
+            assert read_row(snaps[i].paths, 0).doppler_hz == pytest.approx(numeric, abs=1.0)
             checked += 1
         assert checked > 50
 
@@ -520,8 +520,8 @@ class TestStream:
         a = stream_snapshots(scene, traj, tx, F19, update_step=0.02, kf_interval=0.02, limits=FULL, seed=7)
         b = stream_snapshots(scene, traj, tx, F19, update_step=0.02, kf_interval=0.02, limits=FULL, seed=99)
         for sa, sb in zip(a.snapshots, b.snapshots):
-            assert [p.signature for p in sa.paths] == [p.signature for p in sb.paths]
-            for pa, pb in zip(sa.paths, sb.paths):
+            assert sa.paths.signature.tolist() == sb.paths.signature.tolist()
+            for pa, pb in zip(read_rows(sa.paths), read_rows(sb.paths)):
                 np.testing.assert_array_equal(pa.transfer, pb.transfer)
                 assert pa.delay_s == pb.delay_s
 
@@ -536,8 +536,8 @@ class TestStream:
         for i in range(0, len(exact.snapshots), stride):
             se, si = exact.snapshots[i], interp.snapshots[i]
             assert i in keyframe_steps
-            assert [p.signature for p in se.paths] == [p.signature for p in si.paths]
-            for pe, pi in zip(se.paths, si.paths):
+            assert se.paths.signature.tolist() == si.paths.signature.tolist()
+            for pe, pi in zip(read_rows(se.paths), read_rows(si.paths)):
                 assert pe.delay_s == pi.delay_s
                 assert (pe.aod, pe.aoa) == (pi.aod, pi.aoa)
                 np.testing.assert_allclose(np.abs(pi.transfer), np.abs(pe.transfer), rtol=1e-10)
@@ -550,7 +550,7 @@ class TestStream:
         bracket = track_interval(kf_a.timestamp, kf_a.paths, kf_b.timestamp, kf_b.paths, np.random.default_rng(0))
         assert any(sig != LOS_SIGNATURE for sig in bracket.rows_a.signature[bracket.matched[:, 0]])
         for i, j in bracket.matched.tolist():
-            pa = bracket.rows_a[i]
+            pa = read_row(bracket.rows_a, i)
             one = matched_bracket(bracket.t_a, bracket.t_b, bracket.rows_a, bracket.rows_b, (i, j))
             for t in (0.1, 0.25, 0.4):
                 p = interpolate_one(one, t, traj)
@@ -569,8 +569,8 @@ class TestStream:
         bound = 2.0 * 20.0 * 0.01 / C0
         snaps = res.snapshots
         for s0, s1 in zip(snaps[:-1], snaps[1:]):
-            d0 = {p.signature: p for p in s0.paths}
-            for p in s1.paths:
+            d0 = {p.signature: p for p in read_rows(s0.paths)}
+            for p in read_rows(s1.paths):
                 q = d0.get(p.signature)
                 if q is None:
                     continue
@@ -582,8 +582,8 @@ class TestStream:
         tx = np.array([0.0, 30.0, 10.0])
         r1 = stream_snapshots(scene, traj, tx, F19, update_step=0.01, kf_interval=0.1, limits=LOS_ONLY, seed=5)
         r2 = stream_snapshots(scene, traj, tx, F19, update_step=0.01, kf_interval=0.1, limits=LOS_ONLY, seed=5)
-        mags1 = [sum(np.abs(p.transfer[0, 0]) for p in s.paths if p.signature == "LOS") for s in r1.snapshots]
-        mags2 = [sum(np.abs(p.transfer[0, 0]) for p in s.paths if p.signature == "LOS") for s in r2.snapshots]
+        mags1 = [sum(np.abs(p.transfer[0, 0]) for p in read_rows(s.paths) if p.signature == "LOS") for s in r1.snapshots]
+        mags2 = [sum(np.abs(p.transfer[0, 0]) for p in read_rows(s.paths) if p.signature == "LOS") for s in r2.snapshots]
         assert mags1 == mags2  # determinism
         # LoS present at start, vanishes in the middle, returns near the end
         assert mags1[0] > 0
@@ -599,8 +599,8 @@ class TestStream:
         tx = np.array([0.0, 30.0, 10.0])
         r1 = stream_snapshots(scene, traj, tx, F19, update_step=0.01, kf_interval=0.1, limits=LOS_ONLY, seed=5)
         r3 = stream_snapshots(scene, traj, tx, F19, update_step=0.01, kf_interval=0.1, limits=LOS_ONLY, seed=6)
-        mags1 = [sum(np.abs(p.transfer[0, 0]) for p in s.paths if p.signature == "LOS") for s in r1.snapshots]
-        mags3 = [sum(np.abs(p.transfer[0, 0]) for p in s.paths if p.signature == "LOS") for s in r3.snapshots]
+        mags1 = [sum(np.abs(p.transfer[0, 0]) for p in read_rows(s.paths) if p.signature == "LOS") for s in r1.snapshots]
+        mags3 = [sum(np.abs(p.transfer[0, 0]) for p in read_rows(s.paths) if p.signature == "LOS") for s in r3.snapshots]
         assert mags1 != mags3
 
 
@@ -617,12 +617,12 @@ class TestScatterModes:
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=2.0)
         res = stream_snapshots(scene, traj, tx, F19, update_step=0.05, kf_interval=0.25, limits=LOS_ONLY, scatter_mode="exact")
         for s in res.snapshots:
-            tags = [p.tag for p in s.paths]
+            tags = s.paths.tag.tolist()
             assert tags.count("scatter") == 1
             assert tags == sorted(tags, key=lambda x: x == "scatter")  # scatter after specular
         # Doppler sign flips as the receiver passes the pylon
-        first = res.snapshots[0].paths[-1].doppler_hz
-        last = res.snapshots[-1].paths[-1].doppler_hz
+        first = read_row(res.snapshots[0].paths, -1).doppler_hz
+        last = read_row(res.snapshots[-1].paths, -1).doppler_hz
         assert first > 0 > last
 
     def test_scatter_off_specular_bitwise_identical(self):
@@ -632,9 +632,9 @@ class TestScatterModes:
         on = stream_snapshots(scene, traj, tx, F19, update_step=0.05, kf_interval=0.25, limits=LOS_ONLY, scatter_mode="exact", seed=11)
         off = stream_snapshots(scene, traj, tx, F19, update_step=0.05, kf_interval=0.25, limits=LOS_ONLY, scatter_mode="off", seed=11)
         for s_on, s_off in zip(on.snapshots, off.snapshots):
-            spec_on = [p for p in s_on.paths if p.tag == "specular"]
+            spec_on = [p for p in read_rows(s_on.paths) if p.tag == "specular"]
             assert len(spec_on) == len(s_off.paths)
-            for pa, pb in zip(spec_on, s_off.paths):
+            for pa, pb in zip(spec_on, read_rows(s_off.paths)):
                 assert pa.signature == pb.signature
                 np.testing.assert_array_equal(pa.transfer, pb.transfer)
                 assert pa.delay_s == pb.delay_s
@@ -645,7 +645,7 @@ class TestScatterModes:
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=1.0)
         res = stream_snapshots(scene, traj, tx, F19, update_step=0.05, kf_interval=0.25, limits=LOS_ONLY, scatter_mode="interpolated")
-        assert all(any(p.tag == "scatter" for p in s.paths) for s in res.snapshots)
+        assert all("scatter" in s.paths.tag.tolist() for s in res.snapshots)
 
     def test_timings_recorded(self):
         scene = self.pylon_scene()
@@ -689,7 +689,7 @@ class TestScatterModes:
         tx = np.array([0.0, 30.0, 10.0])
         traj = straight_traj([-20, 0, 2], [20, 0, 2], 20.0, duration=1.0)
         found = ScatterEngine(scene, F19, tx).paths(np.array([traj.position(0.5)]))
-        assert [p.signature for p in found[0]] == ["S(10:0)", "S(9:0)"]
+        assert found[0].signature.tolist() == ["S(10:0)", "S(9:0)"]
         for mode in ("exact", "interpolated"):
             res = stream_snapshots(scene, traj, tx, F19, 0.05, 0.25, FULL, scatter_mode=mode)
             n_both = 0
@@ -725,7 +725,7 @@ def snapshot_bits(snap):
             p.transfer.tobytes(),
             np.array([p.delay_s, *p.aod, *p.aoa, p.doppler_hz]).tobytes(),
         )
-        for p in snap.paths
+        for p in read_rows(snap.paths)
     ]
 
 
@@ -746,7 +746,7 @@ class TestKeyframeDoppler:
         tags = set()
         for snap, paths, found in zip(res.snapshots, solved, echoes):
             v = traj.velocity(snap.timestamp)
-            paths = sorted(paths, key=path_key) + sorted(found, key=path_key)
+            paths = sorted(read_rows(paths), key=path_key) + sorted(read_rows(found), key=path_key)
             assert snap.paths.signature.tolist() == [p.signature for p in paths]
             want = np.array([oracle_radial_doppler(p, v, carrier) for p in paths])
             assert snap.paths.doppler_hz.tobytes() == want.tobytes(), snap.timestamp
@@ -854,7 +854,7 @@ class TestNorms:
             cfg.load_scene(), cfg.trajectory(), cfg.tx_position, CarrierConfig(cfg.carrier_hz),
             cfg.update_step_s, 0.1, cfg.limits, scatter_mode="interpolated", seed=cfg.seed,
         )
-        paths = [bracket.rows_b[j] for bracket, _ in brackets for j in bracket.matched[:, 1].tolist()]
+        paths = [read_row(bracket.rows_b, j) for bracket, _ in brackets for j in bracket.matched[:, 1].tolist()]
         paths += [p for bracket, args in brackets for rows in oracle_interior(bracket, *args) for p in rows]
         for p in paths:
             old = np.sum(np.linalg.norm(np.diff(p.vertices, axis=-2), axis=-1), axis=-1)

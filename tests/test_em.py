@@ -47,7 +47,7 @@ from railchan.rays import (
 )
 from railchan.scene import Building, Material, PEC, Scene
 from railchan.specular import SpecularTracer, TraceLimits, _clear_masks
-from path_oracle import Interaction, RayPath, interactions_of, signature_of
+from path_oracle import Interaction, RayPath, interactions_of, read_row, read_rows, signature_of
 from rooftop_oracle import oracle_rooftop_path
 from test_specular import SMALL_SCENES, small_solves
 
@@ -514,7 +514,7 @@ class TestComposePathMatrix:
         rows = PathRows.from_polylines(
             [signature_of(inters)], TAG_SPECULAR, vertices[None], np.eye(2, dtype=complex)[None]
         )
-        path = rows[0]
+        path = read_row(rows, 0)
         length = float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
         assert length == 22.0
         assert path.delay_s == length / C0  # bit-equal
@@ -781,8 +781,10 @@ def relative_error(got, want):
 
 
 def assert_matches_oracle(got, want):
-    """Kept paths, their order, records and geometry bit for bit; transfers
-    within WALKER_RTOL.  Returns the worst relative transfer difference."""
+    """The rows of the block ``got`` are the paths ``want``: kept paths,
+    their order, records and geometry bit for bit; transfers within
+    WALKER_RTOL.  Returns the worst relative transfer difference."""
+    got = read_rows(got)
     assert [interactions_of(p.signature) for p in got] == [p.interactions for p in want]
     worst = 0.0
     for p, q in zip(got, want):
@@ -812,7 +814,7 @@ class TestWalkerAgainstScalarOracle:
             rx = traj.position(i * cfg.update_step_s)
             (got,) = tracer.trace(rx[None], cfg.limits)
             assert_matches_oracle(got, oracle_trace(tracer, rx, cfg.limits))
-            kinds.update(tuple(r.kind for r in interactions_of(p.signature)) for p in got)
+            kinds.update(tuple(r.kind for r in interactions_of(sig)) for sig in got.signature)
         # every family the preset keeps, the rooftop path included
         assert {("D",), ("R", "R"), ("R", "D"), ("D", "R")} <= kinds
         assert any(k and k[0] == ROOFTOP_DIFFRACTION for k in kinds)
@@ -838,7 +840,7 @@ class TestWalkerAgainstScalarOracle:
             tracer = SpecularTracer(Scene(buildings=[box]), F19, np.array([5.0, y, 5.0]))
             (paths,) = tracer.trace(rx[None])
             assert_matches_oracle(paths, oracle_trace(tracer, rx, TraceLimits()))
-            found[y] = next(p for p in paths if p.signature == "D(1:6)")
+            found[y] = next(p for p in read_rows(paths) if p.signature == "D(1:6)")
         assert relative_error(found[1e-9].transfer, found[0.0].transfer) <= WALKER_RTOL
 
     def test_utd_arrays_against_scalar_terms(self):

@@ -226,7 +226,7 @@ def streams():
 
 def test_fallback_cells_per_writer_on_preset_streams(tmp_path, monkeypatch, streams):
     (cfg, run), (pylon_cfg, pylon) = streams
-    cir = synthesize_tv_cir(pylon.snapshots, pylon_cfg.bandwidth_hz, pylon_cfg.rolloff, "vv")
+    cir = synthesize_tv_cir(pylon.snapshots, pylon_cfg.bandwidth_hz, pylon_cfg.rolloff)
     writers = {
         "trace.csv (run)": lambda p: write_trace_csv(p, run.snapshots),
         "trace.csv (pylon)": lambda p: write_trace_csv(p, pylon.snapshots),
@@ -236,7 +236,7 @@ def test_fallback_cells_per_writer_on_preset_streams(tmp_path, monkeypatch, stre
         "tvcir_total.csv (pylon)": lambda p: write_tvcir_csv(p, cir),
         "tvcir_scatter.csv (pylon)": lambda p: write_tvcir_csv(p, replace(cir, amplitude=cir.scattered)),
         "power_split.csv (pylon)": lambda p: write_power_split_csv(
-            p, power_decomposition(pylon.snapshots, "vv", pylon_cfg.tx_power_dbm)
+            p, power_decomposition(pylon.snapshots, pylon_cfg.tx_power_dbm)
         ),
     }
     blocks = []

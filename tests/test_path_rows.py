@@ -26,6 +26,7 @@ from path_oracle import (
     host_records,
     interactions_of,
     oracle_trace_lists,
+    read_rows,
     rows_of,
 )
 from preset_streams import preset_stream, pylon_window
@@ -169,7 +170,7 @@ def test_every_snapshot_in_the_stream_order_with_echo_tails(recorded_stream):
         engine = ScatterEngine(cfg.load_scene(), carrier, cfg.tx_position)
         found = engine.paths(np.array([traj.position(s.timestamp) for s in result.snapshots]))
         for i, s, rows in zip(schedule.snapshots, result.snapshots, found):
-            echoes[i] = [radial_doppler(p, traj.velocity(s.timestamp), carrier) for p in rows]
+            echoes[i] = [radial_doppler(p, traj.velocity(s.timestamp), carrier) for p in read_rows(rows)]
     n_tails = 0
     assert len(result.snapshots) == len(schedule.snapshots)
     for i, snap in zip(schedule.snapshots, result.snapshots):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from path_oracle import Interaction, RayPath, path_key
+from path_oracle import Interaction, RayPath, path_key, read_row, read_rows
 
 import railchan.scatter as scatter
 from railchan.config import load_preset
@@ -109,7 +109,7 @@ def oracle_echoes(scene, meshes, tx, rx, carrier, incident=None):
     the row order; ``incident`` optionally gives each mesh's incident terms
     of ``tx``."""
     incident = incident or [None] * len(meshes)
-    refs = np.array([m.reference_point for m in meshes])
+    refs = np.array([m.scatterer.reference_point for m in meshes])
     tx_clear = ~scene.segments_blocked(np.broadcast_to(tx, refs.shape), refs)
     rx_clear = ~scene.segments_blocked(np.broadcast_to(rx, refs.shape), refs)
     out, terms = [], 0
@@ -117,7 +117,7 @@ def oracle_echoes(scene, meshes, tx, rx, carrier, incident=None):
         if a and b:
             t, live = oracle_facet_sum(mesh, tx, rx, carrier, inc)
             rec = Interaction(kind=SCATTERING, object_id=mesh.scatterer.id, element_id=0)
-            out.append(RayPath.from_polyline((rec,), np.array([tx, mesh.reference_point, rx]), t, TAG_SCATTER))
+            out.append(RayPath.from_polyline((rec,), np.array([tx, mesh.scatterer.reference_point, rx]), t, TAG_SCATTER))
             terms += live
     return sorted(out, key=path_key), terms
 
@@ -184,7 +184,7 @@ class TestMeshes:
         # orthonormal tangent frames
         np.testing.assert_allclose(np.einsum("ij,ij->i", mesh.tan_u, mesh.tan_v), 0.0, atol=1e-12)
         np.testing.assert_allclose(np.einsum("ij,ij->i", mesh.tan_u, mesh.normals), 0.0, atol=1e-12)
-        assert mesh.reference_point == pytest.approx([3.0, -2.0, 4.1])
+        assert mesh.scatterer is cyl and cyl.reference_point == pytest.approx([3.0, -2.0, 4.1])
 
     def test_plate_mesh_tiles_area(self):
         mesh = mesh_plate(
@@ -257,7 +257,7 @@ class TestCylinderOracle:
     def test_range_power_scaling_12db(self):
         cyl = CylinderScatterer(id=1, base_center=np.zeros(3), radius=0.375, height=8.2)
         mesh = mesh_cylinder(cyl, F19)
-        ref = mesh.reference_point
+        ref = cyl.reference_point
         # beyond the 2 h^2 / lambda far-field distance (~852 m), so doubling
         # the ranges probes pure spreading, not Fresnel-zone pattern change
         ang = math.radians(25.0)
@@ -281,8 +281,8 @@ class TestCylinderOracle:
         scale = np.max(np.abs(t_fwd))
         np.testing.assert_allclose(t_rev, t_fwd.T, rtol=1e-8, atol=1e-8 * scale)
         scene = Scene(buildings=[], scatterers=[cyl])
-        ((p_fwd,),) = ScatterEngine(scene, F19, src).paths(obs[None])
-        ((p_rev,),) = ScatterEngine(scene, F19, obs).paths(src[None])
+        (p_fwd,) = read_rows(ScatterEngine(scene, F19, src).paths(obs[None])[0])
+        (p_rev,) = read_rows(ScatterEngine(scene, F19, obs).paths(src[None])[0])
         assert p_fwd.delay_s == pytest.approx(p_rev.delay_s, abs=1e-15)
 
     def test_shadow_sweep_monotone_facet_count(self):
@@ -321,7 +321,7 @@ class TestEnumerate:
         rx = np.array([100.0, 0.0, 4.5])
         (paths,) = ScatterEngine(scene, F19, tx).paths(rx[None])
         assert len(paths) == 1
-        p = paths[0]
+        p = read_row(paths, 0)
         assert p.signature == "S(9:0)"
         assert p.tag == TAG_SCATTER
         ref = np.array([50.0, 30.0, 4.1])
@@ -346,7 +346,7 @@ class TestEnumerate:
         # an echo runs straight between the antennas; the wall reflects
         # none of its legs
         (paths,) = ScatterEngine(scene, F19, tx).paths(rx[None])
-        assert {p.signature for p in paths} == {"S(9:0)"}
+        assert set(paths.signature) == {"S(9:0)"}
 
     def test_blocked_direct_legs_dropped(self):
         blocker = Building(
@@ -376,8 +376,8 @@ class TestEnumerate:
         rx = np.array([100.0, 0.0, 4.5])
         (a,) = ScatterEngine(scene, F19, tx).paths(rx[None])
         (b,) = ScatterEngine(scene, F19, tx).paths(rx[None])
-        assert [p.signature for p in a] == [p.signature for p in b]
-        for p, q in zip(a, b):
+        assert a.signature.tolist() == b.signature.tolist()
+        for p, q in zip(read_rows(a), read_rows(b)):
             np.testing.assert_array_equal(p.transfer, q.transfer)
 
     def test_transmitter_change_matches_fresh_engine(self):
@@ -404,7 +404,7 @@ class TestEnumerate:
             (got,) = engines[k].paths(rx[None])
             (want,) = ScatterEngine(scene, F19, tx).paths(rx[None])
             assert len(got) == len(want) > 0
-            for p, q in zip(got, want):
+            for p, q in zip(read_rows(got), read_rows(want)):
                 assert p.signature == q.signature
                 np.testing.assert_array_equal(p.transfer, q.transfer)
                 assert p.delay_s == q.delay_s
@@ -430,7 +430,7 @@ def _check_engine(engine, receivers):
     echoes = terms = 0
     for rx, paths in zip(receivers, got):
         want, live = oracle_echoes(engine.scene, meshes, tx, rx, engine.carrier, incident)
-        assert_same_paths(paths, want)
+        assert_same_paths(read_rows(paths), want)
         echoes += len(want)
         terms += live
     assert engine.counters["snapshots"] - before["snapshots"] == len(receivers)
@@ -474,7 +474,7 @@ class TestChunkedAgainstOracle:
             dopplers = [-carrier.frequency_hz * float(np.dot(d, v)) / (float(np.linalg.norm(d)) * C0) for d in u]
             want = [RayPath.from_polyline(w.interactions, w.vertices, w.transfer, TAG_SCATTER, f) for w, f in zip(want, dopplers)]
             # the stream's rows keep no vertices
-            got = [p for p in snap.paths if p.tag == TAG_SCATTER]
+            got = [p for p in read_rows(snap.paths) if p.tag == TAG_SCATTER]
             assert [row_values(p) for p in got] == [row_values(q) for q in want]
             echoes += len(want)
         assert result.counters["scatter"]["echoes"] == echoes
@@ -514,14 +514,15 @@ class TestChunkedAgainstOracle:
             tan_u /= np.linalg.norm(tan_u)
             assert abs(normal[2]) > 0.1 and abs(tan_u[2]) > 1e-3
             width, height = rng.uniform(0.5, 3.0, 2)
-            plate = mesh_plate(rng.normal(size=3), normal, tan_u, width, height, LAM / 2.0)
+            center = rng.normal(size=3)
+            plate = mesh_plate(center, normal, tan_u, width, height, LAM / 2.0)
             centers = plate.centers
             if i % 2:
                 src = centers[rng.integers(len(centers))] + np.array([0.0, 0.0, 25.0])
             else:
-                src = plate.reference_point + 40.0 * normal + rng.normal(scale=5.0, size=3)
+                src = center + 40.0 * normal + rng.normal(scale=5.0, size=3)
             above = centers[rng.integers(len(centers))] + np.array([0.0, 0.0, rng.uniform(2.0, 30.0)])
-            obs = np.vstack([plate.reference_point + rng.normal(scale=30.0, size=(6, 3)), above])
+            obs = np.vstack([center + rng.normal(scale=30.0, size=(6, 3)), above])
             transfers, live = _facet_sums(_lit_facets(plate, src, F19), obs, F19)
             for o, t, n in zip(obs, transfers, live):
                 want, n_want = oracle_facet_sum(plate, src, o, F19)
@@ -554,7 +555,7 @@ class TestChunkedAgainstOracle:
         for budget in (1, n_lit + 1, 10**6):
             monkeypatch.setattr(scatter, "FACET_ROW_BUDGET", budget)
             for got, want in zip(ScatterEngine(scene, F19, tx).paths(receivers), reference):
-                assert_same_paths(got, want)
+                assert_same_paths(read_rows(got), read_rows(want))
 
     def test_transmitter_switch(self):
         # one engine per transmitter on one scene, switched between call by

@@ -132,7 +132,7 @@ def oracle_crossings(scene, p, q) -> list:
             t = (b.height - p[2]) / seg[2]
             dist = t * seg_len
             if EPS_GEOM < dist < seg_len - EPS_GEOM and _point_in_polygon((p + t * seg)[:2], b.footprint):
-                found.append((b.id, b.n_vertices, float(t)))
+                found.append((b.id, len(b.footprint), float(t)))
         t = -p[2] / seg[2]
         dist = t * seg_len
         if EPS_GEOM < dist < seg_len - EPS_GEOM:
@@ -285,10 +285,12 @@ class TestSceneLoading:
 
 class TestElementIds:
     def test_square_building_element_layout(self):
-        b = box(3, 0, 0, 5, 10)
-        assert b.n_vertices == 4
-        assert b.edge_element_id(0) == 5
-        assert b.edge_element_id(3) == 8
+        # V = 4 vertices: facades 0..3, the rooftop 4, the vertical edge at
+        # vertex i V + 1 + i
+        scene = make_scene([box(3, 0, 0, 5, 10)])
+        assert scene.fac_object.tolist() == scene.wedge_object.tolist() == [3] * 4
+        assert scene.fac_element.tolist() == [0, 1, 2, 3]
+        assert scene.wedge_element.tolist() == [5, 6, 7, 8]
 
     def test_facade_normals_point_outward(self):
         scene = make_scene([box(1, 0, 0, 5, 10)])

@@ -20,7 +20,7 @@ from railchan.em import C0, CarrierConfig, free_space_transport, knife_edge_diff
 from railchan.rays import EDGE_DIFFRACTION, LOS_SIGNATURE, REFLECTION, ROOFTOP_DIFFRACTION, path_order, polyline_lengths
 from railchan.scene import EPS_GEOM, Building, Material, Scene
 from railchan.specular import SOLVE_STAGES, SpecularTracer, TraceLimits, _clear_masks, trace_rooftop
-from path_oracle import interactions_of
+from path_oracle import interactions_of, read_rows
 from rooftop_oracle import oracle_rooftop_path, rooftop_paths, traced_rooftop_path
 
 F19 = CarrierConfig(frequency_hz=1.9e9)
@@ -33,7 +33,8 @@ def solve(tracer, rx, limits=None):
 
 
 def trace(scene, tx, rx, limits):
-    return solve(SpecularTracer(scene, F19, tx), rx, limits)
+    """The rows of a fresh tracer's one-receiver solve at ``rx``."""
+    return read_rows(solve(SpecularTracer(scene, F19, tx), rx, limits))
 
 
 def wall(bid, y0, y1, x0=-200.0, x1=200.0, height=30.0, material=None):
@@ -594,7 +595,7 @@ class TestStagedOcclusion:
         with monkeypatch.context() as m:
             m.setattr(specular, "_clear_masks", oracle_single_call_masks)
             want = solve(tracer, rx, limits)
-        assert_same_paths(got, want)
+        assert_same_paths(read_rows(got), read_rows(want))
         return got
 
     def test_masks_equal_single_call_on_preset(self, preset_solves):
@@ -616,7 +617,7 @@ class TestStagedOcclusion:
         kinds = set()
         for rx in rx_list:
             paths = self.check_trace(monkeypatch, tracer, rx, limits)
-            kinds.update(tuple(r.kind for r in interactions_of(p.signature)) for p in paths)
+            kinds.update(tuple(r.kind for r in interactions_of(sig)) for sig in paths.signature)
         # the preset's solves keep D, RD and DR paths and the rooftop path
         assert {("D",), ("R", "D"), ("D", "R")} <= kinds
         assert any(k and k[0] == ROOFTOP_DIFFRACTION for k in kinds)
@@ -801,7 +802,7 @@ class TestTransmitterTables:
     def check_trace(self, scene, tx, rx, limits):
         tracer, oracle = SpecularTracer(scene, F19, tx), UntabledTracer(scene, F19, tx)
         got = solve(tracer, rx, limits)
-        assert_same_paths(got, solve(oracle, rx, limits))
+        assert_same_paths(read_rows(got), read_rows(solve(oracle, rx, limits)))
         self.check_first_segments(tracer, oracle, rx, limits)
         return got
 
@@ -828,9 +829,9 @@ class TestTransmitterTables:
         for i in range(201):
             rx = traj.position(0.01 * i)
             got = solve(tracer, rx, cfg.limits)
-            assert_same_paths(got, solve(oracle, rx, cfg.limits))
+            assert_same_paths(read_rows(got), read_rows(solve(oracle, rx, cfg.limits)))
             self.check_first_segments(tracer, oracle, rx, cfg.limits)
-            kinds.update(tuple(r.kind for r in interactions_of(p.signature)) for p in got)
+            kinds.update(tuple(r.kind for r in interactions_of(sig)) for sig in got.signature)
         assert {("D",), ("R", "D"), ("D", "R")} <= kinds
         # the tables hold fewer candidates, and the same paths come out of them
         fam, ora = tracer.counters["families"], oracle.counters["families"]
@@ -882,7 +883,7 @@ class TestTransmitterTables:
         tracer, oracle = SpecularTracer(scene, carrier, tx_b), UntabledTracer(scene, carrier, tx_b)
         for i in range(8):
             rx = traj.position(0.25 * i)
-            assert_same_paths(solve(tracer, rx, cfg.limits), solve(oracle, rx, cfg.limits))
+            assert_same_paths(read_rows(solve(tracer, rx, cfg.limits)), read_rows(solve(oracle, rx, cfg.limits)))
 
 
 class EinsumDotsTracer(SpecularTracer):
@@ -971,13 +972,13 @@ def check_chunked(scene, carrier, tx, receivers, limits, chunk):
         got += chunked.trace(receivers[first : first + chunk], limits)
     assert len(got) == len(receivers)
     for paths, rx in zip(got, receivers):
-        assert_same_paths(paths, solve(single, rx, limits))
+        assert_same_paths(read_rows(paths), read_rows(solve(single, rx, limits)))
     assert chunked.counters == single.counters
     return got
 
 
 def rooftop_edges(paths):
-    return [len(interactions_of(p.signature)) for p in rooftop_paths(paths)]
+    return [len(interactions_of(p.signature)) for p in rooftop_paths(read_rows(paths))]
 
 
 class TestChunkedTrace:
@@ -988,7 +989,7 @@ class TestChunkedTrace:
         receivers = [traj.position(0.01 * i) for i in range(201)]
         got = check_chunked(cfg.load_scene(), CarrierConfig(cfg.carrier_hz), cfg.tx_position, receivers, cfg.limits, chunk)
         # every family and a rooftop path at every receiver
-        kinds = {tuple(r.kind for r in interactions_of(p.signature)) for paths in got for p in paths}
+        kinds = {tuple(r.kind for r in interactions_of(sig)) for paths in got for sig in paths.signature}
         assert {("R", "R"), ("D",), ("R", "D"), ("D", "R")} <= kinds
         assert all(len(rooftop_edges(paths)) == 1 for paths in got)
 
@@ -1004,8 +1005,8 @@ class TestChunkedTrace:
         for first in range(0, len(receivers), 32):
             for paths in tracer.trace(receivers[first : first + 32], cfg.limits):
                 assert path_order(paths).tolist() == list(range(len(paths)))
-                assert {p.tag for p in paths} == {"specular"}
-                assert len({p.signature for p in paths}) == len(paths)
+                assert set(paths.tag) == {"specular"}
+                assert len(set(paths.signature)) == len(paths)
                 n_paths += len(paths)
         assert n_paths > 201
 
@@ -1033,7 +1034,7 @@ class TestChunkedTrace:
             rx = receivers[np.linalg.norm(receivers - tx, axis=1) > EPS_GEOM]
             got = check_chunked(scene, F19, tx, rx, TraceLimits(), len(rx))
             edges = {n for paths in got for n in rooftop_edges(paths)}
-            clear = sum(any(p.signature == LOS_SIGNATURE for p in paths) for paths in got)
+            clear = sum(LOS_SIGNATURE in paths.signature.tolist() for paths in got)
             mixed += len(edges) > 1 and 0 < clear < len(rx)
         assert mixed > 0
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from path_oracle import Interaction, RayPath, interactions_of, rows_of
+from path_oracle import Interaction, RayPath, interactions_of, read_rows, rows_of
 from path_oracle import signature_of as oracle_signature_of
 from preset_streams import preset_stream, pylon_window
 
@@ -96,7 +96,7 @@ def oracle_write_trace_csv(path, snapshots) -> dict[str, int]:
         w.writerow(TRACE_COLUMNS)
         for snap in snapshots:
             ts = _fmt(snap.timestamp)
-            for p in snap.paths:
+            for p in read_rows(snap.paths):
                 sig = p.signature
                 pid = ids.setdefault(sig, len(ids))
                 t = p.transfer
@@ -225,24 +225,16 @@ def oracle_write_scatter_summary_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("scatterer_id", "n_path_rows", "n_snapshots_visible", "mean_power_dbm", "mean_excess_delay_ns"))
-        for r in rows:
-            w.writerow(
-                (
-                    r["scatterer_id"],
-                    r["n_path_rows"],
-                    r["n_snapshots_visible"],
-                    _fmt(r["mean_power_dbm"]),
-                    _fmt(r["mean_excess_delay_ns"]),
-                )
-            )
+        for sid, n_rows, n_snaps, power, excess in rows:
+            w.writerow((sid, n_rows, n_snaps, _fmt(power), _fmt(excess)))
 
 
 def oracle_write_bench_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("stage", "repeat", "units", "seconds", "per_unit_ms"))
-        for r in rows:
-            w.writerow((r["stage"], r["repeat"], r["units"], _fmt(r["seconds"]), _fmt(r["per_unit_ms"])))
+        for stage, repeat, units, seconds, per_unit_ms in rows:
+            w.writerow((stage, repeat, units, _fmt(seconds), _fmt(per_unit_ms)))
 
 
 def assert_same_bytes(tmp_path, writer, oracle, *args):
@@ -351,10 +343,10 @@ def test_metrics_csv_matches_oracle_on_crafted_values(tmp_path):
 # ----------------------------------------------------------------------
 def test_scatter_study_csvs_match_oracle_on_pylon_stream(tmp_path, pylon_stream):
     cfg, snaps = pylon_stream
-    cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff, "vv")
+    cir = synthesize_tv_cir(snaps, cfg.bandwidth_hz, cfg.rolloff)
     for written in (cir, replace(cir, amplitude=cir.scattered)):
         assert_same_bytes(tmp_path, write_tvcir_csv, oracle_write_tvcir_csv, written)
-    decomp = power_decomposition(snaps, "vv", cfg.tx_power_dbm)
+    decomp = power_decomposition(snaps, cfg.tx_power_dbm)
     assert_same_bytes(tmp_path, write_power_split_csv, oracle_write_power_split_csv, decomp)
     summary = _scatter_summary(cfg.load_scene(), snaps, cfg.tx_power_dbm)
     assert_same_bytes(tmp_path, write_scatter_summary_csv, oracle_write_scatter_summary_csv, summary)
@@ -377,7 +369,7 @@ def test_tvcir_csv_matches_oracle_on_crafted_values(tmp_path):
 
 def test_power_split_and_summary_match_oracle_on_crafted_values(tmp_path):
     with np.errstate(invalid="ignore", over="ignore"):
-        decomp = power_decomposition(crafted_snapshots(), "vv", 43.0)
+        decomp = power_decomposition(crafted_snapshots(), 43.0)
     assert_same_bytes(tmp_path, write_power_split_csv, oracle_write_power_split_csv, decomp)
     odd = replace(
         decomp,
@@ -389,16 +381,7 @@ def test_power_split_and_summary_match_oracle_on_crafted_values(tmp_path):
         scattered_fraction=-0.0,
     )
     assert_same_bytes(tmp_path, write_power_split_csv, oracle_write_power_split_csv, odd)
-    rows = [
-        {
-            "scatterer_id": k,
-            "n_path_rows": 2 * k,
-            "n_snapshots_visible": k,
-            "mean_power_dbm": v,
-            "mean_excess_delay_ns": ODD_VALUES[-1 - k],
-        }
-        for k, v in enumerate(ODD_VALUES)
-    ]
+    rows = [(k, 2 * k, k, v, ODD_VALUES[-1 - k]) for k, v in enumerate(ODD_VALUES)]
     assert_same_bytes(tmp_path, write_scatter_summary_csv, oracle_write_scatter_summary_csv, rows)
 
 
@@ -427,7 +410,7 @@ def test_sweep_csvs_match_oracle(tmp_path, run_stream):
 def test_bench_csv_matches_oracle(tmp_path):
     stages = ("scene_load", "specular_trace", "tvcir_snapshot")
     rows = [
-        {"stage": stage, "repeat": k, "units": k + 1, "seconds": v, "per_unit_ms": v * 1e3 / (k + 1)}
+        (stage, k, k + 1, v, v * 1e3 / (k + 1))
         for k, (stage, v) in enumerate(zip(stages, ODD_VALUES[1:]))
     ]
     assert_same_bytes(tmp_path, write_bench_csv, oracle_write_bench_csv, rows)
@@ -436,8 +419,8 @@ def test_bench_csv_matches_oracle(tmp_path):
 def test_signature_is_built_once_and_equals_signature_of(run_stream, pylon_stream):
     # keyframe, interpolated, held and scatter rows of both streams, and
     # the crafted rows built without a tracer
-    paths = [p for _, snaps in (run_stream, pylon_stream) for s in snaps for p in s.paths]
-    paths += [p for s in crafted_snapshots() for p in s.paths]
+    paths = [p for _, snaps in (run_stream, pylon_stream) for s in snaps for p in read_rows(s.paths)]
+    paths += [p for s in crafted_snapshots() for p in read_rows(s.paths)]
     for p in paths:
         sig = p.signature
         # the records the signature names give it back in the oracle's format
@@ -456,7 +439,7 @@ def test_text_fields_need_no_quoting(run_stream, pylon_stream):
     texts = set(METRIC_NAMES) | set(TRACE_COLUMNS) | {TAG_SPECULAR, TAG_SCATTER}
     for _, snaps in (run_stream, pylon_stream):
         for s in snaps:
-            for p in s.paths:
+            for p in read_rows(s.paths):
                 texts.update((p.signature, p.tag))
     # a signature is built from interaction kinds and integer ids only
     texts.add(signature_of([token(kind, -12, 345) for kind in KINDS]))
