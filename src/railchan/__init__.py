@@ -11,7 +11,7 @@ from railchan.config import ConfigError, ScenarioConfig, load_config_file, load_
 from railchan.dynamics import ChannelSnapshot, StreamResult, Trajectory, stream_snapshots
 from railchan.em import C0, CarrierConfig
 from railchan.metrics import (
-    compare_streams,
+    compare_series,
     metric_series,
     snapshot_metrics,
     synthesize_tv_cir,
@@ -48,7 +48,7 @@ __all__ = [
     "StreamResult",
     "TraceLimits",
     "Trajectory",
-    "compare_streams",
+    "compare_series",
     "load_config_file",
     "load_preset",
     "load_scene",

@@ -33,7 +33,7 @@ from .config import (
     ScenarioConfig,
     load_config_file,
     load_preset,
-    preset_path,
+    scene_file,
 )
 from .dynamics import (
     SCATTER_MODES,
@@ -44,7 +44,7 @@ from .dynamics import (
 )
 from .em import CarrierConfig
 from .metrics import (
-    compare_streams,
+    compare_series,
     metric_series,
     power_decomposition,
     synthesize_tv_cir,
@@ -221,18 +221,17 @@ def _stream_manifest(
 ) -> dict:
     """What a stream command reports: the command, the package version, the
     scenario echo, the scene's digest and the seed; the command's own
-    ``fields``; the stream's deterministic ``counters`` apart from the
-    ``timings_s`` of its layers and of the whole stream (``wall`` seconds);
-    the process's peak RSS, and ``rss_mb_after``, its high-water mark after
-    each stage of the command, by stage in stage order; and the digests of
-    the output files ``names``."""
+    ``fields``, its ``n_snapshots`` among them; the stream's deterministic
+    ``counters`` apart from the ``timings_s`` of its layers and of the whole
+    stream (``wall`` seconds); the process's peak RSS, and ``rss_mb_after``,
+    its high-water mark after each stage of the command, by stage in stage
+    order; and the digests of the output files ``names``."""
     return {
         "command": command,
         "package_version": __version__,
         "config": cfg.echo(),
         "scene_sha256": file_sha256(cfg.scene_path),
         "seed": cfg.seed,
-        "n_snapshots": len(result.snapshots),
         "rt_invocations": result.rt_invocations,
         **fields,
         "counters": result.counters,
@@ -280,17 +279,15 @@ def cmd_run(args) -> int:
 
     ids = write_trace_csv(out / "trace.csv", result.snapshots)
     rss["trace.csv"] = _rss_mb()
-    timestamps = [s.timestamp for s in result.snapshots]
-    series = metric_series(result.snapshots, cfg.tx_power_dbm)
+    table = metric_series(result.snapshots, cfg.tx_power_dbm)
     rss["metrics"] = _rss_mb()
-    write_metrics_csv(out / "metrics.csv", timestamps, series)
+    write_metrics_csv(out / "metrics.csv", table)
     rss["metrics.csv"] = _rss_mb()
 
     n_rows = result.counters["rows"]
     names = ["trace.csv", "metrics.csv"]
-    manifest = _stream_manifest(
-        "run", cfg, result, wall, out, names, rss, n_path_rows=n_rows, n_distinct_paths=len(ids)
-    )
+    counts = {"n_snapshots": len(result.snapshots), "n_path_rows": n_rows, "n_distinct_paths": len(ids)}
+    manifest = _stream_manifest("run", cfg, result, wall, out, names, rss, **counts)
     write_manifest(out / "manifest.json", manifest)
     print(
         f"run: {len(result.snapshots)} snapshots, {n_rows} path rows, "
@@ -318,7 +315,10 @@ def cmd_sweep(args) -> int:
     reference = _run_stream(cfg, scene, traj, cfg.update_step_s)
     ref_wall = time.perf_counter() - t0
     rss = {"stream": _rss_mb()}
-    ref_series = metric_series(reference.snapshots, cfg.tx_power_dbm)
+    # each stream is reduced to its metric table and its snapshots dropped
+    # before the next stream is built: one stream is alive at a time
+    ref_table = metric_series(reference.snapshots, cfg.tx_power_dbm)
+    reference.snapshots = None
     rss["metrics"] = _rss_mb()
 
     rows = []
@@ -327,7 +327,8 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         test = _run_stream(cfg, scene, traj, interval)
         test_wall = time.perf_counter() - t0
-        errors = compare_streams(reference.snapshots, test.snapshots, cfg.tx_power_dbm, ref_series)
+        errors = compare_series(ref_table, metric_series(test.snapshots, cfg.tx_power_dbm))
+        test.snapshots = None
         rows.append((interval, errors))
         normalized = test_wall / ref_wall
         timing.append(
@@ -357,6 +358,7 @@ def cmd_sweep(args) -> int:
         out,
         ["nrmse.csv", "timing.csv", "error_cdf.csv"],
         rss,
+        n_snapshots=len(ref_table["timestamp_s"]),
         intervals_s=list(cfg.sweep_intervals_s),
         nrmse_vv_by_interval={"%g" % interval: errors["power_vv"].nrmse for interval, errors in rows},
     )
@@ -418,6 +420,7 @@ def cmd_scatter_study(args) -> int:
         out,
         names,
         rss,
+        n_snapshots=len(result.snapshots),
         window_s=[w0, w1],
         specular_fraction=decomp.specular_fraction,
         scattered_fraction=decomp.scattered_fraction,
@@ -579,13 +582,7 @@ def cmd_bench(args) -> int:
 # validate-scene
 # ----------------------------------------------------------------------
 def cmd_validate_scene(args) -> int:
-    spec = args.scene
-    if spec.endswith(".json"):
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigError(f"scene file not found: {path}")
-    else:
-        path = preset_path(spec, "scene")
+    path = scene_file(args.scene)
     scene = load_scene_file(path)
     n_wedges = scene.n_wedges
     all_xy = np.concatenate([b.footprint for b in scene.buildings]) if scene.buildings else np.zeros((0, 2))

@@ -86,6 +86,19 @@ def preset_path(name: str, kind: str) -> Path:
     return p
 
 
+def scene_file(spec: str, base_dir: Path | None = None) -> Path:
+    """The scene file ``spec`` names: a ``*.json`` path, taken relative to
+    ``base_dir`` when given and not absolute, or a bundled preset's name."""
+    if not spec.endswith(".json"):
+        return preset_path(spec, "scene")
+    path = Path(spec)
+    if not path.is_absolute() and base_dir is not None:
+        path = base_dir / path
+    if not path.is_file():
+        raise ConfigError(f"scene file not found: {path}")
+    return path
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated scenario ready to drive a simulation."""
@@ -182,14 +195,7 @@ def parse_config(
     scene_spec = raw.get("scene")
     if not isinstance(scene_spec, str) or not scene_spec:
         raise ConfigError("'scene' must be a preset name or a .json path")
-    if scene_spec.endswith(".json"):
-        scene_path = Path(scene_spec)
-        if not scene_path.is_absolute() and base_dir is not None:
-            scene_path = base_dir / scene_path
-        if not scene_path.is_file():
-            raise ConfigError(f"scene file not found: {scene_path}")
-    else:
-        scene_path = preset_path(scene_spec, "scene")
+    scene_path = scene_file(scene_spec, base_dir)
 
     carrier_hz = _number(raw, "carrier_hz", "the scenario")
     if carrier_hz <= 0:

@@ -232,24 +232,19 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
 
 
 def metric_series(snapshots, tx_power_dbm: float = 0.0) -> dict:
-    """name -> np.ndarray of per-timestamp metric values."""
-    rows = [snapshot_metrics(s.paths, tx_power_dbm) for s in snapshots]
-    columns = np.array(rows, dtype=float).reshape(len(rows), len(METRIC_NAMES)).T.copy()
-    return dict(zip(METRIC_NAMES, columns))
+    """The stream's metric table, ``metrics.csv``'s: ``timestamp_s``, then
+    each of :data:`METRIC_NAMES`, as ``name -> column``, one entry per
+    snapshot, in column order."""
+    rows = [(s.timestamp, *snapshot_metrics(s.paths, tx_power_dbm)) for s in snapshots]
+    columns = np.array(rows, dtype=float).reshape(len(rows), 1 + len(METRIC_NAMES)).T.copy()
+    return dict(zip(("timestamp_s", *METRIC_NAMES), columns))
 
 
-def compare_streams(
-    reference,
-    test,
-    tx_power_dbm: float = 0.0,
-    reference_series: dict | None = None,
-) -> dict[str, MetricError]:
+def compare_series(reference: dict, test: dict) -> dict[str, MetricError]:
     """Per-metric RMSE / NRMSE / error CDFs of a test stream against a
-    reference stream on identical timestamps, as ``name -> MetricError``
-    in :data:`METRIC_NAMES` order.
-
-    ``reference_series`` is ``metric_series(reference, tx_power_dbm)`` when
-    the caller has it already, as a sweep does for its one reference.
+    reference stream on identical timestamps, from their
+    :func:`metric_series` tables, as ``name -> MetricError`` in
+    :data:`METRIC_NAMES` order.
 
     NRMSE divides the RMSE by the Q90-Q10 gap of the *reference* series; a
     metric whose gap is below its degeneracy threshold is flagged
@@ -257,19 +252,16 @@ def compare_streams(
     :data:`DEGENERATE_GAPS`; a metric it does not name needs a gap of
     at least 1e-15.
     """
-    t_ref = np.array([s.timestamp for s in reference], dtype=float)
-    t_test = np.array([s.timestamp for s in test], dtype=float)
+    t_ref, t_test = reference["timestamp_s"], test["timestamp_s"]
     if t_ref.shape != t_test.shape or not np.allclose(t_ref, t_test, rtol=0.0, atol=1e-12):
         raise ValueError(
             f"streams must share identical timestamps ({t_ref.size} reference vs "
             f"{t_test.size} test samples)"
         )
-    ref_series = reference_series if reference_series is not None else metric_series(reference, tx_power_dbm)
-    test_series = metric_series(test, tx_power_dbm)
     metrics: dict[str, MetricError] = {}
     for name in METRIC_NAMES:
-        rv = ref_series[name]
-        tv = test_series[name]
+        rv = reference[name]
+        tv = test[name]
         mask = np.isfinite(rv) & np.isfinite(tv)
         errors = tv[mask] - rv[mask]
         if name in _CIRCULAR_METRICS:
@@ -313,7 +305,7 @@ class PowerDecomposition:
     """Coherent specular / scattered / total narrowband power series plus
     interval-average linear-domain power fractions."""
 
-    timestamps: np.ndarray
+    timestamp_s: np.ndarray
     specular_dbm: np.ndarray
     scattered_dbm: np.ndarray
     total_dbm: np.ndarray
@@ -349,7 +341,7 @@ def power_decomposition(snapshots, tx_power_dbm: float = 0.0) -> PowerDecomposit
     else:
         spec_frac = scat_frac = math.nan
     return PowerDecomposition(
-        timestamps=times,
+        timestamp_s=times,
         specular_dbm=dbm[0],
         scattered_dbm=dbm[1],
         total_dbm=dbm[2],

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from itertools import chain
 from pathlib import Path
 
@@ -413,15 +414,16 @@ def write_trace_csv(path, snapshots) -> dict[str, int]:
     return ids
 
 
-def write_metrics_csv(path, timestamps, series: dict) -> None:
-    """Per-snapshot metric table: timestamp_s plus one column per metric."""
-    columns = [np.asarray(c, dtype=float) for c in [timestamps] + [series[n] for n in METRIC_NAMES]]
+def write_metrics_csv(path, table: dict) -> None:
+    """Write a float table given as ``name -> column``, columns in order:
+    ``metrics.csv`` holds :func:`~railchan.metrics.metric_series`'s."""
+    columns = [np.asarray(c, dtype=float) for c in table.values()]
 
     def rows(s):
         return np.column_stack([c[s] for c in columns])
 
     with open(path, "wb") as fh:
-        fh.write(_header(("timestamp_s",) + tuple(METRIC_NAMES)))
+        fh.write(_header(table))
         _write_floats(fh, len(columns[0]), len(columns), rows)
 
 
@@ -500,29 +502,13 @@ def write_error_cdf_csv(path, rows) -> None:
 
 
 def write_power_split_csv(path, decomp) -> None:
-    header = (
-        "timestamp_s",
-        "specular_dbm",
-        "scattered_dbm",
-        "total_dbm",
-        "specular_fraction",
-        "scattered_fraction",
-    )
-    columns = [
-        np.asarray(c, dtype=float)
-        for c in (decomp.timestamps, decomp.specular_dbm, decomp.scattered_dbm, decomp.total_dbm)
-    ]
-    fractions = (decomp.specular_fraction, decomp.scattered_fraction)
-
-    def rows(s):
-        block = np.empty((len(columns[0][s]), 6))
-        block[:, :4] = np.column_stack([c[s] for c in columns])
-        block[:, 4:] = fractions
-        return block
-
-    with open(path, "wb") as fh:
-        fh.write(_header(header))
-        _write_floats(fh, len(columns[0]), 6, rows)
+    """One row per snapshot, one column per field of the
+    :class:`~railchan.metrics.PowerDecomposition`, in field order; the
+    window's two fractions repeat on every row."""
+    columns = (decomp.timestamp_s, decomp.specular_dbm, decomp.scattered_dbm, decomp.total_dbm)
+    columns += (decomp.specular_fraction, decomp.scattered_fraction)
+    n = len(decomp.timestamp_s)
+    write_metrics_csv(path, {f.name: np.broadcast_to(c, n) for f, c in zip(fields(decomp), columns, strict=True)})
 
 
 def write_scatter_summary_csv(path, rows) -> None:

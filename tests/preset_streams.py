@@ -4,7 +4,7 @@ for tests that check outputs against an oracle on real data."""
 from __future__ import annotations
 
 from railchan.config import load_preset
-from railchan.dynamics import Trajectory, stream_snapshots
+from railchan.dynamics import Trajectory, stream_snapshots, whole_steps
 from railchan.em import CarrierConfig
 
 
@@ -23,7 +23,7 @@ def preset_stream(*, duration_s: float, kf_interval_s: float, start_s: float = 0
         limits=cfg.limits,
         scatter_mode=cfg.scatter_mode,
         seed=cfg.seed,
-        start_step=int(round(start_s / cfg.update_step_s)),
+        start_step=whole_steps(start_s, cfg.update_step_s),
     )
     return cfg, result
 

@@ -21,7 +21,7 @@ from railchan.cli import main as cli_main
 from railchan.config import load_preset
 from railchan.dynamics import StepSchedule, Trajectory, stream_snapshots
 from railchan.em import CarrierConfig
-from railchan.metrics import _pulse_of, compare_streams, metric_series, synthesize_tv_cir
+from railchan.metrics import _pulse_of, compare_series, metric_series, synthesize_tv_cir
 from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, polyline_lengths
 from railchan.scene import Building, Scene
 from railchan.specular import SpecularTracer, TraceLimits
@@ -220,11 +220,11 @@ def test_05_interpolated_snapshots_pin_to_exact_solves_at_keyframes(canyon_study
 
 
 def test_06_narrowband_power_error_grows_with_keyframe_interval(canyon_study, canyon_cfg):
-    reference = canyon_study["reference"]
+    reference = metric_series(canyon_study["reference"].snapshots, canyon_cfg.tx_power_dbm)
     nrmse = {}
     for kf in SWEEP_INTERVALS:
         res = canyon_study["streams"][kf][0]
-        errors = compare_streams(reference.snapshots, res.snapshots, canyon_cfg.tx_power_dbm)
+        errors = compare_series(reference, metric_series(res.snapshots, canyon_cfg.tx_power_dbm))
         nrmse[kf] = errors["power_vv"].nrmse
     values = [nrmse[kf] for kf in SWEEP_INTERVALS]
     pretty = ", ".join(f"{kf * 1e3:.0f} ms: {v:.4f}" for kf, v in nrmse.items())
@@ -356,7 +356,7 @@ def test_09_metrics_match_brute_force_recomputation_from_csv(canyon_study, tmp_p
             worst = max(worst, rel)
             assert rel < 1e-9, f"{name} at snapshot {idx}: {have} vs brute {value}"
 
-    errors = compare_streams(snapshots, snapshots, tx_power_dbm=0.0)
+    errors = compare_series(series, series)
     for name, metric in errors.items():
         if not metric.degenerate:
             assert metric.nrmse == 0.0, f"self-comparison NRMSE of {name} is {metric.nrmse}"

@@ -7,12 +7,14 @@ fast; physical accuracy is covered by the solver and acceptance tests.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ from path_oracle import Interaction, RayPath, rows_of
 
 import railchan
 import railchan.cli
-import railchan.metrics
 import railchan.specular
 from railchan.cli import _scatter_summary, main
 from railchan.config import DEFAULT_PRESET, ConfigError, load_preset, preset_path
@@ -626,16 +627,15 @@ def test_validate_scene_preset_ok(capsys):
 # sweep
 # ----------------------------------------------------------------------
 def test_sweep_outputs(tmp_path, monkeypatch):
-    # the reference's series are computed once, not once per interval
+    # each stream is reduced to its metric table once, the reference too
     series_of = []
-    for module in (railchan.cli, railchan.metrics):
-        real = module.metric_series
+    real = railchan.cli.metric_series
 
-        def spy(snapshots, tx_power_dbm=0.0, real=real):
-            series_of.append(len(snapshots))
-            return real(snapshots, tx_power_dbm)
+    def spy(snapshots, tx_power_dbm=0.0):
+        series_of.append(len(snapshots))
+        return real(snapshots, tx_power_dbm)
 
-        monkeypatch.setattr(module, "metric_series", spy)
+    monkeypatch.setattr(railchan.cli, "metric_series", spy)
     out = tmp_path / "sweep"
     rc = main(
         [
@@ -665,6 +665,27 @@ def test_sweep_outputs(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["intervals_s"] == [0.1, 0.2]
     assert series_of == [41, 41, 41]  # the reference, then each interval's stream
+
+
+def test_sweep_holds_one_stream_at_a_time(tmp_path, monkeypatch):
+    # each stream is reduced to its metric table and dropped before the next
+    # stream starts: none of an earlier stream's snapshots is alive then
+    real = railchan.cli.stream_snapshots
+    earlier = []  # weak references to every snapshot of the streams so far
+    alive_at_start = []
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in earlier))
+        result = real(*args, **kwargs)
+        earlier.extend(weakref.ref(s) for s in result.snapshots)
+        return result
+
+    monkeypatch.setattr(railchan.cli, "stream_snapshots", spy)
+    argv = ["sweep", "--duration", "0.4", "--intervals", "0.1,0.2", "--scatter", "off"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert len(earlier) == 3 * 41
+    assert alive_at_start == [0, 0, 0]
 
 
 # ----------------------------------------------------------------------

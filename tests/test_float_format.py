@@ -230,9 +230,7 @@ def test_fallback_cells_per_writer_on_preset_streams(tmp_path, monkeypatch, stre
     writers = {
         "trace.csv (run)": lambda p: write_trace_csv(p, run.snapshots),
         "trace.csv (pylon)": lambda p: write_trace_csv(p, pylon.snapshots),
-        "metrics.csv (run)": lambda p: write_metrics_csv(
-            p, [s.timestamp for s in run.snapshots], metric_series(run.snapshots, cfg.tx_power_dbm)
-        ),
+        "metrics.csv (run)": lambda p: write_metrics_csv(p, metric_series(run.snapshots, cfg.tx_power_dbm)),
         "tvcir_total.csv (pylon)": lambda p: write_tvcir_csv(p, cir),
         "tvcir_scatter.csv (pylon)": lambda p: write_tvcir_csv(p, replace(cir, amplitude=cir.scattered)),
         "power_split.csv (pylon)": lambda p: write_power_split_csv(

@@ -26,7 +26,7 @@ from railchan.metrics import (
     METRIC_NAMES,
     PULSE_SUPPORT_SYMBOLS,
     _pulse_of,
-    compare_streams,
+    compare_series,
     metric_series,
     power_decomposition,
     snapshot_metrics,
@@ -217,7 +217,8 @@ class TestSnapshotMetrics:
         assert m["mean_vaoa"] == pytest.approx(0.1)
         assert m["mean_doppler"] == pytest.approx(10.0)
         series = metric_series([snap([make_path(doppler=10.0)], t=0.0), snap([], t=0.01)], 43.0)
-        assert list(series) == list(METRIC_NAMES)
+        assert list(series) == ["timestamp_s", *METRIC_NAMES]
+        assert series["timestamp_s"].tolist() == [0.0, 0.01]
         assert series["mean_doppler"][0] == 10.0 and math.isnan(series["mean_doppler"][1])
 
 
@@ -280,6 +281,16 @@ class TestTVCir:
         snaps = [snap([make_path(delay=50e-9)], t=0.0), snap([], t=0.01)]
         cir = synthesize_tv_cir(snaps, self.B, self.BETA)
         assert np.all(cir.amplitude[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e6])
+    def test_bandwidth_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            synthesize_tv_cir([snap([make_path()])], bandwidth, self.BETA)
+
+    @pytest.mark.parametrize("rolloff", [-1e-9, 1.0 + 1e-9, math.nan])
+    def test_rolloff_must_lie_in_unit_interval(self, rolloff):
+        with pytest.raises(ValueError, match=r"rolloff must lie in \[0, 1\]"):
+            synthesize_tv_cir([snap([make_path()])], self.B, rolloff)
 
 
 def oracle_pulse(x, rolloff):
@@ -399,10 +410,15 @@ def power_series_snapshots(values_db, t0=0.0, dt=0.01, aoa=None, doppler=0.0):
     return out
 
 
+def compare(reference, test):
+    """``compare_series`` of the metric tables of two snapshot lists."""
+    return compare_series(metric_series(reference), metric_series(test))
+
+
 class TestCompareStreams:
     def test_self_compare_all_zero(self):
         ref = power_series_snapshots(np.linspace(-60, -30, 25))
-        rep = compare_streams(ref, ref)
+        rep = compare(ref, ref)
         for name, m in rep.items():
             if m.n_samples == 0:  # e.g. power_hh of a VV-only synthetic stream
                 continue
@@ -414,7 +430,7 @@ class TestCompareStreams:
         base = np.linspace(0.0, 28.625, 101)  # Q90 - Q10 = 0.8 * 28.625 = 22.9 dB
         ref = power_series_snapshots(base)
         test = power_series_snapshots(base + 2.29)
-        rep = compare_streams(ref, test)
+        rep = compare(ref, test)
         m = rep["power_vv"]
         assert m.q90 - m.q10 == pytest.approx(22.9, rel=1e-9)
         assert m.rmse == pytest.approx(2.29, rel=1e-9)
@@ -423,14 +439,16 @@ class TestCompareStreams:
     def test_timestamp_mismatch_rejected(self):
         ref = power_series_snapshots([-40, -41, -42], t0=0.0)
         test = power_series_snapshots([-40, -41, -42], t0=0.005)
-        with pytest.raises(ValueError):
-            compare_streams(ref, test)
+        with pytest.raises(ValueError, match=r"identical timestamps \(3 reference vs 3 test"):
+            compare(ref, test)
+        with pytest.raises(ValueError, match=r"identical timestamps \(3 reference vs 2 test"):
+            compare(ref, ref[:2])
 
     def test_shift_invariance(self):
         base = np.linspace(-60, -30, 50)
         noise = np.sin(np.arange(50))
-        r1 = compare_streams(power_series_snapshots(base), power_series_snapshots(base + noise))
-        r2 = compare_streams(power_series_snapshots(base + 7.0), power_series_snapshots(base + noise + 7.0))
+        r1 = compare(power_series_snapshots(base), power_series_snapshots(base + noise))
+        r2 = compare(power_series_snapshots(base + 7.0), power_series_snapshots(base + noise + 7.0))
         m1, m2 = r1["power_vv"], r2["power_vv"]
         assert m1.rmse == pytest.approx(m2.rmse, rel=1e-9)
         assert m1.nrmse == pytest.approx(m2.nrmse, rel=1e-9)
@@ -440,8 +458,8 @@ class TestCompareStreams:
         noise = np.cos(np.arange(50))
         a = power_series_snapshots(base)
         b = power_series_snapshots(base + noise)
-        assert compare_streams(a, b)["power_vv"].rmse == pytest.approx(
-            compare_streams(b, a)["power_vv"].rmse, rel=1e-12
+        assert compare(a, b)["power_vv"].rmse == pytest.approx(
+            compare(b, a)["power_vv"].rmse, rel=1e-12
         )
 
     def test_circular_error_wraps(self):
@@ -450,7 +468,7 @@ class TestCompareStreams:
         aoa_test = [(math.radians(-179.0), 0.0)] * n
         ref = power_series_snapshots(np.linspace(-50, -40, n), aoa=aoa_ref)
         test = power_series_snapshots(np.linspace(-50, -40, n), aoa=aoa_test)
-        m = compare_streams(ref, test)["mean_haoa"]
+        m = compare(ref, test)["mean_haoa"]
         assert m.rmse == pytest.approx(math.radians(2.0), rel=1e-6)
 
     def test_degenerate_normalization_flagged(self):
@@ -458,14 +476,14 @@ class TestCompareStreams:
         base = np.linspace(-60, -30, 30)
         ref = power_series_snapshots(base)
         test = power_series_snapshots(base + 0.5)
-        rep = compare_streams(ref, test)
+        rep = compare(ref, test)
         assert rep["vaoa_spread"].degenerate
         assert math.isnan(rep["vaoa_spread"].nrmse) and not rep["power_vv"].degenerate
 
     def test_error_cdf_quantiles(self):
         base = np.linspace(-60, -30, 100)
         err = np.linspace(0.0, 1.0, 100)
-        rep = compare_streams(power_series_snapshots(base), power_series_snapshots(base + err))
+        rep = compare(power_series_snapshots(base), power_series_snapshots(base + err))
         m = rep["power_vv"]
         assert m.quantiles[50] == pytest.approx(0.5, abs=0.02)
         assert m.quantiles[99] == pytest.approx(0.99, abs=0.02)
@@ -630,10 +648,12 @@ class TestKernelAgainstOracle:
             want = oracle_metric_series(snaps, tx_power_dbm)
             dec = power_decomposition(snaps, tx_power_dbm)
             spec, scat, tot, fractions = oracle_power_decomposition(snaps, tx_power_dbm)
-        assert list(series) == list(METRIC_NAMES)
+        stamps = np.array([s.timestamp for s in snaps], dtype=float)
+        assert list(series) == ["timestamp_s", *METRIC_NAMES]
+        assert_bits_equal(series["timestamp_s"], stamps)
         for name in METRIC_NAMES:
             assert_bits_equal(series[name], want[name])
-        assert_bits_equal(dec.timestamps, np.array([s.timestamp for s in snaps], dtype=float))
+        assert_bits_equal(dec.timestamp_s, stamps)
         assert_bits_equal(dec.specular_dbm, spec)
         assert_bits_equal(dec.scattered_dbm, scat)
         assert_bits_equal(dec.total_dbm, tot)

@@ -22,11 +22,11 @@ from path_oracle import signature_of as oracle_signature_of
 from preset_streams import preset_stream, pylon_window
 
 from railchan.cli import _scatter_summary
-from railchan.dynamics import ChannelSnapshot
+from railchan.dynamics import ChannelSnapshot, whole_steps
 from railchan.metrics import (
     METRIC_NAMES,
     TVCir,
-    compare_streams,
+    compare_series,
     metric_series,
     power_decomposition,
     synthesize_tv_cir,
@@ -125,12 +125,12 @@ def oracle_write_trace_csv(path, snapshots) -> dict[str, int]:
     return ids
 
 
-def oracle_write_metrics_csv(path, timestamps, series) -> None:
+def oracle_write_metrics_csv(path, table) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("timestamp_s",) + tuple(METRIC_NAMES))
-        for i, ts in enumerate(timestamps):
-            w.writerow([_fmt(ts)] + [_fmt(series[name][i]) for name in METRIC_NAMES])
+        for i, ts in enumerate(table["timestamp_s"]):
+            w.writerow([_fmt(ts)] + [_fmt(table[name][i]) for name in METRIC_NAMES])
 
 
 def oracle_write_tvcir_csv(path, cir) -> None:
@@ -208,7 +208,7 @@ def oracle_write_power_split_csv(path, decomp) -> None:
         w.writerow(
             ("timestamp_s", "specular_dbm", "scattered_dbm", "total_dbm", "specular_fraction", "scattered_fraction")
         )
-        for i, ts in enumerate(decomp.timestamps):
+        for i, ts in enumerate(decomp.timestamp_s):
             w.writerow(
                 (
                     _fmt(ts),
@@ -320,22 +320,21 @@ def test_trace_csv_without_paths(tmp_path):
 
 def test_metrics_csv_matches_oracle_on_run_stream(tmp_path, run_stream):
     cfg, snaps = run_stream
-    series = metric_series(snaps, cfg.tx_power_dbm)
-    timestamps = [s.timestamp for s in snaps]
-    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, timestamps, series)
+    table = metric_series(snaps, cfg.tx_power_dbm)
+    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, table)
 
 
 def test_metrics_csv_matches_oracle_on_crafted_values(tmp_path):
     # empty snapshots give -inf powers and NaN statistics
     snaps = [s for s in crafted_snapshots() if not s.paths]
-    series = metric_series(snaps, 43.0)
-    assert np.isneginf(series["power_vv"][0]) and np.isnan(series["mean_delay"][0])
-    timestamps = [s.timestamp for s in snaps]
-    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, timestamps, series)
-    odd = {name: np.roll(ODD_VALUES, k) for k, name in enumerate(METRIC_NAMES)}
-    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, list(ODD_VALUES), odd)
+    table = metric_series(snaps, 43.0)
+    assert np.isneginf(table["power_vv"][0]) and np.isnan(table["mean_delay"][0])
+    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, table)
+    odd = {"timestamp_s": np.array(ODD_VALUES)}
+    odd.update((name, np.roll(ODD_VALUES, k)) for k, name in enumerate(METRIC_NAMES))
+    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, odd)
     empty = {name: v[:0] for name, v in odd.items()}
-    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, [], empty)
+    assert_same_bytes(tmp_path, write_metrics_csv, oracle_write_metrics_csv, empty)
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +372,7 @@ def test_power_split_and_summary_match_oracle_on_crafted_values(tmp_path):
     assert_same_bytes(tmp_path, write_power_split_csv, oracle_write_power_split_csv, decomp)
     odd = replace(
         decomp,
-        timestamps=np.array(ODD_VALUES),
+        timestamp_s=np.array(ODD_VALUES),
         specular_dbm=np.roll(ODD_VALUES, 1),
         scattered_dbm=np.roll(ODD_VALUES, 2),
         total_dbm=np.roll(ODD_VALUES, 3),
@@ -392,9 +391,10 @@ def test_sweep_csvs_match_oracle(tmp_path, run_stream):
     cfg, snaps = run_stream
     # a test stream with one snapshot emptied: excluded samples, NaN errors
     test = [replace(s, paths=PathRows.empty()) if i == 3 else s for i, s in enumerate(snaps)]
+    reference = metric_series(snaps, cfg.tx_power_dbm)
     rows = [
-        (0.1, compare_streams(snaps, test, cfg.tx_power_dbm)),
-        (0.5, compare_streams(snaps, snaps, 0.0)),
+        (0.1, compare_series(reference, metric_series(test, cfg.tx_power_dbm))),
+        (0.5, compare_series(metric_series(snaps), metric_series(snaps))),
     ]
     assert any(m.degenerate for _, errors in rows for m in errors.values())
     assert_same_bytes(tmp_path, write_nrmse_csv, oracle_write_nrmse_csv, rows)
@@ -422,10 +422,28 @@ def test_signature_is_built_once_and_equals_signature_of(run_stream, pylon_strea
     paths = [p for _, snaps in (run_stream, pylon_stream) for s in snaps for p in read_rows(s.paths)]
     paths += [p for s in crafted_snapshots() for p in read_rows(s.paths)]
     for p in paths:
-        sig = p.signature
         # the records the signature names give it back in the oracle's format
-        assert oracle_signature_of(interactions_of(sig)) == sig
-        assert p.signature is sig
+        assert oracle_signature_of(interactions_of(p.signature)) == p.signature
+    # interpolation builds no signature: a row between keyframes carries the
+    # very object of its row in a keyframe of its bracket, the left one's
+    # when both have it; with exact scatter, the specular rows between
+    # keyframes are the interpolated ones
+    n_interpolated = 0
+    for cfg, snaps in (run_stream, pylon_stream):
+        assert cfg.scatter_mode == "exact"
+        stride = whole_steps(cfg.kf_interval_s, cfg.update_step_s)
+        last = len(snaps) - 1
+        for i, s in enumerate(snaps):
+            left = i // stride * stride
+            if i in (left, last):
+                continue
+            keyframe = {}
+            for k in (min(left + stride, last), left):
+                keyframe.update((sig, sig) for sig in snaps[k].paths.signature.tolist())
+            for sig in s.paths.signature[s.paths.tag == TAG_SPECULAR].tolist():
+                assert sig is keyframe[sig], sig
+                n_interpolated += 1
+    assert n_interpolated > 1000
 
 
 # ----------------------------------------------------------------------
