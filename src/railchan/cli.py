@@ -216,16 +216,33 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
-def _stream_manifest(
-    command: str, cfg: ScenarioConfig, result, wall: float, out: Path, names, rss_mb_after: dict, **fields
-) -> dict:
+class _Stages:
+    """The stages of a command in order: each one's seconds, from the end
+    of the stage before it (or from construction), and the process's RSS
+    high-water mark after it."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self.rss_mb: dict[str, float] = {}
+        self._start = time.perf_counter()
+
+    def mark(self, stage: str) -> None:
+        """End ``stage`` now and start the next."""
+        self.seconds[stage] = time.perf_counter() - self._start
+        self.rss_mb[stage] = _rss_mb()
+        self._start = time.perf_counter()
+
+
+def _stream_manifest(command: str, cfg: ScenarioConfig, result, out: Path, names, stages: _Stages, **fields) -> dict:
     """What a stream command reports: the command, the package version, the
     scenario echo, the scene's digest and the seed; the command's own
     ``fields``, its ``n_snapshots`` among them; the stream's deterministic
-    ``counters`` apart from the ``timings_s`` of its layers and of the whole
-    stream (``wall`` seconds); the process's peak RSS, and ``rss_mb_after``,
-    its high-water mark after each stage of the command, by stage in stage
-    order; and the digests of the output files ``names``."""
+    ``counters`` apart from the ``timings_s`` of its layers, of the whole
+    stream (``total``, the ``stream`` stage) and of each later stage by
+    name; the process's peak RSS, and ``rss_mb_after``, its high-water mark
+    after each stage of the command, by stage in stage order; and the
+    digests of the output files ``names``."""
+    later = {stage: seconds for stage, seconds in stages.seconds.items() if stage != "stream"}
     return {
         "command": command,
         "package_version": __version__,
@@ -239,11 +256,12 @@ def _stream_manifest(
             "keyframe": result.keyframe_seconds,
             "interpolation": result.interpolation_seconds,
             "scatter": result.scatter_seconds,
-            "total": wall,
+            "total": stages.seconds["stream"],
+            **later,
         },
         "peak_rss_mb": _rss_mb(),
         # [stage, MB] pairs: the manifest's keys are sorted, the stages are not
-        "rss_mb_after": [[stage, mb] for stage, mb in rss_mb_after.items()],
+        "rss_mb_after": [[stage, mb] for stage, mb in stages.rss_mb.items()],
         "outputs": {name: file_sha256(out / name) for name in names},
     }
 
@@ -272,27 +290,26 @@ def cmd_run(args) -> int:
     traj = cfg.trajectory()
     _check_stream(cfg, scene, traj, cfg.kf_interval_s)
     out = _out_dir(args, "run")
-    t0 = time.perf_counter()
+    stages = _Stages()
     result = _run_stream(cfg, scene, traj, cfg.kf_interval_s)
-    wall = time.perf_counter() - t0
-    rss = {"stream": _rss_mb()}
+    stages.mark("stream")
 
     ids = write_trace_csv(out / "trace.csv", result.snapshots)
-    rss["trace.csv"] = _rss_mb()
+    stages.mark("trace.csv")
     table = metric_series(result.snapshots, cfg.tx_power_dbm)
-    rss["metrics"] = _rss_mb()
+    stages.mark("metrics")
     write_metrics_csv(out / "metrics.csv", table)
-    rss["metrics.csv"] = _rss_mb()
+    stages.mark("metrics.csv")
 
     n_rows = result.counters["rows"]
     names = ["trace.csv", "metrics.csv"]
     counts = {"n_snapshots": len(result.snapshots), "n_path_rows": n_rows, "n_distinct_paths": len(ids)}
-    manifest = _stream_manifest("run", cfg, result, wall, out, names, rss, **counts)
+    manifest = _stream_manifest("run", cfg, result, out, names, stages, **counts)
     write_manifest(out / "manifest.json", manifest)
     print(
         f"run: {len(result.snapshots)} snapshots, {n_rows} path rows, "
         f"{len(ids)} distinct paths, {result.rt_invocations} exact solves, "
-        f"{wall:.2f} s"
+        f"{stages.seconds['stream']:.2f} s"
     )
     print(f"outputs in {out}")
     return 0
@@ -311,15 +328,15 @@ def cmd_sweep(args) -> int:
     _check_stream(cfg, scene, traj, cfg.update_step_s)
     out = _out_dir(args, "sweep")
 
-    t0 = time.perf_counter()
+    stages = _Stages()
     reference = _run_stream(cfg, scene, traj, cfg.update_step_s)
-    ref_wall = time.perf_counter() - t0
-    rss = {"stream": _rss_mb()}
+    stages.mark("stream")
+    ref_wall = stages.seconds["stream"]
     # each stream is reduced to its metric table and its snapshots dropped
     # before the next stream is built: one stream is alive at a time
     ref_table = metric_series(reference.snapshots, cfg.tx_power_dbm)
     reference.snapshots = None
-    rss["metrics"] = _rss_mb()
+    stages.mark("metrics")
 
     rows = []
     timing = []
@@ -342,22 +359,21 @@ def cmd_sweep(args) -> int:
         )
 
     # the swept streams and their comparisons with the reference
-    rss["sweep"] = _rss_mb()
+    stages.mark("sweep")
     write_nrmse_csv(out / "nrmse.csv", rows)
-    rss["nrmse.csv"] = _rss_mb()
+    stages.mark("nrmse.csv")
     write_timing_csv(out / "timing.csv", timing)
-    rss["timing.csv"] = _rss_mb()
+    stages.mark("timing.csv")
     write_error_cdf_csv(out / "error_cdf.csv", rows)
-    rss["error_cdf.csv"] = _rss_mb()
+    stages.mark("error_cdf.csv")
     # the stream blocks report the reference stream
     manifest = _stream_manifest(
         "sweep",
         cfg,
         reference,
-        ref_wall,
         out,
         ["nrmse.csv", "timing.csv", "error_cdf.csv"],
-        rss,
+        stages,
         n_snapshots=len(ref_table["timestamp_s"]),
         intervals_s=list(cfg.sweep_intervals_s),
         nrmse_vv_by_interval={"%g" % interval: errors["power_vv"].nrmse for interval, errors in rows},
@@ -394,32 +410,30 @@ def cmd_scatter_study(args) -> int:
     _check_stream(cfg, scene, traj, cfg.kf_interval_s, start_step)
 
     out = _out_dir(args, "scatter-study")
-    t0 = time.perf_counter()
+    stages = _Stages()
     result = _run_stream(cfg, scene, traj, cfg.kf_interval_s, start_step)
-    wall = time.perf_counter() - t0
-    rss = {"stream": _rss_mb()}
+    stages.mark("stream")
 
     cir = synthesize_tv_cir(result.snapshots, cfg.bandwidth_hz, cfg.rolloff)
-    rss["tvcir"] = _rss_mb()
+    stages.mark("tvcir")
     decomp = power_decomposition(result.snapshots, cfg.tx_power_dbm)
     summary = _scatter_summary(scene, result.snapshots, cfg.tx_power_dbm)
-    rss["power_split"] = _rss_mb()
+    stages.mark("power_split")
 
     names = ["tvcir_total.csv", "tvcir_scatter.csv", "power_split.csv", "scatter_summary.csv"]
     tables = [cir, replace(cir, amplitude=cir.scattered), decomp, summary]
     writers = [write_tvcir_csv, write_tvcir_csv, write_power_split_csv, write_scatter_summary_csv]
     for name, table, write in zip(names, tables, writers):
         write(out / name, table)
-        rss[name] = _rss_mb()
+        stages.mark(name)
 
     manifest = _stream_manifest(
         "scatter-study",
         cfg,
         result,
-        wall,
         out,
         names,
-        rss,
+        stages,
         n_snapshots=len(result.snapshots),
         window_s=[w0, w1],
         specular_fraction=decomp.specular_fraction,

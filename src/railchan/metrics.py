@@ -114,32 +114,113 @@ def snapshot_metrics(paths: PathRows, tx_power_dbm: float = 0.0) -> tuple:
 # ----------------------------------------------------------------------
 # TV-CIR synthesis
 # ----------------------------------------------------------------------
-def _pulse_of(x, rolloff: float):
-    """The unit-peak raised-cosine pulse of rolloff beta at the times ``x``
-    in symbols of 1 / bandwidth (a float array, left unchanged):
+#: Dekker's splitter for doubles, 2**27 + 1
+_SPLIT = 134217729.0
 
-    ``h(x) = sinc(x) * cos(pi*beta*x) / (1 - (2*beta*x)^2)``, the removable
-    singularity at ``|x| = 1/(2*beta)`` filled with its limit
-    ``(pi/4) * sinc(1/(2*beta))``.
+#: paths whose pulses are evaluated at once: the work buffers of a
+#: synthesis hold this many rows of the delay grid
+PULSE_BLOCK = 16
 
-    It is evaluated with one work array beside the result by the operations
-    of ``np.sinc(x) * cos(pi*beta*x) / den``, in that order."""
-    # np.sinc: y = pi * x, 0 replaced by eps, then sin(y) / y
-    work = np.multiply(math.pi, x)
-    work[work == 0] = np.finfo(float).eps
-    vals = np.sin(work)
-    vals /= work
-    np.multiply(math.pi * rolloff, x, out=work)
-    vals *= np.cos(work, out=work)
-    den = np.multiply(2.0 * rolloff, x, out=work)
-    np.square(den, out=den)
-    np.subtract(1.0, den, out=den)
-    singular = (den < 1e-12) & (den > -1e-12)  # |den| < 1e-12, without an |den| array
-    den[singular] = 1.0
-    vals /= den
-    if rolloff > 0.0:
-        vals[singular] = (math.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-    return vals
+#: a bin with |1 - (2*beta*x)^2| below this takes the pulse's well
+#: conditioned form near its removable singularity
+_NEAR_SINGULAR = 1e-2
+
+
+class _PulseGrid:
+    """Unit-peak raised-cosine pulses of rolloff beta on the first ``n`` bins
+    of the half-symbol delay grid, bin i at x = i/2 - d*B symbols from a
+    path of delay d (B the bandwidth):
+
+    ``h(x) = sinc(x) * cos(pi*beta*x) / (1 - (2*beta*x)^2)``, 1.0 at x = 0.
+
+    Each path's delay is range-reduced in half symbols: j = rint(2*d*B) and
+    h = d*B - j/2 in [-1/4, 1/4], from Dekker's exact product, so bin i sits
+    at x = k/2 - h, k = i - j.  Then sin(pi*x) is one of -sin(pi*h),
+    cos(pi*h), sin(pi*h), -cos(pi*h) by k mod 4, each accurate to its last
+    bits near its zeros, and cos(pi*beta*x) = C[k]*cos(pi*beta*h) +
+    S[k]*sin(pi*beta*h), C and S the cosines and sines of pi*beta*k/2, one
+    table per grid that each path reads a contiguous slice of.  A bin is
+    ``(sin(pi*x) * cos(pi*beta*x)) / ((pi*x) * den)``, den = 1 - (2*beta*x)^2;
+    where |den| < :data:`_NEAR_SINGULAR` it is ``(sin(pi*x) / (pi*x)) * q``,
+    q = sin(pi*u/2) / (u*(2 - u)) with u = 1 - 2*beta*|x|, and pi/4 at u = 0,
+    a form without the cancellation of cos(pi*beta*x) / den there.
+
+    Calling it with up to :data:`PULSE_BLOCK` delays, none past
+    ``max_delay``, returns their (paths, n) pulses, a view of work buffers
+    that the next call overwrites.
+    """
+
+    def __init__(self, n: int, bandwidth: float, rolloff: float, max_delay: float):
+        self.n, self.bandwidth, self.rolloff = n, bandwidth, rolloff
+        b_hi = bandwidth * _SPLIT
+        b_hi -= b_hi - bandwidth
+        self.b_halves = b_hi, bandwidth - b_hi
+        j_max = int(self.reduce_delays(np.array([max_delay]))[0][0])
+        # k = i - j runs over [-j_max, n): the tables hold k/2 and the
+        # cosines and sines of pi*beta*k/2 at k + j_max, and row j_max - j
+        # of each view is a path's slice
+        half_k = np.arange(-j_max, n) * 0.5
+        angle = half_k * (math.pi * rolloff)
+        self.views = [
+            np.lib.stride_tricks.sliding_window_view(table, n)[::-1]
+            for table in (half_k, np.cos(angle), np.sin(angle))
+        ]
+        self.buffers = np.empty((4, PULSE_BLOCK * n))
+
+    def reduce_delays(self, delays: np.ndarray):
+        """(j, h): j = rint(2*d*B), h = d*B - j/2, with d*B = p + e exactly."""
+        b_hi, b_lo = self.b_halves
+        p = delays * self.bandwidth
+        d_hi = delays * _SPLIT
+        d_hi -= d_hi - delays
+        d_lo = delays - d_hi
+        e = ((d_hi * b_hi - p) + d_hi * b_lo + d_lo * b_hi) + d_lo * b_lo
+        j = np.rint(2.0 * p)
+        return j, (p - 0.5 * j) + e
+
+    def __call__(self, delays: np.ndarray) -> np.ndarray:
+        n, beta = self.n, self.rolloff
+        rows = len(delays)
+        j, h = self.reduce_delays(delays)
+        j = j.astype(np.intp)
+        sin_x, cos_x, x, work = self.buffers[:, : rows * n].reshape(4, rows, n)
+        # sin(pi*x) by k mod 4, filled by i mod 4
+        sh = np.sin(math.pi * h)
+        ch = np.cos(math.pi * h)
+        by_k = np.array((-sh, ch, sh, -ch))
+        group = by_k[(np.arange(4)[:, None] - j) % 4, np.arange(rows)]
+        for r in range(4):
+            sin_x[:, r::4] = group[r, :, None]
+        # x and cos(pi*beta*x) from each path's slice of the tables
+        half_v, cos_v, sin_v = self.views
+        bh = (math.pi * beta) * h
+        np.subtract(half_v[j], h[:, None], out=x)
+        np.multiply(cos_v[j], np.cos(bh)[:, None], out=cos_x)
+        np.multiply(sin_v[j], np.sin(bh)[:, None], out=work)
+        cos_x += work
+        sin_x *= cos_x
+        den = np.multiply(x, 2.0 * beta, out=cos_x)
+        np.square(den, out=den)
+        np.subtract(1.0, den, out=den)
+        pulse = np.multiply(x, math.pi, out=work)
+        pulse *= den
+        # bins near the singularity or at x = 0 (k = 0 and h = 0) are set
+        # after the division
+        near_r, near_i = np.divmod(np.flatnonzero(np.abs(den, out=den) < _NEAR_SINGULAR), n)
+        zero_r = np.flatnonzero((h == 0.0) & (j < n))
+        zero_i = j[zero_r]
+        pulse[near_r, near_i] = 1.0
+        pulse[zero_r, zero_i] = 1.0
+        np.divide(sin_x, pulse, out=pulse)
+        if near_r.size:
+            xs = x[near_r, near_i]
+            u = 1.0 - (2.0 * beta) * np.abs(xs)
+            q = np.full(u.shape, math.pi / 4.0)
+            off = u != 0.0
+            q[off] = np.sin((math.pi / 2.0) * u[off]) / (u[off] * (2.0 - u[off]))
+            pulse[near_r, near_i] = group[near_i % 4, near_r] / (math.pi * xs) * q
+        pulse[zero_r, zero_i] = 1.0
+        return pulse
 
 
 @dataclass
@@ -157,13 +238,17 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float) -> TVCir:
     times a raised-cosine pulse centered on its delay.
 
     The delay grid runs from 0 to the maximum path delay plus
-    ``PULSE_SUPPORT_SYMBOLS`` symbols at spacing 1/(2*bandwidth).
+    ``PULSE_SUPPORT_SYMBOLS`` symbols at spacing 1/(2*bandwidth); ``delays``
+    holds bin i as ``i * spacing``, and its pulses are evaluated at exactly
+    i/(2*bandwidth), i.e. x = i/2 - d*bandwidth symbols from a path of
+    delay d (see :class:`_PulseGrid`).
 
-    Each snapshot's pulses are one (paths x delay grid) evaluation; paths
-    with a zero entry are masked out, and the kept paths are added into the
-    snapshot's column one by one in path order, so every bin is the same
-    sequential sum a per-path loop gives.  ``scattered`` holds the same
-    sums over the scatter-tag rows alone, from the same pulses.
+    Paths with a zero entry are masked out.  The kept paths' pulses are
+    evaluated :data:`PULSE_BLOCK` at a time in reused buffers, and each
+    block's terms are added into the snapshot's column in path order, so
+    every bin is the same sequential sum a per-path loop gives.
+    ``scattered`` holds the same sums over the scatter-tag rows alone, from
+    the same pulses.
     """
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
@@ -174,34 +259,35 @@ def synthesize_tv_cir(snapshots, bandwidth: float, rolloff: float) -> TVCir:
         times.append(s.timestamp)
         rows = s.paths
         per_snapshot.append((rows.delay_s, rows.transfer[:, 0, 0], rows.tag == TAG_SCATTER))
-    max_spacing = 1.0 / (2.0 * bandwidth)
+    spacing = 1.0 / (2.0 * bandwidth)
     max_delay = max([0.0] + [float(d.max()) for d, _, _ in per_snapshot if d.size])
     span = max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth
-    n = int(math.ceil(span / max_spacing)) + 1
-    grid = np.arange(n) * max_spacing
+    n = int(math.ceil(span / spacing)) + 1
+    grid = np.arange(n) * spacing
+    pulses = _PulseGrid(n, bandwidth, rolloff, max_delay)
 
     amp = np.zeros((grid.size, len(times)), dtype=complex)
     scattered = np.zeros_like(amp)
-    column = np.empty(grid.size, dtype=complex)
-    part = np.empty_like(column)
+    # row 0 holds the running sum, the rows after it a block's terms
+    terms = np.empty((PULSE_BLOCK + 1, n), dtype=complex)
+    scatter_terms = np.empty_like(terms)
     for j, (delays, entries, scatter) in enumerate(per_snapshot):
         keep = entries != 0.0
         if not keep.any():
             continue
-        pulses = _pulse_of((grid - delays[keep, None]) * bandwidth, rolloff)
-        column[:] = 0.0
-        part[:] = 0.0
-        for entry, pulse, is_scatter in zip(entries[keep], pulses, scatter[keep]):
-            term = entry * pulse
-            column += term
-            if is_scatter:
-                part += term
-        amp[:, j] = column
-        scattered[:, j] = part
-        # free this snapshot's pulses (``pulse`` is a view of them) before
-        # the next snapshot's are evaluated: with ``scattered`` beside
-        # ``amp``, holding both would raise the peak memory
-        del pulses, pulse
+        delays, entries, scatter = delays[keep], entries[keep], scatter[keep]
+        terms[0] = 0.0
+        scatter_terms[0] = 0.0
+        for b in range(0, len(delays), PULSE_BLOCK):
+            rows = min(PULSE_BLOCK, len(delays) - b)
+            np.multiply(entries[b : b + rows, None], pulses(delays[b : b + rows]), out=terms[1 : rows + 1])
+            own = np.flatnonzero(scatter[b : b + rows]) + 1
+            if own.size:
+                np.take(terms, own, axis=0, out=scatter_terms[1 : own.size + 1])
+                scatter_terms[0] = np.add.reduce(scatter_terms[: own.size + 1], axis=0)
+            terms[0] = np.add.reduce(terms[: rows + 1], axis=0)
+        amp[:, j] = terms[0]
+        scattered[:, j] = scatter_terms[0]
     return TVCir(
         times=np.array(times, dtype=float),
         delays=grid,

@@ -21,7 +21,7 @@ from railchan.cli import main as cli_main
 from railchan.config import load_preset
 from railchan.dynamics import StepSchedule, Trajectory, stream_snapshots
 from railchan.em import CarrierConfig
-from railchan.metrics import _pulse_of, compare_series, metric_series, synthesize_tv_cir
+from railchan.metrics import _PulseGrid, compare_series, metric_series, synthesize_tv_cir
 from railchan.rays import LOS_SIGNATURE, TAG_SCATTER, TAG_SPECULAR, polyline_lengths
 from railchan.scene import Building, Scene
 from railchan.specular import SpecularTracer, TraceLimits
@@ -398,7 +398,8 @@ def test_10_tv_cir_resolves_two_paths_50ns_apart():
     valley = float(mag[i1 + 1 : i2].min())
     smaller = min(mag[i1], mag[i2])
     depth_db = 20.0 * math.log10(smaller / valley)
-    peak0 = float(_pulse_of(np.zeros(1), 0.95)[0])
+    # the grid kernel's pulse of a path at delay 0 on its own bin, x = 0
+    peak0 = float(_PulseGrid(1, 100e6, 0.95, 0.0)(np.zeros(1))[0, 0])
     print(
         f"PASS 10 two taps resolved, valley {depth_db:.1f} dB below the smaller "
         f"peak; pulse peak h(0) = {peak0}"

@@ -12,6 +12,7 @@ as ``oracle_*`` functions: ``metric_series`` and ``power_decomposition``
 must equal them bit for bit on preset streams and on crafted snapshots.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -24,8 +25,9 @@ from railchan.dynamics import ChannelSnapshot
 from railchan.em import CarrierConfig
 from railchan.metrics import (
     METRIC_NAMES,
+    PULSE_BLOCK,
     PULSE_SUPPORT_SYMBOLS,
-    _pulse_of,
+    _PulseGrid,
     compare_series,
     metric_series,
     power_decomposition,
@@ -222,14 +224,22 @@ class TestSnapshotMetrics:
         assert series["mean_doppler"][0] == 10.0 and math.isnan(series["mean_doppler"][1])
 
 
+def grid_pulse(x, bandwidth, rolloff):
+    """The TV-CIR's grid kernel, ``metrics._PulseGrid``, at ``x`` symbols
+    from a path's delay: the path is placed so that a bin of the half-symbol
+    grid falls on ``x``."""
+    i = math.ceil(2.0 * x)
+    delay = (i / 2.0 - x) / bandwidth
+    return float(_PulseGrid(i + 1, bandwidth, rolloff, delay)(np.array([delay]))[0, i])
+
+
 class TestRaisedCosine:
     B = 100e6
     BETA = 0.95
 
     def pulse(self, t):
-        """The TV-CIR's pulse, ``metrics._pulse_of``, at the time ``t`` in
-        seconds."""
-        return float(_pulse_of(np.array([t]) * self.B, self.BETA)[0])
+        """The TV-CIR's pulse at the time ``t`` in seconds."""
+        return grid_pulse(t * self.B, self.B, self.BETA)
 
     def test_unit_peak(self):
         assert self.pulse(0.0) == 1.0
@@ -242,6 +252,7 @@ class TestRaisedCosine:
         # approaching the singularity from both sides agrees with the limit
         eps = 1e-14
         assert self.pulse(t_sing + eps) == pytest.approx(want, rel=1e-4)
+        assert self.pulse(t_sing - eps) == pytest.approx(want, rel=1e-4)
 
     def test_zero_crossings_at_symbol_times(self):
         T = 1.0 / self.B
@@ -297,8 +308,8 @@ def oracle_pulse(x, rolloff):
     """The unit-peak raised-cosine pulse at the times ``x`` in symbols, by
     its closed form ``sinc(x) * cos(pi*beta*x) / (1 - (2*beta*x)^2)``, the
     removable singularity at ``|x| = 1/(2*beta)`` filled with its limit
-    ``(pi/4) * sinc(1/(2*beta))``: the operations of ``metrics._pulse_of``,
-    in its order."""
+    ``(pi/4) * sinc(1/(2*beta))``: the rule the TV-CIR used before its
+    pulses were range-reduced, kept as a differential check."""
     den = 1.0 - (2.0 * rolloff * x) ** 2
     singular = np.abs(den) < 1e-12
     vals = np.sinc(x) * np.cos(math.pi * rolloff * x) / np.where(singular, 1.0, den)
@@ -307,27 +318,100 @@ def oracle_pulse(x, rolloff):
     return vals
 
 
-def oracle_tv_cir(snapshots, bandwidth, rolloff, grid=None):
-    """Per-path oracle of ``synthesize_tv_cir``: one pulse evaluation per
-    path per snapshot, its V->V entry times the pulse added into the
-    snapshot's column in path order, on ``grid`` or, when none is given, on
-    the default delay grid."""
-    if grid is None:
-        max_delay = 0.0
-        for s in snapshots:
-            for p in read_rows(s.paths):
-                max_delay = max(max_delay, p.delay_s)
-        max_spacing = 1.0 / (2.0 * bandwidth)
-        n = int(math.ceil((max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth) / max_spacing)) + 1
-        grid = np.arange(n) * max_spacing
+#: Dekker's splitter for doubles, 2**27 + 1
+SPLIT = 134217729.0
+
+
+def reduced_delay(delay, bandwidth):
+    """(j, h) of one delay: j = round(2*d*B) half to even, as ``np.rint``,
+    and h = d*B - j/2 from Dekker's exact product d*B = p + e."""
+
+    def halves(v):
+        hi = v * SPLIT
+        hi = hi - (hi - v)
+        return hi, v - hi
+
+    p = delay * bandwidth
+    (d_hi, d_lo), (b_hi, b_lo) = halves(delay), halves(bandwidth)
+    e = ((d_hi * b_hi - p) + d_hi * b_lo + d_lo * b_hi) + d_lo * b_lo
+    j = round(2.0 * p)
+    return j, (p - 0.5 * j) + e
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def half_angle_trig(k, w):
+    """cos and sin of w * k/2, by Python ``math``."""
+    angle = (k * 0.5) * w
+    return math.cos(angle), math.sin(angle)
+
+
+def rule_pulse(delay, bandwidth, rolloff, n):
+    """One path's pulses on bins 0..n-1 of the half-symbol grid by the
+    range-reduced rule of ``synthesize_tv_cir``, path by path: bin i at
+    x = k/2 - h, k = i - j; sin(pi*x) picked by k mod 4 from sin and cos of
+    pi*h; cos(pi*beta*x) = cos(pi*beta*k/2)*cos(pi*beta*h) +
+    sin(pi*beta*k/2)*sin(pi*beta*h); each sine and cosine a Python ``math``
+    call, the arithmetic in the kernel's order.  Where |den| < 1e-2 the
+    near-singular form (sin(pi*x) / (pi*x)) * sin(pi*u/2) / (u*(2 - u)),
+    u = 1 - 2*beta*|x| (pi/4 at u = 0); 1.0 at x = 0."""
+    j, h = reduced_delay(delay, bandwidth)
+    k = np.arange(n) - j
+    x = k * 0.5 - h
+    sh, ch = math.sin(math.pi * h), math.cos(math.pi * h)
+    sin_x = np.array([-sh, ch, sh, -ch])[k % 4]
+    w = math.pi * rolloff
+    cb, sb = math.cos(w * h), math.sin(w * h)
+    cos_k, sin_k = np.array([half_angle_trig(kk, w) for kk in k.tolist()]).T
+    cos_x = cos_k * cb + sin_k * sb
+    den = 1.0 - (x * (2.0 * rolloff)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pulse = (sin_x * cos_x) / ((x * math.pi) * den)
+    for i in np.flatnonzero(np.abs(den) < 1e-2).tolist():
+        u = 1.0 - (2.0 * rolloff) * abs(x[i])
+        q = math.pi / 4.0 if u == 0.0 else math.sin((math.pi / 2.0) * u) / (u * (2.0 - u))
+        pulse[i] = sin_x[i] / (math.pi * x[i]) * q
+    pulse[x == 0.0] = 1.0
+    return pulse
+
+
+def closed_form_pulses(grid, delay, bandwidth, rolloff):
+    return oracle_pulse((grid - delay) * bandwidth, rolloff)
+
+
+def rule_pulses(grid, delay, bandwidth, rolloff):
+    return rule_pulse(delay, bandwidth, rolloff, grid.size)
+
+
+def default_grid(snapshots, bandwidth):
+    """The TV-CIR's delay grid: 0 to the latest delay plus the pulse support
+    at spacing 1/(2*bandwidth)."""
+    max_delay = 0.0
+    for s in snapshots:
+        for p in read_rows(s.paths):
+            max_delay = max(max_delay, p.delay_s)
+    spacing = 1.0 / (2.0 * bandwidth)
+    n = int(math.ceil((max_delay + PULSE_SUPPORT_SYMBOLS / bandwidth) / spacing)) + 1
+    return np.arange(n) * spacing
+
+
+def oracle_tv_cir(snapshots, bandwidth, rolloff, pulses_of, grid):
+    """Per-path oracle of ``synthesize_tv_cir`` on ``grid``: one pulse
+    evaluation ``pulses_of(grid, delay, bandwidth, rolloff)`` per path per
+    snapshot, its V->V entry times the pulse added into the snapshot's
+    column in path order."""
     amp = np.zeros((grid.size, len(snapshots)), dtype=complex)
     for j, s in enumerate(snapshots):
         for p in read_rows(s.paths):
             entry = p.transfer[0, 0]
             if entry == 0.0:
                 continue
-            amp[:, j] += entry * oracle_pulse((grid - p.delay_s) * bandwidth, rolloff)
-    return grid, amp
+            amp[:, j] += entry * pulses_of(grid, p.delay_s, bandwidth, rolloff)
+    return amp
+
+
+def entry_sums(snapshots):
+    """Each snapshot's sum of |V->V entry|, the scale of its column."""
+    return np.array([np.abs(s.paths.transfer[:, 0, 0]).sum() for s in snapshots])
 
 
 def assert_bits_equal(got, want):
@@ -341,19 +425,28 @@ def pylon_cfg_snaps():
     return cfg, result.snapshots
 
 
+#: per bin, the largest |range-reduced - closed form| of a TV-CIR column,
+#: relative to the column's sum of |entry|
+CLOSED_FORM_TOLERANCE = 1e-12
+
+
 class TestTVCirAgainstOracle:
     B = 100e6
     BETA = 0.95
 
     def check(self, snaps, bandwidth=B, rolloff=BETA):
-        """The CIR against the oracle of all rows and its ``scattered`` part
-        against the oracle of the scatter rows alone, on the same grid."""
+        """The CIR against the rule's oracle bit for bit, and within
+        :data:`CLOSED_FORM_TOLERANCE` of the closed form's; its ``scattered``
+        part likewise against the oracles of the scatter rows alone, on the
+        same grid."""
         cir = synthesize_tv_cir(snaps, bandwidth, rolloff)
-        grid, amp = oracle_tv_cir(snaps, bandwidth, rolloff)
+        grid = default_grid(snaps, bandwidth)
         assert_bits_equal(cir.delays, grid)
-        assert_bits_equal(cir.amplitude, amp)
         scatter = [replace(s, paths=s.paths.take(s.paths.tag == TAG_SCATTER)) for s in snaps]
-        assert_bits_equal(cir.scattered, oracle_tv_cir(scatter, bandwidth, rolloff, grid)[1])
+        for got, rows in ((cir.amplitude, snaps), (cir.scattered, scatter)):
+            assert_bits_equal(got, oracle_tv_cir(rows, bandwidth, rolloff, rule_pulses, grid))
+            closed = oracle_tv_cir(rows, bandwidth, rolloff, closed_form_pulses, grid)
+            assert np.all(np.abs(got - closed) <= CLOSED_FORM_TOLERANCE * entry_sums(rows))
         return cir
 
     def test_pylon_window(self, pylon_cfg_snaps):
@@ -362,6 +455,8 @@ class TestTVCirAgainstOracle:
         assert np.count_nonzero(cir.amplitude) > 0.9 * cir.amplitude.size
         # the window's pylon echoes reach the scatter-only column
         assert np.count_nonzero(cir.scattered) > 0
+        # its snapshots take several blocks of pulses each
+        assert max(len(s.paths) for s in snaps) > 2 * PULSE_BLOCK
 
     def test_zero_entry_is_skipped(self):
         # a path with a zero entry adds nothing to either sum: the CIR is
@@ -398,6 +493,140 @@ class TestTVCirAgainstOracle:
         assert not cir.amplitude[:, [0, 2]].any()
         cir = self.check([snap([])])
         assert cir.delays.size == int(math.ceil(PULSE_SUPPORT_SYMBOLS * 2.0)) + 1
+
+
+def exact_pulse(mp, i, delay, bandwidth, rolloff):
+    """The pulse at bin i of a path of ``delay`` at mpmath's precision: x =
+    i/2 - delay*bandwidth from the floats' exact values."""
+    x = mp.mpf(int(i)) / 2 - mp.mpf(delay) * mp.mpf(bandwidth)
+    if x == 0:
+        return mp.mpf(1)
+    beta = mp.mpf(rolloff)
+    den = 1 - (2 * beta * x) ** 2
+    sinc = mp.sinpi(x) / (mp.pi * x)
+    if den == 0:
+        return sinc * mp.pi / 4
+    return sinc * mp.cospi(beta * x) / den
+
+
+def grid_errors(mp, delays, bandwidth, rolloff, n, bins_of):
+    """Per path of ``delays``, the largest |pulse - exact| over the bins
+    ``bins_of(delay)`` of the grid kernel and of the closed form."""
+    grid = np.arange(n) * (1.0 / (2.0 * bandwidth))
+    pulses = _PulseGrid(n, bandwidth, rolloff, float(delays.max()))
+    new, closed = [], []
+    for b in range(0, len(delays), PULSE_BLOCK):
+        block = delays[b : b + PULSE_BLOCK]
+        for d, got in zip(block.tolist(), pulses(block)):
+            bins = bins_of(d)
+            want = np.array([float(exact_pulse(mp, i, d, bandwidth, rolloff)) for i in bins.tolist()])
+            new.append(np.abs(got[bins] - want).max())
+            closed.append(np.abs(closed_form_pulses(grid[bins], d, bandwidth, rolloff) - want).max())
+    return np.array(new), np.array(closed)
+
+
+class TestGridKernelAccuracy:
+    """The range-reduced pulses against 40-digit mpmath at the exact bin
+    times, beside the closed form on the same bins."""
+
+    B = 100e6
+    BETA = 0.95
+
+    def test_pylon_snapshots_no_less_accurate_than_the_closed_form(self, pylon_cfg_snaps):
+        mp = pytest.importorskip("mpmath").mp
+        cfg, snaps = pylon_cfg_snaps
+        bandwidth, rolloff = cfg.bandwidth_hz, cfg.rolloff
+        n = default_grid(snaps, bandwidth).size
+        rng = np.random.default_rng(36)
+        near_bins = []
+
+        def bins_of(delay):
+            # 12 bins at random and every bin near the singularity
+            x = np.arange(n) / 2.0 - delay * bandwidth
+            near = np.flatnonzero(np.abs(1.0 - (2.0 * rolloff * x) ** 2) < 0.05)
+            near_bins.append(near.size)
+            return np.union1d(rng.choice(n, 12, replace=False), near)
+
+        news, closeds = [], []
+        with mp.workdps(40):
+            for s in (snaps[0], snaps[len(snaps) // 2], snaps[-1]):
+                new, closed = grid_errors(mp, s.paths.delay_s, bandwidth, rolloff, n, bins_of)
+                news.append(new)
+                closeds.append(closed)
+        new, closed = np.concatenate(news), np.concatenate(closeds)
+        assert sum(near_bins) > 0
+        print(f"largest error: range-reduced {new.max():.2e}, closed form {closed.max():.2e}")
+        assert new.max() <= closed.max()
+
+    def near_singularity(self, rolloff, offsets):
+        """Pulses and exact values at bins ``offsets`` symbols past x =
+        1/(2*rolloff), one path per offset, all on bin 40."""
+        mp = pytest.importorskip("mpmath").mp
+        delays = np.array([(20.0 - 1.0 / (2.0 * rolloff) - o) / self.B for o in offsets])
+        with np.errstate(all="raise"):
+            got = _PulseGrid(41, self.B, rolloff, float(delays.max()))(delays)[:, 40]
+        with mp.workdps(40):
+            want = np.array([float(exact_pulse(mp, 40, d, self.B, rolloff)) for d in delays.tolist()])
+        return got, want
+
+    def test_bins_a_billionth_of_a_symbol_either_side_of_the_singularity(self):
+        got, want = self.near_singularity(self.BETA, [-1e-9, 0.0, 1e-9])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        limit = (math.pi / 4.0) * np.sinc(1.0 / (2.0 * self.BETA))
+        np.testing.assert_allclose(got, limit, rtol=1e-8)
+
+    def test_exact_singular_bin(self):
+        # B = 2**26 Hz and a dyadic delay make d*B exact, so bin 2 sits at
+        # exactly x, the float whose den and u are exactly 0 at beta = 0.95;
+        # at beta = 1, delay 0 puts bin 1 at x = 1/2
+        bandwidth = 2.0**26
+        x = np.nextafter(1.0 / 1.9, 2.0)
+        assert 1.0 - (x * 1.9) ** 2 == 0.0 and 1.0 - 1.9 * abs(x) == 0.0
+        for rolloff, delay, i in ((0.95, (1.0 - x) / bandwidth, 2), (1.0, 0.0, 1)):
+            with np.errstate(all="raise"):
+                got = _PulseGrid(i + 1, bandwidth, rolloff, delay)(np.array([delay]))[0, i]
+            assert got == rule_pulse(delay, bandwidth, rolloff, i + 1)[i]
+            assert got == pytest.approx((math.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff)), rel=1e-15)
+        # the last case's limit: (pi/4) * sinc(1/2) = 1/2
+        assert got == pytest.approx(0.5, rel=1e-15)
+
+    def test_delay_on_a_bin_gives_exactly_one(self):
+        # a dyadic delay and bandwidth put bin 6 at x = 0 exactly; 7 half
+        # symbols at 100 MHz put bin 7 within an ulp of it
+        for bandwidth, delay, i in ((2.0**26, 3.0 / 2.0**26, 6), (self.B, 7 / (2.0 * self.B), 7)):
+            with np.errstate(all="raise"):
+                pulse = _PulseGrid(i + 3, bandwidth, self.BETA, delay)(np.array([delay]))[0]
+            assert pulse[i] == 1.0
+
+    def test_delay_zero(self):
+        # bin 0 is the peak and every other even bin a symbol time, where
+        # sin(pi*x) is exactly zero
+        with np.errstate(all="raise"):
+            pulse = _PulseGrid(41, self.B, self.BETA, 0.0)(np.zeros(1))[0]
+        assert pulse[0] == 1.0
+        assert not pulse[2::2].any()
+        np.testing.assert_allclose(pulse, oracle_pulse(np.arange(41) / 2.0, self.BETA), rtol=0.0, atol=1e-15)
+
+    def test_zero_rolloff_is_a_pure_sinc(self):
+        delays = np.array([0.0, 31e-9, 90.25e-9])
+        n = 40
+        pulses = _PulseGrid(n, self.B, 0.0, float(delays.max()))(delays)
+        for d, pulse in zip(delays.tolist(), pulses):
+            np.testing.assert_allclose(pulse, np.sinc(np.arange(n) / 2.0 - d * self.B), rtol=0.0, atol=1e-15)
+
+    def test_largest_delay_reads_its_tables_from_the_start(self):
+        # the latest path has the largest j: its slices start at the
+        # tables' first entry, k = -j
+        mp = pytest.importorskip("mpmath").mp
+        delays = np.array([12e-9, 0.0, 987.6543e-9])
+        n = 2 * 100 + 17
+        pulses = _PulseGrid(n, self.B, self.BETA, float(delays.max()))(delays)
+        for d, pulse in zip(delays.tolist(), pulses):
+            assert_bits_equal(pulse, rule_pulse(d, self.B, self.BETA, n))
+        peak = int(round(2.0 * delays[-1] * self.B))
+        with mp.workdps(40):
+            want = [float(exact_pulse(mp, i, delays[-1], self.B, self.BETA)) for i in range(peak - 4, peak + 5)]
+        np.testing.assert_allclose(pulses[-1, peak - 4 : peak + 5], want, rtol=0.0, atol=1e-15)
 
 
 def power_series_snapshots(values_db, t0=0.0, dt=0.01, aoa=None, doppler=0.0):
